@@ -1,101 +1,25 @@
 """Hom-Lie superalgebras: brackets, twist maps, verifiers, Yau twists.
 
-A bracket is stored as a full dim x dim table of structure vectors.  The
-canonical constructor accepts coefficients on canonical index pairs only
-(i < j, or i = j odd) and fills the rest through the super-skew rule
-[y,x] = -(-1)^{|x||y|}[x,y]; the raw constructor accepts any table so the
-verifiers have something to catch.
+A bracket is a graded.SuperBracket of arity 2: the nonzero structure
+vectors of [e_i, e_j], keyed by ordered pairs.  The canonical constructor
+accepts coefficients on canonical index pairs only (i < j, or i = j odd)
+and fills in the mirrors through the super-skew rule
+[y,x] = -(-1)^{|x||y|}[x,y]; the raw constructor accepts any entries so
+the verifiers have something to catch.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .graded import GradedMap, GradedSpace, canonicalize, skew_basis
+from .graded import (GradedMap, GradedSpace, SuperBracket,
+                     parity_law_violations, skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
-                     is_zero_vec, subspace_sum, vec, vec_add, vec_scale,
-                     zero_vec)
+                     is_zero_vec, vec, vec_add, vec_scale, zero_vec)
 from .report import Report, fmt_vec
 
 
-def _parity_law_violations(space, out_vec, want_parity):
-    bad = []
-    for k, c in enumerate(out_vec):
-        if c != 0 and space.parities[k] != want_parity:
-            bad.append(space.names[k])
-    return bad
-
-
-@dataclass(frozen=True)
-class SuperBracket2:
-    space: GradedSpace
-    table: tuple  # table[i][j] -> structure vector
-
-    @staticmethod
-    def from_canonical(space: GradedSpace, coeffs: dict) -> "SuperBracket2":
-        """Build from canonical-pair coefficients; everything else derived."""
-        dim = space.dim
-        canon = {}
-        for key, value in coeffs.items():
-            key = tuple(key)
-            t, _, zero = canonicalize(key, space.parities)
-            if key != t or zero:
-                raise InputError(f"bracket key {key} is not canonical")
-            v = vec(value)
-            if len(v) != dim:
-                raise InputError(f"bracket value for {key} has wrong length")
-            want = (space.parities[key[0]] + space.parities[key[1]]) % 2
-            bad = _parity_law_violations(space, v, want)
-            if bad:
-                raise InputError(f"bracket value for {key} breaks the parity "
-                                 f"law at {bad}")
-            canon[key] = v
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                t, sign, zero = canonicalize((i, j), space.parities)
-                if zero or t not in canon:
-                    row.append(zero_vec(dim))
-                else:
-                    row.append(vec_scale(sign, canon[t]))
-            rows.append(tuple(row))
-        return SuperBracket2(space, tuple(rows))
-
-    @staticmethod
-    def from_table(space: GradedSpace, table) -> "SuperBracket2":
-        """Raw constructor: no skew or parity validation."""
-        dim = space.dim
-        rows = tuple(tuple(vec(table[i][j]) for j in range(dim)) for i in range(dim))
-        return SuperBracket2(space, rows)
-
-    def value(self, i: int, j: int) -> Vec:
-        return self.table[i][j]
-
-    def eval_vectors(self, u: Vec, v: Vec) -> Vec:
-        out = zero_vec(self.space.dim)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                cell = self.table[i][j]
-                if not is_zero_vec(cell):
-                    out = vec_add(out, vec_scale(a * b, cell))
-        return out
-
-    def with_entry(self, i: int, j: int, value) -> "SuperBracket2":
-        """Patch a single ordered entry, leaving its mirror untouched."""
-        rows = [list(r) for r in self.table]
-        rows[i][j] = vec(value)
-        return SuperBracket2(self.space, tuple(tuple(r) for r in rows))
-
-    def canonical_coeffs(self) -> dict:
-        sb = skew_basis(2, self.space)
-        return {t: self.table[t[0]][t[1]] for t in sb.tuples
-                if not is_zero_vec(self.table[t[0]][t[1]])}
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(c) for row in self.table for c in row)
+class SuperBracket2(SuperBracket):
+    """Binary bracket: entries[(i, j)] is [e_i, e_j]."""
+    arity = 2
 
 
 @dataclass(frozen=True)
@@ -103,6 +27,9 @@ class HomLieSuper:
     space: GradedSpace
     bracket: SuperBracket2
     alpha: GradedMap
+    # coboundary matrices of this algebra, filled on demand by cohomology
+    memo: dict = field(default_factory=dict, init=False, compare=False,
+                       repr=False)
 
     def __post_init__(self):
         if self.bracket.space != self.space:
@@ -112,26 +39,9 @@ class HomLieSuper:
         if self.alpha.parity != 0:
             raise InputError("twist must be even")
 
-    @staticmethod
-    def validated(space, bracket, alpha) -> "HomLieSuper":
-        a = HomLieSuper(space, bracket, alpha)
-        for rep in (verify_skew(a), verify_hom_jacobi(a)):
-            if not rep.ok:
-                f = rep.findings[0]
-                raise InputError(f"{f.check} fails at {f.witness}")
-        return a
-
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def bracket_eval(self, i: int, j: int) -> Vec:
-        return self.bracket.value(i, j)
-
-
-def bracket_eval(a: HomLieSuper, i: int, j: int) -> Vec:
-    """Structure vector of [e_i, e_j], signs included for any order."""
-    return a.bracket.value(i, j)
 
 
 def verify_skew(a: HomLieSuper) -> Report:
@@ -147,7 +57,7 @@ def verify_skew(a: HomLieSuper) -> Report:
                 rep.fail("skew", witness=(sp.names[i], sp.names[j]),
                          residual=tuple(fmt_vec(resid)))
             want = (sp.parities[i] + sp.parities[j]) % 2
-            bad = _parity_law_violations(sp, a.bracket.value(i, j), want)
+            bad = parity_law_violations(sp, a.bracket.value(i, j), want)
             if bad:
                 rep.fail("parity-law", witness=(sp.names[i], sp.names[j]),
                          detail=f"output hits {bad}")
@@ -239,11 +149,17 @@ def yau_twist(lie: HomLieSuper, morphism: GradedMap) -> HomLieSuper:
                 raise PreconditionError(
                     f"twisting map is not a morphism at "
                     f"({lie.space.names[i]},{lie.space.names[j]})")
-    dim = lie.dim
-    table = tuple(tuple(morphism.apply(lie.bracket.value(i, j))
-                        for j in range(dim)) for i in range(dim))
-    twisted = HomLieSuper(lie.space, SuperBracket2(lie.space, table), morphism)
-    assert verify_hom_jacobi(twisted).ok
+    entries = {}
+    for idx, v in lie.bracket.entries.items():
+        w = morphism.apply(v)
+        if not is_zero_vec(w):
+            entries[idx] = w
+    twisted = HomLieSuper(lie.space, SuperBracket2(lie.space, entries), morphism)
+    jacobi = verify_hom_jacobi(twisted)
+    if not jacobi.ok:
+        raise PreconditionError(
+            f"twisted algebra fails Hom-Jacobi at "
+            f"({','.join(jacobi.findings[0].witness)})")
     return twisted
 
 
@@ -300,12 +216,12 @@ def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
         for j in range(dim):
             if s.entries[i][j] != 0 and a.space.parities[i] != a.space.parities[j]:
                 raise PreconditionError("basis change must be even")
-    table = []
+    cols = [s.col(i) for i in range(dim)]
+    entries = {}
     for i in range(dim):
-        row = []
         for j in range(dim):
-            w = a.bracket.eval_vectors(s.col(i), s.col(j))
-            row.append(sinv.apply(w))
-        table.append(tuple(row))
+            w = sinv.apply(a.bracket.eval_vectors(cols[i], cols[j]))
+            if not is_zero_vec(w):
+                entries[(i, j)] = w
     alpha2 = GradedMap(a.space, a.space, sinv.mul(a.alpha.matrix.mul(s)))
-    return HomLieSuper(a.space, SuperBracket2(a.space, tuple(table)), alpha2)
+    return HomLieSuper(a.space, SuperBracket2(a.space, entries), alpha2)

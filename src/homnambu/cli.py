@@ -230,7 +230,7 @@ def cmd_transfer_checks(args) -> Report:
         eta = _random_cochain(rng, lie, 1, 0)
         dphi = Cochain("binary-scalar", 2, 0, lie.space,
                        ds_matrix(lie, 1).apply(eta.coords))
-        sub = verify_class_transfer(lie, tau, phi1, phi1.add(dphi))
+        sub = verify_class_transfer(lie, tau, phi1, phi1.add(dphi), t)
         rep.absorb(sub, prefix=f"class{k}.")
     return rep
 

@@ -19,7 +19,7 @@ induced-cocycle transfer.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import wraps
 
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
@@ -256,7 +256,18 @@ def _expand_eval(row, sign, head: tuple, rest_cols: list, sb, parities):
 ONE_ = Fraction(1)
 
 
-@cache
+def _memoized(fn):
+    """Cache fn(obj, *args) in obj.memo, so results live as long as obj."""
+    @wraps(fn)
+    def cached(obj, *args):
+        key = (fn.__name__, *args)
+        if key not in obj.memo:
+            obj.memo[key] = fn(obj, *args)
+        return obj.memo[key]
+    return cached
+
+
+@_memoized
 def ds_matrix(g: HomLieSuper, p: int) -> Matrix:
     """Matrix of the scalar coboundary on canonical cochain coordinates."""
     if p not in (1, 2, 3):
@@ -288,7 +299,7 @@ def ds_matrix(g: HomLieSuper, p: int) -> Matrix:
     return _matrix(rows, len(sb_in.tuples))
 
 
-@cache
+@_memoized
 def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> Matrix:
     """Cyclic cocycle operator on g-valued super-skew 2-cochains.
 
@@ -379,10 +390,6 @@ def _single_twist(t: TernaryHomLieSuper):
     return t.alpha1
 
 
-def fundamental_action(t: TernaryHomLieSuper, pair: tuple, z: int) -> tuple:
-    return t.bracket.value(pair[0], pair[1], z)
-
-
 def fundamental_bracket(t: TernaryHomLieSuper, pair_x: tuple, pair_y: tuple) -> tuple:
     """[X,Y]_alpha over the canonical pair basis."""
     a = _single_twist(t)
@@ -397,7 +404,7 @@ def fundamental_bracket(t: TernaryHomLieSuper, pair_x: tuple, pair_y: tuple) -> 
     return vec_add(v1, vec_scale(s, v2))
 
 
-@cache
+@_memoized
 def pair_twist_matrix(t: TernaryHomLieSuper) -> Matrix:
     """alpha acting on the canonical pair basis (wedge square of alpha)."""
     a = _single_twist(t)
@@ -408,7 +415,7 @@ def pair_twist_matrix(t: TernaryHomLieSuper) -> Matrix:
     return Matrix.from_columns(cols, len(sb2.tuples))
 
 
-@cache
+@_memoized
 def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> Matrix:
     """f -> ((X,z) -> -f(X.z)) for the scalar and adjoint complexes."""
     _single_twist(t)
@@ -436,7 +443,7 @@ def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> Matrix:
     raise InputError(f"unknown ternary complex {cx}")
 
 
-@cache
+@_memoized
 def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> Matrix:
     """The 2-coboundary on (pair, element) cochains.
 
@@ -670,9 +677,11 @@ def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional,
 
 
 def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional,
-                          phi1: Cochain, phi2: Cochain) -> Report:
+                          phi1: Cochain, phi2: Cochain,
+                          t: TernaryHomLieSuper | None = None) -> Report:
     """Cohomologous binary scalar cocycles induce cohomologous cochains,
-    via the same connecting 1-cochain."""
+    via the same connecting 1-cochain.  Passing the induced t lets repeated
+    calls share its memoized coboundary matrices."""
     rep = Report("verify_class_transfer")
     for phi in (phi1, phi2):
         if phi.complex != "binary-scalar" or phi.degree != 2:
@@ -683,7 +692,8 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional,
     omega = solve(ds_matrix(g, 1), diff)
     if omega is None:
         raise PreconditionError("cocycles are not cohomologous")
-    t = induce_ternary(g, tau, g.alpha, g.alpha)
+    if t is None:
+        t = induce_ternary(g, tau, g.alpha, g.alpha)
     psi1 = induce_cocycle(g, tau, phi1, t)
     psi2 = induce_cocycle(g, tau, phi2, t)
     lhs = vec_add(psi2.coords, vec_scale(-1, psi1.coords))

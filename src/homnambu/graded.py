@@ -9,14 +9,19 @@ Sign conventions used throughout the package:
   over the inversions of the permutation;
 * a canonical index tuple is weakly increasing and repeats an index only
   when that index is odd; a tuple repeating an even index spans zero.
+
+SuperBracket holds the structure constants of a super-skew bracket of any
+arity: only the nonzero structure vectors, keyed by ordered index tuples.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
+from typing import ClassVar
 
-from .linalg import InputError, Matrix, Vec, frac
+from .linalg import (ONE, ZERO, InputError, Matrix, Vec, frac, is_zero_vec,
+                     vec, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -89,13 +94,6 @@ class GradedMap:
 
     def column(self, j: int) -> Vec:
         return self.matrix.col(j)
-
-    def compose(self, inner: "GradedMap") -> "GradedMap":
-        if inner.codomain != self.domain:
-            raise InputError("graded map composition domain mismatch")
-        return GradedMap(inner.domain, self.codomain,
-                         self.matrix.mul(inner.matrix),
-                         (self.parity + inner.parity) % 2)
 
     def is_identity(self) -> bool:
         return (self.domain == self.codomain
@@ -181,19 +179,139 @@ class SkewBasis:
         return self.index[t]
 
 
+def is_canonical(t, parities) -> bool:
+    """Weakly increasing, repeating only odd indices."""
+    return all(a < b or (a == b and parities[a] == 1) for a, b in zip(t, t[1:]))
+
+
 def skew_basis(degree: int, space: GradedSpace) -> SkewBasis:
     if degree < 1:
         raise InputError("degree must be positive")
-    good = []
-    for t in combinations_with_replacement(range(space.dim), degree):
-        if all(t[k] != t[k + 1] or space.parities[t[k]] == 1
-               for k in range(degree - 1)):
-            good.append(t)
+    good = [t for t in combinations_with_replacement(range(space.dim), degree)
+            if is_canonical(t, space.parities)]
     return SkewBasis(degree, tuple(good))
 
 
 def tuple_parity(t, parities) -> int:
     return sum(parities[i] for i in t) % 2
+
+
+def parity_law_violations(space: GradedSpace, v: Vec, want_parity: int) -> list:
+    """Names of the basis elements where v has a component of the wrong parity."""
+    return [space.names[k] for k, c in enumerate(v)
+            if c != 0 and space.parities[k] != want_parity]
+
+
+@dataclass(frozen=True)
+class SuperBracket:
+    """Structure constants of a super-skew bracket with `arity` arguments.
+
+    entries maps an ordered index tuple (i1, ..., in) to the structure
+    vector of [e_i1, ..., e_in].  Only nonzero vectors are stored, so two
+    brackets with the same values compare equal.  from_canonical fills in
+    every ordering through canonicalize; the raw constructor and with_entry
+    take any entries, so the verifiers have something to catch.  The
+    subclasses SuperBracket2 and SuperBracket3 pin the arity.
+    """
+
+    arity: ClassVar[int]
+    space: GradedSpace
+    entries: dict
+
+    def __post_init__(self):
+        for key, v in self.entries.items():
+            if len(key) != self.arity or len(v) != self.space.dim or is_zero_vec(v):
+                raise InputError(f"bad bracket entry at {key}: keys need "
+                                 f"{self.arity} indices, values nonzero length "
+                                 f"{self.space.dim}")
+
+    @classmethod
+    def from_canonical(cls, space: GradedSpace, coeffs: dict) -> "SuperBracket":
+        """Build from canonical-key coefficients; every ordering is derived.
+
+        Keys must be canonical index tuples and values must obey the parity
+        law; zero values are dropped.
+        """
+        kind = "bracket" if cls.arity == 2 else "ternary"
+        p = space.parities
+        entries = {}
+        for key, value in coeffs.items():
+            key = tuple(key)
+            if len(key) != cls.arity or not is_canonical(key, p):
+                raise InputError(f"{kind} key {key} is not canonical")
+            v = vec(value)
+            if len(v) != space.dim:
+                raise InputError(f"{kind} value for {key} has wrong length")
+            bad = parity_law_violations(space, v, tuple_parity(key, p))
+            if bad:
+                raise InputError(f"{kind} value for {key} breaks the parity "
+                                 f"law at {bad}")
+            if is_zero_vec(v):
+                continue
+            neg = tuple(-c for c in v)
+            for order in dict.fromkeys(permutations(key)):
+                entries[order] = v if canonicalize(order, p)[1] == 1 else neg
+        return cls(space, entries)
+
+    def value(self, *idx) -> Vec:
+        """Structure vector of [e_i1, ..., e_in], signs included for any order."""
+        return self.entries.get(idx) or zero_vec(self.space.dim)
+
+    def eval_vectors(self, *args) -> Vec:
+        """The bracket of coordinate vectors, by multilinearity.
+
+        Loops over the nonzero coordinates of the arguments and looks each
+        index tuple up, so the cost follows the arguments, not the table.
+        """
+        terms = [((), ONE)]
+        for v in args:
+            nonzero = [(i, c) for i, c in enumerate(v) if c != 0]
+            terms = [(idx + (i,), a * c) for idx, a in terms for i, c in nonzero]
+        out = [ZERO] * self.space.dim
+        for idx, a in terms:
+            cell = self.entries.get(idx)
+            if cell is not None:
+                for m, x in enumerate(cell):
+                    if x != 0:
+                        out[m] += a * x
+        return tuple(out)
+
+    def with_entry(self, *args) -> "SuperBracket":
+        """with_entry(i1, ..., in, value): patch one ordering only.
+
+        The permuted copies go stale on purpose.
+        """
+        *idx, value = args
+        entries = dict(self.entries)
+        entries.pop(tuple(idx), None)
+        v = vec(value)
+        if not is_zero_vec(v):
+            entries[tuple(idx)] = v
+        return type(self)(self.space, entries)
+
+    def with_canonical(self, key, value) -> "SuperBracket":
+        """Replace one canonical coefficient consistently across all orders."""
+        coeffs = self.canonical_coeffs()
+        coeffs[tuple(key)] = value
+        return type(self).from_canonical(self.space, coeffs)
+
+    def canonical_coeffs(self) -> dict:
+        """Nonzero structure vectors on canonical keys, in skew-basis order."""
+        p = self.space.parities
+        return {k: self.entries[k] for k in sorted(self.entries)
+                if is_canonical(k, p)}
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    @property
+    def table(self) -> tuple:
+        """Dense nested view: table[i1]...[in] is value(i1, ..., in)."""
+        def nest(prefix):
+            if len(prefix) == self.arity:
+                return self.value(*prefix)
+            return tuple(nest(prefix + (i,)) for i in range(self.space.dim))
+        return nest(())
 
 
 def wedge2_expand(a: Vec, b: Vec, space: GradedSpace, sb2: SkewBasis) -> Vec:

@@ -48,10 +48,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, u: Vec) -> Vec:
     c = frac(c)
     return tuple(c * a for a in u)
@@ -101,10 +97,6 @@ class Matrix:
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
@@ -147,11 +139,6 @@ class Matrix:
         c = frac(c)
         return Matrix(self.rows, self.cols,
                       tuple(vec_scale(c, r) for r in self.entries))
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols and self.rows and other.rows:
-            raise InputError("matrix width mismatch in stack")
-        return Matrix.build(list(self.entries) + list(other.entries))
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.entries)
@@ -233,10 +220,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.entries)
-
-
-def row_space(m: Matrix) -> Subspace:
-    return Subspace.from_vectors(m.cols, list(m.entries))
 
 
 def image(m: Matrix) -> Subspace:

@@ -13,100 +13,27 @@ placement that the induction theorem actually proves:
     [a1(x), a2(y), [z,u,v]] = [[x,y,z], a1(u), a2(v)]
         + (-1)^{|z|(|x|+|y|)}         [a1(z), [x,y,u], a2(v)]
         + (-1)^{(|z|+|u|)(|x|+|y|)}   [a1(z), a2(u), [x,y,v]].
+
+The bracket is a graded.SuperBracket of arity 3 holding only its nonzero
+structure vectors.  verify_hom_nambu evaluates the identity through
+composite matrices such as w -> [a1(x), a2(y), w], one per pair of basis
+elements and free slot; hom_nambu_residual_direct is the naive oracle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .binary import HomLieSuper, verify_morphism
-from .graded import GradedMap, GradedSpace, canonicalize, skew_basis
+from .graded import (GradedMap, GradedSpace, SuperBracket,
+                     parity_law_violations, skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
-                     is_zero_vec, vec, vec_add, vec_scale, zero_vec)
+                     is_zero_vec, unit_vec, vec_add, vec_scale, zero_vec)
 from .report import Report, fmt_vec
 from .reps import TraceFunctional
 
 
-@dataclass(frozen=True)
-class SuperBracket3:
-    space: GradedSpace
-    table: tuple  # table[i][j][k] -> structure vector
-
-    @staticmethod
-    def from_canonical(space: GradedSpace, coeffs: dict) -> "SuperBracket3":
-        dim = space.dim
-        canon = {}
-        for key, value in coeffs.items():
-            key = tuple(key)
-            t, _, zero = canonicalize(key, space.parities)
-            if key != t or zero:
-                raise InputError(f"ternary key {key} is not canonical")
-            v = vec(value)
-            if len(v) != dim:
-                raise InputError(f"ternary value for {key} has wrong length")
-            want = sum(space.parities[a] for a in key) % 2
-            for k, c in enumerate(v):
-                if c != 0 and space.parities[k] != want:
-                    raise InputError(f"ternary value for {key} breaks the "
-                                     f"parity law at {space.names[k]}")
-            canon[key] = v
-        cube = []
-        for i in range(dim):
-            plane = []
-            for j in range(dim):
-                row = []
-                for k in range(dim):
-                    t, sign, zero = canonicalize((i, j, k), space.parities)
-                    if zero or t not in canon:
-                        row.append(zero_vec(dim))
-                    else:
-                        row.append(vec_scale(sign, canon[t]))
-                plane.append(tuple(row))
-            cube.append(tuple(plane))
-        return SuperBracket3(space, tuple(cube))
-
-    @staticmethod
-    def from_table(space: GradedSpace, table) -> "SuperBracket3":
-        dim = space.dim
-        cube = tuple(tuple(tuple(vec(table[i][j][k]) for k in range(dim))
-                           for j in range(dim)) for i in range(dim))
-        return SuperBracket3(space, cube)
-
-    def value(self, i: int, j: int, k: int) -> Vec:
-        return self.table[i][j][k]
-
-    def eval_vectors(self, u: Vec, v: Vec, w: Vec) -> Vec:
-        out = zero_vec(self.space.dim)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = a * b
-                for k, c in enumerate(w):
-                    if c == 0:
-                        continue
-                    cell = self.table[i][j][k]
-                    if not is_zero_vec(cell):
-                        out = vec_add(out, vec_scale(ab * c, cell))
-        return out
-
-    def with_entry(self, i: int, j: int, k: int, value) -> "SuperBracket3":
-        """Patch one ordered entry only; permuted copies go stale on purpose."""
-        cube = [[list(r) for r in plane] for plane in self.table]
-        cube[i][j][k] = vec(value)
-        return SuperBracket3(self.space,
-                             tuple(tuple(tuple(r) for r in plane) for plane in cube))
-
-    def with_canonical(self, key, value) -> "SuperBracket3":
-        """Replace one canonical coefficient consistently across all orders."""
-        coeffs = self.canonical_coeffs()
-        coeffs[tuple(key)] = vec(value)
-        return SuperBracket3.from_canonical(self.space, coeffs)
-
-    def canonical_coeffs(self) -> dict:
-        sb = skew_basis(3, self.space)
-        return {t: self.table[t[0]][t[1]][t[2]] for t in sb.tuples
-                if not is_zero_vec(self.table[t[0]][t[1]][t[2]])}
+class SuperBracket3(SuperBracket):
+    """Ternary bracket: entries[(i, j, k)] is [e_i, e_j, e_k]."""
+    arity = 3
 
 
 @dataclass(frozen=True)
@@ -115,6 +42,9 @@ class TernaryHomLieSuper:
     bracket: SuperBracket3
     alpha1: GradedMap
     alpha2: GradedMap
+    # coboundary matrices of this algebra, filled on demand by cohomology
+    memo: dict = field(default_factory=dict, init=False, compare=False,
+                       repr=False)
 
     def __post_init__(self):
         if self.bracket.space != self.space:
@@ -129,10 +59,6 @@ class TernaryHomLieSuper:
 
     def same_twists(self) -> bool:
         return self.alpha1.matrix == self.alpha2.matrix
-
-
-def ternary_bracket_eval(t: TernaryHomLieSuper, i: int, j: int, k: int) -> Vec:
-    return t.bracket.value(i, j, k)
 
 
 def induce_ternary(g: HomLieSuper, tau: TraceFunctional,
@@ -182,107 +108,31 @@ def verify_ternary_skew(t: TernaryHomLieSuper) -> Report:
                     rep.fail("skew-23",
                              witness=(sp.names[i], sp.names[j], sp.names[k]),
                              residual=tuple(fmt_vec(r23)))
-                want = (p[i] + p[j] + p[k]) % 2
-                for m, c in enumerate(v):
-                    if c != 0 and p[m] != want:
-                        rep.fail("parity-law",
-                                 witness=(sp.names[i], sp.names[j], sp.names[k]),
-                                 detail=f"output hits {sp.names[m]}")
-                        break
+                bad = parity_law_violations(sp, v, (p[i] + p[j] + p[k]) % 2)
+                if bad:
+                    rep.fail("parity-law",
+                             witness=(sp.names[i], sp.names[j], sp.names[k]),
+                             detail=f"output hits {bad[0]}")
     return rep
 
 
-def _pair_composites(t: TernaryHomLieSuper, first: GradedMap, second: GradedMap):
-    """Matrices M[x][y] with M[x][y] w = [first(e_x), second(e_y), w]."""
+def _composites(t: TernaryHomLieSuper, free: int, first: GradedMap,
+                second: GradedMap):
+    """Matrices M[a][b]: M[a][b] w is the bracket with w in slot `free` and
+    first(e_a), second(e_b) in the other two slots, in order.
+
+    free = 2 gives [first(e_a), second(e_b), w], free = 1 gives
+    [first(e_a), w, second(e_b)] and free = 0 gives [w, first(e_a), second(e_b)].
+    """
     dim = t.dim
-    id1 = first.is_identity()
-    id2 = second.is_identity()
+    units = [unit_vec(dim, k) for k in range(dim)]
     out = []
-    for x in range(dim):
+    for a in range(dim):
         row = []
-        ax = first.column(x)
-        for y in range(dim):
-            ay = second.column(y)
-            cols = []
-            for k in range(dim):
-                if id1 and id2:
-                    cols.append(t.bracket.value(x, y, k))
-                else:
-                    acc = zero_vec(dim)
-                    for i, a in enumerate(ax):
-                        if a == 0:
-                            continue
-                        for j, b in enumerate(ay):
-                            if b == 0:
-                                continue
-                            cell = t.bracket.value(i, j, k)
-                            if not is_zero_vec(cell):
-                                acc = vec_add(acc, vec_scale(a * b, cell))
-                    cols.append(acc)
-            row.append(Matrix.from_columns(cols, dim))
-        out.append(row)
-    return out
-
-
-def _last_pair_composites(t: TernaryHomLieSuper, first: GradedMap, second: GradedMap):
-    """Matrices N[u][v] with N[u][v] w = [w, first(e_u), second(e_v)]."""
-    dim = t.dim
-    id1 = first.is_identity()
-    id2 = second.is_identity()
-    out = []
-    for u in range(dim):
-        row = []
-        au = first.column(u)
-        for v in range(dim):
-            av = second.column(v)
-            cols = []
-            for k in range(dim):
-                if id1 and id2:
-                    cols.append(t.bracket.value(k, u, v))
-                else:
-                    acc = zero_vec(dim)
-                    for i, a in enumerate(au):
-                        if a == 0:
-                            continue
-                        for j, b in enumerate(av):
-                            if b == 0:
-                                continue
-                            cell = t.bracket.value(k, i, j)
-                            if not is_zero_vec(cell):
-                                acc = vec_add(acc, vec_scale(a * b, cell))
-                    cols.append(acc)
-            row.append(Matrix.from_columns(cols, dim))
-        out.append(row)
-    return out
-
-
-def _mid_composites(t: TernaryHomLieSuper, first: GradedMap, second: GradedMap):
-    """Matrices Q[z][v] with Q[z][v] w = [first(e_z), w, second(e_v)]."""
-    dim = t.dim
-    id1 = first.is_identity()
-    id2 = second.is_identity()
-    out = []
-    for z in range(dim):
-        row = []
-        az = first.column(z)
-        for v in range(dim):
-            av = second.column(v)
-            cols = []
-            for k in range(dim):
-                if id1 and id2:
-                    cols.append(t.bracket.value(z, k, v))
-                else:
-                    acc = zero_vec(dim)
-                    for i, a in enumerate(az):
-                        if a == 0:
-                            continue
-                        for j, b in enumerate(av):
-                            if b == 0:
-                                continue
-                            cell = t.bracket.value(i, k, j)
-                            if not is_zero_vec(cell):
-                                acc = vec_add(acc, vec_scale(a * b, cell))
-                    cols.append(acc)
+        for b in range(dim):
+            pair = [first.column(a), second.column(b)]
+            cols = [t.bracket.eval_vectors(*pair[:free], units[k], *pair[free:])
+                    for k in range(dim)]
             row.append(Matrix.from_columns(cols, dim))
         out.append(row)
     return out
@@ -292,8 +142,8 @@ def hom_nambu_residual_direct(t: TernaryHomLieSuper, x, y, z, u, v,
                               a1=None, a2=None) -> Vec:
     """Straightforward evaluation of the generalized Jacobi residual.
 
-    Kept deliberately naive; the table-driven verifier below must agree
-    with it and the tests lean on that.
+    Kept deliberately naive; the composite-matrix verifier below must
+    agree with it and the tests lean on that.
     """
     a1 = a1 if a1 is not None else t.alpha1
     a2 = a2 if a2 is not None else t.alpha2
@@ -331,9 +181,9 @@ def _hom_nambu_violations(t, a1, a2, rep, check_name) -> int:
     sp = t.space
     p = sp.parities
     dim = t.dim
-    L = _pair_composites(t, a1, a2)    # [a1 x, a2 y, w]
-    N = _last_pair_composites(t, a1, a2)  # [w, a1 u, a2 v]
-    Q = _mid_composites(t, a1, a2)     # [a1 z, w, a2 v]
+    L = _composites(t, 2, a1, a2)  # [a1 x, a2 y, w]
+    N = _composites(t, 0, a1, a2)  # [w, a1 u, a2 v]
+    Q = _composites(t, 1, a1, a2)  # [a1 z, w, a2 v]
     W = t.bracket.value
     count = 0
     for x in range(dim):

@@ -13,7 +13,7 @@ from homnambu.binary import (HomLieSuper, InputError, SuperBracket2,
 from homnambu.fixtures import (gl11, neg_jacobi, neg_mult, neg_skew,
                                random_even_invertible)
 from homnambu.graded import GradedMap, graded_space, identity_map
-from homnambu.linalg import Matrix, Subspace, frac, unit_vec
+from homnambu.linalg import Matrix, PreconditionError, Subspace, frac, unit_vec
 
 
 def test_all_fixtures_satisfy_binary_axioms(all_binary):
@@ -112,6 +112,14 @@ def test_yau_twist_requires_morphism(g11):
                                   [0, 0, 1, 0], [0, 0, 0, 1]]))
     with pytest.raises(Exception):
         yau_twist(g11, bad)
+
+
+def test_yau_twist_of_non_jacobi_algebra_names_the_witness():
+    # identity is a morphism of anything, so only the Jacobi check can catch
+    # this; it must survive python -O, unlike an assert
+    lie = neg_jacobi()
+    with pytest.raises(PreconditionError, match=r"Hom-Jacobi at \(q,q,p\)"):
+        yau_twist(lie, identity_map(lie.space))
 
 
 def test_change_of_basis_preserves_axioms(g11):

@@ -1,6 +1,8 @@
 """Cochain complexes, coboundaries, and cocycle transfer to the induced side."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from homnambu.cohomology import (Cochain, apply_coboundary,
                                  parity_support, verify_1cocycle_transfer,
                                  verify_bracket_cocycle, verify_class_transfer,
                                  verify_lemma_identity)
+from homnambu.fixtures import gl11
 from homnambu.graded import skew_basis
 from homnambu.linalg import (InputError, PreconditionError, is_zero_vec,
                              submatrix)
@@ -249,3 +252,19 @@ def test_class_transfer_demands_cohomologous_pair(all_binary, g11, tau11):
     zero = Cochain.zero("binary-scalar", 2, a0.space)
     with pytest.raises(PreconditionError):
         verify_class_transfer(a0, tau0, zero, nontrivial)
+
+
+def test_coboundary_matrices_live_as_long_as_their_algebra():
+    lie, rep = gl11()
+    tau, t = induced(lie, rep)
+    d2 = delta2_matrix(t, "ternary-scalar", 0)
+    assert delta2_matrix(t, "ternary-scalar", 0) is d2
+    assert ds_matrix(lie, 2) is ds_matrix(lie, 2)
+    # the memo is no part of the value: an equal algebra with nothing
+    # cached compares equal and prints the same
+    fresh_lie, _ = gl11()
+    assert fresh_lie == lie and repr(fresh_lie) == repr(lie)
+    refs = [weakref.ref(lie), weakref.ref(t)]
+    del lie, rep, tau, t
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

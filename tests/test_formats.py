@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from homnambu import fixtures
 from homnambu.cohomology import (Cochain, cochain_length, make_cochain,
                                  parity_support)
-from homnambu.formats import (dumps_document, load_cochain, load_document,
-                              load_functional, parse_json, parse_scalar,
-                              read_document, serialize_cochain,
+from homnambu.formats import (DocumentBundle, dumps_document, load_cochain,
+                              load_document, load_functional, parse_json,
+                              parse_scalar, read_document, serialize_cochain,
                               serialize_document)
 from homnambu.linalg import InputError
 
@@ -75,6 +76,27 @@ def test_document_round_trip_bytes(stem):
     original = path.read_text(encoding="utf-8")
     bundle = read_document(path)
     assert dumps_document(serialize_document(bundle)) == original
+
+
+# how tools/regen_fixtures.py builds each document from a constructor
+BUILT_DOCS = {
+    "a0": ("a0", fixtures.a0),
+    "aff1": ("aff1", fixtures.aff1),
+    "gl11": ("gl11", fixtures.gl11),
+    "gl11t2": ("gl11t2", fixtures.gl11t),
+    "neg_jacobi": ("neg-jacobi", lambda: (fixtures.neg_jacobi(),)),
+    "neg_mult": ("neg-mult", lambda: (fixtures.neg_mult(),)),
+    "neg_rep": ("neg-rep", lambda: (fixtures.gl11()[0], fixtures.neg_rep())),
+    "neg_nambu": ("neg-nambu",
+                  lambda: (fixtures.gl11()[0], None, fixtures.neg_nambu())),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(BUILT_DOCS))
+def test_constructed_document_matches_shipped_bytes(stem):
+    name, build = BUILT_DOCS[stem]
+    text = dumps_document(serialize_document(DocumentBundle(name, *build())))
+    assert text == (FIXTURES / f"{stem}.json").read_text(encoding="utf-8")
 
 
 def test_extended_document_round_trip():

@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
+from homnambu.binary import SuperBracket2
+from homnambu.fixtures import conjugate_gl11, induced_gl11
 from homnambu.graded import (GradedMap, GradedSpace, InputError, canonicalize,
                              graded_space, identity_map, koszul_sign,
                              skew_basis, supertrace, tuple_parity,
                              wedge2_expand)
 from homnambu.linalg import Matrix, frac
+from homnambu.reps import trace_functional
+from homnambu.ternary import SuperBracket3, induce_ternary
 
 
 def bfs_koszul(perm, parities):
@@ -171,3 +175,70 @@ def test_graded_space_validation():
         sp.index("z")
     assert list(sp.even_indices()) == [0]
     assert list(sp.odd_indices()) == [1]
+
+
+def rand_vec(rng, n):
+    return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(n))
+
+
+def conjugated_gl11_pair():
+    """The binary bracket of a conjugated gl(1|1) and its induced bracket."""
+    lie, rep = conjugate_gl11(random.Random(14))
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+    return lie.bracket, t.bracket
+
+
+def test_eval_vectors_is_the_multilinear_sum_of_values():
+    rng = random.Random(15)
+    for bracket in conjugated_gl11_pair():
+        dim = bracket.space.dim
+        for _ in range(10):
+            args = [rand_vec(rng, dim) for _ in range(bracket.arity)]
+            want = [Fraction(0)] * dim
+            for idx in product(range(dim), repeat=bracket.arity):
+                coeff = Fraction(1)
+                for v, i in zip(args, idx):
+                    coeff *= v[i]
+                for m, c in enumerate(bracket.value(*idx)):
+                    want[m] += coeff * c
+            assert bracket.eval_vectors(*args) == tuple(want)
+
+
+def test_from_canonical_drops_zero_vectors():
+    sp = graded_space(("h1", "h2", "q", "p"), (0, 0, 1, 1))
+    coeffs = {(0, 2): (0, 0, 1, 0), (0, 1): (0, 0, 0, 0), (2, 3): (1, 1, 0, 0)}
+    b = SuperBracket2.from_canonical(sp, coeffs)
+    assert b.canonical_coeffs() == {(0, 2): (0, 0, 1, 0), (2, 3): (1, 1, 0, 0)}
+    assert (0, 1) not in b.entries and (1, 0) not in b.entries
+    assert SuperBracket2.from_canonical(sp, {(0, 1): (0, 0, 0, 0)}).is_zero()
+
+
+def test_brackets_from_the_same_coefficients_compare_equal():
+    t = induced_gl11()
+    coeffs = dict(t.bracket.canonical_coeffs())
+    coeffs[(0, 1, 2)] = (0, 0, 0, 0)
+    backwards = dict(reversed(list(coeffs.items())))
+    assert list(backwards) != list(coeffs)
+    a = SuperBracket3.from_canonical(t.space, coeffs)
+    b = SuperBracket3.from_canonical(t.space, backwards)
+    assert a == b == t.bracket
+    # a patch undone is no change, and a zero patch removes the entry
+    patched = a.with_entry(0, 2, 3, (5, 0, 0, 0))
+    assert patched.with_entry(0, 2, 3, a.value(0, 2, 3)) == a
+    zeroed = a.with_entry(0, 2, 3, (0, 0, 0, 0))
+    assert (0, 2, 3) not in zeroed.entries and zeroed != a
+    # the arity is part of the type
+    assert (SuperBracket2.from_canonical(t.space, {})
+            != SuperBracket3.from_canonical(t.space, {}))
+
+
+def test_table_is_the_nested_value_view():
+    for bracket in conjugated_gl11_pair():
+        dim = bracket.space.dim
+        table = bracket.table
+        for idx in product(range(dim), repeat=bracket.arity):
+            cell = table
+            for i in idx:
+                cell = cell[i]
+            assert cell == bracket.value(*idx)

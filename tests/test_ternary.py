@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from homnambu.binary import verify_morphism
-from homnambu.fixtures import (conjugate_gl11, gl11, induced_gl11, neg_nambu,
-                               neg_ternary_mult, neg_ternary_skew)
+from homnambu.fixtures import (alpha_t, conjugate_gl11, gl11, gl11t,
+                               induced_gl11, neg_nambu, neg_ternary_mult,
+                               neg_ternary_skew)
 from homnambu.graded import GradedMap, identity_map
 from homnambu.linalg import InputError, Matrix, Subspace, frac, unit_vec
+from homnambu.report import fmt_vec
 from homnambu.reps import trace_functional
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               check_twist_commutes, hom_nambu_residual_direct,
@@ -88,6 +91,67 @@ def test_hom_nambu_residual_direct_zero_on_induced(t11):
         args = [rng.randrange(4) for _ in range(5)]
         resid = hom_nambu_residual_direct(t11, *args)
         assert all(c == 0 for c in resid), args
+
+
+def induced_gl11t2():
+    lie, rep = gl11t()
+    return induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+
+
+def induced_gl11_mixed_twists():
+    t = induced_gl11()
+    return TernaryHomLieSuper(t.space, t.bracket, identity_map(t.space),
+                              alpha_t(t.space, 2))
+
+
+def broken(t):
+    """t with [h1,q,p] = h1 in every order.
+
+    Induced gl(1|1) brackets land in the center h1 + h2, which tau kills,
+    so every term of the identity vanishes on them; h1 is not central, so
+    here every term, and every twisted slot, is live.
+    """
+    b = t.bracket.with_canonical((0, 2, 3), (1, 0, 0, 0))
+    return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
+
+
+def broken_gl11t2():
+    return broken(induced_gl11t2())
+
+
+def broken_mixed_twists():
+    return broken(induced_gl11_mixed_twists())
+
+
+def direct_violations(t, a1, a2):
+    """(witness, residual) of every nonzero oracle residual, in loop order."""
+    names = t.space.names
+    out = []
+    for tup in product(range(t.dim), repeat=5):
+        resid = hom_nambu_residual_direct(t, *tup, a1=a1, a2=a2)
+        if any(c != 0 for c in resid):
+            out.append((tuple(names[i] for i in tup), tuple(fmt_vec(resid))))
+    return out
+
+
+@pytest.mark.parametrize("build", [induced_gl11t2, neg_nambu,
+                                   induced_gl11_mixed_twists, broken_gl11t2,
+                                   broken_mixed_twists])
+def test_verify_hom_nambu_matches_direct_oracle_on_every_tuple(build):
+    t = build()
+    want = direct_violations(t, t.alpha1, t.alpha2)
+    rep = verify_hom_nambu(t)
+    found = [(f.witness, f.residual) for f in rep.findings
+             if f.check == "hom-nambu"]
+    truncated = [f for f in rep.findings if f.check == "hom-nambu-truncated"]
+    total = int(truncated[0].detail.split()[0]) if truncated else len(found)
+    assert total == len(want)
+    assert found == want[:16]
+    assert rep.verdict == ("fail" if want else "pass")
+    # the swapped placement only shows through the disagreement note
+    swapped = direct_violations(t, t.alpha2, t.alpha1)
+    disagree = any(f.check == "placement-disagreement" for f in rep.findings)
+    assert disagree == (bool(want) != bool(swapped))
 
 
 def test_hom_nambu_residual_direct_sees_the_break():
