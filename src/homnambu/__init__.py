@@ -5,8 +5,8 @@ from .binary import (HomLieSuper, SuperBracket2, change_of_basis, is_ideal,
                      is_subalgebra, verify_hom_jacobi, verify_morphism,
                      verify_multiplicative, verify_skew, yau_twist)
 from .cohomology import (Cochain, apply_coboundary, binary_adjoint_cocycle_space,
-                         bracket_cochain, coboundary_matrix, cohomology_dims,
-                         ds_matrix, induce_cocycle, make_cochain,
+                         bracket_cochain, coboundary_matrix, cochain_keys,
+                         cohomology_dims, ds_matrix, induce_cocycle, make_cochain,
                          verify_1cocycle_transfer, verify_class_transfer,
                          verify_lemma_identity)
 from .extensions import (CentralExtensionData, build_central_extension,

@@ -15,11 +15,21 @@ cochain coordinates:
 Binary adjoint 2-cochains (g-valued, super-skew) get the cyclic cocycle
 operator phi(a x,[y,z]) + signed cyclic terms; its kernel feeds the
 induced-cocycle transfer.
+
+All four complexes share one coordinate layout, defined by cochain_keys
+alone.  The keys are canonical index tuples on the binary side and k,
+(pair, k) or (pair, pair, k) in ternary degree 1, 2 or 3, after the
+(fundamental pair, element) convention of phi_rho(X, z).  A scalar
+cochain has one coordinate per key; an adjoint cochain has dim of them,
+key-major.  Lengths, parities, make_cochain, Cochain.values and the
+document format all derive from it, and every coboundary builder emits
+value-free rows that _adjoint_rows lifts to the adjoint complexes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, wraps
+from itertools import product
 
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
@@ -31,67 +41,64 @@ from .report import Report, fmt_scalar
 from .reps import TraceFunctional
 from .ternary import TernaryHomLieSuper, induce_ternary
 
-COMPLEXES = ("binary-scalar", "binary-adjoint", "ternary-scalar",
-             "ternary-adjoint")
+# the degrees each complex has cochains in
+_DEGREES = {"binary-scalar": (1, 2, 3, 4), "binary-adjoint": (2,),
+           "ternary-scalar": (1, 2, 3), "ternary-adjoint": (1, 2, 3)}
+COMPLEXES = tuple(_DEGREES)
+
+
+def cochain_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
+    """Argument keys of a cx cochain of this degree, in coordinate order.
+
+    binary-scalar (degree 1-4) and binary-adjoint (degree 2) key on the
+    canonical index tuples of skew_basis.  The ternary complexes key on k,
+    (pair, k) or (pair, pair, k) in degree 1, 2 or 3: canonical pairs,
+    pair-major, the element last.  A scalar cochain has one coordinate per
+    key; an adjoint cochain has dim of them, key-major, the output index
+    running fastest.
+    """
+    if cx not in _DEGREES:
+        raise InputError(f"unknown complex {cx}")
+    if type(degree) is not int or degree not in _DEGREES[cx]:
+        raise InputError(f"unsupported degree {degree!r} for {cx}")
+    if cx.startswith("binary"):
+        return skew_basis(degree, space).tuples
+    if degree == 1:
+        return tuple(range(space.dim))
+    pairs = skew_basis(2, space).tuples
+    return tuple(product(*[pairs] * (degree - 1), range(space.dim)))
+
+
+def _width(cx: str, space: GradedSpace) -> int:
+    """Coordinates per key: dim on the g-valued (adjoint) complexes."""
+    return space.dim if cx.endswith("adjoint") else 1
 
 
 def cochain_length(cx: str, degree: int, space: GradedSpace) -> int:
-    dim = space.dim
-    if cx == "binary-scalar":
-        if degree < 1 or degree > 4:
-            raise InputError(f"unsupported degree {degree} for {cx}")
-        return len(skew_basis(degree, space).tuples)
-    s2 = len(skew_basis(2, space).tuples)
-    if cx == "binary-adjoint":
-        if degree != 2:
-            raise InputError(f"unsupported degree {degree} for {cx}")
-        return s2 * dim
-    if cx == "ternary-scalar":
-        sizes = {1: dim, 2: s2 * dim, 3: s2 * s2 * dim}
-    elif cx == "ternary-adjoint":
-        sizes = {1: dim * dim, 2: s2 * dim * dim, 3: s2 * s2 * dim * dim}
-    else:
-        raise InputError(f"unknown complex {cx}")
-    if degree not in sizes:
-        raise InputError(f"unsupported degree {degree} for {cx}")
-    return sizes[degree]
+    return len(cochain_keys(cx, degree, space)) * _width(cx, space)
 
 
 def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
-    """Per coordinate: argument-tuple parity, plus output parity for the
+    """Per coordinate: argument-key parity, plus output parity for the
     adjoint complexes.  A cochain of parity |f| is supported exactly on the
     coordinates whose entry here equals |f|."""
     p = space.parities
-    dim = space.dim
-    if cx == "binary-scalar":
-        return tuple(tuple_parity(t, p) for t in skew_basis(degree, space).tuples)
-    sb2 = skew_basis(2, space)
-    pairp = [tuple_parity(t, p) for t in sb2.tuples]
-    out = []
-    if cx == "binary-adjoint":
-        for pp in pairp:
-            for o in range(dim):
-                out.append((pp + p[o]) % 2)
-    elif cx == "ternary-scalar":
-        if degree == 1:
-            return tuple(p)
-        if degree == 2:
-            for pp in pairp:
-                for k in range(dim):
-                    out.append((pp + p[k]) % 2)
-        else:
-            for pp in pairp:
-                for qq in pairp:
-                    for k in range(dim):
-                        out.append((pp + qq + p[k]) % 2)
-    elif cx == "ternary-adjoint":
-        base = coordinate_parities("ternary-scalar", degree, space)
-        for bp in base:
-            for o in range(dim):
-                out.append((bp + p[o]) % 2)
-    else:
-        raise InputError(f"unknown complex {cx}")
-    return tuple(out)
+    part_parity = dict(enumerate(p))  # each distinct pair is summed once
+
+    def parity(key) -> int:
+        if isinstance(key, int):
+            return p[key]
+        total = 0
+        for part in key:
+            if part not in part_parity:
+                part_parity[part] = parity(part)
+            total += part_parity[part]
+        return total % 2
+
+    keyp = [parity(key) for key in cochain_keys(cx, degree, space)]
+    if _width(cx, space) == 1:
+        return tuple(keyp)
+    return tuple((kp + po) % 2 for kp in keyp for po in p)
 
 
 def parity_support(cx: str, degree: int, space: GradedSpace, parity: int) -> tuple:
@@ -108,14 +115,24 @@ class Cochain:
     coords: tuple
 
     def __post_init__(self):
-        n = cochain_length(self.complex, self.degree, self.space)
-        if len(self.coords) != n:
-            raise InputError(f"cochain needs {n} coordinates, got {len(self.coords)}")
         cps = coordinate_parities(self.complex, self.degree, self.space)
+        if len(self.coords) != len(cps):
+            raise InputError(f"cochain needs {len(cps)} coordinates, "
+                             f"got {len(self.coords)}")
         for i, c in enumerate(self.coords):
             if c != 0 and cps[i] != self.parity % 2:
                 raise InputError(f"cochain coordinate {i} breaks the parity "
                                  f"support rule")
+
+    @cached_property
+    def values(self) -> dict:
+        """cochain key -> coordinate, or -> output vector on the adjoint
+        complexes, in key order; make_cochain inverts it."""
+        keys = cochain_keys(self.complex, self.degree, self.space)
+        width = _width(self.complex, self.space)
+        if width == 1:
+            return dict(zip(keys, self.coords))
+        return dict(zip(keys, zip(*[iter(self.coords)] * width)))
 
     @staticmethod
     def zero(cx: str, degree: int, space: GradedSpace, parity: int = 0) -> "Cochain":
@@ -141,57 +158,32 @@ class Cochain:
 
 def make_cochain(cx: str, degree: int, space: GradedSpace, values: dict,
                  parity: int | None = None) -> Cochain:
-    """Build a cochain from sparse values keyed the natural way per complex.
+    """Build a cochain from sparse values keyed by cochain_keys.
 
-    binary-scalar: canonical index tuple -> scalar.  binary-adjoint: canonical
-    pair -> vector.  ternary-scalar degree 2: (pair, element) -> scalar.
-    ternary-adjoint degree 2: (pair, element) -> vector.
+    Scalar complexes take a rational per key, adjoint ones a dim-vector.
+    A key outside cochain_keys, or a vector of another length, is an
+    input error.
     """
-    dim = space.dim
-    n = cochain_length(cx, degree, space)
-    coords = [ZERO] * n
-    sb2 = skew_basis(2, space)
-    if cx == "binary-scalar":
-        sb = skew_basis(degree, space)
-        for key, val in values.items():
-            key = tuple(key)
-            if key not in sb.index:
-                raise InputError(f"non-canonical cochain key {key}")
-            coords[sb.index[key]] = frac(val)
-    elif cx == "binary-adjoint":
-        if degree != 2:
-            raise InputError("binary-adjoint cochains are degree 2 only")
-        for key, val in values.items():
-            key = tuple(key)
-            if key not in sb2.index:
-                raise InputError(f"non-canonical cochain key {key}")
-            v = vec(val)
-            base = sb2.index[key] * dim
-            for o, c in enumerate(v):
-                coords[base + o] = c
-    elif degree == 2 and cx in ("ternary-scalar", "ternary-adjoint"):
-        for (pair, k), val in values.items():
-            pair = tuple(pair)
-            if pair not in sb2.index:
-                raise InputError(f"non-canonical cochain key {pair}")
-            base = sb2.index[pair] * dim + k
-            if cx == "ternary-scalar":
-                coords[base] = frac(val)
-            else:
-                for o, c in enumerate(vec(val)):
-                    coords[base * dim + o] = c
-    elif degree == 1:
-        for key, val in values.items():
-            if cx == "ternary-scalar":
-                coords[key] = frac(val)
-            else:
-                for o, c in enumerate(vec(val)):
-                    coords[key * dim + o] = c
-    else:
-        raise InputError(f"make_cochain does not support {cx} degree {degree}")
+    keys = cochain_keys(cx, degree, space)
+    width = _width(cx, space)
+    position = {key: i for i, key in enumerate(keys)}
+    per_key = [ZERO if width == 1 else zero_vec(width)] * len(keys)
+    for key, val in values.items():
+        if key not in position:
+            raise InputError(f"{key!r} is not a canonical key of a {cx} "
+                             f"{degree}-cochain")
+        if width == 1:
+            per_key[position[key]] = frac(val)
+        elif isinstance(val, (tuple, list)) and len(val) == width:
+            per_key[position[key]] = vec(val)
+        else:
+            raise InputError(f"{cx} value at {key!r} must be a vector of "
+                             f"{width} rationals")
+    coords = (tuple(per_key) if width == 1
+              else tuple(c for v in per_key for c in v))
     if parity is None:
-        parity = infer_parity(cx, degree, space, tuple(coords))
-    return Cochain(cx, degree, parity, space, tuple(coords))
+        parity = infer_parity(cx, degree, space, coords)
+    return Cochain(cx, degree, parity, space, coords)
 
 
 def infer_parity(cx: str, degree: int, space: GradedSpace, coords: tuple) -> int:
@@ -205,25 +197,34 @@ def infer_parity(cx: str, degree: int, space: GradedSpace, coords: tuple) -> int
 def binary_pair_eval(c: Cochain, i: int, j: int):
     """phi(e_i, e_j) for a degree-2 binary cochain, canonicalization signs
     applied.  Scalar complexes return a Fraction, adjoint ones a vector."""
-    sp = c.space
-    t, sign, zero_flag = canonicalize((i, j), sp.parities)
-    sb2 = skew_basis(2, sp)
-    if c.complex == "binary-scalar":
-        if zero_flag:
-            return ZERO
-        return sign * c.coords[sb2.index[t]]
-    if c.complex == "binary-adjoint":
-        if zero_flag:
-            return zero_vec(sp.dim)
-        base = sb2.index[t] * sp.dim
-        return vec_scale(sign, c.coords[base:base + sp.dim])
-    raise InputError("binary_pair_eval needs a binary degree-2 cochain")
+    if c.complex not in ("binary-scalar", "binary-adjoint") or c.degree != 2:
+        raise InputError("binary_pair_eval needs a binary degree-2 cochain")
+    scalar = c.complex == "binary-scalar"
+    t, sign, zero_flag = canonicalize((i, j), c.space.parities)
+    if zero_flag:
+        return ZERO if scalar else zero_vec(c.space.dim)
+    return sign * c.values[t] if scalar else vec_scale(sign, c.values[t])
 
 
 def _matrix(rows_list, ncols) -> Matrix:
     if not rows_list:
         return Matrix(0, ncols, ())
     return Matrix(len(rows_list), ncols, tuple(tuple(r) for r in rows_list))
+
+
+def _adjoint_rows(rows, dim: int) -> list:
+    """Lift value-free rows to an adjoint complex.
+
+    Each row becomes dim rows, one per output index o; row o reads the
+    output-o coordinate of every key, so column j moves to j*dim+o.
+    """
+    lifted = []
+    for row in rows:
+        for o in range(dim):
+            out = [ZERO] * (len(row) * dim)
+            out[o::dim] = row
+            lifted.append(out)
+    return lifted
 
 
 def _expand_eval(row, sign, head: tuple, rest_cols: list, sb, parities):
@@ -309,29 +310,18 @@ def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> Matrix:
     """
     sp = g.space
     p = sp.parities
-    dim = g.dim
     sb2 = skew_basis(2, sp)
-    s2 = len(sb2.tuples)
-    acols = [g.alpha.column(i) for i in range(dim)]
+    acols = [g.alpha.column(i) for i in range(g.dim)]
     rows = []
-    for x in range(dim):
-        for y in range(dim):
-            for z in range(dim):
-                pair_coeffs = [ZERO] * s2
-                w1 = wedge2_expand(acols[x], g.bracket.value(y, z), sp, sb2)
-                sa = -1 if (p[x] and (p[y] ^ p[z])) else 1
-                w2 = wedge2_expand(acols[y], g.bracket.value(z, x), sp, sb2)
-                sb_ = -1 if (p[z] and (p[x] ^ p[y])) else 1
-                w3 = wedge2_expand(acols[z], g.bracket.value(x, y), sp, sb2)
-                for r in range(s2):
-                    pair_coeffs[r] = w1[r] + sa * w2[r] + sb_ * w3[r]
-                for o in range(dim):
-                    row = [ZERO] * (s2 * dim)
-                    for r in range(s2):
-                        if pair_coeffs[r] != 0:
-                            row[r * dim + o] = pair_coeffs[r]
-                    rows.append(row)
-    return _matrix(rows, s2 * dim)
+    for x, y, z in product(range(g.dim), repeat=3):
+        w1 = wedge2_expand(acols[x], g.bracket.value(y, z), sp, sb2)
+        sa = -1 if (p[x] and (p[y] ^ p[z])) else 1
+        w2 = wedge2_expand(acols[y], g.bracket.value(z, x), sp, sb2)
+        sb_ = -1 if (p[z] and (p[x] ^ p[y])) else 1
+        w3 = wedge2_expand(acols[z], g.bracket.value(x, y), sp, sb2)
+        rows.append([a + sa * b + sb_ * c for a, b, c in zip(w1, w2, w3)])
+    return _matrix(_adjoint_rows(rows, g.dim),
+                   cochain_length("binary-adjoint", 2, sp))
 
 
 def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int | None = None) -> Subspace:
@@ -347,19 +337,9 @@ def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int | None = None) -> S
 
 def binary_adjoint_d1_matrix(g: HomLieSuper) -> Matrix:
     """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains."""
-    sp = g.space
-    dim = g.dim
-    sb2 = skew_basis(2, sp)
-    rows = []
-    for t in sb2.tuples:
-        b = g.bracket.value(t[0], t[1])
-        for o in range(dim):
-            row = [ZERO] * (dim * dim)
-            for m, c in enumerate(b):
-                if c != 0:
-                    row[m * dim + o] = -c
-            rows.append(row)
-    return _matrix(rows, dim * dim)
+    rows = [[-c for c in g.bracket.value(i, j)]
+            for i, j in cochain_keys("binary-adjoint", 2, g.space)]
+    return _matrix(_adjoint_rows(rows, g.dim), g.dim * g.dim)
 
 
 def bracket_cochain(g: HomLieSuper) -> Cochain:
@@ -417,30 +397,16 @@ def pair_twist_matrix(t: TernaryHomLieSuper) -> Matrix:
 
 @_memoized
 def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> Matrix:
-    """f -> ((X,z) -> -f(X.z)) for the scalar and adjoint complexes."""
+    """f -> ((X,z) -> -f(X.z)); the adjoint matrix lifts the scalar one."""
     _single_twist(t)
-    sp = t.space
-    dim = sp.dim
-    sb2 = skew_basis(2, sp)
-    rows = []
     if cx == "ternary-scalar":
-        for pair in sb2.tuples:
-            for k in range(dim):
-                act = t.bracket.value(pair[0], pair[1], k)
-                rows.append([-c for c in act])
-        return _matrix(rows, dim)
-    if cx == "ternary-adjoint":
-        for pair in sb2.tuples:
-            for k in range(dim):
-                act = t.bracket.value(pair[0], pair[1], k)
-                for o in range(dim):
-                    row = [ZERO] * (dim * dim)
-                    for m, c in enumerate(act):
-                        if c != 0:
-                            row[m * dim + o] = -c
-                    rows.append(row)
-        return _matrix(rows, dim * dim)
-    raise InputError(f"unknown ternary complex {cx}")
+        rows = [[-c for c in t.bracket.value(x1, x2, k)]
+                for (x1, x2), k in cochain_keys(cx, 2, t.space)]
+    elif cx == "ternary-adjoint":
+        rows = _adjoint_rows(delta1_matrix(t, "ternary-scalar").entries, t.dim)
+    else:
+        raise InputError(f"unknown ternary complex {cx}")
+    return _matrix(rows, cochain_length(cx, 1, t.space))
 
 
 @_memoized
@@ -474,7 +440,9 @@ def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> Matrix:
     if not adjoint and cx != "ternary-scalar":
         raise InputError(f"unknown ternary complex {cx}")
     fpar = parity % 2
-    ncols = cochain_length(cx, 2, sp)
+    position = {key: i for i, key in
+                enumerate(cochain_keys("ternary-scalar", 2, sp))}
+    cols = [[position[(pair, m)] for m in range(dim)] for pair in sb2.tuples]
     rows = []
     for P in range(s2):
         p1, p2 = sb2.tuples[P]
@@ -491,37 +459,31 @@ def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> Matrix:
                 w42 = wedge2_expand(acols[q1],
                                     t.bracket.value(p1, p2, q2), sp, sb2)
             for k in range(dim):
-                base_row = [ZERO] * (s2 * dim)
+                row = [ZERO] * len(position)
                 az = acols[k]
                 xz = t.bracket.value(p1, p2, k)
                 yz = t.bracket.value(q1, q2, k)
 
                 def add(pair_coeffs, elem_vec, coef):
-                    for R in range(s2):
-                        cr = pair_coeffs[R]
+                    for col, cr in zip(cols, pair_coeffs):
                         if cr == 0:
                             continue
-                        for m, cm in enumerate(elem_vec):
+                        for c, cm in zip(col, elem_vec):
                             if cm != 0:
-                                base_row[R * dim + m] += coef * cr * cm
+                                row[c] += coef * cr * cm
 
                 add(fbv, az, -ONE_)
                 add(apairs[Qp], xz, frac(-sxy))
                 add(apairs[P], yz, ONE_)
-                if not adjoint:
-                    rows.append(base_row)
-                    continue
-                add(w41, az, -ONE_)
-                add(w42, az, frac(-s4))
-                add(apairs[Qp], xz, frac(-s5))
-                add(apairs[P], yz, frac(s6))
-                for o in range(dim):
-                    row = [ZERO] * ncols
-                    for base, c in enumerate(base_row):
-                        if c != 0:
-                            row[base * dim + o] = c
-                    rows.append(row)
-    return _matrix(rows, ncols)
+                if adjoint:
+                    add(w41, az, -ONE_)
+                    add(w42, az, frac(-s4))
+                    add(apairs[Qp], xz, frac(-s5))
+                    add(apairs[P], yz, frac(s6))
+                rows.append(row)
+    if adjoint:
+        rows = _adjoint_rows(rows, dim)
+    return _matrix(rows, cochain_length(cx, 2, sp))
 
 
 def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
@@ -597,34 +559,28 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
             raise PreconditionError("trace functional is not twist invariant")
     if t is None:
         t = induce_ternary(g, tau, g.alpha, g.alpha)
-    sp = g.space
-    p = sp.parities
-    dim = sp.dim
-    sb2 = skew_basis(2, sp)
     scalar = phi.complex == "binary-scalar"
     out_cx = "ternary-scalar" if scalar else "ternary-adjoint"
+
+    def ev(i, j):
+        """phi(e_i, e_j) as a vector, of length 1 on the scalar complex."""
+        v = binary_pair_eval(phi, i, j)
+        return (v,) if scalar else v
+
+    p = g.space.parities
+    tv = tau.values
     values = {}
-    for pair in sb2.tuples:
-        x1, x2 = pair
+    for key in cochain_keys(out_cx, 2, g.space):
+        (x1, x2), k = key
         s12 = -1 if (p[x1] and p[x2]) else 1
-        for k in range(dim):
-            s3 = -1 if (p[k] and (p[x1] ^ p[x2])) else 1
-            if scalar:
-                val = (tau.values[x1] * binary_pair_eval(phi, x2, k)
-                       - s12 * tau.values[x2] * binary_pair_eval(phi, x1, k)
-                       + s3 * tau.values[k] * binary_pair_eval(phi, x1, x2))
-                if val != 0:
-                    values[(pair, k)] = val
-            else:
-                val = vec_scale(tau.values[x1], binary_pair_eval(phi, x2, k))
-                val = vec_add(val, vec_scale(-s12 * tau.values[x2],
-                                             binary_pair_eval(phi, x1, k)))
-                val = vec_add(val, vec_scale(s3 * tau.values[k],
-                                             binary_pair_eval(phi, x1, x2)))
-                if not is_zero_vec(val):
-                    values[(pair, k)] = val
-    induced = make_cochain(out_cx, 2, sp, values, parity=phi.parity)
-    resid = delta2_matrix(t, out_cx, induced.parity).apply(induced.coords)
+        s3 = -1 if (p[k] and (p[x1] ^ p[x2])) else 1
+        val = vec_add(vec_add(vec_scale(tv[x1], ev(x2, k)),
+                              vec_scale(-s12 * tv[x2], ev(x1, k))),
+                      vec_scale(s3 * tv[k], ev(x1, x2)))
+        if not is_zero_vec(val):
+            values[key] = val[0] if scalar else val
+    induced = make_cochain(out_cx, 2, g.space, values, parity=phi.parity)
+    resid = coboundary_matrix(t, out_cx, 2, induced.parity).apply(induced.coords)
     if not is_zero_vec(resid):
         raise PreconditionError("induced cochain is not a ternary cocycle")
     return induced
@@ -664,13 +620,12 @@ def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional,
                    ds_matrix(g, 1).apply(omega.coords))
     rhs = induce_cocycle(g, tau, dphi, t).coords
     if lhs != rhs:
-        sb2 = skew_basis(2, g.space)
-        dim = g.dim
-        for i, (a, b) in enumerate(zip(lhs, rhs)):
+        names = g.space.names
+        keys = cochain_keys("ternary-scalar", 2, g.space)
+        for (pair, k), a, b in zip(keys, lhs, rhs):
             if a != b:
-                pair, k = divmod(i, dim)
-                names = tuple(g.space.names[m] for m in sb2.tuples[pair])
-                rep.fail("lemma-identity", witness=names + (g.space.names[k],),
+                rep.fail("lemma-identity",
+                         witness=tuple(names[m] for m in pair) + (names[k],),
                          residual=(fmt_scalar(a - b),))
     rep.metrics["coordinates"] = len(lhs)
     return rep

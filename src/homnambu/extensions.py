@@ -159,16 +159,12 @@ def induce_extension(g: HomLieSuper, tau: TraceFunctional,
     dim = g.dim
     tau_bar = TraceFunctional(ext, tau.values + (ZERO,))
     t_ext = induce_ternary(ext, tau_bar, ext.alpha, ext.alpha)
-    om_rho = induce_cocycle(g, tau, data.omega)
     t_base = induce_ternary(g, tau, g.alpha, g.alpha)
-    sb2 = skew_basis(2, g.space)
+    om_rho = induce_cocycle(g, tau, data.omega, t_base)
     for key in skew_basis(3, g.space).tuples:
         i, j, k = key
         got = t_ext.bracket.value(i, j, k)
-        base_part = t_base.bracket.value(i, j, k)
-        pair_idx = sb2.index[(i, j)]
-        scalar = om_rho.coords[pair_idx * dim + k]
-        want = base_part + (scalar,)
+        want = t_base.bracket.value(i, j, k) + (om_rho.values[((i, j), k)],)
         if got != want:
             raise PreconditionError(
                 f"induced extension fails to decompose at {key}")

@@ -7,9 +7,12 @@ as strings "n" or "n/d" with d > 0; bare integers are accepted on input.
 Bracket keys are comma-joined basis ids in canonical order; anything
 non-canonical is an input error naming the key.
 
-Cochain documents are {"complex", "degree", "values"} with values keyed
-by canonical tuples of basis ids; degree-2 ternary cochains separate the
-fundamental pair from the element with a bar, as in "q,p|h1".
+Cochain documents are {"complex", "degree", "values"} and an optional
+"parity".  Values are keyed by the document names of the keys that
+cohomology.cochain_keys lists: basis ids comma-joined within a canonical
+tuple, and a ternary key's fundamental pair and element joined by a bar,
+as in "q,p|h1".  Adjoint complexes take a basis-id map per key, scalar
+ones a rational.  Ternary cochain documents stop at degree 2.
 """
 
 import json
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .binary import HomLieSuper, SuperBracket2
-from .cohomology import COMPLEXES, Cochain, make_cochain
-from .graded import GradedMap, GradedSpace, graded_space, skew_basis
+from .cohomology import COMPLEXES, Cochain, cochain_keys, make_cochain
+from .graded import GradedMap, GradedSpace, graded_space
 from .linalg import InputError, Matrix, is_zero_vec
 from .report import fmt_scalar
 from .reps import Representation
@@ -229,82 +232,61 @@ def write_document(path, bundle: DocumentBundle):
 # --- cochain and functional documents ---------------------------------------
 
 
+def _cochain_key_name(key, space: GradedSpace) -> str:
+    """'q', 'q,p' or 'q,p|h1': ids comma-joined within a tuple, and a
+    ternary key's pairs and element joined by bars."""
+    if isinstance(key, int):
+        return space.names[key]
+    if all(isinstance(part, int) for part in key):
+        return ",".join(space.names[i] for i in key)
+    return "|".join(_cochain_key_name(part, space) for part in key)
+
+
+def _key_names(cx: str, degree: int, space: GradedSpace) -> dict:
+    """Each key of cochain_keys(cx, degree) -> its document name."""
+    if cx.startswith("ternary") and degree == 3:
+        raise InputError(f"unsupported cochain degree 3 for {cx}: ternary "
+                         f"cochain documents stop at degree 2")
+    names = {key: _cochain_key_name(key, space)
+             for key in cochain_keys(cx, degree, space)}
+    if len(set(names.values())) != len(names):
+        raise InputError("basis ids containing ',' or '|' make cochain "
+                         "keys ambiguous")
+    return names
+
+
 def load_cochain(doc: dict, space: GradedSpace) -> Cochain:
     cx = doc.get("complex")
     if cx not in COMPLEXES:
         raise InputError(f"unknown complex {cx!r}")
     degree = doc.get("degree")
-    if not isinstance(degree, int):
+    if type(degree) is not int:
         raise InputError("cochain degree must be an integer")
     raw = doc.get("values", {})
     if not isinstance(raw, dict):
         raise InputError("cochain values must be a map")
-    adjoint = cx.endswith("adjoint")
+    by_name = {name: key for key, name in _key_names(cx, degree, space).items()}
     values = {}
-    for key, val in raw.items():
-        where = f"values[{key}]"
-        if cx.startswith("binary"):
-            idx = _split_key(key, degree, space)
-            _check_canonical(key, idx, space)
-            values[idx] = (_vec_from_map(val, space, where) if adjoint
-                           else parse_scalar(val, where))
-        elif degree == 1:
-            k = space.index(key)
-            values[k] = (_vec_from_map(val, space, where) if adjoint
-                         else parse_scalar(val, where))
-        elif degree == 2:
-            if "|" not in key:
-                raise InputError(f"cochain key {key!r} needs a pair|element shape")
-            pair_s, elem = key.split("|", 1)
-            pair = _split_key(pair_s, 2, space)
-            _check_canonical(pair_s, pair, space)
-            values[(pair, space.index(elem))] = (
-                _vec_from_map(val, space, where) if adjoint
-                else parse_scalar(val, where))
-        else:
-            raise InputError(f"unsupported cochain degree {degree} for {cx}")
-    parity = doc.get("parity")
-    return make_cochain(cx, degree, space, values, parity)
+    for name, val in raw.items():
+        if name not in by_name:
+            raise InputError(f"cochain key {name!r} is not a canonical key "
+                             f"of a {cx} {degree}-cochain")
+        where = f"values[{name}]"
+        values[by_name[name]] = (_vec_from_map(val, space, where)
+                                 if cx.endswith("adjoint")
+                                 else parse_scalar(val, where))
+    return make_cochain(cx, degree, space, values, doc.get("parity"))
 
 
 def serialize_cochain(c: Cochain) -> dict:
-    space = c.space
-    dim = space.dim
+    names = _key_names(c.complex, c.degree, c.space)
     values = {}
-    if c.complex.startswith("binary"):
-        sb = skew_basis(c.degree if c.complex == "binary-scalar" else 2, space)
-        for r, key in enumerate(sb.tuples):
-            name = ",".join(space.names[i] for i in key)
-            if c.complex == "binary-scalar":
-                if c.coords[r] != 0:
-                    values[name] = fmt_scalar(c.coords[r])
-            else:
-                v = c.coords[r * dim:(r + 1) * dim]
-                if not is_zero_vec(v):
-                    values[name] = _vec_to_map(v, space)
-    elif c.degree == 1:
-        for k in range(dim):
-            if c.complex == "ternary-scalar":
-                if c.coords[k] != 0:
-                    values[space.names[k]] = fmt_scalar(c.coords[k])
-            else:
-                v = c.coords[k * dim:(k + 1) * dim]
-                if not is_zero_vec(v):
-                    values[space.names[k]] = _vec_to_map(v, space)
-    else:
-        sb2 = skew_basis(2, space)
-        for r, pair in enumerate(sb2.tuples):
-            for k in range(dim):
-                name = (f"{space.names[pair[0]]},{space.names[pair[1]]}"
-                        f"|{space.names[k]}")
-                base = r * dim + k
-                if c.complex == "ternary-scalar":
-                    if c.coords[base] != 0:
-                        values[name] = fmt_scalar(c.coords[base])
-                else:
-                    v = c.coords[base * dim:(base + 1) * dim]
-                    if not is_zero_vec(v):
-                        values[name] = _vec_to_map(v, space)
+    for key, val in c.values.items():
+        if c.complex.endswith("adjoint"):
+            if not is_zero_vec(val):
+                values[names[key]] = _vec_to_map(val, c.space)
+        elif val != 0:
+            values[names[key]] = fmt_scalar(val)
     return {"complex": c.complex, "degree": c.degree, "values": values}
 
 

@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,14 +13,14 @@ from homnambu.cohomology import (Cochain, apply_coboundary,
                                  binary_adjoint_cocycle_space,
                                  binary_adjoint_d1_matrix, binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
-                                 cochain_length, cohomology_dims,
+                                 cochain_keys, cochain_length, cohomology_dims,
                                  delta1_matrix, delta2_matrix, ds_matrix,
                                  induce_cocycle, infer_parity,
                                  is_binary_cocycle, make_cochain,
                                  parity_support, verify_1cocycle_transfer,
                                  verify_bracket_cocycle, verify_class_transfer,
                                  verify_lemma_identity)
-from homnambu.fixtures import gl11
+from homnambu.fixtures import conjugate_gl11, gl11, gl11t
 from homnambu.graded import skew_basis
 from homnambu.linalg import (InputError, PreconditionError, is_zero_vec,
                              submatrix)
@@ -268,3 +269,176 @@ def test_coboundary_matrices_live_as_long_as_their_algebra():
     del lie, rep, tau, t
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+# --- the coordinate layout ---------------------------------------------------
+
+ALL_SHAPES = [("binary-scalar", d) for d in (1, 2, 3, 4)] + [
+    ("binary-adjoint", 2)] + [(cx, d) for cx in ("ternary-scalar",
+                                                  "ternary-adjoint")
+                              for d in (1, 2, 3)]
+
+
+def test_cochain_keys_layout(g11):
+    sp = g11.space
+    pairs = skew_basis(2, sp).tuples
+    assert cochain_keys("binary-scalar", 3, sp) == skew_basis(3, sp).tuples
+    assert cochain_keys("binary-adjoint", 2, sp) == pairs
+    assert cochain_keys("ternary-scalar", 1, sp) == (0, 1, 2, 3)
+    assert cochain_keys("ternary-adjoint", 2, sp) == tuple(
+        (pair, k) for pair in pairs for k in range(4))
+    assert cochain_keys("ternary-scalar", 3, sp) == tuple(
+        (x, y, k) for x in pairs for y in pairs for k in range(4))
+    for cx, d in ALL_SHAPES:
+        width = 4 if cx.endswith("adjoint") else 1
+        assert cochain_length(cx, d, sp) == len(cochain_keys(cx, d, sp)) * width
+    for cx, d in (("binary-adjoint", 1), ("ternary-scalar", 4),
+                  ("binary-scalar", True), ("nope", 1)):
+        with pytest.raises(InputError):
+            cochain_keys(cx, d, sp)
+
+
+def test_adjoint_coordinates_are_key_major(g11):
+    # the value at key i fills the dim coordinates after the first i*dim
+    sp = g11.space
+    values = {((2, 3), 0): (1, 2, 0, 0), ((0, 2), 2): (5, 0, 0, 0)}
+    c = make_cochain("ternary-adjoint", 2, sp, values)
+    keys = cochain_keys("ternary-adjoint", 2, sp)
+    for key, v in values.items():
+        start = keys.index(key) * 4
+        assert c.coords[start:start + 4] == v
+    assert sum(1 for x in c.coords if x != 0) == 3
+
+
+def test_cochain_values_invert_make_cochain(all_binary):
+    rng = random.Random(77)
+    for name, lie, rep in all_binary:
+        for cx, d in ALL_SHAPES:
+            for parity in (0, 1):
+                c = random_cochain(rng, cx, d, lie.space, parity)
+                back = make_cochain(cx, d, lie.space, c.values, c.parity)
+                assert back == c, (name, cx, d, parity)
+                assert list(c.values) == list(cochain_keys(cx, d, lie.space))
+
+
+def test_make_cochain_rejects_malformed_keys_and_values(g11):
+    sp = g11.space
+    bad = [
+        ("ternary-scalar", 2, {((0, 1), 4): 1}),   # element 4 of a 4-dim space
+        ("ternary-scalar", 2, {((3, 2), 0): 1}),   # non-canonical pair
+        ("ternary-scalar", 1, {-1: 1}),
+        ("ternary-scalar", 1, {7: 1}),
+        ("ternary-adjoint", 1, {4: (0, 0, 0, 0)}),
+        ("binary-scalar", 2, {(3, 2): 1}),
+        ("binary-adjoint", 2, {(0, 1): (1, 0, 0)}),          # short value
+        # a long value would spill into the next key, here within parity
+        ("binary-adjoint", 2, {(0, 1): (0, 0, 1, 0, 1)}),
+        ("binary-adjoint", 2, {(0, 1): 1}),
+    ]
+    for cx, d, values in bad:
+        with pytest.raises(InputError):
+            make_cochain(cx, d, sp, values)
+
+
+def test_scalar_delta2_built_once_per_algebra():
+    lie, rep = gl11()
+    tau, t = induced(lie, rep)
+    rng = random.Random(78)
+    for parity in (0, 1):
+        om = random_cochain(rng, "binary-scalar", 1, lie.space, parity)
+        assert verify_lemma_identity(lie, tau, om, t).verdict == "pass"
+    built = [key for key in t.memo
+             if key[:2] == ("delta2_matrix", "ternary-scalar")]
+    assert len(built) == 1
+
+
+# --- direct-evaluation oracles ----------------------------------------------
+# Each one evaluates the displayed formula per coordinate, on cochains laid
+# out by hand (keys in order, an adjoint value's dim entries after its key),
+# so a shared mistake in cochain_keys and the builders shows up here.
+
+
+def oracle_algebras():
+    lie, rep = gl11()
+    yield "gl11", lie, rep
+    lie, rep = gl11t()
+    yield "gl11t", lie, rep
+    lie, rep = conjugate_gl11(random.Random(79))
+    yield "conj", lie, rep
+
+
+def rand_entry(rng, live):
+    return Fraction(rng.randint(-3, 3)) if live else Fraction(0)
+
+
+def test_delta1_matches_direct_formula():
+    # delta1 f(X, z) = -f(X.z), X.z = [x1, x2, z], on both ternary complexes
+    rng = random.Random(80)
+    for name, lie, rep in oracle_algebras():
+        tau, t = induced(lie, rep)
+        p, dim = lie.space.parities, lie.dim
+        for parity in (0, 1):
+            fs = [rand_entry(rng, p[k] == parity) for k in range(dim)]
+            fa = [[rand_entry(rng, (p[k] + p[o]) % 2 == parity)
+                   for o in range(dim)] for k in range(dim)]
+            want_s, want_a = [], []
+            for x1, x2 in skew_basis(2, lie.space).tuples:
+                for z in range(dim):
+                    act = t.bracket.value(x1, x2, z)
+                    want_s.append(-sum(c * fs[m] for m, c in enumerate(act)))
+                    want_a.extend(-sum(c * fa[m][o] for m, c in enumerate(act))
+                                  for o in range(dim))
+            f_adj = tuple(x for row in fa for x in row)
+            Cochain("ternary-adjoint", 1, parity, lie.space, f_adj)  # legal
+            assert delta1_matrix(t, "ternary-scalar").apply(tuple(fs)) == \
+                tuple(want_s), (name, parity)
+            assert delta1_matrix(t, "ternary-adjoint").apply(f_adj) == \
+                tuple(want_a), (name, parity)
+
+
+def pair_value(phi, i, j, parities, zero):
+    """phi(e_i, e_j) from its canonical-pair values, by super-skewness."""
+    if i == j and not parities[i]:
+        return zero
+    if i <= j:
+        return phi[(i, j)]
+    s = 1 if parities[i] and parities[j] else -1
+    return tuple(s * c for c in phi[(j, i)])
+
+
+def test_binary_adjoint_cocycle_matrix_matches_direct_formula():
+    # (d phi)(x, y, z) = phi(a x, [y, z]) + (-1)^{|x|(|y|+|z|)} phi(a y, [z, x])
+    #                    + (-1)^{|z|(|x|+|y|)} phi(a z, [x, y]),
+    # rows over ordered triples, then the output index
+    rng = random.Random(81)
+    for name, lie, rep in oracle_algebras():
+        sp = lie.space
+        p, dim = sp.parities, lie.dim
+        zero = (Fraction(0),) * dim
+
+        def ev(phi, u, v):
+            out = list(zero)
+            for i, ui in enumerate(u):
+                for j, vj in enumerate(v):
+                    if ui and vj:
+                        val = pair_value(phi, i, j, p, zero)
+                        for o in range(dim):
+                            out[o] += ui * vj * val[o]
+            return out
+
+        for parity in (0, 1):
+            pairs = skew_basis(2, sp).tuples
+            phi = {(i, j): tuple(rand_entry(rng, (p[i] + p[j] + p[o]) % 2 == parity)
+                                 for o in range(dim)) for i, j in pairs}
+            coords = tuple(x for key in pairs for x in phi[key])
+            Cochain("binary-adjoint", 2, parity, sp, coords)  # legal
+            want = []
+            for x, y, z in product(range(dim), repeat=3):
+                sa = -1 if p[x] and (p[y] ^ p[z]) else 1
+                sb = -1 if p[z] and (p[x] ^ p[y]) else 1
+                terms = (ev(phi, lie.alpha.column(x), lie.bracket.value(y, z)),
+                         ev(phi, lie.alpha.column(y), lie.bracket.value(z, x)),
+                         ev(phi, lie.alpha.column(z), lie.bracket.value(x, y)))
+                want.extend(a + sa * b + sb * c for a, b, c in zip(*terms))
+            got = binary_adjoint_cocycle_matrix(lie).apply(coords)
+            assert got == tuple(want), (name, parity)

@@ -152,6 +152,9 @@ def test_cochain_loader_guards(g11):
         load_cochain({"complex": "binary-scalar", "degree": "2",
                       "values": {}}, sp)
     with pytest.raises(InputError):
+        load_cochain({"complex": "binary-scalar", "degree": True,
+                      "values": {}}, sp)
+    with pytest.raises(InputError):
         load_cochain({"complex": "binary-scalar", "degree": 2,
                       "values": {"p,q": "1"}}, sp)
     with pytest.raises(InputError):
@@ -190,6 +193,25 @@ def test_cochain_round_trip(g11):
             assert back.coords == c.coords, (cx, degree, parity)
             if any(x != 0 for x in c.coords):
                 assert back.parity == parity
+
+
+def test_cochain_key_names_follow_cochain_keys(g11):
+    sp = g11.space
+    c = make_cochain("ternary-adjoint", 2, sp, {((2, 3), 0): (1, 0, 0, 0),
+                                                ((0, 2), 2): (5, 0, 0, 0)})
+    assert serialize_cochain(c)["values"] == {"h1,q|q": {"h1": "5"},
+                                             "q,p|h1": {"h1": "1"}}
+    assert list(serialize_cochain(c)["values"]) == ["h1,q|q", "q,p|h1"]
+    for cx, degree, key in (("ternary-scalar", 1, "q,p|h1"),
+                            ("ternary-scalar", 2, "h1"),
+                            ("ternary-scalar", 2, "h1,h1|q"),
+                            ("ternary-scalar", 2, "q,p|x"),
+                            ("binary-scalar", 1, "h1,h2")):
+        with pytest.raises(InputError):
+            load_cochain({"complex": cx, "degree": degree,
+                          "values": {key: "1"}}, sp)
+    with pytest.raises(InputError):
+        serialize_cochain(Cochain.zero("ternary-scalar", 3, sp))
 
 
 def test_cochain_explicit_parity(g11):

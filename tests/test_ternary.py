@@ -9,8 +9,8 @@ import pytest
 from homnambu.binary import verify_morphism
 from homnambu.fixtures import (alpha_t, conjugate_gl11, gl11, gl11t,
                                induced_gl11, neg_nambu, neg_ternary_mult,
-                               neg_ternary_skew)
-from homnambu.graded import GradedMap, identity_map
+                               neg_ternary_skew, random_even_invertible)
+from homnambu.graded import GradedMap, identity_map, skew_basis, tuple_parity
 from homnambu.linalg import InputError, Matrix, Subspace, frac, unit_vec
 from homnambu.report import fmt_vec
 from homnambu.reps import trace_functional
@@ -123,6 +123,27 @@ def broken_mixed_twists():
     return broken(induced_gl11_mixed_twists())
 
 
+def random_bracket_two_twists():
+    """A seeded random canonical bracket on the gl(1|1) space that obeys the
+    parity law, with two distinct random even invertible twists.
+
+    Unlike the induced cases, no term of the identity vanishes by
+    construction, and each twist enters its own slots.
+    """
+    rng = random.Random(98)
+    sp = gl11()[0].space
+    p = sp.parities
+    coeffs = {key: tuple(Fraction(rng.randint(-2, 2))
+                         if p[o] == tuple_parity(key, p) else Fraction(0)
+                         for o in range(sp.dim))
+              for key in skew_basis(3, sp).tuples}
+    a1 = GradedMap(sp, sp, random_even_invertible(rng, sp))
+    a2 = GradedMap(sp, sp, random_even_invertible(rng, sp))
+    assert a1 != a2
+    return TernaryHomLieSuper(sp, SuperBracket3.from_canonical(sp, coeffs),
+                              a1, a2)
+
+
 def direct_violations(t, a1, a2):
     """(witness, residual) of every nonzero oracle residual, in loop order."""
     names = t.space.names
@@ -136,7 +157,8 @@ def direct_violations(t, a1, a2):
 
 @pytest.mark.parametrize("build", [induced_gl11t2, neg_nambu,
                                    induced_gl11_mixed_twists, broken_gl11t2,
-                                   broken_mixed_twists])
+                                   broken_mixed_twists,
+                                   random_bracket_two_twists])
 def test_verify_hom_nambu_matches_direct_oracle_on_every_tuple(build):
     t = build()
     want = direct_violations(t, t.alpha1, t.alpha2)
