@@ -13,16 +13,16 @@ from fractions import Fraction
 
 from .binary import (derived_subspace, is_ideal, verify_hom_jacobi,
                      verify_multiplicative, verify_skew)
-from .cohomology import (Cochain, cohomology_dims, ds_matrix, induce_cocycle,
-                         parity_support, verify_1cocycle_transfer,
-                         verify_class_transfer, verify_lemma_identity)
+from .cohomology import (Cochain, cochain_length, cohomology_dims, ds_matrix,
+                         even_cocycles, induce_cocycle, parity_support,
+                         verify_1cocycle_transfer, verify_class_transfer,
+                         verify_lemma_identity)
 from .extensions import (CentralExtensionData, build_central_extension,
                          verify_extension)
 from .formats import (DocumentBundle, load_cochain, load_functional,
                       read_document, read_json_file, serialize_cochain,
                       write_document)
-from .linalg import (InputError, PreconditionError, Subspace, kernel,
-                     submatrix, unit_vec)
+from .linalg import InputError, PreconditionError, Subspace, unit_vec
 from .report import Report, fmt_vec
 from .reps import trace_functional, verify_representation
 from .series import (binary_center, binary_central_series,
@@ -183,7 +183,6 @@ def cmd_induce_cocycle(args) -> Report:
 
 def _random_cochain(rng, g, degree: int, parity: int) -> Cochain:
     sel = parity_support("binary-scalar", degree, g.space, parity)
-    from .cohomology import cochain_length
     n = cochain_length("binary-scalar", degree, g.space)
     coords = [Fraction(0)] * n
     for i in sel:
@@ -192,15 +191,11 @@ def _random_cochain(rng, g, degree: int, parity: int) -> Cochain:
 
 
 def _random_even_cocycle(rng, g) -> Cochain:
-    sel_in = parity_support("binary-scalar", 2, g.space, 0)
-    sel_out = parity_support("binary-scalar", 3, g.space, 0)
-    zk = kernel(submatrix(ds_matrix(g, 2), sel_out, sel_in))
-    from .cohomology import cochain_length
     n = cochain_length("binary-scalar", 2, g.space)
     coords = [Fraction(0)] * n
-    for v in zk.vectors():
+    for v in even_cocycles(g, "binary-scalar", 2):
         c = Fraction(rng.randint(-3, 3))
-        for pos, x in zip(sel_in, v):
+        for pos, x in enumerate(v):
             coords[pos] += c * x
     return Cochain("binary-scalar", 2, 0, g.space, tuple(coords))
 

@@ -22,10 +22,16 @@ alone.  The keys are canonical index tuples on the binary side and k,
 (fundamental pair, element) convention of phi_rho(X, z).  A scalar
 cochain has one coordinate per key; an adjoint cochain has dim of them,
 key-major.  Lengths, parities, make_cochain, Cochain.values and the
-document format all derive from it, and every coboundary builder emits
-value-free rows that _adjoint_rows lifts to the adjoint complexes.
+document format all derive from it.
+
+Every coboundary builder emits a linalg.SparseMatrix of value-free rows,
+one dict of nonzero coefficients per row; _adjoint_lift turns them into the
+adjoint matrices, which are block-diagonal across the output index.
+Cohomology is computed on parity blocks of these sparse matrices, and on
+the adjoint complex from the value-free rows alone.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -34,9 +40,9 @@ from itertools import product
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge2_expand)
-from .linalg import (InputError, Matrix, PreconditionError, Subspace, frac,
-                     image, kernel, solve, submatrix, vec, vec_add, vec_scale,
-                     zero_vec, is_zero_vec, ZERO)
+from .linalg import (InputError, Matrix, PreconditionError, SparseMatrix,
+                     Subspace, frac, image, kernel, solve, subspace_intersection,
+                     vec, vec_add, vec_scale, zero_vec, is_zero_vec, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional
 from .ternary import TernaryHomLieSuper, induce_ternary
@@ -206,30 +212,25 @@ def binary_pair_eval(c: Cochain, i: int, j: int):
     return sign * c.values[t] if scalar else vec_scale(sign, c.values[t])
 
 
-def _matrix(rows_list, ncols) -> Matrix:
-    if not rows_list:
-        return Matrix(0, ncols, ())
-    return Matrix(len(rows_list), ncols, tuple(tuple(r) for r in rows_list))
+def _terms(v) -> list:
+    """The nonzero (index, value) terms of a dense vector."""
+    return [(i, x) for i, x in enumerate(v) if x]
 
 
-def _adjoint_rows(rows, dim: int) -> list:
+def _adjoint_lift(m: SparseMatrix, dim: int) -> SparseMatrix:
     """Lift value-free rows to an adjoint complex.
 
     Each row becomes dim rows, one per output index o; row o reads the
     output-o coordinate of every key, so column j moves to j*dim+o.
     """
-    lifted = []
-    for row in rows:
-        for o in range(dim):
-            out = [ZERO] * (len(row) * dim)
-            out[o::dim] = row
-            lifted.append(out)
-    return lifted
+    return SparseMatrix(m.rows * dim, m.cols * dim, tuple(
+        tuple((j * dim + o, x) for j, x in row)
+        for row in m.entries for o in range(dim)))
 
 
-def _expand_eval(row, sign, head: tuple, rest_cols: list, sb, parities):
+def _expand_eval(row: dict, sign, head: tuple, rest_cols: list, sb, parities):
     """row[idx(canon)] += sign * coeff for every basis expansion of
-    f(head_vector, rest_1, ..., rest_r)."""
+    f(head_vector, rest_1, ..., rest_r); row is a sparse dict."""
     combos = [((), Fraction(1))]
     for col in rest_cols:
         nxt = []
@@ -251,25 +252,29 @@ def _expand_eval(row, sign, head: tuple, rest_cols: list, sb, parities):
             pos = sb.index.get(canon)
             if pos is None:
                 continue
-            row[pos] += sign * csign * c * coeff
+            row[pos] = row.get(pos, ZERO) + sign * csign * c * coeff
 
 
 ONE_ = Fraction(1)
 
 
+def _memo(obj, key: tuple, build):
+    """obj.memo[key], built on first use, so results live as long as obj."""
+    if key not in obj.memo:
+        obj.memo[key] = build()
+    return obj.memo[key]
+
+
 def _memoized(fn):
-    """Cache fn(obj, *args) in obj.memo, so results live as long as obj."""
+    """Cache fn(obj, *args) in obj.memo under (fn's name, *args)."""
     @wraps(fn)
     def cached(obj, *args):
-        key = (fn.__name__, *args)
-        if key not in obj.memo:
-            obj.memo[key] = fn(obj, *args)
-        return obj.memo[key]
+        return _memo(obj, (fn.__name__, *args), lambda: fn(obj, *args))
     return cached
 
 
 @_memoized
-def ds_matrix(g: HomLieSuper, p: int) -> Matrix:
+def ds_matrix(g: HomLieSuper, p: int) -> SparseMatrix:
     """Matrix of the scalar coboundary on canonical cochain coordinates."""
     if p not in (1, 2, 3):
         raise InputError(f"unsupported degree {p}")
@@ -280,7 +285,7 @@ def ds_matrix(g: HomLieSuper, p: int) -> Matrix:
     acols = [g.alpha.column(i) for i in range(g.dim)]
     rows = []
     for X in sb_out.tuples:
-        row = [ZERO] * len(sb_in.tuples)
+        row = {}
         k = p + 1
         for i in range(k):
             for j in range(i + 1, k):
@@ -297,11 +302,11 @@ def ds_matrix(g: HomLieSuper, p: int) -> Matrix:
                 rest = [acols[X[t]] for t in range(k) if t != i and t != j]
                 _expand_eval(row, Fraction(s), bvec, rest, sb_in, par)
         rows.append(row)
-    return _matrix(rows, len(sb_in.tuples))
+    return SparseMatrix.build(rows, len(sb_in.tuples))
 
 
 @_memoized
-def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> Matrix:
+def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> SparseMatrix:
     """Cyclic cocycle operator on g-valued super-skew 2-cochains.
 
     Rows run over all ordered basis triples times output component; any
@@ -319,9 +324,9 @@ def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> Matrix:
         w2 = wedge2_expand(acols[y], g.bracket.value(z, x), sp, sb2)
         sb_ = -1 if (p[z] and (p[x] ^ p[y])) else 1
         w3 = wedge2_expand(acols[z], g.bracket.value(x, y), sp, sb2)
-        rows.append([a + sa * b + sb_ * c for a, b, c in zip(w1, w2, w3)])
-    return _matrix(_adjoint_rows(rows, g.dim),
-                   cochain_length("binary-adjoint", 2, sp))
+        rows.append({j: a + sa * b + sb_ * c
+                     for j, (a, b, c) in enumerate(zip(w1, w2, w3))})
+    return _adjoint_lift(SparseMatrix.build(rows, len(sb2.tuples)), g.dim)
 
 
 def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int | None = None) -> Subspace:
@@ -331,15 +336,14 @@ def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int | None = None) -> S
     sel = parity_support("binary-adjoint", 2, g.space, parity)
     n = cochain_length("binary-adjoint", 2, g.space)
     axes = [tuple(ONE_ if i == s else ZERO for i in range(n)) for s in sel]
-    from .linalg import subspace_intersection
     return subspace_intersection(ker, Subspace.from_vectors(n, axes))
 
 
-def binary_adjoint_d1_matrix(g: HomLieSuper) -> Matrix:
+def binary_adjoint_d1_matrix(g: HomLieSuper) -> SparseMatrix:
     """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains."""
-    rows = [[-c for c in g.bracket.value(i, j)]
+    rows = [{m: -c for m, c in enumerate(g.bracket.value(i, j))}
             for i, j in cochain_keys("binary-adjoint", 2, g.space)]
-    return _matrix(_adjoint_rows(rows, g.dim), g.dim * g.dim)
+    return _adjoint_lift(SparseMatrix.build(rows, g.dim), g.dim)
 
 
 def bracket_cochain(g: HomLieSuper) -> Cochain:
@@ -370,20 +374,6 @@ def _single_twist(t: TernaryHomLieSuper):
     return t.alpha1
 
 
-def fundamental_bracket(t: TernaryHomLieSuper, pair_x: tuple, pair_y: tuple) -> tuple:
-    """[X,Y]_alpha over the canonical pair basis."""
-    a = _single_twist(t)
-    sp = t.space
-    sb2 = skew_basis(2, sp)
-    x1, x2 = pair_x
-    y1, y2 = pair_y
-    v1 = wedge2_expand(t.bracket.value(x1, x2, y1), a.column(y2), sp, sb2)
-    v2 = wedge2_expand(a.column(y1), t.bracket.value(x1, x2, y2), sp, sb2)
-    px = tuple_parity(pair_x, sp.parities)
-    s = -1 if (px and sp.parities[y1]) else 1
-    return vec_add(v1, vec_scale(s, v2))
-
-
 @_memoized
 def pair_twist_matrix(t: TernaryHomLieSuper) -> Matrix:
     """alpha acting on the canonical pair basis (wedge square of alpha)."""
@@ -396,24 +386,23 @@ def pair_twist_matrix(t: TernaryHomLieSuper) -> Matrix:
 
 
 @_memoized
-def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> Matrix:
+def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> SparseMatrix:
     """f -> ((X,z) -> -f(X.z)); the adjoint matrix lifts the scalar one."""
     _single_twist(t)
-    if cx == "ternary-scalar":
-        rows = [[-c for c in t.bracket.value(x1, x2, k)]
-                for (x1, x2), k in cochain_keys(cx, 2, t.space)]
-    elif cx == "ternary-adjoint":
-        rows = _adjoint_rows(delta1_matrix(t, "ternary-scalar").entries, t.dim)
-    else:
+    if cx == "ternary-adjoint":
+        return _adjoint_lift(delta1_matrix(t, "ternary-scalar"), t.dim)
+    if cx != "ternary-scalar":
         raise InputError(f"unknown ternary complex {cx}")
-    return _matrix(rows, cochain_length(cx, 1, t.space))
+    rows = [{m: -c for m, c in enumerate(t.bracket.value(x1, x2, k))}
+            for (x1, x2), k in cochain_keys(cx, 2, t.space)]
+    return SparseMatrix.build(rows, t.dim)
 
 
-@_memoized
-def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> Matrix:
+def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> SparseMatrix:
     """The 2-coboundary on (pair, element) cochains.
 
-    Scalar: -f([X,Y]_a, a z) - (-1)^{|X||Y|} f(aY, X.z) + f(aX, Y.z).
+    Scalar: -f([X,Y]_a, a z) - (-1)^{|X||Y|} f(aY, X.z) + f(aX, Y.z),
+    with [X,Y]_a = X.y1 ^ a(y2) + (-1)^{|X||y1|} a(y1) ^ X.y2.
     Adjoint appends the three extra terms, each again an evaluation of f
     (the theorem's expansion pairs them off against the scalar ones):
 
@@ -422,71 +411,80 @@ def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> Matrix:
 
     so an even cochain sees the scalar operator doubled.  Values never
     enter a bracket; the matrix is block-diagonal across the value index
-    but depends on the cochain parity through the extra signs.
+    but depends on the cochain parity through the extra signs.  Each
+    matrix is memoized once per algebra: the scalar one ignores parity,
+    the adjoint one reads it mod 2.
     """
+    if cx == "ternary-scalar":
+        return _memo(t, ("delta2_matrix", cx, 0), lambda: _delta2_rows(t, cx, 0))
+    if cx != "ternary-adjoint":
+        raise InputError(f"unknown ternary complex {cx}")
+    parity %= 2
+    return _memo(t, ("delta2_matrix", cx, parity), lambda: _adjoint_lift(
+        _value_free(t, cx, 2, parity), t.dim))
+
+
+def _delta2_rows(t: TernaryHomLieSuper, cx: str, fpar: int) -> SparseMatrix:
+    """delta2_matrix's value-free rows for cochains of parity fpar."""
     a = _single_twist(t)
     sp = t.space
     p = sp.parities
     dim = sp.dim
     sb2 = skew_basis(2, sp)
-    s2 = len(sb2.tuples)
-    pairp = [tuple_parity(q, p) for q in sb2.tuples]
-    acols = [a.column(i) for i in range(dim)]
+    pairs = sb2.tuples
+    pairp = [tuple_parity(q, p) for q in pairs]
     atw = pair_twist_matrix(t)
-    apairs = [atw.col(P) for P in range(s2)]
-    fb = [[fundamental_bracket(t, sb2.tuples[P], sb2.tuples[Q])
-           for Q in range(s2)] for P in range(s2)]
+    adense = [a.column(i) for i in range(dim)]
+    # every vector as its nonzero (index, value) terms, built once
+    acols = [_terms(v) for v in adense]
+    apairs = [_terms(atw.col(P)) for P in range(len(pairs))]
+    acts = [[_terms(t.bracket.value(x1, x2, k)) for k in range(dim)]
+            for x1, x2 in pairs]
     adjoint = cx == "ternary-adjoint"
-    if not adjoint and cx != "ternary-scalar":
-        raise InputError(f"unknown ternary complex {cx}")
-    fpar = parity % 2
     position = {key: i for i, key in
                 enumerate(cochain_keys("ternary-scalar", 2, sp))}
-    cols = [[position[(pair, m)] for m in range(dim)] for pair in sb2.tuples]
+    cols = [[position[(pair, m)] for m in range(dim)] for pair in pairs]
+
+    def add(row, pair_terms, elem_terms, sign):
+        """row += sign * (coefficients of f(pair, elem)), f's coordinates
+        read off the (pair, element) key layout."""
+        for P, cr in pair_terms:
+            col = cols[P]
+            for m, cm in elem_terms:
+                c = col[m]
+                old = row.get(c, ZERO)
+                row[c] = old + cr * cm if sign > 0 else old - cr * cm
+
     rows = []
-    for P in range(s2):
-        p1, p2 = sb2.tuples[P]
-        for Qp in range(s2):
-            q1, q2 = sb2.tuples[Qp]
+    for P, (p1, p2) in enumerate(pairs):
+        for Qp, (q1, q2) in enumerate(pairs):
             sxy = -1 if (pairp[P] and pairp[Qp]) else 1
             s4 = -1 if (((fpar + pairp[P]) & 1) and p[q1]) else 1
             s5 = -1 if (pairp[Qp] and ((pairp[P] + fpar) & 1)) else 1
             s6 = -1 if (pairp[P] and fpar) else 1
-            fbv = fb[P][Qp]
-            if adjoint:
-                w41 = wedge2_expand(t.bracket.value(p1, p2, q1),
-                                    acols[q2], sp, sb2)
-                w42 = wedge2_expand(acols[q1],
-                                    t.bracket.value(p1, p2, q2), sp, sb2)
+            sfb = -1 if (pairp[P] and p[q1]) else 1
+            # the two wedges of [X,Y]_a: X.y1 ^ a(y2) and a(y1) ^ X.y2
+            w1 = _terms(wedge2_expand(t.bracket.value(p1, p2, q1),
+                                      adense[q2], sp, sb2))
+            w2 = _terms(wedge2_expand(adense[q1],
+                                      t.bracket.value(p1, p2, q2), sp, sb2))
             for k in range(dim):
-                row = [ZERO] * len(position)
-                az = acols[k]
-                xz = t.bracket.value(p1, p2, k)
-                yz = t.bracket.value(q1, q2, k)
-
-                def add(pair_coeffs, elem_vec, coef):
-                    for col, cr in zip(cols, pair_coeffs):
-                        if cr == 0:
-                            continue
-                        for c, cm in zip(col, elem_vec):
-                            if cm != 0:
-                                row[c] += coef * cr * cm
-
-                add(fbv, az, -ONE_)
-                add(apairs[Qp], xz, frac(-sxy))
-                add(apairs[P], yz, ONE_)
+                row = {}
+                az, xz, yz = acols[k], acts[P][k], acts[Qp][k]
+                add(row, w1, az, -1)
+                add(row, w2, az, -sfb)
+                add(row, apairs[Qp], xz, -sxy)
+                add(row, apairs[P], yz, 1)
                 if adjoint:
-                    add(w41, az, -ONE_)
-                    add(w42, az, frac(-s4))
-                    add(apairs[Qp], xz, frac(-s5))
-                    add(apairs[P], yz, frac(s6))
+                    add(row, w1, az, -1)
+                    add(row, w2, az, -s4)
+                    add(row, apairs[Qp], xz, -s5)
+                    add(row, apairs[P], yz, s6)
                 rows.append(row)
-    if adjoint:
-        rows = _adjoint_rows(rows, dim)
-    return _matrix(rows, cochain_length(cx, 2, sp))
+    return SparseMatrix.build(rows, len(position))
 
 
-def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
+def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
     if cx.startswith("ternary") != isinstance(obj, TernaryHomLieSuper):
         raise InputError(f"complex {cx} does not match the given algebra")
     if cx == "binary-scalar":
@@ -511,25 +509,79 @@ def apply_coboundary(obj, c: Cochain) -> Cochain:
     return Cochain(c.complex, c.degree + 1, c.parity, c.space, m.apply(c.coords))
 
 
+def _value_free(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
+    """The coboundary of cx degree-cochains before the adjoint lift, on
+    ternary-scalar keys; on the scalar complexes, the coboundary itself."""
+    if cx != "ternary-adjoint":
+        return coboundary_matrix(obj, cx, degree)
+    if not isinstance(obj, TernaryHomLieSuper):
+        raise InputError(f"complex {cx} does not match the given algebra")
+    if degree == 1:
+        return delta1_matrix(obj, "ternary-scalar")
+    if degree == 2:
+        parity %= 2
+        return _memo(obj, ("delta2_rows", cx, parity),
+                     lambda: _delta2_rows(obj, cx, parity))
+    raise InputError(f"unsupported degree {degree} for {cx}")
+
+
+def parity_block(m: SparseMatrix, cx: str, degree: int, space: GradedSpace,
+                 parity: int = 0) -> SparseMatrix:
+    """m, a coboundary on cx cochains of this degree, restricted to one
+    parity: columns are the degree coordinates of that parity, rows the
+    degree + 1 ones.  Coboundaries preserve parity, so the kernel of the
+    block is the cocycle space of the cochains of that parity."""
+    return m.select(parity_support(cx, degree + 1, space, parity),
+                    parity_support(cx, degree, space, parity))
+
+
+def even_cocycles(obj, cx: str, degree: int) -> list:
+    """A basis of the even cx cocycles of this degree as full coordinate
+    tuples: the RREF kernel basis of the even block, spread back over every
+    coordinate."""
+    space = obj.space
+    block = parity_block(coboundary_matrix(obj, cx, degree), cx, degree, space)
+    sel = parity_support(cx, degree, space, 0)
+    n = cochain_length(cx, degree, space)
+    out = []
+    for v in kernel(block).vectors():
+        full = [ZERO] * n
+        for pos, x in zip(sel, v):
+            full[pos] = x
+        out.append(tuple(full))
+    return out
+
+
 def cohomology_dims(obj, cx: str, degree: int) -> tuple:
-    """(dim Z, dim B, dim H) on the even-parity block."""
+    """(dim Z, dim B, dim H) on the even-parity block.
+
+    The adjoint lift is block-diagonal across the output index o with the
+    value-free matrix in every block, so the even block of output o is the
+    value-free matrix on the keys of parity p[o]: each key parity is
+    eliminated once and counted once per output of that parity.
+    """
     if degree not in (1, 2):
         raise InputError(f"unsupported degree {degree}")
     space = obj.space
-    out_m = coboundary_matrix(obj, cx, degree)
-    sel_in = parity_support(cx, degree, space, 0)
-    sel_out = parity_support(cx, degree + 1, space, 0)
-    z = kernel(submatrix(out_m, sel_out, sel_in))
-    if degree == 1:
-        b = Subspace.zero(len(sel_in))
+    if cx == "ternary-adjoint":
+        layout, outputs = "ternary-scalar", Counter(space.parities)
     else:
-        in_m = coboundary_matrix(obj, cx, degree - 1)
-        sel_prev = parity_support(cx, degree - 1, space, 0)
-        b = image(submatrix(in_m, sel_in, sel_prev))
-    for v in b.vectors():
-        if not z.contains(v):
-            raise InputError("coboundary escaped the cocycle space")
-    return (z.dim, b.dim, z.dim - b.dim)
+        layout, outputs = cx, {0: 1}
+    zdim = bdim = 0
+    for parity, count in outputs.items():
+        z = kernel(parity_block(_value_free(obj, cx, degree), layout, degree,
+                                space, parity))
+        if degree == 1:
+            b = Subspace.zero(z.ambient_dim)
+        else:
+            b = image(parity_block(_value_free(obj, cx, degree - 1), layout,
+                                   degree - 1, space, parity))
+        for v in b.vectors():
+            if not z.contains(v):
+                raise InputError("coboundary escaped the cocycle space")
+        zdim += count * z.dim
+        bdim += count * b.dim
+    return (zdim, bdim, zdim - bdim)
 
 
 def is_binary_cocycle(g: HomLieSuper, phi: Cochain) -> bool:

@@ -1,9 +1,17 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything runs on fractions.Fraction: no floats, no tolerances, no
-normalization surprises.  Matrices are immutable row-major tuples.
-Subspaces are stored as reduced row echelon bases with zero rows dropped,
-so structural equality is canonical equality.
+normalization surprises.  Two immutable matrix types share one surface
+(rows, cols, entries, apply, mul, is_zero, select, transpose): Matrix
+holds dense row-major tuples, for structure maps and other small
+matrices; SparseMatrix holds only the nonzero (column, value) pairs of
+each row, for the coboundary matrices, which are almost all zeros.
+
+All elimination runs through rref, a sparse pivot-table Gauss-Jordan that
+never visits a zero entry; rank, kernel, image, solve, invert and
+Subspace read its result.  Subspaces are stored as reduced row echelon
+bases with zero rows dropped, so structural equality is canonical
+equality.
 """
 
 from dataclasses import dataclass
@@ -143,33 +151,148 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.entries)
 
+    def select(self, row_idx, col_idx) -> "Matrix":
+        rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
+        return Matrix(len(row_idx), len(col_idx), rows)
 
-def rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form; unique, zero rows pushed to the bottom."""
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    piv = 0
-    for col in range(nc):
-        if piv == nr:
-            break
-        pivot = next((r for r in range(piv, nr) if rows[r][col] != 0), None)
-        if pivot is None:
+    def transpose(self) -> "Matrix":
+        return Matrix(self.cols, self.rows,
+                      tuple(self.col(j) for j in range(self.cols)))
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Exact matrix held as rows of (column, value) pairs, columns
+    increasing and values nonzero, so equal matrices compare equal."""
+
+    rows: int
+    cols: int
+    entries: tuple  # tuple of row tuples of (column, value) pairs
+
+    @staticmethod
+    def build(row_dicts, ncols: int) -> "SparseMatrix":
+        """From one dict of column -> value per row; zero values drop out."""
+        entries = tuple(tuple(sorted((c, x) for c, x in r.items() if x))
+                        for r in row_dicts)
+        return SparseMatrix(len(entries), ncols, entries)
+
+    @staticmethod
+    def from_dense(m: Matrix) -> "SparseMatrix":
+        return SparseMatrix(m.rows, m.cols,
+                            tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                                  for r in m.entries))
+
+    def apply(self, v: Vec) -> Vec:
+        if len(v) != self.cols:
+            raise InputError("vector length mismatch in apply")
+        return tuple(sum((x * v[c] for c, x in row), ZERO)
+                     for row in self.entries)
+
+    def mul(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.cols != other.rows:
+            raise InputError("matrix shape mismatch in product")
+        out = []
+        for row in self.entries:
+            acc = {}
+            for k, a in row:
+                for j, b in other.entries[k]:
+                    acc[j] = acc.get(j, ZERO) + a * b
+            out.append(acc)
+        return SparseMatrix.build(out, other.cols)
+
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    def select(self, row_idx, col_idx) -> "SparseMatrix":
+        """Rows row_idx and distinct columns col_idx, in the given orders,
+        by renumbering the stored columns; no zero is materialised."""
+        pos = {j: n for n, j in enumerate(col_idx)}
+        rows = tuple(tuple(sorted((pos[c], x) for c, x in self.entries[i]
+                                  if c in pos)) for i in row_idx)
+        return SparseMatrix(len(row_idx), len(col_idx), rows)
+
+    def transpose(self) -> "SparseMatrix":
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for c, x in row:
+                cols[c].append((i, x))
+        return SparseMatrix(self.cols, self.rows, tuple(map(tuple, cols)))
+
+
+def _pairs(m) -> tuple:
+    """m's rows as (column, value) pairs with the zeros left out."""
+    return m.entries if isinstance(m, SparseMatrix) else \
+        SparseMatrix.from_dense(m).entries
+
+
+def _add_multiple(row: dict, f, other: dict) -> None:
+    """row += f * other on sparse rows, dropping entries that cancel."""
+    for c, x in other.items():
+        y = row.get(c)
+        if y is None:
+            row[c] = f * x
+        else:
+            y += f * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+
+
+def rref(m) -> Matrix:
+    """Reduced row echelon form of a dense or sparse m, as a dense Matrix of
+    m's shape: unique, zero rows pushed to the bottom.
+
+    The one elimination routine.  Pivot rows are dicts of column ->
+    Fraction, keyed by their lead column.  Each row of m is reduced by the
+    pivot rows so far; a nonzero remainder is scaled to lead 1 at its first
+    column and subtracted from every earlier pivot row that has an entry
+    there.  So every pivot row starts at its own column and vanishes on
+    every other pivot column, which makes the table the RREF whatever the
+    row order, and no zero entry is ever visited.
+    """
+    table = {}
+    for pairs in _pairs(m):
+        if len(table) == m.cols:
+            break  # full column rank: every further row reduces to zero
+        row = dict(pairs)
+        for c in [c for c in row if c in table]:
+            # pivot rows vanish on each other's columns, so row[c] is
+            # untouched by the earlier subtractions
+            _add_multiple(row, -row[c], table[c])
+        if not row:
             continue
-        rows[piv], rows[pivot] = rows[pivot], rows[piv]
-        inv = rows[piv][col]
+        lead = min(row)
+        inv = row[lead]
         if inv != 1:
-            rows[piv] = [x / inv for x in rows[piv]]
-        for r in range(nr):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
-        piv += 1
-    return Matrix(nr, nc, tuple(tuple(r) for r in rows))
+            row = {c: x / inv for c, x in row.items()}
+        for prow in table.values():
+            f = prow.get(lead)
+            if f is not None:
+                _add_multiple(prow, -f, row)
+        table[lead] = row
+    nc = m.cols
+    dense = [tuple(table[p].get(j, ZERO) for j in range(nc))
+             for p in sorted(table)]
+    dense += [zero_vec(nc)] * (m.rows - len(table))
+    return Matrix(m.rows, nc, tuple(dense))
 
 
-def rank(m: Matrix) -> int:
-    r = rref(m)
-    return sum(1 for row in r.entries if not is_zero_vec(row))
+def _pivots(r: Matrix) -> list:
+    """(lead column, row) of every nonzero row of the dense RREF r."""
+    out, lead = [], 0
+    for row in r.entries:
+        while lead < r.cols and row[lead] == 0:
+            lead += 1
+        if lead == r.cols:
+            break  # the zero rows
+        out.append((lead, row))
+        lead += 1
+    return out
+
+
+def rank(m) -> int:
+    return len(_pivots(rref(m)))
 
 
 @dataclass(frozen=True)
@@ -181,15 +304,17 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        vectors = [vec(v) for v in vectors]
+        vectors = tuple(vec(v) for v in vectors)
         for v in vectors:
             if len(v) != ambient_dim:
                 raise InputError("vector length does not match ambient dimension")
-        if not vectors:
-            return Subspace(ambient_dim, Matrix(0, ambient_dim, ()))
-        red = rref(Matrix.build(vectors))
-        keep = [r for r in red.entries if not is_zero_vec(r)]
-        return Subspace(ambient_dim, Matrix(len(keep), ambient_dim, tuple(keep)))
+        return Subspace.spanned_by_rows(Matrix(len(vectors), ambient_dim, vectors))
+
+    @staticmethod
+    def spanned_by_rows(m) -> "Subspace":
+        """The row space of a dense or sparse m."""
+        keep = tuple(row for _, row in _pivots(rref(m)))
+        return Subspace(m.cols, Matrix(len(keep), m.cols, keep))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -210,43 +335,46 @@ class Subspace:
         return list(self.basis.entries)
 
     def contains(self, v: Vec) -> bool:
-        v = list(vec(v))
-        for row in self.basis.entries:
-            lead = next((j for j, x in enumerate(row) if x != 0), None)
-            if lead is not None and v[lead] != 0:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(a == 0 for a in v)
+        """In an RREF basis the only candidate combination for v takes
+        v's entry at each lead column as that row's coefficient."""
+        v = vec(v)
+        if len(v) != self.ambient_dim:
+            raise InputError("vector length does not match ambient dimension")
+        w = [ZERO] * self.ambient_dim
+        for lead, row in _pivots(self.basis):
+            c = v[lead]
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        w[j] += c * x
+        return tuple(w) == v
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.entries)
 
 
-def image(m: Matrix) -> Subspace:
+def image(m) -> Subspace:
     """Column space of m, presented as vectors in K^rows."""
-    return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
+    return Subspace.spanned_by_rows(m.transpose())
 
 
-def kernel(m: Matrix) -> Subspace:
+def kernel(m) -> Subspace:
     """Right null space of m."""
-    r = rref(m)
-    pivots = {}
-    for i, row in enumerate(r.entries):
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is not None:
-            pivots[lead] = i
-    free = [j for j in range(m.cols) if j not in pivots]
+    pivots = _pivots(rref(m))
+    leads = {p for p, _ in pivots}
     basis = []
-    for f in free:
+    for f in range(m.cols):
+        if f in leads:
+            continue
         v = [ZERO] * m.cols
         v[f] = ONE
-        for p, i in pivots.items():
-            v[p] = -r.entries[i][f]
+        for p, row in pivots:
+            v[p] = -row[f]
         basis.append(tuple(v))
     return Subspace.from_vectors(m.cols, basis)
 
 
-def solve(m: Matrix, b: Vec):
+def solve(m, b: Vec):
     """One exact solution of m x = b, or None.
 
     Free coordinates are pinned to zero, which makes the answer deterministic.
@@ -254,31 +382,29 @@ def solve(m: Matrix, b: Vec):
     b = vec(b)
     if len(b) != m.rows:
         raise InputError("right-hand side length mismatch")
-    aug = Matrix.build([list(row) + [bi] for row, bi in zip(m.entries, b)]) \
-        if m.rows else Matrix(0, m.cols + 1, ())
-    r = rref(aug)
-    x = [ZERO] * m.cols
-    for row in r.entries:
-        lead = next((j for j, v in enumerate(row) if v != 0), None)
-        if lead is None:
-            continue
-        if lead == m.cols:
+    n = m.cols
+    aug = SparseMatrix(m.rows, n + 1, tuple(
+        row + ((n, bi),) if bi else row for row, bi in zip(_pairs(m), b)))
+    x = [ZERO] * n
+    for lead, row in _pivots(rref(aug)):
+        if lead == n:
             return None  # inconsistent: pivot in the augmented column
-        x[lead] = row[m.cols]
+        x[lead] = row[n]
     return tuple(x)
 
 
-def invert(m: Matrix):
+def invert(m):
     """Exact inverse, or None when m is singular."""
     if m.rows != m.cols:
         return None
     n = m.rows
-    aug = Matrix.build([list(m.entries[i]) + list(unit_vec(n, i)) for i in range(n)])
+    aug = SparseMatrix(n, 2 * n, tuple(
+        row + ((n + i, ONE),) for i, row in enumerate(_pairs(m))))
     r = rref(aug)
     for i in range(n):
         if r.entries[i][i] != 1:
             return None
-    return Matrix.build([r.entries[i][n:] for i in range(n)])
+    return Matrix(n, n, tuple(r.entries[i][n:] for i in range(n)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -314,7 +440,6 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     return a == b
 
 
-def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
+def submatrix(m, row_idx, col_idx):
     """Select rows and columns by index lists, preserving order."""
-    rows = tuple(tuple(m.entries[i][j] for j in col_idx) for i in row_idx)
-    return Matrix(len(row_idx), len(col_idx), rows)
+    return m.select(row_idx, col_idx)

@@ -22,8 +22,8 @@ from homnambu.cohomology import (Cochain, apply_coboundary,
                                  verify_lemma_identity)
 from homnambu.fixtures import conjugate_gl11, gl11, gl11t
 from homnambu.graded import skew_basis
-from homnambu.linalg import (InputError, PreconditionError, is_zero_vec,
-                             submatrix)
+from homnambu.linalg import (InputError, PreconditionError, Subspace, image,
+                             is_zero_vec, kernel, submatrix)
 from homnambu.reps import trace_functional
 from homnambu.ternary import induce_ternary
 
@@ -100,6 +100,24 @@ def test_cohomology_dimension_table(g11, t11):
     assert cohomology_dims(t11, "ternary-scalar", 2) == (7, 1, 6)
     assert cohomology_dims(t11, "ternary-adjoint", 1) == (6, 0, 6)
     assert cohomology_dims(t11, "ternary-adjoint", 2) == (30, 2, 28)
+
+
+def test_adjoint_dims_by_output_parity_match_lifted_elimination():
+    # cohomology_dims eliminates the value-free rows once per key parity;
+    # eliminating the even block of the whole lifted matrix must agree
+    cx = "ternary-adjoint"
+    for name, lie, rep in oracle_algebras():
+        tau, t = induced(lie, rep)
+        for degree in (1, 2):
+            z = kernel(parity_block(coboundary_matrix(t, cx, degree), cx,
+                                    degree, lie.space, 0))
+            if degree == 1:
+                b = Subspace.zero(z.ambient_dim)
+            else:
+                b = image(parity_block(coboundary_matrix(t, cx, 1), cx, 1,
+                                       lie.space, 0))
+            want = (z.dim, b.dim, z.dim - b.dim)
+            assert cohomology_dims(t, cx, degree) == want, (name, degree)
 
 
 def test_bracket_is_cyclic_cocycle(all_binary):
@@ -347,6 +365,10 @@ def test_scalar_delta2_built_once_per_algebra():
     for parity in (0, 1):
         om = random_cochain(rng, "binary-scalar", 1, lie.space, parity)
         assert verify_lemma_identity(lie, tau, om, t).verdict == "pass"
+    delta2_matrix(t, "ternary-scalar", 0)
+    delta2_matrix(t, "ternary-scalar", 1)
+    delta2_matrix(t, "ternary-scalar")
+    coboundary_matrix(t, "ternary-scalar", 2)
     built = [key for key in t.memo
              if key[:2] == ("delta2_matrix", "ternary-scalar")]
     assert len(built) == 1
@@ -442,3 +464,148 @@ def test_binary_adjoint_cocycle_matrix_matches_direct_formula():
                 want.extend(a + sa * b + sb * c for a, b, c in zip(*terms))
             got = binary_adjoint_cocycle_matrix(lie).apply(coords)
             assert got == tuple(want), (name, parity)
+
+
+def skew_value(f, idx, p):
+    """f(e_idx) for a super-skew f given on canonical tuples: swapping
+    neighbours a, b costs -(-1)^{|a||b|}, and an even index twice gives 0.
+    f maps a canonical tuple to a scalar or a vector."""
+    idx, sign = list(idx), 1
+    for n in range(len(idx)):
+        for j in range(len(idx) - 1 - n):
+            a, b = idx[j], idx[j + 1]
+            if a > b:
+                idx[j], idx[j + 1] = b, a
+                sign *= 1 if p[a] and p[b] else -1
+    if any(a == b and not p[a] for a, b in zip(idx, idx[1:])):
+        return None
+    v = f(tuple(idx))
+    return sign * v if not isinstance(v, tuple) else tuple(sign * c for c in v)
+
+
+def multilinear(f, vectors, p, zero):
+    """f(v_1, ..., v_r), expanded over the nonzero coordinates."""
+    total = zero
+    for idx in product(*[[i for i, c in enumerate(v) if c] for v in vectors]):
+        val = skew_value(f, idx, p)
+        if val is None:
+            continue
+        coef = Fraction(1)
+        for v, i in zip(vectors, idx):
+            coef *= v[i]
+        total = (total + coef * val if not isinstance(val, tuple)
+                 else tuple(x + coef * y for x, y in zip(total, val)))
+    return total
+
+
+def test_ds_matches_direct_formula_in_degrees_2_and_3():
+    # (d f)(x_0, ..., x_p) = sum_{i<j} (-1)^{i+j} eps_ij
+    #                        f([x_i, x_j], a x_0, ..., ^i, ^j, ..., a x_p),
+    # eps_ij the sign of moving x_i, then x_j, to the front
+    rng = random.Random(82)
+    for name, lie, rep in oracle_algebras():
+        sp = lie.space
+        p = sp.parities
+        cols = [lie.alpha.column(i) for i in range(lie.dim)]
+        for degree in (2, 3):
+            for parity in (0, 1):
+                keys = skew_basis(degree, sp).tuples
+                fv = {key: rand_entry(rng, sum(p[i] for i in key) % 2 == parity)
+                      for key in keys}
+                coords = tuple(fv[key] for key in keys)
+                Cochain("binary-scalar", degree, parity, sp, coords)  # legal
+                want = []
+                for X in skew_basis(degree + 1, sp).tuples:
+                    total = Fraction(0)
+                    for i in range(degree + 1):
+                        for j in range(i + 1, degree + 1):
+                            moved = (p[X[i]] * sum(p[X[t]] for t in range(i))
+                                     + p[X[j]] * sum(p[X[t]] for t in range(j)
+                                                     if t != i))
+                            sign = (-1) ** (i + j + moved)
+                            args = [lie.bracket.value(X[i], X[j])] + [
+                                cols[X[t]] for t in range(degree + 1)
+                                if t not in (i, j)]
+                            total += sign * multilinear(fv.__getitem__, args, p,
+                                                        Fraction(0))
+                    want.append(total)
+                got = ds_matrix(lie, degree).apply(coords)
+                assert got == tuple(want), (name, degree, parity)
+
+
+def test_delta2_matches_direct_formula_on_both_complexes():
+    # scalar:  -f([X,Y]_a, a z) - (-1)^{|X||Y|} f(aY, X.z) + f(aX, Y.z),
+    #   [X,Y]_a = X.y1 ^ a y2 + (-1)^{|X||y1|} a y1 ^ X.y2;
+    # adjoint adds - f(X.y1 ^ a y2, a z) - (-1)^{(|f|+|X|)|y1|} f(a y1 ^ X.y2, a z)
+    #   - (-1)^{|Y|(|X|+|f|)} f(aY, X.z) + (-1)^{|X||f|} f(aX, Y.z).
+    # f(u ^ v, w) is read as a form in three vector slots, super-skew in the
+    # first two; rows run over pairs X, Y and the element z, then the output.
+    rng = random.Random(83)
+    for name, lie, rep in oracle_algebras():
+        tau, t = induced(lie, rep)
+        sp = lie.space
+        p, dim = sp.parities, lie.dim
+        pairs = skew_basis(2, sp).tuples
+        a = [lie.alpha.column(i) for i in range(dim)]
+
+        def act(x1, x2, z):
+            return t.bracket.value(x1, x2, z)
+
+        for parity in (0, 1):
+            fs = {(pair, m): rand_entry(rng, (p[pair[0]] + p[pair[1]] + p[m])
+                                        % 2 == parity)
+                  for pair in pairs for m in range(dim)}
+            fa = {(pair, m): tuple(rand_entry(rng, (p[pair[0]] + p[pair[1]]
+                                                    + p[m] + p[o]) % 2 == parity)
+                                   for o in range(dim))
+                  for pair in pairs for m in range(dim)}
+            for cx, f, zero in (("ternary-scalar", fs, Fraction(0)),
+                                ("ternary-adjoint", fa, (Fraction(0),) * dim)):
+                def F(u, v, w):
+                    total = zero
+                    for m, wm in enumerate(w):
+                        if wm:
+                            part = multilinear(lambda pair: f[(pair, m)],
+                                               [u, v], p, zero)
+                            total = (total + wm * part if cx == "ternary-scalar"
+                                     else tuple(x + wm * y
+                                                for x, y in zip(total, part)))
+                    return total
+
+                def comb(terms):
+                    out = zero
+                    for c, v in terms:
+                        out = (out + c * v if cx == "ternary-scalar"
+                               else tuple(x + c * y for x, y in zip(out, v)))
+                    return out
+
+                coords = tuple(c for key in (
+                    (pair, m) for pair in pairs for m in range(dim))
+                    for c in ((f[key],) if cx == "ternary-scalar" else f[key]))
+                Cochain(cx, 2, parity, sp, coords)  # legal
+                want = []
+                for x1, x2 in pairs:
+                    px = (p[x1] + p[x2]) % 2
+                    for y1, y2 in pairs:
+                        py = (p[y1] + p[y2]) % 2
+                        sy1 = (-1) ** (px * p[y1])
+                        for z in range(dim):
+                            terms = [
+                                (-1, F(act(x1, x2, y1), a[y2], a[z])),
+                                (-sy1, F(a[y1], act(x1, x2, y2), a[z])),
+                                (-(-1) ** (px * py), F(a[y1], a[y2],
+                                                       act(x1, x2, z))),
+                                (1, F(a[x1], a[x2], act(y1, y2, z)))]
+                            if cx == "ternary-adjoint":
+                                terms += [
+                                    (-1, F(act(x1, x2, y1), a[y2], a[z])),
+                                    (-(-1) ** ((parity + px) * p[y1]),
+                                     F(a[y1], act(x1, x2, y2), a[z])),
+                                    (-(-1) ** (py * (px + parity)),
+                                     F(a[y1], a[y2], act(x1, x2, z))),
+                                    ((-1) ** (px * parity),
+                                     F(a[x1], a[x2], act(y1, y2, z)))]
+                            val = comb(terms)
+                            want.extend((val,) if cx == "ternary-scalar" else val)
+                got = delta2_matrix(t, cx, parity).apply(coords)
+                assert got == tuple(want), (name, cx, parity)

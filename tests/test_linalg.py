@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from homnambu.linalg import (InputError, Matrix, Subspace, frac, invert,
-                             is_zero_vec, kernel, rank, rref, solve,
-                             submatrix, subspace_equal, subspace_intersection,
-                             subspace_sum, unit_vec, vec, zero_vec)
+from homnambu.cohomology import (binary_adjoint_cocycle_matrix,
+                                 binary_adjoint_d1_matrix, delta1_matrix,
+                                 delta2_matrix, ds_matrix)
+from homnambu.fixtures import conjugate_gl11, gl11, gl11t
+from homnambu.linalg import (InputError, Matrix, SparseMatrix, Subspace, frac,
+                             image, invert, is_zero_vec, kernel, rank, rref,
+                             solve, submatrix, subspace_equal,
+                             subspace_intersection, subspace_sum, unit_vec,
+                             vec, zero_vec)
+from homnambu.reps import trace_functional
+from homnambu.ternary import induce_ternary
 
 
 def rand_matrix(rng, r, c, span=4):
@@ -123,3 +130,186 @@ def test_submatrix_picks_entries():
 def test_unit_and_zero_vec():
     assert unit_vec(3, 1) == (0, 1, 0)
     assert zero_vec(2) == (Fraction(0), Fraction(0))
+
+
+def test_sparse_submatrix_renumbers_columns():
+    m = SparseMatrix.from_dense(Matrix.build([[1, 0, 3], [0, 5, 6], [7, 8, 0]]))
+    s = submatrix(m, (2, 0), (2, 0))
+    assert s == SparseMatrix(2, 2, (((1, Fraction(7)),),
+                                    ((0, Fraction(3)), (1, Fraction(1)))))
+
+
+# --- dense Gauss-Jordan, the oracle of the sparse eliminator -----------------
+# These are the package's former dense routines: every elimination step scans
+# every row and column.  The package's own routines must agree with them
+# exactly, on dense and on sparse input.
+
+
+def dense_rref(m):
+    rows = [list(r) for r in m.entries]
+    nr, nc = m.rows, m.cols
+    piv = 0
+    for col in range(nc):
+        if piv == nr:
+            break
+        pivot = next((r for r in range(piv, nr) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[piv], rows[pivot] = rows[pivot], rows[piv]
+        inv = rows[piv][col]
+        if inv != 1:
+            rows[piv] = [x / inv for x in rows[piv]]
+        for r in range(nr):
+            if r != piv and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b if b else a
+                           for a, b in zip(rows[r], rows[piv])]
+        piv += 1
+    return Matrix(nr, nc, tuple(tuple(r) for r in rows))
+
+
+def lead(row):
+    return next((j for j, x in enumerate(row) if x), None)
+
+
+def oracle_span(n, vectors):
+    vectors = tuple(vectors)
+    keep = tuple(r for r in dense_rref(Matrix(len(vectors), n, vectors)).entries
+                 if lead(r) is not None)
+    return Subspace(n, Matrix(len(keep), n, keep))
+
+
+def oracle_rank(m):
+    return sum(1 for r in dense_rref(m).entries if lead(r) is not None)
+
+
+def oracle_kernel(m, r=None):
+    r = dense_rref(m) if r is None else r
+    pivots = {lead(row): row for row in r.entries if lead(row) is not None}
+    basis = []
+    for f in range(m.cols):
+        if f not in pivots:
+            v = [Fraction(0)] * m.cols
+            v[f] = Fraction(1)
+            for p, row in pivots.items():
+                v[p] = -row[f]
+            basis.append(tuple(v))
+    return oracle_span(m.cols, basis)
+
+
+def oracle_image(m):
+    return oracle_span(m.rows, [m.col(j) for j in range(m.cols)])
+
+
+def oracle_solve(m, b):
+    n = m.cols
+    r = dense_rref(Matrix(m.rows, n + 1, tuple(
+        tuple(row) + (bi,) for row, bi in zip(m.entries, b))))
+    x = [Fraction(0)] * n
+    for row in r.entries:
+        j = lead(row)
+        if j == n:
+            return None
+        if j is not None:
+            x[j] = row[n]
+    return tuple(x)
+
+
+def oracle_invert(m):
+    n = m.rows
+    r = dense_rref(Matrix(n, 2 * n, tuple(
+        tuple(m.entries[i]) + unit_vec(n, i) for i in range(n))))
+    if any(r.entries[i][i] != 1 for i in range(n)):
+        return None
+    return Matrix(n, n, tuple(r.entries[i][n:] for i in range(n)))
+
+
+def as_dense(m):
+    """The dense form of a sparse matrix."""
+    rows = []
+    for row in m.entries:
+        full = [Fraction(0)] * m.cols
+        for c, x in row:
+            full[c] = x
+        rows.append(tuple(full))
+    return Matrix(m.rows, m.cols, tuple(rows))
+
+
+def rand_entry(rng, density):
+    if rng.random() >= density:
+        return Fraction(0)
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def rand_case(rng, r, c, density=0.3, rank_at_most=None):
+    if rank_at_most is None:
+        rows = [[rand_entry(rng, density) for _ in range(c)] for _ in range(r)]
+        return Matrix(r, c, tuple(tuple(x) for x in rows))
+    a = rand_case(rng, r, rank_at_most, 0.6)
+    b = rand_case(rng, rank_at_most, c, 0.6)
+    return a.mul(b)
+
+
+def differential_cases():
+    rng = random.Random(90)
+    yield "empty rows", Matrix(0, 4, ())
+    yield "empty cols", Matrix(3, 0, ((),) * 3)
+    yield "empty", Matrix(0, 0, ())
+    yield "zero", Matrix.zero(4, 5)
+    for k in range(6):
+        yield f"tall {k}", rand_case(rng, 12, 4)
+        yield f"wide {k}", rand_case(rng, 4, 12)
+        yield f"square {k}", rand_case(rng, 6, 6)
+        yield f"deficient {k}", rand_case(rng, 8, 7, rank_at_most=3)
+        yield f"dense {k}", rand_case(rng, 6, 7, density=1.0)
+        yield f"dense square {k}", rand_case(rng, 5, 5, density=1.0)
+        yield f"singular {k}", rand_case(rng, 5, 5, rank_at_most=4)
+
+
+def test_sparse_eliminator_matches_dense_oracle():
+    rng = random.Random(91)
+    outcomes = set()
+    for name, m in differential_cases():
+        sm = SparseMatrix.from_dense(m)
+        assert as_dense(sm) == m, name
+        want_rref = dense_rref(m)
+        want_kernel = oracle_kernel(m)
+        want_image = oracle_image(m)
+        for arg in (m, sm):
+            assert rref(arg) == want_rref, name
+            assert rank(arg) == oracle_rank(m), name
+            assert kernel(arg) == want_kernel, name
+            assert image(arg) == want_image, name
+        rows = [m.row(i) for i in range(m.rows)]
+        assert Subspace.from_vectors(m.cols, rows) == oracle_span(m.cols, rows)
+        x0 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.cols))
+        for b in (m.apply(x0),
+                  tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.rows))):
+            for arg in (m, sm):
+                got = solve(arg, b)
+                assert got == oracle_solve(m, b), name
+                outcomes.add(got is None)
+        if m.rows == m.cols:
+            want = oracle_invert(m)
+            assert invert(m) == invert(sm) == want, name
+            outcomes.add(("invert", want is None))
+    # consistent and inconsistent systems, regular and singular squares
+    assert outcomes == {True, False, ("invert", True), ("invert", False)}
+
+
+def test_coboundary_rank_and_kernel_match_dense_oracle():
+    algebras = [gl11(), gl11t(), conjugate_gl11(random.Random(5))]
+    for lie, rep in algebras:
+        tau = trace_functional(rep)
+        t = induce_ternary(lie, tau, lie.alpha, lie.alpha)
+        mats = [ds_matrix(lie, d) for d in (1, 2, 3)]
+        mats += [binary_adjoint_cocycle_matrix(lie),
+                 binary_adjoint_d1_matrix(lie)]
+        for cx in ("ternary-scalar", "ternary-adjoint"):
+            mats.append(delta1_matrix(t, cx))
+            mats += [delta2_matrix(t, cx, parity) for parity in (0, 1)]
+        for m in mats:
+            dense = as_dense(m)
+            r = dense_rref(dense)
+            assert rank(m) == sum(1 for row in r.entries if lead(row) is not None)
+            assert kernel(m) == oracle_kernel(dense, r)

@@ -23,12 +23,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from homnambu.cli import main as cli_main
 from homnambu.cohomology import (Cochain, binary_adjoint_cocycle_matrix,
                                  binary_adjoint_cocycle_space, cochain_length,
-                                 ds_matrix, parity_support)
+                                 ds_matrix, even_cocycles, parity_support)
 from homnambu.fixtures import (a0, aff1, gl11, gl11t, neg_jacobi, neg_mult,
                                neg_nambu, neg_rep)
 from homnambu.formats import (DocumentBundle, serialize_cochain,
                               write_document)
-from homnambu.linalg import kernel, submatrix, is_zero_vec
+from homnambu.linalg import is_zero_vec
 
 FIX = ROOT / "fixtures"
 GOLD = FIX / "golden"
@@ -60,18 +60,11 @@ def integral(v):
 
 
 def even_scalar_cocycle(g):
-    sel_in = parity_support("binary-scalar", 2, g.space, 0)
-    sel_out = parity_support("binary-scalar", 3, g.space, 0)
-    zk = kernel(submatrix(ds_matrix(g, 2), sel_out, sel_in))
-    if zk.dim != 1:
+    basis = even_cocycles(g, "binary-scalar", 2)
+    if len(basis) != 1:
         raise SystemExit(f"regen: expected a one dimensional even cocycle "
-                         f"space, got {zk.dim}")
-    v = integral(next(iter(zk.vectors())))
-    n = cochain_length("binary-scalar", 2, g.space)
-    coords = [Fraction(0)] * n
-    for pos, x in zip(sel_in, v):
-        coords[pos] = x
-    return Cochain("binary-scalar", 2, 0, g.space, tuple(coords))
+                         f"space, got {len(basis)}")
+    return Cochain("binary-scalar", 2, 0, g.space, integral(basis[0]))
 
 
 def main():
