@@ -27,7 +27,7 @@ class HomLieSuper:
     space: GradedSpace
     bracket: SuperBracket2
     alpha: GradedMap
-    # coboundary matrices of this algebra, filled on demand by cohomology
+    # value-free coboundary rows, filled on demand by cohomology
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 
@@ -52,7 +52,8 @@ def verify_skew(a: HomLieSuper) -> Report:
         for j in range(i, sp.dim):
             sign = 1 if (sp.parities[i] and sp.parities[j]) else -1
             # [e_i,e_j] + (-1)^{|i||j|}[e_j,e_i] must vanish
-            resid = vec_sub_signed(a.bracket.value(i, j), a.bracket.value(j, i), -sign)
+            resid = vec_add(a.bracket.value(i, j),
+                            vec_scale(-sign, a.bracket.value(j, i)))
             if not is_zero_vec(resid):
                 rep.fail("skew", witness=(sp.names[i], sp.names[j]),
                          residual=tuple(fmt_vec(resid)))
@@ -63,10 +64,6 @@ def verify_skew(a: HomLieSuper) -> Report:
                          detail=f"output hits {bad}")
     rep.metrics["pairs_checked"] = sp.dim * (sp.dim + 1) // 2
     return rep
-
-
-def vec_sub_signed(u: Vec, v: Vec, c) -> Vec:
-    return vec_add(u, vec_scale(c, v))
 
 
 def hom_jacobi_residual(a: HomLieSuper, x: int, y: int, z: int) -> Vec:
@@ -102,7 +99,7 @@ def verify_multiplicative(a: HomLieSuper) -> Report:
         for j in range(a.dim):
             lhs = a.alpha.apply(a.bracket.value(i, j))
             rhs = a.bracket.eval_vectors(a.alpha.column(i), a.alpha.column(j))
-            resid = vec_sub_signed(lhs, rhs, -1)
+            resid = vec_add(lhs, vec_scale(-1, rhs))
             if not is_zero_vec(resid):
                 rep.fail("multiplicative",
                          witness=(a.space.names[i], a.space.names[j]),
@@ -119,7 +116,7 @@ def verify_morphism(f: GradedMap, a: HomLieSuper, b: HomLieSuper) -> Report:
         for j in range(a.dim):
             lhs = f.apply(a.bracket.value(i, j))
             rhs = b.bracket.eval_vectors(f.column(i), f.column(j))
-            resid = vec_sub_signed(lhs, rhs, -1)
+            resid = vec_add(lhs, vec_scale(-1, rhs))
             if not is_zero_vec(resid):
                 rep.fail("bracket-compat",
                          witness=(a.space.names[i], a.space.names[j]),
@@ -128,7 +125,7 @@ def verify_morphism(f: GradedMap, a: HomLieSuper, b: HomLieSuper) -> Report:
     rhs = b.alpha.matrix.mul(f.matrix)
     if lhs != rhs:
         for j in range(a.dim):
-            resid = vec_sub_signed(lhs.col(j), rhs.col(j), -1)
+            resid = vec_add(lhs.col(j), vec_scale(-1, rhs.col(j)))
             if not is_zero_vec(resid):
                 rep.fail("twist-compat", witness=(a.space.names[j],),
                          residual=tuple(fmt_vec(resid)))

@@ -1,48 +1,48 @@
 """Cochain spaces and coboundary operators.
 
-Three complexes are materialized as exact matrices over the canonical
-cochain coordinates:
-
-  binary-scalar   d_s: super-skew multilinear functionals on g, coordinates
-                  on canonical tuples, the displayed sum over i<j of signed
-                  f([x_i,x_j], alpha(...)) terms;
-  ternary-scalar  delta1 f(X,z) = -f(X.z) and the three-term delta2;
-  ternary-adjoint the same delta1, and the six-term delta2 whose extra
-                  terms are again evaluations of f with |f|-dependent
-                  signs (an even cochain sees the scalar operator
-                  doubled; values never enter a bracket).
-
-Binary adjoint 2-cochains (g-valued, super-skew) get the cyclic cocycle
-operator phi(a x,[y,z]) + signed cyclic terms; its kernel feeds the
-induced-cocycle transfer.
-
-All four complexes share one coordinate layout, defined by cochain_keys
+Four complexes share one coordinate layout, defined by cochain_keys
 alone.  The keys are canonical index tuples on the binary side and k,
 (pair, k) or (pair, pair, k) in ternary degree 1, 2 or 3, after the
 (fundamental pair, element) convention of phi_rho(X, z).  A scalar
-cochain has one coordinate per key; an adjoint cochain has dim of them,
-key-major.  Lengths, parities, make_cochain, Cochain.values and the
-document format all derive from it.
+cochain has one coordinate per key; an adjoint (g-valued) cochain has dim
+of them, key-major.  Lengths, parities, make_cochain, Cochain.values and
+the document format all derive from it.
 
-Every coboundary builder emits a linalg.SparseMatrix of value-free rows,
-one dict of nonzero coefficients per row; _adjoint_lift turns them into the
-adjoint matrices, which are block-diagonal across the output index.
-Cohomology is computed on parity blocks of these sparse matrices, and on
-the adjoint complex from the value-free rows alone.
+Every coboundary is one entry of _BUILDERS, a table from (complex,
+degree) to a builder of value-free rows: a linalg.SparseMatrix on the
+keys alone, since no cochain value ever enters a bracket.
+
+  binary-scalar   1-3  d_s, the sum over i<j of signed
+                       f([x_i,x_j], alpha(...)) terms;
+  binary-adjoint  2    the cyclic cocycle operator phi(a x,[y,z]) +
+                       signed cyclic terms, rows over ordered triples;
+                       its kernel feeds the induced-cocycle transfer;
+  ternary-*       1    delta1 f(X,z) = -f(X.z);
+  ternary-scalar  2    the three-term delta2;
+  ternary-adjoint 2    the six-term delta2, whose extra terms are again
+                       evaluations of f with |f|-dependent signs (an even
+                       cochain sees the scalar operator doubled).
+
+The rows are memoized on the algebra under (complex, degree, parity);
+only the ternary-adjoint delta2 reads the parity.  An adjoint coboundary
+applies its value-free rows once per output index, so its matrix is
+block-diagonal across the outputs: coboundary_matrix, the one
+dispatcher, lifts the rows by moving column j of output o to j*dim + o.
+Cohomology and cocycle bases never lift: each parity block of the
+value-free rows is eliminated once per key parity and counted, or
+placed, once per output it serves.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import product
 
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
-                     wedge2_expand)
-from .linalg import (InputError, Matrix, PreconditionError, SparseMatrix,
-                     Subspace, frac, image, kernel, solve, subspace_intersection,
-                     vec, vec_add, vec_scale, zero_vec, is_zero_vec, ZERO)
+                     wedge_expand)
+from .linalg import (InputError, PreconditionError, SparseMatrix, Subspace,
+                     frac, image, kernel, solve, vec, vec_add, vec_scale,
+                     zero_vec, is_zero_vec, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional
 from .ternary import TernaryHomLieSuper, induce_ternary
@@ -84,10 +84,8 @@ def cochain_length(cx: str, degree: int, space: GradedSpace) -> int:
     return len(cochain_keys(cx, degree, space)) * _width(cx, space)
 
 
-def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
-    """Per coordinate: argument-key parity, plus output parity for the
-    adjoint complexes.  A cochain of parity |f| is supported exactly on the
-    coordinates whose entry here equals |f|."""
+def _key_parities(keys, space: GradedSpace) -> list:
+    """The parity of each key: the sum of its parts' parities, mod 2."""
     p = space.parities
     part_parity = dict(enumerate(p))  # each distinct pair is summed once
 
@@ -101,10 +99,17 @@ def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
             total += part_parity[part]
         return total % 2
 
-    keyp = [parity(key) for key in cochain_keys(cx, degree, space)]
+    return [parity(key) for key in keys]
+
+
+def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
+    """Per coordinate: argument-key parity, plus output parity for the
+    adjoint complexes.  A cochain of parity |f| is supported exactly on the
+    coordinates whose entry here equals |f|."""
+    keyp = _key_parities(cochain_keys(cx, degree, space), space)
     if _width(cx, space) == 1:
         return tuple(keyp)
-    return tuple((kp + po) % 2 for kp in keyp for po in p)
+    return tuple((kp + po) % 2 for kp in keyp for po in space.parities)
 
 
 def parity_support(cx: str, degree: int, space: GradedSpace, parity: int) -> tuple:
@@ -121,12 +126,15 @@ class Cochain:
     coords: tuple
 
     def __post_init__(self):
+        if type(self.parity) is not int or self.parity not in (0, 1):
+            raise InputError(f"cochain parity must be 0 or 1, not "
+                             f"{self.parity!r}")
         cps = coordinate_parities(self.complex, self.degree, self.space)
         if len(self.coords) != len(cps):
             raise InputError(f"cochain needs {len(cps)} coordinates, "
                              f"got {len(self.coords)}")
         for i, c in enumerate(self.coords):
-            if c != 0 and cps[i] != self.parity % 2:
+            if c != 0 and cps[i] != self.parity:
                 raise InputError(f"cochain coordinate {i} breaks the parity "
                                  f"support rule")
 
@@ -153,13 +161,6 @@ class Cochain:
             raise InputError("cochain shape mismatch")
         return Cochain(self.complex, self.degree, self.parity, self.space,
                        vec_add(self.coords, other.coords))
-
-    def scale(self, c) -> "Cochain":
-        return Cochain(self.complex, self.degree, self.parity, self.space,
-                       vec_scale(frac(c), self.coords))
-
-    def sub(self, other: "Cochain") -> "Cochain":
-        return self.add(other.scale(-1))
 
 
 def make_cochain(cx: str, degree: int, space: GradedSpace, values: dict,
@@ -217,155 +218,12 @@ def _terms(v) -> list:
     return [(i, x) for i, x in enumerate(v) if x]
 
 
-def _adjoint_lift(m: SparseMatrix, dim: int) -> SparseMatrix:
-    """Lift value-free rows to an adjoint complex.
-
-    Each row becomes dim rows, one per output index o; row o reads the
-    output-o coordinate of every key, so column j moves to j*dim+o.
-    """
-    return SparseMatrix(m.rows * dim, m.cols * dim, tuple(
-        tuple((j * dim + o, x) for j, x in row)
-        for row in m.entries for o in range(dim)))
-
-
-def _expand_eval(row: dict, sign, head: tuple, rest_cols: list, sb, parities):
-    """row[idx(canon)] += sign * coeff for every basis expansion of
-    f(head_vector, rest_1, ..., rest_r); row is a sparse dict."""
-    combos = [((), Fraction(1))]
-    for col in rest_cols:
-        nxt = []
-        for (idx_tuple, coeff) in combos:
-            for m, c in enumerate(col):
-                if c != 0:
-                    nxt.append((idx_tuple + (m,), coeff * c))
-        combos = nxt
-        if not combos:
-            return
-    for m, c in enumerate(head):
-        if c == 0:
-            continue
-        for (idx_tuple, coeff) in combos:
-            full = (m,) + idx_tuple
-            canon, csign, zero_flag = canonicalize(full, parities)
-            if zero_flag:
-                continue
-            pos = sb.index.get(canon)
-            if pos is None:
-                continue
-            row[pos] = row.get(pos, ZERO) + sign * csign * c * coeff
-
-
-ONE_ = Fraction(1)
-
-
-def _memo(obj, key: tuple, build):
-    """obj.memo[key], built on first use, so results live as long as obj."""
-    if key not in obj.memo:
-        obj.memo[key] = build()
-    return obj.memo[key]
-
-
-def _memoized(fn):
-    """Cache fn(obj, *args) in obj.memo under (fn's name, *args)."""
-    @wraps(fn)
-    def cached(obj, *args):
-        return _memo(obj, (fn.__name__, *args), lambda: fn(obj, *args))
-    return cached
-
-
-@_memoized
-def ds_matrix(g: HomLieSuper, p: int) -> SparseMatrix:
-    """Matrix of the scalar coboundary on canonical cochain coordinates."""
-    if p not in (1, 2, 3):
-        raise InputError(f"unsupported degree {p}")
-    sp = g.space
-    par = sp.parities
-    sb_in = skew_basis(p, sp)
-    sb_out = skew_basis(p + 1, sp)
-    acols = [g.alpha.column(i) for i in range(g.dim)]
-    rows = []
-    for X in sb_out.tuples:
-        row = {}
-        k = p + 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                s = 1 if (i + j) % 2 == 0 else -1
-                pre_i = sum(par[X[t]] for t in range(i)) & 1
-                pre_j = sum(par[X[t]] for t in range(j)) & 1
-                if pre_i and par[X[i]]:
-                    s = -s
-                if pre_j and par[X[j]]:
-                    s = -s
-                if par[X[i]] and par[X[j]]:
-                    s = -s
-                bvec = g.bracket.value(X[i], X[j])
-                rest = [acols[X[t]] for t in range(k) if t != i and t != j]
-                _expand_eval(row, Fraction(s), bvec, rest, sb_in, par)
-        rows.append(row)
-    return SparseMatrix.build(rows, len(sb_in.tuples))
-
-
-@_memoized
-def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> SparseMatrix:
-    """Cyclic cocycle operator on g-valued super-skew 2-cochains.
-
-    Rows run over all ordered basis triples times output component; any
-    composite psi o bracket is annihilated, so coboundaries and the bracket
-    itself land in the kernel whenever Hom-Jacobi holds.
-    """
-    sp = g.space
-    p = sp.parities
-    sb2 = skew_basis(2, sp)
-    acols = [g.alpha.column(i) for i in range(g.dim)]
-    rows = []
-    for x, y, z in product(range(g.dim), repeat=3):
-        w1 = wedge2_expand(acols[x], g.bracket.value(y, z), sp, sb2)
-        sa = -1 if (p[x] and (p[y] ^ p[z])) else 1
-        w2 = wedge2_expand(acols[y], g.bracket.value(z, x), sp, sb2)
-        sb_ = -1 if (p[z] and (p[x] ^ p[y])) else 1
-        w3 = wedge2_expand(acols[z], g.bracket.value(x, y), sp, sb2)
-        rows.append({j: a + sa * b + sb_ * c
-                     for j, (a, b, c) in enumerate(zip(w1, w2, w3))})
-    return _adjoint_lift(SparseMatrix.build(rows, len(sb2.tuples)), g.dim)
-
-
-def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int | None = None) -> Subspace:
-    ker = kernel(binary_adjoint_cocycle_matrix(g))
-    if parity is None:
-        return ker
-    sel = parity_support("binary-adjoint", 2, g.space, parity)
-    n = cochain_length("binary-adjoint", 2, g.space)
-    axes = [tuple(ONE_ if i == s else ZERO for i in range(n)) for s in sel]
-    return subspace_intersection(ker, Subspace.from_vectors(n, axes))
-
-
-def binary_adjoint_d1_matrix(g: HomLieSuper) -> SparseMatrix:
-    """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains."""
-    rows = [{m: -c for m, c in enumerate(g.bracket.value(i, j))}
-            for i, j in cochain_keys("binary-adjoint", 2, g.space)]
-    return _adjoint_lift(SparseMatrix.build(rows, g.dim), g.dim)
-
-
-def bracket_cochain(g: HomLieSuper) -> Cochain:
-    """The bracket packaged as an even g-valued 2-cochain."""
-    sb2 = skew_basis(2, g.space)
-    values = {t: g.bracket.value(t[0], t[1]) for t in sb2.tuples}
-    return make_cochain("binary-adjoint", 2, g.space, values, parity=0)
-
-
-def verify_bracket_cocycle(g: HomLieSuper) -> Report:
-    rep = Report("verify_bracket_cocycle")
-    m = binary_adjoint_cocycle_matrix(g)
-    resid = m.apply(bracket_cochain(g).coords)
-    if not is_zero_vec(resid):
-        idx = next(i for i, c in enumerate(resid) if c != 0)
-        dim = g.dim
-        triple = idx // dim
-        x, rem = divmod(triple, dim * dim)
-        y, z = divmod(rem, dim)
-        rep.fail("bracket-cocycle",
-                 witness=(g.space.names[x], g.space.names[y], g.space.names[z]))
-    return rep
+def _add_signed(row: dict, sign: int, terms) -> None:
+    """row += sign * terms on a sparse row, sign being 1 or -1 and terms
+    (column, value) pairs."""
+    for c, x in terms:
+        old = row.get(c, ZERO)
+        row[c] = old + x if sign > 0 else old - x
 
 
 def _single_twist(t: TernaryHomLieSuper):
@@ -374,32 +232,76 @@ def _single_twist(t: TernaryHomLieSuper):
     return t.alpha1
 
 
-@_memoized
-def pair_twist_matrix(t: TernaryHomLieSuper) -> Matrix:
-    """alpha acting on the canonical pair basis (wedge square of alpha)."""
-    a = _single_twist(t)
-    sp = t.space
+def _row_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
+    """What each value-free row of the cx coboundary on degree-cochains is
+    keyed by: a degree + 1 key, or an ordered triple for the cyclic
+    operator."""
+    if cx == "binary-adjoint":
+        return tuple(product(range(space.dim), repeat=3))
+    return cochain_keys(cx, degree + 1, space)
+
+
+def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> SparseMatrix:
+    """d_s f(x_0, ..., x_p) = sum_{i<j} (-1)^{i+j} eps_ij
+    f([x_i, x_j], a x_0, ..^i..^j.., a x_p), eps_ij the Koszul sign of
+    moving x_i, then x_j, to the front."""
+    sp = g.space
+    par = sp.parities
+    sb_in = skew_basis(degree, sp)
+    acols = [g.alpha.column(i) for i in range(g.dim)]
+    k = degree + 1
+    rows = []
+    for X in _row_keys(cx, degree, sp):
+        row = {}
+        for i in range(k):
+            for j in range(i + 1, k):
+                moved = (par[X[i]] * sum(par[X[t]] for t in range(i))
+                         + par[X[j]] * sum(par[X[t]] for t in range(j) if t != i))
+                s = -1 if (i + j + moved) % 2 else 1
+                args = [g.bracket.value(X[i], X[j])] + [
+                    acols[X[t]] for t in range(k) if t != i and t != j]
+                _add_signed(row, s, wedge_expand(args, sp, sb_in).items())
+        rows.append(row)
+    return SparseMatrix.build(rows, len(sb_in.tuples))
+
+
+def _cyclic_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> SparseMatrix:
+    """phi(a x,[y,z]) + (-1)^{|x|(|y|+|z|)} phi(a y,[z,x])
+    + (-1)^{|z|(|x|+|y|)} phi(a z,[x,y]) over ordered triples (x, y, z).
+
+    Any composite psi o bracket is annihilated, so coboundaries and the
+    bracket itself land in the kernel whenever Hom-Jacobi holds.
+    """
+    sp = g.space
+    p = sp.parities
     sb2 = skew_basis(2, sp)
-    cols = [wedge2_expand(a.column(i), a.column(j), sp, sb2)
-            for (i, j) in sb2.tuples]
-    return Matrix.from_columns(cols, len(sb2.tuples))
+    acols = [g.alpha.column(i) for i in range(g.dim)]
+    rows = []
+    for x, y, z in _row_keys(cx, degree, sp):
+        row = {}
+        for u, v, w, s in ((x, y, z, 1),
+                           (y, z, x, -1 if p[x] and (p[y] ^ p[z]) else 1),
+                           (z, x, y, -1 if p[z] and (p[x] ^ p[y]) else 1)):
+            _add_signed(row, s, wedge_expand([acols[u], g.bracket.value(v, w)],
+                                             sp, sb2).items())
+        rows.append(row)
+    return SparseMatrix.build(rows, len(sb2.tuples))
 
 
-@_memoized
-def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> SparseMatrix:
-    """f -> ((X,z) -> -f(X.z)); the adjoint matrix lifts the scalar one."""
-    _single_twist(t)
+def _delta1_rows(t: TernaryHomLieSuper, cx: str, degree: int,
+                 parity: int) -> SparseMatrix:
+    """f -> ((X, z) -> -f(X.z)); the adjoint complex shares the scalar rows."""
     if cx == "ternary-adjoint":
-        return _adjoint_lift(delta1_matrix(t, "ternary-scalar"), t.dim)
-    if cx != "ternary-scalar":
-        raise InputError(f"unknown ternary complex {cx}")
+        return _rows(t, "ternary-scalar", degree)
+    _single_twist(t)
     rows = [{m: -c for m, c in enumerate(t.bracket.value(x1, x2, k))}
-            for (x1, x2), k in cochain_keys(cx, 2, t.space)]
+            for (x1, x2), k in _row_keys(cx, degree, t.space)]
     return SparseMatrix.build(rows, t.dim)
 
 
-def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> SparseMatrix:
-    """The 2-coboundary on (pair, element) cochains.
+def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
+                 fpar: int) -> SparseMatrix:
+    """The 2-coboundary on (pair, element) keys, for cochains of parity fpar.
 
     Scalar: -f([X,Y]_a, a z) - (-1)^{|X||Y|} f(aY, X.z) + f(aX, Y.z),
     with [X,Y]_a = X.y1 ^ a(y2) + (-1)^{|X||y1|} a(y1) ^ X.y2.
@@ -409,23 +311,8 @@ def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> SparseMatr
         - f(X.y1 ^ a(y2), a z) - (-1)^{(|f|+|X|)|y1|} f(a(y1) ^ X.y2, a z)
         - (-1)^{|Y|(|X|+|f|)} f(aY, X.z) + (-1)^{|X||f|} f(aX, Y.z)
 
-    so an even cochain sees the scalar operator doubled.  Values never
-    enter a bracket; the matrix is block-diagonal across the value index
-    but depends on the cochain parity through the extra signs.  Each
-    matrix is memoized once per algebra: the scalar one ignores parity,
-    the adjoint one reads it mod 2.
+    so an even cochain sees the scalar operator doubled.
     """
-    if cx == "ternary-scalar":
-        return _memo(t, ("delta2_matrix", cx, 0), lambda: _delta2_rows(t, cx, 0))
-    if cx != "ternary-adjoint":
-        raise InputError(f"unknown ternary complex {cx}")
-    parity %= 2
-    return _memo(t, ("delta2_matrix", cx, parity), lambda: _adjoint_lift(
-        _value_free(t, cx, 2, parity), t.dim))
-
-
-def _delta2_rows(t: TernaryHomLieSuper, cx: str, fpar: int) -> SparseMatrix:
-    """delta2_matrix's value-free rows for cochains of parity fpar."""
     a = _single_twist(t)
     sp = t.space
     p = sp.parities
@@ -433,16 +320,15 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, fpar: int) -> SparseMatrix:
     sb2 = skew_basis(2, sp)
     pairs = sb2.tuples
     pairp = [tuple_parity(q, p) for q in pairs]
-    atw = pair_twist_matrix(t)
     adense = [a.column(i) for i in range(dim)]
     # every vector as its nonzero (index, value) terms, built once
     acols = [_terms(v) for v in adense]
-    apairs = [_terms(atw.col(P)) for P in range(len(pairs))]
+    apairs = [list(wedge_expand([adense[i], adense[j]], sp, sb2).items())
+              for i, j in pairs]
     acts = [[_terms(t.bracket.value(x1, x2, k)) for k in range(dim)]
             for x1, x2 in pairs]
     adjoint = cx == "ternary-adjoint"
-    position = {key: i for i, key in
-                enumerate(cochain_keys("ternary-scalar", 2, sp))}
+    position = {key: i for i, key in enumerate(cochain_keys(cx, degree, sp))}
     cols = [[position[(pair, m)] for m in range(dim)] for pair in pairs]
 
     def add(row, pair_terms, elem_terms, sign):
@@ -464,10 +350,10 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, fpar: int) -> SparseMatrix:
             s6 = -1 if (pairp[P] and fpar) else 1
             sfb = -1 if (pairp[P] and p[q1]) else 1
             # the two wedges of [X,Y]_a: X.y1 ^ a(y2) and a(y1) ^ X.y2
-            w1 = _terms(wedge2_expand(t.bracket.value(p1, p2, q1),
-                                      adense[q2], sp, sb2))
-            w2 = _terms(wedge2_expand(adense[q1],
-                                      t.bracket.value(p1, p2, q2), sp, sb2))
+            w1 = list(wedge_expand([t.bracket.value(p1, p2, q1), adense[q2]],
+                                   sp, sb2).items())
+            w2 = list(wedge_expand([adense[q1], t.bracket.value(p1, p2, q2)],
+                                   sp, sb2).items())
             for k in range(dim):
                 row = {}
                 az, xz, yz = acols[k], acts[P][k], acts[Qp][k]
@@ -484,24 +370,70 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, fpar: int) -> SparseMatrix:
     return SparseMatrix.build(rows, len(position))
 
 
-def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
+# (complex, degree) -> the builder of the value-free rows of the coboundary
+# on that complex's degree-cochains, called as build(obj, cx, degree, parity)
+_BUILDERS = {("binary-scalar", 1): _ds_rows, ("binary-scalar", 2): _ds_rows,
+             ("binary-scalar", 3): _ds_rows, ("binary-adjoint", 2): _cyclic_rows,
+             ("ternary-scalar", 1): _delta1_rows,
+             ("ternary-adjoint", 1): _delta1_rows,
+             ("ternary-scalar", 2): _delta2_rows,
+             ("ternary-adjoint", 2): _delta2_rows}
+
+
+def _rows(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
+    """The value-free rows of the cx coboundary on degree-cochains, built
+    once per algebra and kept in obj.memo.  Only the ternary-adjoint delta2
+    reads the cochain parity, mod 2; every other entry is kept under 0."""
+    build = _BUILDERS.get((cx, degree)) if type(degree) is int else None
+    if build is None:
+        raise InputError(f"no coboundary for {cx} cochains of degree {degree!r}")
     if cx.startswith("ternary") != isinstance(obj, TernaryHomLieSuper):
         raise InputError(f"complex {cx} does not match the given algebra")
-    if cx == "binary-scalar":
-        return ds_matrix(obj, degree)
-    if cx == "ternary-scalar":
-        if degree == 1:
-            return delta1_matrix(obj, cx)
-        if degree == 2:
-            return delta2_matrix(obj, cx)
-        raise InputError(f"unsupported degree {degree} for {cx}")
-    if cx == "ternary-adjoint":
-        if degree == 1:
-            return delta1_matrix(obj, cx)
-        if degree == 2:
-            return delta2_matrix(obj, cx, parity)
-        raise InputError(f"unsupported degree {degree} for {cx}")
-    raise InputError(f"no coboundary matrix for complex {cx}")
+    parity = parity % 2 if (cx, degree) == ("ternary-adjoint", 2) else 0
+    key = (cx, degree, parity)
+    if key not in obj.memo:
+        obj.memo[key] = build(obj, cx, degree, parity)
+    return obj.memo[key]
+
+
+def _lift(m: SparseMatrix, dim: int) -> SparseMatrix:
+    """Value-free rows applied once per output index: each row becomes dim
+    rows, row o reading the output-o coordinate of every key, so column j
+    moves to j*dim + o.  With one output, m itself."""
+    if dim == 1:
+        return m
+    return SparseMatrix(m.rows * dim, m.cols * dim, tuple(
+        tuple((j * dim + o, x) for j, x in row)
+        for row in m.entries for o in range(dim)))
+
+
+def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
+    """The cx coboundary of degree-cochains of this parity, on full cochain
+    coordinates: the value-free rows, lifted on the adjoint complexes."""
+    return _lift(_rows(obj, cx, degree, parity), _width(cx, obj.space))
+
+
+def ds_matrix(g: HomLieSuper, p: int) -> SparseMatrix:
+    return coboundary_matrix(g, "binary-scalar", p)
+
+
+def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> SparseMatrix:
+    return coboundary_matrix(g, "binary-adjoint", 2)
+
+
+def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> SparseMatrix:
+    return coboundary_matrix(t, cx, 1)
+
+
+def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> SparseMatrix:
+    return coboundary_matrix(t, cx, 2, parity)
+
+
+def binary_adjoint_d1_matrix(g: HomLieSuper) -> SparseMatrix:
+    """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains."""
+    rows = [{m: -c for m, c in enumerate(g.bracket.value(i, j))}
+            for i, j in cochain_keys("binary-adjoint", 2, g.space)]
+    return _lift(SparseMatrix.build(rows, g.dim), g.dim)
 
 
 def apply_coboundary(obj, c: Cochain) -> Cochain:
@@ -509,89 +441,105 @@ def apply_coboundary(obj, c: Cochain) -> Cochain:
     return Cochain(c.complex, c.degree + 1, c.parity, c.space, m.apply(c.coords))
 
 
-def _value_free(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
-    """The coboundary of cx degree-cochains before the adjoint lift, on
-    ternary-scalar keys; on the scalar complexes, the coboundary itself."""
-    if cx != "ternary-adjoint":
-        return coboundary_matrix(obj, cx, degree)
-    if not isinstance(obj, TernaryHomLieSuper):
-        raise InputError(f"complex {cx} does not match the given algebra")
-    if degree == 1:
-        return delta1_matrix(obj, "ternary-scalar")
-    if degree == 2:
-        parity %= 2
-        return _memo(obj, ("delta2_rows", cx, parity),
-                     lambda: _delta2_rows(obj, cx, parity))
-    raise InputError(f"unsupported degree {degree} for {cx}")
+def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
+    """The parity block of the cx coboundary on degree-cochains, taken on
+    the value-free rows once per key parity q: {q: (block, places)}.
 
-
-def parity_block(m: SparseMatrix, cx: str, degree: int, space: GradedSpace,
-                 parity: int = 0) -> SparseMatrix:
-    """m, a coboundary on cx cochains of this degree, restricted to one
-    parity: columns are the degree coordinates of that parity, rows the
-    degree + 1 ones.  Coboundaries preserve parity, so the kernel of the
-    block is the cocycle space of the cochains of that parity."""
-    return m.select(parity_support(cx, degree + 1, space, parity),
-                    parity_support(cx, degree, space, parity))
-
-
-def even_cocycles(obj, cx: str, degree: int) -> list:
-    """A basis of the even cx cocycles of this degree as full coordinate
-    tuples: the RREF kernel basis of the even block, spread back over every
-    coordinate."""
+    block keeps the rows and columns whose keys have parity q; places has
+    one entry per output the block serves, the cochain coordinate of each
+    block column there.  A scalar cochain of parity f lives on the keys of
+    parity f.  The adjoint lift is block-diagonal across the output o, so
+    output o sees the keys of parity f + |o|, and each key parity is
+    eliminated once however many outputs it serves.  Coboundaries keep
+    parity, so the kernel of a block is the cocycle space there.
+    """
     space = obj.space
-    block = parity_block(coboundary_matrix(obj, cx, degree), cx, degree, space)
-    sel = parity_support(cx, degree, space, 0)
-    n = cochain_length(cx, degree, space)
+    m = _rows(obj, cx, degree, parity)
+    colp = _key_parities(cochain_keys(cx, degree, space), space)
+    rowp = _key_parities(_row_keys(cx, degree, space), space)
+    dim = _width(cx, space)
+    outputs = space.parities if dim > 1 else (0,)
+    blocks = {}
+    for q in (0, 1):
+        cols = [j for j, kp in enumerate(colp) if kp == q]
+        places = [[j * dim + o for j in cols]
+                  for o, po in enumerate(outputs) if (q + po) % 2 == parity % 2]
+        if places:
+            rows = [i for i, rp in enumerate(rowp) if rp == q]
+            blocks[q] = (m.select(rows, cols), places)
+    return blocks
+
+
+def _cocycles(obj, cx: str, degree: int, parity: int) -> list:
+    """A basis of the cx cocycles of this degree and parity as full
+    coordinate tuples: each block's RREF kernel basis, placed at every
+    output it serves."""
+    n = cochain_length(cx, degree, obj.space)
     out = []
-    for v in kernel(block).vectors():
-        full = [ZERO] * n
-        for pos, x in zip(sel, v):
-            full[pos] = x
-        out.append(tuple(full))
+    for block, places in _key_blocks(obj, cx, degree, parity).values():
+        for v in kernel(block).vectors():
+            for place in places:
+                full = [ZERO] * n
+                for pos, x in zip(place, v):
+                    full[pos] = x
+                out.append(tuple(full))
     return out
 
 
-def cohomology_dims(obj, cx: str, degree: int) -> tuple:
-    """(dim Z, dim B, dim H) on the even-parity block.
+def even_cocycles(obj, cx: str, degree: int) -> list:
+    """A basis of the even cx cocycles of this degree, as full coordinate
+    tuples."""
+    return _cocycles(obj, cx, degree, 0)
 
-    The adjoint lift is block-diagonal across the output index o with the
-    value-free matrix in every block, so the even block of output o is the
-    value-free matrix on the keys of parity p[o]: each key parity is
-    eliminated once and counted once per output of that parity.
-    """
+
+def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int) -> Subspace:
+    """The cyclic cocycles among the g-valued 2-cochains of this parity."""
+    return Subspace.from_vectors(cochain_length("binary-adjoint", 2, g.space),
+                                 _cocycles(g, "binary-adjoint", 2, parity))
+
+
+def cohomology_dims(obj, cx: str, degree: int) -> tuple:
+    """(dim Z, dim B, dim H) on the even-parity block, each key-parity
+    block counted once per output it serves."""
     if degree not in (1, 2):
         raise InputError(f"unsupported degree {degree}")
-    space = obj.space
-    if cx == "ternary-adjoint":
-        layout, outputs = "ternary-scalar", Counter(space.parities)
-    else:
-        layout, outputs = cx, {0: 1}
+    lower = _key_blocks(obj, cx, degree - 1, 0) if degree > 1 else {}
     zdim = bdim = 0
-    for parity, count in outputs.items():
-        z = kernel(parity_block(_value_free(obj, cx, degree), layout, degree,
-                                space, parity))
-        if degree == 1:
-            b = Subspace.zero(z.ambient_dim)
-        else:
-            b = image(parity_block(_value_free(obj, cx, degree - 1), layout,
-                                   degree - 1, space, parity))
+    for q, (block, places) in _key_blocks(obj, cx, degree, 0).items():
+        z = kernel(block)
+        b = image(lower[q][0]) if q in lower else Subspace.zero(z.ambient_dim)
         for v in b.vectors():
             if not z.contains(v):
                 raise InputError("coboundary escaped the cocycle space")
-        zdim += count * z.dim
-        bdim += count * b.dim
+        zdim += len(places) * z.dim
+        bdim += len(places) * b.dim
     return (zdim, bdim, zdim - bdim)
+
+
+def bracket_cochain(g: HomLieSuper) -> Cochain:
+    """The bracket packaged as an even g-valued 2-cochain."""
+    sb2 = skew_basis(2, g.space)
+    values = {t: g.bracket.value(t[0], t[1]) for t in sb2.tuples}
+    return make_cochain("binary-adjoint", 2, g.space, values, parity=0)
+
+
+def verify_bracket_cocycle(g: HomLieSuper) -> Report:
+    rep = Report("verify_bracket_cocycle")
+    resid = binary_adjoint_cocycle_matrix(g).apply(bracket_cochain(g).coords)
+    if not is_zero_vec(resid):
+        idx = next(i for i, c in enumerate(resid) if c != 0)
+        triple = _row_keys("binary-adjoint", 2, g.space)[idx // g.dim]
+        rep.fail("bracket-cocycle",
+                 witness=tuple(g.space.names[i] for i in triple))
+    return rep
 
 
 def is_binary_cocycle(g: HomLieSuper, phi: Cochain) -> bool:
     if phi.degree != 2:
         raise InputError("cocycle test expects degree 2")
-    if phi.complex == "binary-scalar":
-        return is_zero_vec(ds_matrix(g, 2).apply(phi.coords))
-    if phi.complex == "binary-adjoint":
-        return is_zero_vec(binary_adjoint_cocycle_matrix(g).apply(phi.coords))
-    raise InputError("cocycle test expects a binary cochain")
+    if not phi.complex.startswith("binary"):
+        raise InputError("cocycle test expects a binary cochain")
+    return is_zero_vec(coboundary_matrix(g, phi.complex, 2).apply(phi.coords))
 
 
 def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,

@@ -8,7 +8,8 @@ Bracket keys are comma-joined basis ids in canonical order; anything
 non-canonical is an input error naming the key.
 
 Cochain documents are {"complex", "degree", "values"} and an optional
-"parity".  Values are keyed by the document names of the keys that
+"parity", the integer 0 or 1; absent or null means inferred from the
+values.  Values are keyed by the document names of the keys that
 cohomology.cochain_keys lists: basis ids comma-joined within a canonical
 tuple, and a ternary key's fundamental pair and element joined by a bar,
 as in "q,p|h1".  Adjoint complexes take a basis-id map per key, scalar
@@ -47,6 +48,20 @@ class DocumentBundle:
     lie: HomLieSuper
     rep: Representation = None
     ternary: TernaryHomLieSuper = None
+
+
+def _is_bit(x) -> bool:
+    """A parity as a document writes it: the integer 0 or 1, no bool or
+    float."""
+    return type(x) is int and x in (0, 1)
+
+
+def _object(doc: dict, key: str) -> dict:
+    """doc[key], absent meaning empty, which must be a JSON object."""
+    val = doc.get(key, {})
+    if not isinstance(val, dict):
+        raise InputError(f"{key} must be a JSON object")
+    return val
 
 
 def parse_json(text: str, where: str = "document") -> dict:
@@ -109,14 +124,14 @@ def load_document(doc: dict) -> DocumentBundle:
     for entry in basis:
         if not isinstance(entry, dict) or "id" not in entry or "parity" not in entry:
             raise InputError("basis entries need id and parity")
-        if entry["parity"] not in (0, 1):
+        if not _is_bit(entry["parity"]):
             raise InputError(f"basis parity for {entry.get('id')!r} must be 0 or 1")
         ids.append(str(entry["id"]))
         parities.append(entry["parity"])
     space = graded_space(ids, parities)
 
     coeffs = {}
-    for key, val in doc.get("bracket", {}).items():
+    for key, val in _object(doc, "bracket").items():
         idx = _split_key(key, 2, space)
         _check_canonical(key, idx, space)
         coeffs[idx] = _vec_from_map(val, space, f"bracket[{key}]")
@@ -131,14 +146,14 @@ def load_document(doc: dict) -> DocumentBundle:
 
     rep = None
     if "representation" in doc:
-        rdoc = doc["representation"]
+        rdoc = _object(doc, "representation")
         mod_par = rdoc.get("space")
-        if not isinstance(mod_par, list) or any(p not in (0, 1) for p in mod_par):
+        if not isinstance(mod_par, list) or not all(map(_is_bit, mod_par)):
             raise InputError("representation.space must list parities")
         module = graded_space(tuple(f"v{i}" for i in range(len(mod_par))), mod_par)
         n = module.dim
         mats = []
-        matdocs = rdoc.get("matrices", {})
+        matdocs = _object(rdoc, "matrices")
         for i, bid in enumerate(space.names):
             if bid not in matdocs:
                 raise InputError(f"representation matrix for {bid!r} missing")
@@ -151,7 +166,7 @@ def load_document(doc: dict) -> DocumentBundle:
     ternary = None
     if "ternary" in doc:
         tco = {}
-        for key, val in doc["ternary"].items():
+        for key, val in _object(doc, "ternary").items():
             idx = _split_key(key, 3, space)
             _check_canonical(key, idx, space)
             tco[idx] = _vec_from_map(val, space, f"ternary[{key}]")

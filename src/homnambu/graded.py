@@ -12,6 +12,8 @@ Sign conventions used throughout the package:
 
 SuperBracket holds the structure constants of a super-skew bracket of any
 arity: only the nonzero structure vectors, keyed by ordered index tuples.
+Its eval_vectors and wedge_expand, which writes v_1 ^ ... ^ v_r on a
+canonical tuple basis, share one multilinear expansion, _expand_terms.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 from typing import ClassVar
 
-from .linalg import (ONE, ZERO, InputError, Matrix, Vec, frac, is_zero_vec,
-                     vec, zero_vec)
+from .linalg import ZERO, InputError, Matrix, Vec, is_zero_vec, vec, zero_vec
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,17 @@ def parity_law_violations(space: GradedSpace, v: Vec, want_parity: int) -> list:
             if c != 0 and space.parities[k] != want_parity]
 
 
+def _expand_terms(vectors) -> list:
+    """(index tuple, coefficient) of every product of nonzero coordinates,
+    one from each vector in turn: the multilinear expansion of the vectors."""
+    first, *rest = vectors
+    terms = [((i,), c) for i, c in enumerate(first) if c != 0]
+    for v in rest:
+        nonzero = [(i, c) for i, c in enumerate(v) if c != 0]
+        terms = [(idx + (i,), a * c) for idx, a in terms for i, c in nonzero]
+    return terms
+
+
 @dataclass(frozen=True)
 class SuperBracket:
     """Structure constants of a super-skew bracket with `arity` arguments.
@@ -263,12 +275,8 @@ class SuperBracket:
         Loops over the nonzero coordinates of the arguments and looks each
         index tuple up, so the cost follows the arguments, not the table.
         """
-        terms = [((), ONE)]
-        for v in args:
-            nonzero = [(i, c) for i, c in enumerate(v) if c != 0]
-            terms = [(idx + (i,), a * c) for idx, a in terms for i, c in nonzero]
         out = [ZERO] * self.space.dim
-        for idx, a in terms:
+        for idx, a in _expand_terms(args):
             cell = self.entries.get(idx)
             if cell is not None:
                 for m, x in enumerate(cell):
@@ -314,18 +322,14 @@ class SuperBracket:
         return nest(())
 
 
-def wedge2_expand(a: Vec, b: Vec, space: GradedSpace, sb2: SkewBasis) -> Vec:
-    """Expand a wedge b over the canonical degree-2 tuple basis."""
-    out = [Fraction(0)] * len(sb2.tuples)
-    lookup = sb2.index
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj == 0:
-                continue
-            t, sign, zero = canonicalize((i, j), space.parities)
-            if zero:
-                continue
-            out[lookup[t]] += sign * frac(ai) * frac(bj)
-    return tuple(out)
+def wedge_expand(vectors, space: GradedSpace, sb: SkewBasis) -> dict:
+    """v_1 ^ ... ^ v_r over the canonical basis sb of degree r, as a sparse
+    {position in sb: coefficient} map without zeros."""
+    out = {}
+    for idx, a in _expand_terms(vectors):
+        t, sign, zero = canonicalize(idx, space.parities)
+        if not zero:
+            pos = sb.index[t]
+            old = out.get(pos, ZERO)
+            out[pos] = old + a if sign > 0 else old - a
+    return {pos: x for pos, x in out.items() if x}

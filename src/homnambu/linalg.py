@@ -435,11 +435,3 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         vecs.append(tuple(x))
     return Subspace.from_vectors(n, vecs)
 
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    return a == b
-
-
-def submatrix(m, row_idx, col_idx):
-    """Select rows and columns by index lists, preserving order."""
-    return m.select(row_idx, col_idx)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .binary import HomLieSuper, derived_subspace
 from .linalg import (Matrix, Subspace, is_zero_vec, kernel, rank, solve,
-                     subspace_equal, subspace_intersection)
+                     subspace_intersection)
 from .report import Report
 from .reps import TraceFunctional, trace_kernel
 from .ternary import TernaryHomLieSuper, ternary_is_ideal
@@ -47,7 +47,7 @@ def _run_series(start: Subspace, step, rmax: int, kind: str) -> SeriesResult:
         terms.append(nxt)
         if nxt.is_zero() and class_index is None:
             class_index = len(terms) - 1
-        if subspace_equal(nxt, terms[-2]):
+        if nxt == terms[-2]:
             stabilized = True
             break
     return SeriesResult(kind, tuple(terms), stabilized, class_index)
@@ -169,7 +169,7 @@ def compare_central_series(g: HomLieSuper, t: TernaryHomLieSuper,
     for r in range(1, n):
         if not bs.terms[r].contains_subspace(ts.terms[r]):
             rep.fail("termwise-inclusion", witness=(r,))
-        if unit is not None and not subspace_equal(bs.terms[r], ts.terms[r]):
+        if unit is not None and bs.terms[r] != ts.terms[r]:
             rep.fail("termwise-equality", witness=(r,))
     return rep
 

@@ -42,7 +42,7 @@ class TernaryHomLieSuper:
     bracket: SuperBracket3
     alpha1: GradedMap
     alpha2: GradedMap
-    # coboundary matrices of this algebra, filled on demand by cohomology
+    # value-free coboundary rows, filled on demand by cohomology
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 

@@ -138,6 +138,17 @@ def test_binary_adjoint_not_a_cli_complex():
              "--complex", "binary-adjoint", "--degree", "2"])
 
 
+def test_cochain_parity_must_be_a_bit(tmp_path):
+    phi = json.loads((FIXTURES / "omega_cocycle.json").read_text("utf-8"))
+    for parity in ("x", 2):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(dict(phi, parity=parity)), "utf-8")
+        code, out = run(["induce-cocycle", FIXTURES / "gl11.json",
+                         "--phi", path])
+        assert code == 2, parity
+        assert json.loads(out)["error"].startswith("cochain parity")
+
+
 def test_extended_document_checks_clean(tmp_path):
     code, out = run(["check", "binary", GOLD / "gl11_extended.json"])
     assert code == 0

@@ -23,7 +23,8 @@ from homnambu.cohomology import (Cochain, apply_coboundary,
 from homnambu.fixtures import conjugate_gl11, gl11, gl11t
 from homnambu.graded import skew_basis
 from homnambu.linalg import (InputError, PreconditionError, Subspace, image,
-                             is_zero_vec, kernel, submatrix)
+                             is_zero_vec, kernel, subspace_intersection,
+                             unit_vec)
 from homnambu.reps import trace_functional
 from homnambu.ternary import induce_ternary
 
@@ -76,7 +77,7 @@ def test_scalar_complex_squares_to_zero(all_binary):
 def parity_block(m, cx, deg_in, space, parity, parities_fn=parity_support):
     sel_out = parities_fn(cx, deg_in + 1, space, parity)
     sel_in = parities_fn(cx, deg_in, space, parity)
-    return submatrix(m, sel_out, sel_in)
+    return m.select(sel_out, sel_in)
 
 
 def test_ternary_complexes_square_to_zero(all_binary):
@@ -129,6 +130,21 @@ def test_bracket_is_cyclic_cocycle(all_binary):
         assert space.dim == 6, parity
 
 
+def test_binary_adjoint_cocycle_space_matches_lifted_kernel():
+    # oracle: the kernel of the whole lifted cyclic operator, intersected
+    # with the coordinate axes of the parity
+    for name, (lie, rep) in (("gl11", gl11()), ("gl11t", gl11t()),
+                             ("conj", conjugate_gl11(random.Random(5)))):
+        n = cochain_length("binary-adjoint", 2, lie.space)
+        ker = kernel(binary_adjoint_cocycle_matrix(lie))
+        for parity in (0, 1):
+            axes = [unit_vec(n, s) for s in
+                    parity_support("binary-adjoint", 2, lie.space, parity)]
+            want = subspace_intersection(ker, Subspace.from_vectors(n, axes))
+            assert binary_adjoint_cocycle_space(lie, parity) == want, \
+                (name, parity)
+
+
 def test_adjoint_d1_lands_in_cyclic_kernel(g11):
     m = binary_adjoint_cocycle_matrix(g11)
     assert m.mul(binary_adjoint_d1_matrix(g11)).is_zero()
@@ -141,6 +157,11 @@ def test_coboundary_matrix_dispatch(g11, t11):
         delta1_matrix(t11, "ternary-scalar").entries
     with pytest.raises(InputError):
         coboundary_matrix(g11, "ternary-scalar", 1)
+    for obj, cx, degree in ((g11, "binary-scalar", 4),
+                            (t11, "ternary-scalar", 3),
+                            (g11, "binary-adjoint", 1)):
+        with pytest.raises(InputError):
+            coboundary_matrix(obj, cx, degree)
 
 
 def test_apply_coboundary_round(g11, t11):
@@ -239,7 +260,7 @@ def test_class_transfer_random(g11, tau11):
     n = cochain_length("binary-scalar", 2, g11.space)
     sel_in = parity_support("binary-scalar", 2, g11.space, 0)
     sel_out = parity_support("binary-scalar", 3, g11.space, 0)
-    zblock = submatrix(ds_matrix(g11, 2), sel_out, sel_in)
+    zblock = ds_matrix(g11, 2).select(sel_out, sel_in)
     from homnambu.linalg import kernel
     lifted = []
     for v in kernel(zblock).vectors():
@@ -369,8 +390,8 @@ def test_scalar_delta2_built_once_per_algebra():
     delta2_matrix(t, "ternary-scalar", 1)
     delta2_matrix(t, "ternary-scalar")
     coboundary_matrix(t, "ternary-scalar", 2)
-    built = [key for key in t.memo
-             if key[:2] == ("delta2_matrix", "ternary-scalar")]
+    # the memo keys value-free rows on (complex, degree, parity)
+    built = [key for key in t.memo if key[:2] == ("ternary-scalar", 2)]
     assert len(built) == 1
 
 

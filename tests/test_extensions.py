@@ -12,7 +12,7 @@ from homnambu.cohomology import (Cochain, cochain_length, ds_matrix,
 from homnambu.extensions import (CentralExtensionData, build_central_extension,
                                  extended_space, extension_isomorphism,
                                  induce_extension, verify_extension)
-from homnambu.linalg import InputError, PreconditionError, frac, is_zero_vec, kernel, submatrix
+from homnambu.linalg import InputError, PreconditionError, frac, is_zero_vec, kernel
 from homnambu.series import ternary_center
 
 
@@ -32,7 +32,7 @@ def random_even_cochain(rng, g):
 def even_cocycle_basis(g):
     sel_in = parity_support("binary-scalar", 2, g.space, 0)
     sel_out = parity_support("binary-scalar", 3, g.space, 0)
-    zk = kernel(submatrix(ds_matrix(g, 2), sel_out, sel_in))
+    zk = kernel(ds_matrix(g, 2).select(sel_out, sel_in))
     out = []
     for v in zk.vectors():
         n = cochain_length("binary-scalar", 2, g.space)

@@ -68,6 +68,16 @@ def test_document_validation():
         load_document({"basis": good, "bracket": {"x,z": {"x": "1"}}})
     with pytest.raises(InputError):
         load_document({"basis": good, "bracket": {"x,y": {"x": "1/0"}}})
+    for parity in (True, 1.0):
+        with pytest.raises(InputError):
+            load_document({"basis": [{"id": "x", "parity": parity}]})
+    for key in ("bracket", "ternary", "representation"):
+        for val in ([], "x", 1):
+            with pytest.raises(InputError):
+                load_document({"basis": good, key: val})
+    for rep in ({"space": [True]}, {"space": [0], "matrices": []}):
+        with pytest.raises(InputError):
+            load_document({"basis": good, "representation": rep})
 
 
 @pytest.mark.parametrize("stem", DOCS)
@@ -166,6 +176,16 @@ def test_cochain_loader_guards(g11):
     with pytest.raises(InputError):
         load_cochain({"complex": "binary-scalar", "degree": 1,
                       "values": "h1"}, sp)
+    for parity in ("x", 2, -1, True, 1.0, [0]):
+        with pytest.raises(InputError):
+            load_cochain({"complex": "binary-scalar", "degree": 2,
+                          "values": {"q,p": "1"}, "parity": parity}, sp)
+    for parity in (2, -1, True, None):
+        with pytest.raises(InputError):
+            Cochain.zero("binary-scalar", 2, sp, parity)
+    c = load_cochain({"complex": "binary-scalar", "degree": 2,
+                      "values": {"q,p": "1"}, "parity": None}, sp)
+    assert c.parity == 0    # null means inferred, as absent does
 
 
 def rand_cochain(rng, cx, degree, space, parity):

@@ -11,7 +11,7 @@ from homnambu.fixtures import conjugate_gl11, induced_gl11
 from homnambu.graded import (GradedMap, GradedSpace, InputError, canonicalize,
                              graded_space, identity_map, koszul_sign,
                              skew_basis, supertrace, tuple_parity,
-                             wedge2_expand)
+                             wedge_expand)
 from homnambu.linalg import Matrix, frac
 from homnambu.reps import trace_functional
 from homnambu.ternary import SuperBracket3, induce_ternary
@@ -135,14 +135,14 @@ def test_wedge2_expand_against_canonicalize():
     for _ in range(40):
         a = tuple(frac(rng.randint(-3, 3)) for _ in range(4))
         b = tuple(frac(rng.randint(-3, 3)) for _ in range(4))
-        got = wedge2_expand(a, b, sp, sb2)
+        got = wedge_expand([a, b], sp, sb2)
         want = [Fraction(0)] * len(sb2)
         for i in range(4):
             for j in range(4):
                 t, sign, zero = canonicalize((i, j), sp.parities)
                 if not zero:
                     want[sb2.index_of(t)] += sign * a[i] * b[j]
-        assert got == tuple(want)
+        assert got == {k: x for k, x in enumerate(want) if x}
 
 
 def test_wedge2_super_antisymmetry():
@@ -158,10 +158,27 @@ def test_wedge2_super_antisymmetry():
                       for i in range(4))
             b = tuple(frac(rng.randint(-3, 3)) if i in idx_b else frac(0)
                       for i in range(4))
-            lhs = wedge2_expand(b, a, sp, sb2)
+            lhs = wedge_expand([b, a], sp, sb2)
             sgn = -1 if not (pa and pb) else 1
-            rhs = tuple(sgn * x for x in wedge2_expand(a, b, sp, sb2))
+            rhs = {k: sgn * x for k, x in wedge_expand([a, b], sp, sb2).items()}
             assert lhs == rhs
+
+
+def test_wedge_expand_degree_3_against_canonicalize():
+    rng = random.Random(14)
+    sp = graded_space(("h1", "h2", "e", "q", "p"), (0, 0, 0, 1, 1))
+    sb3 = skew_basis(3, sp)
+    for _ in range(20):
+        vs = [tuple(frac(rng.randint(-2, 2)) for _ in range(5))
+              for _ in range(3)]
+        want = [Fraction(0)] * len(sb3)
+        for idx in product(range(5), repeat=3):
+            t, sign, zero = canonicalize(idx, sp.parities)
+            if not zero:
+                want[sb3.index_of(t)] += (sign * vs[0][idx[0]] * vs[1][idx[1]]
+                                          * vs[2][idx[2]])
+        assert wedge_expand(vs, sp, sb3) == {k: x for k, x in enumerate(want)
+                                             if x}
 
 
 def test_graded_space_validation():

@@ -11,9 +11,8 @@ from homnambu.cohomology import (binary_adjoint_cocycle_matrix,
 from homnambu.fixtures import conjugate_gl11, gl11, gl11t
 from homnambu.linalg import (InputError, Matrix, SparseMatrix, Subspace, frac,
                              image, invert, is_zero_vec, kernel, rank, rref,
-                             solve, submatrix, subspace_equal,
-                             subspace_intersection, subspace_sum, unit_vec,
-                             vec, zero_vec)
+                             solve, subspace_intersection, subspace_sum,
+                             unit_vec, vec, zero_vec)
 from homnambu.reps import trace_functional
 from homnambu.ternary import induce_ternary
 
@@ -54,8 +53,8 @@ def test_rref_is_idempotent_and_preserves_row_space():
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         r = rref(m)
         assert rref(r) == r
-        assert subspace_equal(Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)]),
-                              Subspace.from_vectors(m.cols, [r.row(i) for i in range(r.rows)]))
+        assert Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)]) == \
+            Subspace.from_vectors(m.cols, [r.row(i) for i in range(r.rows)])
 
 
 def test_rank_nullity():
@@ -123,7 +122,7 @@ def test_subspace_sum_and_intersection_dimension_formula():
 
 def test_submatrix_picks_entries():
     m = Matrix.build([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    s = submatrix(m, (0, 2), (1,))
+    s = m.select((0, 2), (1,))
     assert s.entries == ((Fraction(2),), (Fraction(8),))
 
 
@@ -134,7 +133,7 @@ def test_unit_and_zero_vec():
 
 def test_sparse_submatrix_renumbers_columns():
     m = SparseMatrix.from_dense(Matrix.build([[1, 0, 3], [0, 5, 6], [7, 8, 0]]))
-    s = submatrix(m, (2, 0), (2, 0))
+    s = m.select((2, 0), (2, 0))
     assert s == SparseMatrix(2, 2, (((1, Fraction(7)),),
                                     ((0, Fraction(3)), (1, Fraction(1)))))
 
