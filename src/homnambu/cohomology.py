@@ -28,9 +28,11 @@ only the ternary-adjoint delta2 reads the parity.  An adjoint coboundary
 applies its value-free rows once per output index, so its matrix is
 block-diagonal across the outputs: coboundary_matrix, the one
 dispatcher, lifts the rows by moving column j of output o to j*dim + o.
-Cohomology and cocycle bases never lift: each parity block of the
-value-free rows is eliminated once per key parity and counted, or
-placed, once per output it serves.
+Nothing else lifts.  Coboundaries of given cochains (apply_coboundary
+and the cocycle checks) apply the value-free rows to each output slice
+of the coordinates.  Cohomology and cocycle bases take each parity block
+of the value-free rows, eliminate it once per key parity, and count, or
+place, it once per output it serves.
 """
 
 from dataclasses import dataclass
@@ -413,6 +415,20 @@ def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> SparseMatri
     return _lift(_rows(obj, cx, degree, parity), _width(cx, obj.space))
 
 
+def _apply(obj, cx: str, degree: int, parity: int, coords) -> tuple:
+    """coboundary_matrix(obj, cx, degree, parity).apply(coords) without the
+    lift: the memoized value-free rows applied to each output slice of the
+    coordinates, the results interleaved in the lifted row order."""
+    m = _rows(obj, cx, degree, parity)
+    dim = _width(cx, obj.space)
+    if len(coords) != m.cols * dim:
+        raise InputError("vector length mismatch in apply")
+    if dim == 1:
+        return m.apply(coords)
+    slices = [m.apply(coords[o::dim]) for o in range(dim)]
+    return tuple(x for row in zip(*slices) for x in row)
+
+
 def ds_matrix(g: HomLieSuper, p: int) -> SparseMatrix:
     return coboundary_matrix(g, "binary-scalar", p)
 
@@ -437,8 +453,8 @@ def binary_adjoint_d1_matrix(g: HomLieSuper) -> SparseMatrix:
 
 
 def apply_coboundary(obj, c: Cochain) -> Cochain:
-    m = coboundary_matrix(obj, c.complex, c.degree, c.parity)
-    return Cochain(c.complex, c.degree + 1, c.parity, c.space, m.apply(c.coords))
+    return Cochain(c.complex, c.degree + 1, c.parity, c.space,
+                   _apply(obj, c.complex, c.degree, c.parity, c.coords))
 
 
 def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
@@ -525,7 +541,7 @@ def bracket_cochain(g: HomLieSuper) -> Cochain:
 
 def verify_bracket_cocycle(g: HomLieSuper) -> Report:
     rep = Report("verify_bracket_cocycle")
-    resid = binary_adjoint_cocycle_matrix(g).apply(bracket_cochain(g).coords)
+    resid = _apply(g, "binary-adjoint", 2, 0, bracket_cochain(g).coords)
     if not is_zero_vec(resid):
         idx = next(i for i, c in enumerate(resid) if c != 0)
         triple = _row_keys("binary-adjoint", 2, g.space)[idx // g.dim]
@@ -539,7 +555,7 @@ def is_binary_cocycle(g: HomLieSuper, phi: Cochain) -> bool:
         raise InputError("cocycle test expects degree 2")
     if not phi.complex.startswith("binary"):
         raise InputError("cocycle test expects a binary cochain")
-    return is_zero_vec(coboundary_matrix(g, phi.complex, 2).apply(phi.coords))
+    return is_zero_vec(_apply(g, phi.complex, 2, phi.parity, phi.coords))
 
 
 def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
@@ -580,7 +596,7 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
         if not is_zero_vec(val):
             values[key] = val[0] if scalar else val
     induced = make_cochain(out_cx, 2, g.space, values, parity=phi.parity)
-    resid = coboundary_matrix(t, out_cx, 2, induced.parity).apply(induced.coords)
+    resid = _apply(t, out_cx, 2, induced.parity, induced.coords)
     if not is_zero_vec(resid):
         raise PreconditionError("induced cochain is not a ternary cocycle")
     return induced

@@ -92,6 +92,60 @@ def gl11t(t=Fraction(2)):
     return twisted, adjoint_representation(twisted)
 
 
+def matrix_units(m: int, n: int) -> list:
+    """Index pairs (i, j) of the basis E_ij of gl(m|n), in basis order:
+    even diagonal units, then even off-diagonal units, then odd units,
+    each group in lexicographic (i, j) order."""
+    size = m + n
+    deg = [0] * m + [1] * n
+    diag = [(i, i) for i in range(size)]
+    pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+    even_off = [(i, j) for i, j in pairs if deg[i] == deg[j]]
+    odd = [(i, j) for i, j in pairs if deg[i] != deg[j]]
+    return diag + even_off + odd
+
+
+def glmn(m: int, n: int):
+    """gl(m|n) on the matrix units E_ij, of parity |i| + |j| where the first
+    m indices are even, with the supercommutator and its defining
+    representation; alpha and beta are identities.
+
+    The basis names are E{i}_{j}, in matrix_units order, so gl(1|1) is
+    gl11() up to names.
+    """
+    size = m + n
+    deg = [0] * m + [1] * n
+    units = matrix_units(m, n)
+    pos = {u: k for k, u in enumerate(units)}
+    par = [(deg[i] + deg[j]) % 2 for i, j in units]
+    dim = len(units)
+    sp = graded_space([f"E{i}_{j}" for i, j in units], par)
+    coeffs = {}
+    for a, (i, j) in enumerate(units):
+        for b in range(a, dim):
+            if a == b and par[a] == 0:
+                continue
+            k, l = units[b]
+            # [E_ij, E_kl] = d_jk E_il - (-1)^{|a||b|} d_li E_kj
+            v = [0] * dim
+            if j == k:
+                v[pos[(i, l)]] += 1
+            if l == i:
+                v[pos[(k, j)]] -= -1 if (par[a] and par[b]) else 1
+            if any(v):
+                coeffs[(a, b)] = tuple(v)
+    lie = HomLieSuper(sp, SuperBracket2.from_canonical(sp, coeffs),
+                      identity_map(sp))
+    mod = graded_space([f"v{i}" for i in range(size)], deg)
+    mats = tuple(
+        GradedMap(mod, mod,
+                  Matrix.build([[1 if (r, c) == u else 0 for c in range(size)]
+                                for r in range(size)]),
+                  par[k])
+        for k, u in enumerate(units))
+    return lie, Representation(lie, mod, mats, identity_map(mod))
+
+
 # --- negative controls -----------------------------------------------------
 # Each one breaks exactly the axiom named in its function, with the
 # witness tuple the verifier is expected to report.

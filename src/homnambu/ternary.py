@@ -15,18 +15,28 @@ placement that the induction theorem actually proves:
         + (-1)^{(|z|+|u|)(|x|+|y|)}   [a1(z), a2(u), [x,y,v]].
 
 The bracket is a graded.SuperBracket of arity 3 holding only its nonzero
-structure vectors.  verify_hom_nambu evaluates the identity through
-composite matrices such as w -> [a1(x), a2(y), w], one per pair of basis
-elements and free slot; hom_nambu_residual_direct is the naive oracle.
+structure vectors W(i,j,k).  verify_hom_nambu evaluates the identity as a
+sparse join over integers.  It clears the denominators of the bracket and
+of both twists once, and builds three integer composite tables from the
+nonzero W alone: [a1 e_a, a2 e_b, e_c], [e_c, a1 e_a, a2 e_b] and
+[a1 e_a, e_c, a2 e_b].  For each (x, y) it then pairs the nonzero
+W(z,u,v) with the first table (the left side) and the nonzero W(x,y,w)
+with all three (the right side), so a tuple where every term is zero
+costs nothing.  Every term has degree 2 in the bracket and 1 in each
+twist, so the integer residuals are a fixed multiple of the true ones;
+only the residuals a report prints are divided back into Fractions.
+hom_nambu_residual_direct is the naive oracle.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .binary import HomLieSuper, verify_morphism
 from .graded import (GradedMap, GradedSpace, SuperBracket,
                      parity_law_violations, skew_basis)
-from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
-                     is_zero_vec, unit_vec, vec_add, vec_scale, zero_vec)
+from .linalg import (InputError, PreconditionError, Subspace, Vec,
+                     is_zero_vec, vec_add, vec_scale, zero_vec)
 from .report import Report, fmt_vec
 from .reps import TraceFunctional
 
@@ -87,63 +97,46 @@ def induce_ternary(g: HomLieSuper, tau: TraceFunctional,
 
 
 def verify_ternary_skew(t: TernaryHomLieSuper) -> Report:
-    """Both adjacent-transposition laws and the parity law, all basis triples."""
+    """Both adjacent-transposition laws and the parity law, all basis triples.
+
+    A triple can fail only when (i,j,k), (j,i,k) or (i,k,j) is a stored
+    entry, so only those triples are visited, in sorted order: the findings
+    and their order are those of a loop over all dim^3 triples.
+    """
     rep = Report("verify_ternary_skew")
     sp = t.space
     p = sp.parities
-    dim = sp.dim
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                v = t.bracket.value(i, j, k)
-                s12 = 1 if (p[i] and p[j]) else -1
-                r12 = vec_add(v, vec_scale(-s12, t.bracket.value(j, i, k)))
-                if not is_zero_vec(r12):
-                    rep.fail("skew-12",
-                             witness=(sp.names[i], sp.names[j], sp.names[k]),
-                             residual=tuple(fmt_vec(r12)))
-                s23 = 1 if (p[j] and p[k]) else -1
-                r23 = vec_add(v, vec_scale(-s23, t.bracket.value(i, k, j)))
-                if not is_zero_vec(r23):
-                    rep.fail("skew-23",
-                             witness=(sp.names[i], sp.names[j], sp.names[k]),
-                             residual=tuple(fmt_vec(r23)))
-                bad = parity_law_violations(sp, v, (p[i] + p[j] + p[k]) % 2)
-                if bad:
-                    rep.fail("parity-law",
-                             witness=(sp.names[i], sp.names[j], sp.names[k]),
-                             detail=f"output hits {bad[0]}")
+    triples = set()
+    for i, j, k in t.bracket.entries:
+        triples.update(((i, j, k), (j, i, k), (i, k, j)))
+    for i, j, k in sorted(triples):
+        v = t.bracket.value(i, j, k)
+        s12 = 1 if (p[i] and p[j]) else -1
+        r12 = vec_add(v, vec_scale(-s12, t.bracket.value(j, i, k)))
+        if not is_zero_vec(r12):
+            rep.fail("skew-12",
+                     witness=(sp.names[i], sp.names[j], sp.names[k]),
+                     residual=tuple(fmt_vec(r12)))
+        s23 = 1 if (p[j] and p[k]) else -1
+        r23 = vec_add(v, vec_scale(-s23, t.bracket.value(i, k, j)))
+        if not is_zero_vec(r23):
+            rep.fail("skew-23",
+                     witness=(sp.names[i], sp.names[j], sp.names[k]),
+                     residual=tuple(fmt_vec(r23)))
+        bad = parity_law_violations(sp, v, (p[i] + p[j] + p[k]) % 2)
+        if bad:
+            rep.fail("parity-law",
+                     witness=(sp.names[i], sp.names[j], sp.names[k]),
+                     detail=f"output hits {bad[0]}")
     return rep
-
-
-def _composites(t: TernaryHomLieSuper, free: int, first: GradedMap,
-                second: GradedMap):
-    """Matrices M[a][b]: M[a][b] w is the bracket with w in slot `free` and
-    first(e_a), second(e_b) in the other two slots, in order.
-
-    free = 2 gives [first(e_a), second(e_b), w], free = 1 gives
-    [first(e_a), w, second(e_b)] and free = 0 gives [w, first(e_a), second(e_b)].
-    """
-    dim = t.dim
-    units = [unit_vec(dim, k) for k in range(dim)]
-    out = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            pair = [first.column(a), second.column(b)]
-            cols = [t.bracket.eval_vectors(*pair[:free], units[k], *pair[free:])
-                    for k in range(dim)]
-            row.append(Matrix.from_columns(cols, dim))
-        out.append(row)
-    return out
 
 
 def hom_nambu_residual_direct(t: TernaryHomLieSuper, x, y, z, u, v,
                               a1=None, a2=None) -> Vec:
     """Straightforward evaluation of the generalized Jacobi residual.
 
-    Kept deliberately naive; the composite-matrix verifier below must
-    agree with it and the tests lean on that.
+    Kept deliberately naive; the sparse integer join of verify_hom_nambu
+    must agree with it and the tests lean on that.
     """
     a1 = a1 if a1 is not None else t.alpha1
     a2 = a2 if a2 is not None else t.alpha2
@@ -162,58 +155,160 @@ def hom_nambu_residual_direct(t: TernaryHomLieSuper, x, y, z, u, v,
 def verify_hom_nambu(t: TernaryHomLieSuper) -> Report:
     """Generalized Jacobi identity on all basis 5-tuples.
 
-    With distinct twists the swapped slot placement is evaluated too and a
-    note is emitted when the two placements disagree.
+    The residuals come from one sparse join over integers, _hom_nambu_join:
+    the denominators of the bracket (D_W) and of the twists (D1, D2) are
+    cleared once, so every integer residual is D_W^2 D1 D2 times the true
+    one, and only the first 16, the ones reported, are divided back into
+    exact Fractions.  A tuple is visited only when some term of its
+    identity reads a stored entry; every other tuple has residual zero.
+    tuples_checked still counts all dim^5 tuples, the violations come in
+    lexicographic order, and past 16 a note gives their total.
+
+    With distinct twists the swapped slot placement is evaluated too, up
+    to its first violation, and a note is emitted when the two placements
+    disagree.
     """
     rep = Report("verify_hom_nambu")
-    fails = _hom_nambu_violations(t, t.alpha1, t.alpha2, rep, "hom-nambu")
+    scale, found = _hom_nambu_join(t, t.alpha1, t.alpha2)
+    names = t.space.names
+    count = 0
+    for tup, resid in found:
+        count += 1
+        if count <= 16:
+            rep.fail("hom-nambu", witness=tuple(names[i] for i in tup),
+                     residual=tuple(fmt_vec(Fraction(r, scale)
+                                            for r in resid)))
+    if count > 16:
+        rep.note("hom-nambu-truncated",
+                 detail=f"{count} violations total, first 16 reported")
     rep.metrics["tuples_checked"] = t.dim ** 5
     if not t.same_twists():
-        alt = Report("alt")
-        alt_fails = _hom_nambu_violations(t, t.alpha2, t.alpha1, alt, "hom-nambu-swapped")
-        if (fails == 0) != (alt_fails == 0):
+        swapped = _hom_nambu_join(t, t.alpha2, t.alpha1)[1]
+        if (count == 0) != (next(swapped, None) is None):
             rep.note("placement-disagreement",
                      detail="identity holds in one twist placement but not the other")
     return rep
 
 
-def _hom_nambu_violations(t, a1, a2, rep, check_name) -> int:
-    sp = t.space
-    p = sp.parities
+def _integer_terms(vectors):
+    """(D, terms): D the least positive integer with D * x integral for
+    every entry x of every vector, and per vector the (index, D * x) pairs
+    of its nonzero entries, as Python ints."""
+    vectors = list(vectors)
+    d = 1
+    for v in vectors:
+        for x in v:
+            d *= (d * x).denominator
+    return d, [tuple((m, (d * x).numerator) for m, x in enumerate(v) if x)
+               for v in vectors]
+
+
+def _composite_table(W: dict, rows1, rows2, free: int) -> dict:
+    """{(a, b): {c: terms}}: the integer bracket with e_c in slot `free`
+    and a1 e_a, a2 e_b in the other two slots, in order, built from the
+    nonzero entries of W alone; rows1 and rows2 are the twists' matrix
+    rows as (column, integer) pairs, and terms are the nonzero
+    (m, integer) pairs.
+
+    free = 2 gives [a1 e_a, a2 e_b, e_c], free = 0 gives
+    [e_c, a1 e_a, a2 e_b] and free = 1 gives [a1 e_a, e_c, a2 e_b].
+    """
+    acc = {}
+    for key, terms in W.items():
+        c = key[free]
+        i, j = key[:free] + key[free + 1:]
+        for a, x in rows1[i]:
+            for b, y in rows2[j]:
+                col = acc.setdefault((a, b), {}).setdefault(c, {})
+                for m, w in terms:
+                    col[m] = col.get(m, 0) + x * y * w
+    table = {}
+    for ab, cols in acc.items():
+        for c, col in cols.items():
+            terms = tuple((m, x) for m, x in col.items() if x)
+            if terms:
+                table.setdefault(ab, {})[c] = terms
+    return table
+
+
+def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
+    """(scale, violations) of the identity in the placement (a1, a2).
+
+    violations yields ((x, y, z, u, v), residual) for every basis 5-tuple
+    with a nonzero residual, in lexicographic order; each residual is a
+    list of integers, scale times the true one.  Clearing the
+    denominators of the bracket (D_W) and of the twists (D1, D2) makes
+    everything integer, and every term has degree 2 in the bracket and 1
+    in each twist, so scale = D_W^2 D1 D2.
+    """
+    dw, terms = _integer_terms(t.bracket.entries.values())
+    W = dict(zip(t.bracket.entries, terms))
+    d1, rows1 = _integer_terms(a1.matrix.entries)
+    d2, rows2 = _integer_terms(a2.matrix.entries)
+    L = _composite_table(W, rows1, rows2, 2)
+    N = _composite_table(W, rows1, rows2, 0)
+    Q = _composite_table(W, rows1, rows2, 1)
+    return dw * dw * d1 * d2, _join(t, W, L, N, Q)
+
+
+def _join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
+    """The residuals, one (x, y) block at a time.
+
+    A block keys its residuals by z*dim^2 + u*dim + v.  The left side
+    [a1 x, a2 y, W(z,u,v)] reads each nonzero W(z,u,v) through L[x, y];
+    each right-hand term reads a nonzero W(x,y,w) through the table of
+    its other two slots: N[u, v] with w = z, Q[z, v] with w = u and
+    L[z, u] with w = v.  Only the keys these touch can be nonzero.
+    """
+    p = t.space.parities
     dim = t.dim
-    L = _composites(t, 2, a1, a2)  # [a1 x, a2 y, w]
-    N = _composites(t, 0, a1, a2)  # [w, a1 u, a2 v]
-    Q = _composites(t, 1, a1, a2)  # [a1 z, w, a2 v]
-    W = t.bracket.value
-    count = 0
+    dd = dim * dim
+
+    def by_free(table, offset, flip):
+        """[c] -> (offset of the key, sign flipped when |x|+|y| is odd,
+        composite) for every (a, b) of table with a nonzero column c."""
+        out = [[] for _ in range(dim)]
+        for (a, b), cols in table.items():
+            for c, terms in cols.items():
+                out[c].append((offset(a, b), flip(a, b), terms))
+        return out
+
+    # (weight of w in the key, entries): the t1, t2 and t3 terms, whose
+    # signs are 1, (-1)^{|z|(|x|+|y|)} and (-1)^{(|z|+|u|)(|x|+|y|)}
+    rhs = ((dd, by_free(N, lambda u, v: u * dim + v, lambda u, v: False)),
+           (dim, by_free(Q, lambda z, v: z * dd + v, lambda z, v: p[z])),
+           (1, by_free(L, lambda z, u: z * dd + u * dim,
+                       lambda z, u: p[z] != p[u])))
+    lhs_keys = [(z * dd + u * dim + v, terms)
+                for (z, u, v), terms in W.items()]
+    row_xy = {}
+    for (x, y, w), terms in W.items():
+        row_xy.setdefault((x, y), []).append((w, terms))
+
     for x in range(dim):
         for y in range(dim):
-            Lxy = L[x][y]
-            for z in range(dim):
-                for u in range(dim):
-                    s2 = -1 if (p[z] and (p[x] ^ p[y])) else 1
-                    s3 = -1 if ((p[z] ^ p[u]) and (p[x] ^ p[y])) else 1
-                    Lzu = L[z][u]
-                    for v in range(dim):
-                        lhs = Lxy.apply(W(z, u, v))
-                        r = N[u][v].apply(W(x, y, z))
-                        r2 = Q[z][v].apply(W(x, y, u))
-                        r3 = Lzu.apply(W(x, y, v))
-                        resid = tuple(
-                            lv - (rv + s2 * r2v + s3 * r3v)
-                            for lv, rv, r2v, r3v in zip(lhs, r, r2, r3))
-                        if not is_zero_vec(resid):
-                            count += 1
-                            if count <= 16:
-                                rep.fail(check_name,
-                                         witness=(sp.names[x], sp.names[y],
-                                                  sp.names[z], sp.names[u],
-                                                  sp.names[v]),
-                                         residual=tuple(fmt_vec(resid)))
-    if count > 16:
-        rep.note(f"{check_name}-truncated",
-                 detail=f"{count} violations total, first 16 reported")
-    return count
+            acc = defaultdict(lambda: [0] * dim)
+            Lxy = L.get((x, y))
+            if Lxy:
+                for key, terms in lhs_keys:
+                    for c, wc in terms:
+                        col = Lxy.get(c)
+                        if col:
+                            out = acc[key]
+                            for m, l in col:
+                                out[m] += wc * l
+            odd = p[x] != p[y]
+            for w, terms in row_xy.get((x, y), ()):
+                for weight, table in rhs:
+                    base = w * weight
+                    for c, wc in terms:
+                        for offset, flip, col in table[c]:
+                            f = wc if (odd and flip) else -wc
+                            out = acc[base + offset]
+                            for m, l in col:
+                                out[m] += f * l
+            for key in sorted(k for k, r in acc.items() if any(r)):
+                yield (x, y, key // dd, key // dim % dim, key % dim), acc[key]
 
 
 def verify_ternary_multiplicative(t: TernaryHomLieSuper) -> Report:

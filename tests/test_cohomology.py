@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from homnambu.cohomology import (Cochain, apply_coboundary,
+from homnambu.cohomology import (Cochain, _apply, apply_coboundary,
                                  binary_adjoint_cocycle_matrix,
                                  binary_adjoint_cocycle_space,
                                  binary_adjoint_d1_matrix, binary_pair_eval,
@@ -173,6 +173,29 @@ def test_apply_coboundary_round(g11, t11):
     h = random_cochain(rng, "ternary-adjoint", 2, t11.space, 1)
     out = apply_coboundary(t11, h)
     assert out.coords == delta2_matrix(t11, "ternary-adjoint", 1).apply(h.coords)
+
+
+def test_slice_apply_matches_lifted_matrix():
+    # coboundaries of given cochains apply the value-free rows to each
+    # output slice; the lifted coboundary matrix is the oracle
+    rng = random.Random(81)
+    for name, lie, rep in oracle_algebras():
+        _, t = induced(lie, rep)
+        for obj, cx, degree in ((lie, "binary-adjoint", 2),
+                                (t, "ternary-adjoint", 1),
+                                (t, "ternary-adjoint", 2),
+                                (t, "ternary-scalar", 2)):
+            for parity in (0, 1):
+                c = random_cochain(rng, cx, degree, obj.space, parity)
+                want = coboundary_matrix(obj, cx, degree,
+                                         parity).apply(c.coords)
+                assert _apply(obj, cx, degree, parity, c.coords) == want, \
+                    (name, cx, degree, parity)
+                if cx.startswith("ternary"):
+                    assert apply_coboundary(obj, c).coords == want
+                else:
+                    assert is_binary_cocycle(obj, c) == is_zero_vec(want)
+        assert is_binary_cocycle(lie, bracket_cochain(lie))
 
 
 def test_cochain_parity_support_enforced(g11):

@@ -2,19 +2,23 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from homnambu.binary import verify_morphism
-from homnambu.fixtures import (alpha_t, conjugate_gl11, gl11, gl11t,
-                               induced_gl11, neg_nambu, neg_ternary_mult,
-                               neg_ternary_skew, random_even_invertible)
-from homnambu.graded import GradedMap, identity_map, skew_basis, tuple_parity
-from homnambu.linalg import InputError, Matrix, Subspace, frac, unit_vec
-from homnambu.report import fmt_vec
-from homnambu.reps import trace_functional
+from homnambu.binary import verify_morphism, yau_twist
+from homnambu.fixtures import (alpha_t, conjugate_gl11, gl11, gl11t, glmn,
+                               induced_gl11, matrix_units, neg_nambu,
+                               neg_ternary_mult, neg_ternary_skew,
+                               random_even_invertible)
+from homnambu.graded import (GradedMap, canonicalize, identity_map,
+                             parity_law_violations, skew_basis, tuple_parity)
+from homnambu.linalg import (InputError, Matrix, Subspace, frac, is_zero_vec,
+                             unit_vec, vec_add, vec_scale)
+from homnambu.report import Report, fmt_vec
+from homnambu.reps import TraceFunctional, trace_functional
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
+                              _hom_nambu_join,
                               check_twist_commutes, hom_nambu_residual_direct,
                               ideal_criterion, induce_ternary,
                               ternary_is_ideal, ternary_is_subalgebra,
@@ -144,6 +148,28 @@ def random_bracket_two_twists():
                               a1, a2)
 
 
+def random_fraction_bracket_two_twists():
+    """Like random_bracket_two_twists, but the structure constants have
+    denominators 2 and 3 and the twists denominators 5 and 7, so clearing
+    them scales every residual by a nontrivial D_W^2 D1 D2."""
+    rng = random.Random(99)
+    sp = gl11()[0].space
+    p = sp.parities
+    coeffs = {key: tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                         if p[o] == tuple_parity(key, p) else Fraction(0)
+                         for o in range(sp.dim))
+              for key in skew_basis(3, sp).tuples}
+
+    def twist(den):
+        m = Matrix.build([[Fraction(rng.randint(-2, 2), rng.choice((1, den)))
+                           if p[i] == p[j] else 0 for j in range(sp.dim)]
+                          for i in range(sp.dim)])
+        return GradedMap(sp, sp, m)
+
+    return TernaryHomLieSuper(sp, SuperBracket3.from_canonical(sp, coeffs),
+                              twist(5), twist(7))
+
+
 def direct_violations(t, a1, a2):
     """(witness, residual) of every nonzero oracle residual, in loop order."""
     names = t.space.names
@@ -158,7 +184,8 @@ def direct_violations(t, a1, a2):
 @pytest.mark.parametrize("build", [induced_gl11t2, neg_nambu,
                                    induced_gl11_mixed_twists, broken_gl11t2,
                                    broken_mixed_twists,
-                                   random_bracket_two_twists])
+                                   random_bracket_two_twists,
+                                   random_fraction_bracket_two_twists])
 def test_verify_hom_nambu_matches_direct_oracle_on_every_tuple(build):
     t = build()
     want = direct_violations(t, t.alpha1, t.alpha2)
@@ -237,3 +264,171 @@ def test_check_twist_commutes(g11, tau11):
     from homnambu.fixtures import alpha_t
     rep = check_twist_commutes(g11, alpha_t(g11.space, Fraction(3)), tau11)
     assert rep.verdict == "pass"
+
+
+def dense_skew_findings(t):
+    """The skew and parity-law findings of a loop over all dim^3 triples:
+    the oracle of the sparse verify_ternary_skew."""
+    rep = Report("verify_ternary_skew")
+    sp = t.space
+    p = sp.parities
+    for i, j, k in product(range(sp.dim), repeat=3):
+        names = (sp.names[i], sp.names[j], sp.names[k])
+        v = t.bracket.value(i, j, k)
+        s12 = 1 if (p[i] and p[j]) else -1
+        r12 = vec_add(v, vec_scale(-s12, t.bracket.value(j, i, k)))
+        if not is_zero_vec(r12):
+            rep.fail("skew-12", witness=names, residual=tuple(fmt_vec(r12)))
+        s23 = 1 if (p[j] and p[k]) else -1
+        r23 = vec_add(v, vec_scale(-s23, t.bracket.value(i, k, j)))
+        if not is_zero_vec(r23):
+            rep.fail("skew-23", witness=names, residual=tuple(fmt_vec(r23)))
+        bad = parity_law_violations(sp, v, (p[i] + p[j] + p[k]) % 2)
+        if bad:
+            rep.fail("parity-law", witness=names,
+                     detail=f"output hits {bad[0]}")
+    return rep.findings
+
+
+def stale_mirrors():
+    """A raw with_entry patch of three orderings; their mirrors go stale.
+    (0, 1, 2) was zero, so (0, 2, 1) fails skew-23 with no stored entry of
+    its own and none from a swap of its first two slots."""
+    t = induced_gl11()
+    b = t.bracket.with_entry(1, 3, 2, (0, 3, 0, 0)).with_entry(
+        3, 2, 2, (1, 0, 0, 0)).with_entry(0, 1, 2, (0, 0, 1, 0))
+    return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
+
+
+def parity_breaker():
+    """[h1,q,p] given an odd q component in every ordering."""
+    t = induced_gl11()
+    sp = t.space
+    b = t.bracket
+    for order in permutations((0, 2, 3)):
+        sign = canonicalize(order, sp.parities)[1]
+        v = b.value(*order)
+        b = b.with_entry(*order, (v[0], v[1], v[2] + sign, v[3]))
+    return TernaryHomLieSuper(sp, b, t.alpha1, t.alpha2)
+
+
+@pytest.mark.parametrize("build", [induced_gl11, neg_ternary_skew,
+                                   stale_mirrors, parity_breaker, neg_nambu])
+def test_sparse_ternary_skew_matches_dense_loop(build):
+    t = build()
+    findings = verify_ternary_skew(t).findings
+    assert findings == dense_skew_findings(t)
+    if build in (neg_ternary_skew, stale_mirrors):
+        assert {f.check for f in findings} >= {"skew-12", "skew-23"}
+    if build is parity_breaker:
+        assert [f.check for f in findings] == ["parity-law"] * 6
+
+
+def test_glmn_11_is_gl11_up_to_names():
+    lie, rep = glmn(1, 1)
+    lie0, rep0 = gl11()
+    assert lie.space.names == ("E0_0", "E1_1", "E0_1", "E1_0")
+    assert lie.space.parities == lie0.space.parities
+    assert lie.bracket.entries == lie0.bracket.entries
+    assert lie.alpha.matrix == lie0.alpha.matrix
+    assert rep.module_space == rep0.module_space
+    assert rep.beta == rep0.beta
+    assert [(m.matrix, m.parity) for m in rep.matrices] == \
+        [(m.matrix, m.parity) for m in rep0.matrices]
+    assert trace_functional(rep).values == trace_functional(rep0).values
+
+
+# --- the north-star ladder: gl(2|1) and gl(2|2) ---------------------------
+
+
+def induced_glmn(m, n):
+    lie, rep = glmn(m, n)
+    return induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+
+
+def doubled_first(t):
+    """t with its first nonzero canonical coefficient doubled, mirrors
+    included: skew survives, Hom-Nambu does not."""
+    coeffs = t.bracket.canonical_coeffs()
+    key = min(coeffs)
+    b = t.bracket.with_canonical(key, tuple(2 * c for c in coeffs[key]))
+    return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
+
+
+def twisted_gl21():
+    """The Yau twist of gl(2|1) along E_ij -> (d_i / d_j) E_ij, d = (3, 1, 2),
+    induced from the untwisted supertrace; alpha has denominators 2 and 3."""
+    lie, rep = glmn(2, 1)
+    d = (3, 1, 2)
+    alpha = GradedMap(lie.space, lie.space, Matrix.build(
+        [[Fraction(d[i], d[j]) if r == c else 0 for c in range(lie.dim)]
+         for r, (i, j) in enumerate(matrix_units(2, 1))]))
+    twisted = yau_twist(lie, alpha)
+    tau = TraceFunctional(twisted, trace_functional(rep).values)
+    return induce_ternary(twisted, tau, alpha, alpha)
+
+
+def broken_gl21():
+    return doubled_first(induced_glmn(2, 1))
+
+
+def broken_twisted_gl21():
+    return doubled_first(twisted_gl21())
+
+
+def hom_nambu_total(rep):
+    notes = [f for f in rep.findings if f.check == "hom-nambu-truncated"]
+    if notes:
+        return int(notes[0].detail.split()[0])
+    return sum(1 for f in rep.findings if f.check == "hom-nambu")
+
+
+def test_gl21_broken_copy_pinned():
+    rep = verify_hom_nambu(broken_gl21())
+    assert rep.metrics["tuples_checked"] == 9 ** 5
+    assert hom_nambu_total(rep) == 816
+    first = rep.findings[0]
+    assert first.witness == ("E0_0", "E1_1", "E0_0", "E0_1", "E1_0")
+    assert first.residual == ("2", "-2", "0", "0", "0", "0", "0", "0", "0")
+
+
+@pytest.mark.parametrize("build", [broken_gl21, broken_twisted_gl21])
+def test_gl21_reported_residuals_match_direct_oracle(build):
+    t = build()
+    index = {name: i for i, name in enumerate(t.space.names)}
+    rep = verify_hom_nambu(t)
+    found = [f for f in rep.findings if f.check == "hom-nambu"]
+    assert len(found) == 16
+    for f in found:
+        resid = hom_nambu_residual_direct(t, *(index[n] for n in f.witness))
+        assert f.residual == tuple(fmt_vec(resid)), f.witness
+
+
+@pytest.mark.parametrize("build", [broken_gl21, broken_twisted_gl21])
+def test_gl21_join_matches_direct_oracle_on_seeded_tuples(build):
+    # the oracle on all 9^5 tuples takes seconds, so it runs on 500 of them:
+    # half drawn uniformly, half from the join's own violations
+    t = build()
+    scale, found = _hom_nambu_join(t, t.alpha1, t.alpha2)
+    joined = {tup: resid for tup, resid in found}
+    rng = random.Random(7)
+    tuples = [tuple(rng.randrange(t.dim) for _ in range(5))
+              for _ in range(250)]
+    tuples += rng.sample(sorted(joined), 250)
+    for tup in tuples:
+        resid = hom_nambu_residual_direct(t, *tup)
+        if tup in joined:
+            assert resid == tuple(Fraction(r, scale) for r in joined[tup])
+            assert not is_zero_vec(resid), tup
+        else:
+            assert is_zero_vec(resid), tup
+
+
+def test_gl22_passes_and_its_broken_copy_fails():
+    t = induced_glmn(2, 2)
+    rep = verify_hom_nambu(t)
+    assert rep.verdict == "pass"
+    assert rep.metrics["tuples_checked"] == 16 ** 5
+    rep = verify_hom_nambu(doubled_first(t))
+    assert rep.verdict == "fail"
+    assert hom_nambu_total(rep) == 2040
