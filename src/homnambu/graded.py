@@ -14,6 +14,11 @@ SuperBracket holds the structure constants of a super-skew bracket of any
 arity: only the nonzero structure vectors, keyed by ordered index tuples.
 Its eval_vectors and wedge_expand, which writes v_1 ^ ... ^ v_r on a
 canonical tuple basis, share one multilinear expansion, _expand_terms.
+It also spans and annihilates, for any arity: span(S1, ..., Sn) is the
+subspace spanned by [S1, ..., Sn], and annihilator() the z with
+[e_i1, ..., z] = 0.  Both clear denominators once and work on the sparse
+integer structure vectors; the series, centers and ideal checks are
+calls of these two.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,8 @@ from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 from typing import ClassVar
 
-from .linalg import ZERO, InputError, Matrix, Vec, is_zero_vec, vec, zero_vec
+from .linalg import (ZERO, InputError, Matrix, SparseMatrix, Subspace, Vec,
+                     integer_terms, is_zero_vec, kernel, vec, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -50,12 +56,6 @@ class GradedSpace:
             return self.names.index(name)
         except ValueError:
             raise InputError(f"unknown basis element {name!r}") from None
-
-    def even_indices(self):
-        return [i for i, p in enumerate(self.parities) if p == 0]
-
-    def odd_indices(self):
-        return [i for i, p in enumerate(self.parities) if p == 1]
 
 
 def graded_space(names, parities) -> GradedSpace:
@@ -95,6 +95,10 @@ class GradedMap:
 
     def column(self, j: int) -> Vec:
         return self.matrix.col(j)
+
+    def keeps(self, s: Subspace) -> bool:
+        """Whether the map sends the subspace s into itself."""
+        return all(s.contains(self.apply(u)) for u in s.vectors())
 
     def is_identity(self) -> bool:
         return (self.domain == self.codomain
@@ -172,12 +176,6 @@ class SkewBasis:
     @cached_property
     def index(self) -> dict:
         return {t: k for k, t in enumerate(self.tuples)}
-
-    def index_of(self, t) -> int:
-        t = tuple(t)
-        if t not in self.index:
-            raise InputError(f"tuple {t} is not canonical")
-        return self.index[t]
 
 
 def is_canonical(t, parities) -> bool:
@@ -309,6 +307,61 @@ class SuperBracket:
         return {k: self.entries[k] for k in sorted(self.entries)
                 if is_canonical(k, p)}
 
+    def span(self, *subspaces) -> Subspace:
+        """The span of [S1, ..., Sn] over the vectors of the subspaces Si.
+
+        The structure vectors and each Si's echelon rows are cleared of
+        denominators, which scales no span.  Slots are contracted one at a
+        time, the last first, so the partial table of a row c of Sn serves
+        every (a, b, ...), and a zero partial ends its branch.  The nonzero
+        integer images go to one rref, deduplicated up to sign.
+        """
+        dim = self.space.dim
+        if (len(subspaces) != self.arity
+                or any(s.ambient_dim != dim for s in subspaces)):
+            raise InputError(f"span takes {self.arity} subspaces of the "
+                             f"{dim}-dimensional space")
+        rows = [integer_terms(s.vectors())[1] for s in subspaces]
+        if not all(rows):
+            return Subspace.zero(dim)
+
+        def contract(table, slot):
+            by_last = {}
+            for key, terms in table.items():
+                by_last.setdefault(key[-1], []).append((key[:-1], terms))
+            for row in rows[slot]:
+                acc = {}
+                for k, c in row:
+                    for prefix, terms in by_last.get(k, ()):
+                        col = acc.setdefault(prefix, {})
+                        for m, x in terms:
+                            col[m] = col.get(m, 0) + c * x
+                part = {}
+                for prefix, col in acc.items():
+                    terms = [t for t in col.items() if t[1]]
+                    if terms:
+                        part[prefix] = terms
+                if part and slot:
+                    yield from contract(part, slot - 1)
+                elif part:
+                    yield sorted(part[()])
+
+        images = contract(dict(zip(self.entries, integer_terms(
+            self.entries.values())[1])), self.arity - 1)
+        return Subspace.spanned_by_rows(_distinct_rows(images, dim))
+
+    def annihilator(self) -> Subspace:
+        """The z with [e_i1, ..., e_i(n-1), z] = 0 for all basis arguments:
+        the kernel of one integer row per (i1, ..., i(n-1)) and output
+        coordinate, deduplicated up to sign."""
+        rows = {}
+        for key, terms in zip(self.entries,
+                              integer_terms(self.entries.values())[1]):
+            for m, x in terms:
+                rows.setdefault((key[:-1], m), []).append((key[-1], x))
+        return kernel(_distinct_rows(map(sorted, rows.values()),
+                                     self.space.dim))
+
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -320,6 +373,19 @@ class SuperBracket:
                 return self.value(*prefix)
             return tuple(nest(prefix + (i,)) for i in range(self.space.dim))
         return nest(())
+
+
+def _distinct_rows(rows, ncols: int) -> SparseMatrix:
+    """The nonzero integer rows, each a list of (column, value) pairs with
+    columns increasing, kept once up to sign in first-seen order, as a
+    SparseMatrix of Fractions."""
+    distinct = {}
+    for r in rows:
+        if r:
+            key = tuple(r) if r[0][1] > 0 else tuple((c, -x) for c, x in r)
+            distinct[key] = None
+    return SparseMatrix(len(distinct), ncols, tuple(
+        tuple((c, Fraction(x)) for c, x in r) for r in distinct))
 
 
 def wedge_expand(vectors, space: GradedSpace, sb: SkewBasis) -> dict:

@@ -69,6 +69,21 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
 
 
+def integer_terms(vectors):
+    """(D, terms): D the least positive integer with D * x integral for
+    every entry x of every vector, and per vector the (index, D * x) pairs
+    of its nonzero entries, as Python ints."""
+    vectors = list(vectors)
+    d = 1
+    for v in vectors:
+        for x in v:
+            q = x.denominator
+            if d % q:
+                d *= Fraction(d, q).denominator
+    return d, [tuple((m, x.numerator * (d // x.denominator))
+                     for m, x in enumerate(v) if x) for v in vectors]
+
+
 @dataclass(frozen=True)
 class Matrix:
     rows: int
@@ -405,13 +420,6 @@ def invert(m):
         if r.entries[i][i] != 1:
             return None
     return Matrix(n, n, tuple(r.entries[i][n:] for i in range(n)))
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise InputError("ambient dimension mismatch in subspace sum")
-    return Subspace.from_vectors(a.ambient_dim,
-                                 list(a.basis.entries) + list(b.basis.entries))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

@@ -66,9 +66,6 @@ class TraceFunctional:
     def apply(self, v: Vec) -> Fraction:
         return dot(self.values, vec(v))
 
-    def of_basis(self, i: int) -> Fraction:
-        return self.values[i]
-
 
 def verify_representation(r: Representation) -> Report:
     """Both representation axioms on all basis elements and pairs."""

@@ -1,15 +1,16 @@
 """Derived series, central descending series, centers, and their transfer.
 
-Series terms are spans, not twisted subalgebras; each step closes the raw
-bracket image into a subspace and the twists are only consulted by the
-ideality checks.
+Series terms are spans, not twisted subalgebras; each step is one
+SuperBracket.span of the previous term (and the starting term), and the
+twists are only consulted by the ideality checks.  The centers are
+SuperBracket.annihilator.  Both work on the sparse integer structure
+vectors, so no step evaluates the bracket on a basis tuple.
 """
 
 from dataclasses import dataclass
 
-from .binary import HomLieSuper, derived_subspace
-from .linalg import (Matrix, Subspace, is_zero_vec, kernel, rank, solve,
-                     subspace_intersection)
+from .binary import HomLieSuper
+from .linalg import Matrix, Subspace, rank, solve, subspace_intersection
 from .report import Report
 from .reps import TraceFunctional, trace_kernel
 from .ternary import TernaryHomLieSuper, ternary_is_ideal
@@ -24,18 +25,6 @@ class SeriesResult:
 
     def dims(self) -> tuple:
         return tuple(t.dim for t in self.terms)
-
-
-def triple_bracket_span(t: TernaryHomLieSuper, s1: Subspace, s2: Subspace,
-                        s3: Subspace) -> Subspace:
-    vecs = []
-    for a in s1.vectors():
-        for b in s2.vectors():
-            for c in s3.vectors():
-                v = t.bracket.eval_vectors(a, b, c)
-                if not is_zero_vec(v):
-                    vecs.append(v)
-    return Subspace.from_vectors(t.dim, vecs)
 
 
 def _run_series(start: Subspace, step, rmax: int, kind: str) -> SeriesResult:
@@ -56,7 +45,7 @@ def _run_series(start: Subspace, step, rmax: int, kind: str) -> SeriesResult:
 def derived_series(t: TernaryHomLieSuper, ideal: Subspace = None,
                    rmax: int = 12) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(t.dim)
-    return _run_series(start, lambda s: triple_bracket_span(t, s, s, s),
+    return _run_series(start, lambda s: t.bracket.span(s, s, s),
                        rmax, "derived")
 
 
@@ -64,44 +53,32 @@ def central_series(t: TernaryHomLieSuper, ideal: Subspace = None,
                    rmax: int = 12) -> SeriesResult:
     # step brackets against the starting ideal, not the whole algebra
     start = ideal if ideal is not None else Subspace.full(t.dim)
-    return _run_series(start, lambda s: triple_bracket_span(t, s, start, start),
+    return _run_series(start, lambda s: t.bracket.span(s, start, start),
                        rmax, "central")
 
 
 def binary_derived_series(g: HomLieSuper, ideal: Subspace = None,
                           rmax: int = 12) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(g.dim)
-    return _run_series(start, lambda s: derived_subspace(g, s, s),
+    return _run_series(start, lambda s: g.bracket.span(s, s),
                        rmax, "derived")
 
 
 def binary_central_series(g: HomLieSuper, ideal: Subspace = None,
                           rmax: int = 12) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(g.dim)
-    return _run_series(start, lambda s: derived_subspace(g, s, start),
+    return _run_series(start, lambda s: g.bracket.span(s, start),
                        rmax, "central")
 
 
 def ternary_center(t: TernaryHomLieSuper) -> Subspace:
     """Solutions z of [e_i, e_j, z] = 0 for all i, j."""
-    dim = t.dim
-    rows = []
-    for i in range(dim):
-        for j in range(dim):
-            block = Matrix.from_columns(
-                [t.bracket.value(i, j, k) for k in range(dim)], dim)
-            rows.extend(block.entries)
-    return kernel(Matrix(dim * dim * dim, dim, tuple(rows)))
+    return t.bracket.annihilator()
 
 
 def binary_center(g: HomLieSuper) -> Subspace:
-    dim = g.dim
-    rows = []
-    for i in range(dim):
-        block = Matrix.from_columns(
-            [g.bracket.value(i, k) for k in range(dim)], dim)
-        rows.extend(block.entries)
-    return kernel(Matrix(dim * dim, dim, tuple(rows)))
+    """Solutions z of [e_i, z] = 0 for all i."""
+    return g.bracket.annihilator()
 
 
 def verify_center_transfer(g: HomLieSuper, tau: TraceFunctional,

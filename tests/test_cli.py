@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from homnambu import cli
 from homnambu.cli import main
+from homnambu.linalg import Subspace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLD = FIXTURES / "golden"
@@ -153,3 +155,15 @@ def test_extended_document_checks_clean(tmp_path):
     code, out = run(["check", "binary", GOLD / "gl11_extended.json"])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("kind", ["derived", "central"])
+@pytest.mark.parametrize("doc", ["gl11.json", "gl11_induced.json"])
+def test_series_ideal_of_wrong_dimension_exits_2(doc, kind, monkeypatch):
+    """An ideal of another ambient dimension is an input error on the binary
+    and the ternary side, reported with exit 2, not a wrong series."""
+    monkeypatch.setattr(cli, "_ideal_from_ids",
+                        lambda bundle, spec: Subspace.full(bundle.lie.dim + 1))
+    code, out = run(["series", kind, FIXTURES / doc, "--ideal", "h1"])
+    assert code == 2
+    assert json.loads(out)["command"] == "series"

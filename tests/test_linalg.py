@@ -11,7 +11,7 @@ from homnambu.cohomology import (binary_adjoint_cocycle_matrix,
 from homnambu.fixtures import conjugate_gl11, gl11, gl11t
 from homnambu.linalg import (InputError, Matrix, SparseMatrix, Subspace, frac,
                              image, invert, is_zero_vec, kernel, rank, rref,
-                             solve, subspace_intersection, subspace_sum,
+                             solve, subspace_intersection,
                              unit_vec, vec, zero_vec)
 from homnambu.reps import trace_functional
 from homnambu.ternary import induce_ternary
@@ -112,7 +112,7 @@ def test_subspace_sum_and_intersection_dimension_formula():
                                       for _ in range(rng.randint(0, 3))])
         b = Subspace.from_vectors(n, [tuple(frac(rng.randint(-2, 2)) for _ in range(n))
                                       for _ in range(rng.randint(0, 3))])
-        s = subspace_sum(a, b)
+        s = Subspace.from_vectors(n, a.vectors() + b.vectors())
         i = subspace_intersection(a, b)
         assert s.dim + i.dim == a.dim + b.dim
         for v in i.vectors():

@@ -91,8 +91,8 @@ def test_rho_of_vector_is_linear(r11):
 
 def test_trace_functional_apply(tau11):
     assert tau11.apply((2, 3, 5, 7)) == -1
-    assert tau11.of_basis(0) == 1
-    assert tau11.of_basis(3) == 0
+    assert tau11.values[0] == 1
+    assert tau11.values[3] == 0
 
 
 def test_induction_compatibility_condition3(g11, r11, tau11):

@@ -1,9 +1,18 @@
 """Derived and central series, centers, and the binary-to-ternary transfers."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
-from homnambu.fixtures import a0, aff1, conjugate_gl11, gl11
-from homnambu.linalg import Subspace, unit_vec
+import pytest
+
+from homnambu.binary import (HomLieSuper, SuperBracket2, derived_subspace,
+                             is_ideal, is_subalgebra)
+from homnambu.fixtures import (a0, aff1, conjugate_gl11, gl11, gl11t, glmn,
+                               induced_gl11)
+from homnambu.graded import GradedMap, skew_basis, tuple_parity
+from homnambu.linalg import (InputError, Matrix, Subspace, is_zero_vec, kernel,
+                             unit_vec)
 from homnambu.reps import trace_functional
 from homnambu.series import (binary_center, binary_central_series,
                              binary_derived_series, central_series,
@@ -11,7 +20,9 @@ from homnambu.series import (binary_center, binary_central_series,
                              find_unit, ideality_of_series, ternary_center,
                              verify_center_transfer,
                              verify_solvability_theorem)
-from homnambu.ternary import induce_ternary
+from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
+                              induce_ternary, ternary_is_ideal,
+                              ternary_is_subalgebra)
 
 
 def test_induced_gl11_derived_series(t11):
@@ -110,3 +121,266 @@ def test_solvability_on_random_conjugates():
 def test_ideality_of_series(t11):
     res = derived_series(t11)
     assert ideality_of_series(t11, res).verdict == "pass"
+
+
+# --- differential oracles ----------------------------------------------------
+# The per-vector loops that SuperBracket.span and annihilator replaced: one
+# eval_vectors per tuple of echelon vectors, one dense block per basis
+# prefix, and the ideal checks on every basis argument.
+
+
+def span_oracle(bracket, *subspaces):
+    """Span of [a, b, ...] over every tuple of echelon vectors."""
+    vecs = []
+    for args in product(*(s.vectors() for s in subspaces)):
+        v = bracket.eval_vectors(*args)
+        if not is_zero_vec(v):
+            vecs.append(v)
+    return Subspace.from_vectors(bracket.space.dim, vecs)
+
+
+def center_oracle(bracket):
+    """Kernel of the stacked dense blocks of z -> [e_i1, ..., z]."""
+    dim = bracket.space.dim
+    rows = []
+    for prefix in product(range(dim), repeat=bracket.arity - 1):
+        block = Matrix.from_columns(
+            [bracket.value(*prefix, k) for k in range(dim)], dim)
+        rows.extend(block.entries)
+    return kernel(Matrix(len(rows), dim, tuple(rows)))
+
+
+def closed_oracle(bracket, twists, s, ideal):
+    """Every twist keeps s, and every [u, ...] lies in s: with the other
+    slots on s (subalgebra) or on every basis vector (ideal)."""
+    basis = s.vectors()
+    for m in twists:
+        for u in basis:
+            if not s.contains(m.apply(u)):
+                return False
+    dim = bracket.space.dim
+    rest = [unit_vec(dim, j) for j in range(dim)] if ideal else basis
+    for u in basis:
+        for others in product(rest, repeat=bracket.arity - 1):
+            if not s.contains(bracket.eval_vectors(u, *others)):
+                return False
+    return True
+
+
+def fraction_bracket():
+    """A seeded gl(1|1)-space bracket obeying the parity law, with
+    structure constants of denominators 1, 2 and 3 and a diagonal twist
+    with denominators 5 and 7."""
+    rng = random.Random(17)
+    sp = gl11()[0].space
+    p = sp.parities
+    coeffs = {key: tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                         if p[o] == tuple_parity(key, p) else 0
+                         for o in range(sp.dim))
+              for key in skew_basis(2, sp).tuples}
+    alpha = GradedMap(sp, sp, Matrix.build(
+        [[Fraction(rng.randint(1, 3), rng.choice((5, 7))) if i == j else 0
+          for j in range(sp.dim)] for i in range(sp.dim)]))
+    return HomLieSuper(sp, SuperBracket2.from_canonical(sp, coeffs), alpha)
+
+
+def fraction_ternary():
+    """A seeded ternary bracket on the gl(1|1) space with denominators 1, 2
+    and 3, and two distinct diagonal twists with denominators 5 and 7."""
+    rng = random.Random(18)
+    sp = gl11()[0].space
+    p = sp.parities
+    coeffs = {key: tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                         if p[o] == tuple_parity(key, p) else 0
+                         for o in range(sp.dim))
+              for key in skew_basis(3, sp).tuples}
+
+    def twist():
+        return GradedMap(sp, sp, Matrix.build(
+            [[Fraction(rng.randint(1, 3), rng.choice((5, 7))) if i == j else 0
+              for j in range(sp.dim)] for i in range(sp.dim)]))
+
+    return TernaryHomLieSuper(sp, SuperBracket3.from_canonical(sp, coeffs),
+                              twist(), twist())
+
+
+def raw_binary():
+    """Raw with_entry patches on gl(1|1): [h1,q] alone changes and [q,h2]
+    gains an entry, so their mirrors go stale and the bracket is not skew;
+    only then do the two slots of [S, g] give different spans."""
+    lie, _ = gl11()
+    b = lie.bracket.with_entry(0, 2, (0, 0, 0, Fraction(1, 2))).with_entry(
+        2, 1, (1, 0, 0, 0))
+    return HomLieSuper(lie.space, b, lie.alpha)
+
+
+def raw_ternary():
+    """Raw with_entry patches on induced gl(1|1), one ordering each, with
+    stale mirrors; (0, 1, 2) was zero, so it has no mirror at all."""
+    t = induced_gl11()
+    b = t.bracket.with_entry(1, 3, 2, (0, 3, 0, 0)).with_entry(
+        3, 2, 2, (1, 0, 0, 0)).with_entry(0, 1, 2, (0, 0, Fraction(2, 3), 0))
+    return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
+
+
+def induced(lie_rep):
+    lie, rep = lie_rep
+    return induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+
+
+BINARY_CASES = {
+    "gl11": lambda: gl11()[0],
+    "gl11t": lambda: gl11t()[0],
+    "conjugate": lambda: conjugate_gl11(random.Random(5))[0],
+    "gl21": lambda: glmn(2, 1)[0],
+    "fractions": fraction_bracket,
+    "abelian": lambda: a0()[0],
+    "aff1": lambda: aff1()[0],
+    "raw": raw_binary,
+}
+
+TERNARY_CASES = {
+    "gl11": lambda: induced(gl11()),
+    "gl11t": lambda: induced(gl11t()),
+    "conjugate": lambda: induced(conjugate_gl11(random.Random(5))),
+    "gl21": lambda: induced(glmn(2, 1)),
+    "fractions": fraction_ternary,
+    "abelian": lambda: induced(a0()),
+    "aff1": lambda: induced(aff1()),
+    "raw": raw_ternary,
+}
+
+
+def probe_subspaces(a, rng):
+    """Full, zero, the first derived term, the center, a non-graded line
+    when both parities occur, and seeded random subspaces of mixed
+    denominators."""
+    dim = a.dim
+    p = a.space.parities
+    full = Subspace.full(dim)
+    out = [full, Subspace.zero(dim),
+           span_oracle(a.bracket, *[full] * a.bracket.arity),
+           center_oracle(a.bracket)]
+    if 0 in p and 1 in p:
+        mixed = (p.index(0), p.index(1))
+        out.append(Subspace.from_vectors(
+            dim, [tuple(1 if j in mixed else 0 for j in range(dim))]))
+    for k in (1, dim // 2, dim - 1):
+        out.append(Subspace.from_vectors(dim, [
+            tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                  if rng.random() < 0.6 else 0 for _ in range(dim))
+            for _ in range(k)]))
+    return out
+
+
+def twists_of(a):
+    return (a.alpha,) if isinstance(a, HomLieSuper) else (a.alpha1, a.alpha2)
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_CASES))
+def test_binary_span_center_and_ideals_match_naive_loops(name):
+    g = BINARY_CASES[name]()
+    rng = random.Random(23)
+    probes = probe_subspaces(g, rng)
+    full = Subspace.full(g.dim)
+    for s in probes:
+        for other in (s, full, probes[-1]):
+            assert g.bracket.span(s, other) == span_oracle(g.bracket, s, other)
+            assert g.bracket.span(other, s) == span_oracle(g.bracket, other, s)
+            assert derived_subspace(g, s, other) == \
+                span_oracle(g.bracket, s, other)
+        assert is_subalgebra(g, s) == closed_oracle(
+            g.bracket, twists_of(g), s, False)
+        assert is_ideal(g, s) == closed_oracle(
+            g.bracket, twists_of(g), s, True)
+    assert binary_center(g) == center_oracle(g.bracket)
+    assert binary_derived_series(g).terms == naive_series(
+        g.bracket, full, lambda s: (s, s))
+    assert binary_central_series(g).terms == naive_series(
+        g.bracket, full, lambda s: (s, full))
+
+
+@pytest.mark.parametrize("name", sorted(TERNARY_CASES))
+def test_ternary_span_center_and_ideals_match_naive_loops(name):
+    t = TERNARY_CASES[name]()
+    rng = random.Random(29)
+    probes = probe_subspaces(t, rng)
+    full = Subspace.full(t.dim)
+    a, b = probes[-1], probes[-2]
+    for s in probes:
+        for args in ((s, s, s), (s, full, full), (full, s, full),
+                     (full, full, s), (s, a, b), (a, s, b), (a, b, s)):
+            assert t.bracket.span(*args) == span_oracle(t.bracket, *args), args
+        assert ternary_is_subalgebra(t, s) == closed_oracle(
+            t.bracket, twists_of(t), s, False)
+        assert ternary_is_ideal(t, s) == closed_oracle(
+            t.bracket, twists_of(t), s, True)
+    assert ternary_center(t) == center_oracle(t.bracket)
+    assert derived_series(t).terms == naive_series(
+        t.bracket, full, lambda s: (s, s, s))
+    assert central_series(t).terms == naive_series(
+        t.bracket, full, lambda s: (s, full, full))
+
+
+def naive_series(bracket, start, args, rmax=12):
+    """Terms of a series whose next term is span_oracle(*args(term)),
+    up to stabilization."""
+    terms = [start]
+    while len(terms) <= rmax:
+        terms.append(span_oracle(bracket, *args(terms[-1])))
+        if terms[-1] == terms[-2]:
+            break
+    return tuple(terms)
+
+
+def test_raw_brackets_tell_the_slots_apart():
+    """On a skew bracket a slot permutation changes no span, so these pin
+    that the raw cases can catch a contraction pairing the wrong slot."""
+    g = raw_binary()
+    e0 = Subspace.from_vectors(4, [unit_vec(4, 0)])
+    full = Subspace.full(4)
+    assert g.bracket.span(e0, full) != g.bracket.span(full, e0)
+    t = raw_ternary()
+    e2 = Subspace.from_vectors(4, [unit_vec(4, 2)])
+    assert t.bracket.span(e2, full, full) != t.bracket.span(full, full, e2)
+    assert t.bracket.span(full, e2, full) != t.bracket.span(full, full, e2)
+
+
+def test_ideal_checks_see_both_outcomes():
+    """The differential cases are not all True or all False."""
+    g = BINARY_CASES["gl11"]()
+    t = TERNARY_CASES["gl11"]()
+    outcomes = {(is_ideal(g, s), ternary_is_ideal(t, s))
+                for s in probe_subspaces(g, random.Random(23))}
+    assert {o[0] for o in outcomes} == {True, False}
+    assert {o[1] for o in outcomes} == {True, False}
+
+
+def test_wrong_ambient_dimension_raises():
+    t = induced(glmn(2, 1))
+    g = glmn(2, 1)[0]
+    for bad in (Subspace.full(20), Subspace.full(3), Subspace.zero(3)):
+        for run in (derived_series, central_series):
+            with pytest.raises(InputError):
+                run(t, bad)
+        for run in (binary_derived_series, binary_central_series):
+            with pytest.raises(InputError):
+                run(g, bad)
+        for check in (ternary_is_ideal, ternary_is_subalgebra):
+            with pytest.raises(InputError):
+                check(t, bad)
+        for check in (is_ideal, is_subalgebra):
+            with pytest.raises(InputError):
+                check(g, bad)
+
+
+def test_span_needs_one_subspace_per_slot():
+    t = induced(glmn(2, 1))
+    full = Subspace.full(t.dim)
+    for args in ((), (full,), (full, full), (full,) * 4):
+        with pytest.raises(InputError):
+            t.bracket.span(*args)
+    g = glmn(2, 1)[0]
+    for args in ((full,), (full,) * 3):
+        with pytest.raises(InputError):
+            g.bracket.span(*args)

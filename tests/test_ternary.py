@@ -36,7 +36,7 @@ def induced_value_oracle(g, tau, x, y, z):
     p = g.space.parities
     s2 = -1 if p[x] and p[y] else 1
     s3 = -1 if p[z] and (p[x] + p[y]) % 2 else 1
-    tx, ty, tz = tau.of_basis(x), tau.of_basis(y), tau.of_basis(z)
+    tx, ty, tz = tau.values[x], tau.values[y], tau.values[z]
     out = [Fraction(0)] * g.dim
     for m in range(g.dim):
         out[m] += tx * g.bracket.value(y, z)[m]
