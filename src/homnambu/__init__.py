@@ -16,7 +16,7 @@ from .graded import (GradedMap, GradedSpace, canonicalize, graded_space,
                      identity_map, koszul_sign, skew_basis, supertrace,
                      zero_map)
 from .linalg import (Fraction, InputError, Matrix, PreconditionError,
-                     SparseMatrix, Subspace, frac, kernel, rank, solve)
+                     Subspace, frac, kernel, rank, solve)
 from .reps import (Representation, TraceFunctional, adjoint_representation,
                    trace_functional, trace_kernel, verify_representation,
                    zero_representation)

@@ -9,8 +9,9 @@ the verifiers have something to catch.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 
-from .graded import (GradedMap, GradedSpace, SuperBracket,
+from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
                      parity_law_violations, skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
                      is_zero_vec, vec_add, vec_scale, zero_vec)
@@ -68,12 +69,17 @@ def verify_skew(a: HomLieSuper) -> Report:
 
 def hom_jacobi_residual(a: HomLieSuper, x: int, y: int, z: int) -> Vec:
     """Cyclic residual (-1)^{|x||z|}[a(x),[y,z]] + cycled, zero when Jacobi holds."""
+    return _hom_jacobi(a, a.alpha.columns(), x, y, z)
+
+
+def _hom_jacobi(a: HomLieSuper, acols: list, x: int, y: int, z: int) -> Vec:
+    """hom_jacobi_residual with the twist columns acols read beforehand."""
     p = a.space.parities
     out = zero_vec(a.space.dim)
     for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
         sign = -1 if (p[u] and p[w]) else 1
         inner = a.bracket.value(v, w)
-        term = a.bracket.eval_vectors(a.alpha.column(u), inner)
+        term = a.bracket.eval_vectors(acols[u], inner)
         out = vec_add(out, vec_scale(sign, term))
     return out
 
@@ -82,8 +88,9 @@ def verify_hom_jacobi(a: HomLieSuper) -> Report:
     """Hom-Jacobi on all canonical basis triples (skew is assumed)."""
     rep = Report("verify_hom_jacobi")
     sb = skew_basis(3, a.space)
+    acols = a.alpha.columns()
     for (x, y, z) in sb.tuples:
-        resid = hom_jacobi_residual(a, x, y, z)
+        resid = _hom_jacobi(a, acols, x, y, z)
         if not is_zero_vec(resid):
             rep.fail("hom-jacobi",
                      witness=(a.space.names[x], a.space.names[y], a.space.names[z]),
@@ -95,15 +102,12 @@ def verify_hom_jacobi(a: HomLieSuper) -> Report:
 def verify_multiplicative(a: HomLieSuper) -> Report:
     """alpha[x,y] = [alpha x, alpha y] on all basis pairs."""
     rep = Report("verify_multiplicative")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = a.alpha.apply(a.bracket.value(i, j))
-            rhs = a.bracket.eval_vectors(a.alpha.column(i), a.alpha.column(j))
-            resid = vec_add(lhs, vec_scale(-1, rhs))
-            if not is_zero_vec(resid):
-                rep.fail("multiplicative",
-                         witness=(a.space.names[i], a.space.names[j]),
-                         residual=tuple(fmt_vec(resid)))
+    for key, resid in compat_residuals(a.alpha, a.bracket, a.bracket,
+                                       product(range(a.dim), repeat=2)):
+        if not is_zero_vec(resid):
+            rep.fail("multiplicative",
+                     witness=tuple(a.space.names[i] for i in key),
+                     residual=tuple(fmt_vec(resid)))
     return rep
 
 
@@ -112,15 +116,12 @@ def verify_morphism(f: GradedMap, a: HomLieSuper, b: HomLieSuper) -> Report:
     rep = Report("verify_morphism")
     if f.domain != a.space or f.codomain != b.space:
         raise InputError("morphism endpoints do not match the algebras")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = f.apply(a.bracket.value(i, j))
-            rhs = b.bracket.eval_vectors(f.column(i), f.column(j))
-            resid = vec_add(lhs, vec_scale(-1, rhs))
-            if not is_zero_vec(resid):
-                rep.fail("bracket-compat",
-                         witness=(a.space.names[i], a.space.names[j]),
-                         residual=tuple(fmt_vec(resid)))
+    for key, resid in compat_residuals(f, a.bracket, b.bracket,
+                                       product(range(a.dim), repeat=2)):
+        if not is_zero_vec(resid):
+            rep.fail("bracket-compat",
+                     witness=tuple(a.space.names[i] for i in key),
+                     residual=tuple(fmt_vec(resid)))
     lhs = f.matrix.mul(a.alpha.matrix)
     rhs = b.alpha.matrix.mul(f.matrix)
     if lhs != rhs:
@@ -138,14 +139,12 @@ def yau_twist(lie: HomLieSuper, morphism: GradedMap) -> HomLieSuper:
         raise PreconditionError("yau_twist expects an untwisted algebra")
     if morphism.domain != lie.space or morphism.codomain != lie.space:
         raise PreconditionError("twisting map must be an endomorphism")
-    for i in range(lie.dim):
-        for j in range(lie.dim):
-            lhs = morphism.apply(lie.bracket.value(i, j))
-            rhs = lie.bracket.eval_vectors(morphism.column(i), morphism.column(j))
-            if lhs != rhs:
-                raise PreconditionError(
-                    f"twisting map is not a morphism at "
-                    f"({lie.space.names[i]},{lie.space.names[j]})")
+    for (i, j), resid in compat_residuals(morphism, lie.bracket, lie.bracket,
+                                          product(range(lie.dim), repeat=2)):
+        if not is_zero_vec(resid):
+            raise PreconditionError(
+                f"twisting map is not a morphism at "
+                f"({lie.space.names[i]},{lie.space.names[j]})")
     entries = {}
     for idx, v in lie.bracket.entries.items():
         w = morphism.apply(v)
@@ -186,9 +185,9 @@ def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
     if sinv is None:
         raise PreconditionError("basis change matrix is singular")
     dim = a.dim
-    for i in range(dim):
-        for j in range(dim):
-            if s.entries[i][j] != 0 and a.space.parities[i] != a.space.parities[j]:
+    for i, row in enumerate(s.entries):
+        for j, _ in row:
+            if a.space.parities[i] != a.space.parities[j]:
                 raise PreconditionError("basis change must be even")
     cols = [s.col(i) for i in range(dim)]
     entries = {}

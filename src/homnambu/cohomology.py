@@ -9,7 +9,7 @@ of them, key-major.  Lengths, parities, make_cochain, Cochain.values and
 the document format all derive from it.
 
 Every coboundary is one entry of _BUILDERS, a table from (complex,
-degree) to a builder of value-free rows: a linalg.SparseMatrix on the
+degree) to a builder of value-free rows: a linalg.Matrix on the
 keys alone, since no cochain value ever enters a bracket.
 
   binary-scalar   1-3  d_s, the sum over i<j of signed
@@ -42,7 +42,7 @@ from itertools import product
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand)
-from .linalg import (InputError, PreconditionError, SparseMatrix, Subspace,
+from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      frac, image, kernel, solve, vec, vec_add, vec_scale,
                      zero_vec, is_zero_vec, ZERO)
 from .report import Report, fmt_scalar
@@ -243,14 +243,14 @@ def _row_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
     return cochain_keys(cx, degree + 1, space)
 
 
-def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> SparseMatrix:
+def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
     """d_s f(x_0, ..., x_p) = sum_{i<j} (-1)^{i+j} eps_ij
     f([x_i, x_j], a x_0, ..^i..^j.., a x_p), eps_ij the Koszul sign of
     moving x_i, then x_j, to the front."""
     sp = g.space
     par = sp.parities
     sb_in = skew_basis(degree, sp)
-    acols = [g.alpha.column(i) for i in range(g.dim)]
+    acols = g.alpha.columns()
     k = degree + 1
     rows = []
     for X in _row_keys(cx, degree, sp):
@@ -264,10 +264,10 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> SparseMatrix:
                     acols[X[t]] for t in range(k) if t != i and t != j]
                 _add_signed(row, s, wedge_expand(args, sp, sb_in).items())
         rows.append(row)
-    return SparseMatrix.build(rows, len(sb_in.tuples))
+    return Matrix.from_rows(rows, len(sb_in.tuples))
 
 
-def _cyclic_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> SparseMatrix:
+def _cyclic_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
     """phi(a x,[y,z]) + (-1)^{|x|(|y|+|z|)} phi(a y,[z,x])
     + (-1)^{|z|(|x|+|y|)} phi(a z,[x,y]) over ordered triples (x, y, z).
 
@@ -277,7 +277,7 @@ def _cyclic_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> SparseMat
     sp = g.space
     p = sp.parities
     sb2 = skew_basis(2, sp)
-    acols = [g.alpha.column(i) for i in range(g.dim)]
+    acols = g.alpha.columns()
     rows = []
     for x, y, z in _row_keys(cx, degree, sp):
         row = {}
@@ -287,22 +287,22 @@ def _cyclic_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> SparseMat
             _add_signed(row, s, wedge_expand([acols[u], g.bracket.value(v, w)],
                                              sp, sb2).items())
         rows.append(row)
-    return SparseMatrix.build(rows, len(sb2.tuples))
+    return Matrix.from_rows(rows, len(sb2.tuples))
 
 
 def _delta1_rows(t: TernaryHomLieSuper, cx: str, degree: int,
-                 parity: int) -> SparseMatrix:
+                 parity: int) -> Matrix:
     """f -> ((X, z) -> -f(X.z)); the adjoint complex shares the scalar rows."""
     if cx == "ternary-adjoint":
         return _rows(t, "ternary-scalar", degree)
     _single_twist(t)
     rows = [{m: -c for m, c in enumerate(t.bracket.value(x1, x2, k))}
             for (x1, x2), k in _row_keys(cx, degree, t.space)]
-    return SparseMatrix.build(rows, t.dim)
+    return Matrix.from_rows(rows, t.dim)
 
 
 def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
-                 fpar: int) -> SparseMatrix:
+                 fpar: int) -> Matrix:
     """The 2-coboundary on (pair, element) keys, for cochains of parity fpar.
 
     Scalar: -f([X,Y]_a, a z) - (-1)^{|X||Y|} f(aY, X.z) + f(aX, Y.z),
@@ -322,7 +322,7 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
     sb2 = skew_basis(2, sp)
     pairs = sb2.tuples
     pairp = [tuple_parity(q, p) for q in pairs]
-    adense = [a.column(i) for i in range(dim)]
+    adense = a.columns()
     # every vector as its nonzero (index, value) terms, built once
     acols = [_terms(v) for v in adense]
     apairs = [list(wedge_expand([adense[i], adense[j]], sp, sb2).items())
@@ -369,7 +369,7 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
                     add(row, apairs[Qp], xz, -s5)
                     add(row, apairs[P], yz, s6)
                 rows.append(row)
-    return SparseMatrix.build(rows, len(position))
+    return Matrix.from_rows(rows, len(position))
 
 
 # (complex, degree) -> the builder of the value-free rows of the coboundary
@@ -382,7 +382,7 @@ _BUILDERS = {("binary-scalar", 1): _ds_rows, ("binary-scalar", 2): _ds_rows,
              ("ternary-adjoint", 2): _delta2_rows}
 
 
-def _rows(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
+def _rows(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
     """The value-free rows of the cx coboundary on degree-cochains, built
     once per algebra and kept in obj.memo.  Only the ternary-adjoint delta2
     reads the cochain parity, mod 2; every other entry is kept under 0."""
@@ -398,18 +398,18 @@ def _rows(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
     return obj.memo[key]
 
 
-def _lift(m: SparseMatrix, dim: int) -> SparseMatrix:
+def _lift(m: Matrix, dim: int) -> Matrix:
     """Value-free rows applied once per output index: each row becomes dim
     rows, row o reading the output-o coordinate of every key, so column j
     moves to j*dim + o.  With one output, m itself."""
     if dim == 1:
         return m
-    return SparseMatrix(m.rows * dim, m.cols * dim, tuple(
+    return Matrix(m.rows * dim, m.cols * dim, tuple(
         tuple((j * dim + o, x) for j, x in row)
         for row in m.entries for o in range(dim)))
 
 
-def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> SparseMatrix:
+def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
     """The cx coboundary of degree-cochains of this parity, on full cochain
     coordinates: the value-free rows, lifted on the adjoint complexes."""
     return _lift(_rows(obj, cx, degree, parity), _width(cx, obj.space))
@@ -429,27 +429,27 @@ def _apply(obj, cx: str, degree: int, parity: int, coords) -> tuple:
     return tuple(x for row in zip(*slices) for x in row)
 
 
-def ds_matrix(g: HomLieSuper, p: int) -> SparseMatrix:
+def ds_matrix(g: HomLieSuper, p: int) -> Matrix:
     return coboundary_matrix(g, "binary-scalar", p)
 
 
-def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> SparseMatrix:
+def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> Matrix:
     return coboundary_matrix(g, "binary-adjoint", 2)
 
 
-def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> SparseMatrix:
+def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> Matrix:
     return coboundary_matrix(t, cx, 1)
 
 
-def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> SparseMatrix:
+def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> Matrix:
     return coboundary_matrix(t, cx, 2, parity)
 
 
-def binary_adjoint_d1_matrix(g: HomLieSuper) -> SparseMatrix:
+def binary_adjoint_d1_matrix(g: HomLieSuper) -> Matrix:
     """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains."""
     rows = [{m: -c for m, c in enumerate(g.bracket.value(i, j))}
             for i, j in cochain_keys("binary-adjoint", 2, g.space)]
-    return _lift(SparseMatrix.build(rows, g.dim), g.dim)
+    return _lift(Matrix.from_rows(rows, g.dim), g.dim)
 
 
 def apply_coboundary(obj, c: Cochain) -> Cochain:

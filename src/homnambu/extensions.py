@@ -17,7 +17,7 @@ from .binary import HomLieSuper, SuperBracket2, verify_hom_jacobi, verify_multip
 from .cohomology import Cochain, binary_pair_eval, ds_matrix, induce_cocycle
 from .graded import GradedMap, GradedSpace, skew_basis
 from .linalg import (InputError, Matrix, PreconditionError, ZERO, ONE,
-                     is_zero_vec, solve, vec, zero_vec)
+                     is_zero_vec, solve, vec, vec_add, vec_scale, zero_vec)
 from .report import Report
 from .reps import TraceFunctional
 from .ternary import induce_ternary
@@ -69,12 +69,10 @@ def build_central_extension(data: CentralExtensionData) -> HomLieSuper:
         if not is_zero_vec(padded):
             coeffs[pair] = padded
     bracket = SuperBracket2.from_canonical(sp, coeffs)
-    cols = []
-    for j in range(dim):
-        cols.append(g.alpha.column(j) + (data.lam[j],))
-    cols.append(zero_vec(dim) + (data.lam[dim],))
-    alpha = GradedMap(sp, sp, Matrix.from_columns(cols, dim + 1))
-    return HomLieSuper(sp, bracket, alpha)
+    # abar: the rows of alpha, then lam as the row of c
+    alpha = Matrix(dim + 1, dim + 1,
+                   g.alpha.matrix.entries + Matrix.build([data.lam]).entries)
+    return HomLieSuper(sp, bracket, GradedMap(sp, sp, alpha))
 
 
 def verify_extension(data: CentralExtensionData) -> Report:
@@ -117,25 +115,18 @@ def extension_isomorphism(omega1: Cochain, omega2: Cochain,
         _require_cocycle(base, om, label)
     g = base
     dim = g.dim
-    sb2 = skew_basis(2, g.space)
-    rows = []
-    rhs = []
-    for pi, pair in enumerate(sb2.tuples):
-        rows.append(g.bracket.value(pair[0], pair[1]))
-        rhs.append(omega2.coords[pi] - omega1.coords[pi])
-    for j in range(dim):
-        col = g.alpha.column(j)
-        rows.append(tuple(col[m] - (ONE if m == j else ZERO) for m in range(dim)))
-        rhs.append(ZERO)
-    a = solve(Matrix.build(rows), tuple(rhs))
+    # a on every bracket [e_i, e_j] of a canonical pair, then a o alpha - a
+    brackets = Matrix.from_rows([dict(enumerate(g.bracket.value(*pair)))
+                                 for pair in skew_basis(2, g.space).tuples], dim)
+    fixed = g.alpha.matrix.transpose().add(Matrix.identity(dim).scale(-1))
+    a = solve(Matrix(brackets.rows + dim, dim, brackets.entries + fixed.entries),
+              vec_add(omega2.coords, vec_scale(-1, omega1.coords)) + zero_vec(dim))
     if a is None:
         return None
     sp = extended_space(g)
-    cols = []
-    for j in range(dim):
-        cols.append(tuple(ONE if m == j else ZERO for m in range(dim)) + (a[j],))
-    cols.append(zero_vec(dim) + (ONE,))
-    return GradedMap(sp, sp, Matrix.from_columns(cols, dim + 1))
+    # f(e_j) = e_j + a_j c and f(c) = c
+    return GradedMap(sp, sp, Matrix(dim + 1, dim + 1, Matrix.identity(dim).entries
+                                    + Matrix.build([a + (ONE,)]).entries))
 
 
 def induce_extension(g: HomLieSuper, tau: TraceFunctional,

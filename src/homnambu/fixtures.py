@@ -224,13 +224,9 @@ def random_even_invertible(rng, space) -> Matrix:
     """Random invertible parity-preserving matrix with entries in [-2, 2]."""
     dim = space.dim
     while True:
-        rows = []
-        for i in range(dim):
-            rows.append(tuple(
-                Fraction(rng.randint(-2, 2))
-                if space.parities[i] == space.parities[j] else Fraction(0)
-                for j in range(dim)))
-        m = Matrix(dim, dim, tuple(rows))
+        m = Matrix.build([[rng.randint(-2, 2)
+                           if space.parities[i] == space.parities[j] else 0
+                           for j in range(dim)] for i in range(dim)])
         if invert(m) is not None:
             return m
 

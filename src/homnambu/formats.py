@@ -195,13 +195,12 @@ def _vec_to_map(v, space: GradedSpace) -> dict:
 
 
 def _matrix_to_grid(m: Matrix) -> list:
-    return [[fmt_scalar(x) for x in row] for row in m.entries]
+    return [[fmt_scalar(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def _graded_to_column_map(g: GradedMap) -> dict:
     out = {}
-    for j, name in enumerate(g.domain.names):
-        col = g.matrix.col(j)
+    for name, col in zip(g.domain.names, g.columns()):
         if not is_zero_vec(col):
             out[name] = _vec_to_map(col, g.codomain)
     return out

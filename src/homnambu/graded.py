@@ -27,8 +27,8 @@ from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 from typing import ClassVar
 
-from .linalg import (ZERO, InputError, Matrix, SparseMatrix, Subspace, Vec,
-                     integer_terms, is_zero_vec, kernel, vec, zero_vec)
+from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, integer_terms,
+                     is_zero_vec, kernel, vec, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,24 @@ class GradedMap:
             raise InputError("graded map matrix shape mismatch")
         if self.parity not in (0, 1):
             raise InputError("map parity must be a bit")
-        for r in range(self.matrix.rows):
+        for r, row in enumerate(self.matrix.entries):
             pr = self.codomain.parities[r]
-            for c in range(self.matrix.cols):
-                if self.matrix.entries[r][c] != 0:
-                    if pr != (self.domain.parities[c] + self.parity) % 2:
-                        raise InputError(
-                            f"entry ({self.codomain.names[r]},{self.domain.names[c]}) "
-                            f"violates declared parity {self.parity}")
+            for c, _ in row:
+                if pr != (self.domain.parities[c] + self.parity) % 2:
+                    raise InputError(
+                        f"entry ({self.codomain.names[r]},{self.domain.names[c]}) "
+                        f"violates declared parity {self.parity}")
 
     def apply(self, v: Vec) -> Vec:
         return self.matrix.apply(v)
 
     def column(self, j: int) -> Vec:
         return self.matrix.col(j)
+
+    def columns(self) -> list:
+        """Every column as a dense tuple, in one pass over the entries."""
+        t = self.matrix.transpose()
+        return [t.row(j) for j in range(t.rows)]
 
     def keeps(self, s: Subspace) -> bool:
         """Whether the map sends the subspace s into itself."""
@@ -136,9 +140,10 @@ def supertrace(m: GradedMap) -> Fraction:
     if m.domain != m.codomain:
         raise InputError("supertrace needs an endomorphism")
     total = Fraction(0)
-    for i in range(m.domain.dim):
-        d = m.matrix.entries[i][i]
-        total += -d if m.domain.parities[i] else d
+    for i, row in enumerate(m.matrix.entries):
+        for c, d in row:
+            if c == i:
+                total += -d if m.domain.parities[i] else d
     return total
 
 
@@ -321,7 +326,7 @@ class SuperBracket:
                 or any(s.ambient_dim != dim for s in subspaces)):
             raise InputError(f"span takes {self.arity} subspaces of the "
                              f"{dim}-dimensional space")
-        rows = [integer_terms(s.vectors())[1] for s in subspaces]
+        rows = [integer_terms(s.basis.entries)[1] for s in subspaces]
         if not all(rows):
             return Subspace.zero(dim)
 
@@ -347,7 +352,7 @@ class SuperBracket:
                     yield sorted(part[()])
 
         images = contract(dict(zip(self.entries, integer_terms(
-            self.entries.values())[1])), self.arity - 1)
+            map(enumerate, self.entries.values()))[1])), self.arity - 1)
         return Subspace.spanned_by_rows(_distinct_rows(images, dim))
 
     def annihilator(self) -> Subspace:
@@ -355,8 +360,8 @@ class SuperBracket:
         the kernel of one integer row per (i1, ..., i(n-1)) and output
         coordinate, deduplicated up to sign."""
         rows = {}
-        for key, terms in zip(self.entries,
-                              integer_terms(self.entries.values())[1]):
+        for key, terms in zip(self.entries, integer_terms(
+                map(enumerate, self.entries.values()))[1]):
             for m, x in terms:
                 rows.setdefault((key[:-1], m), []).append((key[-1], x))
         return kernel(_distinct_rows(map(sorted, rows.values()),
@@ -375,17 +380,28 @@ class SuperBracket:
         return nest(())
 
 
-def _distinct_rows(rows, ncols: int) -> SparseMatrix:
+def _distinct_rows(rows, ncols: int) -> Matrix:
     """The nonzero integer rows, each a list of (column, value) pairs with
-    columns increasing, kept once up to sign in first-seen order, as a
-    SparseMatrix of Fractions."""
+    columns increasing, kept once up to sign in first-seen order, as an
+    integer Matrix for rref."""
     distinct = {}
     for r in rows:
         if r:
             key = tuple(r) if r[0][1] > 0 else tuple((c, -x) for c, x in r)
             distinct[key] = None
-    return SparseMatrix(len(distinct), ncols, tuple(
-        tuple((c, Fraction(x)) for c, x in r) for r in distinct))
+    return Matrix(len(distinct), ncols, tuple(distinct))
+
+
+def compat_residuals(f: GradedMap, source: SuperBracket,
+                     target: SuperBracket, keys):
+    """(I, f[e_I] - [f e_i1, ..., f e_in]) for each index tuple I of keys:
+    how far f is from carrying the source bracket to the target one.  f's
+    columns are read once per call."""
+    cols = f.columns()
+    for key in keys:
+        lhs = f.apply(source.value(*key))
+        rhs = target.eval_vectors(*(cols[i] for i in key))
+        yield key, tuple(a - b for a, b in zip(lhs, rhs))
 
 
 def wedge_expand(vectors, space: GradedSpace, sb: SkewBasis) -> dict:

@@ -1,17 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything runs on fractions.Fraction: no floats, no tolerances, no
-normalization surprises.  Two immutable matrix types share one surface
-(rows, cols, entries, apply, mul, is_zero, select, transpose): Matrix
-holds dense row-major tuples, for structure maps and other small
-matrices; SparseMatrix holds only the nonzero (column, value) pairs of
-each row, for the coboundary matrices, which are almost all zeros.
+normalization surprises.  One immutable matrix type, Matrix, holds only
+the nonzero (column, value) pairs of each row, for the twists and
+representation matrices and for the coboundaries, which are almost all
+zeros; row(i) and col(j) read dense tuples.
 
 All elimination runs through rref, a sparse pivot-table Gauss-Jordan that
-never visits a zero entry; rank, kernel, image, solve, invert and
-Subspace read its result.  Subspaces are stored as reduced row echelon
-bases with zero rows dropped, so structural equality is canonical
-equality.
+never visits a zero entry and returns its pivot rows in the same storage;
+rank, kernel, image, solve, invert and Subspace read those rows.
+Subspaces are stored as reduced row echelon bases with zero rows
+dropped, so structural equality is canonical equality.
 """
 
 from dataclasses import dataclass
@@ -69,141 +68,91 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
 
 
-def integer_terms(vectors):
+def integer_terms(rows):
     """(D, terms): D the least positive integer with D * x integral for
-    every entry x of every vector, and per vector the (index, D * x) pairs
-    of its nonzero entries, as Python ints."""
-    vectors = list(vectors)
+    every value x, and per row the (index, D * x) pairs of its nonzero
+    values, as Python ints.  A row is any iterable of (index, value)
+    pairs: a Matrix row, or enumerate of a dense vector."""
+    rows = [[(m, x) for m, x in r if x] for r in rows]
     d = 1
-    for v in vectors:
-        for x in v:
+    for r in rows:
+        for _, x in r:
             q = x.denominator
             if d % q:
                 d *= Fraction(d, q).denominator
-    return d, [tuple((m, x.numerator * (d // x.denominator))
-                     for m, x in enumerate(v) if x) for v in vectors]
+    return d, [tuple((m, x.numerator * (d // x.denominator)) for m, x in r)
+               for r in rows]
+
+
+def _nonzero(v: Vec) -> tuple:
+    """The (index, value) pairs of the nonzero entries of a dense vector."""
+    return tuple((j, x) for j, x in enumerate(v) if x)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
-
-    @staticmethod
-    def build(rows_iterable) -> "Matrix":
-        rows = tuple(vec(r) for r in rows_iterable)
-        if not rows:
-            return Matrix(0, 0, ())
-        ncols = len(rows[0])
-        for r in rows:
-            if len(r) != ncols:
-                raise InputError("ragged matrix rows")
-        return Matrix(len(rows), ncols, rows)
-
-    @staticmethod
-    def zero(r: int, c: int) -> "Matrix":
-        return Matrix(r, c, tuple(zero_vec(c) for _ in range(r)))
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(unit_vec(n, i) for i in range(n)))
-
-    @staticmethod
-    def from_columns(cols, nrows: int) -> "Matrix":
-        cols = [vec(c) for c in cols]
-        return Matrix.build([[c[i] for c in cols] for i in range(nrows)])
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise InputError("matrix shape mismatch in product")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                orow = other.entries[k]
-                for j, b in enumerate(orow):
-                    if b != 0:
-                        acc[j] += a * b
-        return Matrix(self.rows, other.cols, tuple(tuple(r) for r in out))
-
-    def apply(self, v: Vec) -> Vec:
-        if len(v) != self.cols:
-            raise InputError("vector length mismatch in apply")
-        out = [ZERO] * self.rows
-        for j, x in enumerate(v):
-            if x == 0:
-                continue
-            for i in range(self.rows):
-                e = self.entries[i][j]
-                if e != 0:
-                    out[i] += e * x
-        return tuple(out)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("matrix shape mismatch in sum")
-        return Matrix(self.rows, self.cols,
-                      tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(-1))
-
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix(self.rows, self.cols,
-                      tuple(vec_scale(c, r) for r in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.entries)
-
-    def select(self, row_idx, col_idx) -> "Matrix":
-        rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
-        return Matrix(len(row_idx), len(col_idx), rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
     """Exact matrix held as rows of (column, value) pairs, columns
-    increasing and values nonzero, so equal matrices compare equal."""
+    increasing and values nonzero, so equal matrices compare equal.
+
+    Values are Fractions: build and from_columns convert exact input, and
+    from_rows and the raw constructor keep what they are given.  rref
+    also takes rows of ints and returns Fractions.  row(i) and col(j)
+    read dense tuples.
+    """
 
     rows: int
     cols: int
     entries: tuple  # tuple of row tuples of (column, value) pairs
 
     @staticmethod
-    def build(row_dicts, ncols: int) -> "SparseMatrix":
+    def build(dense_rows) -> "Matrix":
+        """From dense rows of exact rationals, all of one length."""
+        rows = [vec(r) for r in dense_rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise InputError("ragged matrix rows")
+        return Matrix(len(rows), ncols, tuple(map(_nonzero, rows)))
+
+    @staticmethod
+    def from_rows(row_dicts, ncols: int) -> "Matrix":
         """From one dict of column -> value per row; zero values drop out."""
         entries = tuple(tuple(sorted((c, x) for c, x in r.items() if x))
                         for r in row_dicts)
-        return SparseMatrix(len(entries), ncols, entries)
+        return Matrix(len(entries), ncols, entries)
 
     @staticmethod
-    def from_dense(m: Matrix) -> "SparseMatrix":
-        return SparseMatrix(m.rows, m.cols,
-                            tuple(tuple((j, x) for j, x in enumerate(r) if x)
-                                  for r in m.entries))
+    def from_columns(cols, nrows: int) -> "Matrix":
+        """From dense columns of exact rationals, each of length nrows."""
+        cols = [vec(c) for c in cols]
+        if any(len(c) != nrows for c in cols):
+            raise InputError("matrix column length mismatch")
+        return Matrix(len(cols), nrows, tuple(map(_nonzero, cols))).transpose()
+
+    @staticmethod
+    def zero(r: int, c: int) -> "Matrix":
+        return Matrix(r, c, ((),) * r)
+
+    @staticmethod
+    def identity(n: int) -> "Matrix":
+        return Matrix(n, n, tuple(((i, ONE),) for i in range(n)))
+
+    def row(self, i: int) -> Vec:
+        out = [ZERO] * self.cols
+        for c, x in self.entries[i]:
+            out[c] = x
+        return tuple(out)
+
+    def col(self, j: int) -> Vec:
+        return tuple(dict(row).get(j, ZERO) for row in self.entries)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise InputError("vector length mismatch in apply")
-        return tuple(sum((x * v[c] for c, x in row), ZERO)
+        nz = dict(_nonzero(v))
+        return tuple(sum((x * nz[c] for c, x in row if c in nz), ZERO)
                      for row in self.entries)
 
-    def mul(self, other: "SparseMatrix") -> "SparseMatrix":
+    def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
         out = []
@@ -213,31 +162,43 @@ class SparseMatrix:
                 for j, b in other.entries[k]:
                     acc[j] = acc.get(j, ZERO) + a * b
             out.append(acc)
-        return SparseMatrix.build(out, other.cols)
+        return Matrix.from_rows(out, other.cols)
+
+    def add(self, other: "Matrix") -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise InputError("matrix shape mismatch in sum")
+        out = []
+        for a, b in zip(self.entries, other.entries):
+            acc = dict(a)
+            for j, x in b:
+                acc[j] = acc.get(j, ZERO) + x
+            out.append(acc)
+        return Matrix.from_rows(out, self.cols)
+
+    def scale(self, c) -> "Matrix":
+        c = frac(c)
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix(self.rows, self.cols, tuple(
+            tuple((j, c * x) for j, x in row) for row in self.entries))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def select(self, row_idx, col_idx) -> "SparseMatrix":
+    def select(self, row_idx, col_idx) -> "Matrix":
         """Rows row_idx and distinct columns col_idx, in the given orders,
         by renumbering the stored columns; no zero is materialised."""
         pos = {j: n for n, j in enumerate(col_idx)}
         rows = tuple(tuple(sorted((pos[c], x) for c, x in self.entries[i]
                                   if c in pos)) for i in row_idx)
-        return SparseMatrix(len(row_idx), len(col_idx), rows)
+        return Matrix(len(row_idx), len(col_idx), rows)
 
-    def transpose(self) -> "SparseMatrix":
+    def transpose(self) -> "Matrix":
         cols = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.entries):
             for c, x in row:
                 cols[c].append((i, x))
-        return SparseMatrix(self.cols, self.rows, tuple(map(tuple, cols)))
-
-
-def _pairs(m) -> tuple:
-    """m's rows as (column, value) pairs with the zeros left out."""
-    return m.entries if isinstance(m, SparseMatrix) else \
-        SparseMatrix.from_dense(m).entries
+        return Matrix(self.cols, self.rows, tuple(map(tuple, cols)))
 
 
 def _add_multiple(row: dict, f, other: dict) -> None:
@@ -254,20 +215,20 @@ def _add_multiple(row: dict, f, other: dict) -> None:
                 del row[c]
 
 
-def rref(m) -> Matrix:
-    """Reduced row echelon form of a dense or sparse m, as a dense Matrix of
-    m's shape: unique, zero rows pushed to the bottom.
+def rref(m: Matrix) -> Matrix:
+    """Reduced row echelon form of m, in m's shape: unique, its pivot rows
+    at the top and its zero rows, empty, at the bottom.
 
-    The one elimination routine.  Pivot rows are dicts of column ->
-    Fraction, keyed by their lead column.  Each row of m is reduced by the
-    pivot rows so far; a nonzero remainder is scaled to lead 1 at its first
-    column and subtracted from every earlier pivot row that has an entry
-    there.  So every pivot row starts at its own column and vanishes on
-    every other pivot column, which makes the table the RREF whatever the
-    row order, and no zero entry is ever visited.
+    The one elimination routine.  Pivot rows are dicts of column -> value,
+    keyed by their lead column.  Each row of m is reduced by the pivot
+    rows so far; a nonzero remainder is scaled by the Fraction inverse of
+    its first value to lead 1 and subtracted from every earlier pivot row
+    that has an entry there.  So every pivot row starts at its own column
+    and vanishes on every other pivot column, which makes the table the
+    RREF whatever the row order, and no zero entry is ever visited.
     """
     table = {}
-    for pairs in _pairs(m):
+    for pairs in m.entries:
         if len(table) == m.cols:
             break  # full column rank: every further row reduces to zero
         row = dict(pairs)
@@ -280,33 +241,25 @@ def rref(m) -> Matrix:
         lead = min(row)
         inv = row[lead]
         if inv != 1:
-            row = {c: x / inv for c, x in row.items()}
+            inv = ONE / inv
+            row = {c: x * inv for c, x in row.items()}
+        elif not all(type(x) is Fraction for x in row.values()):
+            row = {c: Fraction(x) for c, x in row.items()}
         for prow in table.values():
             f = prow.get(lead)
             if f is not None:
                 _add_multiple(prow, -f, row)
         table[lead] = row
-    nc = m.cols
-    dense = [tuple(table[p].get(j, ZERO) for j in range(nc))
-             for p in sorted(table)]
-    dense += [zero_vec(nc)] * (m.rows - len(table))
-    return Matrix(m.rows, nc, tuple(dense))
+    pivots = tuple(tuple(sorted(table[p].items())) for p in sorted(table))
+    return Matrix(m.rows, m.cols, pivots + ((),) * (m.rows - len(pivots)))
 
 
 def _pivots(r: Matrix) -> list:
-    """(lead column, row) of every nonzero row of the dense RREF r."""
-    out, lead = [], 0
-    for row in r.entries:
-        while lead < r.cols and row[lead] == 0:
-            lead += 1
-        if lead == r.cols:
-            break  # the zero rows
-        out.append((lead, row))
-        lead += 1
-    return out
+    """(lead column, row) of every nonempty row of the RREF r."""
+    return [(row[0][0], row) for row in r.entries if row]
 
 
-def rank(m) -> int:
+def rank(m: Matrix) -> int:
     return len(_pivots(rref(m)))
 
 
@@ -323,11 +276,12 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise InputError("vector length does not match ambient dimension")
-        return Subspace.spanned_by_rows(Matrix(len(vectors), ambient_dim, vectors))
+        return Subspace.spanned_by_rows(
+            Matrix(len(vectors), ambient_dim, tuple(map(_nonzero, vectors))))
 
     @staticmethod
-    def spanned_by_rows(m) -> "Subspace":
-        """The row space of a dense or sparse m."""
+    def spanned_by_rows(m: Matrix) -> "Subspace":
+        """The row space of m."""
         keep = tuple(row for _, row in _pivots(rref(m)))
         return Subspace(m.cols, Matrix(len(keep), m.cols, keep))
 
@@ -347,7 +301,8 @@ class Subspace:
         return self.dim == 0
 
     def vectors(self):
-        return list(self.basis.entries)
+        """The basis as dense tuples."""
+        return [self.basis.row(i) for i in range(self.dim)]
 
     def contains(self, v: Vec) -> bool:
         """In an RREF basis the only candidate combination for v takes
@@ -359,37 +314,33 @@ class Subspace:
         for lead, row in _pivots(self.basis):
             c = v[lead]
             if c:
-                for j, x in enumerate(row):
-                    if x:
-                        w[j] += c * x
+                for j, x in row:
+                    w[j] += c * x
         return tuple(w) == v
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        return all(self.contains(r) for r in other.vectors())
 
 
-def image(m) -> Subspace:
+def image(m: Matrix) -> Subspace:
     """Column space of m, presented as vectors in K^rows."""
     return Subspace.spanned_by_rows(m.transpose())
 
 
-def kernel(m) -> Subspace:
-    """Right null space of m."""
+def kernel(m: Matrix) -> Subspace:
+    """Right null space of m: per free column f, the vector with 1 at f and
+    minus each pivot row's entry at f at that row's lead."""
     pivots = _pivots(rref(m))
-    leads = {p for p, _ in pivots}
-    basis = []
-    for f in range(m.cols):
-        if f in leads:
-            continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for p, row in pivots:
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return Subspace.from_vectors(m.cols, basis)
+    free = {f: {f: ONE} for f in range(m.cols)}
+    for lead, _ in pivots:
+        del free[lead]
+    for lead, row in pivots:
+        for f, x in row[1:]:
+            free[f][lead] = -x
+    return Subspace.spanned_by_rows(Matrix.from_rows(free.values(), m.cols))
 
 
-def solve(m, b: Vec):
+def solve(m: Matrix, b: Vec):
     """One exact solution of m x = b, or None.
 
     Free coordinates are pinned to zero, which makes the answer deterministic.
@@ -398,28 +349,31 @@ def solve(m, b: Vec):
     if len(b) != m.rows:
         raise InputError("right-hand side length mismatch")
     n = m.cols
-    aug = SparseMatrix(m.rows, n + 1, tuple(
-        row + ((n, bi),) if bi else row for row, bi in zip(_pairs(m), b)))
+    aug = Matrix(m.rows, n + 1, tuple(
+        row + ((n, bi),) if bi else row for row, bi in zip(m.entries, b)))
     x = [ZERO] * n
     for lead, row in _pivots(rref(aug)):
         if lead == n:
             return None  # inconsistent: pivot in the augmented column
-        x[lead] = row[n]
+        c, y = row[-1]
+        if c == n:
+            x[lead] = y
     return tuple(x)
 
 
-def invert(m):
+def invert(m: Matrix):
     """Exact inverse, or None when m is singular."""
     if m.rows != m.cols:
         return None
     n = m.rows
-    aug = SparseMatrix(n, 2 * n, tuple(
-        row + ((n + i, ONE),) for i, row in enumerate(_pairs(m))))
-    r = rref(aug)
-    for i in range(n):
-        if r.entries[i][i] != 1:
-            return None
-    return Matrix(n, n, tuple(r.entries[i][n:] for i in range(n)))
+    aug = Matrix(n, 2 * n, tuple(
+        row + ((n + i, ONE),) for i, row in enumerate(m.entries)))
+    r = rref(aug).entries
+    if any(not row or row[0][0] != i for i, row in enumerate(r)):
+        return None
+    # row i leads at column i, and every other pivot column is left of n
+    return Matrix(n, n, tuple(tuple((c - n, x) for c, x in row[1:])
+                              for row in r))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -429,17 +383,14 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
-    rows = []
-    for i in range(n):
-        rows.append([a.basis.entries[r][i] for r in range(a.dim)]
-                    + [-b.basis.entries[r][i] for r in range(b.dim)])
-    ker = kernel(Matrix.build(rows))
+    stacked = Matrix(a.dim + b.dim, n,
+                     a.basis.entries + b.basis.scale(-1).entries)
     vecs = []
-    for w in ker.basis.entries:
-        x = [ZERO] * n
-        for r in range(a.dim):
-            if w[r] != 0:
-                x = [xi + w[r] * ai for xi, ai in zip(x, a.basis.entries[r])]
-        vecs.append(tuple(x))
-    return Subspace.from_vectors(n, vecs)
-
+    for w in kernel(stacked.transpose()).basis.entries:
+        x = {}
+        for r, c in w:
+            if r < a.dim:
+                for j, y in a.basis.entries[r]:
+                    x[j] = x.get(j, ZERO) + c * y
+        vecs.append(x)
+    return Subspace.spanned_by_rows(Matrix.from_rows(vecs, n))

@@ -72,28 +72,33 @@ def verify_representation(r: Representation) -> Report:
     rep = Report("verify_representation")
     g = r.algebra
     beta = r.beta.matrix
+    # rho(alpha e_i), built once per i
+    ra = [r.rho_of_vector(c) for c in g.alpha.columns()]
     # axiom 1: rho(alpha x) o beta = beta o rho(x)
     for i in range(g.dim):
-        lhs = r.rho_of_vector(g.alpha.column(i)).mul(beta)
-        rhs = beta.mul(r.rho_matrix(i))
-        diff = lhs.sub(rhs)
+        diff = ra[i].mul(beta).add(beta.mul(r.rho_matrix(i)).scale(-1))
         if not diff.is_zero():
             rep.fail("axiom-1", witness=(g.space.names[i],),
-                     residual=tuple(fmt_scalar(x) for row in diff.entries for x in row))
+                     residual=_cells(diff))
     # axiom 2: rho([x,y]) o beta = rho(alpha x) rho(y) - (-1)^{|x||y|} rho(alpha y) rho(x)
     p = g.space.parities
     for i in range(g.dim):
         for j in range(g.dim):
             lhs = r.rho_of_vector(g.bracket.value(i, j)).mul(beta)
             sign = -1 if (p[i] and p[j]) else 1
-            rhs = r.rho_of_vector(g.alpha.column(i)).mul(r.rho_matrix(j)).sub(
-                r.rho_of_vector(g.alpha.column(j)).mul(r.rho_matrix(i)).scale(sign))
-            diff = lhs.sub(rhs)
+            rhs = ra[i].mul(r.rho_matrix(j)).add(
+                ra[j].mul(r.rho_matrix(i)).scale(-sign))
+            diff = lhs.add(rhs.scale(-1))
             if not diff.is_zero():
                 rep.fail("axiom-2", witness=(g.space.names[i], g.space.names[j]),
-                         residual=tuple(fmt_scalar(x) for row in diff.entries for x in row))
+                         residual=_cells(diff))
     rep.metrics["module_dim"] = r.module_space.dim
     return rep
+
+
+def _cells(m: Matrix) -> tuple:
+    """Every entry of m, zeros included, row by row, formatted."""
+    return tuple(fmt_scalar(x) for i in range(m.rows) for x in m.row(i))
 
 
 def trace_functional(r: Representation) -> TraceFunctional:
@@ -126,12 +131,13 @@ def check_induction_compatibility(t: TraceFunctional, alpha: GradedMap,
     rep.note("condition-1", detail="textually tautological, skipped")
     rep.note("condition-2", detail="textually tautological, skipped")
     g = t.algebra
+    acols, bcols = alpha.columns(), beta_on_g.columns()
     for i in range(g.dim):
-        ci = t.apply(alpha.column(i))
-        di = t.apply(beta_on_g.column(i))
+        ci = t.apply(acols[i])
+        di = t.apply(bcols[i])
         for j in range(g.dim):
-            lhs = tuple(ci * x for x in beta_on_g.column(j))
-            rhs = tuple(di * x for x in alpha.column(j))
+            lhs = tuple(ci * x for x in bcols[j])
+            rhs = tuple(di * x for x in acols[j])
             resid = tuple(a - b for a, b in zip(lhs, rhs))
             if not is_zero_vec(resid):
                 rep.fail("condition-3",

@@ -118,8 +118,7 @@ def find_unit(g: HomLieSuper, t: TernaryHomLieSuper) -> tuple | None:
                 rows.append(tuple(t.bracket.value(k, i, j)[comp]
                                   for k in range(dim)))
                 rhs_col.append(b[comp])
-    m = Matrix(len(rows), dim, tuple(tuple(r) for r in rows))
-    sol = solve(m, tuple(rhs_col))
+    sol = solve(Matrix.build(rows), tuple(rhs_col))
     if sol is None:
         return None
     for k, c in enumerate(sol):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .binary import HomLieSuper, verify_morphism
-from .graded import (GradedMap, GradedSpace, SuperBracket,
+from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
                      parity_law_violations, skew_basis)
 from .linalg import (InputError, PreconditionError, Subspace, Vec,
                      integer_terms, is_zero_vec, vec_add, vec_scale, zero_vec)
@@ -228,7 +228,7 @@ def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
     everything integer, and every term has degree 2 in the bracket and 1
     in each twist, so scale = D_W^2 D1 D2.
     """
-    dw, terms = integer_terms(t.bracket.entries.values())
+    dw, terms = integer_terms(map(enumerate, t.bracket.entries.values()))
     W = dict(zip(t.bracket.entries, terms))
     d1, rows1 = integer_terms(a1.matrix.entries)
     d2, rows2 = integer_terms(a2.matrix.entries)
@@ -305,15 +305,11 @@ def verify_ternary_multiplicative(t: TernaryHomLieSuper) -> Report:
         rep.applicable = False
         rep.note("twists-differ", detail="multiplicativity needs alpha1 = alpha2")
         return rep
-    a = t.alpha1
-    for key in skew_basis(3, t.space).tuples:
-        i, j, k = key
-        lhs = a.apply(t.bracket.value(i, j, k))
-        rhs = t.bracket.eval_vectors(a.column(i), a.column(j), a.column(k))
-        resid = vec_add(lhs, vec_scale(-1, rhs))
+    for key, resid in compat_residuals(t.alpha1, t.bracket, t.bracket,
+                                       skew_basis(3, t.space).tuples):
         if not is_zero_vec(resid):
             rep.fail("ternary-multiplicative",
-                     witness=(t.space.names[i], t.space.names[j], t.space.names[k]),
+                     witness=tuple(t.space.names[i] for i in key),
                      residual=tuple(fmt_vec(resid)))
     return rep
 
@@ -380,14 +376,11 @@ def verify_induced_homomorphism(f: GradedMap,
             rep.fail(label)
     if not rep.ok:
         return rep
-    for key in skew_basis(3, g1.space).tuples:
-        i, j, k = key
-        lhs = f.apply(t1.bracket.value(i, j, k))
-        rhs = t2.bracket.eval_vectors(f.column(i), f.column(j), f.column(k))
-        resid = vec_add(lhs, vec_scale(-1, rhs))
+    for key, resid in compat_residuals(f, t1.bracket, t2.bracket,
+                                       skew_basis(3, g1.space).tuples):
         if not is_zero_vec(resid):
             rep.fail("ternary-bracket-compat",
-                     witness=(g1.space.names[i], g1.space.names[j], g1.space.names[k]),
+                     witness=tuple(g1.space.names[i] for i in key),
                      residual=tuple(fmt_vec(resid)))
     return rep
 

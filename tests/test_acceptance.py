@@ -140,7 +140,7 @@ def test_criterion_2_supertrace_identity(capsys):
             (fm, pf), (gm, pg) = (rand_homog(rng.randint(0, 1)),
                                   rand_homog(rng.randint(0, 1)))
             sgn = -1 if pf and pg else 1
-            comm = fm.mul(gm).sub(gm.mul(fm).scale(sgn))
+            comm = fm.mul(gm).add(gm.mul(fm).scale(-sgn))
             assert supertrace(GradedMap(sp, sp, comm, (pf + pg) % 2)) == 0
 
 

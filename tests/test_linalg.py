@@ -9,7 +9,7 @@ from homnambu.cohomology import (binary_adjoint_cocycle_matrix,
                                  binary_adjoint_d1_matrix, delta1_matrix,
                                  delta2_matrix, ds_matrix)
 from homnambu.fixtures import conjugate_gl11, gl11, gl11t
-from homnambu.linalg import (InputError, Matrix, SparseMatrix, Subspace, frac,
+from homnambu.linalg import (InputError, Matrix, Subspace, frac,
                              image, invert, is_zero_vec, kernel, rank, rref,
                              solve, subspace_intersection,
                              unit_vec, vec, zero_vec)
@@ -123,7 +123,7 @@ def test_subspace_sum_and_intersection_dimension_formula():
 def test_submatrix_picks_entries():
     m = Matrix.build([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     s = m.select((0, 2), (1,))
-    assert s.entries == ((Fraction(2),), (Fraction(8),))
+    assert s == Matrix.build([[2], [8]])
 
 
 def test_unit_and_zero_vec():
@@ -132,20 +132,30 @@ def test_unit_and_zero_vec():
 
 
 def test_sparse_submatrix_renumbers_columns():
-    m = SparseMatrix.from_dense(Matrix.build([[1, 0, 3], [0, 5, 6], [7, 8, 0]]))
+    m = Matrix.build([[1, 0, 3], [0, 5, 6], [7, 8, 0]])
     s = m.select((2, 0), (2, 0))
-    assert s == SparseMatrix(2, 2, (((1, Fraction(7)),),
-                                    ((0, Fraction(3)), (1, Fraction(1)))))
+    assert s == Matrix(2, 2, (((1, Fraction(7)),),
+                              ((0, Fraction(3)), (1, Fraction(1)))))
 
 
 # --- dense Gauss-Jordan, the oracle of the sparse eliminator -----------------
 # These are the package's former dense routines: every elimination step scans
 # every row and column.  The package's own routines must agree with them
-# exactly, on dense and on sparse input.
+# exactly.  They read a Matrix through row(i) and write one through
+# dense_matrix.
+
+
+def dense_matrix(nc, rows):
+    """The Matrix with these dense rows, each of length nc."""
+    return Matrix.from_rows([dict(enumerate(r)) for r in rows], nc)
+
+
+def dense_rows(m):
+    return [m.row(i) for i in range(m.rows)]
 
 
 def dense_rref(m):
-    rows = [list(r) for r in m.entries]
+    rows = [list(r) for r in dense_rows(m)]
     nr, nc = m.rows, m.cols
     piv = 0
     for col in range(nc):
@@ -164,7 +174,7 @@ def dense_rref(m):
                 rows[r] = [a - f * b if b else a
                            for a, b in zip(rows[r], rows[piv])]
         piv += 1
-    return Matrix(nr, nc, tuple(tuple(r) for r in rows))
+    return dense_matrix(nc, rows)
 
 
 def lead(row):
@@ -173,18 +183,18 @@ def lead(row):
 
 def oracle_span(n, vectors):
     vectors = tuple(vectors)
-    keep = tuple(r for r in dense_rref(Matrix(len(vectors), n, vectors)).entries
+    keep = tuple(r for r in dense_rows(dense_rref(dense_matrix(n, vectors)))
                  if lead(r) is not None)
-    return Subspace(n, Matrix(len(keep), n, keep))
+    return Subspace(n, dense_matrix(n, keep))
 
 
 def oracle_rank(m):
-    return sum(1 for r in dense_rref(m).entries if lead(r) is not None)
+    return sum(1 for r in dense_rows(dense_rref(m)) if lead(r) is not None)
 
 
 def oracle_kernel(m, r=None):
     r = dense_rref(m) if r is None else r
-    pivots = {lead(row): row for row in r.entries if lead(row) is not None}
+    pivots = {lead(row): row for row in dense_rows(r) if lead(row) is not None}
     basis = []
     for f in range(m.cols):
         if f not in pivots:
@@ -202,10 +212,10 @@ def oracle_image(m):
 
 def oracle_solve(m, b):
     n = m.cols
-    r = dense_rref(Matrix(m.rows, n + 1, tuple(
-        tuple(row) + (bi,) for row, bi in zip(m.entries, b))))
+    r = dense_rref(dense_matrix(n + 1, [
+        tuple(row) + (bi,) for row, bi in zip(dense_rows(m), b)]))
     x = [Fraction(0)] * n
-    for row in r.entries:
+    for row in dense_rows(r):
         j = lead(row)
         if j == n:
             return None
@@ -216,22 +226,11 @@ def oracle_solve(m, b):
 
 def oracle_invert(m):
     n = m.rows
-    r = dense_rref(Matrix(n, 2 * n, tuple(
-        tuple(m.entries[i]) + unit_vec(n, i) for i in range(n))))
-    if any(r.entries[i][i] != 1 for i in range(n)):
+    r = dense_rows(dense_rref(dense_matrix(2 * n, [
+        m.row(i) + unit_vec(n, i) for i in range(n)])))
+    if any(r[i][i] != 1 for i in range(n)):
         return None
-    return Matrix(n, n, tuple(r.entries[i][n:] for i in range(n)))
-
-
-def as_dense(m):
-    """The dense form of a sparse matrix."""
-    rows = []
-    for row in m.entries:
-        full = [Fraction(0)] * m.cols
-        for c, x in row:
-            full[c] = x
-        rows.append(tuple(full))
-    return Matrix(m.rows, m.cols, tuple(rows))
+    return dense_matrix(n, [r[i][n:] for i in range(n)])
 
 
 def rand_entry(rng, density):
@@ -243,7 +242,7 @@ def rand_entry(rng, density):
 def rand_case(rng, r, c, density=0.3, rank_at_most=None):
     if rank_at_most is None:
         rows = [[rand_entry(rng, density) for _ in range(c)] for _ in range(r)]
-        return Matrix(r, c, tuple(tuple(x) for x in rows))
+        return dense_matrix(c, rows)
     a = rand_case(rng, r, rank_at_most, 0.6)
     b = rand_case(rng, rank_at_most, c, 0.6)
     return a.mul(b)
@@ -269,28 +268,26 @@ def test_sparse_eliminator_matches_dense_oracle():
     rng = random.Random(91)
     outcomes = set()
     for name, m in differential_cases():
-        sm = SparseMatrix.from_dense(m)
-        assert as_dense(sm) == m, name
-        want_rref = dense_rref(m)
-        want_kernel = oracle_kernel(m)
-        want_image = oracle_image(m)
-        for arg in (m, sm):
-            assert rref(arg) == want_rref, name
-            assert rank(arg) == oracle_rank(m), name
-            assert kernel(arg) == want_kernel, name
-            assert image(arg) == want_image, name
-        rows = [m.row(i) for i in range(m.rows)]
+        r = rref(m)
+        assert r == dense_rref(m), name
+        # pivot rows first, then the empty rows; no zero is ever stored
+        ranked = oracle_rank(m)
+        assert all(r.entries[:ranked]) and not any(r.entries[ranked:]), name
+        assert all(x for row in r.entries for _, x in row), name
+        assert rank(m) == ranked, name
+        assert kernel(m) == oracle_kernel(m), name
+        assert image(m) == oracle_image(m), name
+        rows = dense_rows(m)
         assert Subspace.from_vectors(m.cols, rows) == oracle_span(m.cols, rows)
         x0 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.cols))
         for b in (m.apply(x0),
                   tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.rows))):
-            for arg in (m, sm):
-                got = solve(arg, b)
-                assert got == oracle_solve(m, b), name
-                outcomes.add(got is None)
+            got = solve(m, b)
+            assert got == oracle_solve(m, b), name
+            outcomes.add(got is None)
         if m.rows == m.cols:
             want = oracle_invert(m)
-            assert invert(m) == invert(sm) == want, name
+            assert invert(m) == want, name
             outcomes.add(("invert", want is None))
     # consistent and inconsistent systems, regular and singular squares
     assert outcomes == {True, False, ("invert", True), ("invert", False)}
@@ -308,7 +305,91 @@ def test_coboundary_rank_and_kernel_match_dense_oracle():
             mats.append(delta1_matrix(t, cx))
             mats += [delta2_matrix(t, cx, parity) for parity in (0, 1)]
         for m in mats:
-            dense = as_dense(m)
-            r = dense_rref(dense)
-            assert rank(m) == sum(1 for row in r.entries if lead(row) is not None)
-            assert kernel(m) == oracle_kernel(dense, r)
+            r = dense_rref(m)
+            assert rank(m) == sum(1 for row in dense_rows(r) if lead(row) is not None)
+            assert kernel(m) == oracle_kernel(m, r)
+
+
+def test_matrix_matches_dense_list_arithmetic():
+    """Every read and operation of the one matrix type against plain lists,
+    on the shapes of the eliminator's differential cases."""
+    rng = random.Random(92)
+    zero = Fraction(0)
+    cases = list(differential_cases())
+    for name, m in cases:
+        rows = [[zero] * m.cols for _ in range(m.rows)]
+        for i, row in enumerate(m.entries):
+            for c, x in row:
+                rows[i][c] = x
+        cols = [[rows[i][j] for i in range(m.rows)] for j in range(m.cols)]
+        assert [list(m.row(i)) for i in range(m.rows)] == rows, name
+        assert [list(m.col(j)) for j in range(m.cols)] == cols, name
+        # explicit zeros drop out: build and from_columns equal from_rows
+        # of the nonzeros, so == is matrix equality
+        nonzeros = [{c: x for c, x in enumerate(r) if x} for r in rows]
+        assert Matrix.from_rows(nonzeros, m.cols) == m, name
+        if m.rows:
+            assert Matrix.build(rows) == m, name
+        assert Matrix.from_columns(cols, m.rows) == m, name
+        assert m.transpose() == Matrix.from_columns(rows, m.cols), name
+        assert m.is_zero() == all(x == 0 for r in rows for x in r), name
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.cols)]
+        assert list(m.apply(tuple(v))) == [
+            sum((a * b for a, b in zip(r, v)), zero) for r in rows], name
+        for c in (0, -1, Fraction(2, 3)):
+            assert m.scale(c) == Matrix.from_rows(
+                [dict(enumerate(c * x for x in r)) for r in rows], m.cols), name
+        _, other = cases[rng.randrange(len(cases))]
+        if (other.rows, other.cols) == (m.rows, m.cols):
+            o = [other.row(i) for i in range(other.rows)]
+            assert m.add(other) == Matrix.from_rows(
+                [dict(enumerate(a + b for a, b in zip(r, s)))
+                 for r, s in zip(rows, o)], m.cols), name
+        assert m.add(m.scale(-1)).is_zero(), name
+        right = rand_case(rng, m.cols, rng.randint(0, 4), density=0.5)
+        rr = [right.row(i) for i in range(right.rows)]
+        assert m.mul(right) == Matrix.from_rows(
+            [dict(enumerate(sum((r[k] * rr[k][j] for k in range(m.cols)), zero)
+                            for j in range(right.cols))) for r in rows],
+            right.cols), name
+        ri = [i for i in range(m.rows) if rng.random() < 0.6]
+        ci = rng.sample(range(m.cols), rng.randint(0, m.cols))
+        assert m.select(ri, ci) == Matrix.from_rows(
+            [dict(enumerate(rows[i][j] for j in ci)) for i in ri], len(ci)), name
+    for shape in ((2, 3), (3, 2), (0, 0)):
+        a, b = Matrix.zero(*shape), Matrix.zero(*shape[::-1])
+        with pytest.raises(InputError):
+            a.mul(Matrix.zero(shape[1] + 1, 2))
+        if shape != (0, 0):
+            with pytest.raises(InputError):
+                a.add(b)
+    with pytest.raises(InputError):
+        Matrix.from_columns([[1, 2], [3]], 2)
+    assert Matrix.identity(3) == Matrix.build([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_integer_rows_reduce_to_fractions():
+    """A raw Matrix of ints reduces exactly as its Fraction copy, and every
+    value rref, kernel and solve return is a Fraction: the lead is inverted
+    as a Fraction, never divided as an int."""
+    rng = random.Random(93)
+    cases = [Matrix(1, 2, (((0, 2), (1, 1)),)),
+             Matrix(2, 3, (((0, 2), (1, 1)), ((0, 2), (1, 2), (2, 5)))),
+             Matrix(2, 2, (((0, 1), (1, 3)), ((1, 4),)))]
+    for _ in range(30):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append(Matrix(r, c, tuple(
+            tuple((j, x) for j in range(c) if (x := rng.randint(-3, 3)))
+            for _ in range(r))))
+    for m in cases:
+        fm = Matrix(m.rows, m.cols, tuple(tuple((j, Fraction(x)) for j, x in row)
+                                          for row in m.entries))
+        b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.rows))
+        got = (rref(m), kernel(m).basis, solve(m, b), solve(m, m.apply((1,) * m.cols)))
+        assert got == (rref(fm), kernel(fm).basis, solve(fm, b),
+                       solve(fm, fm.apply((1,) * m.cols)))
+        values = [x for mat in got[:2] for row in mat.entries for _, x in row]
+        values += [x for sol in got[2:] if sol is not None for x in sol]
+        assert all(type(x) is Fraction for x in values)
+    assert rref(cases[0]) == Matrix.build([[1, Fraction(1, 2)]])
+    assert kernel(cases[0]) == Subspace.from_vectors(2, [(Fraction(-1, 2), 1)])

@@ -64,7 +64,7 @@ def test_supertrace_kills_supercommutators():
         fg = f.matrix.mul(g.matrix)
         gf = g.matrix.mul(f.matrix)
         sgn = -1 if pf and pg else 1
-        comm = fg.sub(gf.scale(sgn))
+        comm = fg.add(gf.scale(-sgn))
         assert supertrace(GradedMap(sp, sp, comm, (pf + pg) % 2)) == 0
 
 
