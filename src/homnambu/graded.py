@@ -14,11 +14,24 @@ SuperBracket holds the structure constants of a super-skew bracket of any
 arity: only the nonzero structure vectors, keyed by ordered index tuples.
 Its eval_vectors and wedge_expand, which writes v_1 ^ ... ^ v_r on a
 canonical tuple basis, share one multilinear expansion, _expand_terms.
-It also spans and annihilates, for any arity: span(S1, ..., Sn) is the
-subspace spanned by [S1, ..., Sn], and annihilator() the z with
-[e_i1, ..., z] = 0.  Both clear denominators once and work on the sparse
-integer structure vectors; the series, centers and ideal checks are
-calls of these two.
+
+SuperBracket.integer is the bracket's one integer view, (D, {key: sparse
+integer vector}), D the least common denominator, built once per frozen
+bracket and shared by every ordering of one value.  Every identity
+checker reads it, and only the residuals a report prints are divided
+back into Fractions:
+
+* span(S1, ..., Sn), the subspace spanned by [S1, ..., Sn], and
+  annihilator(), the z with [e_i1, ..., z] = 0, for any arity; the
+  series, centers and ideal checks are calls of these two;
+* mirror_residual and parity_misses, one integer comparison of a stored
+  vector with its mirror (equal or negated) and the parity law read from
+  its support: the binary and ternary skew checks;
+* compat_residuals, f[e_I] = [f e_i1, ..., f e_in], whose left side is at
+  scale D_f D_s and right side at D_f^n D_t: the multiplicativity,
+  morphism and induced-homomorphism checks;
+* the Hom-Jacobi table of binary (scale D_alpha D_W^2) and the Hom-Nambu
+  join of ternary (D_W^2 D_1 D_2).
 """
 
 from dataclasses import dataclass
@@ -206,15 +219,20 @@ def parity_law_violations(space: GradedSpace, v: Vec, want_parity: int) -> list:
             if c != 0 and space.parities[k] != want_parity]
 
 
-def _expand_terms(vectors) -> list:
-    """(index tuple, coefficient) of every product of nonzero coordinates,
-    one from each vector in turn: the multilinear expansion of the vectors."""
-    first, *rest = vectors
-    terms = [((i,), c) for i, c in enumerate(first) if c != 0]
-    for v in rest:
-        nonzero = [(i, c) for i, c in enumerate(v) if c != 0]
-        terms = [(idx + (i,), a * c) for idx, a in terms for i, c in nonzero]
+def _expand_terms(rows) -> list:
+    """(index tuple, coefficient) of every product of one (index, value)
+    pair from each sparse row in turn: the multilinear expansion of the
+    vectors the rows hold."""
+    first, *rest = rows
+    terms = [((i,), c) for i, c in first]
+    for row in rest:
+        terms = [(idx + (i,), a * c) for idx, a in terms for i, c in row]
     return terms
+
+
+def _sparse(vectors) -> list:
+    """Each dense vector as the (index, value) pairs of its nonzero values."""
+    return [[(i, c) for i, c in enumerate(v) if c != 0] for v in vectors]
 
 
 @dataclass(frozen=True)
@@ -279,7 +297,7 @@ class SuperBracket:
         index tuple up, so the cost follows the arguments, not the table.
         """
         out = [ZERO] * self.space.dim
-        for idx, a in _expand_terms(args):
+        for idx, a in _expand_terms(_sparse(args)):
             cell = self.entries.get(idx)
             if cell is not None:
                 for m, x in enumerate(cell):
@@ -312,14 +330,48 @@ class SuperBracket:
         return {k: self.entries[k] for k in sorted(self.entries)
                 if is_canonical(k, p)}
 
+    @cached_property
+    def integer(self) -> tuple:
+        """(D, {key: ((m, D * x), ...)}): every structure vector cleared of
+        denominators, D the least common one, as the (coordinate, integer)
+        pairs of its nonzero values.  Each distinct value object is
+        converted once, so the orderings from_canonical fills in share one
+        integer tuple per sign.  The view is kept with the frozen bracket;
+        with_entry and with_canonical copies build their own."""
+        distinct = {id(v): v for v in self.entries.values()}
+        d, terms = integer_terms(map(enumerate, distinct.values()))
+        by_id = dict(zip(distinct, terms))
+        return d, {key: by_id[id(v)] for key, v in self.entries.items()}
+
+    def mirror_residual(self, key, mirror, sign):
+        """None when [e_key] = sign [e_mirror], else value(*key) - sign
+        value(*mirror) as Fractions.  The comparison reads the integer
+        view, so only a mismatch costs Fraction arithmetic."""
+        ints = self.integer[1]
+        a = ints.get(key, ())
+        b = ints.get(mirror, ())
+        if a == (b if sign > 0 else tuple((m, -x) for m, x in b)):
+            return None
+        return tuple(x - sign * y
+                     for x, y in zip(self.value(*key), self.value(*mirror)))
+
+    def parity_misses(self, key) -> list:
+        """Names of the basis elements where [e_key] has a component of a
+        parity other than key's: the parity law, read from the support."""
+        p = self.space.parities
+        want = tuple_parity(key, p)
+        return [self.space.names[m] for m, _ in self.integer[1].get(key, ())
+                if p[m] != want]
+
     def span(self, *subspaces) -> Subspace:
         """The span of [S1, ..., Sn] over the vectors of the subspaces Si.
 
-        The structure vectors and each Si's echelon rows are cleared of
-        denominators, which scales no span.  Slots are contracted one at a
-        time, the last first, so the partial table of a row c of Sn serves
-        every (a, b, ...), and a zero partial ends its branch.  The nonzero
-        integer images go to one rref, deduplicated up to sign.
+        The structure vectors (the integer view) and each Si's echelon rows
+        are cleared of denominators, which scales no span.  Slots are
+        contracted one at a time, the last first, so the partial table of a
+        row c of Sn serves every (a, b, ...), and a zero partial ends its
+        branch.  The nonzero integer images go to one rref, deduplicated
+        up to sign.
         """
         dim = self.space.dim
         if (len(subspaces) != self.arity
@@ -351,8 +403,7 @@ class SuperBracket:
                 elif part:
                     yield sorted(part[()])
 
-        images = contract(dict(zip(self.entries, integer_terms(
-            map(enumerate, self.entries.values()))[1])), self.arity - 1)
+        images = contract(self.integer[1], self.arity - 1)
         return Subspace.spanned_by_rows(_distinct_rows(images, dim))
 
     def annihilator(self) -> Subspace:
@@ -360,8 +411,7 @@ class SuperBracket:
         the kernel of one integer row per (i1, ..., i(n-1)) and output
         coordinate, deduplicated up to sign."""
         rows = {}
-        for key, terms in zip(self.entries, integer_terms(
-                map(enumerate, self.entries.values()))[1]):
+        for key, terms in self.integer[1].items():
             for m, x in terms:
                 rows.setdefault((key[:-1], m), []).append((key[-1], x))
         return kernel(_distinct_rows(map(sorted, rows.values()),
@@ -394,21 +444,42 @@ def _distinct_rows(rows, ncols: int) -> Matrix:
 
 def compat_residuals(f: GradedMap, source: SuperBracket,
                      target: SuperBracket, keys):
-    """(I, f[e_I] - [f e_i1, ..., f e_in]) for each index tuple I of keys:
-    how far f is from carrying the source bracket to the target one.  f's
-    columns are read once per call."""
-    cols = f.columns()
+    """(I, f[e_I] - [f e_i1, ..., f e_in]) for each index tuple I of keys
+    where the two sides differ: how far f is from carrying the source
+    bracket to the target one.
+
+    It works on integers.  With F = D_f f and the integer views of both
+    brackets, the left side F W_s(I) is D_f D_s times the true one, and the
+    right side, expanded over F's columns, D_f^n D_t times; the sides are
+    compared cross-multiplied, and only a failing key's residual is
+    divided back into Fractions.
+    """
+    n = source.arity
+    df, cols = integer_terms(f.matrix.transpose().entries)
+    ds, src = source.integer
+    dt, tgt = target.integer
+    lscale = df ** (n - 1) * dt
+    scale = df ** n * ds * dt
+    dim = f.codomain.dim
     for key in keys:
-        lhs = f.apply(source.value(*key))
-        rhs = target.eval_vectors(*(cols[i] for i in key))
-        yield key, tuple(a - b for a, b in zip(lhs, rhs))
+        lhs = [0] * dim
+        for c, w in src.get(key, ()):
+            for r, x in cols[c]:
+                lhs[r] += x * w
+        rhs = [0] * dim
+        for idx, a in _expand_terms([cols[i] for i in key]):
+            for m, x in tgt.get(idx, ()):
+                rhs[m] += a * x
+        resid = [lscale * x - ds * y for x, y in zip(lhs, rhs)]
+        if any(resid):
+            yield key, tuple(Fraction(x, scale) for x in resid)
 
 
 def wedge_expand(vectors, space: GradedSpace, sb: SkewBasis) -> dict:
     """v_1 ^ ... ^ v_r over the canonical basis sb of degree r, as a sparse
     {position in sb: coefficient} map without zeros."""
     out = {}
-    for idx, a in _expand_terms(vectors):
+    for idx, a in _expand_terms(_sparse(vectors)):
         t, sign, zero = canonicalize(idx, space.parities)
         if not zero:
             pos = sb.index[t]

@@ -15,9 +15,14 @@ placement that the induction theorem actually proves:
         + (-1)^{(|z|+|u|)(|x|+|y|)}   [a1(z), a2(u), [x,y,v]].
 
 The bracket is a graded.SuperBracket of arity 3 holding only its nonzero
-structure vectors W(i,j,k).  verify_hom_nambu evaluates the identity as a
-sparse join over integers.  It clears the denominators of the bracket and
-of both twists once, and builds three integer composite tables from the
+structure vectors W(i,j,k); every verifier reads its integer view
+(SuperBracket.integer, scale D_W).  verify_ternary_skew compares each
+stored vector with its two mirrors as integers, equal or negated, and
+reads the parity law from the support; verify_ternary_multiplicative and
+verify_induced_homomorphism are graded.compat_residuals.
+verify_hom_nambu evaluates the identity as a sparse join over integers.
+It takes the bracket's integer view, clears the denominators of both
+twists once, and builds three integer composite tables from the
 nonzero W alone: [a1 e_a, a2 e_b, e_c], [e_c, a1 e_a, a2 e_b] and
 [a1 e_a, e_c, a2 e_b].  For each (x, y) it then pairs the nonzero
 W(z,u,v) with the first table (the left side) and the nonzero W(x,y,w)
@@ -34,7 +39,7 @@ from fractions import Fraction
 
 from .binary import HomLieSuper, verify_morphism
 from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
-                     parity_law_violations, skew_basis)
+                     skew_basis)
 from .linalg import (InputError, PreconditionError, Subspace, Vec,
                      integer_terms, is_zero_vec, vec_add, vec_scale, zero_vec)
 from .report import Report, fmt_vec
@@ -101,32 +106,31 @@ def verify_ternary_skew(t: TernaryHomLieSuper) -> Report:
 
     A triple can fail only when (i,j,k), (j,i,k) or (i,k,j) is a stored
     entry, so only those triples are visited, in sorted order: the findings
-    and their order are those of a loop over all dim^3 triples.
+    and their order are those of a loop over all dim^3 triples.  Each
+    mirror is one comparison of the integer view, equal or negated, and
+    the parity law is read from the stored support; a residual is computed
+    in Fractions only for a finding.
     """
     rep = Report("verify_ternary_skew")
     sp = t.space
     p = sp.parities
+    b = t.bracket
     triples = set()
-    for i, j, k in t.bracket.entries:
+    for i, j, k in b.entries:
         triples.update(((i, j, k), (j, i, k), (i, k, j)))
     for i, j, k in sorted(triples):
-        v = t.bracket.value(i, j, k)
-        s12 = 1 if (p[i] and p[j]) else -1
-        r12 = vec_add(v, vec_scale(-s12, t.bracket.value(j, i, k)))
-        if not is_zero_vec(r12):
-            rep.fail("skew-12",
-                     witness=(sp.names[i], sp.names[j], sp.names[k]),
-                     residual=tuple(fmt_vec(r12)))
-        s23 = 1 if (p[j] and p[k]) else -1
-        r23 = vec_add(v, vec_scale(-s23, t.bracket.value(i, k, j)))
-        if not is_zero_vec(r23):
-            rep.fail("skew-23",
-                     witness=(sp.names[i], sp.names[j], sp.names[k]),
-                     residual=tuple(fmt_vec(r23)))
-        bad = parity_law_violations(sp, v, (p[i] + p[j] + p[k]) % 2)
+        names = (sp.names[i], sp.names[j], sp.names[k])
+        r12 = b.mirror_residual((i, j, k), (j, i, k),
+                                1 if (p[i] and p[j]) else -1)
+        if r12 is not None:
+            rep.fail("skew-12", witness=names, residual=tuple(fmt_vec(r12)))
+        r23 = b.mirror_residual((i, j, k), (i, k, j),
+                                1 if (p[j] and p[k]) else -1)
+        if r23 is not None:
+            rep.fail("skew-23", witness=names, residual=tuple(fmt_vec(r23)))
+        bad = b.parity_misses((i, j, k))
         if bad:
-            rep.fail("parity-law",
-                     witness=(sp.names[i], sp.names[j], sp.names[k]),
+            rep.fail("parity-law", witness=names,
                      detail=f"output hits {bad[0]}")
     return rep
 
@@ -223,13 +227,12 @@ def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
 
     violations yields ((x, y, z, u, v), residual) for every basis 5-tuple
     with a nonzero residual, in lexicographic order; each residual is a
-    list of integers, scale times the true one.  Clearing the
-    denominators of the bracket (D_W) and of the twists (D1, D2) makes
+    list of integers, scale times the true one.  The bracket's integer
+    view (D_W) and the twists cleared of denominators (D1, D2) make
     everything integer, and every term has degree 2 in the bracket and 1
     in each twist, so scale = D_W^2 D1 D2.
     """
-    dw, terms = integer_terms(map(enumerate, t.bracket.entries.values()))
-    W = dict(zip(t.bracket.entries, terms))
+    dw, W = t.bracket.integer
     d1, rows1 = integer_terms(a1.matrix.entries)
     d2, rows2 = integer_terms(a2.matrix.entries)
     L = _composite_table(W, rows1, rows2, 2)
@@ -307,10 +310,9 @@ def verify_ternary_multiplicative(t: TernaryHomLieSuper) -> Report:
         return rep
     for key, resid in compat_residuals(t.alpha1, t.bracket, t.bracket,
                                        skew_basis(3, t.space).tuples):
-        if not is_zero_vec(resid):
-            rep.fail("ternary-multiplicative",
-                     witness=tuple(t.space.names[i] for i in key),
-                     residual=tuple(fmt_vec(resid)))
+        rep.fail("ternary-multiplicative",
+                 witness=tuple(t.space.names[i] for i in key),
+                 residual=tuple(fmt_vec(resid)))
     return rep
 
 
@@ -378,10 +380,9 @@ def verify_induced_homomorphism(f: GradedMap,
         return rep
     for key, resid in compat_residuals(f, t1.bracket, t2.bracket,
                                        skew_basis(3, g1.space).tuples):
-        if not is_zero_vec(resid):
-            rep.fail("ternary-bracket-compat",
-                     witness=tuple(g1.space.names[i] for i in key),
-                     residual=tuple(fmt_vec(resid)))
+        rep.fail("ternary-bracket-compat",
+                 witness=tuple(g1.space.names[i] for i in key),
+                 residual=tuple(fmt_vec(resid)))
     return rep
 
 

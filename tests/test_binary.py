@@ -10,10 +10,13 @@ from homnambu.binary import (HomLieSuper, InputError, SuperBracket2,
                              hom_jacobi_residual, is_ideal, is_subalgebra,
                              verify_hom_jacobi, verify_morphism,
                              verify_multiplicative, verify_skew, yau_twist)
-from homnambu.fixtures import (gl11, neg_jacobi, neg_mult, neg_skew,
-                               random_even_invertible)
-from homnambu.graded import GradedMap, graded_space, identity_map
-from homnambu.linalg import Matrix, PreconditionError, Subspace, frac, unit_vec
+from homnambu.fixtures import (gl11, gl11t, glmn, neg_jacobi, neg_mult,
+                               neg_skew, random_even_invertible)
+from homnambu.graded import (GradedMap, graded_space, identity_map,
+                             skew_basis, tuple_parity)
+from homnambu.linalg import (Matrix, PreconditionError, Subspace, frac,
+                             is_zero_vec, unit_vec)
+from homnambu.report import Report, fmt_vec
 
 
 def test_all_fixtures_satisfy_binary_axioms(all_binary):
@@ -67,6 +70,65 @@ def test_hom_jacobi_residual_is_super_symmetric_under_first_two(g11):
                 r2 = hom_jacobi_residual(g11, y, x, z)
                 s = -1 if p[x] and p[y] else 1
                 assert all(a + s * b == 0 for a, b in zip(r1, r2))
+
+
+def hom_jacobi_oracle(a):
+    """The report of hom_jacobi_residual, the naive Fraction evaluation,
+    looped over every canonical triple: the oracle of the integer
+    verify_hom_jacobi."""
+    rep = Report("verify_hom_jacobi")
+    names = a.space.names
+    sb = skew_basis(3, a.space)
+    for x, y, z in sb.tuples:
+        resid = hom_jacobi_residual(a, x, y, z)
+        if not is_zero_vec(resid):
+            rep.fail("hom-jacobi", witness=(names[x], names[y], names[z]),
+                     residual=tuple(fmt_vec(resid)))
+    rep.metrics["triples_checked"] = len(sb.tuples)
+    return rep
+
+
+def seeded_fractional_algebra(seed):
+    """A random bracket on a (3|2)-dimensional space with denominators 2
+    and 3, twisted by a random even map with denominators 5 and 7."""
+    rng = random.Random(seed)
+    sp = graded_space(("a", "b", "c", "x", "y"), (0, 0, 0, 1, 1))
+    p = sp.parities
+    coeffs = {}
+    for key in skew_basis(2, sp).tuples:
+        if rng.random() < 0.7:
+            want = tuple_parity(key, p)
+            coeffs[key] = tuple(
+                Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                if p[m] == want else 0 for m in range(sp.dim))
+    bracket = SuperBracket2.from_canonical(sp, coeffs)
+    alpha = Matrix.build([[Fraction(rng.randint(-4, 4), rng.choice((1, 5, 7)))
+                           if p[i] == p[j] else 0 for j in range(sp.dim)]
+                          for i in range(sp.dim)])
+    return HomLieSuper(sp, bracket, GradedMap(sp, sp, alpha))
+
+
+def broken_glmn_conjugate():
+    """A gl(2|1) conjugate with one canonical structure vector tripled."""
+    lie, _ = glmn(2, 1)
+    conj = change_of_basis(lie, random_even_invertible(random.Random(23),
+                                                       lie.space))
+    coeffs = conj.bracket.canonical_coeffs()
+    key = max(coeffs, key=lambda k: sum(x.denominator for x in coeffs[k]))
+    bracket = conj.bracket.with_canonical(key, tuple(3 * x for x in coeffs[key]))
+    return HomLieSuper(conj.space, bracket, conj.alpha)
+
+
+@pytest.mark.parametrize("build", [
+    neg_jacobi, lambda: gl11t()[0], lambda: seeded_fractional_algebra(24),
+    broken_glmn_conjugate], ids=["neg_jacobi", "gl11t", "seeded", "conjugate"])
+def test_hom_jacobi_matches_the_fraction_oracle(build):
+    a = build()
+    want = hom_jacobi_oracle(a)
+    assert verify_hom_jacobi(a).render() == want.render()
+    if a.space.dim > 4:
+        assert want.verdict == "fail"
+        assert any("/" in r for f in want.findings for r in f.residual)
 
 
 def test_from_canonical_rejects_parity_breaking_values():

@@ -1,23 +1,27 @@
 """graded.compat_residuals, the one residual of f[e_I] = [f e_i1, ..., f e_in],
-against the five loops it replaced, and verify_representation against its
-former loop.
+against the five loops it replaced; verify_representation and verify_skew
+against their former loops.
 
-The oracles below are those loops, kept as they were: each reads every
-column of the map inside its loop.  The findings of the package's checks
-must equal theirs in full (check names, witnesses in order, residuals), and
-yau_twist must raise the same message, on failing inputs.
+The oracles below are those loops, kept as they were: each evaluates in
+Fractions, and the compat loops read every column of the map inside the
+loop.  The findings of the package's checks must equal theirs in full
+(check names, witnesses in order, residuals), and yau_twist must raise the
+same message, on failing inputs.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from homnambu.binary import (HomLieSuper, verify_morphism,
-                             verify_multiplicative, yau_twist)
-from homnambu.fixtures import (glmn, gl11, induced_gl11, neg_mult, neg_rep,
-                               neg_ternary_mult, random_even_invertible)
-from homnambu.graded import GradedMap, identity_map, skew_basis
-from homnambu.linalg import (InputError, Matrix, PreconditionError,
+                             verify_multiplicative, verify_skew, yau_twist)
+from homnambu.fixtures import (conjugate_pair, glmn, gl11, induced_gl11,
+                               neg_mult, neg_rep, neg_skew, neg_ternary_mult,
+                               random_even_invertible)
+from homnambu.graded import (GradedMap, identity_map, parity_law_violations,
+                             skew_basis)
+from homnambu.linalg import (InputError, Matrix, PreconditionError, invert,
                              is_zero_vec, vec_add, vec_scale)
 from homnambu.report import Report, fmt_scalar, fmt_vec
 from homnambu.reps import (Representation, trace_functional,
@@ -25,6 +29,26 @@ from homnambu.reps import (Representation, trace_functional,
 from homnambu.ternary import (TernaryHomLieSuper, induce_ternary,
                               verify_induced_homomorphism,
                               verify_ternary_multiplicative)
+
+
+def skew_oracle(a):
+    rep = Report("verify_skew")
+    sp = a.space
+    for i in range(sp.dim):
+        for j in range(i, sp.dim):
+            sign = 1 if (sp.parities[i] and sp.parities[j]) else -1
+            resid = vec_add(a.bracket.value(i, j),
+                            vec_scale(-sign, a.bracket.value(j, i)))
+            if not is_zero_vec(resid):
+                rep.fail("skew", witness=(sp.names[i], sp.names[j]),
+                         residual=tuple(fmt_vec(resid)))
+            want = (sp.parities[i] + sp.parities[j]) % 2
+            bad = parity_law_violations(sp, a.bracket.value(i, j), want)
+            if bad:
+                rep.fail("parity-law", witness=(sp.names[i], sp.names[j]),
+                         detail=f"output hits {bad}")
+    rep.metrics["pairs_checked"] = sp.dim * (sp.dim + 1) // 2
+    return rep
 
 
 def multiplicative_oracle(a):
@@ -145,6 +169,31 @@ def random_maps(space, seed, count):
             for _ in range(count)]
 
 
+def stale_binary_mirrors():
+    """Raw with_entry patches of gl(1|1) with denominators: [h1,q] given a
+    mirror of twice its size, [q,p] a stale mirror, and [h1,p] an even
+    component that breaks the parity law."""
+    g, _ = gl11()
+    half = Fraction(1, 2)
+    b = g.bracket.with_entry(0, 2, (0, 0, Fraction(1, 3), 0))
+    b = b.with_entry(2, 0, (0, 0, Fraction(2, 3), 0))
+    b = b.with_entry(2, 3, (half, half, 0, 0))
+    b = b.with_entry(0, 3, (Fraction(1, 5), 0, 0, -1))
+    return HomLieSuper(g.space, b, g.alpha)
+
+
+def test_skew_matches_old_loop():
+    lie, _ = glmn(2, 1)
+    checks = set()
+    for a, fails in ((neg_skew(), True), (stale_binary_mirrors(), True),
+                     (lie, False)):
+        want = skew_oracle(a)
+        assert want.ok != fails
+        assert verify_skew(a) == want
+        checks.update(x.check for x in want.findings)
+    assert checks == {"skew", "parity-law"}
+
+
 def test_multiplicative_matches_old_loop():
     lie, _ = glmn(2, 1)
     cases = [neg_mult()] + [HomLieSuper(lie.space, lie.bracket, a)
@@ -166,6 +215,13 @@ def test_morphism_matches_old_loop():
              (swap, twisted, g)]
     cases += [(f, g, g) for f in random_maps(g.space, 41, 4)]
     cases += [(f, m, m) for f in random_maps(m.space, 42, 2)]
+    # denominators in the map and in both brackets: e'_j = s e_j carries
+    # the conjugate onto gl(1|1) and s^-1 back, each up to the scalar
+    s = random_even_invertible(random.Random(48), g.space)
+    conj, _ = conjugate_pair(g, gl11()[1], s)
+    cases += [(GradedMap(g.space, g.space, s.scale(Fraction(1, 2))), conj, g),
+              (GradedMap(g.space, g.space, invert(s).scale(Fraction(2, 3))),
+               g, conj)]
     checks = set()
     for f, a, b in cases:
         want = morphism_oracle(f, a, b)
@@ -194,6 +250,13 @@ def test_ternary_multiplicative_matches_old_loop():
     cases = [neg_ternary_mult()] + [
         TernaryHomLieSuper(t.space, t.bracket, a, a)
         for a in random_maps(t.space, 45, 2)]
+    # a fractional twist on the induced bracket of a conjugate (D = 192)
+    conj = conjugate_pair(lie, rep, random_even_invertible(random.Random(49),
+                                                           lie.space))
+    tc = induce_ternary(conj[0], trace_functional(conj[1]), lie.alpha, lie.alpha)
+    cases += [TernaryHomLieSuper(tc.space, tc.bracket, a, a)
+              for a in (GradedMap(tc.space, tc.space, m.matrix.scale(
+                  Fraction(1, 3))) for m in random_maps(tc.space, 50, 1))]
     for tt in cases:
         want = ternary_multiplicative_oracle(tt)
         assert want.verdict == "fail"

@@ -1,5 +1,6 @@
 """Graded spaces, Koszul signs and the canonical skew basis."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -257,3 +258,47 @@ def test_table_is_the_nested_value_view():
             for i in idx:
                 cell = cell[i]
             assert cell == bracket.value(*idx)
+
+
+def integer_oracle(bracket):
+    """Each stored vector times the least common denominator, as the
+    (coordinate, integer) pairs of its nonzero values."""
+    d = math.lcm(*(x.denominator for v in bracket.entries.values() for x in v))
+    return d, {key: tuple((m, int(d * x)) for m, x in enumerate(v) if x)
+               for key, v in bracket.entries.items()}
+
+
+def test_integer_view_clears_denominators_once_per_value():
+    for bracket in conjugated_gl11_pair():
+        assert bracket.integer == integer_oracle(bracket)
+        # the orderings from_canonical fills in share one tuple per sign
+        ints = bracket.integer[1]
+        for key, v in bracket.entries.items():
+            for order in permutations(key):
+                if bracket.entries.get(order) is v:
+                    assert ints[order] is ints[key]
+
+
+def test_patched_copies_get_their_own_integer_view():
+    t = induced_gl11()
+    b = t.bracket
+    before = b.integer
+    third = Fraction(1, 3)
+    patched = b.with_entry(0, 2, 3, (third, 0, 0, 0))
+    assert patched.integer == integer_oracle(patched)
+    assert patched.integer[0] == 3 and patched.integer[1][(0, 2, 3)] == ((0, 1),)
+    redone = b.with_canonical((0, 2, 3), (Fraction(2, 5), Fraction(2, 5), 0, 0))
+    assert redone.integer == integer_oracle(redone)
+    assert redone.integer[0] == 5
+    assert redone.integer[1][(2, 0, 3)] == ((0, -2), (1, -2))
+    assert b.integer is before and b.integer == integer_oracle(b)
+
+
+def test_building_the_integer_view_leaves_equality_alone():
+    t = induced_gl11()
+    a = SuperBracket3.from_canonical(t.space, t.bracket.canonical_coeffs())
+    b = SuperBracket3.from_canonical(t.space, t.bracket.canonical_coeffs())
+    a.integer
+    assert "integer" in vars(a) and "integer" not in vars(b)
+    assert a == b and b == a
+    assert a != a.with_entry(0, 2, 3, (0, 0, 0, 0))

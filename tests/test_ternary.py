@@ -312,13 +312,23 @@ def parity_breaker():
     return TernaryHomLieSuper(sp, b, t.alpha1, t.alpha2)
 
 
+def doubled_mirror():
+    """[h1,q,p] given denominators, and its mirror [q,h1,p] stored as 2x
+    the entry: neither equal nor negated, so only a residual sees it."""
+    t = induced_gl11()
+    b = t.bracket.with_canonical((0, 2, 3), (Fraction(1, 3), Fraction(2, 7), 0, 0))
+    b = b.with_entry(2, 0, 3, tuple(2 * x for x in b.value(0, 2, 3)))
+    return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
+
+
 @pytest.mark.parametrize("build", [induced_gl11, neg_ternary_skew,
-                                   stale_mirrors, parity_breaker, neg_nambu])
+                                   stale_mirrors, parity_breaker, neg_nambu,
+                                   doubled_mirror])
 def test_sparse_ternary_skew_matches_dense_loop(build):
     t = build()
     findings = verify_ternary_skew(t).findings
     assert findings == dense_skew_findings(t)
-    if build in (neg_ternary_skew, stale_mirrors):
+    if build in (neg_ternary_skew, stale_mirrors, doubled_mirror):
         assert {f.check for f in findings} >= {"skew-12", "skew-23"}
     if build is parity_breaker:
         assert [f.check for f in findings] == ["parity-law"] * 6
