@@ -6,9 +6,9 @@ from .binary import (HomLieSuper, SuperBracket2, change_of_basis, is_ideal,
                      verify_multiplicative, verify_skew, yau_twist)
 from .cohomology import (Cochain, apply_coboundary, binary_adjoint_cocycle_space,
                          bracket_cochain, coboundary_matrix, cochain_keys,
-                         cohomology_dims, ds_matrix, induce_cocycle, make_cochain,
-                         verify_1cocycle_transfer, verify_class_transfer,
-                         verify_lemma_identity)
+                         cocycles, cohomology_dims, induce_cocycle,
+                         make_cochain, verify_1cocycle_transfer,
+                         verify_class_transfer, verify_lemma_identity)
 from .extensions import (CentralExtensionData, build_central_extension,
                          extension_isomorphism, induce_extension,
                          verify_extension)

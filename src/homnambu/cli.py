@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .binary import (derived_subspace, is_ideal, verify_hom_jacobi,
                      verify_multiplicative, verify_skew)
-from .cohomology import (Cochain, cochain_length, cohomology_dims, ds_matrix,
-                         even_cocycles, induce_cocycle, parity_support,
+from .cohomology import (Cochain, apply_coboundary, cochain_length, cocycles,
+                         cohomology_dims, induce_cocycle, parity_support,
                          verify_1cocycle_transfer, verify_class_transfer,
                          verify_lemma_identity)
 from .extensions import (CentralExtensionData, build_central_extension,
@@ -40,14 +40,31 @@ def _require_rep(bundle: DocumentBundle):
     return bundle.rep
 
 
+def _induced(bundle: DocumentBundle):
+    """(tau, t): the trace functional of the document's representation and
+    the ternary algebra it induces on the document's algebra."""
+    tau = trace_functional(_require_rep(bundle))
+    lie = bundle.lie
+    return tau, induce_ternary(lie, tau, lie.alpha, lie.alpha)
+
+
 def _ternary_of(bundle: DocumentBundle):
     """The document's ternary algebra, or the one induced from its rep."""
     if bundle.ternary is not None:
         return bundle.ternary
-    rep = _require_rep(bundle)
-    tau = trace_functional(rep)
-    lie = bundle.lie
-    return induce_ternary(lie, tau, lie.alpha, lie.alpha)
+    return _induced(bundle)[1]
+
+
+def _transfer_inputs(path):
+    """(lie, tau, t) of the document at path, t induced from (lie, tau):
+    the transfer theorems are about the induced algebra, so a ternary
+    section must be that algebra."""
+    bundle = read_document(path)
+    tau, t = _induced(bundle)
+    if bundle.ternary is not None and bundle.ternary != t:
+        raise PreconditionError("the document's ternary bracket is not the "
+                                "one induced from its representation")
+    return bundle.lie, tau, t
 
 
 def _ideal_from_ids(bundle: DocumentBundle, spec: str) -> Subspace:
@@ -81,16 +98,13 @@ def cmd_check(args) -> Report:
 
 def cmd_induce(args) -> Report:
     bundle = read_document(args.file)
-    r = _require_rep(bundle)
-    tau = trace_functional(r)
-    lie = bundle.lie
-    t = induce_ternary(lie, tau, lie.alpha, lie.alpha)
+    tau, t = _induced(bundle)
     rep = Report("induce")
     rep.metrics["tau"] = fmt_vec(tau.values)
     rep.metrics["ternary_entries"] = len(t.bracket.canonical_coeffs())
     rep.absorb(verify_ternary_skew(t))
     rep.absorb(verify_hom_nambu(t))
-    out = DocumentBundle(bundle.name + "-induced", lie, bundle.rep, t)
+    out = DocumentBundle(bundle.name + "-induced", bundle.lie, bundle.rep, t)
     write_document(args.output, out)
     return rep
 
@@ -168,12 +182,9 @@ def cmd_cohomology(args) -> Report:
 
 
 def cmd_induce_cocycle(args) -> Report:
-    bundle = read_document(args.file)
-    r = _require_rep(bundle)
-    tau = trace_functional(r)
-    lie = bundle.lie
+    lie, tau, t = _transfer_inputs(args.file)
     phi = load_cochain(read_json_file(args.phi), lie.space)
-    psi = induce_cocycle(lie, tau, phi, bundle.ternary)
+    psi = induce_cocycle(lie, tau, phi, t)
     rep = Report("induce-cocycle")
     rep.metrics["complex"] = psi.complex
     rep.metrics["parity"] = psi.parity
@@ -193,7 +204,7 @@ def _random_cochain(rng, g, degree: int, parity: int) -> Cochain:
 def _random_even_cocycle(rng, g) -> Cochain:
     n = cochain_length("binary-scalar", 2, g.space)
     coords = [Fraction(0)] * n
-    for v in even_cocycles(g, "binary-scalar", 2):
+    for v in cocycles(g, "binary-scalar", 2, 0):
         c = Fraction(rng.randint(-3, 3))
         for pos, x in enumerate(v):
             coords[pos] += c * x
@@ -201,11 +212,7 @@ def _random_even_cocycle(rng, g) -> Cochain:
 
 
 def cmd_transfer_checks(args) -> Report:
-    bundle = read_document(args.file)
-    r = _require_rep(bundle)
-    tau = trace_functional(r)
-    lie = bundle.lie
-    t = _ternary_of(bundle)
+    lie, tau, t = _transfer_inputs(args.file)
     rng = random.Random(args.seed)
     rep = Report("transfer-checks")
     rep.absorb(compare_central_series(lie, t), prefix="series.")
@@ -223,9 +230,8 @@ def cmd_transfer_checks(args) -> Report:
     for k in range(3):
         phi1 = _random_even_cocycle(rng, lie)
         eta = _random_cochain(rng, lie, 1, 0)
-        dphi = Cochain("binary-scalar", 2, 0, lie.space,
-                       ds_matrix(lie, 1).apply(eta.coords))
-        sub = verify_class_transfer(lie, tau, phi1, phi1.add(dphi), t)
+        sub = verify_class_transfer(lie, tau, phi1,
+                                    phi1.add(apply_coboundary(lie, eta)), t)
         rep.absorb(sub, prefix=f"class{k}.")
     return rep
 
@@ -236,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--pretty", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rmax", type=int, default=None)
 
     p = subs.add_parser("check")
     p.add_argument("what", choices=("binary", "rep", "ternary"))
@@ -255,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("derived", "central"))
     p.add_argument("file")
     p.add_argument("--ideal", default=None)
+    p.add_argument("--rmax", type=int, default=None)
     common(p)
     p.set_defaults(run=cmd_series)
 
@@ -292,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("transfer-checks")
     p.add_argument("file")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(run=cmd_transfer_checks)
 

@@ -28,11 +28,16 @@ only the ternary-adjoint delta2 reads the parity.  An adjoint coboundary
 applies its value-free rows once per output index, so its matrix is
 block-diagonal across the outputs: coboundary_matrix, the one
 dispatcher, lifts the rows by moving column j of output o to j*dim + o.
-Nothing else lifts.  Coboundaries of given cochains (apply_coboundary
-and the cocycle checks) apply the value-free rows to each output slice
-of the coordinates.  Cohomology and cocycle bases take each parity block
-of the value-free rows, eliminate it once per key parity, and count, or
-place, it once per output it serves.
+Nothing else lifts.  Every coboundary of a given cochain goes through
+_apply (apply_coboundary, the cocycle checks and the transfer checks),
+which applies the value-free rows to each output slice of the
+coordinates.  Cohomology and cocycle bases (cohomology_dims, cocycles)
+take each parity block of the value-free rows, eliminate it once per key
+parity, and count, or place, it once per output it serves.
+
+induce_cocycle transfers a binary 2-cocycle to the induced ternary
+complex with reps.TraceFunctional.induce, the formula that also builds
+the induced bracket.
 """
 
 from dataclasses import dataclass
@@ -43,10 +48,10 @@ from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
-                     frac, image, kernel, solve, vec, vec_add, vec_scale,
-                     zero_vec, is_zero_vec, ZERO)
+                     frac, image, kernel, nonzero_terms, solve, vec, vec_add,
+                     vec_scale, zero_vec, is_zero_vec, ZERO)
 from .report import Report, fmt_scalar
-from .reps import TraceFunctional
+from .reps import TraceFunctional, check_trace_alpha_invariance
 from .ternary import TernaryHomLieSuper, induce_ternary
 
 # the degrees each complex has cochains in
@@ -215,11 +220,6 @@ def binary_pair_eval(c: Cochain, i: int, j: int):
     return sign * c.values[t] if scalar else vec_scale(sign, c.values[t])
 
 
-def _terms(v) -> list:
-    """The nonzero (index, value) terms of a dense vector."""
-    return [(i, x) for i, x in enumerate(v) if x]
-
-
 def _add_signed(row: dict, sign: int, terms) -> None:
     """row += sign * terms on a sparse row, sign being 1 or -1 and terms
     (column, value) pairs."""
@@ -324,10 +324,10 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
     pairp = [tuple_parity(q, p) for q in pairs]
     adense = a.columns()
     # every vector as its nonzero (index, value) terms, built once
-    acols = [_terms(v) for v in adense]
+    acols = [nonzero_terms(v) for v in adense]
     apairs = [list(wedge_expand([adense[i], adense[j]], sp, sb2).items())
               for i, j in pairs]
-    acts = [[_terms(t.bracket.value(x1, x2, k)) for k in range(dim)]
+    acts = [[nonzero_terms(t.bracket.value(x1, x2, k)) for k in range(dim)]
             for x1, x2 in pairs]
     adjoint = cx == "ternary-adjoint"
     position = {key: i for i, key in enumerate(cochain_keys(cx, degree, sp))}
@@ -429,22 +429,6 @@ def _apply(obj, cx: str, degree: int, parity: int, coords) -> tuple:
     return tuple(x for row in zip(*slices) for x in row)
 
 
-def ds_matrix(g: HomLieSuper, p: int) -> Matrix:
-    return coboundary_matrix(g, "binary-scalar", p)
-
-
-def binary_adjoint_cocycle_matrix(g: HomLieSuper) -> Matrix:
-    return coboundary_matrix(g, "binary-adjoint", 2)
-
-
-def delta1_matrix(t: TernaryHomLieSuper, cx: str) -> Matrix:
-    return coboundary_matrix(t, cx, 1)
-
-
-def delta2_matrix(t: TernaryHomLieSuper, cx: str, parity: int = 0) -> Matrix:
-    return coboundary_matrix(t, cx, 2, parity)
-
-
 def binary_adjoint_d1_matrix(g: HomLieSuper) -> Matrix:
     """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains."""
     rows = [{m: -c for m, c in enumerate(g.bracket.value(i, j))}
@@ -486,7 +470,7 @@ def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
     return blocks
 
 
-def _cocycles(obj, cx: str, degree: int, parity: int) -> list:
+def cocycles(obj, cx: str, degree: int, parity: int) -> list:
     """A basis of the cx cocycles of this degree and parity as full
     coordinate tuples: each block's RREF kernel basis, placed at every
     output it serves."""
@@ -502,16 +486,10 @@ def _cocycles(obj, cx: str, degree: int, parity: int) -> list:
     return out
 
 
-def even_cocycles(obj, cx: str, degree: int) -> list:
-    """A basis of the even cx cocycles of this degree, as full coordinate
-    tuples."""
-    return _cocycles(obj, cx, degree, 0)
-
-
 def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int) -> Subspace:
     """The cyclic cocycles among the g-valued 2-cochains of this parity."""
     return Subspace.from_vectors(cochain_length("binary-adjoint", 2, g.space),
-                                 _cocycles(g, "binary-adjoint", 2, parity))
+                                 cocycles(g, "binary-adjoint", 2, parity))
 
 
 def cohomology_dims(obj, cx: str, degree: int) -> tuple:
@@ -562,17 +540,16 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
                    t: TernaryHomLieSuper | None = None) -> Cochain:
     """Transfer a binary 2-cocycle to the induced ternary complex.
 
-    phi_rho(X,z) = tau(x1) phi(x2,z) - (-1)^{|x1||x2|} tau(x2) phi(x1,z)
-                 + (-1)^{|z|(|x1|+|x2|)} tau(z) phi(x1,x2).
-    The result is checked against the matching ternary delta2.
+    phi_rho(X, z) is reps.TraceFunctional.induce of phi on the (pair,
+    element) keys; the result is checked against the matching ternary
+    delta2.
     """
     if phi.complex not in ("binary-scalar", "binary-adjoint") or phi.degree != 2:
         raise PreconditionError("induce_cocycle expects a binary 2-cochain")
     if not is_binary_cocycle(g, phi):
         raise PreconditionError("induce_cocycle expects a 2-cocycle")
-    for j in range(g.dim):
-        if tau.apply(g.alpha.column(j)) != tau.values[j]:
-            raise PreconditionError("trace functional is not twist invariant")
+    if not check_trace_alpha_invariance(tau, g.alpha):
+        raise PreconditionError("trace functional is not twist invariant")
     if t is None:
         t = induce_ternary(g, tau, g.alpha, g.alpha)
     scalar = phi.complex == "binary-scalar"
@@ -583,18 +560,10 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
         v = binary_pair_eval(phi, i, j)
         return (v,) if scalar else v
 
-    p = g.space.parities
-    tv = tau.values
-    values = {}
-    for key in cochain_keys(out_cx, 2, g.space):
-        (x1, x2), k = key
-        s12 = -1 if (p[x1] and p[x2]) else 1
-        s3 = -1 if (p[k] and (p[x1] ^ p[x2])) else 1
-        val = vec_add(vec_add(vec_scale(tv[x1], ev(x2, k)),
-                              vec_scale(-s12 * tv[x2], ev(x1, k))),
-                      vec_scale(s3 * tv[k], ev(x1, x2)))
-        if not is_zero_vec(val):
-            values[key] = val[0] if scalar else val
+    keys = cochain_keys(out_cx, 2, g.space)
+    rho = tau.induce(ev, ((x1, x2, k) for (x1, x2), k in keys))
+    values = {((x1, x2), k): v[0] if scalar else v
+              for (x1, x2, k), v in rho.items()}
     induced = make_cochain(out_cx, 2, g.space, values, parity=phi.parity)
     resid = _apply(t, out_cx, 2, induced.parity, induced.coords)
     if not is_zero_vec(resid):
@@ -606,7 +575,7 @@ def verify_1cocycle_transfer(g: HomLieSuper, tau: TraceFunctional,
                              t: TernaryHomLieSuper) -> Report:
     """Scalar 1-cocycles of g annihilate the induced triple brackets."""
     rep = Report("verify_1cocycle_transfer")
-    ker = kernel(ds_matrix(g, 1))
+    ker = kernel(coboundary_matrix(g, "binary-scalar", 1))
     sb3 = skew_basis(3, g.space)
     rep.metrics["cocycle_space_dim"] = ker.dim
     for w in ker.vectors():
@@ -631,10 +600,8 @@ def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional,
         raise PreconditionError("lemma identity expects a scalar 1-cochain")
     if t is None:
         t = induce_ternary(g, tau, g.alpha, g.alpha)
-    lhs = delta1_matrix(t, "ternary-scalar").apply(omega.coords)
-    dphi = Cochain("binary-scalar", 2, omega.parity, g.space,
-                   ds_matrix(g, 1).apply(omega.coords))
-    rhs = induce_cocycle(g, tau, dphi, t).coords
+    lhs = _apply(t, "ternary-scalar", 1, omega.parity, omega.coords)
+    rhs = induce_cocycle(g, tau, apply_coboundary(g, omega), t).coords
     if lhs != rhs:
         names = g.space.names
         keys = cochain_keys("ternary-scalar", 2, g.space)
@@ -660,7 +627,7 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional,
         if not is_binary_cocycle(g, phi):
             raise PreconditionError("class transfer expects 2-cocycles")
     diff = vec_add(phi2.coords, vec_scale(-1, phi1.coords))
-    omega = solve(ds_matrix(g, 1), diff)
+    omega = solve(coboundary_matrix(g, "binary-scalar", 1), diff)
     if omega is None:
         raise PreconditionError("cocycles are not cohomologous")
     if t is None:
@@ -668,7 +635,7 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional,
     psi1 = induce_cocycle(g, tau, phi1, t)
     psi2 = induce_cocycle(g, tau, phi2, t)
     lhs = vec_add(psi2.coords, vec_scale(-1, psi1.coords))
-    rhs = delta1_matrix(t, "ternary-scalar").apply(omega)
+    rhs = _apply(t, "ternary-scalar", 1, 0, omega)
     if lhs != rhs:
         idx = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
         rep.fail("class-transfer", witness=(idx,),

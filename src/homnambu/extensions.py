@@ -14,12 +14,13 @@ enters any bracket, it only shifts the twist.
 from dataclasses import dataclass
 
 from .binary import HomLieSuper, SuperBracket2, verify_hom_jacobi, verify_multiplicative
-from .cohomology import Cochain, binary_pair_eval, ds_matrix, induce_cocycle
+from .cohomology import (Cochain, binary_pair_eval, induce_cocycle,
+                         is_binary_cocycle)
 from .graded import GradedMap, GradedSpace, skew_basis
 from .linalg import (InputError, Matrix, PreconditionError, ZERO, ONE,
                      is_zero_vec, solve, vec, vec_add, vec_scale, zero_vec)
 from .report import Report
-from .reps import TraceFunctional
+from .reps import TraceFunctional, check_trace_alpha_invariance
 from .ternary import induce_ternary
 
 
@@ -81,7 +82,7 @@ def verify_extension(data: CentralExtensionData) -> Report:
     rep = Report("verify_extension")
     ext = build_central_extension(data)
     jac = verify_hom_jacobi(ext)
-    cocycle = is_zero_vec(ds_matrix(data.base, 2).apply(data.omega.coords))
+    cocycle = is_binary_cocycle(data.base, data.omega)
     rep.metrics["hom_jacobi"] = jac.ok
     rep.metrics["cocycle"] = cocycle
     if jac.ok != cocycle:
@@ -96,11 +97,6 @@ def verify_extension(data: CentralExtensionData) -> Report:
     return rep
 
 
-def _require_cocycle(base: HomLieSuper, omega: Cochain, label: str):
-    if not is_zero_vec(ds_matrix(base, 2).apply(omega.coords)):
-        raise PreconditionError(f"{label} is not a 2-cocycle")
-
-
 def extension_isomorphism(omega1: Cochain, omega2: Cochain,
                           base: HomLieSuper):
     """An isomorphism f(x) = x + a(x) c between the two extensions, or None.
@@ -112,7 +108,8 @@ def extension_isomorphism(omega1: Cochain, omega2: Cochain,
     for om, label in ((omega1, "omega1"), (omega2, "omega2")):
         if om.complex != "binary-scalar" or om.degree != 2:
             raise PreconditionError(f"{label} must be a binary scalar 2-cochain")
-        _require_cocycle(base, om, label)
+        if not is_binary_cocycle(base, om):
+            raise PreconditionError(f"{label} is not a 2-cocycle")
     g = base
     dim = g.dim
     # a on every bracket [e_i, e_j] of a canonical pair, then a o alpha - a
@@ -143,9 +140,8 @@ def induce_extension(g: HomLieSuper, tau: TraceFunctional,
     ver = verify_extension(data)
     if not ver.ok or not ver.metrics["cocycle"]:
         raise PreconditionError("extension does not satisfy Hom-Jacobi")
-    for j in range(g.dim):
-        if tau.apply(g.alpha.column(j)) != tau.values[j]:
-            raise PreconditionError("trace functional is not twist invariant")
+    if not check_trace_alpha_invariance(tau, g.alpha):
+        raise PreconditionError("trace functional is not twist invariant")
     ext = build_central_extension(data)
     dim = g.dim
     tau_bar = TraceFunctional(ext, tau.values + (ZERO,))

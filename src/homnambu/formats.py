@@ -179,12 +179,7 @@ def load_document(doc: dict) -> DocumentBundle:
 
 
 def read_document(path) -> DocumentBundle:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    return load_document(parse_json(text, str(path)))
+    return load_document(read_json_file(path))
 
 
 # --- serialization ----------------------------------------------------------

@@ -41,7 +41,7 @@ from itertools import combinations_with_replacement, permutations
 from typing import ClassVar
 
 from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, integer_terms,
-                     is_zero_vec, kernel, vec, zero_vec)
+                     is_zero_vec, kernel, nonzero_terms, vec, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -230,11 +230,6 @@ def _expand_terms(rows) -> list:
     return terms
 
 
-def _sparse(vectors) -> list:
-    """Each dense vector as the (index, value) pairs of its nonzero values."""
-    return [[(i, c) for i, c in enumerate(v) if c != 0] for v in vectors]
-
-
 @dataclass(frozen=True)
 class SuperBracket:
     """Structure constants of a super-skew bracket with `arity` arguments.
@@ -297,7 +292,7 @@ class SuperBracket:
         index tuple up, so the cost follows the arguments, not the table.
         """
         out = [ZERO] * self.space.dim
-        for idx, a in _expand_terms(_sparse(args)):
+        for idx, a in _expand_terms(map(nonzero_terms, args)):
             cell = self.entries.get(idx)
             if cell is not None:
                 for m, x in enumerate(cell):
@@ -479,7 +474,7 @@ def wedge_expand(vectors, space: GradedSpace, sb: SkewBasis) -> dict:
     """v_1 ^ ... ^ v_r over the canonical basis sb of degree r, as a sparse
     {position in sb: coefficient} map without zeros."""
     out = {}
-    for idx, a in _expand_terms(_sparse(vectors)):
+    for idx, a in _expand_terms(map(nonzero_terms, vectors)):
         t, sign, zero = canonicalize(idx, space.parities)
         if not zero:
             pos = sb.index[t]

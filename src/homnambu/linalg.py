@@ -84,7 +84,7 @@ def integer_terms(rows):
                for r in rows]
 
 
-def _nonzero(v: Vec) -> tuple:
+def nonzero_terms(v: Vec) -> tuple:
     """The (index, value) pairs of the nonzero entries of a dense vector."""
     return tuple((j, x) for j, x in enumerate(v) if x)
 
@@ -111,7 +111,7 @@ class Matrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise InputError("ragged matrix rows")
-        return Matrix(len(rows), ncols, tuple(map(_nonzero, rows)))
+        return Matrix(len(rows), ncols, tuple(map(nonzero_terms, rows)))
 
     @staticmethod
     def from_rows(row_dicts, ncols: int) -> "Matrix":
@@ -126,7 +126,8 @@ class Matrix:
         cols = [vec(c) for c in cols]
         if any(len(c) != nrows for c in cols):
             raise InputError("matrix column length mismatch")
-        return Matrix(len(cols), nrows, tuple(map(_nonzero, cols))).transpose()
+        return Matrix(len(cols), nrows,
+                      tuple(map(nonzero_terms, cols))).transpose()
 
     @staticmethod
     def zero(r: int, c: int) -> "Matrix":
@@ -148,7 +149,7 @@ class Matrix:
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise InputError("vector length mismatch in apply")
-        nz = dict(_nonzero(v))
+        nz = dict(nonzero_terms(v))
         return tuple(sum((x * nz[c] for c, x in row if c in nz), ZERO)
                      for row in self.entries)
 
@@ -277,7 +278,8 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise InputError("vector length does not match ambient dimension")
         return Subspace.spanned_by_rows(
-            Matrix(len(vectors), ambient_dim, tuple(map(_nonzero, vectors))))
+            Matrix(len(vectors), ambient_dim,
+                   tuple(map(nonzero_terms, vectors))))
 
     @staticmethod
     def spanned_by_rows(m: Matrix) -> "Subspace":

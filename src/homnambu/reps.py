@@ -6,7 +6,7 @@ from fractions import Fraction
 from .binary import HomLieSuper
 from .graded import GradedMap, GradedSpace, supertrace
 from .linalg import (InputError, Matrix, Vec, dot, is_zero_vec, kernel, vec,
-                     Subspace)
+                     vec_add, vec_scale, Subspace)
 from .report import Report, fmt_scalar, fmt_vec
 
 
@@ -65,6 +65,35 @@ class TraceFunctional:
 
     def apply(self, v: Vec) -> Fraction:
         return dot(self.values, vec(v))
+
+    def induce(self, phi, keys) -> dict:
+        """The tau-combination of a bilinear phi on the (x1, x2, k) in keys:
+
+            phi_rho(x1,x2,k) = tau(x1) phi(x2,k)
+                             - (-1)^{|x1||x2|} tau(x2) phi(x1,k)
+                             + (-1)^{|k|(|x1|+|x2|)} tau(k) phi(x1,x2),
+
+        phi(i, j) returning a vector.  With phi the bracket this is the
+        induced ternary bracket; with phi a binary 2-cocycle, the induced
+        cocycle.  Returns {(x1, x2, k): value} for the nonzero values, in
+        key order; phi is evaluated only where tau does not vanish.
+        """
+        p = self.algebra.space.parities
+        tv = self.values
+        out = {}
+        for key in keys:
+            x1, x2, k = key
+            s12 = -1 if (p[x1] and p[x2]) else 1
+            s3 = -1 if (p[k] and (p[x1] ^ p[x2])) else 1
+            v = None
+            for c, i, j in ((tv[x1], x2, k), (-s12 * tv[x2], x1, k),
+                            (s3 * tv[k], x1, x2)):
+                if c:
+                    w = vec_scale(c, phi(i, j))
+                    v = w if v is None else vec_add(v, w)
+            if v is not None and not is_zero_vec(v):
+                out[key] = v
+        return out
 
 
 def verify_representation(r: Representation) -> Report:

@@ -5,7 +5,10 @@ supertrace functional tau is
 
     [x1,x2,x3] = tau(x1)[x2,x3]
                - (-1)^{|x1||x2|} tau(x2)[x1,x3]
-               + (-1)^{|x3|(|x1|+|x2|)} tau(x3)[x1,x2].
+               + (-1)^{|x3|(|x1|+|x2|)} tau(x3)[x1,x2],
+
+the formula that also transfers 2-cocycles; both are
+reps.TraceFunctional.induce, which alone holds its signs.
 
 The generalized Jacobi (Hom-Nambu) identity is checked in the slot
 placement that the induction theorem actually proves:
@@ -41,7 +44,7 @@ from .binary import HomLieSuper, verify_morphism
 from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
                      skew_basis)
 from .linalg import (InputError, PreconditionError, Subspace, Vec,
-                     integer_terms, is_zero_vec, vec_add, vec_scale, zero_vec)
+                     integer_terms, is_zero_vec, vec_add, vec_scale)
 from .report import Report, fmt_vec
 from .reps import TraceFunctional
 
@@ -78,25 +81,11 @@ class TernaryHomLieSuper:
 
 def induce_ternary(g: HomLieSuper, tau: TraceFunctional,
                    alpha1: GradedMap, alpha2: GradedMap) -> TernaryHomLieSuper:
-    """Build the induced ternary bracket from a supertrace functional."""
+    """Build the induced ternary bracket: tau.induce of the binary bracket
+    on the canonical triples."""
     if tau.algebra.space != g.space:
         raise PreconditionError("trace functional belongs to another algebra")
-    dim = g.dim
-    p = g.space.parities
-    coeffs = {}
-    for key in skew_basis(3, g.space).tuples:
-        i, j, k = key
-        v = zero_vec(dim)
-        if tau.values[i] != 0:
-            v = vec_add(v, vec_scale(tau.values[i], g.bracket.value(j, k)))
-        if tau.values[j] != 0:
-            s = -1 if (p[i] and p[j]) else 1
-            v = vec_add(v, vec_scale(-s * tau.values[j], g.bracket.value(i, k)))
-        if tau.values[k] != 0:
-            s = -1 if (p[k] and (p[i] ^ p[j])) else 1
-            v = vec_add(v, vec_scale(s * tau.values[k], g.bracket.value(i, j)))
-        if not is_zero_vec(v):
-            coeffs[key] = v
+    coeffs = tau.induce(g.bracket.value, skew_basis(3, g.space).tuples)
     bracket = SuperBracket3.from_canonical(g.space, coeffs)
     return TernaryHomLieSuper(g.space, bracket, alpha1, alpha2)
 

@@ -16,9 +16,9 @@ from pathlib import Path
 from homnambu.binary import (verify_hom_jacobi, verify_morphism,
                              verify_multiplicative, verify_skew)
 from homnambu.cohomology import (Cochain, binary_adjoint_cocycle_space,
-                                 cochain_length, cohomology_dims,
-                                 delta1_matrix, delta2_matrix, ds_matrix,
-                                 induce_cocycle, parity_support,
+                                 coboundary_matrix, cochain_length,
+                                 cohomology_dims, induce_cocycle,
+                                 parity_support,
                                  verify_class_transfer, verify_lemma_identity)
 from homnambu.extensions import (CentralExtensionData, build_central_extension,
                                  extension_isomorphism, induce_extension,
@@ -59,7 +59,7 @@ def lifted_kernel_basis(cx, g):
     """Even cocycle basis vectors, re-embedded in full coordinates."""
     sel_in = parity_support(cx, 2, g.space, 0)
     sel_out = parity_support(cx, 3, g.space, 0)
-    block = ds_matrix(g, 2).select(sel_out, sel_in)
+    block = coboundary_matrix(g, "binary-scalar", 2).select(sel_out, sel_in)
     n = cochain_length(cx, 2, g.space)
     out = []
     for v in kernel(block).vectors():
@@ -191,7 +191,7 @@ def test_criterion_6_extension_equivalence(capsys, g11):
     with criterion(capsys, 6, "extension builds track the cocycle identity"):
         rng = random.Random(1006)
         basis = lifted_kernel_basis("binary-scalar", g11)
-        d2 = ds_matrix(g11, 2)
+        d2 = coboundary_matrix(g11, "binary-scalar", 2)
         closed_seen = open_seen = 0
         for k in range(50):
             if k % 3 == 0:
@@ -211,7 +211,7 @@ def test_criterion_6_extension_equivalence(capsys, g11):
             open_seen += not closed
         assert closed_seen and open_seen
 
-        m1 = ds_matrix(g11, 1)
+        m1 = coboundary_matrix(g11, "binary-scalar", 1)
         for _ in range(10):
             cs = [Fraction(rng.randint(-3, 3)) for _ in basis]
             coords = tuple(sum((c * v[i] for c, v in zip(cs, basis)),
@@ -232,7 +232,7 @@ def test_criterion_7_induced_extension(capsys, g11, tau11, t11):
     with criterion(capsys, 7, "induced extension bracket decomposes"):
         rng = random.Random(1007)
         basis = lifted_kernel_basis("binary-scalar", g11)
-        m1 = ds_matrix(g11, 1)
+        m1 = coboundary_matrix(g11, "binary-scalar", 1)
         sb2 = skew_basis(2, g11.space)
         dim = g11.dim
         for _ in range(20):
@@ -261,20 +261,23 @@ def test_criterion_7_induced_extension(capsys, g11, tau11, t11):
 def test_criterion_8_cohomology(capsys, g11, tau11, t11, all_binary):
     with criterion(capsys, 8, "coboundaries square to zero and transfer"):
         for name, lie, rep in all_binary:
-            assert ds_matrix(lie, 2).mul(ds_matrix(lie, 1)).is_zero(), name
+            d1, d2 = (coboundary_matrix(lie, "binary-scalar", p)
+                      for p in (1, 2))
+            assert d2.mul(d1).is_zero(), name
             tau, t = induced(lie, rep)
             for cx in ("ternary-scalar", "ternary-adjoint"):
-                d1 = delta1_matrix(t, cx)
-                assert delta2_matrix(t, cx, 0).mul(d1).is_zero(), (name, cx)
+                d1 = coboundary_matrix(t, cx, 1)
+                assert coboundary_matrix(t, cx, 2, 0).mul(d1).is_zero(), \
+                    (name, cx)
                 for parity in (0, 1):
                     sel1 = parity_support(cx, 1, lie.space, parity)
                     sel2 = parity_support(cx, 2, lie.space, parity)
                     sel3 = parity_support(cx, 3, lie.space, parity)
-                    b2 = delta2_matrix(t, cx, parity).select(sel3, sel2)
+                    b2 = coboundary_matrix(t, cx, 2, parity).select(sel3, sel2)
                     b1 = d1.select(sel2, sel1)
                     assert b2.mul(b1).is_zero(), (name, cx, parity)
 
-        assert kernel(ds_matrix(g11, 1)).dim == 1
+        assert kernel(coboundary_matrix(g11, "binary-scalar", 1)).dim == 1
         assert cohomology_dims(g11, "binary-scalar", 1)[0] == 1
 
         rng = random.Random(1008)
@@ -287,8 +290,8 @@ def test_criterion_8_cohomology(capsys, g11, tau11, t11, all_binary):
                                    Fraction(0)) for i in range(n_ad))
                 phi = Cochain("binary-adjoint", 2, parity, g11.space, coords)
                 out = induce_cocycle(g11, tau11, phi, t11)
-                resid = delta2_matrix(t11, "ternary-adjoint",
-                                      parity).apply(out.coords)
+                resid = coboundary_matrix(t11, "ternary-adjoint", 2,
+                                          parity).apply(out.coords)
                 assert is_zero_vec(resid)
 
         for k in range(20):
@@ -297,7 +300,7 @@ def test_criterion_8_cohomology(capsys, g11, tau11, t11, all_binary):
                                          t11).verdict == "pass"
 
         basis = lifted_kernel_basis("binary-scalar", g11)
-        m1 = ds_matrix(g11, 1)
+        m1 = coboundary_matrix(g11, "binary-scalar", 1)
         n2 = cochain_length("binary-scalar", 2, g11.space)
         for _ in range(20):
             cs = [Fraction(rng.randint(-3, 3)) for _ in basis]

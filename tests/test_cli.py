@@ -167,3 +167,56 @@ def test_series_ideal_of_wrong_dimension_exits_2(doc, kind, monkeypatch):
     code, out = run(["series", kind, FIXTURES / doc, "--ideal", "h1"])
     assert code == 2
     assert json.loads(out)["command"] == "series"
+
+
+def mixed_document(tmp_path):
+    """gl(1|1) and its representation with neg_nambu's ternary bracket and
+    second twist: a ternary section that is not the induced one."""
+    doc = json.loads((FIXTURES / "gl11.json").read_text("utf-8"))
+    neg = json.loads((FIXTURES / "neg_nambu.json").read_text("utf-8"))
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(dict(doc, ternary=neg["ternary"],
+                                    alpha2=neg["alpha2"])), "utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer-checks"],
+    ["induce-cocycle", "--phi", FIXTURES / "omega_cocycle.json"],
+], ids=["transfer-checks", "induce-cocycle"])
+def test_transfer_commands_refuse_a_ternary_that_was_not_induced(tmp_path,
+                                                                 argv):
+    """The transfer theorems are about the induced bracket: a document whose
+    ternary section differs from it is a precondition error, not a verdict
+    on the document's own bracket."""
+    code, out = run([argv[0], mixed_document(tmp_path), *argv[1:]])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+    assert "not the one induced" in doc["error"]
+
+
+def test_transfer_commands_accept_the_induced_ternary():
+    code, out = run(["transfer-checks", FIXTURES / "gl11_induced.json"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+    code, out = run(["induce-cocycle", FIXTURES / "gl11_induced.json",
+                     "--phi", FIXTURES / "omega_cocycle.json"])
+    assert code == 0
+    assert out == (GOLD / "induce_cocycle_scalar.json").read_text("utf-8")
+
+
+def test_seed_and_rmax_only_where_read():
+    with pytest.raises(SystemExit) as exc:
+        run(["center", FIXTURES / "gl11_induced.json", "--rmax", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["series", "derived", FIXTURES / "gl11.json", "--seed", "1"])
+    assert exc.value.code == 2
+    code, out = run(["series", "derived", FIXTURES / "gl11_induced.json",
+                     "--rmax", "2"])
+    assert code == 0
+    assert json.loads(out)["metrics"]["dims"] == [4, 1, 0]
+    code, out = run(["transfer-checks", FIXTURES / "gl11.json",
+                     "--seed", "5"])
+    assert code == 0

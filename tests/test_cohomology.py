@@ -9,12 +9,10 @@ from itertools import product
 import pytest
 
 from homnambu.cohomology import (Cochain, _apply, apply_coboundary,
-                                 binary_adjoint_cocycle_matrix,
                                  binary_adjoint_cocycle_space,
                                  binary_adjoint_d1_matrix, binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
                                  cochain_keys, cochain_length, cohomology_dims,
-                                 delta1_matrix, delta2_matrix, ds_matrix,
                                  induce_cocycle, infer_parity,
                                  is_binary_cocycle, make_cochain,
                                  parity_support, verify_1cocycle_transfer,
@@ -50,9 +48,9 @@ def random_cochain(rng, cx, degree, space, parity):
 
 
 def test_scalar_coboundary_shapes(g11):
-    assert (ds_matrix(g11, 1).rows, ds_matrix(g11, 1).cols) == (8, 4)
-    assert (ds_matrix(g11, 2).rows, ds_matrix(g11, 2).cols) == (12, 8)
-    assert (ds_matrix(g11, 3).rows, ds_matrix(g11, 3).cols) == (16, 12)
+    for p, shape in ((1, (8, 4)), (2, (12, 8)), (3, (16, 12))):
+        m = coboundary_matrix(g11, "binary-scalar", p)
+        assert (m.rows, m.cols) == shape
 
 
 def test_ds1_matches_direct_formula(all_binary):
@@ -61,7 +59,7 @@ def test_ds1_matches_direct_formula(all_binary):
         sb2 = skew_basis(2, lie.space)
         for parity in (0, 1):
             f = random_cochain(rng, "binary-scalar", 1, lie.space, parity)
-            out = ds_matrix(lie, 1).apply(f.coords)
+            out = coboundary_matrix(lie, "binary-scalar", 1).apply(f.coords)
             for pos, (i, j) in enumerate(sb2.tuples):
                 direct = -sum(c * fc for c, fc in
                               zip(lie.bracket.value(i, j), f.coords))
@@ -70,8 +68,10 @@ def test_ds1_matches_direct_formula(all_binary):
 
 def test_scalar_complex_squares_to_zero(all_binary):
     for name, lie, rep in all_binary:
-        assert ds_matrix(lie, 2).mul(ds_matrix(lie, 1)).is_zero(), name
-        assert ds_matrix(lie, 3).mul(ds_matrix(lie, 2)).is_zero(), name
+        d1, d2, d3 = (coboundary_matrix(lie, "binary-scalar", p)
+                      for p in (1, 2, 3))
+        assert d2.mul(d1).is_zero(), name
+        assert d3.mul(d2).is_zero(), name
 
 
 def parity_block(m, cx, deg_in, space, parity, parities_fn=parity_support):
@@ -85,10 +85,10 @@ def test_ternary_complexes_square_to_zero(all_binary):
         tau, t = induced(lie, rep)
         sp = lie.space
         for cx in ("ternary-scalar", "ternary-adjoint"):
-            d1 = delta1_matrix(t, cx)
-            assert delta2_matrix(t, cx, 0).mul(d1).is_zero(), (name, cx)
+            d1 = coboundary_matrix(t, cx, 1)
+            assert coboundary_matrix(t, cx, 2, 0).mul(d1).is_zero(), (name, cx)
             for parity in (0, 1):
-                b2 = parity_block(delta2_matrix(t, cx, parity), cx, 2,
+                b2 = parity_block(coboundary_matrix(t, cx, 2, parity), cx, 2,
                                   sp, parity)
                 b1 = parity_block(d1, cx, 1, sp, parity)
                 assert b2.mul(b1).is_zero(), (name, cx, parity)
@@ -136,7 +136,7 @@ def test_binary_adjoint_cocycle_space_matches_lifted_kernel():
     for name, (lie, rep) in (("gl11", gl11()), ("gl11t", gl11t()),
                              ("conj", conjugate_gl11(random.Random(5)))):
         n = cochain_length("binary-adjoint", 2, lie.space)
-        ker = kernel(binary_adjoint_cocycle_matrix(lie))
+        ker = kernel(coboundary_matrix(lie, "binary-adjoint", 2))
         for parity in (0, 1):
             axes = [unit_vec(n, s) for s in
                     parity_support("binary-adjoint", 2, lie.space, parity)]
@@ -146,15 +146,15 @@ def test_binary_adjoint_cocycle_space_matches_lifted_kernel():
 
 
 def test_adjoint_d1_lands_in_cyclic_kernel(g11):
-    m = binary_adjoint_cocycle_matrix(g11)
+    m = coboundary_matrix(g11, "binary-adjoint", 2)
     assert m.mul(binary_adjoint_d1_matrix(g11)).is_zero()
 
 
 def test_coboundary_matrix_dispatch(g11, t11):
     assert coboundary_matrix(g11, "binary-scalar", 2).entries == \
-        ds_matrix(g11, 2).entries
+        coboundary_matrix(g11, "binary-scalar", 2).entries
     assert coboundary_matrix(t11, "ternary-scalar", 1).entries == \
-        delta1_matrix(t11, "ternary-scalar").entries
+        coboundary_matrix(t11, "ternary-scalar", 1).entries
     with pytest.raises(InputError):
         coboundary_matrix(g11, "ternary-scalar", 1)
     for obj, cx, degree in ((g11, "binary-scalar", 4),
@@ -169,10 +169,12 @@ def test_apply_coboundary_round(g11, t11):
     f = random_cochain(rng, "binary-scalar", 1, g11.space, 0)
     out = apply_coboundary(g11, f)
     assert out.degree == 2 and out.parity == 0
-    assert out.coords == ds_matrix(g11, 1).apply(f.coords)
+    assert out.coords == \
+        coboundary_matrix(g11, "binary-scalar", 1).apply(f.coords)
     h = random_cochain(rng, "ternary-adjoint", 2, t11.space, 1)
     out = apply_coboundary(t11, h)
-    assert out.coords == delta2_matrix(t11, "ternary-adjoint", 1).apply(h.coords)
+    assert out.coords == \
+        coboundary_matrix(t11, "ternary-adjoint", 2, 1).apply(h.coords)
 
 
 def test_slice_apply_matches_lifted_matrix():
@@ -244,6 +246,37 @@ def test_induce_cocycle_scalar_oracle(g11, tau11, t11):
             assert out.coords[pos * g11.dim + k] == want
 
 
+@pytest.mark.parametrize("case", ["gl11t", "conj"])
+def test_induce_cocycle_adjoint_oracle(case):
+    """Every coordinate of a transferred g-valued cocycle, both parities,
+    against the tau-combination written out one output index at a time."""
+    lie, rep = gl11t() if case == "gl11t" else conjugate_gl11(random.Random(8))
+    tau, t = induced(lie, rep)
+    rng = random.Random(76)
+    n = cochain_length("binary-adjoint", 2, lie.space)
+    p = lie.space.parities
+    tv = tau.values
+    for parity in (0, 1):
+        vecs = binary_adjoint_cocycle_space(lie, parity).vectors()
+        assert vecs, (case, parity)
+        phi = Cochain("binary-adjoint", 2, parity, lie.space,
+                      kernel_combination(rng, vecs, n))
+        out = induce_cocycle(lie, tau, phi, t)
+        assert out.complex == "ternary-adjoint" and out.parity == parity
+        assert not out.is_zero(), (case, parity)
+        pos = 0
+        for (x1, x2), k in cochain_keys("ternary-adjoint", 2, lie.space):
+            s12 = -1 if (p[x1] and p[x2]) else 1
+            s3 = -1 if (p[k] and (p[x1] ^ p[x2])) else 1
+            for m in range(lie.dim):
+                want = (tv[x1] * binary_pair_eval(phi, x2, k)[m]
+                        - s12 * tv[x2] * binary_pair_eval(phi, x1, k)[m]
+                        + s3 * tv[k] * binary_pair_eval(phi, x1, x2)[m])
+                assert out.coords[pos] == want, (case, parity, x1, x2, k, m)
+                pos += 1
+        assert pos == len(out.coords)
+
+
 def test_induce_cocycle_rejects_non_cocycle(g11, tau11):
     bad = random_cochain(random.Random(73), "binary-scalar", 2, g11.space, 0)
     assert not is_binary_cocycle(g11, bad)
@@ -264,8 +297,8 @@ def test_adjoint_cocycles_transfer(g11, tau11, t11):
             phi = Cochain("binary-adjoint", 2, parity, g11.space, coords)
             out = induce_cocycle(g11, tau11, phi, t11)
             assert out.complex == "ternary-adjoint"
-            resid = delta2_matrix(t11, "ternary-adjoint",
-                                  parity).apply(out.coords)
+            resid = coboundary_matrix(t11, "ternary-adjoint", 2,
+                                      parity).apply(out.coords)
             assert is_zero_vec(resid)
 
 
@@ -283,7 +316,7 @@ def test_class_transfer_random(g11, tau11):
     n = cochain_length("binary-scalar", 2, g11.space)
     sel_in = parity_support("binary-scalar", 2, g11.space, 0)
     sel_out = parity_support("binary-scalar", 3, g11.space, 0)
-    zblock = ds_matrix(g11, 2).select(sel_out, sel_in)
+    zblock = coboundary_matrix(g11, "binary-scalar", 2).select(sel_out, sel_in)
     from homnambu.linalg import kernel
     lifted = []
     for v in kernel(zblock).vectors():
@@ -291,7 +324,7 @@ def test_class_transfer_random(g11, tau11):
         for pos, x in zip(sel_in, v):
             full[pos] = x
         lifted.append(tuple(full))
-    m1 = ds_matrix(g11, 1)
+    m1 = coboundary_matrix(g11, "binary-scalar", 1)
     for _ in range(10):
         phi1 = Cochain("binary-scalar", 2, 0, g11.space,
                        kernel_combination(rng, lifted, n))
@@ -320,9 +353,10 @@ def test_class_transfer_demands_cohomologous_pair(all_binary, g11, tau11):
 def test_coboundary_matrices_live_as_long_as_their_algebra():
     lie, rep = gl11()
     tau, t = induced(lie, rep)
-    d2 = delta2_matrix(t, "ternary-scalar", 0)
-    assert delta2_matrix(t, "ternary-scalar", 0) is d2
-    assert ds_matrix(lie, 2) is ds_matrix(lie, 2)
+    d2 = coboundary_matrix(t, "ternary-scalar", 2, 0)
+    assert coboundary_matrix(t, "ternary-scalar", 2, 0) is d2
+    assert coboundary_matrix(lie, "binary-scalar", 2) is \
+        coboundary_matrix(lie, "binary-scalar", 2)
     # the memo is no part of the value: an equal algebra with nothing
     # cached compares equal and prints the same
     fresh_lie, _ = gl11()
@@ -409,9 +443,9 @@ def test_scalar_delta2_built_once_per_algebra():
     for parity in (0, 1):
         om = random_cochain(rng, "binary-scalar", 1, lie.space, parity)
         assert verify_lemma_identity(lie, tau, om, t).verdict == "pass"
-    delta2_matrix(t, "ternary-scalar", 0)
-    delta2_matrix(t, "ternary-scalar", 1)
-    delta2_matrix(t, "ternary-scalar")
+    coboundary_matrix(t, "ternary-scalar", 2, 0)
+    coboundary_matrix(t, "ternary-scalar", 2, 1)
+    coboundary_matrix(t, "ternary-scalar", 2)
     coboundary_matrix(t, "ternary-scalar", 2)
     # the memo keys value-free rows on (complex, degree, parity)
     built = [key for key in t.memo if key[:2] == ("ternary-scalar", 2)]
@@ -456,10 +490,10 @@ def test_delta1_matches_direct_formula():
                                   for o in range(dim))
             f_adj = tuple(x for row in fa for x in row)
             Cochain("ternary-adjoint", 1, parity, lie.space, f_adj)  # legal
-            assert delta1_matrix(t, "ternary-scalar").apply(tuple(fs)) == \
-                tuple(want_s), (name, parity)
-            assert delta1_matrix(t, "ternary-adjoint").apply(f_adj) == \
-                tuple(want_a), (name, parity)
+            d1s = coboundary_matrix(t, "ternary-scalar", 1)
+            d1a = coboundary_matrix(t, "ternary-adjoint", 1)
+            assert d1s.apply(tuple(fs)) == tuple(want_s), (name, parity)
+            assert d1a.apply(f_adj) == tuple(want_a), (name, parity)
 
 
 def pair_value(phi, i, j, parities, zero):
@@ -506,7 +540,7 @@ def test_binary_adjoint_cocycle_matrix_matches_direct_formula():
                          ev(phi, lie.alpha.column(y), lie.bracket.value(z, x)),
                          ev(phi, lie.alpha.column(z), lie.bracket.value(x, y)))
                 want.extend(a + sa * b + sb * c for a, b, c in zip(*terms))
-            got = binary_adjoint_cocycle_matrix(lie).apply(coords)
+            got = coboundary_matrix(lie, "binary-adjoint", 2).apply(coords)
             assert got == tuple(want), (name, parity)
 
 
@@ -573,7 +607,8 @@ def test_ds_matches_direct_formula_in_degrees_2_and_3():
                             total += sign * multilinear(fv.__getitem__, args, p,
                                                         Fraction(0))
                     want.append(total)
-                got = ds_matrix(lie, degree).apply(coords)
+                got = coboundary_matrix(lie, "binary-scalar",
+                                        degree).apply(coords)
                 assert got == tuple(want), (name, degree, parity)
 
 
@@ -651,5 +686,5 @@ def test_delta2_matches_direct_formula_on_both_complexes():
                                      F(a[x1], a[x2], act(y1, y2, z)))]
                             val = comb(terms)
                             want.extend((val,) if cx == "ternary-scalar" else val)
-                got = delta2_matrix(t, cx, parity).apply(coords)
+                got = coboundary_matrix(t, cx, 2, parity).apply(coords)
                 assert got == tuple(want), (name, cx, parity)

@@ -7,7 +7,7 @@ import pytest
 
 from homnambu.binary import (verify_hom_jacobi, verify_morphism,
                              verify_multiplicative, verify_skew)
-from homnambu.cohomology import (Cochain, cochain_length, ds_matrix,
+from homnambu.cohomology import (Cochain, coboundary_matrix, cochain_length,
                                  parity_support)
 from homnambu.extensions import (CentralExtensionData, build_central_extension,
                                  extended_space, extension_isomorphism,
@@ -32,7 +32,8 @@ def random_even_cochain(rng, g):
 def even_cocycle_basis(g):
     sel_in = parity_support("binary-scalar", 2, g.space, 0)
     sel_out = parity_support("binary-scalar", 3, g.space, 0)
-    zk = kernel(ds_matrix(g, 2).select(sel_out, sel_in))
+    d2 = coboundary_matrix(g, "binary-scalar", 2)
+    zk = kernel(d2.select(sel_out, sel_in))
     out = []
     for v in zk.vectors():
         n = cochain_length("binary-scalar", 2, g.space)
@@ -56,7 +57,8 @@ def test_jacobi_iff_cocycle(g11):
         om = random_even_cochain(rng, g11)
         data = CentralExtensionData(g11, om)
         ext = build_central_extension(data)
-        closed = is_zero_vec(ds_matrix(g11, 2).apply(om.coords))
+        closed = is_zero_vec(
+            coboundary_matrix(g11, "binary-scalar", 2).apply(om.coords))
         assert verify_hom_jacobi(ext).ok == closed
         assert verify_extension(data).verdict == "pass"
         assert verify_skew(ext).verdict == "pass"
@@ -118,7 +120,7 @@ def test_odd_cochain_rejected(g11):
 def test_isomorphism_for_cohomologous_pair(g11):
     rng = random.Random(62)
     base = even_cocycle_basis(g11)[0]
-    m1 = ds_matrix(g11, 1)
+    m1 = coboundary_matrix(g11, "binary-scalar", 1)
     for _ in range(5):
         sel1 = parity_support("binary-scalar", 1, g11.space, 0)
         n1 = cochain_length("binary-scalar", 1, g11.space)
@@ -153,7 +155,8 @@ def test_isomorphism_refuses_distinct_classes(all_binary):
     nontrivial = even_cochain(a0, {parity_support("binary-scalar", 2,
                                                   a0.space, 0)[0]: 1})
     assert not is_zero_vec(nontrivial.coords)
-    assert is_zero_vec(ds_matrix(a0, 2).apply(nontrivial.coords))
+    assert is_zero_vec(
+        coboundary_matrix(a0, "binary-scalar", 2).apply(nontrivial.coords))
     zero = Cochain.zero("binary-scalar", 2, a0.space)
     assert extension_isomorphism(zero, nontrivial, a0) is None
 
@@ -161,7 +164,8 @@ def test_isomorphism_refuses_distinct_classes(all_binary):
 def test_isomorphism_requires_cocycles(g11):
     rng = random.Random(63)
     om = random_even_cochain(rng, g11)
-    assert not is_zero_vec(ds_matrix(g11, 2).apply(om.coords))
+    assert not is_zero_vec(
+        coboundary_matrix(g11, "binary-scalar", 2).apply(om.coords))
     zero = Cochain.zero("binary-scalar", 2, g11.space)
     with pytest.raises(PreconditionError):
         extension_isomorphism(zero, om, g11)
@@ -181,6 +185,7 @@ def test_induce_extension_decomposition(g11, tau11):
 def test_induce_extension_rejects_non_cocycle(g11, tau11):
     rng = random.Random(64)
     om = random_even_cochain(rng, g11)
-    assert not is_zero_vec(ds_matrix(g11, 2).apply(om.coords))
+    assert not is_zero_vec(
+        coboundary_matrix(g11, "binary-scalar", 2).apply(om.coords))
     with pytest.raises(PreconditionError):
         induce_extension(g11, tau11, CentralExtensionData(g11, om))

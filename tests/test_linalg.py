@@ -5,9 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from homnambu.cohomology import (binary_adjoint_cocycle_matrix,
-                                 binary_adjoint_d1_matrix, delta1_matrix,
-                                 delta2_matrix, ds_matrix)
+from homnambu.cohomology import binary_adjoint_d1_matrix, coboundary_matrix
 from homnambu.fixtures import conjugate_gl11, gl11, gl11t
 from homnambu.linalg import (InputError, Matrix, Subspace, frac,
                              image, invert, is_zero_vec, kernel, rank, rref,
@@ -298,12 +296,12 @@ def test_coboundary_rank_and_kernel_match_dense_oracle():
     for lie, rep in algebras:
         tau = trace_functional(rep)
         t = induce_ternary(lie, tau, lie.alpha, lie.alpha)
-        mats = [ds_matrix(lie, d) for d in (1, 2, 3)]
-        mats += [binary_adjoint_cocycle_matrix(lie),
+        mats = [coboundary_matrix(lie, "binary-scalar", d) for d in (1, 2, 3)]
+        mats += [coboundary_matrix(lie, "binary-adjoint", 2),
                  binary_adjoint_d1_matrix(lie)]
         for cx in ("ternary-scalar", "ternary-adjoint"):
-            mats.append(delta1_matrix(t, cx))
-            mats += [delta2_matrix(t, cx, parity) for parity in (0, 1)]
+            mats.append(coboundary_matrix(t, cx, 1))
+            mats += [coboundary_matrix(t, cx, 2, parity) for parity in (0, 1)]
         for m in mats:
             r = dense_rref(m)
             assert rank(m) == sum(1 for row in dense_rows(r) if lead(row) is not None)

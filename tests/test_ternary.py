@@ -53,6 +53,19 @@ def test_induced_gl11_matches_oracle_on_all_triples(g11, tau11, t11):
                     induced_value_oracle(g11, tau11, x, y, z), (x, y, z)
 
 
+@pytest.mark.parametrize("case", ["gl11t", "conj"])
+def test_induced_bracket_matches_oracle_on_all_triples(case):
+    """The same oracle on a Yau twist, whose trace functional has two
+    nonzero values, and on a dense conjugate, where every bracket is a
+    combination of all four basis elements."""
+    lie, rep = gl11t() if case == "gl11t" else conjugate_gl11(random.Random(3))
+    tau = trace_functional(rep)
+    t = induce_ternary(lie, tau, lie.alpha, lie.alpha)
+    for x, y, z in product(range(lie.dim), repeat=3):
+        assert t.bracket.value(x, y, z) == \
+            induced_value_oracle(lie, tau, x, y, z), (case, x, y, z)
+
+
 def test_induced_gl11_canonical_table(t11):
     assert t11.bracket.canonical_coeffs() == {
         (0, 2, 3): (1, 1, 0, 0),

@@ -21,14 +21,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from homnambu.cli import main as cli_main
-from homnambu.cohomology import (Cochain, binary_adjoint_cocycle_matrix,
-                                 binary_adjoint_cocycle_space, cochain_length,
-                                 ds_matrix, even_cocycles, parity_support)
+from homnambu.cohomology import (Cochain, binary_adjoint_cocycle_space,
+                                 cochain_length, cocycles, is_binary_cocycle,
+                                 parity_support)
 from homnambu.fixtures import (a0, aff1, gl11, gl11t, neg_jacobi, neg_mult,
                                neg_nambu, neg_rep)
 from homnambu.formats import (DocumentBundle, serialize_cochain,
                               write_document)
-from homnambu.linalg import is_zero_vec
 
 FIX = ROOT / "fixtures"
 GOLD = FIX / "golden"
@@ -60,7 +59,7 @@ def integral(v):
 
 
 def even_scalar_cocycle(g):
-    basis = even_cocycles(g, "binary-scalar", 2)
+    basis = cocycles(g, "binary-scalar", 2, 0)
     if len(basis) != 1:
         raise SystemExit(f"regen: expected a one dimensional even cocycle "
                          f"space, got {len(basis)}")
@@ -100,7 +99,7 @@ def main():
                 "bracket": {"h1,q": {"q": "1/0"}}})
 
     om = even_scalar_cocycle(g11)
-    if not is_zero_vec(ds_matrix(g11, 2).apply(om.coords)):
+    if not is_binary_cocycle(g11, om):
         raise SystemExit("regen: omega_cocycle is not closed")
     write_json(FIX / "omega_cocycle.json", serialize_cochain(om))
 
@@ -109,14 +108,14 @@ def main():
     sel = parity_support("binary-scalar", 2, g11.space, 0)
     bad[sel[0]] = Fraction(1)
     om_bad = Cochain("binary-scalar", 2, 0, g11.space, tuple(bad))
-    if is_zero_vec(ds_matrix(g11, 2).apply(om_bad.coords)):
+    if is_binary_cocycle(g11, om_bad):
         raise SystemExit("regen: omega_bad is unexpectedly closed")
     write_json(FIX / "omega_bad.json", serialize_cochain(om_bad))
 
     zad = binary_adjoint_cocycle_space(g11, 0)
     phi = Cochain("binary-adjoint", 2, 0, g11.space,
                   integral(next(iter(zad.vectors()))))
-    if not is_zero_vec(binary_adjoint_cocycle_matrix(g11).apply(phi.coords)):
+    if not is_binary_cocycle(g11, phi):
         raise SystemExit("regen: phi_ad is not a cyclic cocycle")
     write_json(FIX / "phi_ad.json", serialize_cochain(phi))
 
