@@ -112,21 +112,20 @@ def cmd_induce(args) -> Report:
 def cmd_series(args) -> Report:
     bundle = read_document(args.file)
     rep = Report(f"series {args.kind}")
-    rmax = args.rmax if args.rmax is not None else bundle.lie.dim + 1
     ideal = _ideal_from_ids(bundle, args.ideal) if args.ideal else None
     if bundle.ternary is not None:
         t = bundle.ternary
         if ideal is not None and not ternary_is_ideal(t, ideal):
             rep.note("not-an-ideal", detail="series still computed")
         run = derived_series if args.kind == "derived" else central_series
-        res = run(t, ideal, rmax=rmax)
+        res = run(t, ideal, rmax=args.rmax)
     else:
         g = bundle.lie
         if ideal is not None and not is_ideal(g, ideal):
             rep.note("not-an-ideal", detail="series still computed")
         run = (binary_derived_series if args.kind == "derived"
                else binary_central_series)
-        res = run(g, ideal, rmax=rmax)
+        res = run(g, ideal, rmax=args.rmax)
     rep.metrics["dims"] = list(res.dims())
     rep.metrics["stabilized"] = res.stabilized
     rep.metrics["class_index"] = res.class_index

@@ -10,18 +10,18 @@ the document format all derive from it.
 
 Every coboundary is one entry of _BUILDERS, a table from (complex,
 degree) to a builder of value-free rows: a linalg.Matrix on the
-keys alone, since no cochain value ever enters a bracket.
+keys alone, since no cochain value ever enters a bracket.  Each formula
+is written once, on a scalar complex; the adjoint rows read it.
 
   binary-scalar   1-3  d_s, the sum over i<j of signed
                        f([x_i,x_j], alpha(...)) terms;
-  binary-adjoint  2    the cyclic cocycle operator phi(a x,[y,z]) +
-                       signed cyclic terms, rows over ordered triples;
-                       its kernel feeds the induced-cocycle transfer;
-  ternary-*       1    delta1 f(X,z) = -f(X.z);
-  ternary-scalar  2    the three-term delta2;
-  ternary-adjoint 2    the six-term delta2, whose extra terms are again
-                       evaluations of f with |f|-dependent signs (an even
-                       cochain sees the scalar operator doubled).
+  binary-adjoint  2    the cyclic operator phi(a x,[y,z]) + signed cyclic
+                       terms over ordered triples: the d_s^2 row of the
+                       sorted triple times the sorting sign (and
+                       binary_adjoint_d1_matrix is d_s^1 per output);
+  ternary-scalar  1-2  delta1 f(X,z) = -f(X.z), and the three-term delta2;
+  ternary-adjoint 1-2  the scalar delta1, and each scalar delta2 term
+                       times 1 + (-1)^{|f| e_i} (see _delta2_rows).
 
 The rows are memoized on the algebra under (complex, degree, parity);
 only the ternary-adjoint delta2 reads the parity.  An adjoint coboundary
@@ -51,7 +51,7 @@ from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      frac, image, kernel, nonzero_terms, solve, vec, vec_add,
                      vec_scale, zero_vec, is_zero_vec, ZERO)
 from .report import Report, fmt_scalar
-from .reps import TraceFunctional, check_trace_alpha_invariance
+from .reps import TraceFunctional, trace_mismatches
 from .ternary import TernaryHomLieSuper, induce_ternary
 
 # the degrees each complex has cochains in
@@ -220,14 +220,6 @@ def binary_pair_eval(c: Cochain, i: int, j: int):
     return sign * c.values[t] if scalar else vec_scale(sign, c.values[t])
 
 
-def _add_signed(row: dict, sign: int, terms) -> None:
-    """row += sign * terms on a sparse row, sign being 1 or -1 and terms
-    (column, value) pairs."""
-    for c, x in terms:
-        old = row.get(c, ZERO)
-        row[c] = old + x if sign > 0 else old - x
-
-
 def _single_twist(t: TernaryHomLieSuper):
     if not t.same_twists():
         raise PreconditionError("ternary cohomology needs alpha1 = alpha2")
@@ -262,7 +254,8 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
                 s = -1 if (i + j + moved) % 2 else 1
                 args = [g.bracket.value(X[i], X[j])] + [
                     acols[X[t]] for t in range(k) if t != i and t != j]
-                _add_signed(row, s, wedge_expand(args, sp, sb_in).items())
+                for c, x in wedge_expand(args, sp, sb_in).items():
+                    row[c] = row.get(c, ZERO) + (x if s > 0 else -x)
         rows.append(row)
     return Matrix.from_rows(rows, len(sb_in.tuples))
 
@@ -271,23 +264,19 @@ def _cyclic_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
     """phi(a x,[y,z]) + (-1)^{|x|(|y|+|z|)} phi(a y,[z,x])
     + (-1)^{|z|(|x|+|y|)} phi(a z,[x,y]) over ordered triples (x, y, z).
 
-    Any composite psi o bracket is annihilated, so coboundaries and the
-    bracket itself land in the kernel whenever Hom-Jacobi holds.
+    Each row is the d_s^2 row of the sorted triple times the sorting sign,
+    and empty when an even index repeats, so it is read off the scalar
+    rows.  Any composite psi o bracket is annihilated, so coboundaries and
+    the bracket itself land in the kernel whenever Hom-Jacobi holds.
     """
-    sp = g.space
-    p = sp.parities
-    sb2 = skew_basis(2, sp)
-    acols = g.alpha.columns()
+    ds = _rows(g, "binary-scalar", 2).entries
+    position = skew_basis(3, g.space).index
     rows = []
-    for x, y, z in _row_keys(cx, degree, sp):
-        row = {}
-        for u, v, w, s in ((x, y, z, 1),
-                           (y, z, x, -1 if p[x] and (p[y] ^ p[z]) else 1),
-                           (z, x, y, -1 if p[z] and (p[x] ^ p[y]) else 1)):
-            _add_signed(row, s, wedge_expand([acols[u], g.bracket.value(v, w)],
-                                             sp, sb2).items())
-        rows.append(row)
-    return Matrix.from_rows(rows, len(sb2.tuples))
+    for xyz in _row_keys(cx, degree, g.space):
+        t, sign, zero = canonicalize(xyz, g.space.parities)
+        row = () if zero else ds[position[t]]
+        rows.append(row if sign > 0 else tuple((c, -x) for c, x in row))
+    return Matrix(len(rows), len(skew_basis(2, g.space)), tuple(rows))
 
 
 def _delta1_rows(t: TernaryHomLieSuper, cx: str, degree: int,
@@ -306,14 +295,15 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
     """The 2-coboundary on (pair, element) keys, for cochains of parity fpar.
 
     Scalar: -f([X,Y]_a, a z) - (-1)^{|X||Y|} f(aY, X.z) + f(aX, Y.z),
-    with [X,Y]_a = X.y1 ^ a(y2) + (-1)^{|X||y1|} a(y1) ^ X.y2.
-    Adjoint appends the three extra terms, each again an evaluation of f
-    (the theorem's expansion pairs them off against the scalar ones):
+    with [X,Y]_a = X.y1 ^ a(y2) + (-1)^{|X||y1|} a(y1) ^ X.y2: four terms.
+    Adjoint adds each term again times (-1)^{|f| e_i}, e = (0, |y1|, |Y|,
+    |X|), the theorem's expansion pairing them off against the scalar ones:
 
         - f(X.y1 ^ a(y2), a z) - (-1)^{(|f|+|X|)|y1|} f(a(y1) ^ X.y2, a z)
         - (-1)^{|Y|(|X|+|f|)} f(aY, X.z) + (-1)^{|X||f|} f(aX, Y.z)
 
-    so an even cochain sees the scalar operator doubled.
+    So an even cochain sees the scalar operator doubled, and an odd one
+    the terms with e_i even doubled and the others cancelled.
     """
     a = _single_twist(t)
     sp = t.space
@@ -333,41 +323,42 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
     position = {key: i for i, key in enumerate(cochain_keys(cx, degree, sp))}
     cols = [[position[(pair, m)] for m in range(dim)] for pair in pairs]
 
-    def add(row, pair_terms, elem_terms, sign):
-        """row += sign * (coefficients of f(pair, elem)), f's coordinates
-        read off the (pair, element) key layout."""
+    def side(pair_terms, sign, e):
+        """A term's pair-side coefficients times its sign, and times
+        1 + (-1)^{|f| e} on the adjoint complex."""
+        if adjoint:
+            if fpar and e:
+                return ()
+            sign *= 2
+        return [(P, sign * cr) for P, cr in pair_terms]
+
+    def add(row, pair_terms, elem_terms):
+        """row += the coefficients of f(pair, elem), f's coordinates read
+        off the (pair, element) key layout."""
         for P, cr in pair_terms:
             col = cols[P]
             for m, cm in elem_terms:
                 c = col[m]
-                old = row.get(c, ZERO)
-                row[c] = old + cr * cm if sign > 0 else old - cr * cm
+                row[c] = row.get(c, ZERO) + cr * cm
 
     rows = []
     for P, (p1, p2) in enumerate(pairs):
         for Qp, (q1, q2) in enumerate(pairs):
             sxy = -1 if (pairp[P] and pairp[Qp]) else 1
-            s4 = -1 if (((fpar + pairp[P]) & 1) and p[q1]) else 1
-            s5 = -1 if (pairp[Qp] and ((pairp[P] + fpar) & 1)) else 1
-            s6 = -1 if (pairp[P] and fpar) else 1
             sfb = -1 if (pairp[P] and p[q1]) else 1
             # the two wedges of [X,Y]_a: X.y1 ^ a(y2) and a(y1) ^ X.y2
-            w1 = list(wedge_expand([t.bracket.value(p1, p2, q1), adense[q2]],
-                                   sp, sb2).items())
-            w2 = list(wedge_expand([adense[q1], t.bracket.value(p1, p2, q2)],
-                                   sp, sb2).items())
+            w1 = side(wedge_expand([t.bracket.value(p1, p2, q1), adense[q2]],
+                                   sp, sb2).items(), -1, 0)
+            w2 = side(wedge_expand([adense[q1], t.bracket.value(p1, p2, q2)],
+                                   sp, sb2).items(), -sfb, p[q1])
+            ay = side(apairs[Qp], -sxy, pairp[Qp])
+            ax = side(apairs[P], 1, pairp[P])
             for k in range(dim):
                 row = {}
-                az, xz, yz = acols[k], acts[P][k], acts[Qp][k]
-                add(row, w1, az, -1)
-                add(row, w2, az, -sfb)
-                add(row, apairs[Qp], xz, -sxy)
-                add(row, apairs[P], yz, 1)
-                if adjoint:
-                    add(row, w1, az, -1)
-                    add(row, w2, az, -s4)
-                    add(row, apairs[Qp], xz, -s5)
-                    add(row, apairs[P], yz, s6)
+                add(row, w1, acols[k])
+                add(row, w2, acols[k])
+                add(row, ay, acts[P][k])
+                add(row, ax, acts[Qp][k])
                 rows.append(row)
     return Matrix.from_rows(rows, len(position))
 
@@ -430,10 +421,9 @@ def _apply(obj, cx: str, degree: int, parity: int, coords) -> tuple:
 
 
 def binary_adjoint_d1_matrix(g: HomLieSuper) -> Matrix:
-    """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains."""
-    rows = [{m: -c for m, c in enumerate(g.bracket.value(i, j))}
-            for i, j in cochain_keys("binary-adjoint", 2, g.space)]
-    return _lift(Matrix.from_rows(rows, g.dim), g.dim)
+    """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains: the
+    scalar d_s f(x, y) = -f([x, y]) once per output."""
+    return _lift(_rows(g, "binary-scalar", 1), g.dim)
 
 
 def apply_coboundary(obj, c: Cochain) -> Cochain:
@@ -548,7 +538,7 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
         raise PreconditionError("induce_cocycle expects a binary 2-cochain")
     if not is_binary_cocycle(g, phi):
         raise PreconditionError("induce_cocycle expects a 2-cocycle")
-    if not check_trace_alpha_invariance(tau, g.alpha):
+    if any(trace_mismatches(tau, g.alpha)):
         raise PreconditionError("trace functional is not twist invariant")
     if t is None:
         t = induce_ternary(g, tau, g.alpha, g.alpha)
@@ -602,16 +592,21 @@ def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional,
         t = induce_ternary(g, tau, g.alpha, g.alpha)
     lhs = _apply(t, "ternary-scalar", 1, omega.parity, omega.coords)
     rhs = induce_cocycle(g, tau, apply_coboundary(g, omega), t).coords
-    if lhs != rhs:
-        names = g.space.names
-        keys = cochain_keys("ternary-scalar", 2, g.space)
-        for (pair, k), a, b in zip(keys, lhs, rhs):
-            if a != b:
-                rep.fail("lemma-identity",
-                         witness=tuple(names[m] for m in pair) + (names[k],),
-                         residual=(fmt_scalar(a - b),))
+    _fail_mismatches(rep, "lemma-identity", g.space, lhs, rhs)
     rep.metrics["coordinates"] = len(lhs)
     return rep
+
+
+def _fail_mismatches(rep: Report, check: str, space: GradedSpace, lhs,
+                     rhs) -> None:
+    """One failure per ternary-scalar 2-cochain key where lhs and rhs
+    differ, witnessed by the key's three basis names."""
+    names = space.names
+    for (pair, k), a, b in zip(cochain_keys("ternary-scalar", 2, space),
+                               lhs, rhs):
+        if a != b:
+            rep.fail(check, witness=tuple(names[m] for m in pair) + (names[k],),
+                     residual=(fmt_scalar(a - b),))
 
 
 def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional,
@@ -636,9 +631,6 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional,
     psi2 = induce_cocycle(g, tau, phi2, t)
     lhs = vec_add(psi2.coords, vec_scale(-1, psi1.coords))
     rhs = _apply(t, "ternary-scalar", 1, 0, omega)
-    if lhs != rhs:
-        idx = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-        rep.fail("class-transfer", witness=(idx,),
-                 residual=(fmt_scalar(lhs[idx] - rhs[idx]),))
+    _fail_mismatches(rep, "class-transfer", g.space, lhs, rhs)
     rep.metrics["connecting_cochain"] = [fmt_scalar(c) for c in omega]
     return rep

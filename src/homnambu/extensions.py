@@ -20,7 +20,7 @@ from .graded import GradedMap, GradedSpace, skew_basis
 from .linalg import (InputError, Matrix, PreconditionError, ZERO, ONE,
                      is_zero_vec, solve, vec, vec_add, vec_scale, zero_vec)
 from .report import Report
-from .reps import TraceFunctional, check_trace_alpha_invariance
+from .reps import TraceFunctional, trace_mismatches
 from .ternary import induce_ternary
 
 
@@ -140,7 +140,7 @@ def induce_extension(g: HomLieSuper, tau: TraceFunctional,
     ver = verify_extension(data)
     if not ver.ok or not ver.metrics["cocycle"]:
         raise PreconditionError("extension does not satisfy Hom-Jacobi")
-    if not check_trace_alpha_invariance(tau, g.alpha):
+    if any(trace_mismatches(tau, g.alpha)):
         raise PreconditionError("trace functional is not twist invariant")
     ext = build_central_extension(data)
     dim = g.dim

@@ -139,12 +139,14 @@ def trace_kernel(t: TraceFunctional) -> Subspace:
     return kernel(Matrix.build([t.values]))
 
 
-def check_trace_alpha_invariance(t: TraceFunctional, alpha: GradedMap) -> bool:
-    """Does str(rho(alpha x)) = str(rho(x)) hold on the nose?"""
-    for j in range(t.algebra.dim):
-        if t.apply(alpha.column(j)) != t.values[j]:
-            return False
-    return True
+def trace_mismatches(t: TraceFunctional, f: GradedMap,
+                     target: TraceFunctional | None = None):
+    """Each basis index j with target(f e_j) != t(e_j), target defaulting
+    to t.  None means f is trace compatible; for f = alpha and no target,
+    that str(rho(alpha x)) = str(rho(x)) holds on the nose."""
+    target = t if target is None else target
+    return (j for j in range(t.algebra.dim)
+            if target.apply(f.column(j)) != t.values[j])
 
 
 def check_induction_compatibility(t: TraceFunctional, alpha: GradedMap,

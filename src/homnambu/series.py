@@ -10,7 +10,8 @@ vectors, so no step evaluates the bracket on a basis tuple.
 from dataclasses import dataclass
 
 from .binary import HomLieSuper
-from .linalg import Matrix, Subspace, rank, solve, subspace_intersection
+from .linalg import (InputError, Matrix, Subspace, rank, solve,
+                     subspace_intersection)
 from .report import Report
 from .reps import TraceFunctional, trace_kernel
 from .ternary import TernaryHomLieSuper, ternary_is_ideal
@@ -27,7 +28,15 @@ class SeriesResult:
         return tuple(t.dim for t in self.terms)
 
 
-def _run_series(start: Subspace, step, rmax: int, kind: str) -> SeriesResult:
+def _run_series(start: Subspace, step, rmax: int | None,
+                kind: str) -> SeriesResult:
+    """Up to rmax steps from start; rmax None means the ambient dimension
+    plus one, enough for any strictly falling chain to reach its fixed
+    point.  A bound below 1 computes nothing and is an input error."""
+    if rmax is None:
+        rmax = start.ambient_dim + 1
+    if rmax < 1:
+        raise InputError(f"series bound must be at least 1, not {rmax}")
     terms = [start]
     class_index = 0 if start.is_zero() else None
     stabilized = start.is_zero()
@@ -43,14 +52,14 @@ def _run_series(start: Subspace, step, rmax: int, kind: str) -> SeriesResult:
 
 
 def derived_series(t: TernaryHomLieSuper, ideal: Subspace = None,
-                   rmax: int = 12) -> SeriesResult:
+                   rmax: int | None = None) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(t.dim)
     return _run_series(start, lambda s: t.bracket.span(s, s, s),
                        rmax, "derived")
 
 
 def central_series(t: TernaryHomLieSuper, ideal: Subspace = None,
-                   rmax: int = 12) -> SeriesResult:
+                   rmax: int | None = None) -> SeriesResult:
     # step brackets against the starting ideal, not the whole algebra
     start = ideal if ideal is not None else Subspace.full(t.dim)
     return _run_series(start, lambda s: t.bracket.span(s, start, start),
@@ -58,14 +67,14 @@ def central_series(t: TernaryHomLieSuper, ideal: Subspace = None,
 
 
 def binary_derived_series(g: HomLieSuper, ideal: Subspace = None,
-                          rmax: int = 12) -> SeriesResult:
+                          rmax: int | None = None) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(g.dim)
     return _run_series(start, lambda s: g.bracket.span(s, s),
                        rmax, "derived")
 
 
 def binary_central_series(g: HomLieSuper, ideal: Subspace = None,
-                          rmax: int = 12) -> SeriesResult:
+                          rmax: int | None = None) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(g.dim)
     return _run_series(start, lambda s: g.bracket.span(s, start),
                        rmax, "central")
@@ -127,16 +136,15 @@ def find_unit(g: HomLieSuper, t: TernaryHomLieSuper) -> tuple | None:
     return sol
 
 
-def compare_central_series(g: HomLieSuper, t: TernaryHomLieSuper,
-                           rmax: int = 12) -> Report:
+def compare_central_series(g: HomLieSuper, t: TernaryHomLieSuper) -> Report:
     """Ternary central series terms sit inside the binary ones termwise.
 
     When some even u with [u, x, y] = [x, y] exists the two series agree
     from step 1 on, so the comparison upgrades to equality.
     """
     rep = Report("compare_central_series")
-    bs = binary_central_series(g, rmax=rmax)
-    ts = central_series(t, rmax=rmax)
+    bs = binary_central_series(g)
+    ts = central_series(t)
     n = min(len(bs.terms), len(ts.terms))
     unit = find_unit(g, t)
     rep.metrics["binary_dims"] = list(bs.dims())[:n]

@@ -46,7 +46,7 @@ from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
 from .linalg import (InputError, PreconditionError, Subspace, Vec,
                      integer_terms, is_zero_vec, vec_add, vec_scale)
 from .report import Report, fmt_vec
-from .reps import TraceFunctional
+from .reps import TraceFunctional, trace_mismatches
 
 
 class SuperBracket3(SuperBracket):
@@ -358,9 +358,8 @@ def verify_induced_homomorphism(f: GradedMap,
     if not base.ok:
         rep.absorb(base, "binary-")
         return rep
-    for jcol in range(g1.dim):
-        if tau2.apply(f.column(jcol)) != tau1.values[jcol]:
-            rep.fail("trace-compat", witness=(g1.space.names[jcol],))
+    for jcol in trace_mismatches(tau1, f, tau2):
+        rep.fail("trace-compat", witness=(g1.space.names[jcol],))
     for (m1, m2, label) in ((t1.alpha1, t2.alpha1, "twist1-compat"),
                             (t1.alpha2, t2.alpha2, "twist2-compat")):
         if f.matrix.mul(m1.matrix) != m2.matrix.mul(f.matrix):
@@ -386,13 +385,12 @@ def check_twist_commutes(lie: HomLieSuper, morphism: GradedMap,
     rep = Report("check_twist_commutes")
     if not lie.alpha.is_identity():
         raise PreconditionError("check_twist_commutes expects alpha = id")
-    for jcol in range(lie.dim):
-        if tau.apply(morphism.column(jcol)) != tau.values[jcol]:
-            rep.applicable = False
-            rep.note("precondition",
-                     detail=f"tau o morphism differs from tau at "
-                            f"{lie.space.names[jcol]}")
-            return rep
+    jcol = next(trace_mismatches(tau, morphism), None)
+    if jcol is not None:
+        rep.applicable = False
+        rep.note("precondition", detail=f"tau o morphism differs from tau at "
+                                        f"{lie.space.names[jcol]}")
+        return rep
     plain = induce_ternary(lie, tau, lie.alpha, lie.alpha)
     twisted_binary = yau_twist(lie, morphism)
     route_b = induce_ternary(twisted_binary, tau, morphism, morphism)

@@ -220,3 +220,13 @@ def test_seed_and_rmax_only_where_read():
     code, out = run(["transfer-checks", FIXTURES / "gl11.json",
                      "--seed", "5"])
     assert code == 0
+
+
+def test_series_bound_below_one_exits_2():
+    # a bound of 2 still runs: test_seed_and_rmax_only_where_read
+    for rmax in ("0", "-1"):
+        code, out = run(["series", "derived", FIXTURES / "gl11_induced.json",
+                         "--rmax", rmax])
+        assert code == 2, rmax
+        doc = json.loads(out)
+        assert doc["command"] == "series" and "bound" in doc["error"], doc

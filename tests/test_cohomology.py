@@ -12,19 +12,19 @@ from homnambu.cohomology import (Cochain, _apply, apply_coboundary,
                                  binary_adjoint_cocycle_space,
                                  binary_adjoint_d1_matrix, binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
-                                 cochain_keys, cochain_length, cohomology_dims,
-                                 induce_cocycle, infer_parity,
+                                 cochain_keys, cochain_length, cocycles,
+                                 cohomology_dims, induce_cocycle, infer_parity,
                                  is_binary_cocycle, make_cochain,
                                  parity_support, verify_1cocycle_transfer,
                                  verify_bracket_cocycle, verify_class_transfer,
                                  verify_lemma_identity)
-from homnambu.fixtures import conjugate_gl11, gl11, gl11t
-from homnambu.graded import skew_basis
-from homnambu.linalg import (InputError, PreconditionError, Subspace, image,
-                             is_zero_vec, kernel, subspace_intersection,
-                             unit_vec)
+from homnambu.fixtures import conjugate_gl11, gl11, gl11t, glmn
+from homnambu.graded import canonicalize, skew_basis
+from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
+                             image, is_zero_vec, kernel, subspace_intersection,
+                             unit_vec, vec_scale)
 from homnambu.reps import trace_functional
-from homnambu.ternary import induce_ternary
+from homnambu.ternary import SuperBracket3, TernaryHomLieSuper, induce_ternary
 
 
 def induced(lie, rep):
@@ -350,6 +350,30 @@ def test_class_transfer_demands_cohomologous_pair(all_binary, g11, tau11):
         verify_class_transfer(a0, tau0, zero, nontrivial)
 
 
+def test_class_transfer_witnesses_name_every_mismatch(g11, tau11, t11):
+    # doubling the induced bracket keeps the induced cocycles cocycles (delta2
+    # is linear in the bracket) but doubles delta1, so a shift by d_s eta
+    # with eta = e_h1* no longer transfers
+    coeffs = {k: vec_scale(2, v)
+              for k, v in t11.bracket.canonical_coeffs().items()}
+    doubled = TernaryHomLieSuper(t11.space,
+                                 SuperBracket3.from_canonical(t11.space, coeffs),
+                                 t11.alpha1, t11.alpha2)
+    phi1 = Cochain("binary-scalar", 2, 0, g11.space,
+                   cocycles(g11, "binary-scalar", 2, 0)[0])
+    eta = make_cochain("binary-scalar", 1, g11.space, {(0,): 1})
+    phi2 = phi1.add(apply_coboundary(g11, eta))
+    assert verify_class_transfer(g11, tau11, phi1, phi2, t11).verdict == "pass"
+    r = verify_class_transfer(g11, tau11, phi1, phi2, doubled)
+    assert r.verdict == "fail"
+    names = set(g11.space.names)
+    assert len(r.findings) > 1
+    for f in r.findings:
+        assert f.check == "class-transfer"
+        assert len(f.witness) == 3 and set(f.witness) <= names, f.witness
+    assert r.findings[0].witness == ("h1", "q", "p")
+
+
 def test_coboundary_matrices_live_as_long_as_their_algebra():
     lie, rep = gl11()
     tau, t = induced(lie, rep)
@@ -506,12 +530,31 @@ def pair_value(phi, i, j, parities, zero):
     return tuple(s * c for c in phi[(j, i)])
 
 
+def test_binary_adjoint_d1_matches_direct_formula():
+    # (d psi)(x, y) = -psi([x, y]) for a map psi: g -> g, per output index
+    rng = random.Random(84)
+    for name, lie, rep in oracle_algebras():
+        p, dim = lie.space.parities, lie.dim
+        for parity in (0, 1):
+            psi = [[rand_entry(rng, (p[m] + p[o]) % 2 == parity)
+                    for o in range(dim)] for m in range(dim)]
+            want = []
+            for x, y in skew_basis(2, lie.space).tuples:
+                br = lie.bracket.value(x, y)
+                want.extend(-sum(c * psi[m][o] for m, c in enumerate(br))
+                            for o in range(dim))
+            coords = tuple(c for row in psi for c in row)
+            got = binary_adjoint_d1_matrix(lie).apply(coords)
+            assert got == tuple(want), (name, parity)
+
+
 def test_binary_adjoint_cocycle_matrix_matches_direct_formula():
     # (d phi)(x, y, z) = phi(a x, [y, z]) + (-1)^{|x|(|y|+|z|)} phi(a y, [z, x])
     #                    + (-1)^{|z|(|x|+|y|)} phi(a z, [x, y]),
-    # rows over ordered triples, then the output index
+    # rows over ordered triples, then the output index; gl(2|1) has ordered
+    # triples of three distinct even indices, which gl(1|1) lacks
     rng = random.Random(81)
-    for name, lie, rep in oracle_algebras():
+    for name, lie, rep in (*oracle_algebras(), ("gl21", *glmn(2, 1))):
         sp = lie.space
         p, dim = sp.parities, lie.dim
         zero = (Fraction(0),) * dim
@@ -688,3 +731,42 @@ def test_delta2_matches_direct_formula_on_both_complexes():
                             want.extend((val,) if cx == "ternary-scalar" else val)
                 got = coboundary_matrix(t, cx, 2, parity).apply(coords)
                 assert got == tuple(want), (name, cx, parity)
+
+
+def lift(m, dim):
+    """Value-free rows applied once per output: column j of output o at
+    j * dim + o."""
+    return Matrix(m.rows * dim, m.cols * dim, tuple(
+        tuple((j * dim + o, x) for j, x in row)
+        for row in m.entries for o in range(dim)))
+
+
+def test_adjoint_complexes_read_the_scalar_rows():
+    """The adjoint coboundaries are the scalar ones, read per output:
+
+    - the ternary-adjoint delta1 is the lifted scalar delta1;
+    - the ternary-adjoint delta2 on even cochains is twice the lifted
+      scalar delta2;
+    - the binary-adjoint row (x, y, z) is the d_s^2 row of the sorted
+      triple times the sorting sign, and zero when an even index repeats.
+
+    No cochain value enters a bracket.  Adding the rho(alpha X) . f action
+    terms of representation-valued cohomology would change every one of
+    these on purpose.
+    """
+    for name, lie, rep in (*oracle_algebras(), ("gl21", *glmn(2, 1))):
+        _, t = induced(lie, rep)
+        dim, p = lie.dim, lie.space.parities
+        assert coboundary_matrix(t, "ternary-adjoint", 1) == lift(
+            coboundary_matrix(t, "ternary-scalar", 1), dim), name
+        assert coboundary_matrix(t, "ternary-adjoint", 2, 0) == lift(
+            coboundary_matrix(t, "ternary-scalar", 2), dim).scale(2), name
+        ds2 = coboundary_matrix(lie, "binary-scalar", 2)
+        position = skew_basis(3, lie.space).index
+        rows = []
+        for xyz in product(range(dim), repeat=3):
+            key, sign, zero = canonicalize(xyz, p)
+            rows.append(() if zero else tuple(
+                (c, sign * x) for c, x in ds2.entries[position[key]]))
+        want = lift(Matrix(len(rows), ds2.cols, tuple(rows)), dim)
+        assert coboundary_matrix(lie, "binary-adjoint", 2) == want, name

@@ -10,7 +10,8 @@ from homnambu.binary import (HomLieSuper, SuperBracket2, derived_subspace,
                              is_ideal, is_subalgebra)
 from homnambu.fixtures import (a0, aff1, conjugate_gl11, gl11, gl11t, glmn,
                                induced_gl11)
-from homnambu.graded import GradedMap, skew_basis, tuple_parity
+from homnambu.graded import (GradedMap, graded_space, identity_map,
+                             skew_basis, tuple_parity)
 from homnambu.linalg import (InputError, Matrix, Subspace, is_zero_vec, kernel,
                              unit_vec)
 from homnambu.reps import trace_functional
@@ -384,3 +385,35 @@ def test_span_needs_one_subspace_per_slot():
     for args in ((full,), (full,) * 3):
         with pytest.raises(InputError):
             g.bracket.span(*args)
+
+
+def filiform(n):
+    """The n-dimensional filiform Lie algebra: [e1, e_i] = e_{i+1} for
+    2 <= i < n, alpha = id, nilpotent of class n - 1."""
+    sp = graded_space([f"e{i}" for i in range(1, n + 1)], [0] * n)
+    coeffs = {(0, i): unit_vec(n, i + 1) for i in range(1, n - 1)}
+    return HomLieSuper(sp, SuperBracket2.from_canonical(sp, coeffs),
+                       identity_map(sp))
+
+
+def test_default_bound_runs_a_long_series_to_its_end():
+    # dimension 14: the central series falls one step at a time past a
+    # bound of 12, and the default (ambient dimension + 1) sees it through
+    g = filiform(14)
+    res = binary_central_series(g)
+    assert res.dims() == (14,) + tuple(range(12, -1, -1)) + (0,)
+    assert res.stabilized and res.class_index == 13
+    assert binary_central_series(g, rmax=15) == res
+    short = binary_central_series(g, rmax=12)
+    assert not short.stabilized and short.class_index is None
+
+
+def test_series_bound_below_one_is_an_input_error():
+    t = induced(glmn(2, 1))
+    g = glmn(2, 1)[0]
+    for rmax in (0, -1):
+        for run, alg in ((derived_series, t), (central_series, t),
+                         (binary_derived_series, g),
+                         (binary_central_series, g)):
+            with pytest.raises(InputError):
+                run(alg, rmax=rmax)

@@ -279,6 +279,21 @@ def test_check_twist_commutes(g11, tau11):
     assert rep.verdict == "pass"
 
 
+def test_trace_compatibility_failures(g11, tau11, t11):
+    # 2 * id moves tau at h1 and h2, where tau does not vanish:
+    # check_twist_commutes names the first, verify_induced_homomorphism all
+    two = GradedMap(g11.space, g11.space, Matrix.identity(4).scale(2), 0)
+    rep = check_twist_commutes(g11, two, tau11)
+    assert not rep.applicable
+    assert [f.detail for f in rep.findings] == \
+        ["tau o morphism differs from tau at h1"]
+    tau2 = TraceFunctional(g11, tuple(2 * x for x in tau11.values))
+    rep = verify_induced_homomorphism(identity_map(g11.space),
+                                      g11, tau11, t11, g11, tau2, t11)
+    assert [(f.check, f.witness) for f in rep.findings] == \
+        [("trace-compat", ("h1",)), ("trace-compat", ("h2",))]
+
+
 def dense_skew_findings(t):
     """The skew and parity-law findings of a loop over all dim^3 triples:
     the oracle of the sparse verify_ternary_skew."""
