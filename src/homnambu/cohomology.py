@@ -538,7 +538,7 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
         raise PreconditionError("induce_cocycle expects a binary 2-cochain")
     if not is_binary_cocycle(g, phi):
         raise PreconditionError("induce_cocycle expects a 2-cocycle")
-    if any(trace_mismatches(tau, g.alpha)):
+    if trace_mismatches(tau, g.alpha):
         raise PreconditionError("trace functional is not twist invariant")
     if t is None:
         t = induce_ternary(g, tau, g.alpha, g.alpha)

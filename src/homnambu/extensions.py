@@ -20,7 +20,7 @@ from .graded import GradedMap, GradedSpace, skew_basis
 from .linalg import (InputError, Matrix, PreconditionError, ZERO, ONE,
                      is_zero_vec, solve, vec, vec_add, vec_scale, zero_vec)
 from .report import Report
-from .reps import TraceFunctional, trace_mismatches
+from .reps import TraceFunctional
 from .ternary import induce_ternary
 
 
@@ -140,14 +140,13 @@ def induce_extension(g: HomLieSuper, tau: TraceFunctional,
     ver = verify_extension(data)
     if not ver.ok or not ver.metrics["cocycle"]:
         raise PreconditionError("extension does not satisfy Hom-Jacobi")
-    if any(trace_mismatches(tau, g.alpha)):
-        raise PreconditionError("trace functional is not twist invariant")
+    t_base = induce_ternary(g, tau, g.alpha, g.alpha)
+    # induce_cocycle also refuses a tau that alpha moves
+    om_rho = induce_cocycle(g, tau, data.omega, t_base)
     ext = build_central_extension(data)
     dim = g.dim
     tau_bar = TraceFunctional(ext, tau.values + (ZERO,))
     t_ext = induce_ternary(ext, tau_bar, ext.alpha, ext.alpha)
-    t_base = induce_ternary(g, tau, g.alpha, g.alpha)
-    om_rho = induce_cocycle(g, tau, data.omega, t_base)
     for key in skew_basis(3, g.space).tuples:
         i, j, k = key
         got = t_ext.bracket.value(i, j, k)

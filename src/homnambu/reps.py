@@ -140,13 +140,13 @@ def trace_kernel(t: TraceFunctional) -> Subspace:
 
 
 def trace_mismatches(t: TraceFunctional, f: GradedMap,
-                     target: TraceFunctional | None = None):
-    """Each basis index j with target(f e_j) != t(e_j), target defaulting
-    to t.  None means f is trace compatible; for f = alpha and no target,
+                     target: TraceFunctional | None = None) -> tuple[int, ...]:
+    """Every basis index j with target(f e_j) != t(e_j), target defaulting
+    to t.  Empty means f is trace compatible; for f = alpha and no target,
     that str(rho(alpha x)) = str(rho(x)) holds on the nose."""
     target = t if target is None else target
-    return (j for j in range(t.algebra.dim)
-            if target.apply(f.column(j)) != t.values[j])
+    return tuple(j for j in range(t.algebra.dim)
+                 if target.apply(f.column(j)) != t.values[j])
 
 
 def check_induction_compatibility(t: TraceFunctional, alpha: GradedMap,

@@ -385,11 +385,11 @@ def check_twist_commutes(lie: HomLieSuper, morphism: GradedMap,
     rep = Report("check_twist_commutes")
     if not lie.alpha.is_identity():
         raise PreconditionError("check_twist_commutes expects alpha = id")
-    jcol = next(trace_mismatches(tau, morphism), None)
-    if jcol is not None:
+    bad = trace_mismatches(tau, morphism)
+    if bad:
         rep.applicable = False
         rep.note("precondition", detail=f"tau o morphism differs from tau at "
-                                        f"{lie.space.names[jcol]}")
+                                        f"{lie.space.names[bad[0]]}")
         return rep
     plain = induce_ternary(lie, tau, lie.alpha, lie.alpha)
     twisted_binary = yau_twist(lie, morphism)

@@ -189,3 +189,24 @@ def test_induce_extension_rejects_non_cocycle(g11, tau11):
         coboundary_matrix(g11, "binary-scalar", 2).apply(om.coords))
     with pytest.raises(PreconditionError):
         induce_extension(g11, tau11, CentralExtensionData(g11, om))
+
+
+def test_transfer_rejects_twist_moving_trace_at_first_basis_element(g11):
+    """alpha(h1) = 2 h1 + h2 keeps Hom-Jacobi on gl(1|1) and, for tau = h1*,
+    moves tau only at basis index 0; both transfers must refuse it."""
+    from homnambu.binary import HomLieSuper
+    from homnambu.cohomology import induce_cocycle
+    from homnambu.graded import GradedMap
+    from homnambu.linalg import Matrix
+    from homnambu.reps import TraceFunctional, trace_mismatches
+    alpha = GradedMap(g11.space, g11.space, Matrix.build(
+        [[2, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    g = HomLieSuper(g11.space, g11.bracket, alpha)
+    tau = TraceFunctional(g, (frac(1), frac(0), frac(0), frac(0)))
+    assert verify_hom_jacobi(g).ok
+    assert trace_mismatches(tau, alpha) == (0,)
+    zero = even_cochain(g, {})
+    with pytest.raises(PreconditionError, match="twist invariant"):
+        induce_cocycle(g, tau, zero)
+    with pytest.raises(PreconditionError, match="twist invariant"):
+        induce_extension(g, tau, CentralExtensionData(g, zero))
