@@ -11,15 +11,19 @@ the document format all derive from it.
 Every coboundary is one entry of _BUILDERS, a table from (complex,
 degree) to a builder of value-free rows: a linalg.Matrix on the
 keys alone, since no cochain value ever enters a bracket.  Each formula
-is written once, on a scalar complex; the adjoint rows read it.
+is written once, on a scalar complex, over the integer views the
+identity checkers read (SuperBracket.integer, and the twist's columns
+from linalg.integer_terms), at one scale per operator, divided out once
+per stored entry.  _scalar_rows gives an adjoint complex the scalar rows.
 
   binary-scalar   1-3  d_s, the sum over i<j of signed
-                       f([x_i,x_j], alpha(...)) terms;
-  binary-adjoint  2    the cyclic operator phi(a x,[y,z]) + signed cyclic
-                       terms over ordered triples: the d_s^2 row of the
-                       sorted triple times the sorting sign (and
-                       binary_adjoint_d1_matrix is d_s^1 per output);
-  ternary-scalar  1-2  delta1 f(X,z) = -f(X.z), and the three-term delta2;
+                       f([x_i,x_j], alpha(...)) terms (D_W D_alpha^(p-1));
+  binary-adjoint  2    the cyclic operator, d_s^2 per output: on an
+                       ordered triple it is the sorting sign times the
+                       sorted triple's row (and binary_adjoint_d1_matrix
+                       is d_s^1 per output);
+  ternary-scalar  1-2  delta1 f(X,z) = -f(X.z) (D_W), and the three-term
+                       delta2 (D_W D_alpha^2);
   ternary-adjoint 1-2  the scalar delta1, and each scalar delta2 term
                        times 1 + (-1)^{|f| e_i} (see _delta2_rows).
 
@@ -41,6 +45,7 @@ the induced bracket.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -48,7 +53,7 @@ from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
-                     frac, image, kernel, nonzero_terms, solve, vec, vec_add,
+                     frac, image, integer_terms, kernel, solve, vec, vec_add,
                      vec_scale, zero_vec, is_zero_vec, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
@@ -227,22 +232,27 @@ def _single_twist(t: TernaryHomLieSuper):
 
 
 def _row_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
-    """What each value-free row of the cx coboundary on degree-cochains is
-    keyed by: a degree + 1 key, or an ordered triple for the cyclic
-    operator."""
-    if cx == "binary-adjoint":
-        return tuple(product(range(space.dim), repeat=3))
-    return cochain_keys(cx, degree + 1, space)
+    """The degree + 1 keys each value-free row of the cx coboundary on
+    degree-cochains is keyed by, those of the scalar complex it reads."""
+    return cochain_keys(cx.replace("adjoint", "scalar"), degree + 1, space)
+
+
+def _matrix(rows, ncols: int, scale: int) -> Matrix:
+    """Integer row dicts, scale times the operator's, as a Matrix of
+    Fractions: each entry is divided once."""
+    return Matrix.from_rows(({c: Fraction(x, scale) for c, x in r.items()}
+                             for r in rows), ncols)
 
 
 def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
     """d_s f(x_0, ..., x_p) = sum_{i<j} (-1)^{i+j} eps_ij
     f([x_i, x_j], a x_0, ..^i..^j.., a x_p), eps_ij the Koszul sign of
-    moving x_i, then x_j, to the front."""
+    moving x_i, then x_j, to the front: integer rows at D_W D_alpha^(p-1)."""
     sp = g.space
     par = sp.parities
     sb_in = skew_basis(degree, sp)
-    acols = g.alpha.columns()
+    dw, W = g.bracket.integer
+    da, acols = integer_terms(g.alpha.matrix.transpose().entries)
     k = degree + 1
     rows = []
     for X in _row_keys(cx, degree, sp):
@@ -252,42 +262,22 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
                 moved = (par[X[i]] * sum(par[X[t]] for t in range(i))
                          + par[X[j]] * sum(par[X[t]] for t in range(j) if t != i))
                 s = -1 if (i + j + moved) % 2 else 1
-                args = [g.bracket.value(X[i], X[j])] + [
+                args = [W.get((X[i], X[j]), ())] + [
                     acols[X[t]] for t in range(k) if t != i and t != j]
                 for c, x in wedge_expand(args, sp, sb_in).items():
-                    row[c] = row.get(c, ZERO) + (x if s > 0 else -x)
+                    row[c] = row.get(c, 0) + s * x
         rows.append(row)
-    return Matrix.from_rows(rows, len(sb_in.tuples))
-
-
-def _cyclic_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
-    """phi(a x,[y,z]) + (-1)^{|x|(|y|+|z|)} phi(a y,[z,x])
-    + (-1)^{|z|(|x|+|y|)} phi(a z,[x,y]) over ordered triples (x, y, z).
-
-    Each row is the d_s^2 row of the sorted triple times the sorting sign,
-    and empty when an even index repeats, so it is read off the scalar
-    rows.  Any composite psi o bracket is annihilated, so coboundaries and
-    the bracket itself land in the kernel whenever Hom-Jacobi holds.
-    """
-    ds = _rows(g, "binary-scalar", 2).entries
-    position = skew_basis(3, g.space).index
-    rows = []
-    for xyz in _row_keys(cx, degree, g.space):
-        t, sign, zero = canonicalize(xyz, g.space.parities)
-        row = () if zero else ds[position[t]]
-        rows.append(row if sign > 0 else tuple((c, -x) for c, x in row))
-    return Matrix(len(rows), len(skew_basis(2, g.space)), tuple(rows))
+    return _matrix(rows, len(sb_in.tuples), dw * da ** (degree - 1))
 
 
 def _delta1_rows(t: TernaryHomLieSuper, cx: str, degree: int,
                  parity: int) -> Matrix:
-    """f -> ((X, z) -> -f(X.z)); the adjoint complex shares the scalar rows."""
-    if cx == "ternary-adjoint":
-        return _rows(t, "ternary-scalar", degree)
+    """f -> ((X, z) -> -f(X.z)), at scale D_W."""
     _single_twist(t)
-    rows = [{m: -c for m, c in enumerate(t.bracket.value(x1, x2, k))}
+    dw, W = t.bracket.integer
+    rows = [{m: -c for m, c in W.get((x1, x2, k), ())}
             for (x1, x2), k in _row_keys(cx, degree, t.space)]
-    return Matrix.from_rows(rows, t.dim)
+    return _matrix(rows, t.dim, dw)
 
 
 def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
@@ -303,22 +293,20 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
         - (-1)^{|Y|(|X|+|f|)} f(aY, X.z) + (-1)^{|X||f|} f(aX, Y.z)
 
     So an even cochain sees the scalar operator doubled, and an odd one
-    the terms with e_i even doubled and the others cancelled.
+    the terms with e_i even doubled and the others cancelled.  Each term
+    has one bracket and two twists: the integer rows are at D_W D_alpha^2.
     """
-    a = _single_twist(t)
     sp = t.space
     p = sp.parities
     dim = sp.dim
     sb2 = skew_basis(2, sp)
     pairs = sb2.tuples
     pairp = [tuple_parity(q, p) for q in pairs]
-    adense = a.columns()
-    # every vector as its nonzero (index, value) terms, built once
-    acols = [nonzero_terms(v) for v in adense]
-    apairs = [list(wedge_expand([adense[i], adense[j]], sp, sb2).items())
+    dw, W = t.bracket.integer
+    da, acols = integer_terms(_single_twist(t).matrix.transpose().entries)
+    apairs = [list(wedge_expand([acols[i], acols[j]], sp, sb2).items())
               for i, j in pairs]
-    acts = [[nonzero_terms(t.bracket.value(x1, x2, k)) for k in range(dim)]
-            for x1, x2 in pairs]
+    acts = [[W.get((x1, x2, k), ()) for k in range(dim)] for x1, x2 in pairs]
     adjoint = cx == "ternary-adjoint"
     position = {key: i for i, key in enumerate(cochain_keys(cx, degree, sp))}
     cols = [[position[(pair, m)] for m in range(dim)] for pair in pairs]
@@ -339,18 +327,18 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
             col = cols[P]
             for m, cm in elem_terms:
                 c = col[m]
-                row[c] = row.get(c, ZERO) + cr * cm
+                row[c] = row.get(c, 0) + cr * cm
 
     rows = []
-    for P, (p1, p2) in enumerate(pairs):
+    for P in range(len(pairs)):
         for Qp, (q1, q2) in enumerate(pairs):
             sxy = -1 if (pairp[P] and pairp[Qp]) else 1
             sfb = -1 if (pairp[P] and p[q1]) else 1
             # the two wedges of [X,Y]_a: X.y1 ^ a(y2) and a(y1) ^ X.y2
-            w1 = side(wedge_expand([t.bracket.value(p1, p2, q1), adense[q2]],
-                                   sp, sb2).items(), -1, 0)
-            w2 = side(wedge_expand([adense[q1], t.bracket.value(p1, p2, q2)],
-                                   sp, sb2).items(), -sfb, p[q1])
+            w1 = side(wedge_expand([acts[P][q1], acols[q2]], sp, sb2).items(),
+                      -1, 0)
+            w2 = side(wedge_expand([acols[q1], acts[P][q2]], sp, sb2).items(),
+                      -sfb, p[q1])
             ay = side(apairs[Qp], -sxy, pairp[Qp])
             ax = side(apairs[P], 1, pairp[P])
             for k in range(dim):
@@ -360,15 +348,20 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
                 add(row, ay, acts[P][k])
                 add(row, ax, acts[Qp][k])
                 rows.append(row)
-    return Matrix.from_rows(rows, len(position))
+    return _matrix(rows, len(position), dw * da * da)
+
+
+def _scalar_rows(obj, cx: str, degree: int, parity: int) -> Matrix:
+    """The scalar rows, which an adjoint coboundary reads once per output."""
+    return _rows(obj, cx.replace("adjoint", "scalar"), degree)
 
 
 # (complex, degree) -> the builder of the value-free rows of the coboundary
 # on that complex's degree-cochains, called as build(obj, cx, degree, parity)
 _BUILDERS = {("binary-scalar", 1): _ds_rows, ("binary-scalar", 2): _ds_rows,
-             ("binary-scalar", 3): _ds_rows, ("binary-adjoint", 2): _cyclic_rows,
+             ("binary-scalar", 3): _ds_rows, ("binary-adjoint", 2): _scalar_rows,
              ("ternary-scalar", 1): _delta1_rows,
-             ("ternary-adjoint", 1): _delta1_rows,
+             ("ternary-adjoint", 1): _scalar_rows,
              ("ternary-scalar", 2): _delta2_rows,
              ("ternary-adjoint", 2): _delta2_rows}
 

@@ -115,8 +115,20 @@ def _column_map_to_graded(m, space: GradedSpace, where: str) -> GradedMap:
     return GradedMap(space, space, Matrix.from_columns(cols, space.dim))
 
 
+def _load_bracket(doc: dict, section: str, cls, space: GradedSpace):
+    """The cls bracket of doc[section], keyed by canonical basis-id tuples."""
+    coeffs = {}
+    for key, val in _object(doc, section).items():
+        idx = _split_key(key, cls.arity, space)
+        _check_canonical(key, idx, space)
+        coeffs[idx] = _vec_from_map(val, space, f"{section}[{key}]")
+    return cls.from_canonical(space, coeffs)
+
+
 def load_document(doc: dict) -> DocumentBundle:
     name = doc.get("name", "algebra")
+    if not isinstance(name, str):
+        raise InputError("document name must be a string")
     basis = doc.get("basis")
     if not isinstance(basis, list) or not basis:
         raise InputError("document needs a nonempty basis list")
@@ -130,12 +142,7 @@ def load_document(doc: dict) -> DocumentBundle:
         parities.append(entry["parity"])
     space = graded_space(ids, parities)
 
-    coeffs = {}
-    for key, val in _object(doc, "bracket").items():
-        idx = _split_key(key, 2, space)
-        _check_canonical(key, idx, space)
-        coeffs[idx] = _vec_from_map(val, space, f"bracket[{key}]")
-    bracket = SuperBracket2.from_canonical(space, coeffs)
+    bracket = _load_bracket(doc, "bracket", SuperBracket2, space)
 
     if "alpha" in doc:
         alpha = _column_map_to_graded(doc["alpha"], space, "alpha")
@@ -165,12 +172,7 @@ def load_document(doc: dict) -> DocumentBundle:
 
     ternary = None
     if "ternary" in doc:
-        tco = {}
-        for key, val in _object(doc, "ternary").items():
-            idx = _split_key(key, 3, space)
-            _check_canonical(key, idx, space)
-            tco[idx] = _vec_from_map(val, space, f"ternary[{key}]")
-        b3 = SuperBracket3.from_canonical(space, tco)
+        b3 = _load_bracket(doc, "ternary", SuperBracket3, space)
         alpha2 = (_column_map_to_graded(doc["alpha2"], space, "alpha2")
                   if "alpha2" in doc else alpha)
         ternary = TernaryHomLieSuper(space, b3, alpha, alpha2)
@@ -201,6 +203,12 @@ def _graded_to_column_map(g: GradedMap) -> dict:
     return out
 
 
+def _bracket_to_map(bracket, space: GradedSpace) -> dict:
+    """A bracket section as _load_bracket reads it."""
+    return {",".join(space.names[i] for i in key): _vec_to_map(v, space)
+            for key, v in sorted(bracket.canonical_coeffs().items())}
+
+
 def serialize_document(bundle: DocumentBundle) -> dict:
     lie = bundle.lie
     space = lie.space
@@ -208,8 +216,7 @@ def serialize_document(bundle: DocumentBundle) -> dict:
         "name": bundle.name,
         "basis": [{"id": n, "parity": p}
                   for n, p in zip(space.names, space.parities)],
-        "bracket": {f"{space.names[i]},{space.names[j]}": _vec_to_map(v, space)
-                    for (i, j), v in sorted(lie.bracket.canonical_coeffs().items())},
+        "bracket": _bracket_to_map(lie.bracket, space),
         "alpha": _graded_to_column_map(lie.alpha),
     }
     if bundle.rep is not None:
@@ -221,11 +228,8 @@ def serialize_document(bundle: DocumentBundle) -> dict:
             "beta": _matrix_to_grid(rep.beta.matrix),
         }
     if bundle.ternary is not None:
-        t = bundle.ternary
-        doc["ternary"] = {
-            ",".join(space.names[i] for i in key): _vec_to_map(v, space)
-            for key, v in sorted(t.bracket.canonical_coeffs().items())}
-        doc["alpha2"] = _graded_to_column_map(t.alpha2)
+        doc["ternary"] = _bracket_to_map(bundle.ternary.bracket, space)
+        doc["alpha2"] = _graded_to_column_map(bundle.ternary.alpha2)
     return doc
 
 

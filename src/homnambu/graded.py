@@ -12,8 +12,8 @@ Sign conventions used throughout the package:
 
 SuperBracket holds the structure constants of a super-skew bracket of any
 arity: only the nonzero structure vectors, keyed by ordered index tuples.
-Its eval_vectors and wedge_expand, which writes v_1 ^ ... ^ v_r on a
-canonical tuple basis, share one multilinear expansion, _expand_terms.
+Its eval_vectors and wedge_expand, which writes v_1 ^ ... ^ v_r of sparse
+rows on a canonical tuple basis, share one multilinear expansion.
 
 SuperBracket.integer is the bracket's one integer view, (D, {key: sparse
 integer vector}), D the least common denominator, built once per frozen
@@ -31,7 +31,8 @@ back into Fractions:
   scale D_f D_s and right side at D_f^n D_t: the multiplicativity,
   morphism and induced-homomorphism checks;
 * the Hom-Jacobi table of binary (scale D_alpha D_W^2) and the Hom-Nambu
-  join of ternary (D_W^2 D_1 D_2).
+  join of ternary (D_W^2 D_1 D_2);
+* the coboundary rows of cohomology (D_W D_alpha^k).
 """
 
 from dataclasses import dataclass
@@ -60,9 +61,6 @@ class GradedSpace:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def parity(self, i: int) -> int:
-        return self.parities[i]
 
     def index(self, name: str) -> int:
         try:
@@ -470,14 +468,15 @@ def compat_residuals(f: GradedMap, source: SuperBracket,
             yield key, tuple(Fraction(x, scale) for x in resid)
 
 
-def wedge_expand(vectors, space: GradedSpace, sb: SkewBasis) -> dict:
-    """v_1 ^ ... ^ v_r over the canonical basis sb of degree r, as a sparse
-    {position in sb: coefficient} map without zeros."""
+def wedge_expand(rows, space: GradedSpace, sb: SkewBasis) -> dict:
+    """v_1 ^ ... ^ v_r over the canonical basis sb of degree r, each v_i
+    as its nonzero (index, value) pairs, as a sparse {position in sb:
+    coefficient} map without zeros."""
     out = {}
-    for idx, a in _expand_terms(map(nonzero_terms, vectors)):
+    for idx, a in _expand_terms(rows):
         t, sign, zero = canonicalize(idx, space.parities)
         if not zero:
             pos = sb.index[t]
-            old = out.get(pos, ZERO)
+            old = out.get(pos, 0)
             out[pos] = old + a if sign > 0 else old - a
     return {pos: x for pos, x in out.items() if x}

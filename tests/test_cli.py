@@ -108,6 +108,23 @@ def test_extend_writes_golden_document(tmp_path):
         (GOLD / "gl11_extended.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv", [
+    ["induce"],
+    ["extend", "--omega", FIXTURES / "omega_cocycle.json"],
+], ids=["induce", "extend"])
+def test_non_string_name_exits_2(tmp_path, argv):
+    """A document name that is not a string is unusable input, refused
+    before a derived document's name is built from it."""
+    doc = json.loads((FIXTURES / "gl11.json").read_text("utf-8"))
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(dict(doc, name=5)), "utf-8")
+    out_doc = tmp_path / "out.json"
+    code, out = run([argv[0], path, *argv[1:], "-o", out_doc])
+    assert code == 2
+    assert json.loads(out)["error"] == "document name must be a string"
+    assert not out_doc.exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     code, out = run(["check", "binary", tmp_path / "absent.json"])
     assert code == 2

@@ -18,11 +18,12 @@ from homnambu.cohomology import (Cochain, _apply, apply_coboundary,
                                  parity_support, verify_1cocycle_transfer,
                                  verify_bracket_cocycle, verify_class_transfer,
                                  verify_lemma_identity)
-from homnambu.fixtures import conjugate_gl11, gl11, gl11t, glmn
+from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
+                               glmn, random_even_invertible)
 from homnambu.graded import canonicalize, skew_basis
 from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
-                             image, is_zero_vec, kernel, subspace_intersection,
-                             unit_vec, vec_scale)
+                             image, integer_terms, is_zero_vec, kernel,
+                             subspace_intersection, unit_vec, vec_scale)
 from homnambu.reps import trace_functional
 from homnambu.ternary import SuperBracket3, TernaryHomLieSuper, induce_ternary
 
@@ -489,6 +490,22 @@ def oracle_algebras():
     yield "gl11t", lie, rep
     lie, rep = conjugate_gl11(random.Random(79))
     yield "conj", lie, rep
+    lie, rep = gl11t()
+    yield "conjt", *conjugate_pair(lie, rep, random_even_invertible(
+        random.Random(1), lie.space))
+
+
+def test_oracle_algebras_tell_the_integer_scales_apart():
+    # the builders divide by D_W D_alpha^k; gl11t has D_W = D_alpha = 2,
+    # where D_W^2 D_alpha and D_W D_alpha^2 agree, so conjt is there to
+    # have D_alpha > 1 and D_W != D_alpha on both the binary bracket and
+    # the induced ternary one
+    lie, rep = next((l, r) for name, l, r in oracle_algebras()
+                    if name == "conjt")
+    _, t = induced(lie, rep)
+    da = integer_terms(lie.alpha.matrix.entries)[0]
+    assert da > 1
+    assert lie.bracket.integer[0] != da and t.bracket.integer[0] != da
 
 
 def rand_entry(rng, live):
@@ -550,9 +567,11 @@ def test_binary_adjoint_d1_matches_direct_formula():
 
 def test_binary_adjoint_cocycle_matrix_matches_direct_formula():
     # (d phi)(x, y, z) = phi(a x, [y, z]) + (-1)^{|x|(|y|+|z|)} phi(a y, [z, x])
-    #                    + (-1)^{|z|(|x|+|y|)} phi(a z, [x, y]),
-    # rows over ordered triples, then the output index; gl(2|1) has ordered
-    # triples of three distinct even indices, which gl(1|1) lacks
+    #                    + (-1)^{|z|(|x|+|y|)} phi(a z, [x, y])
+    # on every ordered triple equals the sorting sign times the matrix's
+    # value on the sorted triple (its rows run over canonical triples, then
+    # the output index), and zero when an even index repeats; gl(2|1) has
+    # ordered triples of three distinct even indices, which gl(1|1) lacks
     rng = random.Random(81)
     for name, lie, rep in (*oracle_algebras(), ("gl21", *glmn(2, 1))):
         sp = lie.space
@@ -575,16 +594,22 @@ def test_binary_adjoint_cocycle_matrix_matches_direct_formula():
                                  for o in range(dim)) for i, j in pairs}
             coords = tuple(x for key in pairs for x in phi[key])
             Cochain("binary-adjoint", 2, parity, sp, coords)  # legal
-            want = []
+            got = coboundary_matrix(lie, "binary-adjoint", 2).apply(coords)
+            triples = skew_basis(3, sp).tuples
+            assert len(got) == len(triples) * dim, name
+            by_triple = {key: got[n * dim:(n + 1) * dim]
+                         for n, key in enumerate(triples)}
             for x, y, z in product(range(dim), repeat=3):
                 sa = -1 if p[x] and (p[y] ^ p[z]) else 1
                 sb = -1 if p[z] and (p[x] ^ p[y]) else 1
                 terms = (ev(phi, lie.alpha.column(x), lie.bracket.value(y, z)),
                          ev(phi, lie.alpha.column(y), lie.bracket.value(z, x)),
                          ev(phi, lie.alpha.column(z), lie.bracket.value(x, y)))
-                want.extend(a + sa * b + sb * c for a, b, c in zip(*terms))
-            got = coboundary_matrix(lie, "binary-adjoint", 2).apply(coords)
-            assert got == tuple(want), (name, parity)
+                want = [a + sa * b + sb * c for a, b, c in zip(*terms)]
+                key, sign, repeats = canonicalize((x, y, z), p)
+                row = zero if repeats else tuple(sign * c
+                                                 for c in by_triple[key])
+                assert tuple(want) == row, (name, parity, (x, y, z))
 
 
 def skew_value(f, idx, p):
@@ -747,8 +772,10 @@ def test_adjoint_complexes_read_the_scalar_rows():
     - the ternary-adjoint delta1 is the lifted scalar delta1;
     - the ternary-adjoint delta2 on even cochains is twice the lifted
       scalar delta2;
-    - the binary-adjoint row (x, y, z) is the d_s^2 row of the sorted
-      triple times the sorting sign, and zero when an even index repeats.
+    - the binary-adjoint coboundary is the lifted d_s^2: on every ordered
+      triple (x, y, z), the cyclic operator's row is the d_s^2 row of the
+      sorted triple times the sorting sign, and zero when an even index
+      repeats.
 
     No cochain value enters a bracket.  Adding the rho(alpha X) . f action
     terms of representation-valued cohomology would change every one of
@@ -763,10 +790,30 @@ def test_adjoint_complexes_read_the_scalar_rows():
             coboundary_matrix(t, "ternary-scalar", 2), dim).scale(2), name
         ds2 = coboundary_matrix(lie, "binary-scalar", 2)
         position = skew_basis(3, lie.space).index
-        rows = []
         for xyz in product(range(dim), repeat=3):
             key, sign, zero = canonicalize(xyz, p)
-            rows.append(() if zero else tuple(
-                (c, sign * x) for c, x in ds2.entries[position[key]]))
-        want = lift(Matrix(len(rows), ds2.cols, tuple(rows)), dim)
-        assert coboundary_matrix(lie, "binary-adjoint", 2) == want, name
+            want = {} if zero else {c: sign * x
+                                    for c, x in ds2.entries[position[key]]}
+            assert cyclic_row(lie, xyz) == want, (name, xyz)
+        assert coboundary_matrix(lie, "binary-adjoint", 2) == lift(ds2, dim), \
+            name
+
+
+def cyclic_row(lie, xyz):
+    """The coefficient of phi on each canonical pair, by position, in
+    phi(a x, [y, z]) + (-1)^{|x|(|y|+|z|)} phi(a y, [z, x])
+    + (-1)^{|z|(|x|+|y|)} phi(a z, [x, y]), zeros left out."""
+    p = lie.space.parities
+    position = skew_basis(2, lie.space).index
+    x, y, z = xyz
+    sa = -1 if p[x] and (p[y] ^ p[z]) else 1
+    sb = -1 if p[z] and (p[x] ^ p[y]) else 1
+    row = {}
+    for s, u, v, w in ((1, x, y, z), (sa, y, z, x), (sb, z, x, y)):
+        for i, ai in enumerate(lie.alpha.column(u)):
+            for j, bj in enumerate(lie.bracket.value(v, w)):
+                key, sign, zero = canonicalize((i, j), p)
+                if ai and bj and not zero:
+                    c = position[key]
+                    row[c] = row.get(c, 0) + s * sign * ai * bj
+    return {c: x for c, x in row.items() if x}

@@ -13,7 +13,7 @@ from homnambu.graded import (GradedMap, GradedSpace, InputError, canonicalize,
                              graded_space, identity_map, koszul_sign,
                              skew_basis, supertrace, tuple_parity,
                              wedge_expand)
-from homnambu.linalg import Matrix, frac
+from homnambu.linalg import Matrix, frac, nonzero_terms
 from homnambu.reps import trace_functional
 from homnambu.ternary import SuperBracket3, induce_ternary
 
@@ -135,7 +135,7 @@ def test_wedge2_expand_against_canonicalize():
     for _ in range(40):
         a = tuple(frac(rng.randint(-3, 3)) for _ in range(4))
         b = tuple(frac(rng.randint(-3, 3)) for _ in range(4))
-        got = wedge_expand([a, b], sp, sb2)
+        got = wedge_expand([nonzero_terms(a), nonzero_terms(b)], sp, sb2)
         want = [Fraction(0)] * len(sb2)
         for i in range(4):
             for j in range(4):
@@ -158,9 +158,10 @@ def test_wedge2_super_antisymmetry():
                       for i in range(4))
             b = tuple(frac(rng.randint(-3, 3)) if i in idx_b else frac(0)
                       for i in range(4))
-            lhs = wedge_expand([b, a], sp, sb2)
+            ra, rb = nonzero_terms(a), nonzero_terms(b)
+            lhs = wedge_expand([rb, ra], sp, sb2)
             sgn = -1 if not (pa and pb) else 1
-            rhs = {k: sgn * x for k, x in wedge_expand([a, b], sp, sb2).items()}
+            rhs = {k: sgn * x for k, x in wedge_expand([ra, rb], sp, sb2).items()}
             assert lhs == rhs
 
 
@@ -177,8 +178,9 @@ def test_wedge_expand_degree_3_against_canonicalize():
             if not zero:
                 want[sb3.index[t]] += (sign * vs[0][idx[0]] * vs[1][idx[1]]
                                           * vs[2][idx[2]])
-        assert wedge_expand(vs, sp, sb3) == {k: x for k, x in enumerate(want)
-                                             if x}
+        rows = [nonzero_terms(v) for v in vs]
+        assert wedge_expand(rows, sp, sb3) == {k: x for k, x in enumerate(want)
+                                               if x}
 
 
 def test_graded_space_validation():
