@@ -9,21 +9,19 @@ of them, key-major.  Lengths, parities, make_cochain, Cochain.values and
 the document format all derive from it.
 
 Every coboundary is one entry of _BUILDERS, a table from (complex,
-degree) to a builder of value-free rows: a linalg.Matrix on the
-keys alone, since no cochain value ever enters a bracket.  Each formula
-is written once, on a scalar complex, over the integer views the
-identity checkers read (SuperBracket.integer, and the twist's columns
-from linalg.integer_terms), at one scale per operator, divided out once
-per stored entry.  _scalar_rows gives an adjoint complex the scalar rows.
+degree) to a builder of value-free rows on the keys alone, since no
+cochain value ever enters a bracket.  Each formula is written once, on a
+scalar complex, summed in ints over the views the identity checkers read
+(SuperBracket.integer, and the twist's columns from integer_terms): a
+builder returns the integer rows, a linalg.Matrix of ints, and one exact
+multiplier.  _scalar_rows gives an adjoint complex the scalar rows.
 
   binary-scalar   1-3  d_s, the sum over i<j of signed
-                       f([x_i,x_j], alpha(...)) terms (D_W D_alpha^(p-1));
-  binary-adjoint  2    the cyclic operator, d_s^2 per output: on an
-                       ordered triple it is the sorting sign times the
-                       sorted triple's row (and binary_adjoint_d1_matrix
-                       is d_s^1 per output);
-  ternary-scalar  1-2  delta1 f(X,z) = -f(X.z) (D_W), and the three-term
-                       delta2 (D_W D_alpha^2);
+                       f([x_i,x_j], alpha(...)) terms, 1/(D_W D_alpha^(p-1));
+  binary-adjoint  1-2  d_s^1 and d_s^2 per output, d^2 being the cyclic
+                       operator on canonical triples;
+  ternary-scalar  1-2  delta1 f(X,z) = -f(X.z), 1/D_W, and the three-term
+                       delta2, 1/(D_W D_alpha^2);
   ternary-adjoint 1-2  the scalar delta1, and each scalar delta2 term
                        times 1 + (-1)^{|f| e_i} (see _delta2_rows).
 
@@ -31,13 +29,13 @@ The rows are memoized on the algebra under (complex, degree, parity);
 only the ternary-adjoint delta2 reads the parity.  An adjoint coboundary
 applies its value-free rows once per output index, so its matrix is
 block-diagonal across the outputs: coboundary_matrix, the one
-dispatcher, lifts the rows by moving column j of output o to j*dim + o.
-Nothing else lifts.  Every coboundary of a given cochain goes through
-_apply (apply_coboundary, the cocycle checks and the transfer checks),
-which applies the value-free rows to each output slice of the
-coordinates.  Cohomology and cocycle bases (cohomology_dims, cocycles)
-take each parity block of the value-free rows, eliminate it once per key
-parity, and count, or place, it once per output it serves.
+dispatcher and the one place the rows become Fractions, scales them and
+lifts them, moving column j of output o to j*dim + o.  Every coboundary
+of a given cochain goes through _apply (apply_coboundary, the cocycle
+checks and the transfer checks), which sums in ints.  Cohomology and
+cocycle bases (cohomology_dims, cocycles) take each parity block of the
+integer rows, eliminate it once per key parity, and count, or place, it
+once per output it serves.
 
 induce_cocycle transfers a binary 2-cocycle to the induced ternary
 complex with reps.TraceFunctional.induce, the formula that also builds
@@ -60,7 +58,7 @@ from .reps import TraceFunctional, trace_mismatches
 from .ternary import TernaryHomLieSuper, induce_ternary
 
 # the degrees each complex has cochains in
-_DEGREES = {"binary-scalar": (1, 2, 3, 4), "binary-adjoint": (2,),
+_DEGREES = {"binary-scalar": (1, 2, 3, 4), "binary-adjoint": (1, 2, 3),
            "ternary-scalar": (1, 2, 3), "ternary-adjoint": (1, 2, 3)}
 COMPLEXES = tuple(_DEGREES)
 
@@ -68,7 +66,7 @@ COMPLEXES = tuple(_DEGREES)
 def cochain_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
     """Argument keys of a cx cochain of this degree, in coordinate order.
 
-    binary-scalar (degree 1-4) and binary-adjoint (degree 2) key on the
+    binary-scalar (degree 1-4) and binary-adjoint (degree 1-3) key on the
     canonical index tuples of skew_basis.  The ternary complexes key on k,
     (pair, k) or (pair, pair, k) in degree 1, 2 or 3: canonical pairs,
     pair-major, the element last.  A scalar cochain has one coordinate per
@@ -237,17 +235,10 @@ def _row_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
     return cochain_keys(cx.replace("adjoint", "scalar"), degree + 1, space)
 
 
-def _matrix(rows, ncols: int, scale: int) -> Matrix:
-    """Integer row dicts, scale times the operator's, as a Matrix of
-    Fractions: each entry is divided once."""
-    return Matrix.from_rows(({c: Fraction(x, scale) for c, x in r.items()}
-                             for r in rows), ncols)
-
-
-def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
+def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> tuple:
     """d_s f(x_0, ..., x_p) = sum_{i<j} (-1)^{i+j} eps_ij
     f([x_i, x_j], a x_0, ..^i..^j.., a x_p), eps_ij the Koszul sign of
-    moving x_i, then x_j, to the front: integer rows at D_W D_alpha^(p-1)."""
+    moving x_i, then x_j, to the front, times 1/(D_W D_alpha^(p-1))."""
     sp = g.space
     par = sp.parities
     sb_in = skew_basis(degree, sp)
@@ -267,21 +258,22 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> Matrix:
                 for c, x in wedge_expand(args, sp, sb_in).items():
                     row[c] = row.get(c, 0) + s * x
         rows.append(row)
-    return _matrix(rows, len(sb_in.tuples), dw * da ** (degree - 1))
+    return (Matrix.from_rows(rows, len(sb_in.tuples)),
+            Fraction(1, dw * da ** (degree - 1)))
 
 
 def _delta1_rows(t: TernaryHomLieSuper, cx: str, degree: int,
-                 parity: int) -> Matrix:
-    """f -> ((X, z) -> -f(X.z)), at scale D_W."""
+                 parity: int) -> tuple:
+    """f -> ((X, z) -> -f(X.z)), times 1/D_W."""
     _single_twist(t)
     dw, W = t.bracket.integer
     rows = [{m: -c for m, c in W.get((x1, x2, k), ())}
             for (x1, x2), k in _row_keys(cx, degree, t.space)]
-    return _matrix(rows, t.dim, dw)
+    return Matrix.from_rows(rows, t.dim), Fraction(1, dw)
 
 
 def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
-                 fpar: int) -> Matrix:
+                 fpar: int) -> tuple:
     """The 2-coboundary on (pair, element) keys, for cochains of parity fpar.
 
     Scalar: -f([X,Y]_a, a z) - (-1)^{|X||Y|} f(aY, X.z) + f(aX, Y.z),
@@ -292,10 +284,15 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
         - f(X.y1 ^ a(y2), a z) - (-1)^{(|f|+|X|)|y1|} f(a(y1) ^ X.y2, a z)
         - (-1)^{|Y|(|X|+|f|)} f(aY, X.z) + (-1)^{|X||f|} f(aX, Y.z)
 
-    So an even cochain sees the scalar operator doubled, and an odd one
-    the terms with e_i even doubled and the others cancelled.  Each term
-    has one bracket and two twists: the integer rows are at D_W D_alpha^2.
+    So an even cochain sees the scalar rows at twice their multiplier, and
+    an odd one the terms with e_i even doubled and the others cancelled.
+    Each term has one bracket and two twists: the multiplier is
+    1/(D_W D_alpha^2), or 2/(D_W D_alpha^2) for the odd adjoint rows.
     """
+    adjoint = cx == "ternary-adjoint"
+    if adjoint and not fpar:
+        rows, multiplier = _rows(t, "ternary-scalar", 2)
+        return rows, 2 * multiplier
     sp = t.space
     p = sp.parities
     dim = sp.dim
@@ -307,17 +304,14 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
     apairs = [list(wedge_expand([acols[i], acols[j]], sp, sb2).items())
               for i, j in pairs]
     acts = [[W.get((x1, x2, k), ()) for k in range(dim)] for x1, x2 in pairs]
-    adjoint = cx == "ternary-adjoint"
     position = {key: i for i, key in enumerate(cochain_keys(cx, degree, sp))}
     cols = [[position[(pair, m)] for m in range(dim)] for pair in pairs]
 
     def side(pair_terms, sign, e):
-        """A term's pair-side coefficients times its sign, and times
-        1 + (-1)^{|f| e} on the adjoint complex."""
-        if adjoint:
-            if fpar and e:
-                return ()
-            sign *= 2
+        """A term's pair-side coefficients times its sign; none for e odd
+        on the odd adjoint complex."""
+        if adjoint and e:
+            return ()
         return [(P, sign * cr) for P, cr in pair_terms]
 
     def add(row, pair_terms, elem_terms):
@@ -348,28 +342,32 @@ def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
                 add(row, ay, acts[P][k])
                 add(row, ax, acts[Qp][k])
                 rows.append(row)
-    return _matrix(rows, len(position), dw * da * da)
+    return (Matrix.from_rows(rows, len(position)),
+            Fraction(2 if adjoint else 1, dw * da * da))
 
 
-def _scalar_rows(obj, cx: str, degree: int, parity: int) -> Matrix:
+def _scalar_rows(obj, cx: str, degree: int, parity: int) -> tuple:
     """The scalar rows, which an adjoint coboundary reads once per output."""
     return _rows(obj, cx.replace("adjoint", "scalar"), degree)
 
 
 # (complex, degree) -> the builder of the value-free rows of the coboundary
 # on that complex's degree-cochains, called as build(obj, cx, degree, parity)
+# and returning (integer rows, multiplier)
 _BUILDERS = {("binary-scalar", 1): _ds_rows, ("binary-scalar", 2): _ds_rows,
-             ("binary-scalar", 3): _ds_rows, ("binary-adjoint", 2): _scalar_rows,
+             ("binary-scalar", 3): _ds_rows,
+             ("binary-adjoint", 1): _scalar_rows,
+             ("binary-adjoint", 2): _scalar_rows,
              ("ternary-scalar", 1): _delta1_rows,
              ("ternary-adjoint", 1): _scalar_rows,
              ("ternary-scalar", 2): _delta2_rows,
              ("ternary-adjoint", 2): _delta2_rows}
 
 
-def _rows(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
-    """The value-free rows of the cx coboundary on degree-cochains, built
-    once per algebra and kept in obj.memo.  Only the ternary-adjoint delta2
-    reads the cochain parity, mod 2; every other entry is kept under 0."""
+def _rows(obj, cx: str, degree: int, parity: int = 0) -> tuple:
+    """(integer rows, multiplier) of the cx coboundary on degree-cochains,
+    built once per algebra and kept in obj.memo.  Only the ternary-adjoint
+    delta2 reads the cochain parity, mod 2; every other entry is under 0."""
     build = _BUILDERS.get((cx, degree)) if type(degree) is int else None
     if build is None:
         raise InputError(f"no coboundary for {cx} cochains of degree {degree!r}")
@@ -382,41 +380,42 @@ def _rows(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
     return obj.memo[key]
 
 
-def _lift(m: Matrix, dim: int) -> Matrix:
-    """Value-free rows applied once per output index: each row becomes dim
-    rows, row o reading the output-o coordinate of every key, so column j
-    moves to j*dim + o.  With one output, m itself."""
-    if dim == 1:
-        return m
-    return Matrix(m.rows * dim, m.cols * dim, tuple(
-        tuple((j * dim + o, x) for j, x in row)
-        for row in m.entries for o in range(dim)))
-
-
 def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
     """The cx coboundary of degree-cochains of this parity, on full cochain
-    coordinates: the value-free rows, lifted on the adjoint complexes."""
-    return _lift(_rows(obj, cx, degree, parity), _width(cx, obj.space))
+    coordinates, built on each call: the value-free rows times the
+    multiplier, each row applied once per output index o, reading the
+    output-o coordinate of every key, so column j moves to j*dim + o."""
+    rows, multiplier = _rows(obj, cx, degree, parity)
+    dim = _width(cx, obj.space)
+    return Matrix(rows.rows * dim, rows.cols * dim, tuple(
+        tuple((j * dim + o, multiplier * x) for j, x in row)
+        for row in rows.entries for o in range(dim)))
 
 
 def _apply(obj, cx: str, degree: int, parity: int, coords) -> tuple:
-    """coboundary_matrix(obj, cx, degree, parity).apply(coords) without the
-    lift: the memoized value-free rows applied to each output slice of the
-    coordinates, the results interleaved in the lifted row order."""
-    m = _rows(obj, cx, degree, parity)
+    """coboundary_matrix(obj, cx, degree, parity).apply(coords), in ints:
+    the coordinates' denominators are cleared once (by D), each row is
+    summed per output over the integer coordinates at its key columns, and
+    each nonzero sum is multiplied once, by multiplier / D."""
+    m, multiplier = _rows(obj, cx, degree, parity)
     dim = _width(cx, obj.space)
     if len(coords) != m.cols * dim:
         raise InputError("vector length mismatch in apply")
-    if dim == 1:
-        return m.apply(coords)
-    slices = [m.apply(coords[o::dim]) for o in range(dim)]
-    return tuple(x for row in zip(*slices) for x in row)
-
-
-def binary_adjoint_d1_matrix(g: HomLieSuper) -> Matrix:
-    """psi -> -psi o bracket, mapping g->g maps to adjoint 2-cochains: the
-    scalar d_s f(x, y) = -f([x, y]) once per output."""
-    return _lift(_rows(g, "binary-scalar", 1), g.dim)
+    d, (terms,) = integer_terms([enumerate(coords)])
+    scale = multiplier / d
+    at = {}  # key column -> its (output, integer coordinate) pairs
+    for j, x in terms:
+        at.setdefault(j // dim, []).append((j % dim, x))
+    out = [ZERO] * (m.rows * dim)
+    for i, row in enumerate(m.entries):
+        sums = {}
+        for c, x in row:
+            for o, y in at.get(c, ()):
+                sums[o] = sums.get(o, 0) + x * y
+        for o, s in sums.items():
+            if s:
+                out[i * dim + o] = s * scale
+    return tuple(out)
 
 
 def apply_coboundary(obj, c: Cochain) -> Cochain:
@@ -437,7 +436,7 @@ def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
     parity, so the kernel of a block is the cocycle space there.
     """
     space = obj.space
-    m = _rows(obj, cx, degree, parity)
+    m = _rows(obj, cx, degree, parity)[0]
     colp = _key_parities(cochain_keys(cx, degree, space), space)
     rowp = _key_parities(_row_keys(cx, degree, space), space)
     dim = _width(cx, space)

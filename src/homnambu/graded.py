@@ -32,7 +32,7 @@ back into Fractions:
   morphism and induced-homomorphism checks;
 * the Hom-Jacobi table of binary (scale D_alpha D_W^2) and the Hom-Nambu
   join of ternary (D_W^2 D_1 D_2);
-* the coboundary rows of cohomology (D_W D_alpha^k).
+* the coboundary rows of cohomology, ints times 1/(D_W D_alpha^k).
 """
 
 from dataclasses import dataclass

@@ -95,9 +95,9 @@ class Matrix:
     increasing and values nonzero, so equal matrices compare equal.
 
     Values are Fractions: build and from_columns convert exact input, and
-    from_rows and the raw constructor keep what they are given.  rref
-    also takes rows of ints and returns Fractions.  row(i) and col(j)
-    read dense tuples.
+    from_rows and the raw constructor keep what they are given, so the
+    coboundary rows of cohomology hold ints; rref takes rows of ints and
+    returns Fractions.  row(i) and col(j) read dense tuples.
     """
 
     rows: int

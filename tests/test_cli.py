@@ -9,6 +9,8 @@ import pytest
 
 from homnambu import cli
 from homnambu.cli import main
+from homnambu.fixtures import glmn
+from homnambu.formats import DocumentBundle, write_document
 from homnambu.linalg import Subspace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -221,6 +223,22 @@ def test_transfer_commands_accept_the_induced_ternary():
                      "--phi", FIXTURES / "omega_cocycle.json"])
     assert code == 0
     assert out == (GOLD / "induce_cocycle_scalar.json").read_text("utf-8")
+
+
+def test_transfer_and_adjoint_cohomology_on_gl21(tmp_path):
+    """gl(2|1), dimension 9: coboundaries applied to cochains, and the
+    adjoint complex eliminated, beyond the shipped 4-dimensional
+    documents."""
+    path = tmp_path / "gl21.json"
+    write_document(path, DocumentBundle("gl21", *glmn(2, 1)))
+    code, out = run(["transfer-checks", path])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+    code, out = run(["cohomology", path, "--complex", "ternary-adjoint",
+                     "--degree", "2"])
+    assert code == 0
+    metrics = json.loads(out)["metrics"]
+    assert (metrics["Z"], metrics["B"], metrics["H"]) == (41, 36, 5)
 
 
 def test_seed_and_rmax_only_where_read():

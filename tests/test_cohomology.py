@@ -1,16 +1,19 @@
 """Cochain complexes, coboundaries, and cocycle transfer to the induced side."""
 
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from homnambu.cohomology import (Cochain, _apply, apply_coboundary,
+from homnambu.cohomology import (_BUILDERS, Cochain, _apply, _rows,
+                                 apply_coboundary,
                                  binary_adjoint_cocycle_space,
-                                 binary_adjoint_d1_matrix, binary_pair_eval,
+                                 binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
                                  cochain_keys, cochain_length, cocycles,
                                  cohomology_dims, induce_cocycle, infer_parity,
@@ -20,6 +23,7 @@ from homnambu.cohomology import (Cochain, _apply, apply_coboundary,
                                  verify_lemma_identity)
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, random_even_invertible)
+from homnambu.formats import load_cochain
 from homnambu.graded import canonicalize, skew_basis
 from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
                              image, integer_terms, is_zero_vec, kernel,
@@ -148,7 +152,19 @@ def test_binary_adjoint_cocycle_space_matches_lifted_kernel():
 
 def test_adjoint_d1_lands_in_cyclic_kernel(g11):
     m = coboundary_matrix(g11, "binary-adjoint", 2)
-    assert m.mul(binary_adjoint_d1_matrix(g11)).is_zero()
+    assert m.mul(coboundary_matrix(g11, "binary-adjoint", 1)).is_zero()
+
+
+def test_binary_adjoint_d1_completes_the_complex(g11):
+    # d^1 is d_s^1 per output: it gives degree 2 its coboundaries, and the
+    # shipped adjoint 2-cocycle goes to the zero 3-cochain
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "phi_ad.json"
+    phi = load_cochain(json.loads(path.read_text("utf-8")), g11.space)
+    out = apply_coboundary(g11, phi)
+    assert (out.degree, out.is_zero()) == (3, True)
+    for lie, dims in ((g11, (6, 6, 0)), (gl11t()[0], (6, 6, 0)),
+                      (glmn(2, 1)[0], (36, 36, 0))):
+        assert cohomology_dims(lie, "binary-adjoint", 2) == dims
 
 
 def test_coboundary_matrix_dispatch(g11, t11):
@@ -160,7 +176,7 @@ def test_coboundary_matrix_dispatch(g11, t11):
         coboundary_matrix(g11, "ternary-scalar", 1)
     for obj, cx, degree in ((g11, "binary-scalar", 4),
                             (t11, "ternary-scalar", 3),
-                            (g11, "binary-adjoint", 1)):
+                            (g11, "binary-adjoint", 3)):
         with pytest.raises(InputError):
             coboundary_matrix(obj, cx, degree)
 
@@ -179,24 +195,26 @@ def test_apply_coboundary_round(g11, t11):
 
 
 def test_slice_apply_matches_lifted_matrix():
-    # coboundaries of given cochains apply the value-free rows to each
-    # output slice; the lifted coboundary matrix is the oracle
+    # coboundaries of given cochains apply the integer value-free rows, per
+    # output, to the cochain's cleared coordinates; the lifted Fraction
+    # coboundary matrix is the oracle, entry types included.  The
+    # coordinates have denominators, so the clearing is exercised.
     rng = random.Random(81)
     for name, lie, rep in oracle_algebras():
         _, t = induced(lie, rep)
-        for obj, cx, degree in ((lie, "binary-adjoint", 2),
-                                (t, "ternary-adjoint", 1),
-                                (t, "ternary-adjoint", 2),
-                                (t, "ternary-scalar", 2)):
+        for cx, degree in _BUILDERS:
+            obj = t if cx.startswith("ternary") else lie
             for parity in (0, 1):
                 c = random_cochain(rng, cx, degree, obj.space, parity)
+                c = Cochain(cx, degree, parity, obj.space, tuple(
+                    x / rng.choice((1, 2, 3, 4, 6)) for x in c.coords))
                 want = coboundary_matrix(obj, cx, degree,
                                          parity).apply(c.coords)
-                assert _apply(obj, cx, degree, parity, c.coords) == want, \
-                    (name, cx, degree, parity)
-                if cx.startswith("ternary"):
-                    assert apply_coboundary(obj, c).coords == want
-                else:
+                got = _apply(obj, cx, degree, parity, c.coords)
+                assert got == want, (name, cx, degree, parity)
+                assert [type(x) for x in got] == [type(x) for x in want]
+                assert apply_coboundary(obj, c).coords == want
+                if cx.startswith("binary") and degree == 2:
                     assert is_binary_cocycle(obj, c) == is_zero_vec(want)
         assert is_binary_cocycle(lie, bracket_cochain(lie))
 
@@ -378,10 +396,11 @@ def test_class_transfer_witnesses_name_every_mismatch(g11, tau11, t11):
 def test_coboundary_matrices_live_as_long_as_their_algebra():
     lie, rep = gl11()
     tau, t = induced(lie, rep)
-    d2 = coboundary_matrix(t, "ternary-scalar", 2, 0)
-    assert coboundary_matrix(t, "ternary-scalar", 2, 0) is d2
-    assert coboundary_matrix(lie, "binary-scalar", 2) is \
-        coboundary_matrix(lie, "binary-scalar", 2)
+    d2 = _rows(t, "ternary-scalar", 2, 0)
+    assert _rows(t, "ternary-scalar", 2, 0) is d2
+    assert _rows(lie, "binary-scalar", 2) is _rows(lie, "binary-scalar", 2)
+    # the even ternary-adjoint delta2 is the scalar rows, not a copy
+    assert _rows(t, "ternary-adjoint", 2, 0)[0] is d2[0]
     # the memo is no part of the value: an equal algebra with nothing
     # cached compares equal and prints the same
     fresh_lie, _ = gl11()
@@ -394,10 +413,10 @@ def test_coboundary_matrices_live_as_long_as_their_algebra():
 
 # --- the coordinate layout ---------------------------------------------------
 
-ALL_SHAPES = [("binary-scalar", d) for d in (1, 2, 3, 4)] + [
-    ("binary-adjoint", 2)] + [(cx, d) for cx in ("ternary-scalar",
-                                                  "ternary-adjoint")
-                              for d in (1, 2, 3)]
+ALL_SHAPES = ([("binary-scalar", d) for d in (1, 2, 3, 4)]
+              + [("binary-adjoint", d) for d in (1, 2, 3)]
+              + [(cx, d) for cx in ("ternary-scalar", "ternary-adjoint")
+                 for d in (1, 2, 3)])
 
 
 def test_cochain_keys_layout(g11):
@@ -413,7 +432,7 @@ def test_cochain_keys_layout(g11):
     for cx, d in ALL_SHAPES:
         width = 4 if cx.endswith("adjoint") else 1
         assert cochain_length(cx, d, sp) == len(cochain_keys(cx, d, sp)) * width
-    for cx, d in (("binary-adjoint", 1), ("ternary-scalar", 4),
+    for cx, d in (("binary-adjoint", 4), ("ternary-scalar", 4),
                   ("binary-scalar", True), ("nope", 1)):
         with pytest.raises(InputError):
             cochain_keys(cx, d, sp)
@@ -561,7 +580,7 @@ def test_binary_adjoint_d1_matches_direct_formula():
                 want.extend(-sum(c * psi[m][o] for m, c in enumerate(br))
                             for o in range(dim))
             coords = tuple(c for row in psi for c in row)
-            got = binary_adjoint_d1_matrix(lie).apply(coords)
+            got = coboundary_matrix(lie, "binary-adjoint", 1).apply(coords)
             assert got == tuple(want), (name, parity)
 
 

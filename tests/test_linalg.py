@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from homnambu.cohomology import binary_adjoint_d1_matrix, coboundary_matrix
+from homnambu.cohomology import coboundary_matrix
 from homnambu.fixtures import conjugate_gl11, gl11, gl11t
 from homnambu.linalg import (InputError, Matrix, Subspace, frac,
                              image, invert, is_zero_vec, kernel, rank, rref,
@@ -297,8 +297,7 @@ def test_coboundary_rank_and_kernel_match_dense_oracle():
         tau = trace_functional(rep)
         t = induce_ternary(lie, tau, lie.alpha, lie.alpha)
         mats = [coboundary_matrix(lie, "binary-scalar", d) for d in (1, 2, 3)]
-        mats += [coboundary_matrix(lie, "binary-adjoint", 2),
-                 binary_adjoint_d1_matrix(lie)]
+        mats += [coboundary_matrix(lie, "binary-adjoint", d) for d in (1, 2)]
         for cx in ("ternary-scalar", "ternary-adjoint"):
             mats.append(coboundary_matrix(t, cx, 1))
             mats += [coboundary_matrix(t, cx, 2, parity) for parity in (0, 1)]
