@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Everything runs on fractions.Fraction: no floats, no tolerances, no
-normalization surprises.  One immutable matrix type, Matrix, holds only
-the nonzero (column, value) pairs of each row, for the twists and
-representation matrices and for the coboundaries, which are almost all
-zeros; row(i) and col(j) read dense tuples.
+Everything runs on exact values, fractions.Fraction and Python ints: no
+floats, no tolerances, no normalization surprises.  One immutable matrix
+type, Matrix, holds only the nonzero (column, value) pairs of each row,
+for the twists and representation matrices and for the coboundaries,
+which are almost all zeros; row(i) and col(j) read dense tuples.
 
-All elimination runs through rref, a sparse pivot-table Gauss-Jordan that
-never visits a zero entry and returns its pivot rows in the same storage;
+All elimination runs through rref, a sparse fraction-free Gauss-Jordan:
+it reads each row as Python ints, clearing the row's own denominators,
+keeps its pivot rows as primitive int rows, never visits a zero entry,
+and makes Fractions only for the RREF it returns, in the same storage;
 rank, kernel, image, solve, invert and Subspace read those rows.
 Subspaces are stored as reduced row echelon bases with zero rows
 dropped, so structural equality is canonical equality.
@@ -96,8 +98,9 @@ class Matrix:
 
     Values are Fractions: build and from_columns convert exact input, and
     from_rows and the raw constructor keep what they are given, so the
-    coboundary rows of cohomology hold ints; rref takes rows of ints and
-    returns Fractions.  row(i) and col(j) read dense tuples.
+    coboundary rows of cohomology hold ints; rref takes rows of ints (or
+    Fractions, or both), eliminates in ints and returns Fractions.  row(i)
+    and col(j) read dense tuples.
     """
 
     rows: int
@@ -202,57 +205,111 @@ class Matrix:
         return Matrix(self.cols, self.rows, tuple(map(tuple, cols)))
 
 
-def _add_multiple(row: dict, f, other: dict) -> None:
-    """row += f * other on sparse rows, dropping entries that cancel."""
-    for c, x in other.items():
-        y = row.get(c)
+# gcds without math: Euclid's loop beats building a Fraction (whose
+# normalisation runs the C gcd) while the smaller value has under 32
+# bits; the two cost the same at 32 bits, and the Fraction is 3x faster
+# at 128 (2-core x86-64, Python 3.11.7).
+_EUCLID_BELOW = 1 << 32
+
+
+def _gcd(a: int, b: int) -> int:
+    """The positive gcd of two nonzero ints."""
+    a, b = abs(a), abs(b)
+    if a > b:
+        a, b = b, a
+    if a < _EUCLID_BELOW:
+        while a:
+            a, b = b % a, a
+        return b
+    return b // Fraction(a, b).denominator
+
+
+def _eliminate(row: dict, c, other: dict) -> None:
+    """row := (p/g) row - (b/g) other on sparse int rows, with b = row[c],
+    p = other[c] > 0 and g their gcd, so row[c] cancels; entries that
+    cancel drop out."""
+    b, p = row[c], other[c]
+    if b % p:
+        g = _gcd(p, b)
+        a, b = p // g, b // g
+        for k in row:
+            row[k] *= a
+    else:
+        b //= p
+    for k, x in other.items():
+        y = row.get(k)
         if y is None:
-            row[c] = f * x
+            row[k] = -b * x
         else:
-            y += f * x
+            y -= b * x
             if y:
-                row[c] = y
+                row[k] = y
             else:
-                del row[c]
+                del row[k]
+
+
+def _make_primitive(row: dict, lead) -> None:
+    """Divide a nonzero int row by its content, signed so row[lead] > 0."""
+    g = abs(row[lead])
+    for x in row.values():
+        if g == 1:
+            break
+        g = _gcd(g, x)
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for k, x in row.items():
+            row[k] = x // g
 
 
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form of m, in m's shape: unique, its pivot rows
-    at the top and its zero rows, empty, at the bottom.
+    at the top and its zero rows, empty, at the bottom, every value a
+    Fraction.
 
-    The one elimination routine.  Pivot rows are dicts of column -> value,
-    keyed by their lead column.  Each row of m is reduced by the pivot
-    rows so far; a nonzero remainder is scaled by the Fraction inverse of
-    its first value to lead 1 and subtracted from every earlier pivot row
-    that has an entry there.  So every pivot row starts at its own column
-    and vanishes on every other pivot column, which makes the table the
-    RREF whatever the row order, and no zero entry is ever visited.
+    The one elimination routine, fraction-free: it computes in Python
+    ints and makes Fractions only for the rows it returns.  Each row of m is read as a dict of
+    column -> int; a row holding Fractions is first cleared of its own
+    denominators, which leaves its span unchanged.  Loop invariant: the
+    pivot table maps each lead column to a primitive int row (content 1,
+    lead positive) that starts there and vanishes on every other pivot
+    column, so dividing each by its lead is the RREF of the rows read so
+    far, whatever their order.  A new row is reduced by each pivot row it
+    meets as (p/g) row - (b/g) pivot, made primitive once, and then
+    cleared from every earlier pivot row that has an entry at its lead,
+    which is made primitive again.  No zero entry is ever visited.  gcds
+    run by Euclid on word-sized values and through Fraction's
+    normalisation above that; see _EUCLID_BELOW.
     """
     table = {}
     for pairs in m.entries:
         if len(table) == m.cols:
             break  # full column rank: every further row reduces to zero
         row = dict(pairs)
+        if not all(type(x) is int for x in row.values()):
+            _, (terms,) = integer_terms((pairs,))
+            row = dict(terms)
         for c in [c for c in row if c in table]:
-            # pivot rows vanish on each other's columns, so row[c] is
-            # untouched by the earlier subtractions
-            _add_multiple(row, -row[c], table[c])
+            # pivot rows vanish on each other's columns, so row[c] is only
+            # rescaled by the earlier reductions, never cancelled
+            _eliminate(row, c, table[c])
         if not row:
             continue
         lead = min(row)
-        inv = row[lead]
-        if inv != 1:
-            inv = ONE / inv
-            row = {c: x * inv for c, x in row.items()}
-        elif not all(type(x) is Fraction for x in row.values()):
-            row = {c: Fraction(x) for c, x in row.items()}
-        for prow in table.values():
-            f = prow.get(lead)
-            if f is not None:
-                _add_multiple(prow, -f, row)
+        _make_primitive(row, lead)
+        for p, prow in table.items():
+            if lead in prow:
+                _eliminate(prow, lead, row)
+                _make_primitive(prow, p)
         table[lead] = row
-    pivots = tuple(tuple(sorted(table[p].items())) for p in sorted(table))
-    return Matrix(m.rows, m.cols, pivots + ((),) * (m.rows - len(pivots)))
+    pivots = []
+    for p in sorted(table):
+        row = table[p]
+        q = row[p]
+        pivots.append(tuple((c, ONE if c == p else Fraction(x, q))
+                            for c, x in sorted(row.items())))
+    return Matrix(m.rows, m.cols,
+                  tuple(pivots) + ((),) * (m.rows - len(pivots)))
 
 
 def _pivots(r: Matrix) -> list:

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from homnambu.cohomology import coboundary_matrix
-from homnambu.fixtures import conjugate_gl11, gl11, gl11t
-from homnambu.linalg import (InputError, Matrix, Subspace, frac,
-                             image, invert, is_zero_vec, kernel, rank, rref,
-                             solve, subspace_intersection,
-                             unit_vec, vec, zero_vec)
+from homnambu import linalg
+from homnambu.cohomology import _key_blocks, coboundary_matrix
+from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
+                               glmn, random_even_invertible)
+from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd,
+                             _make_primitive, frac, image, invert,
+                             is_zero_vec, kernel, rank, rref, solve,
+                             subspace_intersection, unit_vec, vec, zero_vec)
 from homnambu.reps import trace_functional
+from homnambu.series import central_series, derived_series, ternary_center
 from homnambu.ternary import induce_ternary
 
 
@@ -365,10 +368,15 @@ def test_matrix_matches_dense_list_arithmetic():
     assert Matrix.identity(3) == Matrix.build([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def as_fractions(m):
+    return Matrix(m.rows, m.cols, tuple(tuple((j, Fraction(x)) for j, x in row)
+                                        for row in m.entries))
+
+
 def test_integer_rows_reduce_to_fractions():
     """A raw Matrix of ints reduces exactly as its Fraction copy, and every
-    value rref, kernel and solve return is a Fraction: the lead is inverted
-    as a Fraction, never divided as an int."""
+    value rref, kernel and solve return is a Fraction: each entry is
+    divided by its row's lead as a Fraction, never as an int."""
     rng = random.Random(93)
     cases = [Matrix(1, 2, (((0, 2), (1, 1)),)),
              Matrix(2, 3, (((0, 2), (1, 1)), ((0, 2), (1, 2), (2, 5)))),
@@ -379,8 +387,7 @@ def test_integer_rows_reduce_to_fractions():
             tuple((j, x) for j in range(c) if (x := rng.randint(-3, 3)))
             for _ in range(r))))
     for m in cases:
-        fm = Matrix(m.rows, m.cols, tuple(tuple((j, Fraction(x)) for j, x in row)
-                                          for row in m.entries))
+        fm = as_fractions(m)
         b = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.rows))
         got = (rref(m), kernel(m).basis, solve(m, b), solve(m, m.apply((1,) * m.cols)))
         assert got == (rref(fm), kernel(fm).basis, solve(fm, b),
@@ -390,3 +397,174 @@ def test_integer_rows_reduce_to_fractions():
         assert all(type(x) is Fraction for x in values)
     assert rref(cases[0]) == Matrix.build([[1, Fraction(1, 2)]])
     assert kernel(cases[0]) == Subspace.from_vectors(2, [(Fraction(-1, 2), 1)])
+
+
+def integer_path_cases():
+    """Matrices aimed at the integer path of rref: ints and Fractions in
+    one row, Fractions of denominator 1, large coprime denominators in
+    dense rows, negative leads, rows equal up to scale, rows that cancel
+    partway through, and nonzero rows left after full column rank."""
+    F = Fraction
+    rng = random.Random(94)
+    yield "ints and Fractions in one row", Matrix(3, 4, (
+        ((0, 2), (1, F(1, 3)), (3, -5)),
+        ((0, F(4, 7)), (2, 3)),
+        ((1, 6), (2, F(-1, 2)), (3, 1))))
+    yield "denominator 1", Matrix(3, 3, (
+        ((0, F(4)), (1, F(-6)), (2, F(2))),
+        ((0, F(3)), (2, F(9))),
+        ((1, F(-5)), (2, 7))))
+    dens = (1099056, 10 ** 9, 10 ** 9 + 7, 999999937)
+    for k in range(4):
+        yield f"large denominators {k}", dense_matrix(6, [
+            [F(rng.randint(1, 10 ** 6) * rng.choice((-1, 1)), rng.choice(dens))
+             for _ in range(6)] for _ in range(4 + k)])
+    yield "negative leads", Matrix(3, 3, (
+        ((0, -2), (1, 4), (2, -6)),
+        ((0, -3), (2, 1)),
+        ((1, -7), (2, F(-2, 5)))))
+    r = ((0, 3), (2, -6), (3, F(9, 4)))
+    yield "rows equal up to scale", Matrix(5, 4, (
+        r, tuple((j, 2 * x) for j, x in r), ((1, -1), (3, 5)),
+        tuple((j, F(-1, 3) * x) for j, x in r), ((1, 4), (3, -20))))
+    yield "rows cancel partway through", Matrix(5, 5, (
+        ((0, 1), (1, 2), (3, 3)),
+        ((1, 1), (2, 1), (3, 1), (4, 2)),
+        ((0, 2), (1, 5), (2, 1), (3, 7), (4, 2)),  # 2 r0 + r1: cancels
+        ((0, -1), (1, -1), (2, 1), (4, 6)),        # r1 - r0 on cols 0-3
+        ((2, F(1, 2)), (4, 1))))
+    yield "rows after full column rank", Matrix(6, 3, (
+        ((0, 2), (1, -4)), ((1, 3), (2, 1)), ((0, -5), (2, F(7, 3))),
+        ((0, 1),), ((1, -2), (2, 9)), ((2, F(1, 1099056)),)))
+    for k in range(8):
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9),
+                             F(rng.randint(-9, 9), rng.randint(1, 40))))
+                 for _ in range(5)] for _ in range(4)]
+        rows.append([rng.randint(-2, 2) * x for x in rows[0]])
+        rows.append([a - b for a, b in zip(rows[1], rows[2])])
+        rng.shuffle(rows)
+        yield f"mixed {k}", Matrix(6, 5, tuple(
+            tuple((j, x) for j, x in enumerate(r) if x) for r in rows))
+
+
+def test_integer_path_matches_dense_oracle():
+    for name, m in integer_path_cases():
+        r = rref(m)
+        fm = as_fractions(m)
+        assert r == dense_rref(fm), name
+        assert all(type(x) is Fraction for row in r.entries for _, x in row), name
+        assert rank(m) == oracle_rank(fm), name
+        assert kernel(m) == oracle_kernel(fm), name
+        assert all(type(x) is Fraction
+                   for row in kernel(m).basis.entries for _, x in row), name
+
+
+def test_pivot_rows_are_primitive_with_positive_leads():
+    """_make_primitive divides out the content and signs the lead, on both
+    sides of the word-size gcd rule."""
+    big = 2 ** 40
+    for row, lead_col, want in [
+            ({0: -4, 2: 6}, 0, {0: 2, 2: -3}),
+            ({1: 3, 2: -9, 4: 12}, 1, {1: 1, 2: -3, 4: 4}),
+            ({2: -1, 3: 5}, 2, {2: 1, 3: -5}),
+            ({0: 7, 1: -5}, 0, {0: 7, 1: -5}),
+            ({0: -3 * big, 1: 5 * big, 3: 7 * big}, 0, {0: 3, 1: -5, 3: -7})]:
+        _make_primitive(row, lead_col)
+        assert row == want
+    assert _gcd(6 * big, -9 * big) == 3 * big
+    assert _gcd(-12, 18) == 6
+    assert _gcd(10 ** 9 + 7, (10 ** 9 + 7) * 3 * big) == 10 ** 9 + 7
+
+
+# --- the Fraction eliminator, the oracle of the fraction-free rref -----------
+# This was linalg.rref before it eliminated in ints: the same sparse pivot
+# table, each pivot row scaled to lead 1 by a Fraction inverse.  It compares
+# with rref on matrices too big for dense_rref.
+
+
+def _add_multiple(row: dict, f, other: dict) -> None:
+    """row += f * other on sparse rows, dropping entries that cancel."""
+    for c, x in other.items():
+        y = row.get(c)
+        if y is None:
+            row[c] = f * x
+        else:
+            y += f * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+
+
+def fraction_rref(m: Matrix) -> Matrix:
+    """Reduced row echelon form of m, in m's shape: unique, its pivot rows
+    at the top and its zero rows, empty, at the bottom.
+
+    The one elimination routine.  Pivot rows are dicts of column -> value,
+    keyed by their lead column.  Each row of m is reduced by the pivot
+    rows so far; a nonzero remainder is scaled by the Fraction inverse of
+    its first value to lead 1 and subtracted from every earlier pivot row
+    that has an entry there.  So every pivot row starts at its own column
+    and vanishes on every other pivot column, which makes the table the
+    RREF whatever the row order, and no zero entry is ever visited.
+    """
+    table = {}
+    for pairs in m.entries:
+        if len(table) == m.cols:
+            break  # full column rank: every further row reduces to zero
+        row = dict(pairs)
+        for c in [c for c in row if c in table]:
+            # pivot rows vanish on each other's columns, so row[c] is
+            # untouched by the earlier subtractions
+            _add_multiple(row, -row[c], table[c])
+        if not row:
+            continue
+        lead = min(row)
+        inv = row[lead]
+        if inv != 1:
+            inv = ONE / inv
+            row = {c: x * inv for c, x in row.items()}
+        elif not all(type(x) is Fraction for x in row.values()):
+            row = {c: Fraction(x) for c, x in row.items()}
+        for prow in table.values():
+            f = prow.get(lead)
+            if f is not None:
+                _add_multiple(prow, -f, row)
+        table[lead] = row
+    pivots = tuple(tuple(sorted(table[p].items())) for p in sorted(table))
+    return Matrix(m.rows, m.cols, pivots + ((),) * (m.rows - len(pivots)))
+
+
+def test_rref_matches_fraction_eliminator(monkeypatch):
+    """Every matrix the series and the center hand rref on a seeded gl(2|1)
+    conjugate, and every coboundary block of gl(1|1), gl11t and gl(2|1)."""
+    mats = []
+    real = linalg.rref
+
+    def capture(m):
+        mats.append(m)
+        return real(m)
+
+    lie, rep = glmn(2, 1)
+    lie, rep = conjugate_pair(lie, rep,
+                              random_even_invertible(random.Random(14), lie.space))
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+    monkeypatch.setattr(linalg, "rref", capture)
+    derived_series(t)
+    central_series(t)
+    ternary_center(t)
+    monkeypatch.undo()
+    assert len(mats) > 5
+    for lie, rep in (gl11(), gl11t(), glmn(2, 1)):
+        t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+        for obj, cx, degree in ((lie, "binary-scalar", 2),
+                                (lie, "binary-scalar", 3),
+                                (t, "ternary-scalar", 1),
+                                (t, "ternary-scalar", 2),
+                                (t, "ternary-adjoint", 2)):
+            for parity in (0, 1):
+                mats += [b for b, _ in _key_blocks(obj, cx, degree, parity).values()]
+    for m in mats:
+        r = rref(m)
+        assert r == fraction_rref(m)
+        assert all(type(x) is Fraction for row in r.entries for _, x in row)
