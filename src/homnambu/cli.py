@@ -18,7 +18,7 @@ from .cohomology import (Cochain, apply_coboundary, cochain_length, cocycles,
                          verify_1cocycle_transfer, verify_class_transfer,
                          verify_lemma_identity)
 from .extensions import (CentralExtensionData, build_central_extension,
-                         verify_extension)
+                         extended_space, verify_extension)
 from .formats import (DocumentBundle, load_cochain, load_functional,
                       read_document, read_json_file, serialize_cochain,
                       write_document)
@@ -28,7 +28,7 @@ from .reps import trace_functional, verify_representation
 from .series import (binary_center, binary_central_series,
                      binary_derived_series, central_series,
                      compare_central_series, derived_series, ternary_center,
-                     verify_solvability_theorem)
+                     verify_center_transfer, verify_solvability_theorem)
 from .ternary import (ideal_criterion, induce_ternary, ternary_is_ideal,
                       verify_hom_nambu, verify_ternary_multiplicative,
                       verify_ternary_skew)
@@ -159,7 +159,6 @@ def cmd_extend(args) -> Report:
     omega = load_cochain(read_json_file(args.omega), lie.space)
     lam = None
     if args.lam is not None:
-        from .extensions import extended_space
         lam = load_functional(read_json_file(args.lam), extended_space(lie))
     data = CentralExtensionData(lie, omega, lam)
     rep = verify_extension(data)
@@ -215,7 +214,6 @@ def cmd_transfer_checks(args) -> Report:
     rng = random.Random(args.seed)
     rep = Report("transfer-checks")
     rep.absorb(compare_central_series(lie, t), prefix="series.")
-    from .series import verify_center_transfer
     rep.absorb(verify_center_transfer(lie, tau, t), prefix="center.")
     rep.absorb(verify_1cocycle_transfer(lie, tau, t), prefix="cocycle1.")
     full = Subspace.full(lie.dim)

@@ -31,11 +31,11 @@ applies its value-free rows once per output index, so its matrix is
 block-diagonal across the outputs: coboundary_matrix, the one
 dispatcher and the one place the rows become Fractions, scales them and
 lifts them, moving column j of output o to j*dim + o.  Every coboundary
-of a given cochain goes through _apply (apply_coboundary, the cocycle
-checks and the transfer checks), which sums in ints.  Cohomology and
-cocycle bases (cohomology_dims, cocycles) take each parity block of the
-integer rows, eliminate it once per key parity, and count, or place, it
-once per output it serves.
+of a given cochain goes through _apply, which sums in ints and returns
+the nonzero outputs; apply_coboundary alone makes them dense.
+Cohomology and cocycle bases (cohomology_dims, cocycles) take each
+parity block of the integer rows, eliminate it once per key parity, and
+count, or place, it once per output it serves.
 
 induce_cocycle transfers a binary 2-cocycle to the induced ternary
 complex with reps.TraceFunctional.induce, the formula that also builds
@@ -55,7 +55,7 @@ from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      vec_scale, zero_vec, is_zero_vec, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
-from .ternary import TernaryHomLieSuper, induce_ternary
+from .ternary import TernaryHomLieSuper
 
 # the degrees each complex has cochains in
 _DEGREES = {"binary-scalar": (1, 2, 3, 4), "binary-adjoint": (1, 2, 3),
@@ -392,11 +392,12 @@ def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
         for row in rows.entries for o in range(dim)))
 
 
-def _apply(obj, cx: str, degree: int, parity: int, coords) -> tuple:
-    """coboundary_matrix(obj, cx, degree, parity).apply(coords), in ints:
-    the coordinates' denominators are cleared once (by D), each row is
-    summed per output over the integer coordinates at its key columns, and
-    each nonzero sum is multiplied once, by multiplier / D."""
+def _apply(obj, cx: str, degree: int, parity: int, coords) -> dict:
+    """coboundary_matrix(obj, cx, degree, parity).apply(coords) as a map
+    {coordinate: Fraction} of its nonzero values, not in coordinate order,
+    summed in ints: the coordinates' denominators are cleared once (by D),
+    each row is summed per output over the integer coordinates at its key
+    columns, and each nonzero sum is multiplied once, by multiplier / D."""
     m, multiplier = _rows(obj, cx, degree, parity)
     dim = _width(cx, obj.space)
     if len(coords) != m.cols * dim:
@@ -406,7 +407,7 @@ def _apply(obj, cx: str, degree: int, parity: int, coords) -> tuple:
     at = {}  # key column -> its (output, integer coordinate) pairs
     for j, x in terms:
         at.setdefault(j // dim, []).append((j % dim, x))
-    out = [ZERO] * (m.rows * dim)
+    out = {}
     for i, row in enumerate(m.entries):
         sums = {}
         for c, x in row:
@@ -415,12 +416,15 @@ def _apply(obj, cx: str, degree: int, parity: int, coords) -> tuple:
         for o, s in sums.items():
             if s:
                 out[i * dim + o] = s * scale
-    return tuple(out)
+    return out
 
 
 def apply_coboundary(obj, c: Cochain) -> Cochain:
+    """The coboundary of c, the one place a coboundary value becomes dense."""
+    out = _apply(obj, c.complex, c.degree, c.parity, c.coords)
+    n = cochain_length(c.complex, c.degree + 1, c.space)
     return Cochain(c.complex, c.degree + 1, c.parity, c.space,
-                   _apply(obj, c.complex, c.degree, c.parity, c.coords))
+                   tuple(out.get(i, ZERO) for i in range(n)))
 
 
 def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
@@ -502,9 +506,8 @@ def bracket_cochain(g: HomLieSuper) -> Cochain:
 def verify_bracket_cocycle(g: HomLieSuper) -> Report:
     rep = Report("verify_bracket_cocycle")
     resid = _apply(g, "binary-adjoint", 2, 0, bracket_cochain(g).coords)
-    if not is_zero_vec(resid):
-        idx = next(i for i, c in enumerate(resid) if c != 0)
-        triple = _row_keys("binary-adjoint", 2, g.space)[idx // g.dim]
+    if resid:
+        triple = _row_keys("binary-adjoint", 2, g.space)[min(resid) // g.dim]
         rep.fail("bracket-cocycle",
                  witness=tuple(g.space.names[i] for i in triple))
     return rep
@@ -515,16 +518,16 @@ def is_binary_cocycle(g: HomLieSuper, phi: Cochain) -> bool:
         raise InputError("cocycle test expects degree 2")
     if not phi.complex.startswith("binary"):
         raise InputError("cocycle test expects a binary cochain")
-    return is_zero_vec(_apply(g, phi.complex, 2, phi.parity, phi.coords))
+    return not _apply(g, phi.complex, 2, phi.parity, phi.coords)
 
 
 def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
-                   t: TernaryHomLieSuper | None = None) -> Cochain:
-    """Transfer a binary 2-cocycle to the induced ternary complex.
+                   t: TernaryHomLieSuper) -> Cochain:
+    """Transfer a binary 2-cocycle to t, the algebra induced from (g, tau).
 
     phi_rho(X, z) is reps.TraceFunctional.induce of phi on the (pair,
     element) keys; the result is checked against the matching ternary
-    delta2.
+    delta2 of t.
     """
     if phi.complex not in ("binary-scalar", "binary-adjoint") or phi.degree != 2:
         raise PreconditionError("induce_cocycle expects a binary 2-cochain")
@@ -532,8 +535,6 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
         raise PreconditionError("induce_cocycle expects a 2-cocycle")
     if trace_mismatches(tau, g.alpha):
         raise PreconditionError("trace functional is not twist invariant")
-    if t is None:
-        t = induce_ternary(g, tau, g.alpha, g.alpha)
     scalar = phi.complex == "binary-scalar"
     out_cx = "ternary-scalar" if scalar else "ternary-adjoint"
 
@@ -547,8 +548,7 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
     values = {((x1, x2), k): v[0] if scalar else v
               for (x1, x2, k), v in rho.items()}
     induced = make_cochain(out_cx, 2, g.space, values, parity=phi.parity)
-    resid = _apply(t, out_cx, 2, induced.parity, induced.coords)
-    if not is_zero_vec(resid):
+    if _apply(t, out_cx, 2, induced.parity, induced.coords):
         raise PreconditionError("induced cochain is not a ternary cocycle")
     return induced
 
@@ -573,29 +573,29 @@ def verify_1cocycle_transfer(g: HomLieSuper, tau: TraceFunctional,
 
 
 def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional,
-                          omega: Cochain,
-                          t: TernaryHomLieSuper | None = None) -> Report:
-    """delta1 of the induced complex agrees with the tau-combination of the
-    binary coboundary: delta_rho^1(omega) = (d_s^1 omega)_rho, coordinatewise."""
+                          omega: Cochain, t: TernaryHomLieSuper) -> Report:
+    """delta1 of t, the algebra induced from (g, tau), agrees with the
+    tau-combination of the binary coboundary: delta_rho^1(omega) =
+    (d_s^1 omega)_rho, coordinatewise."""
     rep = Report("verify_lemma_identity")
     if omega.complex != "binary-scalar" or omega.degree != 1:
         raise PreconditionError("lemma identity expects a scalar 1-cochain")
-    if t is None:
-        t = induce_ternary(g, tau, g.alpha, g.alpha)
     lhs = _apply(t, "ternary-scalar", 1, omega.parity, omega.coords)
     rhs = induce_cocycle(g, tau, apply_coboundary(g, omega), t).coords
-    _fail_mismatches(rep, "lemma-identity", g.space, lhs, rhs)
-    rep.metrics["coordinates"] = len(lhs)
+    _fail_mismatches(rep, "lemma-identity", g.space, lhs,
+                     {i: c for i, c in enumerate(rhs) if c})
+    rep.metrics["coordinates"] = len(rhs)
     return rep
 
 
-def _fail_mismatches(rep: Report, check: str, space: GradedSpace, lhs,
-                     rhs) -> None:
-    """One failure per ternary-scalar 2-cochain key where lhs and rhs
-    differ, witnessed by the key's three basis names."""
+def _fail_mismatches(rep: Report, check: str, space: GradedSpace, lhs: dict,
+                     rhs: dict) -> None:
+    """One failure per coordinate where the ternary-scalar 2-cochain maps
+    lhs and rhs differ, in order, witnessed by its key's three basis names."""
     names = space.names
-    for (pair, k), a, b in zip(cochain_keys("ternary-scalar", 2, space),
-                               lhs, rhs):
+    keys = cochain_keys("ternary-scalar", 2, space)
+    for i in sorted(lhs.keys() | rhs.keys()):
+        (pair, k), a, b = keys[i], lhs.get(i, ZERO), rhs.get(i, ZERO)
         if a != b:
             rep.fail(check, witness=tuple(names[m] for m in pair) + (names[k],),
                      residual=(fmt_scalar(a - b),))
@@ -603,25 +603,23 @@ def _fail_mismatches(rep: Report, check: str, space: GradedSpace, lhs,
 
 def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional,
                           phi1: Cochain, phi2: Cochain,
-                          t: TernaryHomLieSuper | None = None) -> Report:
-    """Cohomologous binary scalar cocycles induce cohomologous cochains,
-    via the same connecting 1-cochain.  Passing the induced t lets repeated
-    calls share its memoized coboundary matrices."""
+                          t: TernaryHomLieSuper) -> Report:
+    """Cohomologous binary scalar cocycles induce cohomologous cochains
+    on t, the algebra induced from (g, tau), via the same connecting
+    1-cochain."""
     rep = Report("verify_class_transfer")
     for phi in (phi1, phi2):
         if phi.complex != "binary-scalar" or phi.degree != 2:
             raise PreconditionError("class transfer expects binary scalar 2-cochains")
         if not is_binary_cocycle(g, phi):
             raise PreconditionError("class transfer expects 2-cocycles")
-    diff = vec_add(phi2.coords, vec_scale(-1, phi1.coords))
+    diff = tuple(b - a for a, b in zip(phi1.coords, phi2.coords))
     omega = solve(coboundary_matrix(g, "binary-scalar", 1), diff)
     if omega is None:
         raise PreconditionError("cocycles are not cohomologous")
-    if t is None:
-        t = induce_ternary(g, tau, g.alpha, g.alpha)
-    psi1 = induce_cocycle(g, tau, phi1, t)
-    psi2 = induce_cocycle(g, tau, phi2, t)
-    lhs = vec_add(psi2.coords, vec_scale(-1, psi1.coords))
+    psi1 = induce_cocycle(g, tau, phi1, t).coords
+    psi2 = induce_cocycle(g, tau, phi2, t).coords
+    lhs = {i: b - a for i, (a, b) in enumerate(zip(psi1, psi2)) if a != b}
     rhs = _apply(t, "ternary-scalar", 1, 0, omega)
     _fail_mismatches(rep, "class-transfer", g.space, lhs, rhs)
     rep.metrics["connecting_cochain"] = [fmt_scalar(c) for c in omega]

@@ -2,9 +2,10 @@
 
 An algebra document carries a named basis, the binary bracket on canonical
 pairs, the twist map, and optionally a representation and a ternary
-bracket with its second twist.  Coefficients are exact rationals written
-as strings "n" or "n/d" with d > 0; bare integers are accepted on input.
-Bracket keys are comma-joined basis ids in canonical order; anything
+bracket with its second twist.  Basis ids are strings without ','.
+Coefficients are exact rationals written as strings "n" or "n/d" of
+ASCII digits with d > 0; bare integers are accepted on input.  Bracket
+keys are comma-joined basis ids in canonical order; anything
 non-canonical is an input error naming the key.
 
 Cochain documents are {"complex", "degree", "values"} and an optional
@@ -23,22 +24,26 @@ from fractions import Fraction
 
 from .binary import HomLieSuper, SuperBracket2
 from .cohomology import COMPLEXES, Cochain, cochain_keys, make_cochain
-from .graded import GradedMap, GradedSpace, graded_space
+from .graded import (GradedMap, GradedSpace, canonicalize, graded_space,
+                     identity_map)
 from .linalg import InputError, Matrix, is_zero_vec
 from .report import fmt_scalar
 from .reps import Representation
 from .ternary import SuperBracket3, TernaryHomLieSuper
 
-RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_scalar(x, where: str) -> Fraction:
-    if isinstance(x, bool):
-        raise InputError(f"bad rational {x!r} at {where}")
-    if isinstance(x, int):
+    """An exact rational from an int, or from a string that is exactly "n"
+    or "n/d" in ASCII digits and within Python's int-string limit."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str) and RATIONAL_RE.match(x):
-        return Fraction(x)
+    if isinstance(x, str) and RATIONAL_RE.fullmatch(x):
+        try:
+            return Fraction(x)
+        except ValueError:
+            pass
     raise InputError(f"bad rational {x!r} at {where}")
 
 
@@ -65,9 +70,11 @@ def _object(doc: dict, key: str) -> dict:
 
 
 def parse_json(text: str, where: str = "document") -> dict:
+    """A JSON object; invalid JSON, an int past Python's int-string limit
+    (ValueError) and nesting too deep (RecursionError) are input errors."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {where}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{where} must be a JSON object")
@@ -82,7 +89,6 @@ def _split_key(key: str, arity: int, space: GradedSpace) -> tuple:
 
 
 def _check_canonical(key: str, idx: tuple, space: GradedSpace):
-    from .graded import canonicalize
     canon, _, zero = canonicalize(idx, space.parities)
     if zero or canon != idx:
         raise InputError(f"bracket key {key!r} is not canonical")
@@ -136,19 +142,19 @@ def load_document(doc: dict) -> DocumentBundle:
     for entry in basis:
         if not isinstance(entry, dict) or "id" not in entry or "parity" not in entry:
             raise InputError("basis entries need id and parity")
+        bid = entry["id"]
+        if not isinstance(bid, str) or "," in bid:
+            raise InputError(f"basis id {bid!r} must be a string without ','")
         if not _is_bit(entry["parity"]):
-            raise InputError(f"basis parity for {entry.get('id')!r} must be 0 or 1")
-        ids.append(str(entry["id"]))
+            raise InputError(f"basis parity for {bid!r} must be 0 or 1")
+        ids.append(bid)
         parities.append(entry["parity"])
     space = graded_space(ids, parities)
 
     bracket = _load_bracket(doc, "bracket", SuperBracket2, space)
 
-    if "alpha" in doc:
-        alpha = _column_map_to_graded(doc["alpha"], space, "alpha")
-    else:
-        from .graded import identity_map
-        alpha = identity_map(space)
+    alpha = (_column_map_to_graded(doc["alpha"], space, "alpha")
+             if "alpha" in doc else identity_map(space))
     lie = HomLieSuper(space, bracket, alpha)
 
     rep = None
@@ -166,6 +172,8 @@ def load_document(doc: dict) -> DocumentBundle:
                 raise InputError(f"representation matrix for {bid!r} missing")
             m = _grid_to_matrix(matdocs[bid], n, n, f"matrices[{bid}]")
             mats.append(GradedMap(module, module, m, space.parities[i]))
+        for bid in matdocs:
+            space.index(bid)  # unknown ids are errors, as in alpha
         beta = GradedMap(module, module,
                          _grid_to_matrix(rdoc.get("beta"), n, n, "beta"))
         rep = Representation(lie, module, tuple(mats), beta)
@@ -315,5 +323,5 @@ def read_json_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_json(fh.read(), str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

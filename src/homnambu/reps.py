@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .binary import HomLieSuper
-from .graded import GradedMap, GradedSpace, supertrace
+from .graded import GradedMap, GradedSpace, identity_map, supertrace, zero_map
 from .linalg import (InputError, Matrix, Vec, dot, is_zero_vec, kernel, vec,
                      vec_add, vec_scale, Subspace)
 from .report import Report, fmt_scalar, fmt_vec
@@ -189,7 +189,6 @@ def adjoint_representation(g: HomLieSuper) -> Representation:
 
 
 def zero_representation(g: HomLieSuper, module: GradedSpace = None) -> Representation:
-    from .graded import identity_map, zero_map
     v = module if module is not None else g.space
     mats = tuple(zero_map(v, v, g.space.parities[i]) for i in range(g.dim))
     return Representation(g, v, mats, identity_map(v))

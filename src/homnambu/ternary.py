@@ -40,13 +40,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .binary import HomLieSuper, verify_morphism
+from .binary import HomLieSuper, is_ideal, verify_morphism, yau_twist
 from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
                      skew_basis)
 from .linalg import (InputError, PreconditionError, Subspace, Vec,
                      integer_terms, is_zero_vec, vec_add, vec_scale)
 from .report import Report, fmt_vec
-from .reps import TraceFunctional, trace_mismatches
+from .reps import TraceFunctional, trace_kernel, trace_mismatches
 
 
 class SuperBracket3(SuperBracket):
@@ -321,8 +321,6 @@ def ternary_is_ideal(t: TernaryHomLieSuper, s: Subspace) -> bool:
 def ideal_criterion(g: HomLieSuper, tau: TraceFunctional, j: Subspace,
                     t: TernaryHomLieSuper) -> Report:
     """Binary Hom-ideals become ternary Hom-ideals iff [g,g] in J or J in ker tau."""
-    from .binary import is_ideal
-    from .reps import trace_kernel
     rep = Report("ideal_criterion")
     if not is_ideal(g, j):
         rep.applicable = False
@@ -381,7 +379,6 @@ def check_twist_commutes(lie: HomLieSuper, morphism: GradedMap,
     Both routes start from an untwisted algebra: route A applies the
     morphism to the induced bracket, route B induces from the Yau twist.
     """
-    from .binary import yau_twist
     rep = Report("check_twist_commutes")
     if not lie.alpha.is_identity():
         raise PreconditionError("check_twist_commutes expects alpha = id")

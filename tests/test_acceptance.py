@@ -310,8 +310,8 @@ def test_criterion_8_cohomology(capsys, g11, tau11, t11, all_binary):
             shift = m1.apply(random_1cochain(rng, g11, 0).coords)
             phi2 = Cochain("binary-scalar", 2, 0, g11.space,
                            tuple(a + b for a, b in zip(phi1.coords, shift)))
-            assert verify_class_transfer(g11, tau11, phi1,
-                                         phi2).verdict == "pass"
+            assert verify_class_transfer(g11, tau11, phi1, phi2,
+                                         t11).verdict == "pass"
 
 
 def test_criterion_9_cli_surface(capsys):

@@ -265,3 +265,64 @@ def test_series_bound_below_one_exits_2():
         assert code == 2, rmax
         doc = json.loads(out)
         assert doc["command"] == "series" and "bound" in doc["error"], doc
+
+
+def test_every_golden_file_is_read_by_a_test():
+    """tools/regen_fixtures.py never deletes: a golden file that no case
+    names would go stale unseen."""
+    written = {"induce_gl11.json", "extend_gl11.json", "gl11_extended.json"}
+    named = {case[0] for case in GOLDEN_CASES} | written
+    assert {p.name for p in GOLD.iterdir()} == named
+
+
+def gl11_text(value: str) -> str:
+    """gl11.json with its [h1,q] coefficient written as the raw JSON text
+    value."""
+    doc = json.loads((FIXTURES / "gl11.json").read_text("utf-8"))
+    doc["bracket"]["h1,q"]["q"] = "MARK"
+    return json.dumps(doc).replace('"MARK"', value)
+
+
+def assert_error_report(code, out, command="check binary"):
+    assert code == 2
+    doc = json.loads(out)
+    assert set(doc) == {"command", "error"}
+    assert doc["command"] == command
+    return doc["error"]
+
+
+@pytest.mark.parametrize("content", [
+    ("[" * 200000 + "]" * 200000).encode(),
+    gl11_text('"\udcff"').encode("utf-8", "surrogateescape"),
+    gl11_text("1" * 5000).encode(),
+    gl11_text('"' + "1" * 5000 + '"').encode(),
+], ids=["nested-200000-deep", "not-utf-8", "bare-int-5000-digits",
+        "rational-5000-digits"])
+def test_hostile_document_exits_2(tmp_path, content):
+    """Input Python cannot read is malformed input, exit 2 with a report;
+    exit 1 would claim a verification failed."""
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    assert_error_report(*run(["check", "binary", path]))
+
+
+@pytest.mark.parametrize("bid", [5, None, {"k": 1}, "h1,h2"],
+                         ids=["int", "null", "object", "comma"])
+def test_basis_ids_must_be_strings_without_commas(tmp_path, bid):
+    """An id is never coerced with str(); one holding ',' would be written
+    into bracket keys that cannot be read back."""
+    doc = json.loads((FIXTURES / "gl11.json").read_text("utf-8"))
+    doc["basis"][0]["id"] = bid
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    error = assert_error_report(*run(["check", "binary", path]))
+    assert error.startswith("basis id")
+
+
+def test_representation_matrix_for_unknown_id_exits_2(tmp_path):
+    doc = json.loads((FIXTURES / "gl11.json").read_text("utf-8"))
+    doc["representation"]["matrices"]["zz"] = [["0", "0"], ["0", "0"]]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    error = assert_error_report(*run(["check", "rep", path]), "check rep")
+    assert error == "unknown basis element 'zz'"

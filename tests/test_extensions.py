@@ -171,12 +171,12 @@ def test_isomorphism_requires_cocycles(g11):
         extension_isomorphism(zero, om, g11)
 
 
-def test_induce_extension_decomposition(g11, tau11):
+def test_induce_extension_decomposition(g11, tau11, t11):
     from homnambu.cohomology import induce_cocycle
     from homnambu.graded import skew_basis
     om = even_cocycle_basis(g11)[0]
     t_ext, om_rho = induce_extension(g11, tau11, CentralExtensionData(g11, om))
-    assert om_rho.coords == induce_cocycle(g11, tau11, om).coords
+    assert om_rho.coords == induce_cocycle(g11, tau11, om, t11).coords
     # c never leaves the ternary center of the extension
     z = ternary_center(t_ext)
     assert z.contains((0, 0, 0, 0, 1))
@@ -199,6 +199,7 @@ def test_transfer_rejects_twist_moving_trace_at_first_basis_element(g11):
     from homnambu.graded import GradedMap
     from homnambu.linalg import Matrix
     from homnambu.reps import TraceFunctional, trace_mismatches
+    from homnambu.ternary import induce_ternary
     alpha = GradedMap(g11.space, g11.space, Matrix.build(
         [[2, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
     g = HomLieSuper(g11.space, g11.bracket, alpha)
@@ -207,6 +208,6 @@ def test_transfer_rejects_twist_moving_trace_at_first_basis_element(g11):
     assert trace_mismatches(tau, alpha) == (0,)
     zero = even_cochain(g, {})
     with pytest.raises(PreconditionError, match="twist invariant"):
-        induce_cocycle(g, tau, zero)
+        induce_cocycle(g, tau, zero, induce_ternary(g, tau, alpha, alpha))
     with pytest.raises(PreconditionError, match="twist invariant"):
         induce_extension(g, tau, CentralExtensionData(g, zero))

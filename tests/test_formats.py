@@ -1,5 +1,6 @@
 """JSON document and cochain wire formats."""
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -31,7 +32,9 @@ def test_parse_scalar_accepts():
 
 
 @pytest.mark.parametrize("bad", ["1/0", "4/-2", "1.5", "", "a", "1/", "--2",
-                                 1.5, True, None, [1]])
+                                 1.5, True, None, [1],
+                                 "1\n", "1/2\n", "\u0663",
+                                 pytest.param("1" * 5000, id="5000-digits")])
 def test_parse_scalar_rejects(bad):
     with pytest.raises(InputError):
         parse_scalar(bad, "x")
@@ -80,12 +83,21 @@ def test_document_validation():
             load_document({"basis": good, "representation": rep})
 
 
+def assert_round_trip(bundle):
+    """Serialize, read and serialize again: an equal bundle, the same text."""
+    text = dumps_document(serialize_document(bundle))
+    back = load_document(parse_json(text))
+    assert back == bundle
+    assert dumps_document(serialize_document(back)) == text
+
+
 @pytest.mark.parametrize("stem", DOCS)
 def test_document_round_trip_bytes(stem):
     path = FIXTURES / f"{stem}.json"
     original = path.read_text(encoding="utf-8")
     bundle = read_document(path)
     assert dumps_document(serialize_document(bundle)) == original
+    assert_round_trip(bundle)
 
 
 # how tools/regen_fixtures.py builds each document from a constructor
@@ -112,7 +124,9 @@ def test_constructed_document_matches_shipped_bytes(stem):
 def test_extended_document_round_trip():
     path = FIXTURES / "golden" / "gl11_extended.json"
     original = path.read_text(encoding="utf-8")
-    assert dumps_document(serialize_document(read_document(path))) == original
+    bundle = read_document(path)
+    assert dumps_document(serialize_document(bundle)) == original
+    assert_round_trip(bundle)
 
 
 def test_read_document_missing_file(tmp_path):
@@ -247,3 +261,81 @@ def test_load_functional(g11):
         load_functional({"values": {"zz": "1"}}, g11.space)
     with pytest.raises(InputError):
         load_functional({"values": ["1"]}, g11.space)
+
+
+def test_conjugate_document_round_trip():
+    """A seeded conjugate of gl(2|1), most of whose structure constants
+    are non-integer rationals, with its representation and induced
+    ternary section."""
+    from homnambu.ternary import induce_ternary
+    from homnambu.reps import trace_functional
+    lie, rep = fixtures.glmn(2, 1)
+    s = fixtures.random_even_invertible(random.Random(5), lie.space)
+    lie, rep = fixtures.conjugate_pair(lie, rep, s)
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+    assert t.bracket.entries
+    assert_round_trip(DocumentBundle("gl21-conjugate", lie, rep, t))
+
+
+# raw JSON text (or bytes) that Python's json, int or Fraction cannot take
+# as it stands; each is spliced in where a value was
+HOSTILE = ['"1\\n"', '"1/2\\n"', '"\\u0663"', '"' + "1" * 5000 + '"',
+           "1" * 5000, "[" * 200000 + "]" * 200000, b'"\xff"']
+OTHER_VALUES = [None, True, 0, 1, -1, 2, 1.5, "", "x", "h1", "1", "1/0", [],
+                {}, [0], [1, 0], {"h1": "1"}, [["1"]], {"id": "h1"}]
+ODD_KEYS = ["h1,q,p", "q,h1", "zz", "h1,", "", "h1,h1", "q|p", "id", "1"]
+
+
+def nodes(doc, path=()):
+    """Every path into doc, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for k, v in items:
+        yield from nodes(v, path + (k,))
+
+
+def mutate(rng, doc) -> bytes:
+    """doc with one to three fields dropped, retyped, renamed or replaced
+    by hostile text, as the bytes of a file."""
+    spliced = []
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice([p for p in nodes(doc) if p])
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        key = path[-1]
+        op = rng.randrange(4)
+        if op == 0:
+            del parent[key]
+        elif op == 1:
+            parent[key] = copy.deepcopy(rng.choice(OTHER_VALUES))
+        elif op == 2 and isinstance(parent, dict):
+            parent[rng.choice(ODD_KEYS)] = parent.pop(key)
+        else:
+            parent[key] = f"MARK{len(spliced)}"
+            spliced.append(rng.choice(HOSTILE))
+    text = json.dumps(doc).encode()
+    for i, raw in enumerate(spliced):
+        raw = raw if isinstance(raw, bytes) else raw.encode()
+        text = text.replace(f'"MARK{i}"'.encode(), raw)
+    return text
+
+
+def test_mutated_documents_load_or_raise_input_error(tmp_path):
+    """Hundreds of seeded corruptions of gl11.json: each loads or is an
+    InputError, never another exception."""
+    original = (FIXTURES / "gl11.json").read_text("utf-8")
+    path = tmp_path / "mutant.json"
+    loaded = refused = 0
+    for seed in range(300):
+        content = mutate(random.Random(seed), json.loads(original))
+        path.write_bytes(content)
+        try:
+            read_document(path)
+            loaded += 1
+        except InputError:
+            refused += 1
+        except Exception as exc:  # noqa: BLE001 - the finding is the seed
+            pytest.fail(f"seed {seed}: {type(exc).__name__}: {exc}")
+    assert loaded and refused
