@@ -1,50 +1,50 @@
 """Cochain spaces and coboundary operators.
 
 Four complexes share one coordinate layout, defined by cochain_keys
-alone.  The keys are canonical index tuples on the binary side and k,
-(pair, k) or (pair, pair, k) in ternary degree 1, 2 or 3, after the
+alone.  The keys are canonical index tuples on the binary side and
+(pair, ..., pair, k), degree - 1 pairs, on the ternary side, after the
 (fundamental pair, element) convention of phi_rho(X, z).  A scalar
 cochain has one coordinate per key; an adjoint (g-valued) cochain has dim
 of them, key-major.  Lengths, parities, make_cochain, Cochain.values and
 the document format all derive from it.
 
-Every coboundary is one entry of _BUILDERS, a table from (complex,
-degree) to a builder of value-free rows on the keys alone, since no
-cochain value ever enters a bracket.  Each formula is written once, on a
-scalar complex, summed in ints over the views the identity checkers read
-(SuperBracket.integer, and the twist's columns from integer_terms): a
-builder returns the integer rows, a linalg.Matrix of ints, and one exact
-multiplier.  _scalar_rows gives an adjoint complex the scalar rows.
+Every coboundary, so every degree with cohomology, is one entry of
+_BUILDERS, a table from (complex, degree) to a builder of value-free rows
+on the keys alone, since no cochain value ever enters a bracket.  Each
+formula is written once, on a scalar complex, summed in ints over the
+views the identity checkers read (SuperBracket.integer, and the twist's
+columns from integer_terms): a builder returns the integer rows, a
+linalg.Matrix of ints, and one exact multiplier.  _scalar_rows gives an
+adjoint complex the scalar rows.
 
   binary-scalar   1-3  d_s, the sum over i<j of signed
                        f([x_i,x_j], alpha(...)) terms, 1/(D_W D_alpha^(p-1));
   binary-adjoint  1-2  d_s^1 and d_s^2 per output, d^2 being the cyclic
                        operator on canonical triples;
-  ternary-scalar  1-2  delta1 f(X,z) = -f(X.z), 1/D_W, and the three-term
-                       delta2, 1/(D_W D_alpha^2);
+  ternary-scalar  1-3  one Leibniz formula on pairs, delta1 f(X,z) =
+                       -f(X.z) and the three-term delta2 its p = 1 and 2
+                       cases, 1/(D_W D_alpha^(2(p-1)));
   ternary-adjoint 1-2  the scalar delta1, and each scalar delta2 term
-                       times 1 + (-1)^{|f| e_i} (see _delta2_rows).
+                       times 1 + (-1)^{|f| e} (see _leibniz_rows).
 
 The rows are memoized on the algebra under (complex, degree, parity);
 only the ternary-adjoint delta2 reads the parity.  An adjoint coboundary
 applies its value-free rows once per output index, so its matrix is
-block-diagonal across the outputs: coboundary_matrix, the one
-dispatcher and the one place the rows become Fractions, scales them and
-lifts them, moving column j of output o to j*dim + o.  Every coboundary
-of a given cochain goes through _apply, which sums in ints and returns
-the nonzero outputs; apply_coboundary alone makes them dense.
-Cohomology and cocycle bases (cohomology_dims, cocycles) take each
-parity block of the integer rows, eliminate it once per key parity, and
-count, or place, it once per output it serves.
-
-induce_cocycle transfers a binary 2-cocycle to the induced ternary
-complex with reps.TraceFunctional.induce, the formula that also builds
-the induced bracket.
+block-diagonal across the outputs: coboundary_matrix, the one dispatcher
+and the one place the rows become Fractions, scales them and lifts them,
+moving column j of output o to j*dim + o.  Every coboundary of a given
+cochain goes through _apply, which sums in ints and returns the nonzero
+outputs; apply_coboundary alone makes them dense.  Cohomology and cocycle
+bases (cohomology_dims, cocycles) take each parity block of the integer
+rows, eliminate it once per key parity, and count, or place, it once per
+output it serves.  induce_cocycle transfers a binary 2-cocycle with
+reps.TraceFunctional.induce, the formula that also builds the induced
+bracket.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .binary import HomLieSuper
@@ -59,19 +59,21 @@ from .ternary import TernaryHomLieSuper
 
 # the degrees each complex has cochains in
 _DEGREES = {"binary-scalar": (1, 2, 3, 4), "binary-adjoint": (1, 2, 3),
-           "ternary-scalar": (1, 2, 3), "ternary-adjoint": (1, 2, 3)}
+           "ternary-scalar": (1, 2, 3, 4), "ternary-adjoint": (1, 2, 3)}
 COMPLEXES = tuple(_DEGREES)
+# the most rows a coboundary is built with: a larger one is an input error
+MAX_COBOUNDARY_ROWS = 1 << 20
 
 
 def cochain_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
     """Argument keys of a cx cochain of this degree, in coordinate order.
 
     binary-scalar (degree 1-4) and binary-adjoint (degree 1-3) key on the
-    canonical index tuples of skew_basis.  The ternary complexes key on k,
-    (pair, k) or (pair, pair, k) in degree 1, 2 or 3: canonical pairs,
-    pair-major, the element last.  A scalar cochain has one coordinate per
-    key; an adjoint cochain has dim of them, key-major, the output index
-    running fastest.
+    canonical index tuples of skew_basis.  The ternary complexes key on
+    (pair, ..., pair, k), degree - 1 canonical pairs (degree 1-4 scalar,
+    1-3 adjoint), pair-major, the element last.  A scalar cochain has one
+    coordinate per key; an adjoint cochain has dim of them, key-major, the
+    output index running fastest.
     """
     if cx not in _DEGREES:
         raise InputError(f"unknown complex {cx}")
@@ -223,12 +225,6 @@ def binary_pair_eval(c: Cochain, i: int, j: int):
     return sign * c.values[t] if scalar else vec_scale(sign, c.values[t])
 
 
-def _single_twist(t: TernaryHomLieSuper):
-    if not t.same_twists():
-        raise PreconditionError("ternary cohomology needs alpha1 = alpha2")
-    return t.alpha1
-
-
 def _row_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
     """The degree + 1 keys each value-free row of the cx coboundary on
     degree-cochains is keyed by, those of the scalar complex it reads."""
@@ -262,88 +258,85 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> tuple:
             Fraction(1, dw * da ** (degree - 1)))
 
 
-def _delta1_rows(t: TernaryHomLieSuper, cx: str, degree: int,
-                 parity: int) -> tuple:
-    """f -> ((X, z) -> -f(X.z)), times 1/D_W."""
-    _single_twist(t)
-    dw, W = t.bracket.integer
-    rows = [{m: -c for m, c in W.get((x1, x2, k), ())}
-            for (x1, x2), k in _row_keys(cx, degree, t.space)]
-    return Matrix.from_rows(rows, t.dim), Fraction(1, dw)
+def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
+                  fpar: int) -> tuple:
+    """The Leibniz coboundary on fundamental objects, p = degree, i from 1:
 
+      sum_{i<j} (-1)^i (-1)^{|X_i|(|X_i+1| + .. + |X_j-1|)}
+                f(aX_1, .., ^i, .., [X_i,X_j]_a in slot j, .., aX_p, a z)
+      + sum_i (-1)^i (-1)^{|X_i|(|X_i+1| + .. + |X_p|)}
+                f(aX_1, .., ^i, .., aX_p, X_i.z),
 
-def _delta2_rows(t: TernaryHomLieSuper, cx: str, degree: int,
-                 fpar: int) -> tuple:
-    """The 2-coboundary on (pair, element) keys, for cochains of parity fpar.
-
-    Scalar: -f([X,Y]_a, a z) - (-1)^{|X||Y|} f(aY, X.z) + f(aX, Y.z),
-    with [X,Y]_a = X.y1 ^ a(y2) + (-1)^{|X||y1|} a(y1) ^ X.y2: four terms.
-    Adjoint adds each term again times (-1)^{|f| e_i}, e = (0, |y1|, |Y|,
-    |X|), the theorem's expansion pairing them off against the scalar ones:
-
-        - f(X.y1 ^ a(y2), a z) - (-1)^{(|f|+|X|)|y1|} f(a(y1) ^ X.y2, a z)
-        - (-1)^{|Y|(|X|+|f|)} f(aY, X.z) + (-1)^{|X||f|} f(aX, Y.z)
-
-    So an even cochain sees the scalar rows at twice their multiplier, and
-    an odd one the terms with e_i even doubled and the others cancelled.
-    Each term has one bracket and two twists: the multiplier is
-    1/(D_W D_alpha^2), or 2/(D_W D_alpha^2) for the odd adjoint rows.
+    aX = a x1 ^ a x2, [X,Y]_a = X.y1 ^ a y2 + (-1)^{|X||y1|} a y1 ^ X.y2,
+    times 1/(D_W D_alpha^(2(p-1))): a term has one bracket, 2(p-1) twists.
+    The ternary-adjoint delta2 adds each term again times (-1)^{|f| e}, e =
+    0 or |y1| on the wedges of [X,Y]_a and the other pair's parity on an
+    action term: an even cochain sees the scalar rows at twice their
+    multiplier, an odd one the terms with e even, doubled.
     """
     adjoint = cx == "ternary-adjoint"
     if adjoint and not fpar:
-        rows, multiplier = _rows(t, "ternary-scalar", 2)
+        rows, multiplier = _rows(t, "ternary-scalar", degree)
         return rows, 2 * multiplier
+    if not t.same_twists():
+        raise PreconditionError("ternary cohomology needs alpha1 = alpha2")
     sp = t.space
-    p = sp.parities
-    dim = sp.dim
-    sb2 = skew_basis(2, sp)
-    pairs = sb2.tuples
+    p, dim = sp.parities, sp.dim
+    sb = skew_basis(2, sp)
+    pairs = sb.tuples
+    npairs = len(pairs)
     pairp = [tuple_parity(q, p) for q in pairs]
     dw, W = t.bracket.integer
-    da, acols = integer_terms(_single_twist(t).matrix.transpose().entries)
-    apairs = [list(wedge_expand([acols[i], acols[j]], sp, sb2).items())
-              for i, j in pairs]
+    da, acols = integer_terms(t.alpha1.matrix.transpose().entries)
     acts = [[W.get((x1, x2, k), ()) for k in range(dim)] for x1, x2 in pairs]
-    position = {key: i for i, key in enumerate(cochain_keys(cx, degree, sp))}
-    cols = [[position[(pair, m)] for m in range(dim)] for pair in pairs]
+    apairs = [wedge_expand([acols[i], acols[j]], sp, sb).items()
+              for i, j in pairs] if degree > 1 else []
+    # the z whose element terms are nonzero: per pair, then for the twist
+    *actz, az = [[(z, terms) for z, terms in enumerate(per_z) if terms]
+                 for per_z in (*acts, acols)]
+    # the columns of each pair prefix's keys, one int object per column
+    cols = [list(range(b * dim, (b + 1) * dim))
+            for b in range(npairs ** (degree - 1))]
 
-    def side(pair_terms, sign, e):
-        """A term's pair-side coefficients times its sign; none for e odd
-        on the odd adjoint complex."""
-        if adjoint and e:
-            return ()
-        return [(P, sign * cr) for P, cr in pair_terms]
+    @lru_cache(maxsize=None if degree > 2 else 0)  # pairs recur from p = 3
+    def bracket(P, Q):
+        """[X_P, X_Q]_a, less the wedge of odd e on the odd adjoint side."""
+        q1, q2 = pairs[Q]
+        out = wedge_expand([acts[P][q1], acols[q2]], sp, sb)
+        if not (adjoint and p[q1]):
+            s = -1 if pairp[P] and p[q1] else 1
+            for c, x in wedge_expand([acols[q1], acts[P][q2]], sp, sb).items():
+                out[c] = out.get(c, 0) + s * x
+        return out.items()
 
-    def add(row, pair_terms, elem_terms):
-        """row += the coefficients of f(pair, elem), f's coordinates read
-        off the (pair, element) key layout."""
-        for P, cr in pair_terms:
-            col = cols[P]
-            for m, cm in elem_terms:
-                c = col[m]
-                row[c] = row.get(c, 0) + cr * cm
+    def add(block, slots, e, elem_table):
+        """block[z] += (-1)^e * slot coefficients * f(prefix, z's elem)."""
+        for parts in product(*slots):
+            b, cr = 0, -1 if e % 2 else 1
+            for Q, x in parts:
+                b, cr = b * npairs + Q, cr * x
+            col = cols[b]
+            for z, elem_terms in elem_table:
+                row = block[z]
+                for m, cm in elem_terms:
+                    c = col[m]
+                    row[c] = row.get(c, 0) + cr * cm
 
     rows = []
-    for P in range(len(pairs)):
-        for Qp, (q1, q2) in enumerate(pairs):
-            sxy = -1 if (pairp[P] and pairp[Qp]) else 1
-            sfb = -1 if (pairp[P] and p[q1]) else 1
-            # the two wedges of [X,Y]_a: X.y1 ^ a(y2) and a(y1) ^ X.y2
-            w1 = side(wedge_expand([acts[P][q1], acols[q2]], sp, sb2).items(),
-                      -1, 0)
-            w2 = side(wedge_expand([acols[q1], acts[P][q2]], sp, sb2).items(),
-                      -sfb, p[q1])
-            ay = side(apairs[Qp], -sxy, pairp[Qp])
-            ax = side(apairs[P], 1, pairp[P])
-            for k in range(dim):
-                row = {}
-                add(row, w1, acols[k])
-                add(row, w2, acols[k])
-                add(row, ay, acts[P][k])
-                add(row, ax, acts[Qp][k])
-                rows.append(row)
-    return (Matrix.from_rows(rows, len(position)),
-            Fraction(2 if adjoint else 1, dw * da * da))
+    for X in product(range(npairs), repeat=degree):
+        par = [pairp[P] for P in X]
+        block = [{} for _ in range(dim)]
+        for i in range(degree):  # i + 1 is the formula's i
+            if not (adjoint and (sum(par) - par[i]) % 2):
+                add(block, [apairs[X[k]] for k in range(degree) if k != i],
+                    i + 1 + par[i] * sum(par[i + 1:]), actz[X[i]])
+            for j in range(i + 1, degree):
+                add(block, [bracket(X[i], X[j]) if k == j else apairs[X[k]]
+                            for k in range(degree) if k != i],
+                    i + 1 + par[i] * sum(par[i + 1:j]), az)
+        rows.extend(block)
+    return (Matrix.from_rows(rows, len(cols) * dim),
+            Fraction(2 if adjoint else 1, dw * da ** (2 * degree - 2)))
 
 
 def _scalar_rows(obj, cx: str, degree: int, parity: int) -> tuple:
@@ -354,14 +347,12 @@ def _scalar_rows(obj, cx: str, degree: int, parity: int) -> tuple:
 # (complex, degree) -> the builder of the value-free rows of the coboundary
 # on that complex's degree-cochains, called as build(obj, cx, degree, parity)
 # and returning (integer rows, multiplier)
-_BUILDERS = {("binary-scalar", 1): _ds_rows, ("binary-scalar", 2): _ds_rows,
-             ("binary-scalar", 3): _ds_rows,
+_BUILDERS = {**{("binary-scalar", p): _ds_rows for p in (1, 2, 3)},
              ("binary-adjoint", 1): _scalar_rows,
              ("binary-adjoint", 2): _scalar_rows,
-             ("ternary-scalar", 1): _delta1_rows,
+             **{("ternary-scalar", p): _leibniz_rows for p in (1, 2, 3)},
              ("ternary-adjoint", 1): _scalar_rows,
-             ("ternary-scalar", 2): _delta2_rows,
-             ("ternary-adjoint", 2): _delta2_rows}
+             ("ternary-adjoint", 2): _leibniz_rows}
 
 
 def _rows(obj, cx: str, degree: int, parity: int = 0) -> tuple:
@@ -376,6 +367,11 @@ def _rows(obj, cx: str, degree: int, parity: int = 0) -> tuple:
     parity = parity % 2 if (cx, degree) == ("ternary-adjoint", 2) else 0
     key = (cx, degree, parity)
     if key not in obj.memo:
+        n = (len(skew_basis(degree + 1, obj.space)) if cx.startswith("binary")
+             else len(skew_basis(2, obj.space)) ** degree * obj.dim)
+        if n > MAX_COBOUNDARY_ROWS:
+            raise InputError(f"the {cx} coboundary of degree {degree} has "
+                             f"{n} rows, over the cap of {MAX_COBOUNDARY_ROWS}")
         obj.memo[key] = build(obj, cx, degree, parity)
     return obj.memo[key]
 
@@ -480,12 +476,15 @@ def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int) -> Subspace:
 
 def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     """(dim Z, dim B, dim H) on the even-parity block, each key-parity
-    block counted once per output it serves."""
-    if degree not in (1, 2):
-        raise InputError(f"unsupported degree {degree}")
+    block counted once per output it serves, in a degree whose coboundary,
+    and the one below it above degree 1, are entries of _BUILDERS."""
+    if type(degree) is not int or (cx, degree) not in _BUILDERS or (
+            degree > 1 and (cx, degree - 1) not in _BUILDERS):
+        raise InputError(f"no cohomology for {cx} in degree {degree!r}")
+    upper = _key_blocks(obj, cx, degree, 0)  # first: it meets the row cap
     lower = _key_blocks(obj, cx, degree - 1, 0) if degree > 1 else {}
     zdim = bdim = 0
-    for q, (block, places) in _key_blocks(obj, cx, degree, 0).items():
+    for q, (block, places) in upper.items():
         z = kernel(block)
         b = image(lower[q][0]) if q in lower else Subspace.zero(z.ambient_dim)
         for v in b.vectors():

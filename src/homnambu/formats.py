@@ -265,9 +265,9 @@ def _cochain_key_name(key, space: GradedSpace) -> str:
 
 def _key_names(cx: str, degree: int, space: GradedSpace) -> dict:
     """Each key of cochain_keys(cx, degree) -> its document name."""
-    if cx.startswith("ternary") and degree == 3:
-        raise InputError(f"unsupported cochain degree 3 for {cx}: ternary "
-                         f"cochain documents stop at degree 2")
+    if cx.startswith("ternary") and degree > 2:
+        raise InputError(f"unsupported cochain degree {degree} for {cx}: "
+                         f"ternary cochain documents stop at degree 2")
     names = {key: _cochain_key_name(key, space)
              for key in cochain_keys(cx, degree, space)}
     if len(set(names.values())) != len(names):

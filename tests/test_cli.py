@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from homnambu import cli
+from homnambu import cli, cohomology
 from homnambu.cli import main
 from homnambu.fixtures import glmn
 from homnambu.formats import DocumentBundle, write_document
@@ -239,6 +240,33 @@ def test_transfer_and_adjoint_cohomology_on_gl21(tmp_path):
     assert code == 0
     metrics = json.loads(out)["metrics"]
     assert (metrics["Z"], metrics["B"], metrics["H"]) == (41, 36, 5)
+
+
+def test_oversized_coboundary_exits_2_before_building_rows(tmp_path,
+                                                          monkeypatch):
+    """gl(2|2) ternary-scalar H^3 needs delta3 on 128^3 * 16 rows: over the
+    row cap, so the command exits 2 with the count, building no rows."""
+    path = tmp_path / "gl22.json"
+    write_document(path, DocumentBundle("gl22", *glmn(2, 2)))
+
+    def refuse(*args):
+        raise AssertionError("a coboundary was built")
+
+    monkeypatch.setattr(cohomology, "_BUILDERS",
+                        dict.fromkeys(cohomology._BUILDERS, refuse))
+    start = time.perf_counter()
+    error = assert_error_report(*run(
+        ["cohomology", path, "--complex", "ternary-scalar", "--degree", "3"]),
+        "cohomology")
+    assert time.perf_counter() - start < 2
+    assert "33554432 rows" in error
+
+
+def test_unbuilt_cohomology_degree_exits_2():
+    error = assert_error_report(*run(
+        ["cohomology", FIXTURES / "gl11_induced.json",
+         "--complex", "ternary-adjoint", "--degree", "3"]), "cohomology")
+    assert "ternary-adjoint" in error
 
 
 def test_seed_and_rmax_only_where_read():

@@ -1,17 +1,19 @@
 """Cochain complexes, coboundaries, and cocycle transfer to the induced side."""
 
 import gc
+import hashlib
 import json
 import random
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from homnambu.cohomology import (_BUILDERS, Cochain, _apply, _rows,
-                                 apply_coboundary,
+from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
+                                 _apply, _rows, apply_coboundary,
                                  binary_adjoint_cocycle_space,
                                  binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
@@ -89,6 +91,8 @@ def test_ternary_complexes_square_to_zero(all_binary):
     for name, lie, rep in all_binary:
         tau, t = induced(lie, rep)
         sp = lie.space
+        d2, d3 = (coboundary_matrix(t, "ternary-scalar", p) for p in (2, 3))
+        assert d3.mul(d2).is_zero(), name
         for cx in ("ternary-scalar", "ternary-adjoint"):
             d1 = coboundary_matrix(t, cx, 1)
             assert coboundary_matrix(t, cx, 2, 0).mul(d1).is_zero(), (name, cx)
@@ -175,7 +179,8 @@ def test_coboundary_matrix_dispatch(g11, t11):
     with pytest.raises(InputError):
         coboundary_matrix(g11, "ternary-scalar", 1)
     for obj, cx, degree in ((g11, "binary-scalar", 4),
-                            (t11, "ternary-scalar", 3),
+                            (t11, "ternary-scalar", 4),
+                            (t11, "ternary-adjoint", 3),
                             (g11, "binary-adjoint", 3)):
         with pytest.raises(InputError):
             coboundary_matrix(obj, cx, degree)
@@ -434,11 +439,13 @@ def test_cochain_keys_layout(g11):
         (pair, k) for pair in pairs for k in range(4))
     assert cochain_keys("ternary-scalar", 3, sp) == tuple(
         (x, y, k) for x in pairs for y in pairs for k in range(4))
+    assert cochain_keys("ternary-scalar", 4, sp) == tuple(
+        product(pairs, pairs, pairs, range(4)))
     for cx, d in ALL_SHAPES:
         width = 4 if cx.endswith("adjoint") else 1
         assert cochain_length(cx, d, sp) == len(cochain_keys(cx, d, sp)) * width
-    for cx, d in (("binary-adjoint", 4), ("ternary-scalar", 4),
-                  ("binary-scalar", True), ("nope", 1)):
+    for cx, d in (("binary-adjoint", 4), ("ternary-scalar", 5),
+                  ("ternary-adjoint", 4), ("binary-scalar", True), ("nope", 1)):
         with pytest.raises(InputError):
             cochain_keys(cx, d, sp)
 
@@ -841,3 +848,203 @@ def cyclic_row(lie, xyz):
                     c = position[key]
                     row[c] = row.get(c, 0) + s * sign * ai * bj
     return {c: x for c, x in row.items() if x}
+
+
+# --- degree 3 and the one Leibniz builder -------------------------------------
+
+
+def wedge2(u, v, p):
+    """u ^ v on canonical pairs, {pair: coefficient}, by skew_value's signs."""
+    out = {}
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            s = skew_value(lambda key: Fraction(1), (i, j), p)
+            if ui and vj and s is not None:
+                key = tuple(sorted((i, j)))
+                out[key] = out.get(key, 0) + s * ui * vj
+    return out
+
+
+def test_leibniz_coboundary_matches_direct_formula_in_degrees_1_to_3():
+    # delta f(X_1, .., X_p, z), i counted from 1, is
+    #   sum_{i<j} (-1)^i (-1)^{|X_i|(|X_i+1| + .. + |X_j-1|)}
+    #             f(aX_1, .., ^i, .., [X_i,X_j]_a in slot j, .., aX_p, a z)
+    # + sum_i (-1)^i (-1)^{|X_i|(|X_i+1| + .. + |X_p|)}
+    #             f(aX_1, .., ^i, .., aX_p, X_i.z),
+    # aX = a x1 ^ a x2, [X,Y]_a = X.y1 ^ a y2 + (-1)^{|X||y1|} a y1 ^ X.y2;
+    # each pair slot is read as a form super-skew in its two vectors
+    rng = random.Random(85)
+    for name, lie, rep in oracle_algebras():
+        tau, t = induced(lie, rep)
+        sp = lie.space
+        p, dim = sp.parities, lie.dim
+        a = [lie.alpha.column(i) for i in range(dim)]
+
+        def act(X, y):
+            return t.bracket.value(X[0], X[1], y)
+
+        def pp(X):
+            return (p[X[0]] + p[X[1]]) % 2
+
+        @lru_cache(maxsize=None)
+        def ax(X):
+            return wedge2(a[X[0]], a[X[1]], p)
+
+        @lru_cache(maxsize=None)
+        def br(X, Y):
+            out = wedge2(act(X, Y[0]), a[Y[1]], p)
+            s = (-1) ** (pp(X) * p[Y[0]])
+            for key, c in wedge2(a[Y[0]], act(X, Y[1]), p).items():
+                out[key] = out.get(key, 0) + s * c
+            return out
+
+        for degree in (1, 2, 3):
+            keys = cochain_keys("ternary-scalar", degree, sp)
+            for parity in (0, 1):
+                f = {key: rand_entry(rng, sum(
+                    pp(part) if isinstance(part, tuple) else p[part]
+                    for part in (key if degree > 1 else (key,))) % 2 == parity)
+                    for key in keys}
+
+                def F(slots, w):
+                    total = Fraction(0)
+                    for parts in product(*[s.items() for s in slots]):
+                        prefix = tuple(P for P, _ in parts)
+                        inner = sum(wm * f[(*prefix, m) if slots else m]
+                                    for m, wm in enumerate(w) if wm)
+                        for _, x in parts:
+                            inner *= x
+                        total += inner
+                    return total
+
+                want = []
+                for *X, z in cochain_keys("ternary-scalar", degree + 1, sp):
+                    total = Fraction(0)
+                    for i in range(1, degree + 1):
+                        others = [ax(X[k - 1]) for k in range(1, degree + 1)
+                                  if k != i]
+                        tail = sum(pp(Y) for Y in X[i:])
+                        total += ((-1) ** (i + pp(X[i - 1]) * tail)
+                                  * F(others, act(X[i - 1], z)))
+                        for j in range(i + 1, degree + 1):
+                            slots = [br(X[i - 1], X[j - 1]) if k == j
+                                     else ax(X[k - 1])
+                                     for k in range(1, degree + 1) if k != i]
+                            between = sum(pp(Y) for Y in X[i:j - 1])
+                            total += ((-1) ** (i + pp(X[i - 1]) * between)
+                                      * F(slots, a[z]))
+                    want.append(total)
+                coords = tuple(f[key] for key in keys)
+                Cochain("ternary-scalar", degree, parity, sp, coords)  # legal
+                got = coboundary_matrix(t, "ternary-scalar",
+                                        degree).apply(coords)
+                assert got == tuple(want), (name, degree, parity)
+
+
+def test_degree_3_cohomology_on_gl11_its_twist_and_conjugates():
+    for name, lie, rep in oracle_algebras():
+        _, t = induced(lie, rep)
+        assert cohomology_dims(t, "ternary-scalar", 3) == (38, 9, 29), name
+        assert cohomology_dims(lie, "binary-scalar", 3) == (3, 3, 0), name
+
+
+def test_unbuilt_degrees_are_input_errors(g11, t11):
+    for obj, cx, degree in ((t11, "ternary-adjoint", 3),
+                            (g11, "binary-adjoint", 3),
+                            (t11, "ternary-scalar", 4),
+                            (g11, "binary-scalar", 4),
+                            (t11, "ternary-scalar", 0),
+                            (t11, "ternary-scalar", True),
+                            (t11, "nope", 2)):
+        with pytest.raises(InputError):
+            cohomology_dims(obj, cx, degree)
+
+
+def test_coboundary_rows_are_capped_before_building():
+    lie, rep = glmn(2, 2)
+    _, t = induced(lie, rep)
+    with pytest.raises(InputError, match="33554432 rows"):
+        coboundary_matrix(t, "ternary-scalar", 3)
+    assert not t.memo
+    # gl(2|2) delta2 has 128^2 * 16 rows and gl(2|1) delta3 40^3 * 9
+    assert 128 ** 2 * 16 <= 40 ** 3 * 9 <= MAX_COBOUNDARY_ROWS < 128 ** 3 * 16
+
+
+# sha256 of repr(coboundary_matrix(t, cx, degree, parity)) for parity 0 and
+# 1, taken from the separate delta1 and delta2 builders the Leibniz builder
+# replaced: every matrix, Fraction entries and their order, is unchanged
+PINNED_MATRIX_SHA256 = {
+    ("gl11", "ternary-scalar", 1): (
+        "28c953d415ca120120230901e215b2087687f458aa5212e2f24757465773dbe9",
+        "28c953d415ca120120230901e215b2087687f458aa5212e2f24757465773dbe9"),
+    ("gl11", "ternary-scalar", 2): (
+        "7d0c4fb0c90570f88900f0e04e5dc163ea037282b28c957d19d25f6249610431",
+        "7d0c4fb0c90570f88900f0e04e5dc163ea037282b28c957d19d25f6249610431"),
+    ("gl11", "ternary-adjoint", 1): (
+        "b49cb56bff78bd43524591a9ef4c385cfed81d3158418ebb9438ec7a2a80120b",
+        "b49cb56bff78bd43524591a9ef4c385cfed81d3158418ebb9438ec7a2a80120b"),
+    ("gl11", "ternary-adjoint", 2): (
+        "d6961ea83df52cda42e934beb5bb4332249030378e1873cc5d80dc3d5b4932c4",
+        "0e93a0fe686c3574fb96f626faeec7d1494de5cc94b1735f5faa4c27a1ad3cb0"),
+    ("gl11t", "ternary-scalar", 1): (
+        "02e2f29ccce2e46064211e6e6794bbc94035fb24f29ef0eb19946a4ad65c33aa",
+        "02e2f29ccce2e46064211e6e6794bbc94035fb24f29ef0eb19946a4ad65c33aa"),
+    ("gl11t", "ternary-scalar", 2): (
+        "3afdf80b23836aecbd1d61512fb0beb50cde05f0ffe579e6a1744cc610a73240",
+        "3afdf80b23836aecbd1d61512fb0beb50cde05f0ffe579e6a1744cc610a73240"),
+    ("gl11t", "ternary-adjoint", 1): (
+        "f4da0b2de4c4a81f90617688b5595868bc3d41a7fc67421461eb0ba81f659844",
+        "f4da0b2de4c4a81f90617688b5595868bc3d41a7fc67421461eb0ba81f659844"),
+    ("gl11t", "ternary-adjoint", 2): (
+        "e1449e9a41767af0dc8dd27df9e6aa0d554147633c2d911f4a7feb44ac46db21",
+        "16a1fe6ed9e4f4274cd1d4cc42aff11613f15191a075627a1f5b7fdc3cab70bc"),
+    ("conj", "ternary-scalar", 1): (
+        "f617a718fc142e699eb278e6e4778d0f4085def9f7e9a37fa796bcc0730c668e",
+        "f617a718fc142e699eb278e6e4778d0f4085def9f7e9a37fa796bcc0730c668e"),
+    ("conj", "ternary-scalar", 2): (
+        "25219008202a47f1be8b0a160d291d642e1a3e3fbfb5e946f5f0ec7ebb4c1ac8",
+        "25219008202a47f1be8b0a160d291d642e1a3e3fbfb5e946f5f0ec7ebb4c1ac8"),
+    ("conj", "ternary-adjoint", 1): (
+        "562db8f24f52fdfca71e44f50fc5eab7212362c793acb3e0593f950a4c4cb73d",
+        "562db8f24f52fdfca71e44f50fc5eab7212362c793acb3e0593f950a4c4cb73d"),
+    ("conj", "ternary-adjoint", 2): (
+        "eb134ab0a62e7884372ee4a09efadd96d83f24167d444e81b84307d90da9a8a3",
+        "6c899fe13196f017dedf1eb74d2f3deb7c7bfec80ec7001b109a7d32f123ff12"),
+    ("conjt", "ternary-scalar", 1): (
+        "d08d5e252e67ac36807fde17a57b0e68c6827730a518ba38d6b2ec423e1a384a",
+        "d08d5e252e67ac36807fde17a57b0e68c6827730a518ba38d6b2ec423e1a384a"),
+    ("conjt", "ternary-scalar", 2): (
+        "c892cc166a788a67dc8740b6534aedb49a9366ec2f668ea43c792c732bb09787",
+        "c892cc166a788a67dc8740b6534aedb49a9366ec2f668ea43c792c732bb09787"),
+    ("conjt", "ternary-adjoint", 1): (
+        "48fa0f3234029446d084f8f21809ab2ac1db4e3997ff7811fe99089b8e674753",
+        "48fa0f3234029446d084f8f21809ab2ac1db4e3997ff7811fe99089b8e674753"),
+    ("conjt", "ternary-adjoint", 2): (
+        "6483e429b50a58992075940543cc4fff5c8f1ddd275d74302272cc84db5240de",
+        "008a5d24c8b6c3852fcdb47c24451fa61699fa23acca69e5eabc6d2ef0f1d4f5"),
+    ("gl21", "ternary-scalar", 1): (
+        "05efc9087e467b4ae8d946377fe9a017129bc2a79b010d88c96f5df440641f47",
+        "05efc9087e467b4ae8d946377fe9a017129bc2a79b010d88c96f5df440641f47"),
+    ("gl21", "ternary-scalar", 2): (
+        "a0f9b3c1ab07190aa211ff317b69f5e46dc8117b91a97b723ca15702681c8e7f",
+        "a0f9b3c1ab07190aa211ff317b69f5e46dc8117b91a97b723ca15702681c8e7f"),
+    ("gl21", "ternary-adjoint", 1): (
+        "275cdc3e50f1845ae9571270e35de8bfafc3c514d4577bc04cbc76ebbbbb47eb",
+        "275cdc3e50f1845ae9571270e35de8bfafc3c514d4577bc04cbc76ebbbbb47eb"),
+    ("gl21", "ternary-adjoint", 2): (
+        "6e35c49d38ddc316823ddfea7db1bd897a746b64beb9da670c61408d166298ef",
+        "97ce2a0545eb3286912b202c303e3b6f27d5139cc671c9e8a45a279fc5cb862a"),
+}
+
+
+def test_delta1_and_delta2_matrices_are_pinned():
+    algebras = (*oracle_algebras(), ("gl21", *glmn(2, 1)))
+    for name, lie, rep in algebras:
+        _, t = induced(lie, rep)
+        for cx in ("ternary-scalar", "ternary-adjoint"):
+            for degree in (1, 2):
+                for parity in (0, 1):
+                    text = repr(coboundary_matrix(t, cx, degree, parity))
+                    digest = hashlib.sha256(text.encode()).hexdigest()
+                    assert digest == PINNED_MATRIX_SHA256[
+                        name, cx, degree][parity], (name, cx, degree, parity)

@@ -184,9 +184,10 @@ def test_cochain_loader_guards(g11):
     with pytest.raises(InputError):
         load_cochain({"complex": "ternary-scalar", "degree": 2,
                       "values": {"q,p": "1"}}, sp)      # missing |element
-    with pytest.raises(InputError):
-        load_cochain({"complex": "ternary-scalar", "degree": 3,
-                      "values": {}}, sp)
+    for degree in (3, 4):
+        with pytest.raises(InputError, match="stop at degree 2"):
+            load_cochain({"complex": "ternary-scalar", "degree": degree,
+                          "values": {}}, sp)
     with pytest.raises(InputError):
         load_cochain({"complex": "binary-scalar", "degree": 1,
                       "values": "h1"}, sp)
