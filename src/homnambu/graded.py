@@ -27,6 +27,9 @@ back into Fractions:
 * mirror_residual and parity_misses, one integer comparison of a stored
   vector with its mirror (equal or negated) and the parity law read from
   its support: the binary and ternary skew checks;
+* super_skew, cached: every ordering of a stored key is stored with its
+  canonicalize sign and the parity law holds, the early pass of the
+  ternary skew check and the gate of the Hom-Nambu orbit join;
 * compat_residuals, f[e_I] = [f e_i1, ..., f e_in], whose left side is at
   scale D_f D_s and right side at D_f^n D_t: the multiplicativity,
   morphism and induced-homomorphism checks;
@@ -347,6 +350,27 @@ class SuperBracket:
             return None
         return tuple(x - sign * y
                      for x, y in zip(self.value(*key), self.value(*mirror)))
+
+    @cached_property
+    def super_skew(self) -> bool:
+        """Whether the stored entries are those of a super-skew bracket
+        that obeys the parity law: every ordering of a stored key is
+        stored, each equals its canonical vector times the canonicalize
+        sign, and no stored support misses the key's parity.  Exactly
+        when the skew and parity-law checks pass on every basis tuple.
+        Read from the integer view once per frozen bracket."""
+        p = self.space.parities
+        ints = self.integer[1]
+        for key, terms in ints.items():
+            canon, sign, zero = canonicalize(key, p)
+            base = ints.get(canon)
+            if zero or base is None or self.parity_misses(key):
+                return False
+            if terms != (base if sign > 0 else tuple((m, -x) for m, x in base)):
+                return False
+            if any(order not in ints for order in permutations(key)):
+                return False
+        return True
 
     def parity_misses(self, key) -> list:
         """Names of the basis elements where [e_key] has a component of a

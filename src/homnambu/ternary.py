@@ -19,9 +19,10 @@ placement that the induction theorem actually proves:
 
 The bracket is a graded.SuperBracket of arity 3 holding only its nonzero
 structure vectors W(i,j,k); every verifier reads its integer view
-(SuperBracket.integer, scale D_W).  verify_ternary_skew compares each
+(SuperBracket.integer, scale D_W).  verify_ternary_skew passes at once
+when the cached SuperBracket.super_skew holds; otherwise it compares each
 stored vector with its two mirrors as integers, equal or negated, and
-reads the parity law from the support; verify_ternary_multiplicative and
+reads the parity law from the support.  verify_ternary_multiplicative and
 verify_induced_homomorphism are graded.compat_residuals.
 verify_hom_nambu evaluates the identity as a sparse join over integers.
 It takes the bracket's integer view, clears the denominators of both
@@ -33,16 +34,27 @@ with all three (the right side), so a tuple where every term is zero
 costs nothing.  Every term has degree 2 in the bracket and 1 in each
 twist, so the integer residuals are a fixed multiple of the true ones;
 only the residuals a report prints are divided back into Fractions.
-hom_nambu_residual_direct is the naive oracle.
+
+When a1 = a2 and the bracket is super_skew, the residual is super-skew
+in (x, y) and in (z, u, v), so the join runs over canonical orbits:
+only canonical (x, y) blocks, and in them only canonical (z, u, v), are
+computed, about a twelfth of the work, and each failing orbit is
+expanded into its distinct orderings with the canonicalize signs.  The
+report is the same.  Every algebra induced with alpha1 = alpha2 takes
+this path (from_canonical makes every induced bracket super_skew), while
+distinct twists and brackets that break skew symmetry or the parity law
+take the full join, which is also its oracle.
+hom_nambu_residual_direct is the naive oracle of both.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 from .binary import HomLieSuper, is_ideal, verify_morphism, yau_twist
-from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
-                     skew_basis)
+from .graded import (GradedMap, GradedSpace, SuperBracket, canonicalize,
+                     compat_residuals, skew_basis)
 from .linalg import (InputError, PreconditionError, Subspace, Vec,
                      integer_terms, is_zero_vec, vec_add, vec_scale)
 from .report import Report, fmt_vec
@@ -93,17 +105,22 @@ def induce_ternary(g: HomLieSuper, tau: TraceFunctional,
 def verify_ternary_skew(t: TernaryHomLieSuper) -> Report:
     """Both adjacent-transposition laws and the parity law, all basis triples.
 
-    A triple can fail only when (i,j,k), (j,i,k) or (i,k,j) is a stored
-    entry, so only those triples are visited, in sorted order: the findings
+    When the bracket is super_skew no triple can fail, and the empty
+    report is returned at once; the predicate is cached on the bracket, so
+    verify_hom_nambu's gate reads it for free.  Otherwise a triple can
+    fail only when (i,j,k), (j,i,k) or (i,k,j) is a stored entry, so only
+    those triples are visited, in sorted order: the findings
     and their order are those of a loop over all dim^3 triples.  Each
     mirror is one comparison of the integer view, equal or negated, and
     the parity law is read from the stored support; a residual is computed
     in Fractions only for a finding.
     """
     rep = Report("verify_ternary_skew")
+    b = t.bracket
+    if b.super_skew:
+        return rep
     sp = t.space
     p = sp.parities
-    b = t.bracket
     triples = set()
     for i, j, k in b.entries:
         triples.update(((i, j, k), (j, i, k), (i, k, j)))
@@ -154,8 +171,12 @@ def verify_hom_nambu(t: TernaryHomLieSuper) -> Report:
     one, and only the first 16, the ones reported, are divided back into
     exact Fractions.  A tuple is visited only when some term of its
     identity reads a stored entry; every other tuple has residual zero.
-    tuples_checked still counts all dim^5 tuples, the violations come in
-    lexicographic order, and past 16 a note gives their total.
+    With one twist and a super_skew bracket (any induced bracket) only
+    canonical (x, y) and (z, u, v) are computed, and each failing orbit is
+    expanded into its distinct orderings, residuals times the canonicalize
+    signs; otherwise every tuple is.  Either way tuples_checked counts all
+    dim^5 tuples, the violations come in lexicographic order, their total
+    is the number of failing tuples, and past 16 a note gives it.
 
     With distinct twists the swapped slot placement is evaluated too, up
     to its first violation, and a note is emitted when the two placements
@@ -216,10 +237,24 @@ def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
 
     violations yields ((x, y, z, u, v), residual) for every basis 5-tuple
     with a nonzero residual, in lexicographic order; each residual is a
-    list of integers, scale times the true one.  The bracket's integer
-    view (D_W) and the twists cleared of denominators (D1, D2) make
-    everything integer, and every term has degree 2 in the bracket and 1
-    in each twist, so scale = D_W^2 D1 D2.
+    list of integers, scale times the true one.  When a1 = a2 and the
+    bracket is super_skew (skew symmetry and the parity law), _orbit_join
+    computes them on canonical orbits; otherwise _join computes every
+    tuple.  _join is also the oracle of _orbit_join.
+    """
+    scale, tables = _integer_tables(t, a1, a2)
+    join = (_orbit_join if a1.matrix == a2.matrix and t.bracket.super_skew
+            else _join)
+    return scale, join(t, *tables)
+
+
+def _integer_tables(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
+    """(scale, (W, L, N, Q)): the bracket's integer view W and its
+    composite tables L, N and Q (free slot 2, 0 and 1) in the placement
+    (a1, a2).  The integer view (D_W) and the twists cleared of
+    denominators (D1, D2) make everything integer, and every term of the
+    identity has degree 2 in the bracket and 1 in each twist, so
+    scale = D_W^2 D1 D2.
     """
     dw, W = t.bracket.integer
     d1, rows1 = integer_terms(a1.matrix.entries)
@@ -227,7 +262,7 @@ def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
     L = _composite_table(W, rows1, rows2, 2)
     N = _composite_table(W, rows1, rows2, 0)
     Q = _composite_table(W, rows1, rows2, 1)
-    return dw * dw * d1 * d2, _join(t, W, L, N, Q)
+    return dw * dw * d1 * d2, (W, L, N, Q)
 
 
 def _join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
@@ -288,6 +323,98 @@ def _join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
                                 out[m] += f * l
             for key in sorted(k for k, r in acc.items() if any(r)):
                 yield (x, y, key // dd, key // dim % dim, key % dim), acc[key]
+
+
+def _orbit_join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
+    """The residuals of _join, computed on canonical orbits only.
+
+    With a1 = a2 and a super-skew bracket that obeys the parity law, the
+    residual R(x, y, z, u, v) is super-skew in (x, y) and in (z, u, v):
+    R at any ordering is R at the canonical one times the canonicalize
+    signs of both parts, and zero when an even index repeats.  So only
+    canonical (x, y) blocks are computed, and in them only canonical keys
+    (z, u, v): the left side reads the canonical W(z,u,v), and each
+    right-hand entry is kept only where its key is canonical.  Each
+    failing canonical key is expanded into its distinct orderings, and
+    the block of a non-canonical (x, y) is the one of (y, x) times the
+    pair's sign, so the violations come out as _join yields them.
+    """
+    p = t.space.parities
+    dim = t.dim
+    dd = dim * dim
+    canon = {z * dd + u * dim + v for z, u, v in skew_basis(3, t.space).tuples}
+
+    # rhs[w][c]: (key, sign flipped when |x|+|y| is odd, composite) of the
+    # t1, t2 and t3 entries that read W(x,y,w)[c] and land on a canonical key
+    rhs = [[[] for _ in range(dim)] for _ in range(dim)]
+    for weight, table, offset, flip in (
+            (dd, N, lambda u, v: u * dim + v, lambda u, v: False),
+            (dim, Q, lambda z, v: z * dd + v, lambda z, v: p[z]),
+            (1, L, lambda z, u: z * dd + u * dim, lambda z, u: p[z] != p[u])):
+        for (a, b), cols in table.items():
+            off, f = offset(a, b), flip(a, b)
+            for w in range(dim):
+                key = w * weight + off
+                if key in canon:
+                    for c, terms in cols.items():
+                        rhs[w][c].append((key, f, terms))
+    lhs = [[] for _ in range(dim)]
+    for (z, u, v), terms in W.items():
+        key = z * dd + u * dim + v
+        if key in canon:
+            for c, wc in terms:
+                lhs[c].append((key, wc))
+    row_xy = {}
+    for (x, y, w), terms in W.items():
+        row_xy.setdefault((x, y), []).append((w, terms))
+
+    def block(x, y):
+        """Sorted (key, R, -R) of every failing tuple (x, y, key), x <= y."""
+        acc = defaultdict(lambda: [0] * dim)
+        for c, col in L.get((x, y), {}).items():
+            for key, wc in lhs[c]:
+                out = acc[key]
+                for m, l in col:
+                    out[m] += wc * l
+        odd = p[x] != p[y]
+        for w, terms in row_xy.get((x, y), ()):
+            row = rhs[w]
+            for c, wc in terms:
+                for key, flip, col in row[c]:
+                    f = wc if (odd and flip) else -wc
+                    out = acc[key]
+                    for m, l in col:
+                        out[m] += f * l
+        found = []
+        for key, resid in acc.items():
+            if any(resid):
+                neg = [-r for r in resid]
+                zuv = (key // dd, key // dim % dim, key % dim)
+                for order in dict.fromkeys(permutations(zuv)):
+                    code = order[0] * dd + order[1] * dim + order[2]
+                    if canonicalize(order, p)[1] > 0:
+                        found.append((code, resid, neg))
+                    else:
+                        found.append((code, neg, resid))
+        found.sort(key=lambda item: item[0])
+        return found
+
+    mirrored = {}
+    for x in range(dim):
+        for y in range(dim):
+            if x > y:
+                found = mirrored.pop((y, x), ())
+                flip = not (p[x] and p[y])
+            elif x < y or p[x]:
+                found = block(x, y)
+                flip = False
+                if x < y and found:
+                    mirrored[x, y] = found
+            else:
+                continue
+            for key, resid, neg in found:
+                yield ((x, y, key // dd, key // dim % dim, key % dim),
+                       neg if flip else resid)
 
 
 def verify_ternary_multiplicative(t: TernaryHomLieSuper) -> Report:

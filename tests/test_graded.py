@@ -7,8 +7,8 @@ from itertools import permutations, product
 
 import pytest
 
-from homnambu.binary import SuperBracket2
-from homnambu.fixtures import conjugate_gl11, induced_gl11
+from homnambu.binary import HomLieSuper, SuperBracket2, verify_skew
+from homnambu.fixtures import conjugate_gl11, gl11, induced_gl11, neg_skew
 from homnambu.graded import (GradedMap, GradedSpace, InputError, canonicalize,
                              graded_space, identity_map, koszul_sign,
                              skew_basis, supertrace, tuple_parity,
@@ -304,3 +304,24 @@ def test_building_the_integer_view_leaves_equality_alone():
     assert "integer" in vars(a) and "integer" not in vars(b)
     assert a == b and b == a
     assert a != a.with_entry(0, 2, 3, (0, 0, 0, 0))
+
+
+def test_super_skew_predicate_is_cached_and_matches_binary_skew():
+    lie, _ = gl11()
+    b = lie.bracket
+    fresh = b.with_entry(0, 0, (0, 1, 0, 0))          # an even index repeats
+    assert "super_skew" not in vars(fresh)
+    cases = [
+        b,
+        neg_skew().bracket,
+        fresh,
+        b.with_entry(3, 2, (2, 2, 0, 0)),             # mirror stored 2x
+        b.with_entry(2, 0, (0, 0, 0, 0)),             # mirror missing
+        SuperBracket2(b.space, {**b.entries, (2, 3): (1, 1, 1, 0),
+                                (3, 2): (1, 1, 1, 0)}),  # parity law broken
+    ]
+    assert [c.super_skew for c in cases] == [True] + [False] * 5
+    assert "super_skew" in vars(fresh)
+    for c in cases:
+        rep = verify_skew(HomLieSuper(lie.space, c, lie.alpha))
+        assert c.super_skew == (rep.verdict == "pass")

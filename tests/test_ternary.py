@@ -3,13 +3,15 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
-from homnambu.binary import verify_morphism, yau_twist
-from homnambu.fixtures import (alpha_t, conjugate_gl11, gl11, gl11t, glmn,
-                               induced_gl11, matrix_units, neg_nambu,
-                               neg_ternary_mult, neg_ternary_skew,
+from homnambu import cli, ternary
+from homnambu.binary import HomLieSuper, verify_morphism, yau_twist
+from homnambu.fixtures import (alpha_t, conjugate_gl11, conjugate_pair, gl11,
+                               gl11t, glmn, induced_gl11, matrix_units,
+                               neg_nambu, neg_ternary_mult, neg_ternary_skew,
                                random_even_invertible)
 from homnambu.graded import (GradedMap, canonicalize, identity_map,
                              parity_law_violations, skew_basis, tuple_parity)
@@ -18,8 +20,8 @@ from homnambu.linalg import (InputError, Matrix, Subspace, frac, is_zero_vec,
 from homnambu.report import Report, fmt_vec
 from homnambu.reps import TraceFunctional, trace_functional
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
-                              _hom_nambu_join,
-                              check_twist_commutes, hom_nambu_residual_direct,
+                              _hom_nambu_join, _integer_tables, _join,
+                              _orbit_join, check_twist_commutes, hom_nambu_residual_direct,
                               ideal_criterion, induce_ternary,
                               ternary_is_ideal, ternary_is_subalgebra,
                               verify_hom_nambu, verify_induced_homomorphism,
@@ -470,3 +472,178 @@ def test_gl22_passes_and_its_broken_copy_fails():
     rep = verify_hom_nambu(doubled_first(t))
     assert rep.verdict == "fail"
     assert hom_nambu_total(rep) == 2040
+
+
+# --- the join over canonical orbits ----------------------------------------
+
+
+def induced_conjugate(m, n, seed):
+    """The algebra induced from the conjugate of gl(m|n) along the dense
+    random_even_invertible draw of random.Random(seed)."""
+    lie, rep = glmn(m, n)
+    s = random_even_invertible(random.Random(seed), lie.space)
+    lie, rep = conjugate_pair(lie, rep, s)
+    return induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+
+
+def induced_conjugate_gl11(seed):
+    lie, rep = conjugate_gl11(random.Random(seed))
+    return induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+
+
+def rank_one_twisted_gl21(c):
+    """gl(2|1) with alpha_c = c id + (1 - c) tau(.) I, I the identity
+    matrix: Hom-Jacobi and tau-invariant for every c, and no Yau twist,
+    so every twisted slot of the identity is live."""
+    lie, rep = glmn(2, 1)
+    tau = trace_functional(rep)
+    eye = [1 if i == j else 0 for i, j in matrix_units(2, 1)]
+    alpha = GradedMap(lie.space, lie.space, Matrix.build(
+        [[c * (r == k) + (1 - c) * tau.values[k] * eye[r]
+          for k in range(lie.dim)] for r in range(lie.dim)]))
+    twisted = HomLieSuper(lie.space, lie.bracket, alpha)
+    return induce_ternary(twisted, TraceFunctional(twisted, tau.values),
+                          alpha, alpha)
+
+
+def both_joins(t):
+    """(orbit violations, full violations) of t's identity, each a list."""
+    scale, tables = _integer_tables(t, t.alpha1, t.alpha2)
+    return list(_orbit_join(t, *tables)), list(_join(t, *tables))
+
+
+ORBIT_CASES = {
+    "gl11": induced_gl11,
+    "gl11t2": induced_gl11t2,
+    "gl11-conj-3": lambda: induced_conjugate_gl11(3),
+    "gl11-conj-5": lambda: induced_conjugate_gl11(5),
+    "neg_nambu": neg_nambu,
+    "gl21": lambda: induced_glmn(2, 1),
+    "gl21-twisted": twisted_gl21,
+    "gl21-conj": lambda: induced_conjugate(2, 1, 1),
+    "gl21-broken": broken_gl21,
+    "gl21-broken-twisted": broken_twisted_gl21,
+    "gl22-broken": lambda: doubled_first(induced_glmn(2, 2)),
+    "gl21-rank-one-twist": lambda: rank_one_twisted_gl21(Fraction(-1, 3)),
+    "gl21-rank-one-twist-broken":
+        lambda: doubled_first(rank_one_twisted_gl21(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_join_matches_full_join(case):
+    t = ORBIT_CASES[case]()
+    assert t.same_twists() and t.bracket.super_skew
+    orbit, full = both_joins(t)
+    # the total, and every witness and residual in order, the first 16
+    # (the reported ones) among them
+    assert len(orbit) == len(full)
+    assert orbit == full
+    if "broken" in case or case == "neg_nambu":
+        assert full
+    else:
+        assert not full
+
+
+def even_repeat():
+    """[h1,h1,q] stored in one ordering: an even index repeats, so only
+    zero is skew there."""
+    t = induced_gl11()
+    b = t.bracket.with_entry(0, 0, 2, (0, 0, 1, 0))
+    return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
+
+
+def missing_ordering():
+    """One ordering of [h1,q,p] dropped; the rest stay consistent."""
+    t = induced_gl11()
+    b = t.bracket.with_entry(2, 0, 3, (0, 0, 0, 0))
+    return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
+
+
+@pytest.mark.parametrize("build", [induced_gl11, induced_gl11t2,
+                                   neg_ternary_skew, stale_mirrors,
+                                   parity_breaker, neg_nambu, doubled_mirror,
+                                   neg_ternary_mult, even_repeat,
+                                   missing_ordering, random_bracket_two_twists,
+                                   random_fraction_bracket_two_twists,
+                                   twisted_gl21, broken_gl21])
+def test_super_skew_predicate_matches_the_skew_check(build):
+    t = build()
+    rep = verify_ternary_skew(t)
+    assert t.bracket.super_skew == (rep.verdict == "pass")
+    assert t.bracket.super_skew == (not dense_skew_findings(t))
+    if build in (neg_ternary_skew, stale_mirrors, parity_breaker,
+                 doubled_mirror, even_repeat, missing_ordering):
+        assert not t.bracket.super_skew
+
+
+def test_super_skew_predicate_on_every_induced_fixture(all_binary):
+    for name, lie, rep in all_binary:
+        t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+        assert t.bracket.super_skew, name
+        assert verify_ternary_skew(t).findings == dense_skew_findings(t) == []
+
+
+def unskewed_nambu():
+    """neg_nambu with one ordering of [h1,q,p] patched alone: alpha1 =
+    alpha2, but the bracket is no longer skew."""
+    t = neg_nambu()
+    b = t.bracket.with_entry(2, 0, 3, (1, 0, 0, 0))
+    return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
+
+
+@pytest.mark.parametrize("build", [unskewed_nambu, parity_breaker,
+                                   induced_gl11_mixed_twists,
+                                   random_bracket_two_twists])
+def test_gate_sends_the_rest_to_the_full_join(build, monkeypatch):
+    t = build()
+    assert not (t.same_twists() and t.bracket.super_skew)
+
+    def refuse(*args):
+        raise AssertionError("the orbit join ran")
+
+    monkeypatch.setattr(ternary, "_orbit_join", refuse)
+    want = direct_violations(t, t.alpha1, t.alpha2)
+    rep = verify_hom_nambu(t)
+    found = [(f.witness, f.residual) for f in rep.findings
+             if f.check == "hom-nambu"]
+    assert hom_nambu_total(rep) == len(want)
+    assert found == want[:16]
+    if build in (unskewed_nambu, parity_breaker):
+        assert want
+
+
+def test_induced_algebras_never_take_the_full_join(all_binary, monkeypatch,
+                                                  tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("the full join ran")
+
+    monkeypatch.setattr(ternary, "_join", refuse)
+    algebras = [induce_ternary(lie, trace_functional(rep), lie.alpha,
+                               lie.alpha) for _, lie, rep in all_binary]
+    algebras += [induced_conjugate_gl11(3), induced_glmn(2, 1),
+                 twisted_gl21(), induced_conjugate(2, 1, 1), neg_nambu(),
+                 broken_gl21()]
+    for t in algebras:
+        verify_hom_nambu(t)
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    out = str(tmp_path / "induced.json")
+    assert cli.main(["induce", str(fixtures / "gl11.json"), "-o", out]) == 0
+    assert cli.main(["check", "ternary", out]) == 0
+    assert cli.main(["check", "ternary",
+                     str(fixtures / "neg_nambu.json")]) == 1
+    capsys.readouterr()
+
+
+def test_dense_gl22_conjugate_passes():
+    t = induced_conjugate(2, 2, 1)
+    rep = verify_hom_nambu(t)
+    assert rep.verdict == "pass"
+    assert rep.metrics["tuples_checked"] == 16 ** 5
+
+
+def test_broken_dense_gl21_conjugate_total_matches_full_join():
+    t = doubled_first(induced_conjugate(2, 1, 1))
+    orbit, full = both_joins(t)
+    assert len(orbit) == len(full) == 5010
+    assert hom_nambu_total(verify_hom_nambu(t)) == 5010
