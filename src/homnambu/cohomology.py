@@ -37,9 +37,11 @@ cochain goes through _apply, which sums in ints and returns the nonzero
 outputs; apply_coboundary alone makes them dense.  Cohomology and cocycle
 bases (cohomology_dims, cocycles) take each parity block of the integer
 rows, eliminate it once per key parity, and count, or place, it once per
-output it serves.  induce_cocycle transfers a binary 2-cocycle with
+output it serves; the key parities they select by are computed from the
+pair parities, prefix by prefix, without listing the keys.
+induce_cocycle transfers a binary 2-cocycle with
 reps.TraceFunctional.induce, the formula that also builds the induced
-bracket.
+bracket, on the cocycle's values cleared of denominators once.
 """
 
 from dataclasses import dataclass
@@ -65,6 +67,13 @@ COMPLEXES = tuple(_DEGREES)
 MAX_COBOUNDARY_ROWS = 1 << 20
 
 
+def _check_degree(cx: str, degree: int) -> None:
+    if cx not in _DEGREES:
+        raise InputError(f"unknown complex {cx}")
+    if type(degree) is not int or degree not in _DEGREES[cx]:
+        raise InputError(f"unsupported degree {degree!r} for {cx}")
+
+
 def cochain_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
     """Argument keys of a cx cochain of this degree, in coordinate order.
 
@@ -75,10 +84,7 @@ def cochain_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
     coordinate per key; an adjoint cochain has dim of them, key-major, the
     output index running fastest.
     """
-    if cx not in _DEGREES:
-        raise InputError(f"unknown complex {cx}")
-    if type(degree) is not int or degree not in _DEGREES[cx]:
-        raise InputError(f"unsupported degree {degree!r} for {cx}")
+    _check_degree(cx, degree)
     if cx.startswith("binary"):
         return skew_basis(degree, space).tuples
     if degree == 1:
@@ -96,29 +102,28 @@ def cochain_length(cx: str, degree: int, space: GradedSpace) -> int:
     return len(cochain_keys(cx, degree, space)) * _width(cx, space)
 
 
-def _key_parities(keys, space: GradedSpace) -> list:
-    """The parity of each key: the sum of its parts' parities, mod 2."""
+def _key_parities(cx: str, degree: int, space: GradedSpace) -> list:
+    """The parity of each key of cochain_keys(cx, degree, space), in
+    order: the sum of its parts' parities, mod 2.  A ternary key is a pair
+    prefix and an element, so its parities are those of the prefixes,
+    pair by pair, each combined with every element's, without listing
+    the keys."""
+    _check_degree(cx, degree)
     p = space.parities
-    part_parity = dict(enumerate(p))  # each distinct pair is summed once
-
-    def parity(key) -> int:
-        if isinstance(key, int):
-            return p[key]
-        total = 0
-        for part in key:
-            if part not in part_parity:
-                part_parity[part] = parity(part)
-            total += part_parity[part]
-        return total % 2
-
-    return [parity(key) for key in keys]
+    if cx.startswith("binary"):
+        return [tuple_parity(key, p) for key in skew_basis(degree, space).tuples]
+    pairp = [tuple_parity(pair, p) for pair in skew_basis(2, space).tuples]
+    prefix = [0]
+    for _ in range(degree - 1):
+        prefix = [a ^ b for a in prefix for b in pairp]
+    return [a ^ b for a in prefix for b in p]
 
 
 def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
     """Per coordinate: argument-key parity, plus output parity for the
     adjoint complexes.  A cochain of parity |f| is supported exactly on the
     coordinates whose entry here equals |f|."""
-    keyp = _key_parities(cochain_keys(cx, degree, space), space)
+    keyp = _key_parities(cx, degree, space)
     if _width(cx, space) == 1:
         return tuple(keyp)
     return tuple((kp + po) % 2 for kp in keyp for po in space.parities)
@@ -437,8 +442,8 @@ def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
     """
     space = obj.space
     m = _rows(obj, cx, degree, parity)[0]
-    colp = _key_parities(cochain_keys(cx, degree, space), space)
-    rowp = _key_parities(_row_keys(cx, degree, space), space)
+    colp = _key_parities(cx, degree, space)
+    rowp = _key_parities(cx.replace("adjoint", "scalar"), degree + 1, space)
     dim = _width(cx, space)
     outputs = space.parities if dim > 1 else (0,)
     blocks = {}
@@ -525,8 +530,9 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
     """Transfer a binary 2-cocycle to t, the algebra induced from (g, tau).
 
     phi_rho(X, z) is reps.TraceFunctional.induce of phi on the (pair,
-    element) keys; the result is checked against the matching ternary
-    delta2 of t.
+    element) keys, phi's values cleared of denominators (D) once and
+    read with the canonicalize signs; the result, divided by D_tau D, is
+    checked against the matching ternary delta2 of t.
     """
     if phi.complex not in ("binary-scalar", "binary-adjoint") or phi.degree != 2:
         raise PreconditionError("induce_cocycle expects a binary 2-cochain")
@@ -536,17 +542,27 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
         raise PreconditionError("trace functional is not twist invariant")
     scalar = phi.complex == "binary-scalar"
     out_cx = "ternary-scalar" if scalar else "ternary-adjoint"
+    width = _width(phi.complex, g.space)
+    d, rows = integer_terms(enumerate(phi.coords[n:n + width])
+                            for n in range(0, len(phi.coords), width))
+    at = dict(zip(cochain_keys(phi.complex, 2, g.space), rows))
+    p = g.space.parities
 
     def ev(i, j):
-        """phi(e_i, e_j) as a vector, of length 1 on the scalar complex."""
-        v = binary_pair_eval(phi, i, j)
-        return (v,) if scalar else v
+        """The (m, integer) pairs of D phi(e_i, e_j), m < width."""
+        key, sign, zero = canonicalize((i, j), p)
+        if zero:
+            return ()
+        return at[key] if sign > 0 else tuple((m, -x) for m, x in at[key])
 
-    keys = cochain_keys(out_cx, 2, g.space)
-    rho = tau.induce(ev, ((x1, x2, k) for (x1, x2), k in keys))
-    values = {((x1, x2), k): v[0] if scalar else v
-              for (x1, x2, k), v in rho.items()}
-    induced = make_cochain(out_cx, 2, g.space, values, parity=phi.parity)
+    keys = {(x1, x2, k): n for n, ((x1, x2), k)
+            in enumerate(cochain_keys(out_cx, 2, g.space))}
+    dt, rho = tau.induce(ev, keys)
+    coords = [ZERO] * (len(keys) * width)
+    for key, terms in rho.items():
+        for m, x in terms:
+            coords[keys[key] * width + m] = Fraction(x, dt * d)
+    induced = Cochain(out_cx, 2, phi.parity, g.space, tuple(coords))
     if _apply(t, out_cx, 2, induced.parity, induced.coords):
         raise PreconditionError("induced cochain is not a ternary cocycle")
     return induced

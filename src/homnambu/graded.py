@@ -17,13 +17,19 @@ rows on a canonical tuple basis, share one multilinear expansion.
 
 SuperBracket.integer is the bracket's one integer view, (D, {key: sparse
 integer vector}), D the least common denominator, built once per frozen
-bracket and shared by every ordering of one value.  Every identity
+bracket and shared by every ordering of one value.  from_integer, the one
+constructor that fills every ordering of canonical values (from_canonical
+clears their denominators and calls it), seeds the view as it fills, so
+an induced bracket never converts its values back.  Every identity
 checker reads it, and only the residuals a report prints are divided
 back into Fractions:
 
 * span(S1, ..., Sn), the subspace spanned by [S1, ..., Sn], and
   annihilator(), the z with [e_i1, ..., z] = 0, for any arity; the
-  series, centers and ideal checks are calls of these two;
+  series, centers and ideal checks are calls of these two.  span
+  contracts only the slots whose subspace is smaller than the space: a
+  whole-space slot keeps its key index, so [g, g, g] is the span of the
+  distinct stored vectors;
 * mirror_residual and parity_misses, one integer comparison of a stored
   vector with its mirror (equal or negated) and the parity law read from
   its support: the binary and ternary skew checks;
@@ -35,7 +41,9 @@ back into Fractions:
   morphism and induced-homomorphism checks;
 * the Hom-Jacobi table of binary (scale D_alpha D_W^2) and the Hom-Nambu
   join of ternary (D_W^2 D_1 D_2);
-* the coboundary rows of cohomology, ints times 1/(D_W D_alpha^k).
+* the coboundary rows of cohomology, ints times 1/(D_W D_alpha^k);
+* reps.verify_representation, whose bracket side rho([e_i, e_j]) beta is
+  read at D_W, and the induced bracket, tau.induce of this view.
 """
 
 from dataclasses import dataclass
@@ -237,9 +245,10 @@ class SuperBracket:
 
     entries maps an ordered index tuple (i1, ..., in) to the structure
     vector of [e_i1, ..., e_in].  Only nonzero vectors are stored, so two
-    brackets with the same values compare equal.  from_canonical fills in
-    every ordering through canonicalize; the raw constructor and with_entry
-    take any entries, so the verifiers have something to catch.  The
+    brackets with the same values compare equal.  from_integer (and
+    from_canonical through it) fills in every ordering through
+    canonicalize; the raw constructor and with_entry take any entries, so
+    the verifiers have something to catch.  The
     subclasses SuperBracket2 and SuperBracket3 pin the arity.
     """
 
@@ -259,28 +268,69 @@ class SuperBracket:
         """Build from canonical-key coefficients; every ordering is derived.
 
         Keys must be canonical index tuples and values must obey the parity
-        law; zero values are dropped.
+        law; zero values are dropped.  The values are cleared of
+        denominators once and handed to from_integer.
+        """
+        kind = "bracket" if cls.arity == 2 else "ternary"
+        values = {}
+        for key, value in coeffs.items():
+            key, v = tuple(key), vec(value)
+            if len(v) != space.dim:
+                raise InputError(f"{kind} value for {key} has wrong length")
+            values[key] = v
+        d, terms = integer_terms(map(enumerate, values.values()))
+        return cls.from_integer(space, d, dict(zip(values, terms)))
+
+    @classmethod
+    def from_integer(cls, space: GradedSpace, d: int,
+                     coeffs: dict) -> "SuperBracket":
+        """Build from canonical keys and integer structure vectors: coeffs
+        maps each canonical key to the (m, integer) pairs, m increasing,
+        of d times its vector.  Every ordering is filled in through
+        canonicalize, and the integer view is seeded as integer would
+        compute it from the entries: the least common denominator, the
+        same terms, one tuple per sign shared by the orderings, in entry
+        order.
+
+        Keys must be canonical index tuples and supports must obey the
+        parity law; empty values are dropped.
         """
         kind = "bracket" if cls.arity == 2 else "ternary"
         p = space.parities
-        entries = {}
-        for key, value in coeffs.items():
-            key = tuple(key)
+        for key, terms in coeffs.items():
             if len(key) != cls.arity or not is_canonical(key, p):
                 raise InputError(f"{kind} key {key} is not canonical")
-            v = vec(value)
-            if len(v) != space.dim:
-                raise InputError(f"{kind} value for {key} has wrong length")
-            bad = parity_law_violations(space, v, tuple_parity(key, p))
+            want = tuple_parity(key, p)
+            bad = [space.names[m] for m, _ in terms if p[m] != want]
             if bad:
                 raise InputError(f"{kind} value for {key} breaks the parity "
                                  f"law at {bad}")
-            if is_zero_vec(v):
+        least = 1  # the least D with D x / d integral for every x
+        for terms in coeffs.values():
+            for _, x in terms:
+                q = Fraction(x, d).denominator
+                if least % q:
+                    least *= Fraction(least, q).denominator
+        g = d // least
+        entries, view = {}, {}
+        for key, terms in coeffs.items():
+            if not terms:
                 continue
-            neg = tuple(-c for c in v)
+            pos = tuple((m, x // g) for m, x in terms)
+            neg = tuple((m, -x) for m, x in pos)
+            v, w = [ZERO] * space.dim, [ZERO] * space.dim
+            for m, x in pos:
+                v[m] = Fraction(x, least)
+                w[m] = -v[m]
+            v, w = tuple(v), tuple(w)
             for order in dict.fromkeys(permutations(key)):
-                entries[order] = v if canonicalize(order, p)[1] == 1 else neg
-        return cls(space, entries)
+                if canonicalize(order, p)[1] == 1:
+                    entries[order], view[order] = v, pos
+                else:
+                    entries[order], view[order] = w, neg
+        bracket = cls(space, entries)
+        bracket.__dict__["integer"] = (least, view)
+        return bracket
 
     def value(self, *idx) -> Vec:
         """Structure vector of [e_i1, ..., e_in], signs included for any order."""
@@ -331,9 +381,10 @@ class SuperBracket:
         """(D, {key: ((m, D * x), ...)}): every structure vector cleared of
         denominators, D the least common one, as the (coordinate, integer)
         pairs of its nonzero values.  Each distinct value object is
-        converted once, so the orderings from_canonical fills in share one
-        integer tuple per sign.  The view is kept with the frozen bracket;
-        with_entry and with_canonical copies build their own."""
+        converted once, so the orderings from_integer fills in share one
+        integer tuple per sign; from_integer seeds this same view.  The
+        view is kept with the frozen bracket; the raw constructor and
+        with_entry copies build their own."""
         distinct = {id(v): v for v in self.entries.values()}
         d, terms = integer_terms(map(enumerate, distinct.values()))
         by_id = dict(zip(distinct, terms))
@@ -384,11 +435,16 @@ class SuperBracket:
         """The span of [S1, ..., Sn] over the vectors of the subspaces Si.
 
         The structure vectors (the integer view) and each Si's echelon rows
-        are cleared of denominators, which scales no span.  Slots are
-        contracted one at a time, the last first, so the partial table of a
-        row c of Sn serves every (a, b, ...), and a zero partial ends its
-        branch.  The nonzero integer images go to one rref, deduplicated
-        up to sign.
+        are cleared of denominators, which scales no span.  Contracting a
+        slot with the unit rows of the whole space only re-indexes, so
+        only the slots whose subspace is smaller than the space are
+        contracted; the indices of the full slots are kept in front of
+        each key.  The cut slots are contracted one at a time, the last
+        first, so the partial table of a row c of the last serves every
+        choice of the others, and a zero partial ends its branch.  Every
+        vector left once all cut slots are contracted is an image, so with
+        every slot full the images are the distinct stored vectors.  The
+        nonzero integer images go to one rref, deduplicated up to sign.
         """
         dim = self.space.dim
         if (len(subspaces) != self.arity
@@ -398,12 +454,17 @@ class SuperBracket:
         rows = [integer_terms(s.basis.entries)[1] for s in subspaces]
         if not all(rows):
             return Subspace.zero(dim)
+        cut = [k for k, s in enumerate(subspaces) if s.dim < dim]
+        full = [k for k, s in enumerate(subspaces) if s.dim == dim]
 
         def contract(table, slot):
+            if slot < 0:
+                yield from map(sorted, table.values())
+                return
             by_last = {}
             for key, terms in table.items():
                 by_last.setdefault(key[-1], []).append((key[:-1], terms))
-            for row in rows[slot]:
+            for row in rows[cut[slot]]:
                 acc = {}
                 for k, c in row:
                     for prefix, terms in by_last.get(k, ()):
@@ -415,12 +476,12 @@ class SuperBracket:
                     terms = [t for t in col.items() if t[1]]
                     if terms:
                         part[prefix] = terms
-                if part and slot:
+                if part:
                     yield from contract(part, slot - 1)
-                elif part:
-                    yield sorted(part[()])
 
-        images = contract(self.integer[1], self.arity - 1)
+        table = {(tuple([key[k] for k in full]), *[key[k] for k in cut]):
+                 terms for key, terms in self.integer[1].items()}
+        images = contract(table, len(cut) - 1)
         return Subspace.spanned_by_rows(_distinct_rows(images, dim))
 
     def annihilator(self) -> Subspace:

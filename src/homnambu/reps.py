@@ -1,12 +1,22 @@
-"""Representations of Hom-Lie superalgebras and their supertrace functionals."""
+"""Representations of Hom-Lie superalgebras and their supertrace functionals.
+
+verify_representation checks both axioms in ints: the action matrices (one
+D_rho over all of them), beta, alpha and the bracket (its integer view)
+are cleared of denominators once, rho(alpha e_i) is built once per i and
+every product once, and each axiom is compared cross-multiplied; only a
+failing witness's residual is divided back into Fractions.
+TraceFunctional.induce, the tau-combination behind the induced ternary
+bracket and the induced cocycles, sums tau's integer values against
+sparse integer terms and alone holds the induction signs.
+"""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .binary import HomLieSuper
 from .graded import GradedMap, GradedSpace, identity_map, supertrace, zero_map
-from .linalg import (InputError, Matrix, Vec, dot, is_zero_vec, kernel, vec,
-                     vec_add, vec_scale, Subspace)
+from .linalg import (InputError, Matrix, Subspace, Vec, dot, integer_terms,
+                     is_zero_vec, kernel, vec)
 from .report import Report, fmt_scalar, fmt_vec
 
 
@@ -66,68 +76,121 @@ class TraceFunctional:
     def apply(self, v: Vec) -> Fraction:
         return dot(self.values, vec(v))
 
-    def induce(self, phi, keys) -> dict:
+    def induce(self, phi, keys) -> tuple:
         """The tau-combination of a bilinear phi on the (x1, x2, k) in keys:
 
             phi_rho(x1,x2,k) = tau(x1) phi(x2,k)
                              - (-1)^{|x1||x2|} tau(x2) phi(x1,k)
                              + (-1)^{|k|(|x1|+|x2|)} tau(k) phi(x1,x2),
 
-        phi(i, j) returning a vector.  With phi the bracket this is the
-        induced ternary bracket; with phi a binary 2-cocycle, the induced
-        cocycle.  Returns {(x1, x2, k): value} for the nonzero values, in
-        key order; phi is evaluated only where tau does not vanish.
+        summed in ints.  phi(i, j) gives the (m, integer) pairs of its
+        value at a scale of the caller's choosing, and tau is cleared of
+        denominators once (D_tau).  With phi the bracket's integer view
+        this is the induced ternary bracket; with phi a binary 2-cocycle,
+        the induced cocycle.  Returns (D_tau, {(x1, x2, k): terms}) for the
+        nonzero values, in key order, terms the (m, integer) pairs of
+        D_tau times phi's scale times the value, m increasing; phi is read
+        only where tau does not vanish.
         """
         p = self.algebra.space.parities
-        tv = self.values
+        d, (nonzero,) = integer_terms([enumerate(self.values)])
+        tv = [0] * len(self.values)
+        for i, x in nonzero:
+            tv[i] = x
         out = {}
         for key in keys:
             x1, x2, k = key
             s12 = -1 if (p[x1] and p[x2]) else 1
             s3 = -1 if (p[k] and (p[x1] ^ p[x2])) else 1
-            v = None
+            acc = {}
             for c, i, j in ((tv[x1], x2, k), (-s12 * tv[x2], x1, k),
                             (s3 * tv[k], x1, x2)):
                 if c:
-                    w = vec_scale(c, phi(i, j))
-                    v = w if v is None else vec_add(v, w)
-            if v is not None and not is_zero_vec(v):
-                out[key] = v
-        return out
+                    for m, x in phi(i, j):
+                        acc[m] = acc.get(m, 0) + c * x
+            terms = tuple(sorted(t for t in acc.items() if t[1]))
+            if terms:
+                out[key] = terms
+        return d, out
 
 
 def verify_representation(r: Representation) -> Report:
-    """Both representation axioms on all basis elements and pairs."""
+    """Both representation axioms on all basis elements and pairs, in ints.
+
+    rho (one D_rho over every action matrix), beta (D_b), alpha (D_a) and
+    the bracket (its integer view, D_W) are cleared of denominators once,
+    as R_i = D_rho rho(e_i), B = D_b beta, A = D_a alpha and W.  Then
+    RA_i = sum_k A_ki R_k = D_a D_rho rho(alpha e_i) is built once per i,
+    and the products RA_i B, B R_i, R_m B and RA_i R_j once each.  The
+    axioms are compared cross-multiplied,
+
+      1.  RA_i B = D_a B R_i,
+      2.  D_a D_rho sum_m W_m(i,j) R_m B
+              = D_W D_b (RA_i R_j - (-1)^{|i||j|} RA_j R_i),
+
+    the sides at D_a D_rho D_b and D_W D_a D_rho^2 D_b times the true ones.
+    Only a failing witness's residual is divided back into Fractions:
+    every cell of the module matrix, zeros included, row by row.
+    """
     rep = Report("verify_representation")
     g = r.algebra
-    beta = r.beta.matrix
-    # rho(alpha e_i), built once per i
-    ra = [r.rho_of_vector(c) for c in g.alpha.columns()]
-    # axiom 1: rho(alpha x) o beta = beta o rho(x)
+    n = r.module_space.dim
+    dr, rows = integer_terms(row for m in r.matrices for row in m.matrix.entries)
+    R = [rows[i * n:(i + 1) * n] for i in range(g.dim)]
+    db, B = integer_terms(r.beta.matrix.entries)
+    da, acols = integer_terms(g.alpha.matrix.transpose().entries)
+    dw, W = g.bracket.integer
+    RA = []
+    for col in acols:
+        acc = [{} for _ in range(n)]
+        for k, a in col:
+            for out, row in zip(acc, R[k]):
+                for c, x in row:
+                    out[c] = out.get(c, 0) + a * x
+        RA.append([tuple(row.items()) for row in acc])
+    names = g.space.names
+
+    def fail(check, witness, diff, scale):
+        rep.fail(check, witness=witness, residual=tuple(
+            fmt_scalar(Fraction(diff.get(c, 0), scale)) for c in range(n * n)))
+
     for i in range(g.dim):
-        diff = ra[i].mul(beta).add(beta.mul(r.rho_matrix(i)).scale(-1))
-        if not diff.is_zero():
-            rep.fail("axiom-1", witness=(g.space.names[i],),
-                     residual=_cells(diff))
-    # axiom 2: rho([x,y]) o beta = rho(alpha x) rho(y) - (-1)^{|x||y|} rho(alpha y) rho(x)
+        diff = _product(RA[i], B, n)
+        for c, x in _product(B, R[i], n).items():
+            diff[c] = diff.get(c, 0) - da * x
+        if any(diff.values()):
+            fail("axiom-1", (names[i],), diff, da * dr * db)
     p = g.space.parities
+    RB = [_product(Rm, B, n) for Rm in R]
+    P = [[_product(RAi, Rj, n) for Rj in R] for RAi in RA]
+    lscale, rscale = da * dr, dw * db
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs = r.rho_of_vector(g.bracket.value(i, j)).mul(beta)
-            sign = -1 if (p[i] and p[j]) else 1
-            rhs = ra[i].mul(r.rho_matrix(j)).add(
-                ra[j].mul(r.rho_matrix(i)).scale(-sign))
-            diff = lhs.add(rhs.scale(-1))
-            if not diff.is_zero():
-                rep.fail("axiom-2", witness=(g.space.names[i], g.space.names[j]),
-                         residual=_cells(diff))
-    rep.metrics["module_dim"] = r.module_space.dim
+            diff = {}
+            for m, w in W.get((i, j), ()):
+                for c, x in RB[m].items():
+                    diff[c] = diff.get(c, 0) + lscale * w * x
+            sign = rscale if (p[i] and p[j]) else -rscale
+            for c, x in P[i][j].items():
+                diff[c] = diff.get(c, 0) - rscale * x
+            for c, x in P[j][i].items():
+                diff[c] = diff.get(c, 0) - sign * x
+            if any(diff.values()):
+                fail("axiom-2", (names[i], names[j]), diff, lscale * dr * rscale)
+    rep.metrics["module_dim"] = n
     return rep
 
 
-def _cells(m: Matrix) -> tuple:
-    """Every entry of m, zeros included, row by row, formatted."""
-    return tuple(fmt_scalar(x) for i in range(m.rows) for x in m.row(i))
+def _product(a, b, n: int) -> dict:
+    """{r * n + c: value} of the product of two integer matrices held as
+    rows of (column, integer) pairs; cancelled cells may stay as zeros."""
+    out = {}
+    for r, row in enumerate(a):
+        base = r * n
+        for k, x in row:
+            for c, y in b[k]:
+                out[base + c] = out.get(base + c, 0) + x * y
+    return out
 
 
 def trace_functional(r: Representation) -> TraceFunctional:

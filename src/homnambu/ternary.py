@@ -8,7 +8,11 @@ supertrace functional tau is
                + (-1)^{|x3|(|x1|+|x2|)} tau(x3)[x1,x2],
 
 the formula that also transfers 2-cocycles; both are
-reps.TraceFunctional.induce, which alone holds its signs.
+reps.TraceFunctional.induce, which alone holds its signs.  induce_ternary
+runs it in ints: tau's integer values against the binary bracket's
+integer view, at D_tau D_W, and SuperBracket.from_integer fills every
+ordering and seeds the ternary bracket's integer view, so no structure
+vector is summed in Fractions or converted back.
 
 The generalized Jacobi (Hom-Nambu) identity is checked in the slot
 placement that the induction theorem actually proves:
@@ -41,7 +45,7 @@ only canonical (x, y) blocks, and in them only canonical (z, u, v), are
 computed, about a twelfth of the work, and each failing orbit is
 expanded into its distinct orderings with the canonicalize signs.  The
 report is the same.  Every algebra induced with alpha1 = alpha2 takes
-this path (from_canonical makes every induced bracket super_skew), while
+this path (from_integer makes every induced bracket super_skew), while
 distinct twists and brackets that break skew symmetry or the parity law
 take the full join, which is also its oracle.
 hom_nambu_residual_direct is the naive oracle of both.
@@ -93,12 +97,15 @@ class TernaryHomLieSuper:
 
 def induce_ternary(g: HomLieSuper, tau: TraceFunctional,
                    alpha1: GradedMap, alpha2: GradedMap) -> TernaryHomLieSuper:
-    """Build the induced ternary bracket: tau.induce of the binary bracket
-    on the canonical triples."""
+    """Build the induced ternary bracket: tau.induce of the binary
+    bracket's integer view (D_W) on the canonical triples, at D_tau D_W,
+    made a bracket by SuperBracket.from_integer."""
     if tau.algebra.space != g.space:
         raise PreconditionError("trace functional belongs to another algebra")
-    coeffs = tau.induce(g.bracket.value, skew_basis(3, g.space).tuples)
-    bracket = SuperBracket3.from_canonical(g.space, coeffs)
+    dw, W = g.bracket.integer
+    dt, coeffs = tau.induce(lambda i, j: W.get((i, j), ()),
+                            skew_basis(3, g.space).tuples)
+    bracket = SuperBracket3.from_integer(g.space, dt * dw, coeffs)
     return TernaryHomLieSuper(g.space, bracket, alpha1, alpha2)
 
 

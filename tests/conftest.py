@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from homnambu.fixtures import a0, aff1, gl11, gl11t, induced_gl11
+from homnambu.fixtures import (a0, aff1, conjugate_pair, gl11, gl11t, glmn,
+                               induced_gl11, random_even_invertible)
 from homnambu.reps import trace_functional
+from homnambu.ternary import induce_ternary
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +42,15 @@ def all_binary():
         lie, rep = ctor()
         out.append((name, lie, rep))
     return out
+
+
+@pytest.fixture(scope="session")
+def gl22_conjugate():
+    """(lie, rep, t): gl(2|2) conjugated by the dense even draw of
+    random_even_invertible with random.Random(1), its defining
+    representation, and the algebra induced with alpha1 = alpha2."""
+    lie, rep = glmn(2, 2)
+    s = random_even_invertible(random.Random(1), lie.space)
+    lie, rep = conjugate_pair(lie, rep, s)
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+    return lie, rep, t

@@ -1,12 +1,13 @@
 """graded.compat_residuals, the one residual of f[e_I] = [f e_i1, ..., f e_in],
-against the five loops it replaced; verify_representation and verify_skew
-against their former loops.
+against the five loops it replaced; verify_representation, verify_skew,
+the induced bracket and induce_cocycle against their former loops.
 
 The oracles below are those loops, kept as they were: each evaluates in
 Fractions, and the compat loops read every column of the map inside the
 loop.  The findings of the package's checks must equal theirs in full
-(check names, witnesses in order, residuals), and yau_twist must raise the
-same message, on failing inputs.
+(check names, witnesses in order, residuals), yau_twist must raise the
+same message, on failing inputs, and the integer induction must build the
+same brackets and cochains, entry for entry and in the same order.
 """
 
 import random
@@ -14,20 +15,26 @@ from fractions import Fraction
 
 import pytest
 
+from itertools import permutations
+
 from homnambu.binary import (HomLieSuper, verify_morphism,
                              verify_multiplicative, verify_skew, yau_twist)
-from homnambu.fixtures import (conjugate_pair, glmn, gl11, induced_gl11,
+from homnambu.cohomology import (binary_pair_eval, cochain_keys,
+                                 cochain_length, cocycles, induce_cocycle,
+                                 make_cochain)
+from homnambu.fixtures import (a0, aff1, conjugate_gl11, conjugate_pair, glmn,
+                               gl11, gl11t, induced_gl11, matrix_units,
                                neg_mult, neg_rep, neg_skew, neg_ternary_mult,
                                random_even_invertible)
-from homnambu.graded import (GradedMap, identity_map, parity_law_violations,
-                             skew_basis)
+from homnambu.graded import (GradedMap, canonicalize, identity_map,
+                             parity_law_violations, skew_basis)
 from homnambu.linalg import (InputError, Matrix, PreconditionError, invert,
-                             is_zero_vec, vec_add, vec_scale)
+                             is_zero_vec, vec, vec_add, vec_scale)
 from homnambu.report import Report, fmt_scalar, fmt_vec
-from homnambu.reps import (Representation, trace_functional,
-                           verify_representation)
-from homnambu.ternary import (TernaryHomLieSuper, induce_ternary,
-                              verify_induced_homomorphism,
+from homnambu.reps import (Representation, adjoint_representation,
+                           trace_functional, verify_representation)
+from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
+                              induce_ternary, verify_induced_homomorphism,
                               verify_ternary_multiplicative)
 
 
@@ -161,6 +168,64 @@ def representation_oracle(r):
                          residual=cells(diff))
     rep.metrics["module_dim"] = r.module_space.dim
     return rep
+
+
+def fraction_induce(tau, phi, keys):
+    """The tau-combination TraceFunctional.induce summed in Fractions, phi
+    returning dense vectors; {key: value} for the nonzero values."""
+    p = tau.algebra.space.parities
+    tv = tau.values
+    out = {}
+    for key in keys:
+        x1, x2, k = key
+        s12 = -1 if (p[x1] and p[x2]) else 1
+        s3 = -1 if (p[k] and (p[x1] ^ p[x2])) else 1
+        v = None
+        for c, i, j in ((tv[x1], x2, k), (-s12 * tv[x2], x1, k),
+                        (s3 * tv[k], x1, x2)):
+            if c:
+                w = vec_scale(c, phi(i, j))
+                v = w if v is None else vec_add(v, w)
+        if v is not None and not is_zero_vec(v):
+            out[key] = v
+    return out
+
+
+def fraction_fill(space, coeffs):
+    """The raw ternary bracket with every ordering of each canonical
+    vector, filled in as from_canonical did before it read integers; its
+    integer view is left to SuperBracket.integer."""
+    p = space.parities
+    entries = {}
+    for key, value in coeffs.items():
+        v = vec(value)
+        if is_zero_vec(v):
+            continue
+        neg = tuple(-c for c in v)
+        for order in dict.fromkeys(permutations(key)):
+            entries[order] = v if canonicalize(order, p)[1] == 1 else neg
+    return SuperBracket3(space, entries)
+
+
+def fraction_induced_bracket(lie, tau):
+    return fraction_fill(lie.space, fraction_induce(
+        tau, lie.bracket.value, skew_basis(3, lie.space).tuples))
+
+
+def induce_cocycle_oracle(g, tau, phi):
+    """The induced cochain as induce_cocycle built it in Fractions."""
+    scalar = phi.complex == "binary-scalar"
+    out_cx = "ternary-scalar" if scalar else "ternary-adjoint"
+
+    def ev(i, j):
+        v = binary_pair_eval(phi, i, j)
+        return (v,) if scalar else v
+
+    keys = cochain_keys(out_cx, 2, g.space)
+    rho = fraction_induce(tau, ev, ((x1, x2, k) for (x1, x2), k in keys))
+    values = {((x1, x2), k): v[0] if scalar else v
+              for (x1, x2, k), v in rho.items()}
+    return make_cochain(out_cx, 2, g.space, values, parity=phi.parity)
 
 
 def random_maps(space, seed, count):
@@ -304,3 +369,143 @@ def test_representation_matches_old_loop():
         assert verify_representation(r) == want
         checks.update(x.check for x in want.findings)
     assert checks == {"axiom-1", "axiom-2"}
+
+
+def diagonal_twist_gl21():
+    """gl(2|1) Yau-twisted by E_ij -> (d_i / d_j) E_ij, d = (2, 3, 5), so
+    alpha has denominators, and the diagonal D = diag(d) on the module."""
+    lie, rep = glmn(2, 1)
+    d = (2, 3, 5)
+    alpha = GradedMap(lie.space, lie.space, Matrix.build(
+        [[Fraction(d[i], d[j]) if r == c else 0 for c in range(lie.dim)]
+         for r, (i, j) in enumerate(matrix_units(2, 1))]))
+    diag = GradedMap(rep.module_space, rep.module_space, Matrix.build(
+        [[d[r] if r == c else 0 for c in range(3)] for r in range(3)]))
+    return yau_twist(lie, alpha), rep, diag
+
+
+def doubled_beta(r, k=0):
+    """r with beta doubled on module basis vector k."""
+    n = r.module_space.dim
+    double = Matrix.build([[(2 if i == k else 1) if i == j else 0
+                            for j in range(n)] for i in range(n)])
+    beta = GradedMap(r.module_space, r.module_space, r.beta.matrix.mul(double))
+    return Representation(r.algebra, r.module_space, r.matrices, beta)
+
+
+def test_representation_matches_old_loop_at_gl22_and_with_denominators(
+        gl22_conjugate):
+    """Both verdicts, on the dense gl(2|2) conjugate, gl(2|1) twisted by
+    an alpha with denominators, and adjoint representations."""
+    lie, rep, _ = gl22_conjugate
+    twisted, trep, diag = diagonal_twist_gl21()
+    conj21 = conjugate_pair(*glmn(2, 1), random_even_invertible(
+        random.Random(51), glmn(2, 1)[0].space))
+    cases = [rep, doubled_beta(rep),
+             Representation(twisted, trep.module_space, trep.matrices, diag),
+             doubled_beta(Representation(twisted, trep.module_space,
+                                         trep.matrices, diag), 2),
+             adjoint_representation(twisted),
+             doubled_beta(adjoint_representation(twisted), 3),
+             adjoint_representation(conj21[0]),
+             adjoint_representation(conjugate_gl11(random.Random(52))[0])]
+    verdicts = []
+    for r in cases:
+        want = representation_oracle(r)
+        assert verify_representation(r) == want
+        verdicts.append(want.verdict)
+    assert verdicts == ["pass", "fail", "fail", "fail", "pass", "fail",
+                        "pass", "pass"]
+
+
+def induction_cases(gl22_conjugate):
+    """(name, lie, tau): every shipped algebra, conjugates of gl(1|1) and
+    gl(2|1), gl(2|1), gl(2|2) and the dense gl(2|2) conjugate."""
+    cases = [(name, *ctor()) for name, ctor in (
+        ("a0", a0), ("aff1", aff1), ("gl11", gl11), ("gl11t", gl11t),
+        ("gl11-conj", lambda: conjugate_gl11(random.Random(53))),
+        ("gl21", lambda: glmn(2, 1)),
+        ("gl21-conj", lambda: conjugate_pair(*glmn(2, 1), random_even_invertible(
+            random.Random(54), glmn(2, 1)[0].space))),
+        ("gl22", lambda: glmn(2, 2)))]
+    cases.append(("gl22-conj", *gl22_conjugate[:2]))
+    return [(name, lie, trace_functional(rep)) for name, lie, rep in cases]
+
+
+def test_induced_bracket_matches_fraction_induction(gl22_conjugate):
+    """Entries, their order, and the integer view with its order and its
+    one tuple per sign, against the Fraction induction and fill."""
+    for name, lie, tau in induction_cases(gl22_conjugate):
+        got = induce_ternary(lie, tau, lie.alpha, lie.alpha).bracket
+        want = fraction_induced_bracket(lie, tau)
+        assert "integer" in vars(got) and "integer" not in vars(want)
+        assert list(got.entries.items()) == list(want.entries.items()), name
+        assert got.integer[0] == want.integer[0], name
+        assert list(got.integer[1].items()) == list(want.integer[1].items())
+        ints = got.integer[1]
+        for key, v in got.entries.items():
+            for order in permutations(key):
+                if got.entries.get(order) is v:
+                    assert ints[order] is ints[key], (name, key, order)
+
+
+def test_from_canonical_and_from_integer_seed_the_least_view():
+    """Values with denominators, a common factor to cancel, and a zero
+    value: the seeded view is the one integer computes from the entries."""
+    rng = random.Random(55)
+    sp = gl11()[0].space
+    p = sp.parities
+    coeffs = {key: tuple(Fraction(2 * rng.randint(-3, 3), rng.choice((1, 3, 9)))
+                         if p[o] == sum(p[i] for i in key) % 2 else 0
+                         for o in range(sp.dim))
+              for key in skew_basis(3, sp).tuples}
+    coeffs[(0, 1, 2)] = (0, 0, 0, 0)
+    got = SuperBracket3.from_canonical(sp, coeffs)
+    want = fraction_fill(sp, coeffs)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert got.integer[0] == want.integer[0]
+    assert list(got.integer[1].items()) == list(want.integer[1].items())
+    # d = 6 is not the least denominator of 4/6, 2/6: D = 3
+    b = SuperBracket3.from_integer(sp, 6, {(0, 2, 3): ((0, 4), (1, 2))})
+    assert b.integer == (3, {(0, 2, 3): ((0, 2), (1, 1)),
+                             (0, 3, 2): ((0, 2), (1, 1)),
+                             (2, 0, 3): ((0, -2), (1, -1)),
+                             (2, 3, 0): ((0, 2), (1, 1)),
+                             (3, 0, 2): ((0, -2), (1, -1)),
+                             (3, 2, 0): ((0, 2), (1, 1))})
+    assert b.value(0, 2, 3) == (Fraction(2, 3), Fraction(1, 3), 0, 0)
+    assert b == fraction_fill(sp, {(0, 2, 3): (Fraction(2, 3), Fraction(1, 3),
+                                               0, 0)})
+    with pytest.raises(InputError, match="not canonical"):
+        SuperBracket3.from_integer(sp, 1, {(2, 0, 3): ((0, 1),)})
+    with pytest.raises(InputError, match="parity law"):
+        SuperBracket3.from_integer(sp, 1, {(0, 2, 3): ((2, 1),)})
+
+
+@pytest.mark.parametrize("case", ["gl11", "conj"])
+def test_induce_cocycle_matches_fraction_induction(case):
+    """Random cocycle combinations with denominators, scalar and adjoint,
+    both parities, on gl(1|1) and a conjugate (tau with denominators)."""
+    lie, rep = gl11() if case == "gl11" else conjugate_gl11(random.Random(56))
+    tau = trace_functional(rep)
+    t = induce_ternary(lie, tau, lie.alpha, lie.alpha)
+    rng = random.Random(57)
+    seen = set()
+    for cx in ("binary-scalar", "binary-adjoint"):
+        n = cochain_length(cx, 2, lie.space)
+        for parity in (0, 1):
+            basis = cocycles(lie, cx, 2, parity)
+            for _ in range(3 if basis else 0):
+                coords = [Fraction(0)] * n
+                for v in basis:
+                    c = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                    coords = [a + c * x for a, x in zip(coords, v)]
+                phi = make_cochain(cx, 2, lie.space, dict(zip(
+                    cochain_keys(cx, 2, lie.space),
+                    coords if cx == "binary-scalar" else
+                    zip(*[iter(coords)] * lie.dim))), parity=parity)
+                got = induce_cocycle(lie, tau, phi, t)
+                assert got == induce_cocycle_oracle(lie, tau, phi)
+                seen.add((cx, parity, got.is_zero()))
+    assert ("binary-scalar", 0, False) in seen
+    assert ("binary-adjoint", 1, False) in seen

@@ -14,7 +14,7 @@ from homnambu.graded import (GradedMap, graded_space, identity_map,
                              skew_basis, tuple_parity)
 from homnambu.linalg import (InputError, Matrix, Subspace, is_zero_vec, kernel,
                              unit_vec)
-from homnambu.reps import trace_functional
+from homnambu.reps import trace_functional, verify_representation
 from homnambu.series import (binary_center, binary_central_series,
                              binary_derived_series, central_series,
                              compare_central_series, derived_series,
@@ -345,6 +345,48 @@ def test_raw_brackets_tell_the_slots_apart():
     e2 = Subspace.from_vectors(4, [unit_vec(4, 2)])
     assert t.bracket.span(e2, full, full) != t.bracket.span(full, full, e2)
     assert t.bracket.span(full, e2, full) != t.bracket.span(full, full, e2)
+
+
+def test_span_keeps_whole_space_slots_as_the_naive_loops_do():
+    """No full slot, one, two and all: span contracts only the slots
+    smaller than the space, and with every slot full it is the span of
+    the stored vectors.  The raw brackets are not skew, so a full slot
+    read in the wrong position would show."""
+    rng = random.Random(31)
+    cases = [("gl21", TERNARY_CASES["gl21"]().bracket),
+             ("conjugate", TERNARY_CASES["conjugate"]().bracket),
+             ("raw", raw_ternary().bracket), ("raw2", raw_binary().bracket),
+             ("fractions2", fraction_bracket().bracket)]
+    for name, b in cases:
+        dim = b.space.dim
+        full = Subspace.full(dim)
+        small = [Subspace.from_vectors(dim, [
+            tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                  for _ in range(dim)) for _ in range(k)])
+            for k in (1, dim - 1)]
+        counts = set()
+        for mask in product((False, True), repeat=b.arity):
+            for s in small:
+                args = [full if m else s for m in mask]
+                assert b.span(*args) == span_oracle(b, *args), (name, mask)
+                counts.add(sum(mask))
+        assert counts == set(range(b.arity + 1))
+        assert b.span(*[full] * b.arity) == Subspace.from_vectors(
+            dim, b.entries.values())
+
+
+def test_dense_gl22_conjugate_structure_answers(gl22_conjugate):
+    """The north-star dimension, on the dense gl(2|2) conjugate: the
+    representation check, both series, both centers and solvability."""
+    lie, rep, t = gl22_conjugate
+    assert verify_representation(rep).verdict == "pass"
+    assert derived_series(t).dims() == (16, 15, 0, 0)
+    assert central_series(t).dims() == (16, 15, 15)
+    assert ternary_center(t).dim == 1
+    assert binary_center(lie).dim == 1
+    solv = verify_solvability_theorem(t)
+    assert solv.verdict == "pass"
+    assert solv.metrics["solvability_class"] == 2
 
 
 def test_ideal_checks_see_both_outcomes():
