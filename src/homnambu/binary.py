@@ -1,19 +1,21 @@
 """Hom-Lie superalgebras: brackets, twist maps, verifiers, Yau twists.
 
 A bracket is a graded.SuperBracket of arity 2: the nonzero structure
-vectors of [e_i, e_j], keyed by ordered pairs.  The canonical constructor
-accepts coefficients on canonical index pairs only (i < j, or i = j odd)
-and fills in the mirrors through the super-skew rule
-[y,x] = -(-1)^{|x||y|}[x,y]; the raw constructor accepts any entries so
-the verifiers have something to catch.
+vectors of [e_i, e_j], keyed by ordered pairs, stored as its integer view
+(graded.SuperBracket.integer, scale D_W).  from_canonical accepts
+coefficients on canonical index pairs only (i < j, or i = j odd) and
+fills in the mirrors through the super-skew rule
+[y,x] = -(-1)^{|x||y|}[x,y]; from_vectors accepts any entries so the
+verifiers have something to catch, and yau_twist and change_of_basis
+build their brackets with it.
 
-The verifiers read the bracket's integer view (graded.SuperBracket.integer,
-scale D_W) and print Fractions only for a finding.  verify_skew compares
-each mirror as integers; verify_hom_jacobi builds one composite table
-[alpha e_u, e_c] from the nonzero structure vectors and sums each triple's
-cyclic residual at scale D_alpha D_W^2, with hom_jacobi_residual as its
-naive Fraction oracle; verify_multiplicative, verify_morphism and the
-yau_twist precondition are graded.compat_residuals.
+The verifiers read the integer view and print Fractions only for a
+finding.  verify_skew compares each mirror as integers; verify_hom_jacobi
+reads the composite table [alpha e_u, e_c] (SuperBracket.composite) and
+sums each triple's cyclic residual at scale D_alpha D_W^2, with
+hom_jacobi_residual as its naive Fraction oracle; verify_multiplicative,
+verify_morphism and the yau_twist precondition are
+graded.compat_residuals.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ from .report import Report, fmt_vec
 
 
 class SuperBracket2(SuperBracket):
-    """Binary bracket: entries[(i, j)] is [e_i, e_j]."""
+    """Binary bracket: value(i, j) is [e_i, e_j]."""
     arity = 2
 
 
@@ -98,7 +100,8 @@ def verify_hom_jacobi(a: HomLieSuper) -> Report:
 
     With the bracket's integer view W (scale D_W) and the twist cleared
     to integers (D_alpha), one composite table C[u][c] = [alpha e_u, e_c]
-    is built from the nonzero W alone, at scale D_alpha D_W.  A triple's
+    is built from the nonzero W alone, at scale D_alpha D_W, by
+    SuperBracket.composite.  A triple's
     residual is then the cyclic signed sum of W(v,w)_c C[u][c] over the
     nonzero W(v,w), at scale D_alpha D_W^2, and only the residuals a
     report prints are divided back into Fractions.
@@ -109,14 +112,7 @@ def verify_hom_jacobi(a: HomLieSuper) -> Report:
     dim = a.space.dim
     dw, W = a.bracket.integer
     da, rows = integer_terms(a.alpha.matrix.entries)
-    acc = {}
-    for (b, c), terms in W.items():
-        for u, x in rows[b]:
-            col = acc.setdefault(u, {}).setdefault(c, {})
-            for m, w in terms:
-                col[m] = col.get(m, 0) + x * w
-    C = {u: {c: [(m, x) for m, x in col.items() if x]
-             for c, col in cols.items()} for u, cols in acc.items()}
+    C = {u: cols for (u,), cols in a.bracket.composite((rows,), 1).items()}
     scale = da * dw * dw
     for (x, y, z) in sb.tuples:
         out = [0] * dim
@@ -179,12 +175,13 @@ def yau_twist(lie: HomLieSuper, morphism: GradedMap) -> HomLieSuper:
         raise PreconditionError(
             f"twisting map is not a morphism at "
             f"({lie.space.names[i]},{lie.space.names[j]})")
-    entries = {}
-    for idx, v in lie.bracket.entries.items():
+    vectors = {}
+    for key, v in lie.bracket.vectors().items():
         w = morphism.apply(v)
         if not is_zero_vec(w):
-            entries[idx] = w
-    twisted = HomLieSuper(lie.space, SuperBracket2(lie.space, entries), morphism)
+            vectors[key] = w
+    twisted = HomLieSuper(lie.space, SuperBracket2.from_vectors(lie.space, vectors),
+                          morphism)
     jacobi = verify_hom_jacobi(twisted)
     if not jacobi.ok:
         raise PreconditionError(
@@ -204,11 +201,6 @@ def is_ideal(a: HomLieSuper, s: Subspace) -> bool:
         a.bracket.span(s, Subspace.full(a.dim)))
 
 
-def derived_subspace(a: HomLieSuper, s1: Subspace, s2: Subspace) -> Subspace:
-    """Span of [s1, s2]."""
-    return a.bracket.span(s1, s2)
-
-
 def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
     """Conjugate the whole structure by an invertible even matrix.
 
@@ -224,11 +216,12 @@ def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
             if a.space.parities[i] != a.space.parities[j]:
                 raise PreconditionError("basis change must be even")
     cols = [s.col(i) for i in range(dim)]
-    entries = {}
+    vectors = {}
     for i in range(dim):
         for j in range(dim):
             w = sinv.apply(a.bracket.eval_vectors(cols[i], cols[j]))
             if not is_zero_vec(w):
-                entries[(i, j)] = w
+                vectors[(i, j)] = w
     alpha2 = GradedMap(a.space, a.space, sinv.mul(a.alpha.matrix.mul(s)))
-    return HomLieSuper(a.space, SuperBracket2(a.space, entries), alpha2)
+    return HomLieSuper(a.space, SuperBracket2.from_vectors(a.space, vectors),
+                       alpha2)

@@ -11,8 +11,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .binary import (derived_subspace, is_ideal, verify_hom_jacobi,
-                     verify_multiplicative, verify_skew)
+from .binary import (is_ideal, verify_hom_jacobi, verify_multiplicative,
+                     verify_skew)
 from .cohomology import (Cochain, apply_coboundary, cochain_length, cocycles,
                          cohomology_dims, induce_cocycle, parity_support,
                          verify_1cocycle_transfer, verify_class_transfer,
@@ -217,7 +217,7 @@ def cmd_transfer_checks(args) -> Report:
     rep.absorb(verify_center_transfer(lie, tau, t), prefix="center.")
     rep.absorb(verify_1cocycle_transfer(lie, tau, t), prefix="cocycle1.")
     full = Subspace.full(lie.dim)
-    rep.absorb(ideal_criterion(lie, tau, derived_subspace(lie, full, full), t),
+    rep.absorb(ideal_criterion(lie, tau, lie.bracket.span(full, full), t),
                prefix="ideal.")
     for k in range(3):
         for parity in (0, 1):

@@ -59,10 +59,6 @@ from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
 from .ternary import TernaryHomLieSuper
 
-# the degrees each complex has cochains in
-_DEGREES = {"binary-scalar": (1, 2, 3, 4), "binary-adjoint": (1, 2, 3),
-           "ternary-scalar": (1, 2, 3, 4), "ternary-adjoint": (1, 2, 3)}
-COMPLEXES = tuple(_DEGREES)
 # the most rows a coboundary is built with: a larger one is an input error
 MAX_COBOUNDARY_ROWS = 1 << 20
 
@@ -358,6 +354,10 @@ _BUILDERS = {**{("binary-scalar", p): _ds_rows for p in (1, 2, 3)},
              **{("ternary-scalar", p): _leibniz_rows for p in (1, 2, 3)},
              ("ternary-adjoint", 1): _scalar_rows,
              ("ternary-adjoint", 2): _leibniz_rows}
+# the degrees each complex has cochains in: its coboundaries' and one more
+_DEGREES = {cx: tuple(d for c, d in _BUILDERS if c == cx) for cx, _ in _BUILDERS}
+_DEGREES = {cx: (*ds, ds[-1] + 1) for cx, ds in _DEGREES.items()}
+COMPLEXES = tuple(_DEGREES)
 
 
 def _rows(obj, cx: str, degree: int, parity: int = 0) -> tuple:
@@ -438,7 +438,10 @@ def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
     parity f.  The adjoint lift is block-diagonal across the output o, so
     output o sees the keys of parity f + |o|, and each key parity is
     eliminated once however many outputs it serves.  Coboundaries keep
-    parity, so the kernel of a block is the cocycle space there.
+    parity, so the kernel of a block is the cocycle space there, and
+    every entry of a parity-q row already lies in a parity-q column: the
+    block renumbers each row's columns by their place among the parity-q
+    columns, which keeps them increasing, and filters nothing.
     """
     space = obj.space
     m = _rows(obj, cx, degree, parity)[0]
@@ -446,14 +449,18 @@ def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
     rowp = _key_parities(cx.replace("adjoint", "scalar"), degree + 1, space)
     dim = _width(cx, space)
     outputs = space.parities if dim > 1 else (0,)
+    cols, pos = ([], []), []
+    for j, kp in enumerate(colp):
+        pos.append(len(cols[kp]))  # j's place among the columns of its parity
+        cols[kp].append(j)
     blocks = {}
     for q in (0, 1):
-        cols = [j for j, kp in enumerate(colp) if kp == q]
-        places = [[j * dim + o for j in cols]
+        places = [[j * dim + o for j in cols[q]]
                   for o, po in enumerate(outputs) if (q + po) % 2 == parity % 2]
         if places:
-            rows = [i for i, rp in enumerate(rowp) if rp == q]
-            blocks[q] = (m.select(rows, cols), places)
+            rows = tuple(tuple((pos[c], x) for c, x in row)
+                         for row, rp in zip(m.entries, rowp) if rp == q)
+            blocks[q] = (Matrix(len(rows), len(cols[q]), rows), places)
     return blocks
 
 

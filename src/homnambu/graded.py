@@ -11,18 +11,17 @@ Sign conventions used throughout the package:
   when that index is odd; a tuple repeating an even index spans zero.
 
 SuperBracket holds the structure constants of a super-skew bracket of any
-arity: only the nonzero structure vectors, keyed by ordered index tuples.
-Its eval_vectors and wedge_expand, which writes v_1 ^ ... ^ v_r of sparse
-rows on a canonical tuple basis, share one multilinear expansion.
-
-SuperBracket.integer is the bracket's one integer view, (D, {key: sparse
-integer vector}), D the least common denominator, built once per frozen
-bracket and shared by every ordering of one value.  from_integer, the one
-constructor that fills every ordering of canonical values (from_canonical
-clears their denominators and calls it), seeds the view as it fills, so
-an induced bracket never converts its values back.  Every identity
-checker reads it, and only the residuals a report prints are divided
-back into Fractions:
+arity in one stored form, SuperBracket.integer = (D, {key: sparse integer
+vector}): the nonzero structure vectors, keyed by ordered index tuples,
+cleared of denominators by D, their least common one.  from_integer fills
+every ordering of canonical integer values (from_canonical clears the
+denominators of Fraction values and calls it), and from_vectors takes any
+ordered entries; each leaves D least, so brackets with the same values
+compare equal.  value, eval_vectors, canonical_coeffs and table read
+Fractions off the view on demand; eval_vectors and wedge_expand, which
+writes v_1 ^ ... ^ v_r of sparse rows on a canonical tuple basis, share
+one multilinear expansion.  Every identity checker reads the view, and
+only the residuals a report prints are divided back into Fractions:
 
 * span(S1, ..., Sn), the subspace spanned by [S1, ..., Sn], and
   annihilator(), the z with [e_i1, ..., z] = 0, for any arity; the
@@ -39,8 +38,9 @@ back into Fractions:
 * compat_residuals, f[e_I] = [f e_i1, ..., f e_in], whose left side is at
   scale D_f D_s and right side at D_f^n D_t: the multiplicativity,
   morphism and induced-homomorphism checks;
-* the Hom-Jacobi table of binary (scale D_alpha D_W^2) and the Hom-Nambu
-  join of ternary (D_W^2 D_1 D_2);
+* composite, the integer table [F_1 e_a, ..., e_c, ...] with e_c in one
+  free slot: the Hom-Jacobi table of binary (scale D_alpha D_W^2) and the
+  three tables of the Hom-Nambu join of ternary (D_W^2 D_1 D_2);
 * the coboundary rows of cohomology, ints times 1/(D_W D_alpha^k);
 * reps.verify_representation, whose bracket side rho([e_i, e_j]) beta is
   read at D_W, and the induced bracket, tau.induce of this view.
@@ -52,8 +52,8 @@ from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 from typing import ClassVar
 
-from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, integer_terms,
-                     is_zero_vec, kernel, nonzero_terms, vec, zero_vec)
+from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _gcd,
+                     integer_terms, is_zero_vec, kernel, nonzero_terms, vec)
 
 
 @dataclass(frozen=True)
@@ -243,25 +243,39 @@ def _expand_terms(rows) -> list:
 class SuperBracket:
     """Structure constants of a super-skew bracket with `arity` arguments.
 
-    entries maps an ordered index tuple (i1, ..., in) to the structure
-    vector of [e_i1, ..., e_in].  Only nonzero vectors are stored, so two
-    brackets with the same values compare equal.  from_integer (and
-    from_canonical through it) fills in every ordering through
-    canonicalize; the raw constructor and with_entry take any entries, so
-    the verifiers have something to catch.  The
-    subclasses SuperBracket2 and SuperBracket3 pin the arity.
+    integer, the one stored form, is (D, {key: ((m, D * x), ...)}): the
+    structure vector of [e_i1, ..., e_in] for each ordered index tuple
+    where it is nonzero, cleared of denominators by their least common
+    one, D, as the (coordinate, integer) pairs of its nonzero values,
+    coordinates increasing.  from_integer (and from_canonical through it)
+    fills in every ordering through canonicalize; from_vectors (and
+    with_entry through it) takes any entries, so the verifiers have
+    something to catch.  Each leaves D least, so two brackets with the
+    same values compare equal; the dataclass constructor takes a view
+    already in this form.  value, eval_vectors, canonical_coeffs and
+    table read Fractions off the view.  The subclasses SuperBracket2 and
+    SuperBracket3 pin the arity.
     """
 
     arity: ClassVar[int]
     space: GradedSpace
-    entries: dict
+    integer: tuple
 
-    def __post_init__(self):
-        for key, v in self.entries.items():
-            if len(key) != self.arity or len(v) != self.space.dim or is_zero_vec(v):
+    @classmethod
+    def from_vectors(cls, space: GradedSpace, vectors: dict) -> "SuperBracket":
+        """Build from any entries: vectors maps an ordered index tuple to
+        the structure vector of [e_i1, ..., e_in], nonzero and exact.
+        Nothing is filled in, so mirrors may be stale on purpose."""
+        values = {}
+        for key, value in vectors.items():
+            key, v = tuple(key), vec(value)
+            if len(key) != cls.arity or len(v) != space.dim or is_zero_vec(v):
                 raise InputError(f"bad bracket entry at {key}: keys need "
-                                 f"{self.arity} indices, values nonzero length "
-                                 f"{self.space.dim}")
+                                 f"{cls.arity} indices, values nonzero length "
+                                 f"{space.dim}")
+            values[key] = v
+        d, terms = integer_terms(map(enumerate, values.values()))
+        return cls(space, (d, dict(zip(values, terms))))
 
     @classmethod
     def from_canonical(cls, space: GradedSpace, coeffs: dict) -> "SuperBracket":
@@ -285,12 +299,10 @@ class SuperBracket:
     def from_integer(cls, space: GradedSpace, d: int,
                      coeffs: dict) -> "SuperBracket":
         """Build from canonical keys and integer structure vectors: coeffs
-        maps each canonical key to the (m, integer) pairs, m increasing,
-        of d times its vector.  Every ordering is filled in through
-        canonicalize, and the integer view is seeded as integer would
-        compute it from the entries: the least common denominator, the
-        same terms, one tuple per sign shared by the orderings, in entry
-        order.
+        maps each canonical key to the nonzero (m, integer) pairs, m
+        increasing, of d times its vector.  d is reduced to the least
+        common denominator, and every ordering is filled in through
+        canonicalize, the orderings of one sign sharing one tuple.
 
         Keys must be canonical index tuples and supports must obey the
         parity law; empty values are dropped.
@@ -305,36 +317,28 @@ class SuperBracket:
             if bad:
                 raise InputError(f"{kind} value for {key} breaks the parity "
                                  f"law at {bad}")
-        least = 1  # the least D with D x / d integral for every x
-        for terms in coeffs.values():
-            for _, x in terms:
-                q = Fraction(x, d).denominator
-                if least % q:
-                    least *= Fraction(least, q).denominator
-        g = d // least
-        entries, view = {}, {}
+        g = d  # d / g is the least D with D x / d integral for every x
+        for x in (x for terms in coeffs.values() for _, x in terms):
+            if g == 1:
+                break
+            g = _gcd(g, x)
+        view = {}
         for key, terms in coeffs.items():
             if not terms:
                 continue
             pos = tuple((m, x // g) for m, x in terms)
             neg = tuple((m, -x) for m, x in pos)
-            v, w = [ZERO] * space.dim, [ZERO] * space.dim
-            for m, x in pos:
-                v[m] = Fraction(x, least)
-                w[m] = -v[m]
-            v, w = tuple(v), tuple(w)
             for order in dict.fromkeys(permutations(key)):
-                if canonicalize(order, p)[1] == 1:
-                    entries[order], view[order] = v, pos
-                else:
-                    entries[order], view[order] = w, neg
-        bracket = cls(space, entries)
-        bracket.__dict__["integer"] = (least, view)
-        return bracket
+                view[order] = pos if canonicalize(order, p)[1] == 1 else neg
+        return cls(space, (d // g, view))
 
     def value(self, *idx) -> Vec:
         """Structure vector of [e_i1, ..., e_in], signs included for any order."""
-        return self.entries.get(idx) or zero_vec(self.space.dim)
+        d, view = self.integer
+        out = [ZERO] * self.space.dim
+        for m, x in view.get(idx, ()):
+            out[m] = Fraction(x, d)
+        return tuple(out)
 
     def eval_vectors(self, *args) -> Vec:
         """The bracket of coordinate vectors, by multilinearity.
@@ -342,14 +346,12 @@ class SuperBracket:
         Loops over the nonzero coordinates of the arguments and looks each
         index tuple up, so the cost follows the arguments, not the table.
         """
+        d, view = self.integer
         out = [ZERO] * self.space.dim
         for idx, a in _expand_terms(map(nonzero_terms, args)):
-            cell = self.entries.get(idx)
-            if cell is not None:
-                for m, x in enumerate(cell):
-                    if x != 0:
-                        out[m] += a * x
-        return tuple(out)
+            for m, x in view.get(idx, ()):
+                out[m] += a * x
+        return tuple(x / d for x in out)
 
     def with_entry(self, *args) -> "SuperBracket":
         """with_entry(i1, ..., in, value): patch one ordering only.
@@ -357,12 +359,11 @@ class SuperBracket:
         The permuted copies go stale on purpose.
         """
         *idx, value = args
-        entries = dict(self.entries)
-        entries.pop(tuple(idx), None)
-        v = vec(value)
-        if not is_zero_vec(v):
-            entries[tuple(idx)] = v
-        return type(self)(self.space, entries)
+        vectors = self.vectors()
+        vectors.pop(tuple(idx), None)
+        if not is_zero_vec(vec(value)):
+            vectors[tuple(idx)] = value
+        return type(self).from_vectors(self.space, vectors)
 
     def with_canonical(self, key, value) -> "SuperBracket":
         """Replace one canonical coefficient consistently across all orders."""
@@ -370,25 +371,16 @@ class SuperBracket:
         coeffs[tuple(key)] = value
         return type(self).from_canonical(self.space, coeffs)
 
+    def vectors(self) -> dict:
+        """The stored structure vectors, {ordered key: vector}, as
+        from_vectors takes them."""
+        return {key: self.value(*key) for key in self.integer[1]}
+
     def canonical_coeffs(self) -> dict:
         """Nonzero structure vectors on canonical keys, in skew-basis order."""
         p = self.space.parities
-        return {k: self.entries[k] for k in sorted(self.entries)
+        return {k: self.value(*k) for k in sorted(self.integer[1])
                 if is_canonical(k, p)}
-
-    @cached_property
-    def integer(self) -> tuple:
-        """(D, {key: ((m, D * x), ...)}): every structure vector cleared of
-        denominators, D the least common one, as the (coordinate, integer)
-        pairs of its nonzero values.  Each distinct value object is
-        converted once, so the orderings from_integer fills in share one
-        integer tuple per sign; from_integer seeds this same view.  The
-        view is kept with the frozen bracket; the raw constructor and
-        with_entry copies build their own."""
-        distinct = {id(v): v for v in self.entries.values()}
-        d, terms = integer_terms(map(enumerate, distinct.values()))
-        by_id = dict(zip(distinct, terms))
-        return d, {key: by_id[id(v)] for key, v in self.entries.items()}
 
     def mirror_residual(self, key, mirror, sign):
         """None when [e_key] = sign [e_mirror], else value(*key) - sign
@@ -430,6 +422,39 @@ class SuperBracket:
         want = tuple_parity(key, p)
         return [self.space.names[m] for m, _ in self.integer[1].get(key, ())
                 if p[m] != want]
+
+    def composite(self, rows, free: int) -> dict:
+        """{(a_1, ..., a_(n-1)): {c: terms}}: the integer bracket with e_c
+        in slot `free` and F_1 e_a_1, ..., F_(n-1) e_a_(n-1) in the other
+        slots, in order, built from the nonzero entries of the view alone.
+        rows[s] holds the rows of D_s F_s, an integer matrix, as (column,
+        integer) pairs, so the table is at scale D_W D_1 ... D_(n-1); terms
+        are the nonzero (m, integer) pairs.  For arity 3 and free = 2 this
+        is [F_1 e_a, F_2 e_b, e_c].  The products of the map entries are
+        expanded once per distinct index tuple of the other slots."""
+        acc = {}
+        expanded = {}
+        for key, terms in self.integer[1].items():
+            c = key[free]
+            rest = key[:free] + key[free + 1:]
+            parts = expanded.get(rest)
+            if parts is None:
+                parts = [((), 1)]
+                for r, i in zip(rows, rest):
+                    parts = [(ab + (a,), y * x)
+                             for ab, y in parts for a, x in r[i]]
+                expanded[rest] = parts
+            for ab, y in parts:
+                col = acc.setdefault(ab, {}).setdefault(c, {})
+                for m, w in terms:
+                    col[m] = col.get(m, 0) + y * w
+        table = {}
+        for ab, cols in acc.items():
+            for c, col in cols.items():
+                terms = tuple((m, x) for m, x in col.items() if x)
+                if terms:
+                    table.setdefault(ab, {})[c] = terms
+        return table
 
     def span(self, *subspaces) -> Subspace:
         """The span of [S1, ..., Sn] over the vectors of the subspaces Si.
@@ -496,7 +521,7 @@ class SuperBracket:
                                      self.space.dim))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.integer[1]
 
     @property
     def table(self) -> tuple:

@@ -123,9 +123,9 @@ def find_unit(g: HomLieSuper, t: TernaryHomLieSuper) -> tuple | None:
     for i in range(dim):
         for j in range(dim):
             b = g.bracket.value(i, j)
+            cols = [t.bracket.value(k, i, j) for k in range(dim)]
             for comp in range(dim):
-                rows.append(tuple(t.bracket.value(k, i, j)[comp]
-                                  for k in range(dim)))
+                rows.append(tuple(v[comp] for v in cols))
                 rhs_col.append(b[comp])
     sol = solve(Matrix.build(rows), tuple(rhs_col))
     if sol is None:

@@ -11,8 +11,8 @@ the formula that also transfers 2-cocycles; both are
 reps.TraceFunctional.induce, which alone holds its signs.  induce_ternary
 runs it in ints: tau's integer values against the binary bracket's
 integer view, at D_tau D_W, and SuperBracket.from_integer fills every
-ordering and seeds the ternary bracket's integer view, so no structure
-vector is summed in Fractions or converted back.
+ordering of the ternary bracket's integer view, its one stored form, so
+no structure vector is summed in Fractions.
 
 The generalized Jacobi (Hom-Nambu) identity is checked in the slot
 placement that the induction theorem actually proves:
@@ -22,17 +22,17 @@ placement that the induction theorem actually proves:
         + (-1)^{(|z|+|u|)(|x|+|y|)}   [a1(z), a2(u), [x,y,v]].
 
 The bracket is a graded.SuperBracket of arity 3 holding only its nonzero
-structure vectors W(i,j,k); every verifier reads its integer view
-(SuperBracket.integer, scale D_W).  verify_ternary_skew passes at once
+structure vectors W(i,j,k), as its integer view (SuperBracket.integer,
+scale D_W), which every verifier reads.  verify_ternary_skew passes at once
 when the cached SuperBracket.super_skew holds; otherwise it compares each
 stored vector with its two mirrors as integers, equal or negated, and
 reads the parity law from the support.  verify_ternary_multiplicative and
 verify_induced_homomorphism are graded.compat_residuals.
 verify_hom_nambu evaluates the identity as a sparse join over integers.
 It takes the bracket's integer view, clears the denominators of both
-twists once, and builds three integer composite tables from the
-nonzero W alone: [a1 e_a, a2 e_b, e_c], [e_c, a1 e_a, a2 e_b] and
-[a1 e_a, e_c, a2 e_b].  For each (x, y) it then pairs the nonzero
+twists once, and has SuperBracket.composite build three integer tables
+from the nonzero W alone: [a1 e_a, a2 e_b, e_c], [e_c, a1 e_a, a2 e_b]
+and [a1 e_a, e_c, a2 e_b].  For each (x, y) it then pairs the nonzero
 W(z,u,v) with the first table (the left side) and the nonzero W(x,y,w)
 with all three (the right side), so a tuple where every term is zero
 costs nothing.  Every term has degree 2 in the bracket and 1 in each
@@ -66,7 +66,7 @@ from .reps import TraceFunctional, trace_kernel, trace_mismatches
 
 
 class SuperBracket3(SuperBracket):
-    """Ternary bracket: entries[(i, j, k)] is [e_i, e_j, e_k]."""
+    """Ternary bracket: value(i, j, k) is [e_i, e_j, e_k]."""
     arity = 3
 
 
@@ -129,7 +129,7 @@ def verify_ternary_skew(t: TernaryHomLieSuper) -> Report:
     sp = t.space
     p = sp.parities
     triples = set()
-    for i, j, k in b.entries:
+    for i, j, k in b.integer[1]:
         triples.update(((i, j, k), (j, i, k), (i, k, j)))
     for i, j, k in sorted(triples):
         names = (sp.names[i], sp.names[j], sp.names[k])
@@ -211,34 +211,6 @@ def verify_hom_nambu(t: TernaryHomLieSuper) -> Report:
     return rep
 
 
-def _composite_table(W: dict, rows1, rows2, free: int) -> dict:
-    """{(a, b): {c: terms}}: the integer bracket with e_c in slot `free`
-    and a1 e_a, a2 e_b in the other two slots, in order, built from the
-    nonzero entries of W alone; rows1 and rows2 are the twists' matrix
-    rows as (column, integer) pairs, and terms are the nonzero
-    (m, integer) pairs.
-
-    free = 2 gives [a1 e_a, a2 e_b, e_c], free = 0 gives
-    [e_c, a1 e_a, a2 e_b] and free = 1 gives [a1 e_a, e_c, a2 e_b].
-    """
-    acc = {}
-    for key, terms in W.items():
-        c = key[free]
-        i, j = key[:free] + key[free + 1:]
-        for a, x in rows1[i]:
-            for b, y in rows2[j]:
-                col = acc.setdefault((a, b), {}).setdefault(c, {})
-                for m, w in terms:
-                    col[m] = col.get(m, 0) + x * y * w
-    table = {}
-    for ab, cols in acc.items():
-        for c, col in cols.items():
-            terms = tuple((m, x) for m, x in col.items() if x)
-            if terms:
-                table.setdefault(ab, {})[c] = terms
-    return table
-
-
 def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
     """(scale, violations) of the identity in the placement (a1, a2).
 
@@ -266,9 +238,7 @@ def _integer_tables(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
     dw, W = t.bracket.integer
     d1, rows1 = integer_terms(a1.matrix.entries)
     d2, rows2 = integer_terms(a2.matrix.entries)
-    L = _composite_table(W, rows1, rows2, 2)
-    N = _composite_table(W, rows1, rows2, 0)
-    Q = _composite_table(W, rows1, rows2, 1)
+    L, N, Q = (t.bracket.composite((rows1, rows2), free) for free in (2, 0, 1))
     return dw * dw * d1 * d2, (W, L, N, Q)
 
 

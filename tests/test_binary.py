@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from homnambu.binary import (HomLieSuper, InputError, SuperBracket2,
-                             change_of_basis, derived_subspace,
-                             hom_jacobi_residual, is_ideal, is_subalgebra,
-                             verify_hom_jacobi, verify_morphism,
+                             change_of_basis, hom_jacobi_residual, is_ideal,
+                             is_subalgebra, verify_hom_jacobi, verify_morphism,
                              verify_multiplicative, verify_skew, yau_twist)
 from homnambu.fixtures import (gl11, gl11t, glmn, neg_jacobi, neg_mult,
                                neg_skew, random_even_invertible)
@@ -195,7 +194,7 @@ def test_change_of_basis_preserves_axioms(g11):
 
 def test_ideal_and_subalgebra(g11):
     full = Subspace.full(4)
-    d1 = derived_subspace(g11, full, full)
+    d1 = g11.bracket.span(full, full)
     # [g,g] = span{h1+h2, q, p}
     assert d1.dim == 3
     assert d1.contains((1, 1, 0, 0))

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
-                                 _apply, _rows, apply_coboundary,
+                                 _apply, _key_blocks, _key_parities, _rows,
+                                 apply_coboundary,
                                  binary_adjoint_cocycle_space,
                                  binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
@@ -946,6 +947,36 @@ def test_degree_3_cohomology_on_gl11_its_twist_and_conjugates():
         _, t = induced(lie, rep)
         assert cohomology_dims(t, "ternary-scalar", 3) == (38, 9, 29), name
         assert cohomology_dims(lie, "binary-scalar", 3) == (3, 3, 0), name
+
+
+def test_coboundary_rows_keep_key_parity_and_blocks_match_select():
+    """Every memoized row of every _BUILDERS entry, on gl(1|1), its twist,
+    a conjugate and gl(2|1), has its entries in columns of the row's key
+    parity, the law _key_blocks renumbers by without filtering; and each
+    block is the select of its parity's rows and columns."""
+    algebras = [(name, lie, rep) for name, lie, rep in oracle_algebras()
+                if name != "conjt"]
+    algebras.append(("gl21", *glmn(2, 1)))
+    for name, lie, rep in algebras:
+        _, t = induced(lie, rep)
+        for cx, degree in _BUILDERS:
+            obj = t if cx.startswith("ternary") else lie
+            colp = _key_parities(cx, degree, obj.space)
+            rowp = _key_parities(cx.replace("adjoint", "scalar"), degree + 1,
+                                 obj.space)
+            for parity in (0, 1):
+                m = _rows(obj, cx, degree, parity)[0]
+                assert (m.rows, m.cols) == (len(rowp), len(colp))
+                if parity == 0 or (cx, degree) == ("ternary-adjoint", 2):
+                    for row, rp in zip(m.entries, rowp):
+                        assert all(colp[c] == rp for c, _ in row), \
+                            (name, cx, degree, parity)
+                for q, (block, _) in _key_blocks(obj, cx, degree,
+                                                 parity).items():
+                    rows = [i for i, rp in enumerate(rowp) if rp == q]
+                    cols = [j for j, kp in enumerate(colp) if kp == q]
+                    assert block == m.select(rows, cols), \
+                        (name, cx, degree, parity, q)
 
 
 def test_unbuilt_degrees_are_input_errors(g11, t11):

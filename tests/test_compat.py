@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from itertools import permutations
+from itertools import permutations, product
 
 from homnambu.binary import (HomLieSuper, verify_morphism,
                              verify_multiplicative, verify_skew, yau_twist)
@@ -191,10 +191,10 @@ def fraction_induce(tau, phi, keys):
     return out
 
 
-def fraction_fill(space, coeffs):
-    """The raw ternary bracket with every ordering of each canonical
-    vector, filled in as from_canonical did before it read integers; its
-    integer view is left to SuperBracket.integer."""
+def fraction_fill_vectors(space, coeffs):
+    """Every ordering of each nonzero canonical vector, with its
+    canonicalize sign, filled in in Fractions as from_canonical did before
+    it read integers: {ordered key: vector}."""
     p = space.parities
     entries = {}
     for key, value in coeffs.items():
@@ -204,7 +204,12 @@ def fraction_fill(space, coeffs):
         neg = tuple(-c for c in v)
         for order in dict.fromkeys(permutations(key)):
             entries[order] = v if canonicalize(order, p)[1] == 1 else neg
-    return SuperBracket3(space, entries)
+    return entries
+
+
+def fraction_fill(space, coeffs, cls=SuperBracket3):
+    """The raw bracket of fraction_fill_vectors, through from_vectors."""
+    return cls.from_vectors(space, fraction_fill_vectors(space, coeffs))
 
 
 def fraction_induced_bracket(lie, tau):
@@ -433,25 +438,48 @@ def induction_cases(gl22_conjugate):
 
 
 def test_induced_bracket_matches_fraction_induction(gl22_conjugate):
-    """Entries, their order, and the integer view with its order and its
-    one tuple per sign, against the Fraction induction and fill."""
+    """The bracket, its integer view and the view's order, against the
+    Fraction induction and fill."""
     for name, lie, tau in induction_cases(gl22_conjugate):
         got = induce_ternary(lie, tau, lie.alpha, lie.alpha).bracket
         want = fraction_induced_bracket(lie, tau)
-        assert "integer" in vars(got) and "integer" not in vars(want)
-        assert list(got.entries.items()) == list(want.entries.items()), name
+        assert got == want, name
         assert got.integer[0] == want.integer[0], name
         assert list(got.integer[1].items()) == list(want.integer[1].items())
-        ints = got.integer[1]
-        for key, v in got.entries.items():
-            for order in permutations(key):
-                if got.entries.get(order) is v:
-                    assert ints[order] is ints[key], (name, key, order)
 
 
-def test_from_canonical_and_from_integer_seed_the_least_view():
-    """Values with denominators, a common factor to cancel, and a zero
-    value: the seeded view is the one integer computes from the entries."""
+def assert_values_match_fill(bracket, vectors, name):
+    """value() at every ordered key and the nested table against the
+    Fraction vectors of a fill."""
+    dim = bracket.space.dim
+    zero = (Fraction(0),) * dim
+    table = bracket.table
+    for idx in product(range(dim), repeat=bracket.arity):
+        want = vectors.get(idx, zero)
+        assert bracket.value(*idx) == want, (name, idx)
+        cell = table
+        for i in idx:
+            cell = cell[i]
+        assert cell == want, (name, idx)
+
+
+def test_values_and_table_match_the_fraction_fill(gl22_conjugate):
+    """value() and table read off the integer view give the vectors the
+    Fraction fill stores: the binary bracket from its canonical
+    coefficients, the induced one from the Fraction induction."""
+    for name, lie, tau in induction_cases(gl22_conjugate):
+        assert_values_match_fill(lie.bracket, fraction_fill_vectors(
+            lie.space, lie.bracket.canonical_coeffs()), name)
+        t = induce_ternary(lie, tau, lie.alpha, lie.alpha)
+        assert_values_match_fill(t.bracket, fraction_fill_vectors(
+            lie.space, fraction_induce(tau, lie.bracket.value,
+                                       skew_basis(3, lie.space).tuples)), name)
+
+
+def test_constructors_agree_on_the_least_view():
+    """from_canonical, from_vectors and from_integer on the same values,
+    with denominators, a common factor to cancel and a zero value, compare
+    equal and hold the same integer view, D least."""
     rng = random.Random(55)
     sp = gl11()[0].space
     p = sp.parities
@@ -462,9 +490,14 @@ def test_from_canonical_and_from_integer_seed_the_least_view():
     coeffs[(0, 1, 2)] = (0, 0, 0, 0)
     got = SuperBracket3.from_canonical(sp, coeffs)
     want = fraction_fill(sp, coeffs)
-    assert list(got.entries.items()) == list(want.entries.items())
-    assert got.integer[0] == want.integer[0]
-    assert list(got.integer[1].items()) == list(want.integer[1].items())
+    d = 2 * want.integer[0]  # not least: from_integer must reduce it
+    ints = {key: tuple((m, int(d * x)) for m, x in enumerate(vec(v)) if x)
+            for key, v in coeffs.items()}
+    assert ints[(0, 1, 2)] == ()
+    made = SuperBracket3.from_integer(sp, d, ints)
+    for b in (got, made):
+        assert b == want and b.integer[0] == want.integer[0] == 9
+        assert list(b.integer[1].items()) == list(want.integer[1].items())
     # d = 6 is not the least denominator of 4/6, 2/6: D = 3
     b = SuperBracket3.from_integer(sp, 6, {(0, 2, 3): ((0, 4), (1, 2))})
     assert b.integer == (3, {(0, 2, 3): ((0, 2), (1, 1)),
@@ -474,8 +507,16 @@ def test_from_canonical_and_from_integer_seed_the_least_view():
                              (3, 0, 2): ((0, -2), (1, -1)),
                              (3, 2, 0): ((0, 2), (1, 1))})
     assert b.value(0, 2, 3) == (Fraction(2, 3), Fraction(1, 3), 0, 0)
-    assert b == fraction_fill(sp, {(0, 2, 3): (Fraction(2, 3), Fraction(1, 3),
-                                               0, 0)})
+    value = {(0, 2, 3): (Fraction(2, 3), Fraction(1, 3), 0, 0)}
+    for other in (SuperBracket3.from_canonical(sp, value),
+                  fraction_fill(sp, value)):
+        assert other == b and other.integer == b.integer
+    # a zero value, whichever way it comes, is the zero bracket
+    zeros = (SuperBracket3.from_integer(sp, 6, {(0, 1, 2): ()}),
+             SuperBracket3.from_canonical(sp, {(0, 1, 2): (0, 0, 0, 0)}),
+             fraction_fill(sp, {(0, 1, 2): (0, 0, 0, 0)}))
+    for z in zeros:
+        assert z.integer == (1, {}) and z.is_zero() and z == zeros[0]
     with pytest.raises(InputError, match="not canonical"):
         SuperBracket3.from_integer(sp, 1, {(2, 0, 3): ((0, 1),)})
     with pytest.raises(InputError, match="parity law"):

@@ -274,7 +274,7 @@ def test_conjugate_document_round_trip():
     s = fixtures.random_even_invertible(random.Random(5), lie.space)
     lie, rep = fixtures.conjugate_pair(lie, rep, s)
     t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
-    assert t.bracket.entries
+    assert not t.bracket.is_zero()
     assert_round_trip(DocumentBundle("gl21-conjugate", lie, rep, t))
 
 

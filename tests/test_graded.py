@@ -8,7 +8,8 @@ from itertools import permutations, product
 import pytest
 
 from homnambu.binary import HomLieSuper, SuperBracket2, verify_skew
-from homnambu.fixtures import conjugate_gl11, gl11, induced_gl11, neg_skew
+from homnambu.fixtures import (conjugate_gl11, gl11, gl11t, induced_gl11,
+                               neg_skew)
 from homnambu.graded import (GradedMap, GradedSpace, InputError, canonicalize,
                              graded_space, identity_map, koszul_sign,
                              skew_basis, supertrace, tuple_parity,
@@ -228,7 +229,7 @@ def test_from_canonical_drops_zero_vectors():
     coeffs = {(0, 2): (0, 0, 1, 0), (0, 1): (0, 0, 0, 0), (2, 3): (1, 1, 0, 0)}
     b = SuperBracket2.from_canonical(sp, coeffs)
     assert b.canonical_coeffs() == {(0, 2): (0, 0, 1, 0), (2, 3): (1, 1, 0, 0)}
-    assert (0, 1) not in b.entries and (1, 0) not in b.entries
+    assert (0, 1) not in b.integer[1] and (1, 0) not in b.integer[1]
     assert SuperBracket2.from_canonical(sp, {(0, 1): (0, 0, 0, 0)}).is_zero()
 
 
@@ -245,7 +246,7 @@ def test_brackets_from_the_same_coefficients_compare_equal():
     patched = a.with_entry(0, 2, 3, (5, 0, 0, 0))
     assert patched.with_entry(0, 2, 3, a.value(0, 2, 3)) == a
     zeroed = a.with_entry(0, 2, 3, (0, 0, 0, 0))
-    assert (0, 2, 3) not in zeroed.entries and zeroed != a
+    assert (0, 2, 3) not in zeroed.integer[1] and zeroed != a
     # the arity is part of the type
     assert (SuperBracket2.from_canonical(t.space, {})
             != SuperBracket3.from_canonical(t.space, {}))
@@ -263,22 +264,22 @@ def test_table_is_the_nested_value_view():
 
 
 def integer_oracle(bracket):
-    """Each stored vector times the least common denominator, as the
-    (coordinate, integer) pairs of its nonzero values."""
-    d = math.lcm(*(x.denominator for v in bracket.entries.values() for x in v))
+    """Each nonzero value of the bracket, over every ordered key, times
+    the least common denominator, as the (coordinate, integer) pairs of
+    its nonzero values."""
+    values = {idx: bracket.value(*idx) for idx in product(
+        range(bracket.space.dim), repeat=bracket.arity)}
+    d = math.lcm(*(x.denominator for v in values.values() for x in v))
     return d, {key: tuple((m, int(d * x)) for m, x in enumerate(v) if x)
-               for key, v in bracket.entries.items()}
+               for key, v in values.items() if any(v)}
 
 
 def test_integer_view_clears_denominators_once_per_value():
-    for bracket in conjugated_gl11_pair():
+    lie, rep = gl11t()
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+    assert lie.bracket.integer[0] == 2
+    for bracket in (*conjugated_gl11_pair(), lie.bracket, t.bracket):
         assert bracket.integer == integer_oracle(bracket)
-        # the orderings from_canonical fills in share one tuple per sign
-        ints = bracket.integer[1]
-        for key, v in bracket.entries.items():
-            for order in permutations(key):
-                if bracket.entries.get(order) is v:
-                    assert ints[order] is ints[key]
 
 
 def test_patched_copies_get_their_own_integer_view():
@@ -297,13 +298,19 @@ def test_patched_copies_get_their_own_integer_view():
 
 
 def test_building_the_integer_view_leaves_equality_alone():
+    """The same values compare equal whichever constructor built them and
+    in whatever order the entries came."""
     t = induced_gl11()
-    # from_canonical seeds the view; the raw constructor leaves it unbuilt
     a = SuperBracket3.from_canonical(t.space, t.bracket.canonical_coeffs())
-    b = SuperBracket3(t.space, dict(a.entries))
-    assert "integer" in vars(a) and "integer" not in vars(b)
-    assert a == b and b == a
+    b = SuperBracket3.from_vectors(t.space,
+                                   dict(reversed(a.vectors().items())))
+    assert list(a.integer[1]) != list(b.integer[1])
+    assert a == b and b == a and a == t.bracket
     assert a != a.with_entry(0, 2, 3, (0, 0, 0, 0))
+    with pytest.raises(InputError, match="bad bracket entry"):
+        SuperBracket3.from_vectors(t.space, {(0, 2, 3): (0, 0, 0, 0)})
+    with pytest.raises(InputError, match="bad bracket entry"):
+        SuperBracket3.from_vectors(t.space, {(0, 2): (1, 0, 0, 0)})
 
 
 def test_super_skew_predicate_is_cached_and_matches_binary_skew():
@@ -317,8 +324,9 @@ def test_super_skew_predicate_is_cached_and_matches_binary_skew():
         fresh,
         b.with_entry(3, 2, (2, 2, 0, 0)),             # mirror stored 2x
         b.with_entry(2, 0, (0, 0, 0, 0)),             # mirror missing
-        SuperBracket2(b.space, {**b.entries, (2, 3): (1, 1, 1, 0),
-                                (3, 2): (1, 1, 1, 0)}),  # parity law broken
+        SuperBracket2.from_vectors(b.space, {
+            **b.vectors(), (2, 3): (1, 1, 1, 0),
+            (3, 2): (1, 1, 1, 0)}),                   # parity law broken
     ]
     assert [c.super_skew for c in cases] == [True] + [False] * 5
     assert "super_skew" in vars(fresh)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from homnambu import cli, ternary
-from homnambu.binary import HomLieSuper, verify_morphism, yau_twist
+from homnambu.binary import (HomLieSuper, SuperBracket2, verify_morphism,
+                             verify_skew, yau_twist)
 from homnambu.fixtures import (alpha_t, conjugate_gl11, conjugate_pair, gl11,
                                gl11t, glmn, induced_gl11, matrix_units,
                                neg_nambu, neg_ternary_mult, neg_ternary_skew,
@@ -263,9 +264,8 @@ def test_ternary_subalgebra_and_ideal(t11):
 
 
 def test_ideal_criterion_on_derived(g11, tau11, t11):
-    from homnambu.binary import derived_subspace
     full = Subspace.full(4)
-    j = derived_subspace(g11, full, full)
+    j = g11.bracket.span(full, full)
     assert ideal_criterion(g11, tau11, j, t11).verdict == "pass"
 
 
@@ -351,6 +351,63 @@ def doubled_mirror():
     return TernaryHomLieSuper(t.space, b, t.alpha1, t.alpha2)
 
 
+def raw_skew_cases():
+    """(arity, case, algebra) of brackets built by from_vectors from the
+    stored vectors of gl(1|1) and its induced bracket: one stale mirror,
+    one key that repeats the even h1, and a parity-law breach."""
+    g, _ = gl11()
+    sp = g.space
+    v = g.bracket.vectors()
+    for case, vectors in (
+            ("stale", {**v, (2, 0): (0, 0, 2, 0)}),
+            ("even-repeat", {**v, (0, 0): (0, 1, 0, 0)}),
+            ("parity", {**v, (2, 3): (1, 1, 1, 0), (3, 2): (1, 1, 1, 0)})):
+        yield 2, case, HomLieSuper(
+            sp, SuperBracket2.from_vectors(sp, vectors), g.alpha)
+    t = induced_gl11()
+    v = t.bracket.vectors()
+    odd = {}
+    for order in permutations((0, 2, 3)):
+        w = v[order]
+        odd[order] = (w[0], w[1], w[2] + canonicalize(order, sp.parities)[1],
+                      w[3])
+    for case, vectors in (("stale", {**v, (1, 3, 2): (0, 3, 0, 0)}),
+                          ("even-repeat", {**v, (0, 0, 2): (0, 0, 1, 0)}),
+                          ("parity", {**v, **odd})):
+        yield 3, case, TernaryHomLieSuper(
+            sp, SuperBracket3.from_vectors(sp, vectors), t.alpha1, t.alpha2)
+
+
+def test_raw_brackets_keep_their_skew_findings():
+    """Brackets from from_vectors give the findings the raw constructor
+    of the dense Fraction entries gave, pinned in full; the ternary ones
+    also match the dense loop."""
+    want = {
+        (2, "stale"): [("skew", ("h1", "q"), ("0", "0", "3", "0"), None)],
+        (2, "even-repeat"): [("skew", ("h1", "h1"), ("0", "2", "0", "0"), None)],
+        (2, "parity"): [("parity-law", ("q", "p"), None, "output hits ['q']")],
+        (3, "stale"): [
+            ("skew-23", ("h2", "q", "p"), ("-1", "-4", "0", "0"), None),
+            ("skew-12", ("h2", "p", "q"), ("1", "4", "0", "0"), None),
+            ("skew-23", ("h2", "p", "q"), ("1", "4", "0", "0"), None),
+            ("skew-12", ("p", "h2", "q"), ("1", "4", "0", "0"), None)],
+        (3, "even-repeat"): [
+            ("skew-12", ("h1", "h1", "q"), ("0", "0", "2", "0"), None),
+            ("skew-23", ("h1", "h1", "q"), ("0", "0", "1", "0"), None),
+            ("skew-23", ("h1", "q", "h1"), ("0", "0", "1", "0"), None)],
+        (3, "parity"): [("parity-law", w, None, "output hits q") for w in (
+            ("h1", "q", "p"), ("h1", "p", "q"), ("q", "h1", "p"),
+            ("q", "p", "h1"), ("p", "h1", "q"), ("p", "q", "h1"))],
+    }
+    for arity, case, a in raw_skew_cases():
+        assert not a.bracket.super_skew, (arity, case)
+        rep = verify_skew(a) if arity == 2 else verify_ternary_skew(a)
+        got = [(f.check, f.witness, f.residual, f.detail) for f in rep.findings]
+        assert got == want[arity, case], (arity, case)
+        if arity == 3:
+            assert rep.findings == dense_skew_findings(a)
+
+
 @pytest.mark.parametrize("build", [induced_gl11, neg_ternary_skew,
                                    stale_mirrors, parity_breaker, neg_nambu,
                                    doubled_mirror])
@@ -369,7 +426,7 @@ def test_glmn_11_is_gl11_up_to_names():
     lie0, rep0 = gl11()
     assert lie.space.names == ("E0_0", "E1_1", "E0_1", "E1_0")
     assert lie.space.parities == lie0.space.parities
-    assert lie.bracket.entries == lie0.bracket.entries
+    assert lie.bracket.integer == lie0.bracket.integer
     assert lie.alpha.matrix == lie0.alpha.matrix
     assert rep.module_space == rep0.module_space
     assert rep.beta == rep0.beta
