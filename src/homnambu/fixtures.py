@@ -146,6 +146,19 @@ def glmn(m: int, n: int):
     return lie, Representation(lie, mod, mats, identity_map(mod))
 
 
+def central_twist(m: int, n: int) -> GradedMap:
+    """alpha = id + lambda(.) I on gl(m|n): I the identity matrix, which is
+    central, and lambda(E_k) = k + 1 on the even units, 0 on the odd ones,
+    an even functional that is no multiple of the supertrace.  The bracket
+    with alpha is Hom-Jacobi but not multiplicative, and when m = n,
+    str(I) = 0, so the supertrace tau has tau o alpha = tau."""
+    sp = glmn(m, n)[0].space
+    p = sp.parities
+    return GradedMap(sp, sp, Matrix.build(
+        [[(r == k) + (0 if p[k] else k + 1) * (i == j) for k in range(sp.dim)]
+         for r, (i, j) in enumerate(matrix_units(m, n))]))
+
+
 # --- negative controls -----------------------------------------------------
 # Each one breaks exactly the axiom named in its function, with the
 # witness tuple the verifier is expected to report.

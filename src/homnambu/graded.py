@@ -28,7 +28,8 @@ only the residuals a report prints are divided back into Fractions:
   series, centers and ideal checks are calls of these two.  span
   contracts only the slots whose subspace is smaller than the space: a
   whole-space slot keeps its key index, so [g, g, g] is the span of the
-  distinct stored vectors;
+  distinct stored vectors, and a super-skew bracket reads adjacent
+  whole-space slots in canonical order only;
 * mirror_residual and parity_misses, one integer comparison of a stored
   vector with its mirror (equal or negated) and the parity law read from
   its support: the binary and ternary skew checks;
@@ -464,7 +465,10 @@ class SuperBracket:
         slot with the unit rows of the whole space only re-indexes, so
         only the slots whose subspace is smaller than the space are
         contracted; the indices of the full slots are kept in front of
-        each key.  The cut slots are contracted one at a time, the last
+        each key.  On a super_skew bracket whose full slots are adjacent,
+        reordering their indices only changes each image's sign, so only
+        the keys with those indices weakly increasing are read: canonical,
+        as no stored key repeats an even index.  The cut slots are contracted one at a time, the last
         first, so the partial table of a row c of the last serves every
         choice of the others, and a zero partial ends its branch.  Every
         vector left once all cut slots are contracted is an image, so with
@@ -504,8 +508,13 @@ class SuperBracket:
                 if part:
                     yield from contract(part, slot - 1)
 
+        keys = self.integer[1].items()
+        if full and full[-1] - full[0] == len(full) - 1 and self.super_skew:
+            lo, hi = full[0], full[-1] + 1
+            keys = [(key, terms) for key, terms in keys
+                    if list(key[lo:hi]) == sorted(key[lo:hi])]
         table = {(tuple([key[k] for k in full]), *[key[k] for k in cut]):
-                 terms for key, terms in self.integer[1].items()}
+                 terms for key, terms in keys}
         images = contract(table, len(cut) - 1)
         return Subspace.spanned_by_rows(_distinct_rows(images, dim))
 

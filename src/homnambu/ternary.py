@@ -47,7 +47,8 @@ expanded into its distinct orderings with the canonicalize signs.  The
 report is the same.  Every algebra induced with alpha1 = alpha2 takes
 this path (from_integer makes every induced bracket super_skew), while
 distinct twists and brackets that break skew symmetry or the parity law
-take the full join, which is also its oracle.
+take the full join.  Both joins read one table builder and block kernel,
+_block_kernel, over every key or the canonical ones alone, and
 hom_nambu_residual_direct is the naive oracle of both.
 """
 
@@ -219,7 +220,8 @@ def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
     list of integers, scale times the true one.  When a1 = a2 and the
     bracket is super_skew (skew symmetry and the parity law), _orbit_join
     computes them on canonical orbits; otherwise _join computes every
-    tuple.  _join is also the oracle of _orbit_join.
+    tuple.  Both sum their blocks with _block_kernel, and
+    hom_nambu_residual_direct is the naive oracle of both.
     """
     scale, tables = _integer_tables(t, a1, a2)
     join = (_orbit_join if a1.matrix == a2.matrix and t.bracket.super_skew
@@ -242,87 +244,28 @@ def _integer_tables(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
     return dw * dw * d1 * d2, (W, L, N, Q)
 
 
-def _join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
-    """The residuals, one (x, y) block at a time.
+def _block_kernel(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict,
+                  keys):
+    """block(x, y) -> {key: integer residual}, for the keys
+    z*dim^2 + u*dim + v in `keys`: every key, or the canonical ones.
 
-    A block keys its residuals by z*dim^2 + u*dim + v.  The left side
-    [a1 x, a2 y, W(z,u,v)] reads each nonzero W(z,u,v) through L[x, y];
-    each right-hand term reads a nonzero W(x,y,w) through the table of
-    its other two slots: N[u, v] with w = z, Q[z, v] with w = u and
-    L[z, u] with w = v.  Only the keys these touch can be nonzero.
+    Built once: lhs[c], each key of a nonzero W(z,u,v) with its column c
+    term, read by the left side [a1 x, a2 y, W(z,u,v)] through L[x, y];
+    rhs[w][c], each right-hand entry that reads W(x,y,w)[c], as its key,
+    its sign flip when |x|+|y| is odd and its composite: N[u, v] with
+    w = z, Q[z, v] with w = u and L[z, u] with w = v, of signs 1,
+    (-1)^{|z|(|x|+|y|)} and (-1)^{(|z|+|u|)(|x|+|y|)}.  A block sums only
+    the keys these touch; no other can be nonzero.
     """
     p = t.space.parities
     dim = t.dim
     dd = dim * dim
-
-    def by_free(table, offset, flip):
-        """[c] -> (offset of the key, sign flipped when |x|+|y| is odd,
-        composite) for every (a, b) of table with a nonzero column c."""
-        out = [[] for _ in range(dim)]
-        for (a, b), cols in table.items():
-            for c, terms in cols.items():
-                out[c].append((offset(a, b), flip(a, b), terms))
-        return out
-
-    # (weight of w in the key, entries): the t1, t2 and t3 terms, whose
-    # signs are 1, (-1)^{|z|(|x|+|y|)} and (-1)^{(|z|+|u|)(|x|+|y|)}
-    rhs = ((dd, by_free(N, lambda u, v: u * dim + v, lambda u, v: False)),
-           (dim, by_free(Q, lambda z, v: z * dd + v, lambda z, v: p[z])),
-           (1, by_free(L, lambda z, u: z * dd + u * dim,
-                       lambda z, u: p[z] != p[u])))
-    lhs_keys = [(z * dd + u * dim + v, terms)
-                for (z, u, v), terms in W.items()]
-    row_xy = {}
-    for (x, y, w), terms in W.items():
-        row_xy.setdefault((x, y), []).append((w, terms))
-
-    for x in range(dim):
-        for y in range(dim):
-            acc = defaultdict(lambda: [0] * dim)
-            Lxy = L.get((x, y))
-            if Lxy:
-                for key, terms in lhs_keys:
-                    for c, wc in terms:
-                        col = Lxy.get(c)
-                        if col:
-                            out = acc[key]
-                            for m, l in col:
-                                out[m] += wc * l
-            odd = p[x] != p[y]
-            for w, terms in row_xy.get((x, y), ()):
-                for weight, table in rhs:
-                    base = w * weight
-                    for c, wc in terms:
-                        for offset, flip, col in table[c]:
-                            f = wc if (odd and flip) else -wc
-                            out = acc[base + offset]
-                            for m, l in col:
-                                out[m] += f * l
-            for key in sorted(k for k, r in acc.items() if any(r)):
-                yield (x, y, key // dd, key // dim % dim, key % dim), acc[key]
-
-
-def _orbit_join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
-    """The residuals of _join, computed on canonical orbits only.
-
-    With a1 = a2 and a super-skew bracket that obeys the parity law, the
-    residual R(x, y, z, u, v) is super-skew in (x, y) and in (z, u, v):
-    R at any ordering is R at the canonical one times the canonicalize
-    signs of both parts, and zero when an even index repeats.  So only
-    canonical (x, y) blocks are computed, and in them only canonical keys
-    (z, u, v): the left side reads the canonical W(z,u,v), and each
-    right-hand entry is kept only where its key is canonical.  Each
-    failing canonical key is expanded into its distinct orderings, and
-    the block of a non-canonical (x, y) is the one of (y, x) times the
-    pair's sign, so the violations come out as _join yields them.
-    """
-    p = t.space.parities
-    dim = t.dim
-    dd = dim * dim
-    canon = {z * dd + u * dim + v for z, u, v in skew_basis(3, t.space).tuples}
-
-    # rhs[w][c]: (key, sign flipped when |x|+|y| is odd, composite) of the
-    # t1, t2 and t3 entries that read W(x,y,w)[c] and land on a canonical key
+    lhs = [[] for _ in range(dim)]
+    for (z, u, v), terms in W.items():
+        key = z * dd + u * dim + v
+        if key in keys:
+            for c, wc in terms:
+                lhs[c].append((key, wc))
     rhs = [[[] for _ in range(dim)] for _ in range(dim)]
     for weight, table, offset, flip in (
             (dd, N, lambda u, v: u * dim + v, lambda u, v: False),
@@ -332,21 +275,14 @@ def _orbit_join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
             off, f = offset(a, b), flip(a, b)
             for w in range(dim):
                 key = w * weight + off
-                if key in canon:
+                if key in keys:
                     for c, terms in cols.items():
                         rhs[w][c].append((key, f, terms))
-    lhs = [[] for _ in range(dim)]
-    for (z, u, v), terms in W.items():
-        key = z * dd + u * dim + v
-        if key in canon:
-            for c, wc in terms:
-                lhs[c].append((key, wc))
     row_xy = {}
     for (x, y, w), terms in W.items():
         row_xy.setdefault((x, y), []).append((w, terms))
 
     def block(x, y):
-        """Sorted (key, R, -R) of every failing tuple (x, y, key), x <= y."""
         acc = defaultdict(lambda: [0] * dim)
         for c, col in L.get((x, y), {}).items():
             for key, wc in lhs[c]:
@@ -362,13 +298,54 @@ def _orbit_join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
                     out = acc[key]
                     for m, l in col:
                         out[m] += f * l
+        return acc
+
+    return block
+
+
+def _unkey(key: int, dim: int) -> tuple:
+    """(z, u, v) of the key z*dim^2 + u*dim + v."""
+    return key // (dim * dim), key // dim % dim, key % dim
+
+
+def _join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
+    """The residuals, one (x, y) block of _block_kernel at a time, every
+    key kept, each block's nonzero keys in order."""
+    dim = t.dim
+    block = _block_kernel(t, W, L, N, Q, range(dim ** 3))
+    for x in range(dim):
+        for y in range(dim):
+            acc = block(x, y)
+            for key in sorted(k for k, r in acc.items() if any(r)):
+                yield (x, y, *_unkey(key, dim)), acc[key]
+
+
+def _orbit_join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
+    """The residuals of _join, computed on canonical orbits only.
+
+    With a1 = a2 and a super-skew bracket that obeys the parity law, the
+    residual R(x, y, z, u, v) is super-skew in (x, y) and in (z, u, v):
+    R at any ordering is R at the canonical one times the canonicalize
+    signs of both parts, and zero when an even index repeats.  So only
+    canonical (x, y) blocks are computed, each of _block_kernel with the
+    canonical keys (z, u, v) alone.  Each failing canonical key is
+    expanded into its distinct orderings, and the block of a
+    non-canonical (x, y) is the one of (y, x) times the pair's sign, so
+    the violations come out as _join yields them.
+    """
+    p = t.space.parities
+    dim = t.dim
+    block = _block_kernel(t, W, L, N, Q, {
+        (z * dim + u) * dim + v for z, u, v in skew_basis(3, t.space).tuples})
+
+    def expanded(x, y):
+        """Sorted (key, R, -R) of every failing tuple (x, y, key), x <= y."""
         found = []
-        for key, resid in acc.items():
+        for key, resid in block(x, y).items():
             if any(resid):
                 neg = [-r for r in resid]
-                zuv = (key // dd, key // dim % dim, key % dim)
-                for order in dict.fromkeys(permutations(zuv)):
-                    code = order[0] * dd + order[1] * dim + order[2]
+                for order in dict.fromkeys(permutations(_unkey(key, dim))):
+                    code = (order[0] * dim + order[1]) * dim + order[2]
                     if canonicalize(order, p)[1] > 0:
                         found.append((code, resid, neg))
                     else:
@@ -383,15 +360,14 @@ def _orbit_join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
                 found = mirrored.pop((y, x), ())
                 flip = not (p[x] and p[y])
             elif x < y or p[x]:
-                found = block(x, y)
+                found = expanded(x, y)
                 flip = False
                 if x < y and found:
                     mirrored[x, y] = found
             else:
                 continue
             for key, resid, neg in found:
-                yield ((x, y, key // dd, key // dim % dim, key % dim),
-                       neg if flip else resid)
+                yield (x, y, *_unkey(key, dim)), neg if flip else resid
 
 
 def verify_ternary_multiplicative(t: TernaryHomLieSuper) -> Report:

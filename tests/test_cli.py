@@ -8,11 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from homnambu import cli, cohomology
+from homnambu import cli, cohomology, ternary
 from homnambu.cli import main
-from homnambu.fixtures import glmn
+from homnambu.fixtures import central_twist, glmn
 from homnambu.formats import DocumentBundle, write_document
 from homnambu.linalg import Subspace
+from homnambu.report import Report
+from homnambu.reps import trace_functional
+from homnambu.ternary import (TernaryHomLieSuper, induce_ternary,
+                              verify_hom_nambu, verify_ternary_multiplicative,
+                              verify_ternary_skew)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLD = FIXTURES / "golden"
@@ -240,6 +245,36 @@ def test_transfer_and_adjoint_cohomology_on_gl21(tmp_path):
     assert code == 0
     metrics = json.loads(out)["metrics"]
     assert (metrics["Z"], metrics["B"], metrics["H"]) == (41, 36, 5)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["plain", "broken"])
+def test_check_ternary_with_two_twists_runs_the_full_join(tmp_path,
+                                                          monkeypatch, broken):
+    """Every golden check ternary document has alpha2 = alpha, so none
+    reaches ternary._join.  gl(1|1) with its induced bracket, alone or with
+    [E0_0,E0_1,E1_0] = E0_0 in every order, and alpha2 =
+    central_twist(1, 1) does: the exit code and the report are those of
+    the library's three checks."""
+    lie, rep = glmn(1, 1)
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha,
+                       central_twist(1, 1))
+    if broken:
+        t = TernaryHomLieSuper(t.space, t.bracket.with_canonical(
+            (0, 2, 3), (1, 0, 0, 0)), t.alpha1, t.alpha2)
+    path = tmp_path / "gl11_two_twists.json"
+    write_document(path, DocumentBundle("gl11-two-twists", lie, rep, t))
+    want = Report("check ternary")
+    for check in (verify_ternary_skew, verify_hom_nambu,
+                  verify_ternary_multiplicative):
+        want.absorb(check(t))
+
+    def refuse(*args):
+        raise AssertionError("the orbit join ran")
+
+    monkeypatch.setattr(ternary, "_orbit_join", refuse)
+    code, out = run(["check", "ternary", path])
+    assert (code, out) == (1 if broken else 0, want.render())
+    assert json.loads(out)["verdict"] == ("fail" if broken else "pass")
 
 
 def test_oversized_coboundary_exits_2_before_building_rows(tmp_path,

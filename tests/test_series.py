@@ -344,16 +344,20 @@ def test_raw_brackets_tell_the_slots_apart():
     assert t.bracket.span(full, e2, full) != t.bracket.span(full, full, e2)
 
 
-def test_span_keeps_whole_space_slots_as_the_naive_loops_do():
+def test_span_keeps_whole_space_slots_as_the_naive_loops_do(gl22_conjugate):
     """No full slot, one, two and all: span contracts only the slots
     smaller than the space, and with every slot full it is the span of
     the stored vectors.  The raw brackets are not skew, so a full slot
-    read in the wrong position would show."""
+    read in the wrong position would show; the others are super-skew, so
+    span reads their adjacent full slots in canonical order only."""
     rng = random.Random(31)
     cases = [("gl21", TERNARY_CASES["gl21"]().bracket),
              ("conjugate", TERNARY_CASES["conjugate"]().bracket),
              ("raw", raw_ternary().bracket), ("raw2", raw_binary().bracket),
-             ("fractions2", fraction_bracket().bracket)]
+             ("fractions2", fraction_bracket().bracket),
+             ("gl21-2", BINARY_CASES["gl21"]().bracket),
+             ("conjugate2", BINARY_CASES["conjugate"]().bracket),
+             ("gl22-conjugate2", gl22_conjugate[0].bracket)]
     for name, b in cases:
         dim = b.space.dim
         full = Subspace.full(dim)
@@ -370,6 +374,24 @@ def test_span_keeps_whole_space_slots_as_the_naive_loops_do():
         assert counts == set(range(b.arity + 1))
         assert b.span(*[full] * b.arity) == Subspace.from_vectors(
             dim, b.vectors().values())
+
+
+def test_span_reorders_only_adjacent_whole_space_slots():
+    """On a super-skew bracket span reads only canonical orders of adjacent
+    full slots.  Full slots around a cut one are all read: swapping them
+    moves each across the cut index, whose parity then enters the sign,
+    so on a line mixing an even and an odd unit no single sign relates
+    the two orders."""
+    t = TERNARY_CASES["gl21"]()
+    dim = t.dim
+    p = t.space.parities
+    full = Subspace.full(dim)
+    for i, j in product(range(dim), repeat=2):
+        if p[i] < p[j]:
+            s = Subspace.from_vectors(dim, [tuple(
+                1 if k in (i, j) else 0 for k in range(dim))])
+            args = (full, s, full)
+            assert t.bracket.span(*args) == span_oracle(t.bracket, *args), (i, j)
 
 
 def test_dense_gl22_conjugate_structure_answers(gl22_conjugate):

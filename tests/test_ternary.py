@@ -8,18 +8,19 @@ from pathlib import Path
 import pytest
 
 from homnambu import cli, ternary
-from homnambu.binary import (HomLieSuper, SuperBracket2, verify_morphism,
+from homnambu.binary import (HomLieSuper, SuperBracket2, verify_hom_jacobi,
+                             verify_morphism, verify_multiplicative,
                              verify_skew, yau_twist)
-from homnambu.fixtures import (alpha_t, conjugate_gl11, conjugate_pair, gl11,
-                               gl11t, glmn, induced_gl11, matrix_units,
-                               neg_nambu, neg_ternary_mult, neg_ternary_skew,
-                               random_even_invertible)
+from homnambu.fixtures import (alpha_t, central_twist, conjugate_gl11,
+                               conjugate_pair, gl11, gl11t, glmn, induced_gl11,
+                               matrix_units, neg_nambu, neg_ternary_mult,
+                               neg_ternary_skew, random_even_invertible)
 from homnambu.graded import (GradedMap, canonicalize, identity_map,
                              parity_law_violations, skew_basis, tuple_parity)
 from homnambu.linalg import (InputError, Matrix, Subspace, frac, is_zero_vec,
                              unit_vec, vec_add, vec_scale)
 from homnambu.report import Report, fmt_vec
-from homnambu.reps import TraceFunctional, trace_functional
+from homnambu.reps import TraceFunctional, trace_functional, trace_mismatches
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               _hom_nambu_join, _integer_tables, _join,
                               _orbit_join, check_twist_commutes, hom_nambu_residual_direct,
@@ -143,6 +144,35 @@ def broken_mixed_twists():
     return broken(induced_gl11_mixed_twists())
 
 
+def central_twisted(m, n):
+    """The algebra induced from gl(m|n) with alpha = central_twist(m, n) in
+    both slots: id + lambda(.) I, no Yau twist, and tau o alpha = tau."""
+    lie, rep = glmn(m, n)
+    alpha = central_twist(m, n)
+    twisted = HomLieSuper(lie.space, lie.bracket, alpha)
+    tau = TraceFunctional(twisted, trace_functional(rep).values)
+    return induce_ternary(twisted, tau, alpha, alpha)
+
+
+def central_gl11():
+    return central_twisted(1, 1)
+
+
+def broken_central_gl11():
+    return broken(central_gl11())
+
+
+def one_sided_central_gl11():
+    """alpha1 = id and alpha2 = central_twist(1, 1): the full join."""
+    t = central_gl11()
+    return TernaryHomLieSuper(t.space, t.bracket, identity_map(t.space),
+                              t.alpha2)
+
+
+def broken_one_sided_central_gl11():
+    return broken(one_sided_central_gl11())
+
+
 def random_bracket_two_twists():
     """A seeded random canonical bracket on the gl(1|1) space that obeys the
     parity law, with two distinct random even invertible twists.
@@ -201,7 +231,10 @@ def direct_violations(t, a1, a2):
                                    induced_gl11_mixed_twists, broken_gl11t2,
                                    broken_mixed_twists,
                                    random_bracket_two_twists,
-                                   random_fraction_bracket_two_twists])
+                                   random_fraction_bracket_two_twists,
+                                   central_gl11, broken_central_gl11,
+                                   one_sided_central_gl11,
+                                   broken_one_sided_central_gl11])
 def test_verify_hom_nambu_matches_direct_oracle_on_every_tuple(build):
     t = build()
     want = direct_violations(t, t.alpha1, t.alpha2)
@@ -531,6 +564,28 @@ def test_gl22_passes_and_its_broken_copy_fails():
     assert hom_nambu_total(rep) == 2040
 
 
+def test_gl22_central_twist_verdicts():
+    """alpha = id + lambda(.) I on gl(2|2): Hom-Jacobi and tau-invariant but
+    not multiplicative, on both sides; Hom-Nambu holds with alpha in both
+    slots (the orbit join) and with alpha2 alone (the full join)."""
+    lie, rep = glmn(2, 2)
+    alpha = central_twist(2, 2)
+    twisted = HomLieSuper(lie.space, lie.bracket, alpha)
+    assert trace_mismatches(trace_functional(rep), alpha) == ()
+    assert verify_skew(twisted).verdict == "pass"
+    assert verify_hom_jacobi(twisted).verdict == "pass"
+    assert verify_multiplicative(twisted).verdict == "fail"
+    t = central_twisted(2, 2)
+    assert verify_ternary_skew(t).verdict == "pass"
+    assert verify_ternary_multiplicative(t).verdict == "fail"
+    one_sided = TernaryHomLieSuper(t.space, t.bracket, lie.alpha, alpha)
+    for u in (t, one_sided):
+        report = verify_hom_nambu(u)
+        assert report.verdict == "pass"
+        assert report.metrics["tuples_checked"] == 16 ** 5
+        assert report.findings == []
+
+
 # --- the join over canonical orbits ----------------------------------------
 
 
@@ -584,6 +639,8 @@ ORBIT_CASES = {
     "gl21-rank-one-twist": lambda: rank_one_twisted_gl21(Fraction(-1, 3)),
     "gl21-rank-one-twist-broken":
         lambda: doubled_first(rank_one_twisted_gl21(2)),
+    "gl11-central-twist": central_gl11,
+    "gl11-central-twist-broken": broken_central_gl11,
 }
 
 
@@ -651,7 +708,8 @@ def unskewed_nambu():
 
 @pytest.mark.parametrize("build", [unskewed_nambu, parity_breaker,
                                    induced_gl11_mixed_twists,
-                                   random_bracket_two_twists])
+                                   random_bracket_two_twists,
+                                   broken_one_sided_central_gl11])
 def test_gate_sends_the_rest_to_the_full_join(build, monkeypatch):
     t = build()
     assert not (t.same_twists() and t.bracket.super_skew)
