@@ -18,14 +18,14 @@ verify_morphism and the yau_twist precondition are
 graded.compat_residuals.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
                      skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
-                     integer_terms, is_zero_vec, vec_add, vec_scale, zero_vec)
+                     field, integer_terms, is_zero_vec, record, vec_add,
+                     vec_scale, zero_vec)
 from .report import Report, fmt_vec
 
 
@@ -34,7 +34,7 @@ class SuperBracket2(SuperBracket):
     arity = 2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomLieSuper:
     space: GradedSpace
     bracket: SuperBracket2

@@ -44,7 +44,6 @@ reps.TraceFunctional.induce, the formula that also builds the induced
 bracket, on the cocycle's values cleared of denominators once.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -54,7 +53,7 @@ from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      frac, image, integer_terms, kernel, solve, vec, vec_add,
-                     vec_scale, zero_vec, is_zero_vec, ZERO)
+                     vec_scale, zero_vec, is_zero_vec, record, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
 from .ternary import TernaryHomLieSuper
@@ -130,7 +129,7 @@ def parity_support(cx: str, degree: int, space: GradedSpace, parity: int) -> tup
     return tuple(i for i, cp in enumerate(cps) if cp == parity % 2)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cochain:
     complex: str
     degree: int

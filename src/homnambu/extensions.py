@@ -11,20 +11,19 @@ the extension is equivalent to omega being a scalar 2-cocycle; lam never
 enters any bracket, it only shifts the twist.
 """
 
-from dataclasses import dataclass
-
 from .binary import HomLieSuper, SuperBracket2, verify_hom_jacobi, verify_multiplicative
 from .cohomology import (Cochain, binary_pair_eval, induce_cocycle,
                          is_binary_cocycle)
 from .graded import GradedMap, GradedSpace, skew_basis
 from .linalg import (InputError, Matrix, PreconditionError, ZERO, ONE,
-                     is_zero_vec, solve, vec, vec_add, vec_scale, zero_vec)
+                     is_zero_vec, record, solve, vec, vec_add, vec_scale,
+                     zero_vec)
 from .report import Report
 from .reps import TraceFunctional
 from .ternary import induce_ternary
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CentralExtensionData:
     base: HomLieSuper
     omega: Cochain

@@ -19,14 +19,13 @@ ones a rational.  Ternary cochain documents stop at degree 2.
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .binary import HomLieSuper, SuperBracket2
 from .cohomology import COMPLEXES, Cochain, cochain_keys, make_cochain
 from .graded import (GradedMap, GradedSpace, canonicalize, graded_space,
                      identity_map)
-from .linalg import InputError, Matrix, is_zero_vec
+from .linalg import InputError, Matrix, is_zero_vec, record
 from .report import fmt_scalar
 from .reps import Representation
 from .ternary import SuperBracket3, TernaryHomLieSuper
@@ -47,7 +46,7 @@ def parse_scalar(x, where: str) -> Fraction:
     raise InputError(f"bad rational {x!r} at {where}")
 
 
-@dataclass
+@record
 class DocumentBundle:
     name: str
     lie: HomLieSuper

@@ -47,17 +47,16 @@ only the residuals a report prints are divided back into Fractions:
   read at D_W, and the induced bracket, tau.induce of this view.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations
-from typing import ClassVar
 
 from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _gcd,
-                     integer_terms, is_zero_vec, kernel, nonzero_terms, vec)
+                     integer_terms, is_zero_vec, kernel, nonzero_terms, record,
+                     vec)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradedSpace:
     names: tuple
     parities: tuple
@@ -85,7 +84,7 @@ def graded_space(names, parities) -> GradedSpace:
     return GradedSpace(tuple(names), tuple(int(p) for p in parities))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradedMap:
     """A homogeneous linear map between graded spaces.
 
@@ -191,7 +190,7 @@ def canonicalize(indices, parities):
     return tuple(idx), sign, zero
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SkewBasis:
     """Canonical index tuples of a fixed degree, in lexicographic order."""
 
@@ -223,12 +222,6 @@ def tuple_parity(t, parities) -> int:
     return sum(parities[i] for i in t) % 2
 
 
-def parity_law_violations(space: GradedSpace, v: Vec, want_parity: int) -> list:
-    """Names of the basis elements where v has a component of the wrong parity."""
-    return [space.names[k] for k, c in enumerate(v)
-            if c != 0 and space.parities[k] != want_parity]
-
-
 def _expand_terms(rows) -> list:
     """(index tuple, coefficient) of every product of one (index, value)
     pair from each sparse row in turn: the multilinear expansion of the
@@ -240,7 +233,7 @@ def _expand_terms(rows) -> list:
     return terms
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SuperBracket:
     """Structure constants of a super-skew bracket with `arity` arguments.
 
@@ -252,13 +245,13 @@ class SuperBracket:
     fills in every ordering through canonicalize; from_vectors (and
     with_entry through it) takes any entries, so the verifiers have
     something to catch.  Each leaves D least, so two brackets with the
-    same values compare equal; the dataclass constructor takes a view
-    already in this form.  value, eval_vectors, canonical_coeffs and
-    table read Fractions off the view.  The subclasses SuperBracket2 and
-    SuperBracket3 pin the arity.
+    same values compare equal; the plain constructor, cls(space,
+    integer), takes a view already in this form as it is.  value,
+    eval_vectors, canonical_coeffs and table read Fractions off the view.
+    The subclasses SuperBracket2 and SuperBracket3 pin the arity.
     """
 
-    arity: ClassVar[int]
+    arity = None  # pinned by the subclasses
     space: GradedSpace
     integer: tuple
 

@@ -15,8 +15,8 @@ Subspaces are stored as reduced row echelon bases with zero rows
 dropped, so structural equality is canonical equality.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 class InputError(ValueError):
@@ -25,6 +25,162 @@ class InputError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation's documented precondition failed; carries a witness."""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a frozen record."""
+
+
+_MISSING = object()
+_setattr = object.__setattr__
+
+
+class _Field:
+    __slots__ = ("default", "factory", "init", "repr", "compare")
+
+    def __init__(self, default, factory, init=True, repr=True, compare=True):
+        self.default, self.factory = default, factory
+        self.init, self.repr, self.compare = init, repr, compare
+
+
+def field(*, default_factory, init=True, repr=True, compare=True):
+    """A record field whose default_factory makes a fresh value for each
+    instance, and whether it is an __init__ argument, shown by __repr__
+    and compared by __eq__ and __hash__."""
+    return _Field(_MISSING, default_factory, init, repr, compare)
+
+
+def record(cls=None, *, frozen=False):
+    """Class decorator: the package's records, built from the class's own
+    field annotations by closures.  It stands in for the standard
+    library's @dataclass, whose module alone took longer to import than
+    the rest of the package, on every cold start of the CLI.
+
+    It installs what @dataclass(frozen=frozen) would, bytes of repr and
+    errors included: __init__ (positional and keyword arguments, defaults
+    and default_factory; init=False fields come from their factory; then
+    __post_init__), __repr__ as Name(f=value, ...), __eq__ on the tuples
+    of compared fields (a tuple takes an object to equal itself without
+    calling its __eq__, so a check against the very same space stays
+    cheap) and NotImplemented against another class; frozen classes also
+    get __hash__ of that tuple and a __setattr__ and __delattr__ that
+    raise FrozenInstanceError, and mutable ones are unhashable.  A base
+    class adds no fields, and methods the class defines itself are kept.
+
+    __init__ sets each field through object.__setattr__, as @dataclass
+    does.  Writing the instance __dict__ directly would be faster once
+    but turn it into a real dict, and on Python 3.11 every later
+    attribute read of the instance about twice as slow.
+    """
+    if cls is None:
+        return lambda c: _build_record(c, frozen)
+    return _build_record(cls, frozen)
+
+
+def _values_getter(names):
+    """obj -> the tuple of obj's attributes names, a tuple even for one."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+def _build_record(cls, frozen):
+    qual = cls.__qualname__
+    fields = []
+    for name in cls.__annotations__:
+        spec = cls.__dict__.get(name, _MISSING)
+        if isinstance(spec, _Field):
+            delattr(cls, name)
+        else:
+            spec = _Field(spec, _MISSING)
+        fields.append((name, spec))
+    names = frozenset(name for name, _ in fields)
+    params = [(name, s) for name, s in fields if s.init]
+    init_names = tuple(name for name, _ in params)
+    count = len(init_names)
+    extras = tuple((name, s.factory) for name, s in fields
+                   if not s.init and s.factory is not _MISSING)
+    post_init = hasattr(cls, "__post_init__")
+
+    def bind(args, kwargs):
+        """The __init__ arguments as one value per init field, in order,
+        or the TypeError a Python signature would raise."""
+        if len(args) > count:
+            raise TypeError(f"{qual}.__init__() takes {count + 1} positional "
+                            f"arguments but {len(args) + 1} were given")
+        given = dict(zip(init_names, args))
+        for key, value in kwargs.items():
+            if key not in init_names:
+                raise TypeError(f"{qual}.__init__() got an unexpected "
+                                f"keyword argument {key!r}")
+            if key in given:
+                raise TypeError(f"{qual}.__init__() got multiple values for "
+                                f"argument {key!r}")
+            given[key] = value
+        out, missing = [], []
+        for name, s in params:
+            if name in given:
+                out.append(given[name])
+            elif s.factory is not _MISSING:
+                out.append(s.factory())
+            elif s.default is not _MISSING:
+                out.append(s.default)
+            else:
+                missing.append(repr(name))
+        if missing:
+            raise TypeError(f"{qual}.__init__() missing {len(missing)} "
+                            f"required argument(s): {', '.join(missing)}")
+        return out
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        for name, value in zip(init_names, args):
+            _setattr(self, name, value)
+        for name, make in extras:
+            _setattr(self, name, make())
+        if post_init:
+            self.__post_init__()
+
+    shown = tuple(name for name, s in fields if s.repr)
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}("
+                + ", ".join([f"{name}={getattr(self, name)!r}"
+                             for name in shown]) + ")")
+
+    key = _values_getter(tuple(name for name, s in fields if s.compare))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
+               "__hash__": None}
+    if frozen:
+        def __hash__(self):
+            return hash(key(self))
+
+        def __setattr__(self, name, value):
+            if type(self) is cls or name in names:
+                raise FrozenInstanceError(f"cannot assign to field {name!r}")
+            super(cls, self).__setattr__(name, value)
+
+        def __delattr__(self, name):
+            if type(self) is cls or name in names:
+                raise FrozenInstanceError(f"cannot delete field {name!r}")
+            super(cls, self).__delattr__(name)
+
+        methods.update(__hash__=__hash__, __setattr__=__setattr__,
+                       __delattr__=__delattr__)
+    for attr, method in methods.items():
+        if attr not in cls.__dict__:
+            setattr(cls, attr, method)
+    return cls
 
 
 Vec = tuple  # tuple[Fraction, ...]
@@ -91,7 +247,7 @@ def nonzero_terms(v: Vec) -> tuple:
     return tuple((j, x) for j, x in enumerate(v) if x)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Matrix:
     """Exact matrix held as rows of (column, value) pairs, columns
     increasing and values nonzero, so equal matrices compare equal.
@@ -188,14 +344,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-    def select(self, row_idx, col_idx) -> "Matrix":
-        """Rows row_idx and distinct columns col_idx, in the given orders,
-        by renumbering the stored columns; no zero is materialised."""
-        pos = {j: n for n, j in enumerate(col_idx)}
-        rows = tuple(tuple(sorted((pos[c], x) for c, x in self.entries[i]
-                                  if c in pos)) for i in row_idx)
-        return Matrix(len(row_idx), len(col_idx), rows)
 
     def transpose(self) -> "Matrix":
         cols = [[] for _ in range(self.cols)]
@@ -321,7 +469,7 @@ def rank(m: Matrix) -> int:
     return len(_pivots(rref(m)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subspace:
     """A subspace of K^n held as an RREF basis; equality is set equality."""
 

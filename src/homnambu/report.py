@@ -1,8 +1,9 @@
 """Structured pass/fail reports shared by the library verifiers and the CLI."""
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .linalg import field, record
 
 
 def fmt_scalar(x) -> str:
@@ -13,7 +14,7 @@ def fmt_vec(v):
     return [fmt_scalar(x) for x in v]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Finding:
     check: str
     status: str = "fail"  # "fail" or "note"
@@ -32,7 +33,7 @@ class Finding:
         return d
 
 
-@dataclass
+@record
 class Report:
     command: str
     findings: list = field(default_factory=list)

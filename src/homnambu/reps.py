@@ -10,17 +10,16 @@ bracket and the induced cocycles, sums tau's integer values against
 sparse integer terms and alone holds the induction signs.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .binary import HomLieSuper
 from .graded import GradedMap, GradedSpace, identity_map, supertrace, zero_map
 from .linalg import (InputError, Matrix, Subspace, Vec, dot, integer_terms,
-                     is_zero_vec, kernel, vec)
+                     is_zero_vec, kernel, record, vec)
 from .report import Report, fmt_scalar, fmt_vec
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Representation:
     """Action matrices rho(e_i) on a graded module, with companion map beta.
 
@@ -59,7 +58,7 @@ class Representation:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceFunctional:
     """The functional x -> str(rho(x)); vanishes on odd elements."""
 

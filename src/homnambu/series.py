@@ -7,17 +7,15 @@ SuperBracket.annihilator.  Both work on the sparse integer structure
 vectors, so no step evaluates the bracket on a basis tuple.
 """
 
-from dataclasses import dataclass
-
 from .binary import HomLieSuper
-from .linalg import (InputError, Matrix, Subspace, rank, solve,
+from .linalg import (InputError, Matrix, Subspace, rank, record, solve,
                      subspace_intersection)
 from .report import Report
 from .reps import TraceFunctional, trace_kernel
 from .ternary import TernaryHomLieSuper, ternary_is_ideal
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeriesResult:
     kind: str
     terms: tuple          # Subspace per step, terms[0] = whole space

@@ -53,15 +53,14 @@ hom_nambu_residual_direct is the naive oracle of both.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
 from .binary import HomLieSuper, is_ideal, verify_morphism, yau_twist
 from .graded import (GradedMap, GradedSpace, SuperBracket, canonicalize,
                      compat_residuals, skew_basis)
-from .linalg import (InputError, PreconditionError, Subspace, Vec,
-                     integer_terms, is_zero_vec, vec_add, vec_scale)
+from .linalg import (InputError, PreconditionError, Subspace, Vec, field,
+                     integer_terms, is_zero_vec, record, vec_add, vec_scale)
 from .report import Report, fmt_vec
 from .reps import TraceFunctional, trace_kernel, trace_mismatches
 
@@ -71,7 +70,7 @@ class SuperBracket3(SuperBracket):
     arity = 3
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TernaryHomLieSuper:
     space: GradedSpace
     bracket: SuperBracket3

@@ -35,6 +35,8 @@ from homnambu.ternary import (induce_ternary, verify_hom_nambu,
                               verify_ternary_multiplicative,
                               verify_ternary_skew)
 
+from oracles import select
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -59,7 +61,7 @@ def lifted_kernel_basis(cx, g):
     """Even cocycle basis vectors, re-embedded in full coordinates."""
     sel_in = parity_support(cx, 2, g.space, 0)
     sel_out = parity_support(cx, 3, g.space, 0)
-    block = coboundary_matrix(g, "binary-scalar", 2).select(sel_out, sel_in)
+    block = select(coboundary_matrix(g, "binary-scalar", 2), sel_out, sel_in)
     n = cochain_length(cx, 2, g.space)
     out = []
     for v in kernel(block).vectors():
@@ -273,8 +275,9 @@ def test_criterion_8_cohomology(capsys, g11, tau11, t11, all_binary):
                     sel1 = parity_support(cx, 1, lie.space, parity)
                     sel2 = parity_support(cx, 2, lie.space, parity)
                     sel3 = parity_support(cx, 3, lie.space, parity)
-                    b2 = coboundary_matrix(t, cx, 2, parity).select(sel3, sel2)
-                    b1 = d1.select(sel2, sel1)
+                    b2 = select(coboundary_matrix(t, cx, 2, parity), sel3,
+                                sel2)
+                    b1 = select(d1, sel2, sel1)
                     assert b2.mul(b1).is_zero(), (name, cx, parity)
 
         assert kernel(coboundary_matrix(g11, "binary-scalar", 1)).dim == 1

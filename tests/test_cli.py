@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -389,3 +392,19 @@ def test_representation_matrix_for_unknown_id_exits_2(tmp_path):
     path.write_text(json.dumps(doc), "utf-8")
     error = assert_error_report(*run(["check", "rep", path]), "check rep")
     assert error == "unknown basis element 'zz'"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Every call of the console script imports the package afresh, so
+    the records are built without the standard library's dataclasses,
+    which would load inspect and typing.  A fresh interpreter without
+    site, so nothing else can load them first."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\nimport homnambu.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'}"
+            " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

