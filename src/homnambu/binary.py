@@ -10,7 +10,8 @@ verifiers have something to catch, and yau_twist and change_of_basis
 build their brackets with it.
 
 The verifiers read the integer view and print Fractions only for a
-finding.  verify_skew compares each mirror as integers; verify_hom_jacobi
+finding.  verify_skew formats the bracket's skew_breaks walk, and passes
+at once on a super_skew bracket; verify_hom_jacobi
 reads the composite table [alpha e_u, e_c] (SuperBracket.composite) and
 sums each triple's cyclic residual at scale D_alpha D_W^2, with
 hom_jacobi_residual as its naive Fraction oracle; verify_multiplicative,
@@ -57,25 +58,24 @@ class HomLieSuper:
 
 
 def verify_skew(a: HomLieSuper) -> Report:
-    """Super-skew symmetry and the parity law, on every ordered basis pair.
+    """Super-skew symmetry and the parity law, on every basis pair i <= j.
 
-    [e_i,e_j] + (-1)^{|i||j|}[e_j,e_i] must vanish: each mirror is one
-    comparison of the integer view, and the parity law is read from the
-    stored support.
+    [e_i,e_j] + (-1)^{|i||j|}[e_j,e_i] must vanish and [e_i,e_j] must
+    have the parity of i + j: the findings of the bracket's skew_breaks
+    walk on those pairs, none when it is super_skew.
     """
     rep = Report("verify_skew")
     sp = a.space
-    for i in range(sp.dim):
-        for j in range(i, sp.dim):
-            sign = 1 if (sp.parities[i] and sp.parities[j]) else -1
-            resid = a.bracket.mirror_residual((i, j), (j, i), sign)
-            if resid is not None:
-                rep.fail("skew", witness=(sp.names[i], sp.names[j]),
-                         residual=tuple(fmt_vec(resid)))
-            bad = a.bracket.parity_misses((i, j))
-            if bad:
+    if not a.bracket.super_skew:
+        for (i, j), slot, found in a.bracket.skew_breaks():
+            if i > j:
+                continue
+            if slot is None:
                 rep.fail("parity-law", witness=(sp.names[i], sp.names[j]),
-                         detail=f"output hits {bad}")
+                         detail=f"output hits {found}")
+            else:
+                rep.fail("skew", witness=(sp.names[i], sp.names[j]),
+                         residual=tuple(fmt_vec(found)))
     rep.metrics["pairs_checked"] = sp.dim * (sp.dim + 1) // 2
     return rep
 

@@ -2,12 +2,12 @@
 
 Every subcommand reads JSON documents, prints a single report document on
 standard output and exits 0 when every check passed, 1 when a verification
-failed, 2 on malformed input or unmet preconditions.
+failed, 2 on malformed input or unmet preconditions, command line usage
+errors included.
 """
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -210,6 +210,8 @@ def _random_even_cocycle(rng, g) -> Cochain:
 
 
 def cmd_transfer_checks(args) -> Report:
+    import random  # read here alone, so other calls skip its import
+
     lie, tau, t = _transfer_inputs(args.file)
     rng = random.Random(args.seed)
     rep = Report("transfer-checks")
@@ -233,8 +235,21 @@ def cmd_transfer_checks(args) -> Report:
     return rep
 
 
+class UsageError(InputError):
+    """A command line refused by the parser of command, or of homnambu."""
+
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # --help still prints and exits 0
+        raise UsageError(self.prog.rsplit(" ", 1)[-1], message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="homnambu")
+    top = _Parser(prog="homnambu")
     subs = top.add_subparsers(dest="cmd", required=True)
 
     def common(p):
@@ -302,12 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cmd = args.cmd if args.cmd != "check" else f"check {args.what}"
+    cmd = "homnambu"
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        cmd = args.cmd if args.cmd != "check" else f"check {args.what}"
+        if extra:
+            raise InputError(f"unrecognized arguments: {' '.join(extra)}")
         rep = args.run(args)
     except (InputError, PreconditionError) as exc:
-        doc = {"command": cmd, "error": str(exc)}
+        doc = {"command": getattr(exc, "command", cmd), "error": str(exc)}
         sys.stdout.write(json.dumps(doc, sort_keys=True,
                                     separators=(",", ":")) + "\n")
         return 2

@@ -45,15 +45,15 @@ bracket, on the cocycle's values cleared of denominators once.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
-                     frac, image, integer_terms, kernel, solve, vec, vec_add,
-                     vec_scale, zero_vec, is_zero_vec, record, ZERO)
+                     field, frac, image, integer_terms, kernel, solve, vec,
+                     vec_add, vec_scale, zero_vec, is_zero_vec, record, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
 from .ternary import TernaryHomLieSuper
@@ -136,6 +136,9 @@ class Cochain:
     parity: int
     space: GradedSpace
     coords: tuple
+    # key -> coordinate (adjoint: output vector); make_cochain inverts it
+    values: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if type(self.parity) is not int or self.parity not in (0, 1):
@@ -149,16 +152,10 @@ class Cochain:
             if c != 0 and cps[i] != self.parity:
                 raise InputError(f"cochain coordinate {i} breaks the parity "
                                  f"support rule")
-
-    @cached_property
-    def values(self) -> dict:
-        """cochain key -> coordinate, or -> output vector on the adjoint
-        complexes, in key order; make_cochain inverts it."""
         keys = cochain_keys(self.complex, self.degree, self.space)
         width = _width(self.complex, self.space)
-        if width == 1:
-            return dict(zip(keys, self.coords))
-        return dict(zip(keys, zip(*[iter(self.coords)] * width)))
+        self.values.update(zip(keys, self.coords) if width == 1 else
+                           zip(keys, zip(*[iter(self.coords)] * width)))
 
     @staticmethod
     def zero(cx: str, degree: int, space: GradedSpace, parity: int = 0) -> "Cochain":

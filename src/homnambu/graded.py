@@ -30,12 +30,11 @@ only the residuals a report prints are divided back into Fractions:
   whole-space slot keeps its key index, so [g, g, g] is the span of the
   distinct stored vectors, and a super-skew bracket reads adjacent
   whole-space slots in canonical order only;
-* mirror_residual and parity_misses, one integer comparison of a stored
-  vector with its mirror (equal or negated) and the parity law read from
-  its support: the binary and ternary skew checks;
-* super_skew, cached: every ordering of a stored key is stored with its
-  canonicalize sign and the parity law holds, the early pass of the
-  ternary skew check and the gate of the Hom-Nambu orbit join;
+* skew_breaks, where symmetry or the parity law fails, walked over the
+  stored keys and their adjacent-slot mirrors in integers: the skew
+  checks format it, and it decides super_skew once, when a bracket is
+  built, unless from_integer fixes it True; super_skew passes the skew
+  checks at once and gates span's canonical read and the orbit join;
 * compat_residuals, f[e_I] = [f e_i1, ..., f e_in], whose left side is at
   scale D_f D_s and right side at D_f^n D_t: the multiplicativity,
   morphism and induced-homomorphism checks;
@@ -48,12 +47,11 @@ only the residuals a report prints are divided back into Fractions:
 """
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _gcd,
-                     integer_terms, is_zero_vec, kernel, nonzero_terms, record,
-                     vec)
+                     field, integer_terms, is_zero_vec, kernel, nonzero_terms,
+                     record, vec)
 
 
 @record(frozen=True)
@@ -192,17 +190,19 @@ def canonicalize(indices, parities):
 
 @record(frozen=True)
 class SkewBasis:
-    """Canonical index tuples of a fixed degree, in lexicographic order."""
+    """Canonical index tuples of a fixed degree, in lexicographic order;
+    index maps each tuple to its position."""
 
     degree: int
     tuples: tuple
+    index: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def __post_init__(self):
+        self.index.update((t, k) for k, t in enumerate(self.tuples))
 
     def __len__(self):
         return len(self.tuples)
-
-    @cached_property
-    def index(self) -> dict:
-        return {t: k for k, t in enumerate(self.tuples)}
 
 
 def is_canonical(t, parities) -> bool:
@@ -248,12 +248,21 @@ class SuperBracket:
     same values compare equal; the plain constructor, cls(space,
     integer), takes a view already in this form as it is.  value,
     eval_vectors, canonical_coeffs and table read Fractions off the view.
-    The subclasses SuperBracket2 and SuperBracket3 pin the arity.
+    super_skew, neither compared nor shown, is fixed at construction:
+    from_integer passes True, which its filling guarantees; otherwise
+    __post_init__ walks skew_breaks once.  The subclasses SuperBracket2
+    and SuperBracket3 pin the arity.
     """
 
     arity = None  # pinned by the subclasses
     space: GradedSpace
     integer: tuple
+    super_skew: bool = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.super_skew is None:
+            object.__setattr__(self, "super_skew",
+                               next(self.skew_breaks(), None) is None)
 
     @classmethod
     def from_vectors(cls, space: GradedSpace, vectors: dict) -> "SuperBracket":
@@ -324,7 +333,7 @@ class SuperBracket:
             neg = tuple((m, -x) for m, x in pos)
             for order in dict.fromkeys(permutations(key)):
                 view[order] = pos if canonicalize(order, p)[1] == 1 else neg
-        return cls(space, (d // g, view))
+        return cls(space, (d // g, view), True)
 
     def value(self, *idx) -> Vec:
         """Structure vector of [e_i1, ..., e_in], signs included for any order."""
@@ -376,46 +385,36 @@ class SuperBracket:
         return {k: self.value(*k) for k in sorted(self.integer[1])
                 if is_canonical(k, p)}
 
-    def mirror_residual(self, key, mirror, sign):
-        """None when [e_key] = sign [e_mirror], else value(*key) - sign
-        value(*mirror) as Fractions.  The comparison reads the integer
-        view, so only a mismatch costs Fraction arithmetic."""
+    def skew_breaks(self):
+        """(key, s, residual) for each slot s < arity - 1 where [e_key] is
+        not sign [e_mirror], mirror the key with slots s and s + 1 swapped
+        and sign that of the swap, residual value(*key) - sign
+        value(*mirror); then (key, None, names) when the stored support
+        hits basis elements of a parity other than the key's.  Only the
+        stored keys and their mirrors can break, so only they are visited,
+        in sorted order, each mirror one comparison of the integer view.
+        Nothing is yielded exactly when the bracket is super-skew."""
+        p, names = self.space.parities, self.space.names
         ints = self.integer[1]
-        a = ints.get(key, ())
-        b = ints.get(mirror, ())
-        if a == (b if sign > 0 else tuple((m, -x) for m, x in b)):
-            return None
-        return tuple(x - sign * y
-                     for x, y in zip(self.value(*key), self.value(*mirror)))
+        slots = range(self.arity - 1)
 
-    @cached_property
-    def super_skew(self) -> bool:
-        """Whether the stored entries are those of a super-skew bracket
-        that obeys the parity law: every ordering of a stored key is
-        stored, each equals its canonical vector times the canonicalize
-        sign, and no stored support misses the key's parity.  Exactly
-        when the skew and parity-law checks pass on every basis tuple.
-        Read from the integer view once per frozen bracket."""
-        p = self.space.parities
-        ints = self.integer[1]
-        for key, terms in ints.items():
-            canon, sign, zero = canonicalize(key, p)
-            base = ints.get(canon)
-            if zero or base is None or self.parity_misses(key):
-                return False
-            if terms != (base if sign > 0 else tuple((m, -x) for m, x in base)):
-                return False
-            if any(order not in ints for order in permutations(key)):
-                return False
-        return True
+        def swap(key, s):
+            return key[:s] + (key[s + 1], key[s]) + key[s + 2:]
 
-    def parity_misses(self, key) -> list:
-        """Names of the basis elements where [e_key] has a component of a
-        parity other than key's: the parity law, read from the support."""
-        p = self.space.parities
-        want = tuple_parity(key, p)
-        return [self.space.names[m] for m, _ in self.integer[1].get(key, ())
-                if p[m] != want]
+        keys = set(ints)
+        keys.update(swap(key, s) for key in ints for s in slots)
+        for key in sorted(keys):
+            a = ints.get(key, ())
+            for s in slots:
+                sign = 1 if p[key[s]] and p[key[s + 1]] else -1
+                b = ints.get(swap(key, s), ())
+                if a != (b if sign > 0 else tuple((m, -x) for m, x in b)):
+                    yield key, s, tuple(x - sign * y for x, y in zip(
+                        self.value(*key), self.value(*swap(key, s))))
+            want = tuple_parity(key, p)
+            bad = [names[m] for m, _ in a if p[m] != want]
+            if bad:
+                yield key, None, bad
 
     def composite(self, rows, free: int) -> dict:
         """{(a_1, ..., a_(n-1)): {c: terms}}: the integer bracket with e_c
@@ -585,10 +584,11 @@ def wedge_expand(rows, space: GradedSpace, sb: SkewBasis) -> dict:
     as its nonzero (index, value) pairs, as a sparse {position in sb:
     coefficient} map without zeros."""
     out = {}
+    index = sb.index
     for idx, a in _expand_terms(rows):
         t, sign, zero = canonicalize(idx, space.parities)
         if not zero:
-            pos = sb.index[t]
+            pos = index[t]
             old = out.get(pos, 0)
             out[pos] = old + a if sign > 0 else old - a
     return {pos: x for pos, x in out.items() if x}

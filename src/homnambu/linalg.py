@@ -43,11 +43,12 @@ class _Field:
         self.init, self.repr, self.compare = init, repr, compare
 
 
-def field(*, default_factory, init=True, repr=True, compare=True):
-    """A record field whose default_factory makes a fresh value for each
-    instance, and whether it is an __init__ argument, shown by __repr__
-    and compared by __eq__ and __hash__."""
-    return _Field(_MISSING, default_factory, init, repr, compare)
+def field(*, default=_MISSING, default_factory=_MISSING, init=True,
+          repr=True, compare=True):
+    """A record field: its default, or a default_factory that makes a
+    fresh value for each instance, and whether it is an __init__
+    argument, shown by __repr__ and compared by __eq__ and __hash__."""
+    return _Field(default, default_factory, init, repr, compare)
 
 
 def record(cls=None, *, frozen=False):

@@ -24,9 +24,8 @@ placement that the induction theorem actually proves:
 The bracket is a graded.SuperBracket of arity 3 holding only its nonzero
 structure vectors W(i,j,k), as its integer view (SuperBracket.integer,
 scale D_W), which every verifier reads.  verify_ternary_skew passes at once
-when the cached SuperBracket.super_skew holds; otherwise it compares each
-stored vector with its two mirrors as integers, equal or negated, and
-reads the parity law from the support.  verify_ternary_multiplicative and
+when SuperBracket.super_skew holds, and otherwise formats the bracket's
+skew_breaks walk.  verify_ternary_multiplicative and
 verify_induced_homomorphism are graded.compat_residuals.
 verify_hom_nambu evaluates the identity as a sparse join over integers.
 It takes the bracket's integer view, clears the denominators of both
@@ -112,39 +111,22 @@ def induce_ternary(g: HomLieSuper, tau: TraceFunctional,
 def verify_ternary_skew(t: TernaryHomLieSuper) -> Report:
     """Both adjacent-transposition laws and the parity law, all basis triples.
 
-    When the bracket is super_skew no triple can fail, and the empty
-    report is returned at once; the predicate is cached on the bracket, so
-    verify_hom_nambu's gate reads it for free.  Otherwise a triple can
-    fail only when (i,j,k), (j,i,k) or (i,k,j) is a stored entry, so only
-    those triples are visited, in sorted order: the findings
-    and their order are those of a loop over all dim^3 triples.  Each
-    mirror is one comparison of the integer view, equal or negated, and
-    the parity law is read from the stored support; a residual is computed
-    in Fractions only for a finding.
+    The findings are those of the bracket's skew_breaks walk, slots 0 and
+    1 named skew-12 and skew-23, in the order of a loop over all dim^3
+    triples; a super_skew bracket has none, and passes at once.
     """
     rep = Report("verify_ternary_skew")
-    b = t.bracket
-    if b.super_skew:
+    if t.bracket.super_skew:
         return rep
-    sp = t.space
-    p = sp.parities
-    triples = set()
-    for i, j, k in b.integer[1]:
-        triples.update(((i, j, k), (j, i, k), (i, k, j)))
-    for i, j, k in sorted(triples):
-        names = (sp.names[i], sp.names[j], sp.names[k])
-        r12 = b.mirror_residual((i, j, k), (j, i, k),
-                                1 if (p[i] and p[j]) else -1)
-        if r12 is not None:
-            rep.fail("skew-12", witness=names, residual=tuple(fmt_vec(r12)))
-        r23 = b.mirror_residual((i, j, k), (i, k, j),
-                                1 if (p[j] and p[k]) else -1)
-        if r23 is not None:
-            rep.fail("skew-23", witness=names, residual=tuple(fmt_vec(r23)))
-        bad = b.parity_misses((i, j, k))
-        if bad:
-            rep.fail("parity-law", witness=names,
-                     detail=f"output hits {bad[0]}")
+    names = t.space.names
+    for key, slot, found in t.bracket.skew_breaks():
+        witness = tuple(names[i] for i in key)
+        if slot is None:
+            rep.fail("parity-law", witness=witness,
+                     detail=f"output hits {found[0]}")
+        else:
+            rep.fail(("skew-12", "skew-23")[slot], witness=witness,
+                     residual=tuple(fmt_vec(found)))
     return rep
 
 

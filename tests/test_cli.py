@@ -162,10 +162,37 @@ def test_pretty_flag_same_payload():
     assert pretty.count("\n") > compact.count("\n")
 
 
+def usage_error(argv, command):
+    """The argparse message of a refused command line, after checking it
+    got the one-line exit-2 report of that command."""
+    code, out = run(argv)
+    assert code == 2, argv
+    assert out.endswith("\n") and out.count("\n") == 1, out
+    doc = json.loads(out)
+    assert set(doc) == {"command", "error"} and doc["command"] == command
+    return doc["error"]
+
+
 def test_binary_adjoint_not_a_cli_complex():
-    with pytest.raises(SystemExit):
-        run(["cohomology", str(FIXTURES / "gl11.json"),
-             "--complex", "binary-adjoint", "--degree", "2"])
+    error = usage_error(["cohomology", FIXTURES / "gl11.json", "--complex",
+                         "binary-adjoint", "--degree", "2"], "cohomology")
+    assert error.startswith("argument --complex: invalid choice: "
+                            "'binary-adjoint'")
+
+
+def test_usage_errors_get_the_error_report_and_help_is_unchanged(capsys):
+    assert usage_error([], "homnambu").startswith(
+        "the following arguments are required")
+    assert "invalid choice: 'nope'" in usage_error(
+        ["check", "nope", FIXTURES / "gl11.json"], "check")
+    assert "--degree" in usage_error(
+        ["cohomology", FIXTURES / "gl11.json", "--complex",
+         "binary-scalar"], "cohomology")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: homnambu check [-h] [--pretty]")
 
 
 def test_cochain_parity_must_be_a_bit(tmp_path):
@@ -308,12 +335,11 @@ def test_unbuilt_cohomology_degree_exits_2():
 
 
 def test_seed_and_rmax_only_where_read():
-    with pytest.raises(SystemExit) as exc:
-        run(["center", FIXTURES / "gl11_induced.json", "--rmax", "3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["series", "derived", FIXTURES / "gl11.json", "--seed", "1"])
-    assert exc.value.code == 2
+    assert usage_error(["center", FIXTURES / "gl11_induced.json", "--rmax",
+                        "3"], "center") == "unrecognized arguments: --rmax 3"
+    assert usage_error(["series", "derived", FIXTURES / "gl11.json",
+                        "--seed", "1"],
+                       "series") == "unrecognized arguments: --seed 1"
     code, out = run(["series", "derived", FIXTURES / "gl11_induced.json",
                      "--rmax", "2"])
     assert code == 0
@@ -397,11 +423,12 @@ def test_representation_matrix_for_unknown_id_exits_2(tmp_path):
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     """Every call of the console script imports the package afresh, so
     the records are built without the standard library's dataclasses,
-    which would load inspect and typing.  A fresh interpreter without
-    site, so nothing else can load them first."""
+    which would load inspect and typing, and random is imported only by
+    transfer-checks, which reads it.  A fresh interpreter without site,
+    so nothing else can load them first."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys\nimport homnambu.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'typing'}"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'random'}"
             " & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(src)),

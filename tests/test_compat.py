@@ -2,12 +2,13 @@
 against the five loops it replaced; verify_representation, verify_skew,
 the induced bracket and induce_cocycle against their former loops.
 
-The oracles below are those loops, kept as they were: each evaluates in
-Fractions, and the compat loops read every column of the map inside the
-loop.  The findings of the package's checks must equal theirs in full
-(check names, witnesses in order, residuals), yau_twist must raise the
-same message, on failing inputs, and the integer induction must build the
-same brackets and cochains, entry for entry and in the same order.
+The oracles below, and oracles.skew_oracle, are those loops, kept as
+they were: each evaluates in Fractions, and the compat loops read every
+column of the map inside the loop.  The findings of the package's checks
+must equal theirs in full (check names, witnesses in order, residuals),
+yau_twist must raise the same message, on failing inputs, and the
+integer induction must build the same brackets and cochains, entry for
+entry and in the same order.
 """
 
 import random
@@ -36,27 +37,7 @@ from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               induce_ternary, verify_induced_homomorphism,
                               verify_ternary_multiplicative)
 
-from oracles import parity_law_violations
-
-
-def skew_oracle(a):
-    rep = Report("verify_skew")
-    sp = a.space
-    for i in range(sp.dim):
-        for j in range(i, sp.dim):
-            sign = 1 if (sp.parities[i] and sp.parities[j]) else -1
-            resid = vec_add(a.bracket.value(i, j),
-                            vec_scale(-sign, a.bracket.value(j, i)))
-            if not is_zero_vec(resid):
-                rep.fail("skew", witness=(sp.names[i], sp.names[j]),
-                         residual=tuple(fmt_vec(resid)))
-            want = (sp.parities[i] + sp.parities[j]) % 2
-            bad = parity_law_violations(sp, a.bracket.value(i, j), want)
-            if bad:
-                rep.fail("parity-law", witness=(sp.names[i], sp.names[j]),
-                         detail=f"output hits {bad}")
-    rep.metrics["pairs_checked"] = sp.dim * (sp.dim + 1) // 2
-    return rep
+from oracles import parity_law_violations, skew_oracle
 
 
 def multiplicative_oracle(a):

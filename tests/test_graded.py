@@ -8,15 +8,18 @@ from itertools import permutations, product
 import pytest
 
 from homnambu.binary import HomLieSuper, SuperBracket2, verify_skew
+from homnambu.cohomology import make_cochain
 from homnambu.fixtures import (conjugate_gl11, gl11, gl11t, induced_gl11,
                                neg_skew)
-from homnambu.graded import (GradedMap, GradedSpace, InputError, canonicalize,
-                             graded_space, identity_map, koszul_sign,
-                             skew_basis, supertrace, tuple_parity,
-                             wedge_expand)
-from homnambu.linalg import Matrix, frac, nonzero_terms
+from homnambu.graded import (GradedMap, GradedSpace, InputError, SuperBracket,
+                             canonicalize, graded_space, identity_map,
+                             is_canonical, koszul_sign, skew_basis,
+                             supertrace, tuple_parity, wedge_expand)
+from homnambu.linalg import Matrix, Subspace, frac, nonzero_terms
 from homnambu.reps import trace_functional
-from homnambu.ternary import SuperBracket3, induce_ternary
+from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
+                              induce_ternary, verify_hom_nambu,
+                              verify_ternary_skew)
 
 
 def bfs_koszul(perm, parities):
@@ -313,11 +316,11 @@ def test_building_the_integer_view_leaves_equality_alone():
         SuperBracket3.from_vectors(t.space, {(0, 2): (1, 0, 0, 0)})
 
 
-def test_super_skew_predicate_is_cached_and_matches_binary_skew():
+def test_super_skew_is_fixed_at_construction_and_matches_binary_skew():
     lie, _ = gl11()
     b = lie.bracket
     fresh = b.with_entry(0, 0, (0, 1, 0, 0))          # an even index repeats
-    assert "super_skew" not in vars(fresh)
+    assert "super_skew" in vars(b) and "super_skew" in vars(fresh)
     cases = [
         b,
         neg_skew().bracket,
@@ -329,7 +332,63 @@ def test_super_skew_predicate_is_cached_and_matches_binary_skew():
             (3, 2): (1, 1, 1, 0)}),                   # parity law broken
     ]
     assert [c.super_skew for c in cases] == [True] + [False] * 5
-    assert "super_skew" in vars(fresh)
     for c in cases:
         rep = verify_skew(HomLieSuper(lie.space, c, lie.alpha))
         assert c.super_skew == (rep.verdict == "pass")
+        assert c.super_skew == (next(c.skew_breaks(), None) is None)
+        assert "super_skew" not in repr(c)
+    assert fresh == SuperBracket2(b.space, fresh.integer, True)
+
+
+def test_only_raw_brackets_walk_for_super_skew(monkeypatch):
+    """from_integer, so from_canonical and every induced bracket, is
+    super-skew by construction and never walks; from_vectors and the raw
+    constructor walk once, when the bracket is built."""
+    unskewed = neg_skew().bracket.integer
+    calls = []
+    walk = SuperBracket.skew_breaks
+
+    def counted(self):
+        calls.append(self.arity)
+        return walk(self)
+
+    monkeypatch.setattr(SuperBracket, "skew_breaks", counted)
+    lie, rep = gl11()
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+    d, view = t.bracket.integer
+    p = lie.space.parities
+    canonical = {k: v for k, v in view.items() if is_canonical(k, p)}
+    built = [SuperBracket3.from_integer(lie.space, d, canonical),
+             SuperBracket3.from_canonical(lie.space,
+                                          t.bracket.canonical_coeffs()),
+             SuperBracket2.from_canonical(lie.space,
+                                          lie.bracket.canonical_coeffs())]
+    assert calls == [] and t.bracket.super_skew
+    assert all(b.super_skew for b in built) and calls == []
+    raw = SuperBracket3.from_vectors(lie.space, t.bracket.vectors())
+    assert calls == [3] and raw.super_skew and raw == t.bracket
+    assert not SuperBracket2(lie.space, unskewed).super_skew
+    assert calls == [3, 2]
+
+
+def test_reading_a_record_adds_no_attribute():
+    """Nothing is filled in on a bracket, a SkewBasis or a Cochain after
+    it is built: their derived fields are set in __init__."""
+    lie, rep = gl11()
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+    raw = t.bracket.with_entry(2, 0, 3, (0, 0, 0, 0))
+    sb = skew_basis(2, lie.space)
+    c = make_cochain("ternary-adjoint", 2, lie.space,
+                     {((0, 1), 2): (0, 0, 1, 0)})
+    records = [t.bracket, raw, lie.bracket, sb, c]
+    before = [dict(vars(r)) for r in records]
+    full = Subspace.full(lie.dim)
+    for b in (t.bracket, raw):
+        b.span(full, full, full)
+        tb = TernaryHomLieSuper(lie.space, b, t.alpha1, t.alpha2)
+        verify_ternary_skew(tb)
+        verify_hom_nambu(tb)
+    lie.bracket.span(full, full)
+    wedge_expand([[(0, 1)], [(2, 1)]], lie.space, sb)
+    assert c.values[((0, 1), 2)] == (0, 0, 1, 0)
+    assert [dict(vars(r)) for r in records] == before

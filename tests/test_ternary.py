@@ -13,8 +13,9 @@ from homnambu.binary import (HomLieSuper, SuperBracket2, verify_hom_jacobi,
                              verify_skew, yau_twist)
 from homnambu.fixtures import (alpha_t, central_twist, conjugate_gl11,
                                conjugate_pair, gl11, gl11t, glmn, induced_gl11,
-                               matrix_units, neg_nambu, neg_ternary_mult,
-                               neg_ternary_skew, random_even_invertible)
+                               matrix_units, neg_nambu, neg_skew,
+                               neg_ternary_mult, neg_ternary_skew,
+                               random_even_invertible)
 from homnambu.graded import (GradedMap, canonicalize, identity_map, skew_basis,
                              tuple_parity)
 from homnambu.linalg import (InputError, Matrix, Subspace, frac, is_zero_vec,
@@ -30,7 +31,7 @@ from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               verify_ternary_multiplicative,
                               verify_ternary_skew)
 
-from oracles import parity_law_violations
+from oracles import parity_law_violations, skew_oracle
 
 
 def induced_value_oracle(g, tau, x, y, z):
@@ -441,6 +442,16 @@ def test_raw_brackets_keep_their_skew_findings():
         assert got == want[arity, case], (arity, case)
         if arity == 3:
             assert rep.findings == dense_skew_findings(a)
+
+
+def test_binary_skew_matches_the_dense_pair_loop():
+    """verify_skew, which formats the bracket's skew walk on the pairs
+    i <= j, against the Fraction loop over every such pair, finding for
+    finding, on the binary raw cases and neg_skew."""
+    cases = [a for arity, _, a in raw_skew_cases() if arity == 2]
+    for a in cases + [neg_skew()]:
+        rep = verify_skew(a)
+        assert rep.findings and rep.findings == skew_oracle(a).findings
 
 
 @pytest.mark.parametrize("build", [induced_gl11, neg_ternary_skew,
