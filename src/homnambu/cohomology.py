@@ -12,10 +12,11 @@ Every coboundary, so every degree with cohomology, is one entry of
 _BUILDERS, a table from (complex, degree) to a builder of value-free rows
 on the keys alone, since no cochain value ever enters a bracket.  Each
 formula is written once, on a scalar complex, summed in ints over the
-views the identity checkers read (SuperBracket.integer, and the twist's
-columns from integer_terms): a builder returns the integer rows, a
-linalg.Matrix of ints, and one exact multiplier.  _scalar_rows gives an
-adjoint complex the scalar rows.
+views the identity checkers read (SuperBracket.integer, the twist's
+columns from integer_terms, and one graded.wedge_table per call for the
+signed canonical position of every wedge of basis vectors): a builder
+returns the integer rows, a linalg.Matrix of ints, and one exact
+multiplier.  _scalar_rows gives an adjoint complex the scalar rows.
 
   binary-scalar   1-3  d_s, the sum over i<j of signed
                        f([x_i,x_j], alpha(...)) terms, 1/(D_W D_alpha^(p-1));
@@ -27,18 +28,34 @@ adjoint complex the scalar rows.
   ternary-adjoint 1-2  the scalar delta1, and each scalar delta2 term
                        times 1 + (-1)^{|f| e} (see _leibniz_rows).
 
-The rows are memoized on the algebra under (complex, degree, parity);
-only the ternary-adjoint delta2 reads the parity.  An adjoint coboundary
-applies its value-free rows once per output index, so its matrix is
-block-diagonal across the outputs: coboundary_matrix, the one dispatcher
-and the one place the rows become Fractions, scales them and lifts them,
-moving column j of output o to j*dim + o.  Every coboundary of a given
-cochain goes through _apply, which sums in ints and returns the nonzero
-outputs; apply_coboundary alone makes them dense.  Cohomology and cocycle
-bases (cohomology_dims, cocycles) take each parity block of the integer
-rows, eliminate it once per key parity, and count, or place, it once per
-output it serves; the key parities they select by are computed from the
-pair parities, prefix by prefix, without listing the keys.
+Coboundaries keep parity: the row of a key of parity q reads only
+columns of keys of parity q, on a bracket that keeps the parity law
+(one that breaks it has no coboundary here, a precondition error).  So a
+builder takes a key parity q and builds one block, the rows whose keys
+have parity q in key order, their columns numbered among the parity-q
+columns.  _parity_keys is the one numbering of a block's rows and
+columns, which the builders and the assembly read; a builder raises on
+a term outside its columns rather than drop it.  Each block is memoized
+on the algebra under (complex, degree, parity, q), built when first
+read; only the ternary-adjoint delta2 reads the parity, and its even
+blocks are the scalar delta2's objects.  Before a block is built the
+operator is checked: the parity law, and the whole-operator row count,
+taken from the key shapes, against MAX_COBOUNDARY_ROWS.
+
+An adjoint coboundary applies its value-free rows once per output index,
+so its matrix is block-diagonal across the outputs.  coboundary_matrix,
+the one whole-operator form, built on each call, interleaves the two
+blocks back into key order, scales them and lifts them, moving key
+column j of output o to j*dim + o; it is the one place the rows become
+Fractions.  Every coboundary of a given cochain goes through _apply,
+which reads only the blocks whose columns the nonzero coordinates touch,
+sums in ints and returns the nonzero outputs; apply_coboundary alone
+makes them dense.  Cohomology and cocycle bases (cohomology_dims,
+cocycles) eliminate each block they need once per key parity and count,
+or place, it once per output it serves: a scalar cochain of parity f
+needs the parity-f block alone, so a scalar (Z, B, H) builds only the
+even blocks.
+
 induce_cocycle transfers a binary 2-cocycle with
 reps.TraceFunctional.induce, the formula that also builds the induced
 bracket, on the cocycle's values cleared of denominators once.
@@ -50,7 +67,7 @@ from itertools import product
 
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
-                     wedge_expand)
+                     wedge_expand, wedge_table)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      field, frac, image, integer_terms, kernel, solve, vec,
                      vec_add, vec_scale, zero_vec, is_zero_vec, record, ZERO)
@@ -60,6 +77,7 @@ from .ternary import TernaryHomLieSuper
 
 # the most rows a coboundary is built with: a larger one is an input error
 MAX_COBOUNDARY_ROWS = 1 << 20
+_PARITY_LAW = "coboundaries need a bracket that keeps the parity law"
 
 
 def _check_degree(cx: str, degree: int) -> None:
@@ -101,8 +119,8 @@ def _key_parities(cx: str, degree: int, space: GradedSpace) -> list:
     """The parity of each key of cochain_keys(cx, degree, space), in
     order: the sum of its parts' parities, mod 2.  A ternary key is a pair
     prefix and an element, so its parities are those of the prefixes,
-    pair by pair, each combined with every element's, without listing
-    the keys."""
+    summed pair by pair, each combined with every element's, without
+    listing the keys."""
     _check_degree(cx, degree)
     p = space.parities
     if cx.startswith("binary"):
@@ -112,6 +130,14 @@ def _key_parities(cx: str, degree: int, space: GradedSpace) -> list:
     for _ in range(degree - 1):
         prefix = [a ^ b for a in prefix for b in pairp]
     return [a ^ b for a in prefix for b in p]
+
+
+def _parity_keys(cx: str, degree: int, space: GradedSpace, q: int) -> list:
+    """The positions in cochain_keys(cx, degree, space) of the keys of
+    parity q, in order: the one numbering of a key-parity block's rows and
+    columns, which the builders and the block assembly all read."""
+    return [n for n, kp in enumerate(_key_parities(cx, degree, space))
+            if kp == q]
 
 
 def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
@@ -225,21 +251,30 @@ def binary_pair_eval(c: Cochain, i: int, j: int):
 def _row_keys(cx: str, degree: int, space: GradedSpace) -> tuple:
     """The degree + 1 keys each value-free row of the cx coboundary on
     degree-cochains is keyed by, those of the scalar complex it reads."""
-    return cochain_keys(cx.replace("adjoint", "scalar"), degree + 1, space)
+    return cochain_keys(_scalar(cx), degree + 1, space)
 
 
-def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> tuple:
+def _scalar(cx: str) -> str:
+    return cx.replace("adjoint", "scalar")
+
+
+def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int,
+             q: int) -> tuple:
     """d_s f(x_0, ..., x_p) = sum_{i<j} (-1)^{i+j} eps_ij
     f([x_i, x_j], a x_0, ..^i..^j.., a x_p), eps_ij the Koszul sign of
-    moving x_i, then x_j, to the front, times 1/(D_W D_alpha^(p-1))."""
+    moving x_i, then x_j, to the front, times 1/(D_W D_alpha^(p-1)), on
+    the rows and columns of key parity q; a term on a column of the other
+    parity is a precondition error."""
     sp = g.space
     par = sp.parities
-    sb_in = skew_basis(degree, sp)
+    table = wedge_table(degree, sp, skew_basis(degree, sp).index)
+    cols = {j: n for n, j in enumerate(_parity_keys(cx, degree, sp, q))}
     dw, W = g.bracket.integer
     da, acols = integer_terms(g.alpha.matrix.transpose().entries)
     k = degree + 1
+    keys = _row_keys(cx, degree, sp)
     rows = []
-    for X in _row_keys(cx, degree, sp):
+    for X in (keys[i] for i in _parity_keys(cx, k, sp, q)):
         row = {}
         for i in range(k):
             for j in range(i + 1, k):
@@ -248,15 +283,18 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> tuple:
                 s = -1 if (i + j + moved) % 2 else 1
                 args = [W.get((X[i], X[j]), ())] + [
                     acols[X[t]] for t in range(k) if t != i and t != j]
-                for c, x in wedge_expand(args, sp, sb_in).items():
+                for c, x in wedge_expand(args, table).items():
                     row[c] = row.get(c, 0) + s * x
-        rows.append(row)
-    return (Matrix.from_rows(rows, len(sb_in.tuples)),
+        try:
+            rows.append({cols[c]: x for c, x in row.items()})
+        except KeyError:
+            raise PreconditionError(_PARITY_LAW) from None
+    return (Matrix.from_rows(rows, len(cols)),
             Fraction(1, dw * da ** (degree - 1)))
 
 
-def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
-                  fpar: int) -> tuple:
+def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int, fpar: int,
+                  q: int) -> tuple:
     """The Leibniz coboundary on fundamental objects, p = degree, i from 1:
 
       sum_{i<j} (-1)^i (-1)^{|X_i|(|X_i+1| + .. + |X_j-1|)}
@@ -269,40 +307,47 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
     The ternary-adjoint delta2 adds each term again times (-1)^{|f| e}, e =
     0 or |y1| on the wedges of [X,Y]_a and the other pair's parity on an
     action term: an even cochain sees the scalar rows at twice their
-    multiplier, an odd one the terms with e even, doubled.
+    multiplier, an odd one the terms with e even, doubled.  Only the rows
+    (X, z) of key parity q are built, z completing the parity of X.
     """
     adjoint = cx == "ternary-adjoint"
     if adjoint and not fpar:
-        rows, multiplier = _rows(t, "ternary-scalar", degree)
+        rows, multiplier = _rows(t, "ternary-scalar", degree, 0, q)
         return rows, 2 * multiplier
     if not t.same_twists():
         raise PreconditionError("ternary cohomology needs alpha1 = alpha2")
     sp = t.space
     p, dim = sp.parities, sp.dim
-    sb = skew_basis(2, sp)
-    pairs = sb.tuples
+    sb2 = skew_basis(2, sp)
+    pairs = sb2.tuples
     npairs = len(pairs)
-    pairp = [tuple_parity(q, p) for q in pairs]
+    pairp = [tuple_parity(pair, p) for pair in pairs]
+    table = wedge_table(2, sp, sb2.index)
     dw, W = t.bracket.integer
     da, acols = integer_terms(t.alpha1.matrix.transpose().entries)
     acts = [[W.get((x1, x2, k), ()) for k in range(dim)] for x1, x2 in pairs]
-    apairs = [wedge_expand([acols[i], acols[j]], sp, sb).items()
+    apairs = [wedge_expand([acols[i], acols[j]], table).items()
               for i, j in pairs] if degree > 1 else []
-    # the z whose element terms are nonzero: per pair, then for the twist
-    *actz, az = [[(z, terms) for z, terms in enumerate(per_z) if terms]
+    # the z of each parity whose element terms are nonzero: per pair, then
+    # for the twist
+    *actz, az = [[[(z, terms) for z, terms in enumerate(per_z)
+                   if terms and p[z] == e] for e in (0, 1)]
                  for per_z in (*acts, acols)]
-    # the columns of each pair prefix's keys, one int object per column
-    cols = [list(range(b * dim, (b + 1) * dim))
-            for b in range(npairs ** (degree - 1))]
+    # per pair prefix of the columns, {element: its column among the
+    # parity-q columns}; an element missing there is a term outside them
+    keys = _parity_keys(cx, degree, sp, q)
+    cols = [{} for _ in range(npairs ** (degree - 1))]
+    for n, j in enumerate(keys):
+        cols[j // dim][j % dim] = n
 
     @lru_cache(maxsize=None if degree > 2 else 0)  # pairs recur from p = 3
     def bracket(P, Q):
         """[X_P, X_Q]_a, less the wedge of odd e on the odd adjoint side."""
         q1, q2 = pairs[Q]
-        out = wedge_expand([acts[P][q1], acols[q2]], sp, sb)
+        out = wedge_expand([acts[P][q1], acols[q2]], table)
         if not (adjoint and p[q1]):
             s = -1 if pairp[P] and p[q1] else 1
-            for c, x in wedge_expand([acols[q1], acts[P][q2]], sp, sb).items():
+            for c, x in wedge_expand([acols[q1], acts[P][q2]], table).items():
                 out[c] = out.get(c, 0) + s * x
         return out.items()
 
@@ -316,34 +361,39 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
             for z, elem_terms in elem_table:
                 row = block[z]
                 for m, cm in elem_terms:
-                    c = col[m]
+                    c = col[m]  # KeyError: a term outside key parity q
                     row[c] = row.get(c, 0) + cr * cm
 
     rows = []
-    for X in product(range(npairs), repeat=degree):
-        par = [pairp[P] for P in X]
-        block = [{} for _ in range(dim)]
-        for i in range(degree):  # i + 1 is the formula's i
-            if not (adjoint and (sum(par) - par[i]) % 2):
-                add(block, [apairs[X[k]] for k in range(degree) if k != i],
-                    i + 1 + par[i] * sum(par[i + 1:]), actz[X[i]])
-            for j in range(i + 1, degree):
-                add(block, [bracket(X[i], X[j]) if k == j else apairs[X[k]]
-                            for k in range(degree) if k != i],
-                    i + 1 + par[i] * sum(par[i + 1:j]), az)
-        rows.extend(block)
-    return (Matrix.from_rows(rows, len(cols) * dim),
+    try:
+        for X in product(range(npairs), repeat=degree):
+            par = [pairp[P] for P in X]
+            e = q ^ sum(par) % 2  # the parity of the rows' elements z
+            block = {z: {} for z in range(dim) if p[z] == e}
+            for i in range(degree):  # i + 1 is the formula's i
+                if not (adjoint and (sum(par) - par[i]) % 2):
+                    add(block, [apairs[X[k]] for k in range(degree) if k != i],
+                        i + 1 + par[i] * sum(par[i + 1:]), actz[X[i]][e])
+                for j in range(i + 1, degree):
+                    add(block, [bracket(X[i], X[j]) if k == j else apairs[X[k]]
+                                for k in range(degree) if k != i],
+                        i + 1 + par[i] * sum(par[i + 1:j]), az[e])
+            rows.extend(block.values())
+    except KeyError:
+        raise PreconditionError(_PARITY_LAW) from None
+    return (Matrix.from_rows(rows, len(keys)),
             Fraction(2 if adjoint else 1, dw * da ** (2 * degree - 2)))
 
 
-def _scalar_rows(obj, cx: str, degree: int, parity: int) -> tuple:
+def _scalar_rows(obj, cx: str, degree: int, parity: int, q: int) -> tuple:
     """The scalar rows, which an adjoint coboundary reads once per output."""
-    return _rows(obj, cx.replace("adjoint", "scalar"), degree)
+    return _rows(obj, _scalar(cx), degree, 0, q)
 
 
-# (complex, degree) -> the builder of the value-free rows of the coboundary
-# on that complex's degree-cochains, called as build(obj, cx, degree, parity)
-# and returning (integer rows, multiplier)
+# (complex, degree) -> the builder of the value-free rows of key parity q
+# of the coboundary on that complex's degree-cochains, called as
+# build(obj, cx, degree, parity, q) and returning (integer rows,
+# multiplier), the rows' columns numbered among the parity-q columns
 _BUILDERS = {**{("binary-scalar", p): _ds_rows for p in (1, 2, 3)},
              ("binary-adjoint", 1): _scalar_rows,
              ("binary-adjoint", 2): _scalar_rows,
@@ -356,63 +406,115 @@ _DEGREES = {cx: (*ds, ds[-1] + 1) for cx, ds in _DEGREES.items()}
 COMPLEXES = tuple(_DEGREES)
 
 
-def _rows(obj, cx: str, degree: int, parity: int = 0) -> tuple:
-    """(integer rows, multiplier) of the cx coboundary on degree-cochains,
-    built once per algebra and kept in obj.memo.  Only the ternary-adjoint
-    delta2 reads the cochain parity, mod 2; every other entry is under 0."""
+def _row_count(cx: str, degree: int, space: GradedSpace) -> int:
+    """The rows of the whole cx coboundary on degree-cochains, counted from
+    the key shapes: a ternary row key is degree canonical pairs, i < j or
+    i = j odd, and an element; a binary one is a canonical (degree +
+    1)-tuple, each even index in it at most once, an odd one any number of
+    times, so ways[r] counts the r-tuples over the indices taken so far."""
+    dim, odd = space.dim, sum(space.parities)
+    if cx.startswith("ternary"):
+        return (dim * (dim - 1) // 2 + odd) ** degree * dim
+    ways = [1] + [0] * (degree + 1)
+    for par in space.parities:
+        ways = [sum(ways[r - m] for m in range((r if par else min(r, 1)) + 1))
+                for r in range(degree + 2)]
+    return ways[-1]
+
+
+def _check_operator(obj, cx: str, degree: int):
+    """The builder of the cx coboundary on degree-cochains, once obj fits
+    cx, its bracket keeps the parity law the blocks split by, and the
+    whole operator's row count is within MAX_COBOUNDARY_ROWS."""
     build = _BUILDERS.get((cx, degree)) if type(degree) is int else None
     if build is None:
         raise InputError(f"no coboundary for {cx} cochains of degree {degree!r}")
     if cx.startswith("ternary") != isinstance(obj, TernaryHomLieSuper):
         raise InputError(f"complex {cx} does not match the given algebra")
+    n = _row_count(cx, degree, obj.space)
+    if n > MAX_COBOUNDARY_ROWS:
+        raise InputError(f"the {cx} coboundary of degree {degree} has "
+                         f"{n} rows, over the cap of {MAX_COBOUNDARY_ROWS}")
+    if not obj.bracket.super_skew and any(
+            s is None for _, s, _ in obj.bracket.skew_breaks()):
+        raise PreconditionError(_PARITY_LAW)
+    return build
+
+
+def _rows(obj, cx: str, degree: int, parity: int, q: int) -> tuple:
+    """(integer rows, multiplier) of the key-parity-q block of the cx
+    coboundary on degree-cochains, built once per algebra and kept in
+    obj.memo under (cx, degree, parity, q); the operator is checked before
+    a block is built, so a block in the memo was checked on obj.  Only the
+    ternary-adjoint delta2 reads the cochain parity, mod 2; every other
+    entry is under 0."""
     parity = parity % 2 if (cx, degree) == ("ternary-adjoint", 2) else 0
-    key = (cx, degree, parity)
-    if key not in obj.memo:
-        n = (len(skew_basis(degree + 1, obj.space)) if cx.startswith("binary")
-             else len(skew_basis(2, obj.space)) ** degree * obj.dim)
-        if n > MAX_COBOUNDARY_ROWS:
-            raise InputError(f"the {cx} coboundary of degree {degree} has "
-                             f"{n} rows, over the cap of {MAX_COBOUNDARY_ROWS}")
-        obj.memo[key] = build(obj, cx, degree, parity)
+    key = (cx, degree, parity, q)
+    if type(degree) is not int or key not in obj.memo:
+        build = _check_operator(obj, cx, degree)
+        obj.memo[key] = build(obj, cx, degree, parity, q)
     return obj.memo[key]
 
 
 def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
     """The cx coboundary of degree-cochains of this parity, on full cochain
-    coordinates, built on each call: the value-free rows times the
-    multiplier, each row applied once per output index o, reading the
-    output-o coordinate of every key, so column j moves to j*dim + o."""
-    rows, multiplier = _rows(obj, cx, degree, parity)
-    dim = _width(cx, obj.space)
-    return Matrix(rows.rows * dim, rows.cols * dim, tuple(
-        tuple((j * dim + o, multiplier * x) for j, x in row)
-        for row in rows.entries for o in range(dim)))
+    coordinates, built on each call: the two key-parity blocks' rows,
+    interleaved back into key order with their columns placed back, times
+    the multiplier, each row applied once per output index o, reading the
+    output-o coordinate of every key, so key column j moves to j*dim + o."""
+    blocks = [_rows(obj, cx, degree, parity, q) for q in (0, 1)]
+    space = obj.space
+    dim = _width(cx, space)
+    cols = [_parity_keys(cx, degree, space, q) for q in (0, 1)]
+    rows = [iter(m.entries) for m, _ in blocks]
+    entries = []
+    for rp in _key_parities(_scalar(cx), degree + 1, space):
+        row, col, multiplier = next(rows[rp]), cols[rp], blocks[rp][1]
+        entries.extend(tuple((col[j] * dim + o, multiplier * x)
+                             for j, x in row) for o in range(dim))
+    return Matrix(len(entries), (len(cols[0]) + len(cols[1])) * dim,
+                  tuple(entries))
 
 
 def _apply(obj, cx: str, degree: int, parity: int, coords) -> dict:
     """coboundary_matrix(obj, cx, degree, parity).apply(coords) as a map
     {coordinate: Fraction} of its nonzero values, not in coordinate order,
     summed in ints: the coordinates' denominators are cleared once (by D),
-    each row is summed per output over the integer coordinates at its key
-    columns, and each nonzero sum is multiplied once, by multiplier / D."""
-    m, multiplier = _rows(obj, cx, degree, parity)
-    dim = _width(cx, obj.space)
-    if len(coords) != m.cols * dim:
+    and only the key-parity blocks whose columns they touch are read, any
+    parities mixed; each block row is summed per output over the integer
+    coordinates at its key columns, and each nonzero sum is multiplied
+    once, by multiplier / D.  Zero coordinates read no block, so the
+    operator is checked for them alone."""
+    space = obj.space
+    dim = _width(cx, space)
+    place = {}  # key column -> (its parity, its place among that parity's)
+    for q in (0, 1):
+        place.update((j, (q, n)) for n, j
+                     in enumerate(_parity_keys(cx, degree, space, q)))
+    if len(coords) != len(place) * dim:
         raise InputError("vector length mismatch in apply")
     d, (terms,) = integer_terms([enumerate(coords)])
-    scale = multiplier / d
-    at = {}  # key column -> its (output, integer coordinate) pairs
+    at = ({}, {})  # per key parity: block column -> (output, integer) pairs
     for j, x in terms:
-        at.setdefault(j // dim, []).append((j % dim, x))
+        q, n = place[j // dim]
+        at[q].setdefault(n, []).append((j % dim, x))
+    if not (at[0] or at[1]):
+        _check_operator(obj, cx, degree)
     out = {}
-    for i, row in enumerate(m.entries):
-        sums = {}
-        for c, x in row:
-            for o, y in at.get(c, ()):
-                sums[o] = sums.get(o, 0) + x * y
-        for o, s in sums.items():
-            if s:
-                out[i * dim + o] = s * scale
+    for q in (0, 1):
+        if not at[q]:
+            continue
+        m, multiplier = _rows(obj, cx, degree, parity, q)
+        scale = multiplier / d
+        for i, row in zip(_parity_keys(_scalar(cx), degree + 1, space, q),
+                          m.entries):
+            sums = {}
+            for c, x in row:
+                for o, y in at[q].get(c, ()):
+                    sums[o] = sums.get(o, 0) + x * y
+            for o, s in sums.items():
+                if s:
+                    out[i * dim + o] = s * scale
     return out
 
 
@@ -425,38 +527,29 @@ def apply_coboundary(obj, c: Cochain) -> Cochain:
 
 
 def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
-    """The parity block of the cx coboundary on degree-cochains, taken on
-    the value-free rows once per key parity q: {q: (block, places)}.
+    """The parity block of the cx coboundary on degree-cochains, one per
+    key parity q it reads: {q: (block, places)}.
 
-    block keeps the rows and columns whose keys have parity q; places has
-    one entry per output the block serves, the cochain coordinate of each
-    block column there.  A scalar cochain of parity f lives on the keys of
-    parity f.  The adjoint lift is block-diagonal across the output o, so
+    block is the memoized parity-q rows, their columns numbered among the
+    parity-q columns; places has one entry per output the block serves,
+    the cochain coordinate of each block column there.  A scalar cochain
+    of parity f lives on the keys of parity f, so only that block is
+    built.  The adjoint lift is block-diagonal across the output o, so
     output o sees the keys of parity f + |o|, and each key parity is
     eliminated once however many outputs it serves.  Coboundaries keep
-    parity, so the kernel of a block is the cocycle space there, and
-    every entry of a parity-q row already lies in a parity-q column: the
-    block renumbers each row's columns by their place among the parity-q
-    columns, which keeps them increasing, and filters nothing.
+    parity, so the kernel of a block is the cocycle space there.
     """
     space = obj.space
-    m = _rows(obj, cx, degree, parity)[0]
-    colp = _key_parities(cx, degree, space)
-    rowp = _key_parities(cx.replace("adjoint", "scalar"), degree + 1, space)
     dim = _width(cx, space)
     outputs = space.parities if dim > 1 else (0,)
-    cols, pos = ([], []), []
-    for j, kp in enumerate(colp):
-        pos.append(len(cols[kp]))  # j's place among the columns of its parity
-        cols[kp].append(j)
     blocks = {}
     for q in (0, 1):
-        places = [[j * dim + o for j in cols[q]]
-                  for o, po in enumerate(outputs) if (q + po) % 2 == parity % 2]
-        if places:
-            rows = tuple(tuple((pos[c], x) for c, x in row)
-                         for row, rp in zip(m.entries, rowp) if rp == q)
-            blocks[q] = (Matrix(len(rows), len(cols[q]), rows), places)
+        serves = [o for o, po in enumerate(outputs)
+                  if (q + po) % 2 == parity % 2]
+        if serves:
+            block = _rows(obj, cx, degree, parity, q)[0]
+            cols = _parity_keys(cx, degree, space, q)
+            blocks[q] = (block, [[j * dim + o for j in cols] for o in serves])
     return blocks
 
 

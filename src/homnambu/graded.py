@@ -19,8 +19,9 @@ denominators of Fraction values and calls it), and from_vectors takes any
 ordered entries; each leaves D least, so brackets with the same values
 compare equal.  value, eval_vectors, canonical_coeffs and table read
 Fractions off the view on demand; eval_vectors and wedge_expand, which
-writes v_1 ^ ... ^ v_r of sparse rows on a canonical tuple basis, share
-one multilinear expansion.  Every identity checker reads the view, and
+writes v_1 ^ ... ^ v_r of sparse rows through a wedge_table of the signed
+canonical position of every ordered index tuple, share one multilinear
+expansion.  Every identity checker reads the view, and
 only the residuals a report prints are divided back into Fractions:
 
 * span(S1, ..., Sn), the subspace spanned by [S1, ..., Sn], and
@@ -47,7 +48,7 @@ only the residuals a report prints are divided back into Fractions:
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _gcd,
                      field, integer_terms, is_zero_vec, kernel, nonzero_terms,
@@ -579,16 +580,29 @@ def compat_residuals(f: GradedMap, source: SuperBracket,
             yield key, tuple(Fraction(x, scale) for x in resid)
 
 
-def wedge_expand(rows, space: GradedSpace, sb: SkewBasis) -> dict:
-    """v_1 ^ ... ^ v_r over the canonical basis sb of degree r, each v_i
-    as its nonzero (index, value) pairs, as a sparse {position in sb:
-    coefficient} map without zeros."""
+def wedge_table(degree: int, space: GradedSpace, position: dict) -> dict:
+    """{(i_1, ..., i_r): (position[t], sign)} for every ordered index
+    tuple with e_i1 ^ ... ^ e_ir = sign e_t, t canonical and a key of
+    position; the tuples that span zero, or whose t position leaves out,
+    are absent.  One canonicalize per ordered tuple, so a caller that
+    wedges many vectors sorts no index tuple twice."""
+    p = space.parities
     out = {}
-    index = sb.index
+    for idx in product(range(space.dim), repeat=degree):
+        t, sign, zero = canonicalize(idx, p)
+        if not zero and t in position:
+            out[idx] = (position[t], sign)
+    return out
+
+
+def wedge_expand(rows, table: dict) -> dict:
+    """v_1 ^ ... ^ v_r, each v_i as its nonzero (index, value) pairs, as a
+    sparse {position: coefficient} map without zeros, read off a
+    wedge_table of degree r."""
+    out = {}
     for idx, a in _expand_terms(rows):
-        t, sign, zero = canonicalize(idx, space.parities)
-        if not zero:
-            pos = index[t]
-            old = out.get(pos, 0)
-            out[pos] = old + a if sign > 0 else old - a
+        hit = table.get(idx)
+        if hit is not None:
+            pos, sign = hit
+            out[pos] = out.get(pos, 0) + (a if sign > 0 else -a)
     return {pos: x for pos, x in out.items() if x}

@@ -12,14 +12,17 @@ from pathlib import Path
 
 import pytest
 
+from homnambu.binary import HomLieSuper
 from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
-                                 _apply, _key_blocks, _key_parities, _rows,
+                                 _apply, _key_blocks, _key_parities,
+                                 _row_count, _row_keys, _rows,
                                  apply_coboundary,
                                  binary_adjoint_cocycle_space,
                                  binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
                                  cochain_keys, cochain_length, cocycles,
-                                 cohomology_dims, induce_cocycle, infer_parity,
+                                 cohomology_dims, coordinate_parities,
+                                 induce_cocycle, infer_parity,
                                  is_binary_cocycle, make_cochain,
                                  parity_support, verify_1cocycle_transfer,
                                  verify_bracket_cocycle, verify_class_transfer,
@@ -27,7 +30,7 @@ from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, random_even_invertible)
 from homnambu.formats import load_cochain
-from homnambu.graded import canonicalize, skew_basis
+from homnambu.graded import canonicalize, graded_space, skew_basis
 from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
                              image, integer_terms, is_zero_vec, kernel,
                              subspace_intersection, unit_vec, vec_scale)
@@ -229,6 +232,16 @@ def test_slice_apply_matches_lifted_matrix():
                 assert [type(x) for x in dense] == [type(x) for x in want]
                 if cx.startswith("binary") and degree == 2:
                     assert is_binary_cocycle(obj, c) == is_zero_vec(want)
+                # raw coordinates of both parities at once, as solve()
+                # output or a sum of cocycles of two parities may be
+                raw = tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                     rng.choice((1, 2, 3))) for _ in c.coords)
+                cps = coordinate_parities(cx, degree, obj.space)
+                assert {cps[i] for i, x in enumerate(raw) if x} == {0, 1}
+                want = coboundary_matrix(obj, cx, degree, parity).apply(raw)
+                assert _apply(obj, cx, degree, parity, raw) == \
+                    {i: x for i, x in enumerate(want) if x}, \
+                    (name, cx, degree, parity)
         assert is_binary_cocycle(lie, bracket_cochain(lie))
 
 
@@ -410,11 +423,14 @@ def test_class_transfer_witnesses_name_every_mismatch(g11, tau11, t11):
 def test_coboundary_matrices_live_as_long_as_their_algebra():
     lie, rep = gl11()
     tau, t = induced(lie, rep)
-    d2 = _rows(t, "ternary-scalar", 2, 0)
-    assert _rows(t, "ternary-scalar", 2, 0) is d2
-    assert _rows(lie, "binary-scalar", 2) is _rows(lie, "binary-scalar", 2)
-    # the even ternary-adjoint delta2 is the scalar rows, not a copy
-    assert _rows(t, "ternary-adjoint", 2, 0)[0] is d2[0]
+    for q in (0, 1):
+        d2 = _rows(t, "ternary-scalar", 2, 0, q)
+        assert _rows(t, "ternary-scalar", 2, 0, q) is d2
+        assert _rows(lie, "binary-scalar", 2, 0, q) is \
+            _rows(lie, "binary-scalar", 2, 0, q)
+        # the even ternary-adjoint delta2 is the scalar rows, not a copy,
+        # block by block
+        assert _rows(t, "ternary-adjoint", 2, 0, q)[0] is d2[0]
     # the memo is no part of the value: an equal algebra with nothing
     # cached compares equal and prints the same
     fresh_lie, _ = gl11()
@@ -507,9 +523,51 @@ def test_scalar_delta2_built_once_per_algebra():
     coboundary_matrix(t, "ternary-scalar", 2, 1)
     coboundary_matrix(t, "ternary-scalar", 2)
     coboundary_matrix(t, "ternary-scalar", 2)
-    # the memo keys value-free rows on (complex, degree, parity)
+    # the memo keys value-free rows on (complex, degree, parity, key
+    # parity): one block per key parity, each under cochain parity 0
     built = [key for key in t.memo if key[:2] == ("ternary-scalar", 2)]
-    assert len(built) == 1
+    assert sorted(built) == [("ternary-scalar", 2, 0, 0),
+                             ("ternary-scalar", 2, 0, 1)]
+
+
+def test_scalar_cohomology_builds_only_the_blocks_it_eliminates():
+    # a scalar (Z, B, H) eliminates the even key-parity block alone, so no
+    # odd block is built; the adjoint lift reads both, the even delta2
+    # blocks as the scalar objects
+    lie, rep = gl11()
+    _, t = induced(lie, rep)
+    assert cohomology_dims(t, "ternary-scalar", 2) == (7, 1, 6)
+    assert sorted(t.memo) == [("ternary-scalar", 1, 0, 0),
+                              ("ternary-scalar", 2, 0, 0)]
+    assert cohomology_dims(t, "ternary-adjoint", 2) == (30, 2, 28)
+    assert sorted(t.memo) == sorted(
+        (cx, degree, 0, q) for cx in ("ternary-scalar", "ternary-adjoint")
+        for degree in (1, 2) for q in (0, 1))
+    for q in (0, 1):
+        assert t.memo["ternary-adjoint", 2, 0, q][0] is \
+            t.memo["ternary-scalar", 2, 0, q][0]
+    assert cohomology_dims(lie, "binary-scalar", 2) == (1, 1, 0)
+    assert sorted(lie.memo) == [("binary-scalar", 1, 0, 0),
+                                ("binary-scalar", 2, 0, 0)]
+    cocycles(lie, "binary-scalar", 2, 1)
+    assert ("binary-scalar", 2, 0, 1) in lie.memo
+    assert ("binary-scalar", 1, 0, 1) not in lie.memo
+
+
+def test_coboundaries_need_the_parity_law():
+    # the blocks split by key parity, which a bracket breaking the parity
+    # law does not keep, so no coboundary of it is built
+    lie, _ = gl11()
+    broken = HomLieSuper(lie.space, lie.bracket.with_entry(0, 1, (0, 0, 1, 0)),
+                         lie.alpha)
+    assert not broken.bracket.super_skew
+    for call in (lambda: coboundary_matrix(broken, "binary-scalar", 2),
+                 lambda: cohomology_dims(broken, "binary-scalar", 2),
+                 lambda: is_binary_cocycle(broken, Cochain.zero(
+                     "binary-scalar", 2, lie.space))):
+        with pytest.raises(PreconditionError, match="parity law"):
+            call()
+    assert not broken.memo
 
 
 # --- direct-evaluation oracles ----------------------------------------------
@@ -952,11 +1010,26 @@ def test_degree_3_cohomology_on_gl11_its_twist_and_conjugates():
         assert cohomology_dims(lie, "binary-scalar", 3) == (3, 3, 0), name
 
 
+def _parts_parity(key, p) -> int:
+    """A cochain key's parity from its parts: every index of every pair,
+    and the element."""
+    if isinstance(key, tuple):
+        return sum(_parts_parity(part, p) for part in key) % 2
+    return p[key]
+
+
 def test_coboundary_rows_keep_key_parity_and_blocks_match_select():
-    """Every memoized row of every _BUILDERS entry, on gl(1|1), its twist,
-    a conjugate and gl(2|1), has its entries in columns of the row's key
-    parity, the law _key_blocks renumbers by without filtering; and each
-    block is the select of its parity's rows and columns."""
+    """Every block of every _BUILDERS entry, on gl(1|1), its twist, a
+    conjugate and gl(2|1), has one row per row key of its key parity and
+    one column per such column key, every entry column an int among them
+    (a builder raises on a term outside them, see
+    test_builders_raise_on_a_term_off_their_key_parity).  The blocks put
+    back into key order, in ints, are an operator whose rows read only
+    columns of the row's key parity and whose select on a key parity is
+    that parity's block.  The memoized block, times its multiplier, is
+    also the select of the assembled coboundary_matrix at an even and an
+    odd output, but on gl(2|1) delta3, which assembles to 1.8M Fractions.
+    _key_blocks hands out the memoized block objects."""
     algebras = [(name, lie, rep) for name, lie, rep in oracle_algebras()
                 if name != "conjt"]
     algebras.append(("gl21", *glmn(2, 1)))
@@ -964,22 +1037,98 @@ def test_coboundary_rows_keep_key_parity_and_blocks_match_select():
         _, t = induced(lie, rep)
         for cx, degree in _BUILDERS:
             obj = t if cx.startswith("ternary") else lie
+            dim = obj.dim if cx.endswith("adjoint") else 1
+            # one even and one odd output: the lift is checked per output
+            # in test_adjoint_complexes_read_the_scalar_rows
+            outputs = ([obj.space.parities.index(e) for e in (0, 1)]
+                       if dim > 1 else [0])
             colp = _key_parities(cx, degree, obj.space)
+            assert colp == [_parts_parity(key, obj.space.parities) for key
+                            in cochain_keys(cx, degree, obj.space)]
             rowp = _key_parities(cx.replace("adjoint", "scalar"), degree + 1,
                                  obj.space)
+            rows = [[i for i, rp in enumerate(rowp) if rp == q]
+                    for q in (0, 1)]
+            cols = [[j for j, kp in enumerate(colp) if kp == q]
+                    for q in (0, 1)]
             for parity in (0, 1):
-                m = _rows(obj, cx, degree, parity)[0]
-                assert (m.rows, m.cols) == (len(rowp), len(colp))
-                if parity == 0 or (cx, degree) == ("ternary-adjoint", 2):
-                    for row, rp in zip(m.entries, rowp):
-                        assert all(colp[c] == rp for c, _ in row), \
-                            (name, cx, degree, parity)
-                for q, (block, _) in _key_blocks(obj, cx, degree,
-                                                 parity).items():
-                    rows = [i for i, rp in enumerate(rowp) if rp == q]
-                    cols = [j for j, kp in enumerate(colp) if kp == q]
-                    assert block == select(m, rows, cols), \
+                blocks = _key_blocks(obj, cx, degree, parity)
+                assert set(blocks) == ({0, 1} if dim > 1 else {parity})
+                # the other entries keep one operator under parity 0
+                if parity and (cx, degree) != ("ternary-adjoint", 2):
+                    for q, (block, _) in blocks.items():
+                        assert block is _rows(obj, cx, degree, 0, q)[0]
+                    continue
+                ms = [_rows(obj, cx, degree, parity, q) for q in (0, 1)]
+                whole = [None] * len(rowp)
+                for q, (m, _) in enumerate(ms):
+                    assert (m.rows, m.cols) == (len(rows[q]), len(cols[q]))
+                    assert all(type(c) is int and 0 <= c < m.cols
+                               for row in m.entries for c, _ in row), \
                         (name, cx, degree, parity, q)
+                    if q in blocks:
+                        assert blocks[q][0] is m
+                    for i, row in zip(rows[q], m.entries):
+                        whole[i] = tuple((cols[q][c], x) for c, x in row)
+                whole = Matrix(len(rowp), len(colp), tuple(whole))
+                for i, row in enumerate(whole.entries):
+                    assert all(colp[c] == rowp[i] for c, _ in row), \
+                        (name, cx, degree, parity)
+                for q, (m, _) in enumerate(ms):
+                    assert m == select(whole, rows[q], cols[q]), \
+                        (name, cx, degree, parity, q)
+                if (name, degree) == ("gl21", 3):
+                    continue
+                full = coboundary_matrix(obj, cx, degree, parity)
+                assert (full.rows, full.cols) == (len(rowp) * dim,
+                                                  len(colp) * dim)
+                for i, row in enumerate(full.entries):
+                    assert all(colp[c // dim] == rowp[i // dim]
+                               for c, _ in row), (name, cx, degree, parity)
+                for q, (m, multiplier) in enumerate(ms):
+                    want = m.scale(multiplier)
+                    for o in outputs:
+                        assert want == select(
+                            full, [i * dim + o for i in rows[q]],
+                            [j * dim + o for j in cols[q]]), \
+                            (name, cx, degree, parity, q, o)
+
+
+def test_builders_raise_on_a_term_off_their_key_parity():
+    # called past the operator check, on brackets that break the parity
+    # law, each builder raises on the first term outside its key parity
+    # instead of dropping it or keeping it under no column
+    lie, rep = gl11()
+    _, t = induced(lie, rep)
+    broken = HomLieSuper(lie.space, lie.bracket.with_entry(0, 1, (0, 0, 1, 0)),
+                         lie.alpha)
+    tbroken = TernaryHomLieSuper(
+        t.space, t.bracket.with_entry(0, 2, 3, (0, 0, 1, 0)), t.alpha1,
+        t.alpha2)
+    for obj, cx, degree, parity in ((broken, "binary-scalar", 1, 0),
+                                    (broken, "binary-scalar", 2, 0),
+                                    (tbroken, "ternary-scalar", 1, 0),
+                                    (tbroken, "ternary-scalar", 2, 0),
+                                    (tbroken, "ternary-adjoint", 2, 1)):
+        build = _BUILDERS[cx, degree]
+        with pytest.raises(PreconditionError, match="parity law"):
+            for q in (0, 1):
+                build(obj, cx, degree, parity, q)
+    assert not broken.memo and not tbroken.memo
+
+
+def test_row_count_is_the_number_of_row_keys():
+    # the cap counts rows from the key shapes, without listing the keys
+    spaces = [graded_space(["a", "b", "c"], ps)
+              for ps in ((0, 0, 0), (1, 1, 1), (0, 1, 1))]
+    for sp in spaces:
+        for degree in (1, 2, 3):
+            assert _row_count("binary-scalar", degree, sp) == len(
+                cochain_keys("binary-scalar", degree + 1, sp)), (sp, degree)
+    for name, lie, rep in (*oracle_algebras(), ("gl21", *glmn(2, 1))):
+        for cx, degree in _BUILDERS:
+            assert _row_count(cx, degree, lie.space) == len(
+                _row_keys(cx, degree, lie.space)), (name, cx, degree)
 
 
 def test_unbuilt_degrees_are_input_errors(g11, t11):
@@ -1081,4 +1230,99 @@ def test_delta1_and_delta2_matrices_are_pinned():
                     text = repr(coboundary_matrix(t, cx, degree, parity))
                     digest = hashlib.sha256(text.encode()).hexdigest()
                     assert digest == PINNED_MATRIX_SHA256[
+                        name, cx, degree][parity], (name, cx, degree, parity)
+
+
+# sha256 of repr(coboundary_matrix(lie, cx, degree, parity)) for parity 0
+# and 1 on the binary complexes, taken from the whole-operator builders
+# that the key-parity block builders replaced: the assembly of the blocks
+# back into key order is checked against these bytes
+PINNED_BINARY_SHA256 = {
+    ("gl11", "binary-scalar", 1): (
+        "6336a94458fbaa424bced81e2485cefc098b3e8b8068482fd8dc903ec0323436",
+        "6336a94458fbaa424bced81e2485cefc098b3e8b8068482fd8dc903ec0323436"),
+    ("gl11", "binary-scalar", 2): (
+        "844c4820aaad2ce925b8d332c0c9b977e84ecedab81f3cafdfd949efd2de48b4",
+        "844c4820aaad2ce925b8d332c0c9b977e84ecedab81f3cafdfd949efd2de48b4"),
+    ("gl11", "binary-scalar", 3): (
+        "bf138e7316353be4b006b75b3e4778cc54bdaecb3a5adfbd1010c697985ff5e4",
+        "bf138e7316353be4b006b75b3e4778cc54bdaecb3a5adfbd1010c697985ff5e4"),
+    ("gl11", "binary-adjoint", 1): (
+        "7ffc90596b67cda3dc5d911c3413d8a07b1a800a1153f387a8b58671612b4a9c",
+        "7ffc90596b67cda3dc5d911c3413d8a07b1a800a1153f387a8b58671612b4a9c"),
+    ("gl11", "binary-adjoint", 2): (
+        "92c1d5503f4889bfc750bbef0fd8a3d0f872b64e2913e7730e5c87d8ff5ec53e",
+        "92c1d5503f4889bfc750bbef0fd8a3d0f872b64e2913e7730e5c87d8ff5ec53e"),
+    ("gl11t", "binary-scalar", 1): (
+        "a3b336af58eaee24527565225232afbe97897bf189ff40bb9d8747636b4f5433",
+        "a3b336af58eaee24527565225232afbe97897bf189ff40bb9d8747636b4f5433"),
+    ("gl11t", "binary-scalar", 2): (
+        "648fb4e45a9a317150786861a436c9a0e51c9115f2f5f1893da731e0a28d0f26",
+        "648fb4e45a9a317150786861a436c9a0e51c9115f2f5f1893da731e0a28d0f26"),
+    ("gl11t", "binary-scalar", 3): (
+        "e091638eff17f8cd2bf81c5e5add73d7f59a0aff51c899d2b589e683cbe4440f",
+        "e091638eff17f8cd2bf81c5e5add73d7f59a0aff51c899d2b589e683cbe4440f"),
+    ("gl11t", "binary-adjoint", 1): (
+        "fe34a675c5a785b5028059402060d95e23024343c97976ee608b560666a1fbbf",
+        "fe34a675c5a785b5028059402060d95e23024343c97976ee608b560666a1fbbf"),
+    ("gl11t", "binary-adjoint", 2): (
+        "f98f6b019e0ed12fa0c73998c90e85e9114dee095e54df2b2ef01deb525a46f8",
+        "f98f6b019e0ed12fa0c73998c90e85e9114dee095e54df2b2ef01deb525a46f8"),
+    ("conj", "binary-scalar", 1): (
+        "74ec3ee364b2e3ce2abc6308fb4168e18a72c10cd7de29e3f99c69b6f189d9fc",
+        "74ec3ee364b2e3ce2abc6308fb4168e18a72c10cd7de29e3f99c69b6f189d9fc"),
+    ("conj", "binary-scalar", 2): (
+        "c6d41f7ac59c9eb1a304040cf6138112da864deb27e671affa73025745f220c4",
+        "c6d41f7ac59c9eb1a304040cf6138112da864deb27e671affa73025745f220c4"),
+    ("conj", "binary-scalar", 3): (
+        "d82a8de55a373da260fafeb5e50cb46f637f015abcea184b7f0f6347952f0749",
+        "d82a8de55a373da260fafeb5e50cb46f637f015abcea184b7f0f6347952f0749"),
+    ("conj", "binary-adjoint", 1): (
+        "d9c54f3e0390593ae62738c627a301d110957cb6442d4414629c4259ac202d3a",
+        "d9c54f3e0390593ae62738c627a301d110957cb6442d4414629c4259ac202d3a"),
+    ("conj", "binary-adjoint", 2): (
+        "0c9c29cc289bc30d6e6b8e2502b410dc58ce2161bb279730548cdc37ff658da0",
+        "0c9c29cc289bc30d6e6b8e2502b410dc58ce2161bb279730548cdc37ff658da0"),
+    ("conjt", "binary-scalar", 1): (
+        "1363308cd847ddf957fa257aae5fb947123ce8b5bb6122452f4c6b418e7b0cbe",
+        "1363308cd847ddf957fa257aae5fb947123ce8b5bb6122452f4c6b418e7b0cbe"),
+    ("conjt", "binary-scalar", 2): (
+        "a6fe285fb1f4f66b6a0ab69dd592c538c393fe69485c7563cba256e8eb28c74d",
+        "a6fe285fb1f4f66b6a0ab69dd592c538c393fe69485c7563cba256e8eb28c74d"),
+    ("conjt", "binary-scalar", 3): (
+        "12d356d5b77ae6311fd18c9b1fe43418e0c26630c6e9c7a7e9151c9a99a20ddc",
+        "12d356d5b77ae6311fd18c9b1fe43418e0c26630c6e9c7a7e9151c9a99a20ddc"),
+    ("conjt", "binary-adjoint", 1): (
+        "ecf7456d59ade11524788a6cc0adf0acc7f51a80ca165d4b2155f264153d741b",
+        "ecf7456d59ade11524788a6cc0adf0acc7f51a80ca165d4b2155f264153d741b"),
+    ("conjt", "binary-adjoint", 2): (
+        "2240719533687b63162f2329d9f2ddd8e13acf2aba7c912185ebde9aa65a6824",
+        "2240719533687b63162f2329d9f2ddd8e13acf2aba7c912185ebde9aa65a6824"),
+    ("gl21", "binary-scalar", 1): (
+        "31e3cf167d09985be9981f209dfbb255d35df9e30bb05317c4832fec26d25b7a",
+        "31e3cf167d09985be9981f209dfbb255d35df9e30bb05317c4832fec26d25b7a"),
+    ("gl21", "binary-scalar", 2): (
+        "2fae38431b2d415753bf31ebeef79b5a9adbbe5a1cee6b51589d56223d81fcab",
+        "2fae38431b2d415753bf31ebeef79b5a9adbbe5a1cee6b51589d56223d81fcab"),
+    ("gl21", "binary-scalar", 3): (
+        "b560a4f9d0e4ff8f76b72957ff8edf7996955ff0358036175fb48adc2a0343f5",
+        "b560a4f9d0e4ff8f76b72957ff8edf7996955ff0358036175fb48adc2a0343f5"),
+    ("gl21", "binary-adjoint", 1): (
+        "4ec3dc8243a58faaefe7b8e6d33537cdccd91e1bda4dadee8e6d890903635791",
+        "4ec3dc8243a58faaefe7b8e6d33537cdccd91e1bda4dadee8e6d890903635791"),
+    ("gl21", "binary-adjoint", 2): (
+        "1c62dd642eb149eb679edb939dd2b4d155a20eb321ad862a3eb243601becb296",
+        "1c62dd642eb149eb679edb939dd2b4d155a20eb321ad862a3eb243601becb296"),
+}
+
+
+def test_binary_coboundary_matrices_are_pinned():
+    for name, lie, rep in (*oracle_algebras(), ("gl21", *glmn(2, 1))):
+        for cx, degrees in (("binary-scalar", (1, 2, 3)),
+                            ("binary-adjoint", (1, 2))):
+            for degree in degrees:
+                for parity in (0, 1):
+                    text = repr(coboundary_matrix(lie, cx, degree, parity))
+                    digest = hashlib.sha256(text.encode()).hexdigest()
+                    assert digest == PINNED_BINARY_SHA256[
                         name, cx, degree][parity], (name, cx, degree, parity)

@@ -14,7 +14,8 @@ from homnambu.fixtures import (conjugate_gl11, gl11, gl11t, induced_gl11,
 from homnambu.graded import (GradedMap, GradedSpace, InputError, SuperBracket,
                              canonicalize, graded_space, identity_map,
                              is_canonical, koszul_sign, skew_basis,
-                             supertrace, tuple_parity, wedge_expand)
+                             supertrace, tuple_parity, wedge_expand,
+                             wedge_table)
 from homnambu.linalg import Matrix, Subspace, frac, nonzero_terms
 from homnambu.reps import trace_functional
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
@@ -139,7 +140,8 @@ def test_wedge2_expand_against_canonicalize():
     for _ in range(40):
         a = tuple(frac(rng.randint(-3, 3)) for _ in range(4))
         b = tuple(frac(rng.randint(-3, 3)) for _ in range(4))
-        got = wedge_expand([nonzero_terms(a), nonzero_terms(b)], sp, sb2)
+        got = wedge_expand([nonzero_terms(a), nonzero_terms(b)],
+                           wedge_table(2, sp, sb2.index))
         want = [Fraction(0)] * len(sb2)
         for i in range(4):
             for j in range(4):
@@ -163,9 +165,11 @@ def test_wedge2_super_antisymmetry():
             b = tuple(frac(rng.randint(-3, 3)) if i in idx_b else frac(0)
                       for i in range(4))
             ra, rb = nonzero_terms(a), nonzero_terms(b)
-            lhs = wedge_expand([rb, ra], sp, sb2)
+            table = wedge_table(2, sp, sb2.index)
+            lhs = wedge_expand([rb, ra], table)
             sgn = -1 if not (pa and pb) else 1
-            rhs = {k: sgn * x for k, x in wedge_expand([ra, rb], sp, sb2).items()}
+            rhs = {k: sgn * x
+                   for k, x in wedge_expand([ra, rb], table).items()}
             assert lhs == rhs
 
 
@@ -183,8 +187,8 @@ def test_wedge_expand_degree_3_against_canonicalize():
                 want[sb3.index[t]] += (sign * vs[0][idx[0]] * vs[1][idx[1]]
                                           * vs[2][idx[2]])
         rows = [nonzero_terms(v) for v in vs]
-        assert wedge_expand(rows, sp, sb3) == {k: x for k, x in enumerate(want)
-                                               if x}
+        got = wedge_expand(rows, wedge_table(3, sp, sb3.index))
+        assert got == {k: x for k, x in enumerate(want) if x}
 
 
 def test_graded_space_validation():
@@ -389,6 +393,6 @@ def test_reading_a_record_adds_no_attribute():
         verify_ternary_skew(tb)
         verify_hom_nambu(tb)
     lie.bracket.span(full, full)
-    wedge_expand([[(0, 1)], [(2, 1)]], lie.space, sb)
+    wedge_expand([[(0, 1)], [(2, 1)]], wedge_table(2, lie.space, sb.index))
     assert c.values[((0, 1), 2)] == (0, 0, 1, 0)
     assert [dict(vars(r)) for r in records] == before
