@@ -61,6 +61,7 @@ reps.TraceFunctional.induce, the formula that also builds the induced
 bracket, on the cocycle's values cleared of denominators once.
 """
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -132,12 +133,19 @@ def _key_parities(cx: str, degree: int, space: GradedSpace) -> list:
     return [a ^ b for a in prefix for b in p]
 
 
-def _parity_keys(cx: str, degree: int, space: GradedSpace, q: int) -> list:
+@lru_cache(maxsize=64)
+def _parity_keys(cx: str, degree: int, space: GradedSpace, q: int) -> array:
     """The positions in cochain_keys(cx, degree, space) of the keys of
     parity q, in order: the one numbering of a key-parity block's rows and
-    columns, which the builders and the block assembly all read."""
-    return [n for n, kp in enumerate(_key_parities(cx, degree, space))
-            if kp == q]
+    columns, which the builders and the block assembly all read.  Computed
+    once per space, not per coboundary applied, and kept as machine ints,
+    since gl(2|2)'s ternary delta2 has 131,072 rows of each parity; every
+    caller shares the one array and only reads it.  It depends on the
+    space alone, so it is cached by space, not in an algebra's memo,
+    which holds the blocks and nothing else; transfer-checks reads 12
+    numberings, so 64 keep those of a few spaces at once."""
+    parities = _key_parities(cx, degree, space)
+    return array("q", (n for n, kp in enumerate(parities) if kp == q))
 
 
 def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:

@@ -6,7 +6,11 @@ bracket with its second twist.  Basis ids are strings without ','.
 Coefficients are exact rationals written as strings "n" or "n/d" of
 ASCII digits with d > 0; bare integers are accepted on input.  Bracket
 keys are comma-joined basis ids in canonical order; anything
-non-canonical is an input error naming the key.
+non-canonical is an input error naming the key.  So is a key the reader
+does not know, at the top of a document, in a basis entry, in the
+representation, and in cochain and functional documents: a misspelt key
+would otherwise silently change the input.  An alpha2 needs a ternary
+bracket.
 
 Cochain documents are {"complex", "degree", "values"} and an optional
 "parity", the integer 0 or 1; absent or null means inferred from the
@@ -58,6 +62,12 @@ def _is_bit(x) -> bool:
     """A parity as a document writes it: the integer 0 or 1, no bool or
     float."""
     return type(x) is int and x in (0, 1)
+
+
+def _known(doc: dict, keys: tuple, where: str) -> None:
+    for key in doc:
+        if key not in keys:
+            raise InputError(f"unknown key {key!r} in {where}")
 
 
 def _object(doc: dict, key: str) -> dict:
@@ -131,6 +141,10 @@ def _load_bracket(doc: dict, section: str, cls, space: GradedSpace):
 
 
 def load_document(doc: dict) -> DocumentBundle:
+    _known(doc, ("name", "basis", "bracket", "alpha", "representation",
+                 "ternary", "alpha2"), "document")
+    if "alpha2" in doc and "ternary" not in doc:
+        raise InputError("alpha2 needs a ternary bracket")
     name = doc.get("name", "algebra")
     if not isinstance(name, str):
         raise InputError("document name must be a string")
@@ -141,6 +155,7 @@ def load_document(doc: dict) -> DocumentBundle:
     for entry in basis:
         if not isinstance(entry, dict) or "id" not in entry or "parity" not in entry:
             raise InputError("basis entries need id and parity")
+        _known(entry, ("id", "parity"), "a basis entry")
         bid = entry["id"]
         if not isinstance(bid, str) or "," in bid:
             raise InputError(f"basis id {bid!r} must be a string without ','")
@@ -159,6 +174,7 @@ def load_document(doc: dict) -> DocumentBundle:
     rep = None
     if "representation" in doc:
         rdoc = _object(doc, "representation")
+        _known(rdoc, ("space", "matrices", "beta"), "representation")
         mod_par = rdoc.get("space")
         if not isinstance(mod_par, list) or not all(map(_is_bit, mod_par)):
             raise InputError("representation.space must list parities")
@@ -276,6 +292,7 @@ def _key_names(cx: str, degree: int, space: GradedSpace) -> dict:
 
 
 def load_cochain(doc: dict, space: GradedSpace) -> Cochain:
+    _known(doc, ("complex", "degree", "values", "parity"), "cochain")
     cx = doc.get("complex")
     if cx not in COMPLEXES:
         raise InputError(f"unknown complex {cx!r}")
@@ -312,6 +329,7 @@ def serialize_cochain(c: Cochain) -> dict:
 
 def load_functional(doc: dict, space: GradedSpace) -> tuple:
     """A linear functional as {"values": {basis-id: rational}}."""
+    _known(doc, ("values",), "functional")
     raw = doc.get("values", {})
     if not isinstance(raw, dict):
         raise InputError("functional values must be a map")

@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,9 @@ from homnambu.fixtures import (a0, aff1, conjugate_pair, gl11, gl11t, glmn,
                                induced_gl11, random_even_invertible)
 from homnambu.reps import trace_functional
 from homnambu.ternary import induce_ternary
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import regen_fixtures  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +59,13 @@ def gl22_conjugate():
     lie, rep = conjugate_pair(lie, rep, s)
     t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
     return lie, rep, t
+
+
+@pytest.fixture(scope="session")
+def corpus(tmp_path_factory):
+    """The corpus as tools/regen_fixtures.py builds it, in a fresh
+    directory: every golden call has run once, with its table's exit
+    code."""
+    root = tmp_path_factory.mktemp("corpus")
+    regen_fixtures.main(root)
+    return root
