@@ -40,7 +40,8 @@ class HomLieSuper:
     space: GradedSpace
     bracket: SuperBracket2
     alpha: GradedMap
-    # value-free coboundary rows, filled on demand by cohomology
+    # the torus grading and value-free coboundary rows, filled on demand
+    # by cohomology
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 

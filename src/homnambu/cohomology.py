@@ -15,8 +15,9 @@ formula is written once, on a scalar complex, summed in ints over the
 views the identity checkers read (SuperBracket.integer, the twist's
 columns from integer_terms, and one graded.wedge_table per call for the
 signed canonical position of every wedge of basis vectors): a builder
-returns the integer rows, a linalg.Matrix of ints, and one exact
-multiplier.  _scalar_rows gives an adjoint complex the scalar rows.
+returns a walk, one exact multiplier and a function that builds the
+integer rows of any block it is given, one row at a time.  _scalar_rows
+gives an adjoint complex the scalar walk.
 
   binary-scalar   1-3  d_s, the sum over i<j of signed
                        f([x_i,x_j], alpha(...)) terms, 1/(D_W D_alpha^(p-1));
@@ -28,33 +29,45 @@ multiplier.  _scalar_rows gives an adjoint complex the scalar rows.
   ternary-adjoint 1-2  the scalar delta1, and each scalar delta2 term
                        times 1 + (-1)^{|f| e} (see _leibniz_rows).
 
-Coboundaries keep parity: the row of a key of parity q reads only
-columns of keys of parity q, on a bracket that keeps the parity law
-(one that breaks it has no coboundary here, a precondition error).  So a
-builder takes a key parity q and builds one block, the rows whose keys
-have parity q in key order, their columns numbered among the parity-q
-columns.  _parity_keys is the one numbering of a block's rows and
-columns, which the builders and the assembly read; a builder raises on
-a term outside its columns rather than drop it.  Each block is memoized
-on the algebra under (complex, degree, parity, q), built when first
-read; only the ternary-adjoint delta2 reads the parity, and its even
-blocks are the scalar delta2's objects.  Before a block is built the
-operator is checked: the parity law, and the whole-operator row count,
-taken from the key shapes, against MAX_COBOUNDARY_ROWS.
+Coboundaries keep parity and torus weight.  A key's label is (q, w): q
+the sum of its parts' parities, mod 2, and w the sum of their weights
+under the grading _grading reads off the document, the kernel over Q of
+the homogeneity equations (w_k = the sum of the slot weights for each
+nonzero structure constant, w_m = w_i for each nonzero off-diagonal
+twist entry), solved in ints once per algebra.  On a bracket that keeps
+the parity law (one that breaks it has no coboundary here, a
+precondition error), the row of a key of label (q, w) reads only columns
+of keys of that label, so the operator falls into (q, w) blocks; when
+the kernel is 0 every weight is 0 and the blocks are the key-parity
+blocks.  A walk builds the rows of the row keys it is given, their
+columns numbered by their place among the column keys it is given, and
+raises on a term outside them rather than drop it; whatever it caches
+lives as long as the walk.  Before a walk starts the operator is
+checked: the parity law, and the whole-operator row count, taken from
+the key shapes, against MAX_COBOUNDARY_ROWS.
 
-An adjoint coboundary applies its value-free rows once per output index,
-so its matrix is block-diagonal across the outputs.  coboundary_matrix,
-the one whole-operator form, built on each call, interleaves the two
-blocks back into key order, scales them and lifts them, moving key
-column j of output o to j*dim + o; it is the one place the rows become
-Fractions.  Every coboundary of a given cochain goes through _apply,
-which reads only the blocks whose columns the nonzero coordinates touch,
-sums in ints and returns the nonzero outputs; apply_coboundary alone
-makes them dense.  Cohomology and cocycle bases (cohomology_dims,
-cocycles) eliminate each block they need once per key parity and count,
-or place, it once per output it serves: a scalar cochain of parity f
-needs the parity-f block alone, so a scalar (Z, B, H) builds only the
-even blocks.
+Cohomology and cocycle bases (cohomology_dims, cocycles) read the (q, w)
+blocks that _key_blocks lists from _weight_groups, the keys grouped by
+label: each block's rows go to rref as the walk builds them, so a block
+of full column rank builds no row past the one that completes its rank,
+and each block is eliminated once and counted, or placed, once per
+output it serves.  A scalar cochain of parity f needs the parity-f
+blocks alone, so a scalar (Z, B, H) builds no odd row.  No row is kept
+once rref has read it.
+
+The whole-operator forms read key-parity blocks, numbered by
+_parity_keys, each memoized on the algebra under (complex, degree,
+parity, q) when first read; only the ternary-adjoint delta2 reads the
+parity, and its even blocks are the scalar delta2's objects.  An adjoint
+coboundary applies its value-free rows once per output index, so its
+matrix is block-diagonal across the outputs.  coboundary_matrix, the one
+whole-operator form, built on each call, interleaves the two blocks back
+into key order, scales them and lifts them, moving key column j of
+output o to j*dim + o; it is the one place the rows become Fractions.
+Every coboundary of a given cochain goes through _apply, which reads
+only the blocks whose columns the nonzero coordinates touch, sums in
+ints and returns the nonzero outputs; apply_coboundary alone makes them
+dense.
 
 induce_cocycle transfers a binary 2-cocycle with
 reps.TraceFunctional.induce, the formula that also builds the induced
@@ -63,13 +76,13 @@ bracket, on the cocycle's values cleared of denominators once.
 
 from array import array
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, combinations, groupby, product
 
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand, wedge_table)
-from .linalg import (InputError, Matrix, PreconditionError, Subspace,
+from .linalg import (InputError, Matrix, PreconditionError, Subspace, _gcd,
                      field, frac, image, integer_terms, kernel, solve, vec,
                      vec_add, vec_scale, zero_vec, is_zero_vec, record, ZERO)
 from .report import Report, fmt_scalar
@@ -136,16 +149,147 @@ def _key_parities(cx: str, degree: int, space: GradedSpace) -> list:
 @lru_cache(maxsize=64)
 def _parity_keys(cx: str, degree: int, space: GradedSpace, q: int) -> array:
     """The positions in cochain_keys(cx, degree, space) of the keys of
-    parity q, in order: the one numbering of a key-parity block's rows and
-    columns, which the builders and the block assembly all read.  Computed
+    parity q, in order: the numbering of a key-parity block's rows and
+    columns, which the memoized blocks and their assembly read.  Computed
     once per space, not per coboundary applied, and kept as machine ints,
     since gl(2|2)'s ternary delta2 has 131,072 rows of each parity; every
     caller shares the one array and only reads it.  It depends on the
-    space alone, so it is cached by space, not in an algebra's memo,
-    which holds the blocks and nothing else; transfer-checks reads 12
-    numberings, so 64 keep those of a few spaces at once."""
+    space alone, so it is cached by space, not in an algebra's memo;
+    transfer-checks reads 12 numberings, so 64 keep those of a few spaces
+    at once."""
     parities = _key_parities(cx, degree, space)
     return array("q", (n for n, kp in enumerate(parities) if kp == q))
+
+
+def _grading(obj) -> tuple:
+    """Each basis element's torus weight, one int per element: the basis
+    _weight_basis finds, packed by _pack, so that the weights of a key's
+    parts add up in one int sum; every weight is 0 when the kernel is.
+    Solved once per algebra and kept in obj.memo under "grading"."""
+    if "grading" not in obj.memo:
+        basis = _weight_basis(obj)
+        obj.memo["grading"] = (tuple(_pack(basis, obj.space.dim)) if basis
+                               else (0,) * obj.space.dim)
+    return obj.memo["grading"]
+
+
+def _weight_basis(obj) -> list:
+    """A basis, as primitive int vectors over the basis elements, of the
+    torus weights of obj, read off its document: the kernel over Q of the
+    homogeneity equations, w_m = w_i for each nonzero twist entry (m, i),
+    and w_k = the sum of the slot weights for each nonzero structure
+    constant (a bracket key (i_1, .., i_n) and a coordinate k of its
+    value).
+
+    The basis starts as the unit vectors and is cut by one equation at a
+    time, in ints: an equation that some vector breaks, by y_v, is kept by
+    y_j v - y_v pivot for every other vector v, the pivot j a vector with
+    the least |y_j|, which is dropped.  Whether an equation breaks any
+    vector is one int comparison on the basis packed by _pack, so an
+    equation the basis already keeps costs that comparison alone, where
+    linalg.kernel would reduce it as a row; the walk stops as soon as no
+    vector is left, which on a dense conjugate is early."""
+    dim = obj.space.dim
+    twists = ((obj.alpha,) if isinstance(obj, HomLieSuper)
+              else (obj.alpha1, obj.alpha2))
+    equations = chain(
+        (((i,), col) for twist in twists for i, col in enumerate(
+            integer_terms(twist.matrix.transpose().entries)[1])),
+        obj.bracket.integer[1].items())
+    basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    packed = _pack(basis, dim)
+    for slots, terms in equations:
+        total = sum(map(packed.__getitem__, slots))
+        for k, _ in terms:
+            if packed[k] == total:
+                continue  # every vector keeps this equation
+            y = [v[k] - sum(map(v.__getitem__, slots)) for v in basis]
+            j = min((n for n, x in enumerate(y) if x), key=lambda n: abs(y[n]))
+            pivot, yj = basis.pop(j), y.pop(j)
+            if not basis:
+                return []
+            for n, (v, x) in enumerate(zip(basis, y)):
+                if x:
+                    w = [yj * a - x * b for a, b in zip(v, pivot)]
+                    g = reduce(_gcd, filter(None, w))
+                    basis[n] = [a // g for a in w]
+            packed = _pack(basis, dim)
+            total = sum(map(packed.__getitem__, slots))
+    return basis
+
+
+def _pack(basis: list, dim: int) -> list:
+    """Per coordinate i the int sum_n basis[n][i] 2^(width n): signed
+    slots wide enough that a sum of up to eight values in a slot, an
+    equation's or a key's, stays within it, so the packed sums of two
+    keys are equal exactly when their weights are."""
+    width = max(max(map(abs, v)) for v in basis).bit_length() + 4
+    packed = [0] * dim
+    for n, v in enumerate(basis):
+        shift = width * n
+        packed = [x + (a << shift) for x, a in zip(packed, v)]
+    return packed
+
+
+def _weight_groups(cx: str, degree: int, space: GradedSpace,
+                   weights: tuple) -> tuple:
+    """cochain_keys(cx, degree, space) grouped by label (q, w), q the sum
+    of the key's part parities, mod 2, and w the sum of their weights
+    (weights[i] for element i, see _grading), as (width, labels,
+    prefixes, elements): the key at position b * width + z is prefix b
+    followed by element z, and its label is the sum of theirs, the
+    parities mod 2.  labels holds each prefix's label, prefixes maps each
+    label to its prefixes, increasing, and elements each label to its
+    elements.  A ternary key is its pair prefix and its element (width
+    dim), labelled pair by pair without listing the keys; a binary key is
+    a prefix alone (width 1, one element 0 of label (0, 0))."""
+    _check_degree(cx, degree)
+    p = space.parities
+    if cx.startswith("binary"):
+        labels = [(sum(map(p.__getitem__, key)) % 2,
+                   sum(map(weights.__getitem__, key)))
+                  for key in skew_basis(degree, space).tuples]
+        width, elements = 1, {(0, 0): (0,)}
+    else:
+        pairs = [(p[i] ^ p[j], weights[i] + weights[j])
+                 for i, j in skew_basis(2, space).tuples]
+        labels = [(0, 0)]
+        for _ in range(degree - 1):
+            labels = [(q ^ r, w + v) for q, w in labels for r, v in pairs]
+        width, elements = space.dim, {}
+        for z, label in enumerate(zip(p, weights)):
+            elements[label] = elements.get(label, ()) + (z,)
+    prefixes = {}
+    for b, label in enumerate(labels):
+        prefixes.setdefault(label, []).append(b)
+    return width, labels, prefixes, elements
+
+
+def _block_labels(groups: tuple) -> list:
+    """The labels (q, w) of the keys of _weight_groups, sorted, so every
+    even block comes before every odd one."""
+    _, _, prefixes, elements = groups
+    return sorted({(q ^ r, w + v) for q, w in prefixes for r, v in elements})
+
+
+def _block(groups: tuple, label: tuple) -> tuple:
+    """(count, keys) of the keys of one label of _weight_groups: how many
+    there are, and an iterator of their positions in key order, which
+    lists no key before it is read: the block's prefixes in order, each
+    followed by the elements that complete its label."""
+    width, labels, prefixes, elements = groups
+    q, w = label
+    runs = {(q ^ r, w - v): zs for (r, v), zs in elements.items()
+            if (q ^ r, w - v) in prefixes}  # prefix label -> its elements
+    return (sum(len(prefixes[pl]) * len(zs) for pl, zs in runs.items()),
+            (b * width + z for b in sorted(chain.from_iterable(
+                map(prefixes.__getitem__, runs))) for z in runs[labels[b]]))
+
+
+def _block_keys(groups: tuple, label: tuple) -> array:
+    """The positions of the keys of one label of _weight_groups, in key
+    order: the numbering of a (q, w) block's columns."""
+    return array("q", _block(groups, label)[1])
 
 
 def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
@@ -266,43 +410,45 @@ def _scalar(cx: str) -> str:
     return cx.replace("adjoint", "scalar")
 
 
-def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int,
-             q: int) -> tuple:
+def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> tuple:
     """d_s f(x_0, ..., x_p) = sum_{i<j} (-1)^{i+j} eps_ij
     f([x_i, x_j], a x_0, ..^i..^j.., a x_p), eps_ij the Koszul sign of
-    moving x_i, then x_j, to the front, times 1/(D_W D_alpha^(p-1)), on
-    the rows and columns of key parity q; a term on a column of the other
-    parity is a precondition error."""
+    moving x_i, then x_j, to the front, times 1/(D_W D_alpha^(p-1))."""
     sp = g.space
     par = sp.parities
     table = wedge_table(degree, sp, skew_basis(degree, sp).index)
-    cols = {j: n for n, j in enumerate(_parity_keys(cx, degree, sp, q))}
     dw, W = g.bracket.integer
     da, acols = integer_terms(g.alpha.matrix.transpose().entries)
     k = degree + 1
     keys = _row_keys(cx, degree, sp)
-    rows = []
-    for X in (keys[i] for i in _parity_keys(cx, k, sp, q)):
-        row = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                moved = (par[X[i]] * sum(par[X[t]] for t in range(i))
-                         + par[X[j]] * sum(par[X[t]] for t in range(j) if t != i))
+
+    def rows(row_keys, col_keys):
+        cols = {j: n for n, j in enumerate(col_keys)}
+        for X in (keys[i] for i in row_keys):
+            px = [par[x] for x in X]
+            before = list(accumulate(px, initial=0))  # parity left of a slot
+            row = {}
+            for i, j in combinations(range(k), 2):
+                bracket = W.get((X[i], X[j]))
+                if not bracket:
+                    continue
+                moved = px[i] * before[i] + px[j] * (before[j] - px[i])
                 s = -1 if (i + j + moved) % 2 else 1
-                args = [W.get((X[i], X[j]), ())] + [
-                    acols[X[t]] for t in range(k) if t != i and t != j]
+                args = [bracket] + [acols[X[t]] for t in range(k)
+                                    if t != i and t != j]
                 for c, x in wedge_expand(args, table).items():
                     row[c] = row.get(c, 0) + s * x
-        try:
-            rows.append({cols[c]: x for c, x in row.items()})
-        except KeyError:
-            raise PreconditionError(_PARITY_LAW) from None
-    return (Matrix.from_rows(rows, len(cols)),
-            Fraction(1, dw * da ** (degree - 1)))
+            try:
+                row = [(cols[c], x) for c, x in row.items()]
+            except KeyError:
+                raise PreconditionError(_PARITY_LAW) from None
+            yield tuple(sorted(term for term in row if term[1]))
+
+    return Fraction(1, dw * da ** (degree - 1)), rows, (cx, 0)
 
 
-def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int, fpar: int,
-                  q: int) -> tuple:
+def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
+                  fpar: int) -> tuple:
     """The Leibniz coboundary on fundamental objects, p = degree, i from 1:
 
       sum_{i<j} (-1)^i (-1)^{|X_i|(|X_i+1| + .. + |X_j-1|)}
@@ -315,13 +461,16 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int, fpar: int,
     The ternary-adjoint delta2 adds each term again times (-1)^{|f| e}, e =
     0 or |y1| on the wedges of [X,Y]_a and the other pair's parity on an
     action term: an even cochain sees the scalar rows at twice their
-    multiplier, an odd one the terms with e even, doubled.  Only the rows
-    (X, z) of key parity q are built, z completing the parity of X.
+    multiplier, an odd one the terms with e even, doubled.  A walk works
+    out the terms of a pair prefix X, and each bracket [X_i, X_j]_a, when
+    a row (X, z) first needs them, and keeps them for every block it
+    builds, whose rows (X, z) share X across weights; a row reads the
+    element terms at its own z alone.
     """
     adjoint = cx == "ternary-adjoint"
     if adjoint and not fpar:
-        rows, multiplier = _rows(t, "ternary-scalar", degree, 0, q)
-        return rows, 2 * multiplier
+        multiplier, rows, source = _walk(t, "ternary-scalar", degree, 0)
+        return 2 * multiplier, rows, source
     if not t.same_twists():
         raise PreconditionError("ternary cohomology needs alpha1 = alpha2")
     sp = t.space
@@ -334,74 +483,98 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int, fpar: int,
     dw, W = t.bracket.integer
     da, acols = integer_terms(t.alpha1.matrix.transpose().entries)
     acts = [[W.get((x1, x2, k), ()) for k in range(dim)] for x1, x2 in pairs]
-    apairs = [wedge_expand([acols[i], acols[j]], table).items()
+    apairs = [tuple(wedge_expand([acols[i], acols[j]], table).items())
               for i, j in pairs] if degree > 1 else []
-    # the z of each parity whose element terms are nonzero: per pair, then
-    # for the twist
-    *actz, az = [[[(z, terms) for z, terms in enumerate(per_z)
-                   if terms and p[z] == e] for e in (0, 1)]
-                 for per_z in (*acts, acols)]
-    # per pair prefix of the columns, {element: its column among the
-    # parity-q columns}; an element missing there is a term outside them
-    keys = _parity_keys(cx, degree, sp, q)
-    cols = [{} for _ in range(npairs ** (degree - 1))]
-    for n, j in enumerate(keys):
-        cols[j // dim][j % dim] = n
 
-    @lru_cache(maxsize=None if degree > 2 else 0)  # pairs recur from p = 3
+    @lru_cache(maxsize=None)  # shared by the walk's blocks, dropped with it
     def bracket(P, Q):
         """[X_P, X_Q]_a, less the wedge of odd e on the odd adjoint side."""
         q1, q2 = pairs[Q]
-        out = wedge_expand([acts[P][q1], acols[q2]], table)
-        if not (adjoint and p[q1]):
+        act = acts[P]
+        out = wedge_expand([act[q1], acols[q2]], table) if act[q1] else {}
+        if act[q2] and not (adjoint and p[q1]):
             s = -1 if pairp[P] and p[q1] else 1
-            for c, x in wedge_expand([acols[q1], acts[P][q2]], table).items():
+            for c, x in wedge_expand([acols[q1], act[q2]], table).items():
                 out[c] = out.get(c, 0) + s * x
-        return out.items()
+        return tuple(out.items())
 
-    def add(block, slots, e, elem_table):
-        """block[z] += (-1)^e * slot coefficients * f(prefix, z's elem)."""
-        for parts in product(*slots):
-            b, cr = 0, -1 if e % 2 else 1
-            for Q, x in parts:
-                b, cr = b * npairs + Q, cr * x
-            col = cols[b]
-            for z, elem_terms in elem_table:
-                row = block[z]
-                for m, cm in elem_terms:
-                    c = col[m]  # KeyError: a term outside key parity q
-                    row[c] = row.get(c, 0) + cr * cm
+    def products(slots):
+        """The (column prefix, coefficient) of each product of one term
+        per slot; one slot is its own list, shared."""
+        if len(slots) == 1:
+            return slots[0]
+        prefixes = [(0, 1)]
+        for slot in slots:
+            prefixes = [(b * npairs + Q, cr * x) for b, cr in prefixes
+                        for Q, x in slot]
+        return prefixes
 
-    rows = []
-    try:
-        for X in product(range(npairs), repeat=degree):
-            par = [pairp[P] for P in X]
-            e = q ^ sum(par) % 2  # the parity of the rows' elements z
-            block = {z: {} for z in range(dim) if p[z] == e}
-            for i in range(degree):  # i + 1 is the formula's i
-                if not (adjoint and (sum(par) - par[i]) % 2):
-                    add(block, [apairs[X[k]] for k in range(degree) if k != i],
-                        i + 1 + par[i] * sum(par[i + 1:]), actz[X[i]][e])
-                for j in range(i + 1, degree):
-                    add(block, [bracket(X[i], X[j]) if k == j else apairs[X[k]]
-                                for k in range(degree) if k != i],
-                        i + 1 + par[i] * sum(par[i + 1:j]), az[e])
-            rows.extend(block.values())
-    except KeyError:
-        raise PreconditionError(_PARITY_LAW) from None
-    return (Matrix.from_rows(rows, len(keys)),
-            Fraction(2 if adjoint else 1, dw * da ** (2 * degree - 2)))
+    def terms(X):
+        """The terms of the rows (X, z), as (per z the element's terms,
+        (-1)^e, the slot products): an action term reads X_i.z, a bracket
+        term a z."""
+        par = [pairp[P] for P in X]
+        out = []
+        for i in range(degree):  # i + 1 is the formula's i
+            slots = [apairs[X[k]] for k in range(degree) if k != i]
+            if not (adjoint and (sum(par) - par[i]) % 2):
+                e = i + 1 + par[i] * sum(par[i + 1:])
+                out.append((acts[X[i]], -1 if e % 2 else 1, products(slots)))
+            for j in range(i + 1, degree):
+                slots[j - 1] = bracket(X[i], X[j])
+                e = i + 1 + par[i] * sum(par[i + 1:j])
+                out.append((acols, -1 if e % 2 else 1, products(slots)))
+                slots[j - 1] = apairs[X[j]]
+        return [part for part in out if part[2]]
+
+    cache = {}  # pair prefix -> terms(X), for every block of the walk
+
+    def rows(row_keys, col_keys):
+        # per pair prefix of the columns, {element: its column in the
+        # block}; a prefix or an element missing there is a term outside it
+        cols = {}
+        for n, j in enumerate(col_keys):
+            cols.setdefault(j // dim, {})[j % dim] = n
+        for i in row_keys:
+            b0, z = divmod(i, dim)
+            parts = cache.get(b0)
+            if parts is None:
+                X, b = [], b0
+                for _ in range(degree):
+                    b, P = divmod(b, npairs)
+                    X.append(P)
+                parts = cache[b0] = terms(X[::-1])
+            row = {}
+            try:
+                for elems, s, prefixes in parts:
+                    ez = elems[z]
+                    if ez:
+                        for b, cr in prefixes:
+                            col, cr = cols[b], s * cr
+                            for m, cm in ez:
+                                c = col[m]
+                                row[c] = row.get(c, 0) + cr * cm
+            except KeyError:
+                raise PreconditionError(_PARITY_LAW) from None
+            yield tuple(sorted((c, x) for c, x in row.items() if x))
+
+    return (Fraction(2 if adjoint else 1, dw * da ** (2 * degree - 2)), rows,
+            (cx, fpar))
 
 
-def _scalar_rows(obj, cx: str, degree: int, parity: int, q: int) -> tuple:
+def _scalar_rows(obj, cx: str, degree: int, parity: int) -> tuple:
     """The scalar rows, which an adjoint coboundary reads once per output."""
-    return _rows(obj, _scalar(cx), degree, 0, q)
+    return _walk(obj, _scalar(cx), degree, 0)
 
 
-# (complex, degree) -> the builder of the value-free rows of key parity q
-# of the coboundary on that complex's degree-cochains, called as
-# build(obj, cx, degree, parity, q) and returning (integer rows,
-# multiplier), the rows' columns numbered among the parity-q columns
+# (complex, degree) -> the builder of the value-free rows of the coboundary
+# on that complex's degree-cochains, called as build(obj, cx, degree,
+# parity) and returning a walk (multiplier, rows, source): rows(row_keys,
+# col_keys) yields, one at a time and in the order given, the integer row
+# of each key position in row_keys, its columns numbered by their place in
+# col_keys, and raises on a term outside them; source is the (complex,
+# parity) whose rows they are, the scalar ones on an adjoint complex that
+# reads them
 _BUILDERS = {**{("binary-scalar", p): _ds_rows for p in (1, 2, 3)},
              ("binary-adjoint", 1): _scalar_rows,
              ("binary-adjoint", 2): _scalar_rows,
@@ -449,18 +622,34 @@ def _check_operator(obj, cx: str, degree: int):
     return build
 
 
+def _walk(obj, cx: str, degree: int, parity: int) -> tuple:
+    """The walk (multiplier, rows, source) of _BUILDERS for the cx
+    coboundary on degree-cochains of this parity, once the operator is
+    checked.  Whatever it caches lives as long as the walk, not the
+    algebra."""
+    return _check_operator(obj, cx, degree)(obj, cx, degree, parity)
+
+
 def _rows(obj, cx: str, degree: int, parity: int, q: int) -> tuple:
     """(integer rows, multiplier) of the key-parity-q block of the cx
-    coboundary on degree-cochains, built once per algebra and kept in
-    obj.memo under (cx, degree, parity, q); the operator is checked before
-    a block is built, so a block in the memo was checked on obj.  Only the
-    ternary-adjoint delta2 reads the cochain parity, mod 2; every other
-    entry is under 0."""
+    coboundary on degree-cochains, the whole block in key order, built
+    once per algebra and kept in obj.memo under (cx, degree, parity, q);
+    the operator is checked before a block is built, so a block in the
+    memo was checked on obj.  An adjoint block that reads the scalar rows
+    is the scalar block object.  Only the ternary-adjoint delta2 reads the
+    cochain parity, mod 2; every other entry is under 0."""
     parity = parity % 2 if (cx, degree) == ("ternary-adjoint", 2) else 0
     key = (cx, degree, parity, q)
     if type(degree) is not int or key not in obj.memo:
-        build = _check_operator(obj, cx, degree)
-        obj.memo[key] = build(obj, cx, degree, parity, q)
+        multiplier, rows, (scx, sparity) = _walk(obj, cx, degree, parity)
+        if (scx, sparity) != (cx, parity):
+            block = _rows(obj, scx, degree, sparity, q)[0]
+        else:
+            row_keys = _parity_keys(_scalar(cx), degree + 1, obj.space, q)
+            col_keys = _parity_keys(cx, degree, obj.space, q)
+            block = Matrix(len(row_keys), len(col_keys),
+                           tuple(rows(row_keys, col_keys)))
+        obj.memo[key] = block, multiplier
     return obj.memo[key]
 
 
@@ -534,45 +723,57 @@ def apply_coboundary(obj, c: Cochain) -> Cochain:
                    tuple(out.get(i, ZERO) for i in range(n)))
 
 
-def _key_blocks(obj, cx: str, degree: int, parity: int) -> dict:
-    """The parity block of the cx coboundary on degree-cochains, one per
-    key parity q it reads: {q: (block, places)}.
+def _key_blocks(obj, cx: str, degree: int, parity: int):
+    """The (q, w) blocks of the cx coboundary on degree-cochains that the
+    cochains of this parity live on, each as (label, outputs, row count,
+    row keys, column keys), labels (q, w) under obj's _grading in sorted
+    order, so every even block comes before every odd one.  The row keys
+    are an iterator, the column keys in key order.  Call it after the
+    operator is checked (_walk).
 
-    block is the memoized parity-q rows, their columns numbered among the
-    parity-q columns; places has one entry per output the block serves,
-    the cochain coordinate of each block column there.  A scalar cochain
-    of parity f lives on the keys of parity f, so only that block is
-    built.  The adjoint lift is block-diagonal across the output o, so
-    output o sees the keys of parity f + |o|, and each key parity is
-    eliminated once however many outputs it serves.  Coboundaries keep
-    parity, so the kernel of a block is the cocycle space there.
+    outputs are the outputs the block serves.  A scalar cochain of parity
+    f lives on the keys of parity f, so only those blocks are listed.  The
+    adjoint lift is block-diagonal across the output o, so output o sees
+    the keys of parity f + |o|, and each block is eliminated once however
+    many outputs it serves.  Coboundaries keep parity and weight, so the
+    kernel of a block is the cocycle space there, and a row key of a
+    label no column key has keys a zero row, never built.
     """
     space = obj.space
-    dim = _width(cx, space)
-    outputs = space.parities if dim > 1 else (0,)
-    blocks = {}
-    for q in (0, 1):
-        serves = [o for o, po in enumerate(outputs)
-                  if (q + po) % 2 == parity % 2]
-        if serves:
-            block = _rows(obj, cx, degree, parity, q)[0]
-            cols = _parity_keys(cx, degree, space, q)
-            blocks[q] = (block, [[j * dim + o for j in cols] for o in serves])
-    return blocks
+    served = {}
+    for o, po in enumerate(space.parities if _width(cx, space) > 1 else (0,)):
+        served.setdefault((parity + po) % 2, []).append(o)
+    weights = _grading(obj)
+    rows = _weight_groups(_scalar(cx), degree + 1, space, weights)
+    cols = _weight_groups(cx, degree, space, weights)
+    for label in _block_labels(cols):
+        if label[0] in served:
+            yield (label, served[label[0]], *_block(rows, label),
+                   _block_keys(cols, label))
 
 
 def cocycles(obj, cx: str, degree: int, parity: int) -> list:
     """A basis of the cx cocycles of this degree and parity as full
-    coordinate tuples: each block's RREF kernel basis, placed at every
-    output it serves."""
+    coordinate tuples: per key parity q, each (q, w) block's RREF kernel
+    basis, its rows handed to rref as they are built, and the union
+    sorted by lead column, which is the RREF kernel basis of the parity-q
+    block, placed at every output it serves."""
+    rows = _walk(obj, cx, degree, parity)[1]
+    dim = _width(cx, obj.space)
     n = cochain_length(cx, degree, obj.space)
     out = []
-    for block, places in _key_blocks(obj, cx, degree, parity).values():
-        for v in kernel(block).vectors():
-            for place in places:
+    for _, blocks in groupby(_key_blocks(obj, cx, degree, parity),
+                             lambda block: block[0][0]):
+        vectors = []
+        for _, outputs, count, row_keys, col_keys in blocks:
+            z = kernel(Matrix(count, len(col_keys), rows(row_keys, col_keys)))
+            vectors += [tuple((col_keys[c], x) for c, x in v)
+                        for v in z.basis.entries]
+        for v in sorted(vectors):
+            for o in outputs:
                 full = [ZERO] * n
-                for pos, x in zip(place, v):
-                    full[pos] = x
+                for j, x in v:
+                    full[j * dim + o] = x
                 out.append(tuple(full))
     return out
 
@@ -584,23 +785,33 @@ def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int) -> Subspace:
 
 
 def cohomology_dims(obj, cx: str, degree: int) -> tuple:
-    """(dim Z, dim B, dim H) on the even-parity block, each key-parity
-    block counted once per output it serves, in a degree whose coboundary,
-    and the one below it above degree 1, are entries of _BUILDERS."""
+    """(dim Z, dim B, dim H) on the even-parity cochains, in a degree whose
+    coboundary, and the one below it above degree 1, are entries of
+    _BUILDERS: per (q, w) block, Z from the kernel of its rows, handed to
+    rref as they are built, so a block of full column rank builds no row
+    past the one that completes it, and B from the image of the matching
+    block of the coboundary below, each counted once per output the block
+    serves.  No row is kept once it is eliminated."""
     if type(degree) is not int or (cx, degree) not in _BUILDERS or (
             degree > 1 and (cx, degree - 1) not in _BUILDERS):
         raise InputError(f"no cohomology for {cx} in degree {degree!r}")
-    upper = _key_blocks(obj, cx, degree, 0)  # first: it meets the row cap
-    lower = _key_blocks(obj, cx, degree - 1, 0) if degree > 1 else {}
+    upper = _walk(obj, cx, degree, 0)[1]  # first: it meets the row cap
+    if degree > 1:
+        lower = _walk(obj, cx, degree - 1, 0)[1]
+        below = _weight_groups(cx, degree - 1, obj.space, _grading(obj))
     zdim = bdim = 0
-    for q, (block, places) in upper.items():
-        z = kernel(block)
-        b = image(lower[q][0]) if q in lower else Subspace.zero(z.ambient_dim)
+    for label, outputs, count, row_keys, col_keys in _key_blocks(
+            obj, cx, degree, 0):
+        z = kernel(Matrix(count, len(col_keys), upper(row_keys, col_keys)))
+        low_keys = _block_keys(below, label) if degree > 1 else ()
+        b = (image(Matrix(len(col_keys), len(low_keys),
+                          tuple(lower(col_keys, low_keys))))
+             if low_keys else Subspace.zero(z.ambient_dim))
         for v in b.vectors():
             if not z.contains(v):
                 raise InputError("coboundary escaped the cocycle space")
-        zdim += len(places) * z.dim
-        bdim += len(places) * b.dim
+        zdim += len(outputs) * z.dim
+        bdim += len(outputs) * b.dim
     return (zdim, bdim, zdim - bdim)
 
 

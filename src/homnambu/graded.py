@@ -48,6 +48,7 @@ only the residuals a report prints are divided back into Fractions:
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
 from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _gcd,
@@ -211,7 +212,13 @@ def is_canonical(t, parities) -> bool:
     return all(a < b or (a == b and parities[a] == 1) for a, b in zip(t, t[1:]))
 
 
+@lru_cache(maxsize=64)
 def skew_basis(degree: int, space: GradedSpace) -> SkewBasis:
+    """The canonical index tuples of this degree on space, built once per
+    (degree, space) and shared: a SkewBasis is only read, and one
+    cohomology query asks for the same few several times over (its
+    builders, row keys and weight groups).  64 entries hold every degree
+    of the few spaces a process works on."""
     if degree < 1:
         raise InputError("degree must be positive")
     good = [t for t in combinations_with_replacement(range(space.dim), degree)

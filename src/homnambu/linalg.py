@@ -258,6 +258,11 @@ class Matrix:
     coboundary rows of cohomology hold ints; rref takes rows of ints (or
     Fractions, or both), eliminates in ints and returns Fractions.  row(i)
     and col(j) read dense tuples.
+
+    entries may be a one-shot iterator of rows only in a matrix handed
+    straight to rref or kernel, which read it once, in order, and may stop
+    early (cohomology's (q, w) blocks); such a matrix is spent once read
+    and is no value to compare, keep or read again.
     """
 
     rows: int
@@ -428,7 +433,10 @@ def rref(m: Matrix) -> Matrix:
     cleared from every earlier pivot row that has an entry at its lead,
     which is made primitive again.  No zero entry is ever visited.  gcds
     run by Euclid on word-sized values and through Fraction's
-    normalisation above that; see _EUCLID_BELOW.
+    normalisation above that; see _EUCLID_BELOW.  m.entries is read once,
+    in order, and the first row met once the rank is m.cols ends the
+    read, so it may be an iterator that builds each row as it is read
+    (cohomology's (q, w) blocks).
     """
     table = {}
     for pairs in m.entries:

@@ -75,7 +75,8 @@ class TernaryHomLieSuper:
     bracket: SuperBracket3
     alpha1: GradedMap
     alpha2: GradedMap
-    # value-free coboundary rows, filled on demand by cohomology
+    # the torus grading and value-free coboundary rows, filled on demand
+    # by cohomology
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 

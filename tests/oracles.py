@@ -1,17 +1,63 @@
 """Naive oracles that only tests call, shared by several test modules."""
 
-from homnambu.linalg import Matrix, is_zero_vec, vec_add, vec_scale
+from homnambu.cohomology import cochain_keys, coboundary_matrix
+from homnambu.linalg import (ZERO, Matrix, is_zero_vec, kernel, vec_add,
+                             vec_scale)
 from homnambu.report import Report, fmt_vec
 
 
 def select(m: Matrix, row_idx, col_idx) -> Matrix:
     """Rows row_idx and distinct columns col_idx of m, in the given orders,
     by renumbering the stored columns; no zero is materialised.  The
-    oracle of the key blocks that cohomology cuts out by parity."""
+    oracle of the key blocks that cohomology cuts out by parity and
+    weight."""
     pos = {j: n for n, j in enumerate(col_idx)}
     rows = tuple(tuple(sorted((pos[c], x) for c, x in m.entries[i]
                               if c in pos)) for i in row_idx)
     return Matrix(len(row_idx), len(col_idx), rows)
+
+
+def key_parts(key) -> list:
+    """The basis indices a cochain key is made of: every index of every
+    pair, and the element, in order."""
+    if isinstance(key, tuple):
+        return [i for part in key for i in key_parts(part)]
+    return [key]
+
+
+def parity_cocycles(obj, cx: str, degree: int, parity: int) -> list:
+    """A basis of the cx cocycles of this degree and parity, cut by key
+    parity alone, from the assembled coboundary_matrix: per key parity q,
+    the RREF kernel basis of the rows and columns of keys of parity q at
+    one output o with |key| + |o| = parity, each vector placed at every
+    such output in turn.  The order cohomology.cocycles keeps."""
+    space = obj.space
+    dim = space.dim if cx.endswith("adjoint") else 1
+    full = coboundary_matrix(obj, cx, degree, parity)
+    p = space.parities
+
+    def keys_of_parity(cx, degree, q):
+        return [n for n, key in enumerate(cochain_keys(cx, degree, space))
+                if sum(p[i] for i in key_parts(key)) % 2 == q]
+
+    outputs = p if dim > 1 else (0,)
+    n = len(cochain_keys(cx, degree, space)) * dim
+    out = []
+    for q in (0, 1):
+        serves = [o for o, po in enumerate(outputs) if (q + po) % 2 == parity]
+        if not serves:
+            continue
+        rows = keys_of_parity(cx.replace("adjoint", "scalar"), degree + 1, q)
+        cols = keys_of_parity(cx, degree, q)
+        block = select(full, [i * dim + serves[0] for i in rows],
+                       [j * dim + serves[0] for j in cols])
+        for v in kernel(block).vectors():
+            for o in serves:
+                full_v = [ZERO] * n
+                for j, x in zip(cols, v):
+                    full_v[j * dim + o] = x
+                out.append(tuple(full_v))
+    return out
 
 
 def parity_law_violations(space, v, want_parity: int) -> list:

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from homnambu.binary import HomLieSuper
+from homnambu import cohomology
+from homnambu.binary import HomLieSuper, yau_twist
 from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
-                                 _apply, _key_blocks, _key_parities,
-                                 _row_count, _row_keys, _rows,
+                                 _apply, _grading, _key_blocks,
+                                 _key_parities, _parity_keys, _row_count,
+                                 _row_keys, _rows, _walk, _weight_basis,
                                  apply_coboundary,
                                  binary_adjoint_cocycle_space,
                                  binary_pair_eval,
@@ -28,16 +30,16 @@ from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
                                  verify_bracket_cocycle, verify_class_transfer,
                                  verify_lemma_identity)
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
-                               glmn, random_even_invertible)
+                               glmn, matrix_units, random_even_invertible)
 from homnambu.formats import load_cochain
-from homnambu.graded import canonicalize, graded_space, skew_basis
+from homnambu.graded import GradedMap, canonicalize, graded_space, skew_basis
 from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
                              image, integer_terms, is_zero_vec, kernel,
                              subspace_intersection, unit_vec, vec_scale)
 from homnambu.reps import trace_functional
 from homnambu.ternary import SuperBracket3, TernaryHomLieSuper, induce_ternary
 
-from oracles import select
+from oracles import key_parts, parity_cocycles, select
 
 
 def induced(lie, rep):
@@ -530,28 +532,54 @@ def test_scalar_delta2_built_once_per_algebra():
                              ("ternary-scalar", 2, 0, 1)]
 
 
-def test_scalar_cohomology_builds_only_the_blocks_it_eliminates():
-    # a scalar (Z, B, H) eliminates the even key-parity block alone, so no
-    # odd block is built; the adjoint lift reads both, the even delta2
-    # blocks as the scalar objects
+def built_rows(monkeypatch):
+    """Spy on every walk: a list that gets (complex, degree, key, row) for
+    each row a builder yields, key its position among the row keys."""
+    built = []
+    walk = cohomology._walk
+
+    def spy(obj, cx, degree, parity):
+        multiplier, rows, source = walk(obj, cx, degree, parity)
+
+        def spied(row_keys, col_keys):
+            row_keys = list(row_keys)
+            for i, row in zip(row_keys, rows(row_keys, col_keys)):
+                built.append((cx, degree, i, row))
+                yield row
+        return multiplier, spied, source
+
+    monkeypatch.setattr(cohomology, "_walk", spy)
+    return built
+
+
+def test_scalar_cohomology_builds_only_the_blocks_it_eliminates(monkeypatch):
+    # a scalar (Z, B, H) in degree p eliminates the even (q, w) blocks of
+    # the degree-p and degree-(p - 1) coboundaries alone, so no odd row
+    # and no row of another degree is built; the adjoint lift reads both
+    # key parities, and cocycles the one degree it is asked for.  Rows go
+    # to rref as they are built and are not kept: the memo holds the
+    # grading alone
     lie, rep = gl11()
     _, t = induced(lie, rep)
+    built = built_rows(monkeypatch)
+
+    def blocks(obj):
+        """The (degree, key parity) of every row built since last asked."""
+        out = {(degree, _key_parities(cx.replace("adjoint", "scalar"),
+                                      degree + 1, obj.space)[i])
+               for cx, degree, i, _ in built}
+        built.clear()
+        return out
+
     assert cohomology_dims(t, "ternary-scalar", 2) == (7, 1, 6)
-    assert sorted(t.memo) == [("ternary-scalar", 1, 0, 0),
-                              ("ternary-scalar", 2, 0, 0)]
+    assert blocks(t) == {(1, 0), (2, 0)} and set(t.memo) == {"grading"}
     assert cohomology_dims(t, "ternary-adjoint", 2) == (30, 2, 28)
-    assert sorted(t.memo) == sorted(
-        (cx, degree, 0, q) for cx in ("ternary-scalar", "ternary-adjoint")
-        for degree in (1, 2) for q in (0, 1))
-    for q in (0, 1):
-        assert t.memo["ternary-adjoint", 2, 0, q][0] is \
-            t.memo["ternary-scalar", 2, 0, q][0]
+    assert blocks(t) == {(1, 0), (1, 1), (2, 0), (2, 1)}
+    assert set(t.memo) == {"grading"}
     assert cohomology_dims(lie, "binary-scalar", 2) == (1, 1, 0)
-    assert sorted(lie.memo) == [("binary-scalar", 1, 0, 0),
-                                ("binary-scalar", 2, 0, 0)]
+    assert blocks(lie) == {(1, 0), (2, 0)} and set(lie.memo) == {"grading"}
     cocycles(lie, "binary-scalar", 2, 1)
-    assert ("binary-scalar", 2, 0, 1) in lie.memo
-    assert ("binary-scalar", 1, 0, 1) not in lie.memo
+    assert blocks(lie) == {(2, 1)}
 
 
 def test_coboundaries_need_the_parity_law():
@@ -1029,7 +1057,8 @@ def test_coboundary_rows_keep_key_parity_and_blocks_match_select():
     that parity's block.  The memoized block, times its multiplier, is
     also the select of the assembled coboundary_matrix at an even and an
     odd output, but on gl(2|1) delta3, which assembles to 1.8M Fractions.
-    _key_blocks hands out the memoized block objects."""
+    The (q, w) blocks are checked against these in
+    test_weight_blocks_are_the_select_of_their_parity_block."""
     algebras = [(name, lie, rep) for name, lie, rep in oracle_algebras()
                 if name != "conjt"]
     algebras.append(("gl21", *glmn(2, 1)))
@@ -1052,12 +1081,11 @@ def test_coboundary_rows_keep_key_parity_and_blocks_match_select():
             cols = [[j for j, kp in enumerate(colp) if kp == q]
                     for q in (0, 1)]
             for parity in (0, 1):
-                blocks = _key_blocks(obj, cx, degree, parity)
-                assert set(blocks) == ({0, 1} if dim > 1 else {parity})
                 # the other entries keep one operator under parity 0
                 if parity and (cx, degree) != ("ternary-adjoint", 2):
-                    for q, (block, _) in blocks.items():
-                        assert block is _rows(obj, cx, degree, 0, q)[0]
+                    for q in (0, 1):
+                        assert _rows(obj, cx, degree, parity, q) is \
+                            _rows(obj, cx, degree, 0, q)
                     continue
                 ms = [_rows(obj, cx, degree, parity, q) for q in (0, 1)]
                 whole = [None] * len(rowp)
@@ -1066,8 +1094,6 @@ def test_coboundary_rows_keep_key_parity_and_blocks_match_select():
                     assert all(type(c) is int and 0 <= c < m.cols
                                for row in m.entries for c, _ in row), \
                         (name, cx, degree, parity, q)
-                    if q in blocks:
-                        assert blocks[q][0] is m
                     for i, row in zip(rows[q], m.entries):
                         whole[i] = tuple((cols[q][c], x) for c, x in row)
                 whole = Matrix(len(rowp), len(colp), tuple(whole))
@@ -1110,11 +1136,223 @@ def test_builders_raise_on_a_term_off_their_key_parity():
                                     (tbroken, "ternary-scalar", 1, 0),
                                     (tbroken, "ternary-scalar", 2, 0),
                                     (tbroken, "ternary-adjoint", 2, 1)):
-        build = _BUILDERS[cx, degree]
+        rows = _BUILDERS[cx, degree](obj, cx, degree, parity)[1]
+        scalar = cx.replace("adjoint", "scalar")
         with pytest.raises(PreconditionError, match="parity law"):
             for q in (0, 1):
-                build(obj, cx, degree, parity, q)
+                list(rows(_parity_keys(scalar, degree + 1, obj.space, q),
+                          _parity_keys(cx, degree, obj.space, q)))
     assert not broken.memo and not tbroken.memo
+
+
+def diagonal_twist(lie, m, n):
+    """The Yau twist of gl(m|n) along E_ij -> (d_i / d_j) E_ij, d_i = i + 1:
+    a diagonal twist, so it keeps the torus of gl(m|n)."""
+    scale = [Fraction(i + 1, j + 1) for i, j in matrix_units(m, n)]
+    alpha = Matrix.build([[scale[r] if r == c else 0 for c in range(lie.dim)]
+                          for r in range(lie.dim)])
+    return yau_twist(lie, GradedMap(lie.space, lie.space, alpha))
+
+
+def homogeneity_breaks(obj, v) -> list:
+    """The equations of obj's document that the weights v break: w_k = the
+    sum of the slot weights for each nonzero structure constant, and w_m =
+    w_i for each nonzero off-diagonal twist entry, read in Fractions."""
+    twists = ((obj.alpha,) if isinstance(obj, HomLieSuper)
+              else (obj.alpha1, obj.alpha2))
+    breaks = [("twist", m, i) for a in twists for m, row in
+              enumerate(a.matrix.entries) for i, x in row
+              if x and m != i and v[m] != v[i]]
+    for key in product(range(obj.dim), repeat=obj.bracket.arity):
+        for k, x in enumerate(obj.bracket.value(*key)):
+            if x and v[k] != sum(v[i] for i in key):
+                breaks.append((key, k))
+    return breaks
+
+
+def test_torus_grading_is_the_kernel_of_the_homogeneity_equations():
+    # rank 2 on gl(2|1) and 3 on gl(2|2) and its diagonal twist, the torus
+    # of diagonal units; none on a dense conjugate, whose one weight class
+    # gives back the parity blocks.  Every weight returned keeps every
+    # equation, and the packed grading adds up as the weights do
+    lie21, rep21 = glmn(2, 1)
+    lie22, rep22 = glmn(2, 2)
+    s = random_even_invertible(random.Random(1), lie22.space)
+    conj = conjugate_pair(lie22, rep22, s)
+    cases = [(lie21, rep21, 2), (lie22, rep22, 3),
+             (diagonal_twist(lie22, 2, 2), None, 3), (*conj, 0)]
+    for lie, rep, rank in cases:
+        objs = [lie]
+        if rep is not None:
+            objs.append(induced(lie, rep)[1])
+        for obj in objs:
+            basis = _weight_basis(obj)
+            assert len(basis) == rank, (lie.dim, type(obj).__name__)
+            assert Subspace.from_vectors(obj.dim, basis).dim == rank
+            for v in basis:
+                assert homogeneity_breaks(obj, v) == []
+            weights = _grading(obj)
+            assert obj.memo["grading"] is weights
+            assert (set(weights) == {0}) == (rank == 0)
+            if rank:
+                # the packed sums tell weights apart exactly as the vectors
+                pairs = list(product(range(obj.dim), repeat=2))
+                packed = {key: weights[key[0]] + weights[key[1]]
+                          for key in pairs}
+                vecs = {key: tuple(v[key[0]] + v[key[1]] for v in basis)
+                        for key in pairs}
+                for x, y in product(pairs, repeat=2):
+                    assert (packed[x] == packed[y]) == (vecs[x] == vecs[y])
+    # a twist entry off the diagonal ties the two weights
+    lie, _ = glmn(2, 1)
+    # E1_0 in alpha(E0_1): the weights e0 - e1 and e1 - e0 agree, so 0
+    assert lie.space.names[3:5] == ("E0_1", "E1_0")
+    alpha = Matrix.build([[1 if r == c or (r, c) == (4, 3) else 0
+                           for c in range(lie.dim)] for r in range(lie.dim)])
+    tied = HomLieSuper(lie.space, lie.bracket,
+                       GradedMap(lie.space, lie.space, alpha))
+    (v,) = _weight_basis(tied)
+    assert homogeneity_breaks(tied, v) == [] and v[3] == v[4] == 0
+
+
+def key_label(key, space, weights) -> tuple:
+    """(q, w) of a cochain key from its parts, the oracle of the labels
+    the blocks are cut by."""
+    parts = key_parts(key)
+    return (sum(space.parities[i] for i in parts) % 2,
+            sum(weights[i] for i in parts))
+
+
+def test_weight_blocks_are_the_select_of_their_parity_block():
+    """On gl(1|1), its twist, a conjugate and gl(2|1): every row of every
+    key-parity block reads only columns of its own label (q, w), so no row
+    crosses weights, and a row of a label no column has is zero.  Each
+    (q, w) block _key_blocks lists, built whole, has its label's keys in
+    key order and is the select of its parity block there."""
+    algebras = [(name, lie, rep) for name, lie, rep in oracle_algebras()
+                if name != "conjt"]
+    algebras.append(("gl21", *glmn(2, 1)))
+    for name, lie, rep in algebras:
+        _, t = induced(lie, rep)
+        for cx, degree in _BUILDERS:
+            obj = t if cx.startswith("ternary") else lie
+            if (name, cx, degree) == ("gl21", "ternary-scalar", 3):
+                continue  # 576,000 rows: too slow to list here
+            space, weights = obj.space, _grading(obj)
+            scalar = cx.replace("adjoint", "scalar")
+            rlabels = [key_label(key, space, weights)
+                       for key in cochain_keys(scalar, degree + 1, space)]
+            clabels = [key_label(key, space, weights)
+                       for key in cochain_keys(cx, degree, space)]
+            for parity in (0, 1):
+                multiplier, rows = _walk(obj, cx, degree, parity)[:2]
+                for q in (0, 1):
+                    m, mult = _rows(obj, cx, degree, parity, q)
+                    prows = _parity_keys(scalar, degree + 1, space, q)
+                    pcols = _parity_keys(cx, degree, space, q)
+                    labels = {clabels[j] for j in pcols}
+                    for i, row in zip(prows, m.entries):
+                        assert all(clabels[pcols[c]] == rlabels[i]
+                                   for c, _ in row), (name, cx)
+                        assert row == () or rlabels[i] in labels, (name, cx)
+                    assert mult == multiplier
+                pos = {j: n for q in (0, 1) for n, j
+                       in enumerate(_parity_keys(cx, degree, space, q))}
+                rpos = {i: n for q in (0, 1) for n, i in enumerate(
+                    _parity_keys(scalar, degree + 1, space, q))}
+                for label, outputs, count, row_keys, col_keys in _key_blocks(
+                        obj, cx, degree, parity):
+                    q = label[0]
+                    row_keys = list(row_keys)
+                    assert count == len(row_keys)
+                    assert row_keys == sorted(row_keys)
+                    assert list(col_keys) == [
+                        j for j, x in enumerate(clabels) if x == label]
+                    assert row_keys == [
+                        i for i, x in enumerate(rlabels) if x == label]
+                    block = Matrix(count, len(col_keys),
+                                   tuple(rows(row_keys, col_keys)))
+                    assert block == select(
+                        _rows(obj, cx, degree, parity, q)[0],
+                        [rpos[i] for i in row_keys],
+                        [pos[j] for j in col_keys]), (name, cx, label)
+
+
+def test_builders_raise_on_a_term_off_their_weight_block():
+    # the blocks of one weight read no column of another: given the rows
+    # of one (q, w) block and the columns of another of the same parity, a
+    # builder raises on the first term outside them
+    lie, rep = glmn(2, 1)
+    _, t = induced(lie, rep)
+    for obj, cx, degree in ((lie, "binary-scalar", 2),
+                            (t, "ternary-scalar", 1),
+                            (t, "ternary-scalar", 2)):
+        rows = _walk(obj, cx, degree, 0)[1]
+        blocks = [(count, list(row_keys), col_keys) for _, _, count,
+                  row_keys, col_keys in _key_blocks(obj, cx, degree, 0)]
+        (_, a_rows, a_cols), (_, b_rows, b_cols) = [
+            b for b in blocks if any(rows(b[1], b[2]))][:2]
+        with pytest.raises(PreconditionError, match="parity law"):
+            list(rows(a_rows, b_cols))
+
+
+def test_a_block_of_full_column_rank_stops_building_rows(monkeypatch):
+    # gl(2|1) ternary-scalar delta2: rref stops a (q, w) block at full
+    # column rank, so such a block builds fewer rows than it has, and the
+    # whole even operator far fewer; (Z, B, H) is unchanged
+    lie, rep = glmn(2, 1)
+    _, t = induced(lie, rep)
+    blocks = {label: count for label, _, count, _, _
+              in _key_blocks(t, "ternary-scalar", 2, 0)}
+    built = built_rows(monkeypatch)
+    assert cohomology_dims(t, "ternary-scalar", 2) == (5, 4, 1)
+    labels = {}
+    weights = _grading(t)
+    rkeys = cochain_keys("ternary-scalar", 3, t.space)
+    for cx, degree, i, _ in built:
+        if degree == 2:
+            label = key_label(rkeys[i], t.space, weights)
+            labels[label] = labels.get(label, 0) + 1
+    assert set(labels) == set(blocks)
+    assert all(labels[label] <= blocks[label] for label in blocks)
+    assert any(labels[label] < blocks[label] for label in blocks)
+    assert 2 * sum(labels.values()) < sum(blocks.values())
+    assert len(_parity_keys("ternary-scalar", 3, t.space, 0)) == 7200
+
+
+def test_cocycles_match_the_parity_block_reference():
+    # the union of the (q, w) blocks' RREF kernel bases, sorted by lead
+    # column, is the parity block's: vectors and order, as the parity-only
+    # reference builds them, on gl(1|1), gl(2|1), their diagonal twists and
+    # conjugates, and on their induced brackets
+    rng = random.Random(25)
+    cases = []
+    for m, n in ((1, 1), (2, 1)):
+        lie, rep = glmn(m, n)
+        cases += [(lie, rep), (diagonal_twist(lie, m, n), None),
+                  conjugate_pair(lie, rep,
+                                 random_even_invertible(rng, lie.space))]
+    for lie, rep in cases:
+        shapes = [(lie, cx, d) for cx in ("binary-scalar", "binary-adjoint")
+                  for d in (1, 2)]
+        if rep is not None:
+            t = induced(lie, rep)[1]
+            shapes += [(t, "ternary-scalar", 1), (t, "ternary-adjoint", 1)]
+            if lie.dim == 4:
+                shapes += [(t, "ternary-scalar", 2), (t, "ternary-adjoint", 2)]
+        for obj, cx, degree in shapes:
+            for parity in (0, 1):
+                assert cocycles(obj, cx, degree, parity) == parity_cocycles(
+                    obj, cx, degree, parity), (lie.dim, cx, degree, parity)
+
+
+def test_gl22_degree_2_ternary_cohomology():
+    # the north-star dimension's degree-2 ternary cohomology, which only
+    # the weight blocks make cheap enough to pin here
+    lie, rep = glmn(2, 2)
+    _, t = induced(lie, rep)
+    assert cohomology_dims(t, "ternary-scalar", 2) == (10, 7, 3)
+    assert cohomology_dims(t, "ternary-adjoint", 2) == (144, 120, 24)
 
 
 def test_row_count_is_the_number_of_row_keys():
@@ -1146,9 +1384,10 @@ def test_unbuilt_degrees_are_input_errors(g11, t11):
 def test_coboundary_rows_are_capped_before_building():
     lie, rep = glmn(2, 2)
     _, t = induced(lie, rep)
-    with pytest.raises(InputError, match="33554432 rows"):
-        coboundary_matrix(t, "ternary-scalar", 3)
-    assert not t.memo
+    for call in (coboundary_matrix, cohomology_dims):
+        with pytest.raises(InputError, match="33554432 rows"):
+            call(t, "ternary-scalar", 3)
+        assert not t.memo
     # gl(2|2) delta2 has 128^2 * 16 rows and gl(2|1) delta3 40^3 * 9
     assert 128 ** 2 * 16 <= 40 ** 3 * 9 <= MAX_COBOUNDARY_ROWS < 128 ** 3 * 16
 

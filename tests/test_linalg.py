@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from homnambu import linalg
-from homnambu.cohomology import _key_blocks, coboundary_matrix
+from homnambu.cohomology import _rows, coboundary_matrix
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, random_even_invertible)
 from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd,
@@ -565,7 +565,7 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
                                 (t, "ternary-scalar", 2),
                                 (t, "ternary-adjoint", 2)):
             for parity in (0, 1):
-                mats += [b for b, _ in _key_blocks(obj, cx, degree, parity).values()]
+                mats += [_rows(obj, cx, degree, parity, q)[0] for q in (0, 1)]
     for m in mats:
         r = rref(m)
         assert r == fraction_rref(m)
