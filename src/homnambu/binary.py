@@ -11,12 +11,12 @@ build their brackets with it.
 
 The verifiers read the integer view and print Fractions only for a
 finding.  verify_skew formats the bracket's skew_breaks walk, and passes
-at once on a super_skew bracket; verify_hom_jacobi
-reads the composite table [alpha e_u, e_c] (SuperBracket.composite) and
-sums each triple's cyclic residual at scale D_alpha D_W^2, with
-hom_jacobi_residual as its naive Fraction oracle; verify_multiplicative,
-verify_morphism and the yau_twist precondition are
-graded.compat_residuals.
+at once on a super_skew bracket; verify_hom_jacobi reads the composite
+table [alpha e_u, e_c] (SuperBracket.composite, one packed int per
+vector) and sums each triple's cyclic residual at scale D_alpha D_W^2 as
+one int, with hom_jacobi_residual as its naive Fraction oracle;
+verify_multiplicative, verify_morphism and the yau_twist precondition
+are graded.compat_residuals.
 """
 
 from fractions import Fraction
@@ -25,8 +25,8 @@ from itertools import product
 from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
                      skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
-                     field, integer_terms, is_zero_vec, record, vec_add,
-                     vec_scale, zero_vec)
+                     field, integer_terms, is_zero_vec, record, unpack,
+                     vec_add, vec_scale, zero_vec)
 from .report import Report, fmt_vec
 
 
@@ -102,10 +102,13 @@ def verify_hom_jacobi(a: HomLieSuper) -> Report:
     With the bracket's integer view W (scale D_W) and the twist cleared
     to integers (D_alpha), one composite table C[u][c] = [alpha e_u, e_c]
     is built from the nonzero W alone, at scale D_alpha D_W, by
-    SuperBracket.composite.  A triple's
+    SuperBracket.composite, each vector packed in one int.  A triple's
     residual is then the cyclic signed sum of W(v,w)_c C[u][c] over the
-    nonzero W(v,w), at scale D_alpha D_W^2, and only the residuals a
-    report prints are divided back into Fractions.
+    nonzero W(v,w), at scale D_alpha D_W^2, summed as one int: three sums
+    over c, whose slots SuperBracket.join_width bounds, so the triple
+    holds exactly when the int is 0.  Only a failing triple's int is
+    unpacked, and only the residuals a report prints are divided back
+    into Fractions.
     """
     rep = Report("verify_hom_jacobi")
     sb = skew_basis(3, a.space)
@@ -113,22 +116,25 @@ def verify_hom_jacobi(a: HomLieSuper) -> Report:
     dim = a.space.dim
     dw, W = a.bracket.integer
     da, rows = integer_terms(a.alpha.matrix.entries)
-    C = {u: cols for (u,), cols in a.bracket.composite((rows,), 1).items()}
+    width, (table,) = a.bracket.composite((rows,), (1,), 3)
+    C = {u: cols for (u,), cols in table.items()}
     scale = da * dw * dw
     for (x, y, z) in sb.tuples:
-        out = [0] * dim
+        out = 0
         for (u, v, w) in ((x, y, z), (y, z, x), (z, x, y)):
             Cu = C.get(u)
             inner = W.get((v, w))
             if Cu and inner:
                 sign = -1 if (p[u] and p[w]) else 1
                 for c, wc in inner:
-                    for m, l in Cu.get(c, ()):
-                        out[m] += sign * wc * l
-        if any(out):
+                    col = Cu.get(c)
+                    if col:
+                        out += sign * wc * col
+        if out:
             rep.fail("hom-jacobi",
                      witness=(a.space.names[x], a.space.names[y], a.space.names[z]),
-                     residual=tuple(fmt_vec(Fraction(r, scale) for r in out)))
+                     residual=tuple(fmt_vec(Fraction(r, scale)
+                                            for r in unpack(out, width, dim))))
     rep.metrics["triples_checked"] = len(sb.tuples)
     return rep
 

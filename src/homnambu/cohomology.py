@@ -83,8 +83,9 @@ from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand, wedge_table)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, _gcd,
-                     field, frac, image, integer_terms, kernel, solve, vec,
-                     vec_add, vec_scale, zero_vec, is_zero_vec, record, ZERO)
+                     field, frac, image, integer_terms, kernel, pack,
+                     slot_width, solve, vec, vec_add, vec_scale, zero_vec,
+                     is_zero_vec, record, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
 from .ternary import TernaryHomLieSuper
@@ -219,16 +220,12 @@ def _weight_basis(obj) -> list:
 
 
 def _pack(basis: list, dim: int) -> list:
-    """Per coordinate i the int sum_n basis[n][i] 2^(width n): signed
-    slots wide enough that a sum of up to eight values in a slot, an
-    equation's or a key's, stays within it, so the packed sums of two
-    keys are equal exactly when their weights are."""
-    width = max(max(map(abs, v)) for v in basis).bit_length() + 4
-    packed = [0] * dim
-    for n, v in enumerate(basis):
-        shift = width * n
-        packed = [x + (a << shift) for x, a in zip(packed, v)]
-    return packed
+    """Per coordinate i the int linalg.pack of (basis[n][i]) over n: one
+    signed slot per vector, wide enough (linalg.slot_width) for a sum of
+    up to eight values in a slot, an equation's or a key's, so the packed
+    sums of two keys are equal exactly when their weights are."""
+    width = slot_width(8 * max(max(map(abs, v)) for v in basis))
+    return [pack(enumerate(v[i] for v in basis), width) for i in range(dim)]
 
 
 def _weight_groups(cx: str, degree: int, space: GradedSpace,

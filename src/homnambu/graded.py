@@ -40,8 +40,10 @@ only the residuals a report prints are divided back into Fractions:
   scale D_f D_s and right side at D_f^n D_t: the multiplicativity,
   morphism and induced-homomorphism checks;
 * composite, the integer table [F_1 e_a, ..., e_c, ...] with e_c in one
-  free slot: the Hom-Jacobi table of binary (scale D_alpha D_W^2) and the
-  three tables of the Hom-Nambu join of ternary (D_W^2 D_1 D_2);
+  free slot, each vector packed in one int (linalg.pack) in slots of
+  join_width, a proved bound: the Hom-Jacobi table of binary (scale
+  D_alpha D_W^2) and the three tables of the Hom-Nambu join of ternary
+  (D_W^2 D_1 D_2);
 * the coboundary rows of cohomology, ints times 1/(D_W D_alpha^k);
 * reps.verify_representation, whose bracket side rho([e_i, e_j]) beta is
   read at D_W, and the induced bracket, tau.induce of this view.
@@ -53,7 +55,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _gcd,
                      field, integer_terms, is_zero_vec, kernel, nonzero_terms,
-                     record, vec)
+                     pack, record, slot_width, vec)
 
 
 @record(frozen=True)
@@ -424,38 +426,78 @@ class SuperBracket:
             if bad:
                 yield key, None, bad
 
-    def composite(self, rows, free: int) -> dict:
-        """{(a_1, ..., a_(n-1)): {c: terms}}: the integer bracket with e_c
+    def join_width(self, rows, terms: int) -> int:
+        """The slot width (linalg.slot_width) of every sum of `terms`
+        sums +-sum_c W(k)_c T[a][c], W the integer view, k any stored key
+        and T a composite table of these rows: the residuals of the
+        Hom-Jacobi (3 such sums) and Hom-Nambu (4) joins.
+
+        The bound is proved, not sampled.  Let M be the largest |entry|
+        of the view, N the largest 1-norm sum_c |W(k)_c| of its vectors,
+        and S_s the largest column sum sum_i |R_s(i, a)| over the columns
+        a of rows[s] = R_s.  A table slot T[a][c]_m is the sum, over the
+        stored keys k with c in the free slot, of W(k)_m prod_s R_s(k_s,
+        a_s), k_s the key's index in the s-th other slot: composite reads
+        row k_s of R_s and keeps its column a_s.  There is at most one
+        such key per tuple (k_s), so |T[a][c]_m| <= M prod_s sum_i
+        |R_s(i, a_s)| <= M prod_s S_s: column sums, not row sums.  Then
+        |sum_c W(k)_c T[a][c]_m| <= N M prod_s S_s, and a residual slot is
+        at most terms N M prod_s S_s in size, which the width holds with
+        its sign.  So a residual is 0 exactly when its packed int is."""
+        bound = terms
+        for r in rows:
+            sums = {}
+            for row in r:
+                for a, x in row:
+                    sums[a] = sums.get(a, 0) + abs(x)
+            bound *= max(sums.values(), default=0)
+        top = norm = 0
+        for v in self.integer[1].values():
+            sizes = [abs(x) for _, x in v]
+            top = max(top, *sizes)
+            norm = max(norm, sum(sizes))
+        return slot_width(bound * top * norm)
+
+    def composite(self, rows, frees, terms: int) -> tuple:
+        """(width, tables): per slot `free` in frees, the table
+        {(a_1, ..., a_(n-1)): {c: packed}} of the integer bracket with e_c
         in slot `free` and F_1 e_a_1, ..., F_(n-1) e_a_(n-1) in the other
         slots, in order, built from the nonzero entries of the view alone.
         rows[s] holds the rows of D_s F_s, an integer matrix, as (column,
-        integer) pairs, so the table is at scale D_W D_1 ... D_(n-1); terms
-        are the nonzero (m, integer) pairs.  For arity 3 and free = 2 this
-        is [F_1 e_a, F_2 e_b, e_c].  The products of the map entries are
-        expanded once per distinct index tuple of the other slots."""
-        acc = {}
+        integer) pairs, so the tables are at scale D_W D_1 ... D_(n-1).
+        Each structure vector is packed once (linalg.pack), in slots of
+        width = join_width(rows, terms) bits, wide enough for the sums of
+        `terms` contractions that read the tables, and each table vector
+        accumulates as one int, the nonzero ones kept.  For arity 3 and
+        free = 2 the table is [F_1 e_a, F_2 e_b, e_c].  The products of
+        the map entries are expanded once per distinct index tuple of the
+        other slots, for every table."""
+        width = self.join_width(rows, terms)
+        packed = {key: pack(v, width) for key, v in self.integer[1].items()}
         expanded = {}
-        for key, terms in self.integer[1].items():
-            c = key[free]
-            rest = key[:free] + key[free + 1:]
-            parts = expanded.get(rest)
-            if parts is None:
-                parts = [((), 1)]
-                for r, i in zip(rows, rest):
-                    parts = [(ab + (a,), y * x)
-                             for ab, y in parts for a, x in r[i]]
-                expanded[rest] = parts
-            for ab, y in parts:
-                col = acc.setdefault(ab, {}).setdefault(c, {})
-                for m, w in terms:
-                    col[m] = col.get(m, 0) + y * w
-        table = {}
-        for ab, cols in acc.items():
-            for c, col in cols.items():
-                terms = tuple((m, x) for m, x in col.items() if x)
-                if terms:
-                    table.setdefault(ab, {})[c] = terms
-        return table
+        tables = []
+        for free in frees:
+            acc = {}
+            for key, vector in packed.items():
+                c = key[free]
+                rest = key[:free] + key[free + 1:]
+                parts = expanded.get(rest)
+                if parts is None:
+                    parts = [((), 1)]
+                    for r, i in zip(rows, rest):
+                        parts = [(ab + (a,), y * x)
+                                 for ab, y in parts for a, x in r[i]]
+                    expanded[rest] = parts
+                for ab, y in parts:
+                    cols = acc.setdefault(ab, {})
+                    cols[c] = cols.get(c, 0) + y * vector
+            table = {}
+            for ab, cols in acc.items():
+                cols = {c: x for c, x in cols.items() if x}
+                if cols:
+                    table[ab] = cols
+            tables.append(table)
+        return width, tables
 
     def span(self, *subspaces) -> Subspace:
         """The span of [S1, ..., Sn] over the vectors of the subspaces Si.

@@ -13,6 +13,11 @@ and makes Fractions only for the RREF it returns, in the same storage;
 rank, kernel, image, solve, invert and Subspace read those rows.
 Subspaces are stored as reduced row echelon bases with zero rows
 dropped, so structural equality is canonical equality.
+
+pack, unpack and slot_width hold an int vector in one Python int,
+coordinate m in the m-th signed slot of a fixed width (Kronecker
+substitution), so a sum of scaled vectors is one big-int multiply-add
+per vector; the width comes from an a-priori bound on every slot.
 """
 
 from fractions import Fraction
@@ -246,6 +251,37 @@ def integer_terms(rows):
 def nonzero_terms(v: Vec) -> tuple:
     """The (index, value) pairs of the nonzero entries of a dense vector."""
     return tuple((j, x) for j, x in enumerate(v) if x)
+
+
+def slot_width(bound: int) -> int:
+    """The width of a signed slot that holds every int of absolute value
+    at most bound: bound < 2^(width - 1), the top bit the sign's."""
+    return bound.bit_length() + 1
+
+
+def pack(terms, width: int) -> int:
+    """The sparse int vector terms, (m, x) pairs, as one int: the sum of
+    x 2^(width m), coordinate m in the m-th signed slot of width bits
+    (Kronecker substitution).  Packing is linear, so packed vectors add
+    and scale as the vectors do, whatever their slots hold on the way.
+    unpack reads the vector back, and the int is 0 exactly when the
+    vector is, while every slot x has |x| < 2^(width - 1), which a width
+    from slot_width of an a-priori bound on |x| makes sure of."""
+    return sum(x << (width * m) for m, x in terms)
+
+
+def unpack(packed: int, width: int, n: int) -> list:
+    """Slots 0 to n - 1 of pack's int, as a dense list of ints: each slot
+    read as the residue in [-2^(width - 1), 2^(width - 1)) and taken off
+    before the next is read."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(n):
+        x = ((packed + half) & mask) - half
+        out.append(x)
+        packed = (packed - x) >> width
+    return out
 
 
 @record(frozen=True)

@@ -31,12 +31,15 @@ verify_hom_nambu evaluates the identity as a sparse join over integers.
 It takes the bracket's integer view, clears the denominators of both
 twists once, and has SuperBracket.composite build three integer tables
 from the nonzero W alone: [a1 e_a, a2 e_b, e_c], [e_c, a1 e_a, a2 e_b]
-and [a1 e_a, e_c, a2 e_b].  For each (x, y) it then pairs the nonzero
-W(z,u,v) with the first table (the left side) and the nonzero W(x,y,w)
-with all three (the right side), so a tuple where every term is zero
-costs nothing.  Every term has degree 2 in the bracket and 1 in each
-twist, so the integer residuals are a fixed multiple of the true ones;
-only the residuals a report prints are divided back into Fractions.
+and [a1 e_a, e_c, a2 e_b], each vector packed in one Python int
+(linalg.pack, in slots SuperBracket.join_width proves wide enough).
+For each (x, y) it then pairs the nonzero W(z,u,v) with the first table
+(the left side) and the nonzero W(x,y,w) with all three (the right
+side), one int multiply-add per pair, so a tuple where every term is
+zero costs nothing.  Every term has degree 2 in the bracket and 1 in
+each twist, so the integer residuals are a fixed multiple of the true
+ones; only failing residuals are unpacked, and only those a report
+prints are divided back into Fractions.
 
 When a1 = a2 and the bracket is super_skew, the residual is super-skew
 in (x, y) and in (z, u, v), so the join runs over canonical orbits:
@@ -51,7 +54,6 @@ _block_kernel, over every key or the canonical ones alone, and
 hom_nambu_residual_direct is the naive oracle of both.
 """
 
-from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 
@@ -59,7 +61,8 @@ from .binary import HomLieSuper, is_ideal, verify_morphism, yau_twist
 from .graded import (GradedMap, GradedSpace, SuperBracket, canonicalize,
                      compat_residuals, skew_basis)
 from .linalg import (InputError, PreconditionError, Subspace, Vec, field,
-                     integer_terms, is_zero_vec, record, vec_add, vec_scale)
+                     integer_terms, is_zero_vec, record, unpack, vec_add,
+                     vec_scale)
 from .report import Report, fmt_vec
 from .reps import TraceFunctional, trace_kernel, trace_mismatches
 
@@ -158,8 +161,11 @@ def verify_hom_nambu(t: TernaryHomLieSuper) -> Report:
     The residuals come from one sparse join over integers, _hom_nambu_join:
     the denominators of the bracket (D_W) and of the twists (D1, D2) are
     cleared once, so every integer residual is D_W^2 D1 D2 times the true
-    one, and only the first 16, the ones reported, are divided back into
-    exact Fractions.  A tuple is visited only when some term of its
+    one.  Each residual is summed as one int, its coordinates in slots
+    wide enough for an a-priori bound (SuperBracket.join_width), so a
+    tuple holds exactly when its int is 0; only the failing ones are
+    unpacked, and only the first 16, the ones reported, are divided back
+    into exact Fractions.  A tuple is visited only when some term of its
     identity reads a stored entry; every other tuple has residual zero.
     With one twist and a super_skew bracket (any induced bracket) only
     canonical (x, y) and (z, u, v) are computed, and each failing orbit is
@@ -212,75 +218,85 @@ def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
 
 
 def _integer_tables(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
-    """(scale, (W, L, N, Q)): the bracket's integer view W and its
+    """(scale, (width, W, L, N, Q)): the bracket's integer view W and its
     composite tables L, N and Q (free slot 2, 0 and 1) in the placement
-    (a1, a2).  The integer view (D_W) and the twists cleared of
-    denominators (D1, D2) make everything integer, and every term of the
-    identity has degree 2 in the bracket and 1 in each twist, so
-    scale = D_W^2 D1 D2.
+    (a1, a2), packed in slots of `width` bits.  The integer view (D_W) and
+    the twists cleared of denominators (D1, D2) make everything integer,
+    and every term of the identity has degree 2 in the bracket and 1 in
+    each twist, so scale = D_W^2 D1 D2.  A residual is the left side and
+    three right-hand terms, each a sum over c of W(k)_c times a table
+    vector, so the width is SuperBracket.join_width's for 4 terms.
     """
     dw, W = t.bracket.integer
     d1, rows1 = integer_terms(a1.matrix.entries)
     d2, rows2 = integer_terms(a2.matrix.entries)
-    L, N, Q = (t.bracket.composite((rows1, rows2), free) for free in (2, 0, 1))
-    return dw * dw * d1 * d2, (W, L, N, Q)
+    width, (L, N, Q) = t.bracket.composite((rows1, rows2), (2, 0, 1), 4)
+    return dw * dw * d1 * d2, (width, W, L, N, Q)
 
 
 def _block_kernel(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict,
                   keys):
-    """block(x, y) -> {key: integer residual}, for the keys
-    z*dim^2 + u*dim + v in `keys`: every key, or the canonical ones.
+    """block(x, y) -> [(key, packed residual)] for the keys
+    z*dim^2 + u*dim + v in `keys`, increasing, whose residual is nonzero:
+    every key, or the canonical ones.
 
     Built once: lhs[c], each key of a nonzero W(z,u,v) with its column c
     term, read by the left side [a1 x, a2 y, W(z,u,v)] through L[x, y];
-    rhs[w][c], each right-hand entry that reads W(x,y,w)[c], as its key,
-    its sign flip when |x|+|y| is odd and its composite: N[u, v] with
-    w = z, Q[z, v] with w = u and L[z, u] with w = v, of signs 1,
-    (-1)^{|z|(|x|+|y|)} and (-1)^{(|z|+|u|)(|x|+|y|)}.  A block sums only
-    the keys these touch; no other can be nonzero.
+    rhs[w][c], each right-hand entry that reads W(x,y,w)[c], as its key
+    and its composite: N[u, v] with w = z, Q[z, v] with w = u and L[z, u]
+    with w = v, of signs 1, (-1)^{|z|(|x|+|y|)} and
+    (-1)^{(|z|+|u|)(|x|+|y|)}, in two lists: the entries whose sign is
+    always 1, and those whose sign flips when |x|+|y| is odd.  A block
+    sums only the keys these touch; no other can be nonzero.  The tables
+    hold each vector packed in one int, so a term is one multiply-add
+    whatever the dimension, into one int per key, and a residual is zero
+    exactly when its int is, since join_width bounds every slot.
     """
     p = t.space.parities
     dim = t.dim
     dd = dim * dim
+    size = dd * dim
+    wanted = set(keys)
     lhs = [[] for _ in range(dim)]
     for (z, u, v), terms in W.items():
         key = z * dd + u * dim + v
-        if key in keys:
+        if key in wanted:
             for c, wc in terms:
                 lhs[c].append((key, wc))
-    rhs = [[[] for _ in range(dim)] for _ in range(dim)]
+    rhs = [[([], []) for _ in range(dim)] for _ in range(dim)]
     for weight, table, offset, flip in (
             (dd, N, lambda u, v: u * dim + v, lambda u, v: False),
             (dim, Q, lambda z, v: z * dd + v, lambda z, v: p[z]),
             (1, L, lambda z, u: z * dd + u * dim, lambda z, u: p[z] != p[u])):
         for (a, b), cols in table.items():
-            off, f = offset(a, b), flip(a, b)
+            off, f = offset(a, b), int(flip(a, b))
             for w in range(dim):
                 key = w * weight + off
-                if key in keys:
-                    for c, terms in cols.items():
-                        rhs[w][c].append((key, f, terms))
+                if key in wanted:
+                    for c, col in cols.items():
+                        rhs[w][c][f].append((key, col))
     row_xy = {}
     for (x, y, w), terms in W.items():
         row_xy.setdefault((x, y), []).append((w, terms))
 
     def block(x, y):
-        acc = defaultdict(lambda: [0] * dim)
+        acc = [0] * size
         for c, col in L.get((x, y), {}).items():
             for key, wc in lhs[c]:
-                out = acc[key]
-                for m, l in col:
-                    out[m] += wc * l
+                acc[key] += wc * col
         odd = p[x] != p[y]
         for w, terms in row_xy.get((x, y), ()):
             row = rhs[w]
             for c, wc in terms:
-                for key, flip, col in row[c]:
-                    f = wc if (odd and flip) else -wc
-                    out = acc[key]
-                    for m, l in col:
-                        out[m] += f * l
-        return acc
+                kept, flipped = row[c]
+                f = -wc
+                for key, col in kept:
+                    acc[key] += f * col
+                if odd:
+                    f = wc
+                for key, col in flipped:
+                    acc[key] += f * col
+        return [(key, acc[key]) for key in keys if acc[key]]
 
     return block
 
@@ -290,19 +306,20 @@ def _unkey(key: int, dim: int) -> tuple:
     return key // (dim * dim), key // dim % dim, key % dim
 
 
-def _join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
+def _join(t: TernaryHomLieSuper, width: int, W: dict, L: dict, N: dict,
+          Q: dict):
     """The residuals, one (x, y) block of _block_kernel at a time, every
-    key kept, each block's nonzero keys in order."""
+    key kept, each block's nonzero keys in order, unpacked."""
     dim = t.dim
     block = _block_kernel(t, W, L, N, Q, range(dim ** 3))
     for x in range(dim):
         for y in range(dim):
-            acc = block(x, y)
-            for key in sorted(k for k, r in acc.items() if any(r)):
-                yield (x, y, *_unkey(key, dim)), acc[key]
+            for key, r in block(x, y):
+                yield (x, y, *_unkey(key, dim)), unpack(r, width, dim)
 
 
-def _orbit_join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
+def _orbit_join(t: TernaryHomLieSuper, width: int, W: dict, L: dict, N: dict,
+                Q: dict):
     """The residuals of _join, computed on canonical orbits only.
 
     With a1 = a2 and a super-skew bracket that obeys the parity law, the
@@ -311,27 +328,27 @@ def _orbit_join(t: TernaryHomLieSuper, W: dict, L: dict, N: dict, Q: dict):
     signs of both parts, and zero when an even index repeats.  So only
     canonical (x, y) blocks are computed, each of _block_kernel with the
     canonical keys (z, u, v) alone.  Each failing canonical key is
-    expanded into its distinct orderings, and the block of a
+    unpacked and expanded into its distinct orderings, and the block of a
     non-canonical (x, y) is the one of (y, x) times the pair's sign, so
     the violations come out as _join yields them.
     """
     p = t.space.parities
     dim = t.dim
-    block = _block_kernel(t, W, L, N, Q, {
-        (z * dim + u) * dim + v for z, u, v in skew_basis(3, t.space).tuples})
+    block = _block_kernel(t, W, L, N, Q, sorted(
+        (z * dim + u) * dim + v for z, u, v in skew_basis(3, t.space).tuples))
 
     def expanded(x, y):
         """Sorted (key, R, -R) of every failing tuple (x, y, key), x <= y."""
         found = []
-        for key, resid in block(x, y).items():
-            if any(resid):
-                neg = [-r for r in resid]
-                for order in dict.fromkeys(permutations(_unkey(key, dim))):
-                    code = (order[0] * dim + order[1]) * dim + order[2]
-                    if canonicalize(order, p)[1] > 0:
-                        found.append((code, resid, neg))
-                    else:
-                        found.append((code, neg, resid))
+        for key, packed in block(x, y):
+            resid = unpack(packed, width, dim)
+            neg = [-r for r in resid]
+            for order in dict.fromkeys(permutations(_unkey(key, dim))):
+                code = (order[0] * dim + order[1]) * dim + order[2]
+                if canonicalize(order, p)[1] > 0:
+                    found.append((code, resid, neg))
+                else:
+                    found.append((code, neg, resid))
         found.sort(key=lambda item: item[0])
         return found
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,7 @@ from homnambu.fixtures import (gl11, gl11t, glmn, neg_jacobi, neg_mult,
 from homnambu.graded import (GradedMap, graded_space, identity_map,
                              skew_basis, tuple_parity)
 from homnambu.linalg import (Matrix, PreconditionError, Subspace, frac,
-                             is_zero_vec, unit_vec)
+                             integer_terms, is_zero_vec, slot_width, unit_vec)
 from homnambu.report import Report, fmt_vec
 
 
@@ -118,9 +119,42 @@ def broken_glmn_conjugate():
     return HomLieSuper(conj.space, bracket, conj.alpha)
 
 
+def wide_slot_jacobi():
+    """Slot-width probe: on twelve even elements every ordered [e_i, e_j]
+    is K e_11, K = 10^12 + 1, and alpha sends e_9, e_10 and e_11 to
+    g (e_0 + ... + e_11), g = 7^9 / 5, and the rest to 0: column sums of
+    12 g, four times the row sums.  At (e_9, e_10, e_11) the three
+    cyclic terms agree, so the residual is the whole bound of
+    SuperBracket.join_width: a width from row sums, or one without its
+    sign bit, misreads it."""
+    n = 12
+    sp = graded_space(tuple(f"e{i}" for i in range(n)), (0,) * n)
+    g = Fraction(7 ** 9, 5)
+    alpha = Matrix.build([[0] * (n - 3) + [g] * 3] * n)
+    vectors = dict.fromkeys(product(range(n), repeat=2),
+                            (0,) * (n - 1) + (10 ** 12 + 1,))
+    return HomLieSuper(sp, SuperBracket2.from_vectors(sp, vectors),
+                       GradedMap(sp, sp, alpha))
+
+
+def test_wide_slot_jacobi_needs_column_sums_and_the_sign_bit():
+    a = wide_slot_jacobi()
+    da, rows = integer_terms(a.alpha.matrix.entries)
+    dw = a.bracket.integer[0]
+    top = max(r * da * dw * dw for key in skew_basis(3, a.space).tuples
+              for r in hom_jacobi_residual(a, *key))
+    width = a.bracket.join_width((rows,), 3)
+    # a signed slot of one bit less holds nothing above 2^(width - 2) - 1
+    assert top >= 1 << (width - 2)
+    # nor does one sized from the twist's largest row sum, 3 7^9
+    row_width = slot_width(3 * (10 ** 12 + 1) ** 2 * 3 * 7 ** 9)
+    assert top >= 1 << (row_width - 1)
+
+
 @pytest.mark.parametrize("build", [
     neg_jacobi, lambda: gl11t()[0], lambda: seeded_fractional_algebra(24),
-    broken_glmn_conjugate], ids=["neg_jacobi", "gl11t", "seeded", "conjugate"])
+    broken_glmn_conjugate, wide_slot_jacobi],
+    ids=["neg_jacobi", "gl11t", "seeded", "conjugate", "wide-slot"])
 def test_hom_jacobi_matches_the_fraction_oracle(build):
     a = build()
     want = hom_jacobi_oracle(a)

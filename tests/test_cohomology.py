@@ -37,7 +37,8 @@ from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
                              image, integer_terms, is_zero_vec, kernel,
                              subspace_intersection, unit_vec, vec_scale)
 from homnambu.reps import trace_functional
-from homnambu.ternary import SuperBracket3, TernaryHomLieSuper, induce_ternary
+from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper, induce_ternary,
+                              verify_hom_nambu)
 
 from oracles import key_parts, parity_cocycles, select
 
@@ -1353,6 +1354,20 @@ def test_gl22_degree_2_ternary_cohomology():
     _, t = induced(lie, rep)
     assert cohomology_dims(t, "ternary-scalar", 2) == (10, 7, 3)
     assert cohomology_dims(t, "ternary-adjoint", 2) == (144, 120, 24)
+
+
+@pytest.mark.parametrize("m, n, bs2, ts2, ta2", [
+    (3, 1, (9, 9, 0), (10, 9, 1), (136, 126, 10)),
+    (1, 3, (9, 9, 0), (10, 9, 1), (136, 126, 10)),
+    (4, 0, (15, 15, 0), (16, 15, 1), (256, 240, 16))])
+def test_other_dimension_16_splits(m, n, bs2, ts2, ta2):
+    # the 16-dimensional gl(m|n) besides gl(2|2), where str(I) != 0
+    lie, rep = glmn(m, n)
+    _, t = induced(lie, rep)
+    assert verify_hom_nambu(t).verdict == "pass"
+    assert cohomology_dims(lie, "binary-scalar", 2) == bs2
+    assert cohomology_dims(t, "ternary-scalar", 2) == ts2
+    assert cohomology_dims(t, "ternary-adjoint", 2) == ta2
 
 
 def test_row_count_is_the_number_of_row_keys():

@@ -11,8 +11,9 @@ from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, random_even_invertible)
 from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd,
                              _make_primitive, frac, image, invert,
-                             is_zero_vec, kernel, rank, rref, solve,
-                             subspace_intersection, unit_vec, vec, zero_vec)
+                             is_zero_vec, kernel, pack, rank, rref,
+                             slot_width, solve, subspace_intersection,
+                             unit_vec, unpack, vec, zero_vec)
 from homnambu.reps import trace_functional
 from homnambu.series import central_series, derived_series, ternary_center
 from homnambu.ternary import induce_ternary
@@ -570,3 +571,50 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
         r = rref(m)
         assert r == fraction_rref(m)
         assert all(type(x) is Fraction for row in r.entries for _, x in row)
+
+
+# --- packed slots ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 7, 8, 5 * 10 ** 12,
+                                   (1 << 64) - 1, 1 << 64])
+def test_packed_slots_round_trip_up_to_the_bound(bound):
+    width = slot_width(bound)
+    edge = (1 << (width - 1)) - 1  # the largest size a slot holds both signs of
+    assert bound <= edge < 2 * bound + 1
+    rng = random.Random(bound)
+    vectors = [[0] * 5, [edge, -edge, edge, -edge, edge], [-edge] * 5,
+               [0, 0, 0, 0, -edge], [edge, 0, 0, 0, -bound], [-1] * 5,
+               [bound, -bound, 0, bound, -bound]]
+    vectors += [[rng.randint(-edge, edge) for _ in range(5)]
+                for _ in range(20)]
+    for v in vectors:
+        packed = pack(enumerate(v), width)
+        assert unpack(packed, width, 5) == v
+        assert (packed == 0) == (not any(v))
+    # sparse terms pack as their dense vector does
+    assert pack([(4, -edge), (1, edge)], width) == pack(
+        enumerate([0, edge, 0, 0, -edge]), width)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 5 * 10 ** 12,
+                                   (1 << 64) - 1, 1 << 64])
+def test_a_slot_one_bit_short_of_the_bound_fails_the_round_trip(bound):
+    short = slot_width(bound) - 1
+    for v in ([bound, 0, 0], [0, bound, 0], [0, 0, bound], [-bound, bound, 1]):
+        assert unpack(pack(enumerate(v), short), short, 3) != v
+
+
+def test_packed_vectors_add_and_scale_as_vectors():
+    # the slots may leave their range on the way: only the sum is read
+    rng = random.Random(5)
+    width = slot_width(100)
+    for _ in range(50):
+        u = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
+        v = [rng.randint(-100, 100) - a for a in u]
+        c = rng.randint(-9, 9)
+        total = [a + b for a, b in zip(u, v)]
+        assert unpack(pack(enumerate(u), width) + pack(enumerate(v), width),
+                      width, 4) == total
+        assert (c * pack(enumerate(total), width)
+                == pack(enumerate(c * x for x in total), width))

@@ -16,10 +16,10 @@ from homnambu.fixtures import (alpha_t, central_twist, conjugate_gl11,
                                matrix_units, neg_nambu, neg_skew,
                                neg_ternary_mult, neg_ternary_skew,
                                random_even_invertible)
-from homnambu.graded import (GradedMap, canonicalize, identity_map, skew_basis,
-                             tuple_parity)
+from homnambu.graded import (GradedMap, canonicalize, graded_space,
+                             identity_map, skew_basis, tuple_parity)
 from homnambu.linalg import (InputError, Matrix, Subspace, frac, is_zero_vec,
-                             unit_vec, vec_add, vec_scale)
+                             slot_width, unit_vec, vec_add, vec_scale)
 from homnambu.report import Report, fmt_vec
 from homnambu.reps import TraceFunctional, trace_functional, trace_mismatches
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
@@ -219,6 +219,37 @@ def random_fraction_bracket_two_twists():
                               twist(5), twist(7))
 
 
+def wide_slot_nambu():
+    """Slot-width probe: on four even elements a, b, c, d every ordered
+    [e_i, e_j, e_k] is K d, K = (10^12 + 1)/3, and both twists send d to
+    11 (a + b + c + d) and a, b, c to 0: a column sum of 44, row sums of
+    11.
+    At (a, a, d, d, d) the left side is zero and the three right-hand
+    terms agree, so the residual is -3/4 of the bound of
+    SuperBracket.join_width, and it is the tenth violation reported: a
+    width from row sums, or one without its sign bit, misreads it."""
+    sp = graded_space(("a", "b", "c", "d"), (0, 0, 0, 0))
+    k = Fraction(10 ** 12 + 1, 3)
+    twist = GradedMap(sp, sp, Matrix.build([[0, 0, 0, 11]] * 4))
+    vectors = dict.fromkeys(product(range(4), repeat=3), (0, 0, 0, k))
+    return TernaryHomLieSuper(sp, SuperBracket3.from_vectors(sp, vectors),
+                              twist, twist)
+
+
+def test_wide_slot_nambu_needs_column_sums_and_the_sign_bit():
+    t = wide_slot_nambu()
+    scale, found = _hom_nambu_join(t, t.alpha1, t.alpha2)
+    low = min(r for _, resid in found for r in resid)
+    width = _integer_tables(t, t.alpha1, t.alpha2)[1][0]
+    # a signed slot of one bit less holds nothing below -2^(width - 2)
+    assert low < -(1 << (width - 2))
+    # nor does one sized from the twists' largest row sum, 11
+    entries = [abs(x) for terms in t.bracket.integer[1].values()
+               for _, x in terms]
+    row_width = slot_width(4 * max(entries) ** 2 * 11 ** 2)
+    assert low < -(1 << (row_width - 1))
+
+
 def direct_violations(t, a1, a2):
     """(witness, residual) of every nonzero oracle residual, in loop order."""
     names = t.space.names
@@ -237,7 +268,8 @@ def direct_violations(t, a1, a2):
                                    random_fraction_bracket_two_twists,
                                    central_gl11, broken_central_gl11,
                                    one_sided_central_gl11,
-                                   broken_one_sided_central_gl11])
+                                   broken_one_sided_central_gl11,
+                                   wide_slot_nambu])
 def test_verify_hom_nambu_matches_direct_oracle_on_every_tuple(build):
     t = build()
     want = direct_violations(t, t.alpha1, t.alpha2)
@@ -646,6 +678,7 @@ ORBIT_CASES = {
     "gl21": lambda: induced_glmn(2, 1),
     "gl21-twisted": twisted_gl21,
     "gl21-conj": lambda: induced_conjugate(2, 1, 1),
+    "gl21-conj-broken": lambda: doubled_first(induced_conjugate(2, 1, 1)),
     "gl21-broken": broken_gl21,
     "gl21-broken-twisted": broken_twisted_gl21,
     "gl22-broken": lambda: doubled_first(induced_glmn(2, 2)),
