@@ -55,19 +55,24 @@ output it serves.  A scalar cochain of parity f needs the parity-f
 blocks alone, so a scalar (Z, B, H) builds no odd row.  No row is kept
 once rref has read it.
 
-The whole-operator forms read key-parity blocks, numbered by
-_parity_keys, each memoized on the algebra under (complex, degree,
-parity, q) when first read; only the ternary-adjoint delta2 reads the
-parity, and its even blocks are the scalar delta2's objects.  An adjoint
-coboundary applies its value-free rows once per output index, so its
-matrix is block-diagonal across the outputs.  coboundary_matrix, the one
-whole-operator form, built on each call, interleaves the two blocks back
-into key order, scales them and lifts them, moving key column j of
-output o to j*dim + o; it is the one place the rows become Fractions.
-Every coboundary of a given cochain goes through _apply, which reads
-only the blocks whose columns the nonzero coordinates touch, sums in
-ints and returns the nonzero outputs; apply_coboundary alone makes them
-dense.
+The whole-operator forms read the same (q, w) blocks, each memoized on
+the algebra under (complex, degree, parity, (q, w)) when first read,
+with its row and column keys; only the ternary-adjoint delta2 reads the
+parity, and its even blocks are the scalar delta2's objects.  The memo
+stays until a coboundary is applied to many cochains in one walk:
+without it every application walks its blocks again, and transfer-checks
+took 3.6-3.8 s against 1.3-1.5 s on gl(2|2) (33 MB peak against 35 MB),
+and 54 s against 21-22 s on its dense conjugate (373 MB against 695 MB),
+on a 2-core x86-64 host with Python 3.11.7.  An adjoint coboundary
+applies its value-free rows once per output index, so its matrix is
+block-diagonal across the outputs.  coboundary_matrix, the one
+whole-operator form, built on each call, places each block's rows at
+their row keys, maps its columns back through its column keys, scales
+them and lifts them, moving key column j of output o to j*dim + o; it is
+the one place the rows become Fractions.  Every coboundary of a given
+cochain goes through _apply, which labels each nonzero coordinate's key,
+reads only the blocks of those labels, sums in ints and returns the
+nonzero outputs; apply_coboundary alone makes them dense.
 
 induce_cocycle transfers a binary 2-cocycle with
 reps.TraceFunctional.induce, the formula that also builds the induced
@@ -128,38 +133,6 @@ def _width(cx: str, space: GradedSpace) -> int:
 
 def cochain_length(cx: str, degree: int, space: GradedSpace) -> int:
     return len(cochain_keys(cx, degree, space)) * _width(cx, space)
-
-
-def _key_parities(cx: str, degree: int, space: GradedSpace) -> list:
-    """The parity of each key of cochain_keys(cx, degree, space), in
-    order: the sum of its parts' parities, mod 2.  A ternary key is a pair
-    prefix and an element, so its parities are those of the prefixes,
-    summed pair by pair, each combined with every element's, without
-    listing the keys."""
-    _check_degree(cx, degree)
-    p = space.parities
-    if cx.startswith("binary"):
-        return [tuple_parity(key, p) for key in skew_basis(degree, space).tuples]
-    pairp = [tuple_parity(pair, p) for pair in skew_basis(2, space).tuples]
-    prefix = [0]
-    for _ in range(degree - 1):
-        prefix = [a ^ b for a in prefix for b in pairp]
-    return [a ^ b for a in prefix for b in p]
-
-
-@lru_cache(maxsize=64)
-def _parity_keys(cx: str, degree: int, space: GradedSpace, q: int) -> array:
-    """The positions in cochain_keys(cx, degree, space) of the keys of
-    parity q, in order: the numbering of a key-parity block's rows and
-    columns, which the memoized blocks and their assembly read.  Computed
-    once per space, not per coboundary applied, and kept as machine ints,
-    since gl(2|2)'s ternary delta2 has 131,072 rows of each parity; every
-    caller shares the one array and only reads it.  It depends on the
-    space alone, so it is cached by space, not in an algebra's memo;
-    transfer-checks reads 12 numberings, so 64 keep those of a few spaces
-    at once."""
-    parities = _key_parities(cx, degree, space)
-    return array("q", (n for n, kp in enumerate(parities) if kp == q))
 
 
 def _grading(obj) -> tuple:
@@ -236,26 +209,24 @@ def _weight_groups(cx: str, degree: int, space: GradedSpace,
     prefixes, elements): the key at position b * width + z is prefix b
     followed by element z, and its label is the sum of theirs, the
     parities mod 2.  labels holds each prefix's label, prefixes maps each
-    label to its prefixes, increasing, and elements each label to its
-    elements.  A ternary key is its pair prefix and its element (width
-    dim), labelled pair by pair without listing the keys; a binary key is
-    a prefix alone (width 1, one element 0 of label (0, 0))."""
+    label to its prefixes, increasing, and elements holds each element's
+    label.  A ternary key is its pair prefix and its element (width dim),
+    labelled pair by pair without listing the keys; a binary key is a
+    prefix alone (width 1, one element 0 of label (0, 0))."""
     _check_degree(cx, degree)
     p = space.parities
     if cx.startswith("binary"):
         labels = [(sum(map(p.__getitem__, key)) % 2,
                    sum(map(weights.__getitem__, key)))
                   for key in skew_basis(degree, space).tuples]
-        width, elements = 1, {(0, 0): (0,)}
+        width, elements = 1, [(0, 0)]
     else:
         pairs = [(p[i] ^ p[j], weights[i] + weights[j])
                  for i, j in skew_basis(2, space).tuples]
         labels = [(0, 0)]
         for _ in range(degree - 1):
             labels = [(q ^ r, w + v) for q, w in labels for r, v in pairs]
-        width, elements = space.dim, {}
-        for z, label in enumerate(zip(p, weights)):
-            elements[label] = elements.get(label, ()) + (z,)
+        width, elements = space.dim, list(zip(p, weights))
     prefixes = {}
     for b, label in enumerate(labels):
         prefixes.setdefault(label, []).append(b)
@@ -276,8 +247,10 @@ def _block(groups: tuple, label: tuple) -> tuple:
     followed by the elements that complete its label."""
     width, labels, prefixes, elements = groups
     q, w = label
-    runs = {(q ^ r, w - v): zs for (r, v), zs in elements.items()
-            if (q ^ r, w - v) in prefixes}  # prefix label -> its elements
+    runs = {}  # prefix label -> the elements that complete it
+    for z, (r, v) in enumerate(elements):
+        if (q ^ r, w - v) in prefixes:
+            runs.setdefault((q ^ r, w - v), []).append(z)
     return (sum(len(prefixes[pl]) * len(zs) for pl, zs in runs.items()),
             (b * width + z for b in sorted(chain.from_iterable(
                 map(prefixes.__getitem__, runs))) for z in runs[labels[b]]))
@@ -292,8 +265,11 @@ def _block_keys(groups: tuple, label: tuple) -> array:
 def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
     """Per coordinate: argument-key parity, plus output parity for the
     adjoint complexes.  A cochain of parity |f| is supported exactly on the
-    coordinates whose entry here equals |f|."""
-    keyp = _key_parities(cx, degree, space)
+    coordinates whose entry here equals |f|.  The key parities are the
+    labels of _weight_groups under all-zero weights, in key order."""
+    _, labels, _, elements = _weight_groups(cx, degree, space,
+                                            (0,) * space.dim)
+    keyp = [q ^ r for q, _ in labels for r, _ in elements]
     if _width(cx, space) == 1:
         return tuple(keyp)
     return tuple((kp + po) % 2 for kp in keyp for po in space.parities)
@@ -627,84 +603,95 @@ def _walk(obj, cx: str, degree: int, parity: int) -> tuple:
     return _check_operator(obj, cx, degree)(obj, cx, degree, parity)
 
 
-def _rows(obj, cx: str, degree: int, parity: int, q: int) -> tuple:
-    """(integer rows, multiplier) of the key-parity-q block of the cx
-    coboundary on degree-cochains, the whole block in key order, built
-    once per algebra and kept in obj.memo under (cx, degree, parity, q);
-    the operator is checked before a block is built, so a block in the
+def _rows(obj, cx: str, degree: int, parity: int, labels) -> list:
+    """[(row keys, column keys, integer rows, multiplier)] of the (q, w)
+    blocks of these labels of the cx coboundary on degree-cochains, in
+    order: the positions of a block's row and column keys, in key order,
+    and its rows as a Matrix over those columns.  Each block is built once
+    per algebra and kept in obj.memo under (cx, degree, parity, label);
+    the blocks missing there are built by one walk, which shares its
+    caches across them, once the operator is checked, so a block in the
     memo was checked on obj.  An adjoint block that reads the scalar rows
-    is the scalar block object.  Only the ternary-adjoint delta2 reads the
-    cochain parity, mod 2; every other entry is under 0."""
+    holds the scalar block's objects.  Only the ternary-adjoint delta2
+    reads the cochain parity, mod 2; every other entry is under 0.  Its
+    readers check the operator first, so a degree here is an int."""
     parity = parity % 2 if (cx, degree) == ("ternary-adjoint", 2) else 0
-    key = (cx, degree, parity, q)
-    if type(degree) is not int or key not in obj.memo:
+    keys = [(cx, degree, parity, label) for label in labels]
+    missing = [key[3] for key in keys if key not in obj.memo]
+    if missing:
         multiplier, rows, (scx, sparity) = _walk(obj, cx, degree, parity)
         if (scx, sparity) != (cx, parity):
-            block = _rows(obj, scx, degree, sparity, q)[0]
+            blocks = [block[:3] for block
+                      in _rows(obj, scx, degree, sparity, missing)]
         else:
-            row_keys = _parity_keys(_scalar(cx), degree + 1, obj.space, q)
-            col_keys = _parity_keys(cx, degree, obj.space, q)
-            block = Matrix(len(row_keys), len(col_keys),
-                           tuple(rows(row_keys, col_keys)))
-        obj.memo[key] = block, multiplier
-    return obj.memo[key]
+            weights = _grading(obj)
+            row_groups = _weight_groups(_scalar(cx), degree + 1, obj.space,
+                                        weights)
+            col_groups = _weight_groups(cx, degree, obj.space, weights)
+            blocks = []
+            for label in missing:
+                row_keys = _block_keys(row_groups, label)
+                col_keys = _block_keys(col_groups, label)
+                blocks.append((row_keys, col_keys, Matrix(
+                    len(row_keys), len(col_keys),
+                    tuple(rows(row_keys, col_keys)))))
+        for label, block in zip(missing, blocks):
+            obj.memo[cx, degree, parity, label] = (*block, multiplier)
+    return [obj.memo[key] for key in keys]
 
 
 def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
     """The cx coboundary of degree-cochains of this parity, on full cochain
-    coordinates, built on each call: the two key-parity blocks' rows,
-    interleaved back into key order with their columns placed back, times
-    the multiplier, each row applied once per output index o, reading the
-    output-o coordinate of every key, so key column j moves to j*dim + o."""
-    blocks = [_rows(obj, cx, degree, parity, q) for q in (0, 1)]
-    space = obj.space
-    dim = _width(cx, space)
-    cols = [_parity_keys(cx, degree, space, q) for q in (0, 1)]
-    rows = [iter(m.entries) for m, _ in blocks]
-    entries = []
-    for rp in _key_parities(_scalar(cx), degree + 1, space):
-        row, col, multiplier = next(rows[rp]), cols[rp], blocks[rp][1]
-        entries.extend(tuple((col[j] * dim + o, multiplier * x)
-                             for j, x in row) for o in range(dim))
-    return Matrix(len(entries), (len(cols[0]) + len(cols[1])) * dim,
+    coordinates, built on each call: each (q, w) block's rows placed at
+    their row keys, with their columns mapped back through the block's
+    column keys, times the multiplier, each row applied once per output
+    index o, reading the output-o coordinate of every key, so key column j
+    moves to j*dim + o.  The rows of a label no column has are ()."""
+    _check_operator(obj, cx, degree)
+    dim = _width(cx, obj.space)
+    groups = _weight_groups(cx, degree, obj.space, _grading(obj))
+    entries = [()] * (_row_count(cx, degree, obj.space) * dim)
+    for row_keys, col_keys, m, multiplier in _rows(
+            obj, cx, degree, parity, _block_labels(groups)):
+        for i, row in zip(row_keys, m.entries):
+            entries[i * dim:(i + 1) * dim] = (
+                tuple((col_keys[j] * dim + o, multiplier * x)
+                      for j, x in row) for o in range(dim))
+    return Matrix(len(entries), len(groups[1]) * groups[0] * dim,
                   tuple(entries))
 
 
 def _apply(obj, cx: str, degree: int, parity: int, coords) -> dict:
     """coboundary_matrix(obj, cx, degree, parity).apply(coords) as a map
     {coordinate: Fraction} of its nonzero values, not in coordinate order,
-    summed in ints: the coordinates' denominators are cleared once (by D),
-    and only the key-parity blocks whose columns they touch are read, any
-    parities mixed; each block row is summed per output over the integer
-    coordinates at its key columns, and each nonzero sum is multiplied
-    once, by multiplier / D.  Zero coordinates read no block, so the
-    operator is checked for them alone."""
-    space = obj.space
-    dim = _width(cx, space)
-    place = {}  # key column -> (its parity, its place among that parity's)
-    for q in (0, 1):
-        place.update((j, (q, n)) for n, j
-                     in enumerate(_parity_keys(cx, degree, space, q)))
-    if len(coords) != len(place) * dim:
+    summed in ints: the operator is checked, the coordinates' denominators
+    are cleared once (by D), each nonzero coordinate's key is labelled
+    (q, w) from _weight_groups, and only the blocks of those labels are
+    read, any parities mixed; each block row is summed per output over the
+    integer coordinates at its key columns, and each nonzero sum is
+    multiplied once, by multiplier / D."""
+    _check_operator(obj, cx, degree)
+    dim = _width(cx, obj.space)
+    width, labels, _, elements = _weight_groups(cx, degree, obj.space,
+                                                _grading(obj))
+    if len(coords) != len(labels) * width * dim:
         raise InputError("vector length mismatch in apply")
     d, (terms,) = integer_terms([enumerate(coords)])
-    at = ({}, {})  # per key parity: block column -> (output, integer) pairs
+    at = {}  # label -> {key position: [(output, integer), ...]}
     for j, x in terms:
-        q, n = place[j // dim]
-        at[q].setdefault(n, []).append((j % dim, x))
-    if not (at[0] or at[1]):
-        _check_operator(obj, cx, degree)
+        b, z = divmod(j // dim, width)
+        (q, w), (r, v) = labels[b], elements[z]
+        at.setdefault((q ^ r, w + v), {}).setdefault(j // dim, []).append(
+            (j % dim, x))
     out = {}
-    for q in (0, 1):
-        if not at[q]:
-            continue
-        m, multiplier = _rows(obj, cx, degree, parity, q)
+    for keys, (row_keys, col_keys, m, multiplier) in zip(
+            at.values(), _rows(obj, cx, degree, parity, at)):
+        cols = [keys.get(j, ()) for j in col_keys]  # block column -> pairs
         scale = multiplier / d
-        for i, row in zip(_parity_keys(_scalar(cx), degree + 1, space, q),
-                          m.entries):
+        for i, row in zip(row_keys, m.entries):
             sums = {}
             for c, x in row:
-                for o, y in at[q].get(c, ()):
+                for o, y in cols[c]:
                     sums[o] = sums.get(o, 0) + x * y
             for o, s in sums.items():
                 if s:

@@ -337,18 +337,25 @@ def _orbit_join(t: TernaryHomLieSuper, width: int, W: dict, L: dict, N: dict,
     block = _block_kernel(t, W, L, N, Q, sorted(
         (z * dim + u) * dim + v for z, u, v in skew_basis(3, t.space).tuples))
 
+    orbits = {}  # canonical key -> {ordering's key: its sign is -1}
+
+    def orbit(key):
+        """The distinct orderings of a canonical key, each with whether its
+        canonicalize sign is -1, signed once per key."""
+        if key not in orbits:
+            orbits[key] = {(i * dim + j) * dim + m: canonicalize(
+                (i, j, m), p)[1] < 0
+                for i, j, m in dict.fromkeys(permutations(_unkey(key, dim)))}
+        return orbits[key].items()
+
     def expanded(x, y):
         """Sorted (key, R, -R) of every failing tuple (x, y, key), x <= y."""
         found = []
         for key, packed in block(x, y):
             resid = unpack(packed, width, dim)
             neg = [-r for r in resid]
-            for order in dict.fromkeys(permutations(_unkey(key, dim))):
-                code = (order[0] * dim + order[1]) * dim + order[2]
-                if canonicalize(order, p)[1] > 0:
-                    found.append((code, resid, neg))
-                else:
-                    found.append((code, neg, resid))
+            found += [(code, neg, resid) if odd else (code, resid, neg)
+                      for code, odd in orbit(key)]
         found.sort(key=lambda item: item[0])
         return found
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import weakref
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -15,8 +16,7 @@ import pytest
 from homnambu import cohomology
 from homnambu.binary import HomLieSuper, yau_twist
 from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
-                                 _apply, _grading, _key_blocks,
-                                 _key_parities, _parity_keys, _row_count,
+                                 _apply, _grading, _key_blocks, _row_count,
                                  _row_keys, _rows, _walk, _weight_basis,
                                  apply_coboundary,
                                  binary_adjoint_cocycle_space,
@@ -32,7 +32,8 @@ from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, matrix_units, random_even_invertible)
 from homnambu.formats import load_cochain
-from homnambu.graded import GradedMap, canonicalize, graded_space, skew_basis
+from homnambu.graded import (GradedMap, canonicalize, graded_space, skew_basis,
+                             tuple_parity)
 from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
                              image, integer_terms, is_zero_vec, kernel,
                              subspace_intersection, unit_vec, vec_scale)
@@ -426,22 +427,48 @@ def test_class_transfer_witnesses_name_every_mismatch(g11, tau11, t11):
 def test_coboundary_matrices_live_as_long_as_their_algebra():
     lie, rep = gl11()
     tau, t = induced(lie, rep)
-    for q in (0, 1):
-        d2 = _rows(t, "ternary-scalar", 2, 0, q)
-        assert _rows(t, "ternary-scalar", 2, 0, q) is d2
-        assert _rows(lie, "binary-scalar", 2, 0, q) is \
-            _rows(lie, "binary-scalar", 2, 0, q)
+    for obj, cx in ((t, "ternary-scalar"), (lie, "binary-scalar")):
+        for label in block_labels(obj, cx, 2):
+            block = _rows(obj, cx, 2, 0, [label])[0]
+            assert _rows(obj, cx, 2, 0, [label])[0] is block
+    for label in block_labels(t, "ternary-scalar", 2):
+        d2 = _rows(t, "ternary-scalar", 2, 0, [label])[0]
         # the even ternary-adjoint delta2 is the scalar rows, not a copy,
-        # block by block
-        assert _rows(t, "ternary-adjoint", 2, 0, q)[0] is d2[0]
+        # label by label, at twice the multiplier
+        adjoint = _rows(t, "ternary-adjoint", 2, 0, [label])[0]
+        assert all(a is b for a, b in zip(adjoint[:3], d2[:3]))
+        assert adjoint[3] == 2 * d2[3]
     # the memo is no part of the value: an equal algebra with nothing
     # cached compares equal and prints the same
     fresh_lie, _ = gl11()
     assert fresh_lie == lie and repr(fresh_lie) == repr(lie)
     refs = [weakref.ref(lie), weakref.ref(t)]
-    del lie, rep, tau, t
+    del lie, rep, tau, t, obj
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_apply_builds_only_the_blocks_its_coordinates_touch():
+    # on induced gl(2|1), delta1 and delta2 applied to a cochain supported
+    # on the keys of one (q, w) label read that label's block alone: the
+    # memo then holds it and the grading, and nothing else
+    lie, rep = glmn(2, 1)
+    _, t = induced(lie, rep)
+    weights = _grading(t)
+    for degree in (1, 2):
+        keys = cochain_keys("ternary-scalar", degree, t.space)
+        labels = [key_label(key, t.space, weights) for key in keys]
+        # the most populous label off weight 0
+        label = max(sorted(set(labels) - {(0, 0), (1, 0)}), key=labels.count)
+        coords = tuple(Fraction(n % 5 - 2, 3) if x == label else Fraction(0)
+                       for n, x in enumerate(labels))
+        t.memo.clear()
+        got = _apply(t, "ternary-scalar", degree, label[0], coords)
+        assert got, degree
+        assert set(t.memo) == {"grading", ("ternary-scalar", degree, 0, label)}
+        fresh = induced(lie, rep)[1]
+        want = coboundary_matrix(fresh, "ternary-scalar", degree).apply(coords)
+        assert got == {i: x for i, x in enumerate(want) if x}
 
 
 # --- the coordinate layout ---------------------------------------------------
@@ -471,6 +498,25 @@ def test_cochain_keys_layout(g11):
                   ("ternary-adjoint", 4), ("binary-scalar", True), ("nope", 1)):
         with pytest.raises(InputError):
             cochain_keys(cx, d, sp)
+
+
+def test_coordinate_parities_are_the_parities_of_the_key_parts():
+    # the naive oracle of the key parities: tuple_parity of each key of
+    # cochain_keys, flattened to its basis indices, plus the output's
+    # parity on the adjoint complexes, on every shape of gl(1|1), gl(2|1)
+    # and a gl(2|1) conjugate
+    lie21, rep21 = glmn(2, 1)
+    conj = conjugate_pair(lie21, rep21, random_even_invertible(
+        random.Random(1), lie21.space))[0]
+    for lie in (gl11()[0], lie21, conj):
+        p = lie.space.parities
+        for cx, d in ALL_SHAPES:
+            keyp = [tuple_parity(key_parts(key), p)
+                    for key in cochain_keys(cx, d, lie.space)]
+            want = (keyp if not cx.endswith("adjoint") else
+                    [(kp + po) % 2 for kp in keyp for po in p])
+            assert coordinate_parities(cx, d, lie.space) == tuple(want), \
+                (lie.dim, cx, d)
 
 
 def test_adjoint_coordinates_are_key_major(g11):
@@ -526,11 +572,11 @@ def test_scalar_delta2_built_once_per_algebra():
     coboundary_matrix(t, "ternary-scalar", 2, 1)
     coboundary_matrix(t, "ternary-scalar", 2)
     coboundary_matrix(t, "ternary-scalar", 2)
-    # the memo keys value-free rows on (complex, degree, parity, key
-    # parity): one block per key parity, each under cochain parity 0
+    # the memo keys value-free rows on (complex, degree, parity, (q, w)):
+    # one block per label of the columns, each under cochain parity 0
     built = [key for key in t.memo if key[:2] == ("ternary-scalar", 2)]
-    assert sorted(built) == [("ternary-scalar", 2, 0, 0),
-                             ("ternary-scalar", 2, 0, 1)]
+    assert sorted(built) == [("ternary-scalar", 2, 0, label)
+                             for label in block_labels(t, "ternary-scalar", 2)]
 
 
 def built_rows(monkeypatch):
@@ -566,9 +612,12 @@ def test_scalar_cohomology_builds_only_the_blocks_it_eliminates(monkeypatch):
 
     def blocks(obj):
         """The (degree, key parity) of every row built since last asked."""
-        out = {(degree, _key_parities(cx.replace("adjoint", "scalar"),
-                                      degree + 1, obj.space)[i])
-               for cx, degree, i, _ in built}
+        parities = {}
+        for cx, degree, _, _ in built:
+            if degree not in parities:
+                parities[degree] = coordinate_parities(
+                    cx.replace("adjoint", "scalar"), degree + 1, obj.space)
+        out = {(degree, parities[degree][i]) for _, degree, i, _ in built}
         built.clear()
         return out
 
@@ -1047,19 +1096,25 @@ def _parts_parity(key, p) -> int:
     return p[key]
 
 
+def key_positions(cx, degree, space, q) -> list:
+    """The positions of the keys of parity q among cochain_keys, from
+    their parts."""
+    return [n for n, key in enumerate(cochain_keys(cx, degree, space))
+            if _parts_parity(key, space.parities) == q]
+
+
 def test_coboundary_rows_keep_key_parity_and_blocks_match_select():
-    """Every block of every _BUILDERS entry, on gl(1|1), its twist, a
-    conjugate and gl(2|1), has one row per row key of its key parity and
-    one column per such column key, every entry column an int among them
-    (a builder raises on a term outside them, see
+    """Every memoized (q, w) block of every _BUILDERS entry, on gl(1|1),
+    its twist, a conjugate and gl(2|1), has one row per row key of its
+    label and one column per column key, every entry column an int among
+    them (a builder raises on a term outside them, see
     test_builders_raise_on_a_term_off_their_key_parity).  The blocks put
-    back into key order, in ints, are an operator whose rows read only
-    columns of the row's key parity and whose select on a key parity is
-    that parity's block.  The memoized block, times its multiplier, is
-    also the select of the assembled coboundary_matrix at an even and an
-    odd output, but on gl(2|1) delta3, which assembles to 1.8M Fractions.
-    The (q, w) blocks are checked against these in
-    test_weight_blocks_are_the_select_of_their_parity_block."""
+    back into key order, in ints, cover each row key at most once, and
+    are an operator whose rows read only columns of the row's key parity.
+    Each block, times its multiplier, is also the select of the assembled
+    coboundary_matrix at an even and an odd output, but on gl(2|1)
+    delta3, which assembles to 1.8M Fractions.  The blocks are checked
+    against the walk in test_weight_blocks_are_the_select_of_their_parity_block."""
     algebras = [(name, lie, rep) for name, lie, rep in oracle_algebras()
                 if name != "conjt"]
     algebras.append(("gl21", *glmn(2, 1)))
@@ -1067,58 +1122,53 @@ def test_coboundary_rows_keep_key_parity_and_blocks_match_select():
         _, t = induced(lie, rep)
         for cx, degree in _BUILDERS:
             obj = t if cx.startswith("ternary") else lie
+            p = obj.space.parities
             dim = obj.dim if cx.endswith("adjoint") else 1
             # one even and one odd output: the lift is checked per output
             # in test_adjoint_complexes_read_the_scalar_rows
-            outputs = ([obj.space.parities.index(e) for e in (0, 1)]
-                       if dim > 1 else [0])
-            colp = _key_parities(cx, degree, obj.space)
-            assert colp == [_parts_parity(key, obj.space.parities) for key
-                            in cochain_keys(cx, degree, obj.space)]
-            rowp = _key_parities(cx.replace("adjoint", "scalar"), degree + 1,
+            outputs = [p.index(e) for e in (0, 1)] if dim > 1 else [0]
+            rkeys = cochain_keys(cx.replace("adjoint", "scalar"), degree + 1,
                                  obj.space)
-            rows = [[i for i, rp in enumerate(rowp) if rp == q]
-                    for q in (0, 1)]
-            cols = [[j for j, kp in enumerate(colp) if kp == q]
-                    for q in (0, 1)]
+            ckeys = cochain_keys(cx, degree, obj.space)
+            rowp = [_parts_parity(key, p) for key in rkeys]
+            colp = [_parts_parity(key, p) for key in ckeys]
+            labels = block_labels(obj, cx, degree)
             for parity in (0, 1):
+                blocks = _rows(obj, cx, degree, parity, labels)
                 # the other entries keep one operator under parity 0
                 if parity and (cx, degree) != ("ternary-adjoint", 2):
-                    for q in (0, 1):
-                        assert _rows(obj, cx, degree, parity, q) is \
-                            _rows(obj, cx, degree, 0, q)
+                    assert all(a is b for a, b in zip(
+                        blocks, _rows(obj, cx, degree, 0, labels)))
                     continue
-                ms = [_rows(obj, cx, degree, parity, q) for q in (0, 1)]
-                whole = [None] * len(rowp)
-                for q, (m, _) in enumerate(ms):
-                    assert (m.rows, m.cols) == (len(rows[q]), len(cols[q]))
+                whole = [()] * len(rkeys)
+                for row_keys, col_keys, m, _ in blocks:
+                    assert (m.rows, m.cols) == (len(row_keys), len(col_keys))
                     assert all(type(c) is int and 0 <= c < m.cols
                                for row in m.entries for c, _ in row), \
-                        (name, cx, degree, parity, q)
-                    for i, row in zip(rows[q], m.entries):
-                        whole[i] = tuple((cols[q][c], x) for c, x in row)
-                whole = Matrix(len(rowp), len(colp), tuple(whole))
-                for i, row in enumerate(whole.entries):
+                        (name, cx, degree, parity)
+                    for i, row in zip(row_keys, m.entries):
+                        assert whole[i] == ()
+                        whole[i] = tuple((col_keys[c], x) for c, x in row)
+                for i, row in enumerate(whole):
                     assert all(colp[c] == rowp[i] for c, _ in row), \
                         (name, cx, degree, parity)
-                for q, (m, _) in enumerate(ms):
-                    assert m == select(whole, rows[q], cols[q]), \
-                        (name, cx, degree, parity, q)
                 if (name, degree) == ("gl21", 3):
                     continue
                 full = coboundary_matrix(obj, cx, degree, parity)
-                assert (full.rows, full.cols) == (len(rowp) * dim,
-                                                  len(colp) * dim)
+                assert (full.rows, full.cols) == (len(rkeys) * dim,
+                                                  len(ckeys) * dim)
                 for i, row in enumerate(full.entries):
                     assert all(colp[c // dim] == rowp[i // dim]
                                for c, _ in row), (name, cx, degree, parity)
-                for q, (m, multiplier) in enumerate(ms):
+                assert all(full.entries[i * dim + o] == () for o in
+                           range(dim) for i, row in enumerate(whole) if not row)
+                for row_keys, col_keys, m, multiplier in blocks:
                     want = m.scale(multiplier)
                     for o in outputs:
                         assert want == select(
-                            full, [i * dim + o for i in rows[q]],
-                            [j * dim + o for j in cols[q]]), \
-                            (name, cx, degree, parity, q, o)
+                            full, [i * dim + o for i in row_keys],
+                            [j * dim + o for j in col_keys]), \
+                            (name, cx, degree, parity, o)
 
 
 def test_builders_raise_on_a_term_off_their_key_parity():
@@ -1141,8 +1191,8 @@ def test_builders_raise_on_a_term_off_their_key_parity():
         scalar = cx.replace("adjoint", "scalar")
         with pytest.raises(PreconditionError, match="parity law"):
             for q in (0, 1):
-                list(rows(_parity_keys(scalar, degree + 1, obj.space, q),
-                          _parity_keys(cx, degree, obj.space, q)))
+                list(rows(key_positions(scalar, degree + 1, obj.space, q),
+                          key_positions(cx, degree, obj.space, q)))
     assert not broken.memo and not tbroken.memo
 
 
@@ -1224,12 +1274,22 @@ def key_label(key, space, weights) -> tuple:
             sum(weights[i] for i in parts))
 
 
+def block_labels(obj, cx, degree) -> list:
+    """The labels of the cx degree-cochain keys on obj, sorted: one
+    memoized block each."""
+    return sorted({key_label(key, obj.space, _grading(obj))
+                   for key in cochain_keys(cx, degree, obj.space)})
+
+
 def test_weight_blocks_are_the_select_of_their_parity_block():
     """On gl(1|1), its twist, a conjugate and gl(2|1): every row of every
-    key-parity block reads only columns of its own label (q, w), so no row
-    crosses weights, and a row of a label no column has is zero.  Each
-    (q, w) block _key_blocks lists, built whole, has its label's keys in
-    key order and is the select of its parity block there."""
+    key-parity block, built whole by the walk, reads only columns of its
+    own label (q, w), so no row crosses weights, and a row of a label no
+    column has is zero.  Each parity block, times the multiplier, is the
+    select of coboundary_matrix at output 0.  Each (q, w) block
+    _key_blocks lists, built whole, has its label's keys in key order, is
+    the select of its parity block there and is the memoized block of
+    that label."""
     algebras = [(name, lie, rep) for name, lie, rep in oracle_algebras()
                 if name != "conjt"]
     algebras.append(("gl21", *glmn(2, 1)))
@@ -1240,6 +1300,7 @@ def test_weight_blocks_are_the_select_of_their_parity_block():
             if (name, cx, degree) == ("gl21", "ternary-scalar", 3):
                 continue  # 576,000 rows: too slow to list here
             space, weights = obj.space, _grading(obj)
+            dim = obj.dim if cx.endswith("adjoint") else 1
             scalar = cx.replace("adjoint", "scalar")
             rlabels = [key_label(key, space, weights)
                        for key in cochain_keys(scalar, degree + 1, space)]
@@ -1247,23 +1308,27 @@ def test_weight_blocks_are_the_select_of_their_parity_block():
                        for key in cochain_keys(cx, degree, space)]
             for parity in (0, 1):
                 multiplier, rows = _walk(obj, cx, degree, parity)[:2]
+                full = coboundary_matrix(obj, cx, degree, parity)
+                parity_blocks = {}
                 for q in (0, 1):
-                    m, mult = _rows(obj, cx, degree, parity, q)
-                    prows = _parity_keys(scalar, degree + 1, space, q)
-                    pcols = _parity_keys(cx, degree, space, q)
+                    prows = key_positions(scalar, degree + 1, space, q)
+                    pcols = key_positions(cx, degree, space, q)
+                    m = Matrix(len(prows), len(pcols),
+                               tuple(rows(prows, pcols)))
                     labels = {clabels[j] for j in pcols}
                     for i, row in zip(prows, m.entries):
                         assert all(clabels[pcols[c]] == rlabels[i]
                                    for c, _ in row), (name, cx)
                         assert row == () or rlabels[i] in labels, (name, cx)
-                    assert mult == multiplier
-                pos = {j: n for q in (0, 1) for n, j
-                       in enumerate(_parity_keys(cx, degree, space, q))}
-                rpos = {i: n for q in (0, 1) for n, i in enumerate(
-                    _parity_keys(scalar, degree + 1, space, q))}
+                    assert m.scale(multiplier) == select(
+                        full, [i * dim for i in prows],
+                        [j * dim for j in pcols]), (name, cx, degree, q)
+                    parity_blocks[q] = (
+                        m, {i: n for n, i in enumerate(prows)},
+                        {j: n for n, j in enumerate(pcols)})
                 for label, outputs, count, row_keys, col_keys in _key_blocks(
                         obj, cx, degree, parity):
-                    q = label[0]
+                    m, rpos, pos = parity_blocks[label[0]]
                     row_keys = list(row_keys)
                     assert count == len(row_keys)
                     assert row_keys == sorted(row_keys)
@@ -1274,9 +1339,10 @@ def test_weight_blocks_are_the_select_of_their_parity_block():
                     block = Matrix(count, len(col_keys),
                                    tuple(rows(row_keys, col_keys)))
                     assert block == select(
-                        _rows(obj, cx, degree, parity, q)[0],
-                        [rpos[i] for i in row_keys],
+                        m, [rpos[i] for i in row_keys],
                         [pos[j] for j in col_keys]), (name, cx, label)
+                    assert _rows(obj, cx, degree, parity, [label])[0] == (
+                        array("q", row_keys), col_keys, block, multiplier)
 
 
 def test_builders_raise_on_a_term_off_their_weight_block():
@@ -1318,7 +1384,7 @@ def test_a_block_of_full_column_rank_stops_building_rows(monkeypatch):
     assert all(labels[label] <= blocks[label] for label in blocks)
     assert any(labels[label] < blocks[label] for label in blocks)
     assert 2 * sum(labels.values()) < sum(blocks.values())
-    assert len(_parity_keys("ternary-scalar", 3, t.space, 0)) == 7200
+    assert len(parity_support("ternary-scalar", 3, t.space, 0)) == 7200
 
 
 def test_cocycles_match_the_parity_block_reference():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from homnambu import linalg
-from homnambu.cohomology import _rows, coboundary_matrix
+from homnambu.cohomology import (_block_labels, _grading, _rows,
+                                 _weight_groups, coboundary_matrix)
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, random_even_invertible)
 from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd,
@@ -540,7 +541,8 @@ def fraction_rref(m: Matrix) -> Matrix:
 
 def test_rref_matches_fraction_eliminator(monkeypatch):
     """Every matrix the series and the center hand rref on a seeded gl(2|1)
-    conjugate, and every coboundary block of gl(1|1), gl11t and gl(2|1)."""
+    conjugate, and every (q, w) coboundary block of gl(1|1), gl11t and
+    gl(2|1)."""
     mats = []
     real = linalg.rref
 
@@ -565,8 +567,11 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
                                 (t, "ternary-scalar", 1),
                                 (t, "ternary-scalar", 2),
                                 (t, "ternary-adjoint", 2)):
+            labels = _block_labels(_weight_groups(cx, degree, obj.space,
+                                                  _grading(obj)))
             for parity in (0, 1):
-                mats += [_rows(obj, cx, degree, parity, q)[0] for q in (0, 1)]
+                mats += [m for _, _, m, _ in _rows(obj, cx, degree, parity,
+                                                   labels)]
     for m in mats:
         r = rref(m)
         assert r == fraction_rref(m)
