@@ -34,8 +34,9 @@ the sum of its parts' parities, mod 2, and w the sum of their weights
 under the grading _grading reads off the document, the kernel over Q of
 the homogeneity equations (w_k = the sum of the slot weights for each
 nonzero structure constant, w_m = w_i for each nonzero off-diagonal
-twist entry), solved in ints once per algebra.  On a bracket that keeps
-the parity law (one that breaks it has no coboundary here, a
+twist entry), solved once per algebra by linalg.kernel, the rows
+streamed to rref, which stops them at full column rank.  On a bracket
+that keeps the parity law (one that breaks it has no coboundary here, a
 precondition error), the row of a key of label (q, w) reads only columns
 of keys of that label, so the operator falls into (q, w) blocks; when
 the kernel is 0 every weight is 0 and the blocks are the key-parity
@@ -81,13 +82,13 @@ bracket, on the cocycle's values cleared of denominators once.
 
 from array import array
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
 
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand, wedge_table)
-from .linalg import (InputError, Matrix, PreconditionError, Subspace, _gcd,
+from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      field, frac, image, integer_terms, kernel, pack,
                      slot_width, solve, vec, vec_add, vec_scale, zero_vec,
                      is_zero_vec, record, ZERO)
@@ -136,69 +137,60 @@ def cochain_length(cx: str, degree: int, space: GradedSpace) -> int:
 
 
 def _grading(obj) -> tuple:
-    """Each basis element's torus weight, one int per element: the basis
-    _weight_basis finds, packed by _pack, so that the weights of a key's
-    parts add up in one int sum; every weight is 0 when the kernel is.
-    Solved once per algebra and kept in obj.memo under "grading"."""
+    """Each basis element's torus weight, one int per element: its
+    coordinates in the basis _weight_basis finds, one linalg.pack slot per
+    basis vector, wide enough (linalg.slot_width) for a sum of up to eight
+    values in a slot, so that the weights of a key's parts add up in one
+    int sum, equal for two keys exactly when their weights are; every
+    weight is 0 when the kernel is.  Solved once per algebra and kept in
+    obj.memo under "grading"."""
     if "grading" not in obj.memo:
         basis = _weight_basis(obj)
-        obj.memo["grading"] = (tuple(_pack(basis, obj.space.dim)) if basis
-                               else (0,) * obj.space.dim)
+        width = slot_width(8 * max(map(abs, chain.from_iterable(basis)),
+                                   default=0))
+        obj.memo["grading"] = tuple(
+            pack(enumerate(v[i] for v in basis), width)
+            for i in range(obj.space.dim))
     return obj.memo["grading"]
 
 
 def _weight_basis(obj) -> list:
     """A basis, as primitive int vectors over the basis elements, of the
-    torus weights of obj, read off its document: the kernel over Q of the
-    homogeneity equations, w_m = w_i for each nonzero twist entry (m, i),
-    and w_k = the sum of the slot weights for each nonzero structure
-    constant (a bracket key (i_1, .., i_n) and a coordinate k of its
-    value).
-
-    The basis starts as the unit vectors and is cut by one equation at a
-    time, in ints: an equation that some vector breaks, by y_v, is kept by
-    y_j v - y_v pivot for every other vector v, the pivot j a vector with
-    the least |y_j|, which is dropped.  Whether an equation breaks any
-    vector is one int comparison on the basis packed by _pack, so an
-    equation the basis already keeps costs that comparison alone, where
-    linalg.kernel would reduce it as a row; the walk stops as soon as no
-    vector is left, which on a dense conjugate is early."""
+    torus weights of obj, read off its document: linalg.kernel of the
+    homogeneity equations, one int row e_m - e_i for each nonzero
+    off-diagonal twist entry (m, i), a twist read as a bracket of one
+    slot, and one row e_k - e_i1 - .. - e_in for each distinct (k, sorted
+    slots) of a nonzero structure constant (a bracket key (i_1, .., i_n)
+    and a coordinate k of its value).  The rows go to rref as they are
+    made, in key order, so the read stops at full column rank, which on a
+    dense conjugate is early; the matrix counts every equation with its
+    repeats, the most rows it can yield.  An RREF basis vector has a lead
+    1, so clearing its denominators leaves it primitive."""
     dim = obj.space.dim
     twists = ((obj.alpha,) if isinstance(obj, HomLieSuper)
               else (obj.alpha1, obj.alpha2))
-    equations = chain(
-        (((i,), col) for twist in twists for i, col in enumerate(
-            integer_terms(twist.matrix.transpose().entries)[1])),
-        obj.bracket.integer[1].items())
-    basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    packed = _pack(basis, dim)
-    for slots, terms in equations:
-        total = sum(map(packed.__getitem__, slots))
-        for k, _ in terms:
-            if packed[k] == total:
-                continue  # every vector keeps this equation
-            y = [v[k] - sum(map(v.__getitem__, slots)) for v in basis]
-            j = min((n for n, x in enumerate(y) if x), key=lambda n: abs(y[n]))
-            pivot, yj = basis.pop(j), y.pop(j)
-            if not basis:
-                return []
-            for n, (v, x) in enumerate(zip(basis, y)):
-                if x:
-                    w = [yj * a - x * b for a, b in zip(v, pivot)]
-                    g = reduce(_gcd, filter(None, w))
-                    basis[n] = [a // g for a in w]
-            packed = _pack(basis, dim)
-            total = sum(map(packed.__getitem__, slots))
+    constants = [((i,), col) for twist in twists
+                 for i, col in enumerate(twist.matrix.transpose().entries)]
+    constants += obj.bracket.integer[1].items()
+
+    def equations():
+        seen = set()
+        for slots, terms in constants:
+            slots = sorted(slots)
+            for k, _ in terms:
+                if slots != [k] and (k, *slots) not in seen:
+                    seen.add((k, *slots))
+                    row = {k: 1}
+                    for i in slots:
+                        row[i] = row.get(i, 0) - 1
+                    yield sorted((c, x) for c, x in row.items() if x)
+
+    count = sum(len(terms) for _, terms in constants)
+    basis = []
+    for v in kernel(Matrix(count, dim, equations())).vectors():
+        d = integer_terms([enumerate(v)])[0]
+        basis.append([int(d * x) for x in v])
     return basis
-
-
-def _pack(basis: list, dim: int) -> list:
-    """Per coordinate i the int linalg.pack of (basis[n][i]) over n: one
-    signed slot per vector, wide enough (linalg.slot_width) for a sum of
-    up to eight values in a slot, an equation's or a key's, so the packed
-    sums of two keys are equal exactly when their weights are."""
-    width = slot_width(8 * max(max(map(abs, v)) for v in basis))
-    return [pack(enumerate(v[i] for v in basis), width) for i in range(dim)]
 
 
 def _weight_groups(cx: str, degree: int, space: GradedSpace,
@@ -300,6 +292,9 @@ class Cochain:
             raise InputError(f"cochain needs {len(cps)} coordinates, "
                              f"got {len(self.coords)}")
         for i, c in enumerate(self.coords):
+            if not isinstance(c, (int, Fraction)):
+                raise InputError(f"cochain coordinate {i} is not an exact "
+                                 f"rational: {c!r}")
             if c != 0 and cps[i] != self.parity:
                 raise InputError(f"cochain coordinate {i} breaks the parity "
                                  f"support rule")

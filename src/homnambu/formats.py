@@ -8,8 +8,9 @@ ASCII digits with d > 0; bare integers are accepted on input.  Bracket
 keys are comma-joined basis ids in canonical order; anything
 non-canonical is an input error naming the key.  So is a key the reader
 does not know, at the top of a document, in a basis entry, in the
-representation, and in cochain and functional documents: a misspelt key
-would otherwise silently change the input.  An alpha2 needs a ternary
+representation, and in cochain and functional documents, and so is a key
+written twice in one JSON object: a misspelt or repeated key would
+otherwise silently change the input.  An alpha2 needs a ternary
 bracket.
 
 Cochain documents are {"complex", "degree", "values"} and an optional
@@ -79,10 +80,24 @@ def _object(doc: dict, key: str) -> dict:
 
 
 def parse_json(text: str, where: str = "document") -> dict:
-    """A JSON object; invalid JSON, an int past Python's int-string limit
-    (ValueError) and nesting too deep (RecursionError) are input errors."""
+    """A JSON object; invalid JSON, a key written twice in one object
+    (which json would read as its last value), an int past Python's
+    int-string limit (ValueError) and nesting too deep (RecursionError)
+    are input errors."""
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise InputError(f"repeated key {key!r} in {where}")
+                seen.add(key)
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique)
+    except InputError:
+        raise
     except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {where}: {exc}") from None
     if not isinstance(doc, dict):

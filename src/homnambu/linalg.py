@@ -10,7 +10,9 @@ All elimination runs through rref, a sparse fraction-free Gauss-Jordan:
 it reads each row as Python ints, clearing the row's own denominators,
 keeps its pivot rows as primitive int rows, never visits a zero entry,
 and makes Fractions only for the RREF it returns, in the same storage;
-rank, kernel, image, solve, invert and Subspace read those rows.
+rank, kernel, image, solve, invert and Subspace read those rows, and so
+does cohomology, for every coboundary block and for the torus grading
+that cuts the blocks, the kernel of the homogeneity equations.
 Subspaces are stored as reduced row echelon bases with zero rows
 dropped, so structural equality is canonical equality.
 
@@ -297,8 +299,10 @@ class Matrix:
 
     entries may be a one-shot iterator of rows only in a matrix handed
     straight to rref or kernel, which read it once, in order, and may stop
-    early (cohomology's (q, w) blocks); such a matrix is spent once read
-    and is no value to compare, keep or read again.
+    early (cohomology's (q, w) blocks and homogeneity equations); such a
+    matrix is spent once read and is no value to compare, keep or read
+    again, and its rows may bound the rows it yields from above, which
+    rref pads with empty rows.
     """
 
     rows: int
@@ -457,22 +461,23 @@ def rref(m: Matrix) -> Matrix:
     at the top and its zero rows, empty, at the bottom, every value a
     Fraction.
 
-    The one elimination routine, fraction-free: it computes in Python
-    ints and makes Fractions only for the rows it returns.  Each row of m is read as a dict of
-    column -> int; a row holding Fractions is first cleared of its own
-    denominators, which leaves its span unchanged.  Loop invariant: the
-    pivot table maps each lead column to a primitive int row (content 1,
-    lead positive) that starts there and vanishes on every other pivot
-    column, so dividing each by its lead is the RREF of the rows read so
-    far, whatever their order.  A new row is reduced by each pivot row it
-    meets as (p/g) row - (b/g) pivot, made primitive once, and then
+    The one elimination routine, fraction-free (cohomology's coboundary
+    blocks and torus grading reach it through kernel and image): it computes
+    in Python ints and makes Fractions only for the rows it returns.  Each
+    row of m is read as a dict of column -> int; a row holding Fractions is
+    first cleared of its own denominators, which leaves its span unchanged.
+    Loop invariant: the pivot table maps each lead column to a primitive int
+    row (content 1, lead positive) that starts there and vanishes on every
+    other pivot column, so dividing each by its lead is the RREF of the rows
+    read so far, whatever their order.  A new row is reduced by each pivot
+    row it meets as (p/g) row - (b/g) pivot, made primitive once, and then
     cleared from every earlier pivot row that has an entry at its lead,
-    which is made primitive again.  No zero entry is ever visited.  gcds
-    run by Euclid on word-sized values and through Fraction's
-    normalisation above that; see _EUCLID_BELOW.  m.entries is read once,
-    in order, and the first row met once the rank is m.cols ends the
-    read, so it may be an iterator that builds each row as it is read
-    (cohomology's (q, w) blocks).
+    which is made primitive again.  No zero entry is ever visited.  gcds run
+    by Euclid on word-sized values and through Fraction's normalisation
+    above that; see _EUCLID_BELOW.  m.entries is read once, in order, and
+    the first row met once the rank is m.cols ends the read, so it may be an
+    iterator that builds each row as it is read (cohomology's (q, w) blocks
+    and homogeneity equations).
     """
     table = {}
     for pairs in m.entries:

@@ -69,6 +69,9 @@ class TraceFunctional:
         if len(self.values) != self.algebra.dim:
             raise InputError("trace functional length mismatch")
         for i, v in enumerate(self.values):
+            if not isinstance(v, (int, Fraction)):
+                raise InputError(f"trace functional value {i} is not an "
+                                 f"exact rational: {v!r}")
             if v != 0 and self.algebra.space.parities[i] == 1:
                 raise InputError("supertrace functional must vanish on odd elements")
 

@@ -77,6 +77,21 @@ def test_missing_file_exits_2(tmp_path):
     assert doc["command"] == "check binary"
 
 
+def test_repeated_key_exits_2(tmp_path):
+    # "h1,q" written twice, the second time as {"q": "7"}: read as its last
+    # value it would break Hom-Jacobi and exit 1
+    entry = '"h1,q": {\n   "q": "1"\n  },'
+    text = (FIXTURES / "gl11.json").read_text("utf-8")
+    assert entry in text
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(entry, entry + '\n  "h1,q": {"q": "7"},'),
+                    "utf-8")
+    code, out = run(["check", "binary", path])
+    assert code == 2
+    assert json.loads(out) == {"command": "check binary",
+                               "error": f"repeated key 'h1,q' in {path}"}
+
+
 def test_error_payload_is_compact_json():
     code, out = run(["check", "binary", FIXTURES / "malformed_key.json"])
     assert code == 2

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from homnambu import cohomology
+from homnambu import cohomology, linalg
 from homnambu.binary import HomLieSuper, yau_twist
 from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
                                  _apply, _grading, _key_blocks, _row_count,
@@ -257,6 +257,15 @@ def test_cochain_parity_support_enforced(g11):
     with pytest.raises(InputError):
         Cochain("binary-scalar", 2, 0, g11.space, tuple(coords))
     assert infer_parity("binary-scalar", 2, g11.space, tuple(coords)) == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", None])
+def test_cochain_rejects_a_coordinate_that_is_not_an_exact_rational(g11, bad):
+    # by linalg.frac's rule, at construction rather than in apply_coboundary
+    with pytest.raises(InputError, match="coordinate 0 is not an exact"):
+        Cochain("binary-scalar", 1, 0, g11.space, (bad, 0, 0, 0))
+    c = Cochain("binary-scalar", 1, 0, g11.space, (Fraction(1, 2), 1, 0, 0))
+    assert apply_coboundary(g11, c).degree == 2
 
 
 def test_make_cochain_keys(g11):
@@ -1205,20 +1214,26 @@ def diagonal_twist(lie, m, n):
     return yau_twist(lie, GradedMap(lie.space, lie.space, alpha))
 
 
-def homogeneity_breaks(obj, v) -> list:
-    """The equations of obj's document that the weights v break: w_k = the
-    sum of the slot weights for each nonzero structure constant, and w_m =
-    w_i for each nonzero off-diagonal twist entry, read in Fractions."""
+def homogeneity_equations(obj) -> set:
+    """The distinct homogeneity equations of obj's document, as (k, sorted
+    slots), read in Fractions: w_k = the sum of the slot weights for each
+    nonzero structure constant, and w_m = w_i, as (m, (i,)), for each
+    nonzero off-diagonal twist entry."""
     twists = ((obj.alpha,) if isinstance(obj, HomLieSuper)
               else (obj.alpha1, obj.alpha2))
-    breaks = [("twist", m, i) for a in twists for m, row in
-              enumerate(a.matrix.entries) for i, x in row
-              if x and m != i and v[m] != v[i]]
+    equations = {(m, (i,)) for a in twists for m, row in
+                 enumerate(a.matrix.entries) for i, x in row if x and m != i}
     for key in product(range(obj.dim), repeat=obj.bracket.arity):
         for k, x in enumerate(obj.bracket.value(*key)):
-            if x and v[k] != sum(v[i] for i in key):
-                breaks.append((key, k))
-    return breaks
+            if x:
+                equations.add((k, tuple(sorted(key))))
+    return equations
+
+
+def homogeneity_breaks(obj, v) -> list:
+    """The equations of obj's document that the weights v break."""
+    return sorted((k, slots) for k, slots in homogeneity_equations(obj)
+                  if v[k] != sum(v[i] for i in slots))
 
 
 def test_torus_grading_is_the_kernel_of_the_homogeneity_equations():
@@ -1264,6 +1279,64 @@ def test_torus_grading_is_the_kernel_of_the_homogeneity_equations():
                        GradedMap(lie.space, lie.space, alpha))
     (v,) = _weight_basis(tied)
     assert homogeneity_breaks(tied, v) == [] and v[3] == v[4] == 0
+
+
+def test_weight_blocks_partition_each_operator_as_the_torus_does(
+        monkeypatch, gl22_conjugate):
+    # how many (q, w) blocks _key_blocks lists for even cochains, which
+    # does not depend on the ints that name a weight; the dense conjugate
+    # keeps no torus, so its even blocks are one.  Listing the labels
+    # builds no row
+    lie21, rep21 = glmn(2, 1)
+    lie22, rep22 = glmn(2, 2)
+    t21, t22 = induced(lie21, rep21)[1], induced(lie22, rep22)[1]
+    conj, _, tconj = gl22_conjugate
+    built = built_rows(monkeypatch)
+    for obj, cx, degree, count in ((t21, "ternary-scalar", 2, 15),
+                                   (t21, "ternary-scalar", 3, 41),
+                                   (lie22, "binary-scalar", 2, 27),
+                                   (t22, "ternary-scalar", 1, 5),
+                                   (t22, "ternary-scalar", 2, 63),
+                                   (t22, "ternary-adjoint", 2, 143),
+                                   (conj, "binary-scalar", 2, 1),
+                                   (tconj, "ternary-scalar", 2, 1)):
+        assert len(list(_key_blocks(obj, cx, degree, 0))) == count, (
+            obj.dim, cx, degree)
+    assert built == []
+    for obj in (t21, lie22, t22):
+        assert list(obj.memo) == ["grading"]
+
+
+def test_grading_stops_reading_equations_at_full_column_rank(
+        monkeypatch, gl22_conjugate):
+    # the grading is linalg.kernel of the distinct homogeneity equations,
+    # streamed to rref: on the dense conjugate and its induced bracket the
+    # kernel is 0, so rref stops before the last distinct equation; on
+    # plain gl(2|2) it reads each distinct equation once, a repeat never
+    reads = []
+    rref = linalg.rref
+
+    def spy(m):
+        reads.append(0)
+
+        def counted():
+            for row in m.entries:
+                reads[-1] += 1
+                yield row
+        return rref(Matrix(m.rows, m.cols, counted()))
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    lie, rep = glmn(2, 2)
+    conj, _, tconj = gl22_conjugate
+    for obj, rank, distinct in ((conj, 0, 1024), (tconj, 0, 4544),
+                                (lie, 3, 60), (induced(lie, rep)[1], 3, 196)):
+        assert len(homogeneity_equations(obj)) == distinct
+        reads.clear()
+        assert len(_weight_basis(obj)) == rank
+        if rank:
+            assert reads[0] == distinct
+        else:
+            assert reads[0] < distinct
 
 
 def key_label(key, space, weights) -> tuple:

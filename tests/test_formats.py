@@ -48,6 +48,19 @@ def test_parse_json_guards():
     assert parse_json('{"a": 1}') == {"a": 1}
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"basis": [], "bracket": {}, "basis": []}', "basis"),
+    ('{"bracket": {"h1,q": {"q": "1"}, "h1,q": {"q": "7"}}}', "h1,q"),
+    ('{"values": {"q,p|h1": {"h1": "1", "h1": "2"}}}', "h1"),
+], ids=["top", "bracket", "nested"])
+def test_parse_json_rejects_a_repeated_key(text, key):
+    # json keeps a repeated key's last value without a word; algebra,
+    # cochain and functional documents are all read through parse_json
+    with pytest.raises(InputError, match=f"repeated key '{key}' in doc"):
+        parse_json(text, "doc")
+    assert parse_json(text.replace(f'"{key}"', '"x"', 1), "doc")
+
+
 def test_missing_alpha_defaults_to_identity():
     doc = {"basis": [{"id": "x", "parity": 0}, {"id": "y", "parity": 1}],
            "bracket": {}}

@@ -7,7 +7,7 @@ import pytest
 
 from homnambu.fixtures import gl11, gl11t, neg_rep
 from homnambu.graded import GradedMap, graded_space, supertrace
-from homnambu.linalg import Matrix, PreconditionError, frac
+from homnambu.linalg import InputError, Matrix, PreconditionError, frac
 from homnambu.reps import (Representation, TraceFunctional,
                            adjoint_representation, check_induction_compatibility,
                            trace_functional, trace_kernel, trace_mismatches,
@@ -92,6 +92,16 @@ def test_trace_functional_apply(tau11):
     assert tau11.apply((2, 3, 5, 7)) == -1
     assert tau11.values[0] == 1
     assert tau11.values[3] == 0
+
+
+@pytest.mark.parametrize("bad", [1.0, "1"])
+def test_trace_functional_rejects_a_value_that_is_not_an_exact_rational(
+        g11, bad):
+    # by linalg.frac's rule, at construction rather than in induce_ternary
+    with pytest.raises(InputError, match="value 0 is not an exact rational"):
+        TraceFunctional(g11, (bad, -1, 0, 0))
+    assert TraceFunctional(g11, (Fraction(1), -1, 0, 0)).apply(
+        (1, 0, 0, 0)) == 1
 
 
 def test_induction_compatibility_condition3(g11, r11, tau11):
