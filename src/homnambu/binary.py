@@ -40,8 +40,7 @@ class HomLieSuper:
     space: GradedSpace
     bracket: SuperBracket2
     alpha: GradedMap
-    # the torus grading and value-free coboundary rows, filled on demand
-    # by cohomology
+    # the torus grading, filled on demand by cohomology
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 

@@ -182,7 +182,7 @@ def cmd_cohomology(args) -> Report:
 def cmd_induce_cocycle(args) -> Report:
     lie, tau, t = _transfer_inputs(args.file)
     phi = load_cochain(read_json_file(args.phi), lie.space)
-    psi = induce_cocycle(lie, tau, phi, t)
+    psi, = induce_cocycle(lie, tau, [phi], t)
     rep = Report("induce-cocycle")
     rep.metrics["complex"] = psi.complex
     rep.metrics["parity"] = psi.parity
@@ -221,16 +221,16 @@ def cmd_transfer_checks(args) -> Report:
     full = Subspace.full(lie.dim)
     rep.absorb(ideal_criterion(lie, tau, lie.bracket.span(full, full), t),
                prefix="ideal.")
-    for k in range(3):
-        for parity in (0, 1):
-            sub = verify_lemma_identity(lie, tau,
-                                        _random_cochain(rng, lie, 1, parity), t)
-            rep.absorb(sub, prefix=f"lemma{k}p{parity}.")
-    for k in range(3):
+    omegas = [_random_cochain(rng, lie, 1, parity)
+              for _ in range(3) for parity in (0, 1)]
+    for n, sub in enumerate(verify_lemma_identity(lie, tau, omegas, t)):
+        rep.absorb(sub, prefix=f"lemma{n // 2}p{n % 2}.")
+    pairs = []
+    for _ in range(3):
         phi1 = _random_even_cocycle(rng, lie)
         eta = _random_cochain(rng, lie, 1, 0)
-        sub = verify_class_transfer(lie, tau, phi1,
-                                    phi1.add(apply_coboundary(lie, eta)), t)
+        pairs.append((phi1, phi1.add(apply_coboundary(lie, eta))))
+    for k, sub in enumerate(verify_class_transfer(lie, tau, pairs, t)):
         rep.absorb(sub, prefix=f"class{k}.")
     return rep
 

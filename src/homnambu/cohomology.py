@@ -56,28 +56,22 @@ output it serves.  A scalar cochain of parity f needs the parity-f
 blocks alone, so a scalar (Z, B, H) builds no odd row.  No row is kept
 once rref has read it.
 
-The whole-operator forms read the same (q, w) blocks, each memoized on
-the algebra under (complex, degree, parity, (q, w)) when first read,
-with its row and column keys; only the ternary-adjoint delta2 reads the
-parity, and its even blocks are the scalar delta2's objects.  The memo
-stays until a coboundary is applied to many cochains in one walk:
-without it every application walks its blocks again, and transfer-checks
-took 3.6-3.8 s against 1.3-1.5 s on gl(2|2) (33 MB peak against 35 MB),
-and 54 s against 21-22 s on its dense conjugate (373 MB against 695 MB),
-on a 2-core x86-64 host with Python 3.11.7.  An adjoint coboundary
-applies its value-free rows once per output index, so its matrix is
-block-diagonal across the outputs.  coboundary_matrix, the one
-whole-operator form, built on each call, places each block's rows at
-their row keys, maps its columns back through its column keys, scales
-them and lifts them, moving key column j of output o to j*dim + o; it is
-the one place the rows become Fractions.  Every coboundary of a given
-cochain goes through _apply, which labels each nonzero coordinate's key,
-reads only the blocks of those labels, sums in ints and returns the
-nonzero outputs; apply_coboundary alone makes them dense.
+coboundary_matrix and _apply stream the same blocks, from one walk per
+call (_blocks): no row outlives its walk, and an algebra's memo holds its
+grading alone.  An adjoint coboundary applies its value-free rows once
+per output index, so its matrix is block-diagonal across the outputs.
+coboundary_matrix places each block's rows at their row keys, maps their
+columns back through its column keys, scales and lifts them (key column
+j of output o to j*dim + o); it is the one place the rows become
+Fractions.  _apply takes a batch of cochains, streams only the blocks
+their nonzero keys' labels touch, applies each row to the whole batch in
+ints and returns each cochain's nonzero outputs; apply_coboundary alone
+makes them dense.
 
-induce_cocycle transfers a binary 2-cocycle with
+induce_cocycle transfers binary 2-cocycles with
 reps.TraceFunctional.induce, the formula that also builds the induced
-bracket, on the cocycle's values cleared of denominators once.
+bracket.  It and the transfer checks take sequences, so a call walks the
+ternary delta2 once; the first cochain to fail a check raises.
 """
 
 from array import array
@@ -250,7 +244,7 @@ def _block(groups: tuple, label: tuple) -> tuple:
 
 def _block_keys(groups: tuple, label: tuple) -> array:
     """The positions of the keys of one label of _weight_groups, in key
-    order: the numbering of a (q, w) block's columns."""
+    order: the numbering of a (q, w) block's rows or columns."""
     return array("q", _block(groups, label)[1])
 
 
@@ -412,7 +406,7 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> tuple:
                 raise PreconditionError(_PARITY_LAW) from None
             yield tuple(sorted(term for term in row if term[1]))
 
-    return Fraction(1, dw * da ** (degree - 1)), rows, (cx, 0)
+    return Fraction(1, dw * da ** (degree - 1)), rows
 
 
 def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
@@ -437,8 +431,8 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
     """
     adjoint = cx == "ternary-adjoint"
     if adjoint and not fpar:
-        multiplier, rows, source = _walk(t, "ternary-scalar", degree, 0)
-        return 2 * multiplier, rows, source
+        multiplier, rows = _walk(t, "ternary-scalar", degree, 0)
+        return 2 * multiplier, rows
     if not t.same_twists():
         raise PreconditionError("ternary cohomology needs alpha1 = alpha2")
     sp = t.space
@@ -526,8 +520,7 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
                 raise PreconditionError(_PARITY_LAW) from None
             yield tuple(sorted((c, x) for c, x in row.items() if x))
 
-    return (Fraction(2 if adjoint else 1, dw * da ** (2 * degree - 2)), rows,
-            (cx, fpar))
+    return Fraction(2 if adjoint else 1, dw * da ** (2 * degree - 2)), rows
 
 
 def _scalar_rows(obj, cx: str, degree: int, parity: int) -> tuple:
@@ -537,12 +530,10 @@ def _scalar_rows(obj, cx: str, degree: int, parity: int) -> tuple:
 
 # (complex, degree) -> the builder of the value-free rows of the coboundary
 # on that complex's degree-cochains, called as build(obj, cx, degree,
-# parity) and returning a walk (multiplier, rows, source): rows(row_keys,
-# col_keys) yields, one at a time and in the order given, the integer row
-# of each key position in row_keys, its columns numbered by their place in
-# col_keys, and raises on a term outside them; source is the (complex,
-# parity) whose rows they are, the scalar ones on an adjoint complex that
-# reads them
+# parity) and returning a walk (multiplier, rows): rows(row_keys, col_keys)
+# yields, one at a time and in the order given, the integer row of each key
+# position in row_keys, its columns numbered by their place in col_keys,
+# and raises on a term outside them
 _BUILDERS = {**{("binary-scalar", p): _ds_rows for p in (1, 2, 3)},
              ("binary-adjoint", 1): _scalar_rows,
              ("binary-adjoint", 2): _scalar_rows,
@@ -571,10 +562,11 @@ def _row_count(cx: str, degree: int, space: GradedSpace) -> int:
     return ways[-1]
 
 
-def _check_operator(obj, cx: str, degree: int):
-    """The builder of the cx coboundary on degree-cochains, once obj fits
-    cx, its bracket keeps the parity law the blocks split by, and the
-    whole operator's row count is within MAX_COBOUNDARY_ROWS."""
+def _walk(obj, cx: str, degree: int, parity: int) -> tuple:
+    """The walk (multiplier, rows) of _BUILDERS for the cx coboundary on
+    degree-cochains of this parity, once obj fits cx, its bracket keeps
+    the parity law the blocks split by, and the operator's row count is
+    within MAX_COBOUNDARY_ROWS.  What it caches lives as long as it."""
     build = _BUILDERS.get((cx, degree)) if type(degree) is int else None
     if build is None:
         raise InputError(f"no coboundary for {cx} cochains of degree {degree!r}")
@@ -587,68 +579,38 @@ def _check_operator(obj, cx: str, degree: int):
     if not obj.bracket.super_skew and any(
             s is None for _, s, _ in obj.bracket.skew_breaks()):
         raise PreconditionError(_PARITY_LAW)
-    return build
+    return build(obj, cx, degree, parity)
 
 
-def _walk(obj, cx: str, degree: int, parity: int) -> tuple:
-    """The walk (multiplier, rows, source) of _BUILDERS for the cx
-    coboundary on degree-cochains of this parity, once the operator is
-    checked.  Whatever it caches lives as long as the walk, not the
-    algebra."""
-    return _check_operator(obj, cx, degree)(obj, cx, degree, parity)
+def _blocks(obj, cx: str, degree: int, parity: int) -> tuple:
+    """(multiplier, groups, block) of one _walk: groups is _weight_groups
+    of the columns under obj's _grading, and block(label) is the (q, w)
+    block's column keys, in key order, and an iterator of (row key, row),
+    each row built as it is read; nothing outlives the walk."""
+    multiplier, rows = _walk(obj, cx, degree, parity)
+    weights = _grading(obj)
+    row_groups = _weight_groups(_scalar(cx), degree + 1, obj.space, weights)
+    groups = _weight_groups(cx, degree, obj.space, weights)
 
-
-def _rows(obj, cx: str, degree: int, parity: int, labels) -> list:
-    """[(row keys, column keys, integer rows, multiplier)] of the (q, w)
-    blocks of these labels of the cx coboundary on degree-cochains, in
-    order: the positions of a block's row and column keys, in key order,
-    and its rows as a Matrix over those columns.  Each block is built once
-    per algebra and kept in obj.memo under (cx, degree, parity, label);
-    the blocks missing there are built by one walk, which shares its
-    caches across them, once the operator is checked, so a block in the
-    memo was checked on obj.  An adjoint block that reads the scalar rows
-    holds the scalar block's objects.  Only the ternary-adjoint delta2
-    reads the cochain parity, mod 2; every other entry is under 0.  Its
-    readers check the operator first, so a degree here is an int."""
-    parity = parity % 2 if (cx, degree) == ("ternary-adjoint", 2) else 0
-    keys = [(cx, degree, parity, label) for label in labels]
-    missing = [key[3] for key in keys if key not in obj.memo]
-    if missing:
-        multiplier, rows, (scx, sparity) = _walk(obj, cx, degree, parity)
-        if (scx, sparity) != (cx, parity):
-            blocks = [block[:3] for block
-                      in _rows(obj, scx, degree, sparity, missing)]
-        else:
-            weights = _grading(obj)
-            row_groups = _weight_groups(_scalar(cx), degree + 1, obj.space,
-                                        weights)
-            col_groups = _weight_groups(cx, degree, obj.space, weights)
-            blocks = []
-            for label in missing:
-                row_keys = _block_keys(row_groups, label)
-                col_keys = _block_keys(col_groups, label)
-                blocks.append((row_keys, col_keys, Matrix(
-                    len(row_keys), len(col_keys),
-                    tuple(rows(row_keys, col_keys)))))
-        for label, block in zip(missing, blocks):
-            obj.memo[cx, degree, parity, label] = (*block, multiplier)
-    return [obj.memo[key] for key in keys]
+    def block(label):
+        row_keys = _block_keys(row_groups, label)
+        col_keys = _block_keys(groups, label)
+        return col_keys, zip(row_keys, rows(row_keys, col_keys))
+    return multiplier, groups, block
 
 
 def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
     """The cx coboundary of degree-cochains of this parity, on full cochain
-    coordinates, built on each call: each (q, w) block's rows placed at
-    their row keys, with their columns mapped back through the block's
-    column keys, times the multiplier, each row applied once per output
-    index o, reading the output-o coordinate of every key, so key column j
-    moves to j*dim + o.  The rows of a label no column has are ()."""
-    _check_operator(obj, cx, degree)
+    coordinates: each (q, w) block's rows placed at their row keys, their
+    columns mapped back through its column keys, times the multiplier, and
+    applied once per output o, so key column j moves to j*dim + o.  The
+    rows of a label no column has are ()."""
+    multiplier, groups, block = _blocks(obj, cx, degree, parity)
     dim = _width(cx, obj.space)
-    groups = _weight_groups(cx, degree, obj.space, _grading(obj))
     entries = [()] * (_row_count(cx, degree, obj.space) * dim)
-    for row_keys, col_keys, m, multiplier in _rows(
-            obj, cx, degree, parity, _block_labels(groups)):
-        for i, row in zip(row_keys, m.entries):
+    for label in _block_labels(groups):
+        col_keys, rows = block(label)
+        for i, row in rows:
             entries[i * dim:(i + 1) * dim] = (
                 tuple((col_keys[j] * dim + o, multiplier * x)
                       for j, x in row) for o in range(dim))
@@ -656,50 +618,66 @@ def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
                   tuple(entries))
 
 
-def _apply(obj, cx: str, degree: int, parity: int, coords) -> dict:
-    """coboundary_matrix(obj, cx, degree, parity).apply(coords) as a map
-    {coordinate: Fraction} of its nonzero values, not in coordinate order,
-    summed in ints: the operator is checked, the coordinates' denominators
-    are cleared once (by D), each nonzero coordinate's key is labelled
-    (q, w) from _weight_groups, and only the blocks of those labels are
-    read, any parities mixed; each block row is summed per output over the
-    integer coordinates at its key columns, and each nonzero sum is
-    multiplied once, by multiplier / D."""
-    _check_operator(obj, cx, degree)
+def _apply(obj, cx: str, degree: int, parity: int, batch) -> list:
+    """[coboundary_matrix(obj, cx, degree, parity).apply(coords) for coords
+    in batch], each as {coordinate: Fraction} of its nonzero values, from
+    one walk: each cochain is cleared of denominators once (by its D), only
+    the blocks of its nonzero keys' labels (q, w) are streamed, and each
+    row is applied to the whole batch, summed in ints keyed by cochain *
+    dim + output, each nonzero sum times multiplier / D once."""
+    if not batch:
+        return []
+    multiplier, (width, labels, _, elements), block = _blocks(
+        obj, cx, degree, parity)
     dim = _width(cx, obj.space)
-    width, labels, _, elements = _weight_groups(cx, degree, obj.space,
-                                                _grading(obj))
-    if len(coords) != len(labels) * width * dim:
+    if any(len(coords) != len(labels) * width * dim for coords in batch):
         raise InputError("vector length mismatch in apply")
-    d, (terms,) = integer_terms([enumerate(coords)])
-    at = {}  # label -> {key position: [(output, integer), ...]}
-    for j, x in terms:
-        b, z = divmod(j // dim, width)
-        (q, w), (r, v) = labels[b], elements[z]
-        at.setdefault((q ^ r, w + v), {}).setdefault(j // dim, []).append(
-            (j % dim, x))
-    out = {}
-    for keys, (row_keys, col_keys, m, multiplier) in zip(
-            at.values(), _rows(obj, cx, degree, parity, at)):
+    scales = []
+    at = {}  # label -> {key position: [(cochain * dim + output, integer)]}
+    for n, coords in enumerate(batch):
+        d, (terms,) = integer_terms([enumerate(coords)])
+        scales.append(multiplier / d)
+        for j, x in terms:
+            key, o = divmod(j, dim)
+            b, z = divmod(key, width)
+            (q, w), (r, v) = labels[b], elements[z]
+            at.setdefault((q ^ r, w + v), {}).setdefault(key, []).append(
+                (n * dim + o, x))
+    out = [{} for _ in batch]
+    for label, keys in at.items():
+        col_keys, rows = block(label)
         cols = [keys.get(j, ()) for j in col_keys]  # block column -> pairs
-        scale = multiplier / d
-        for i, row in zip(row_keys, m.entries):
+        for i, row in rows:
             sums = {}
             for c, x in row:
-                for o, y in cols[c]:
-                    sums[o] = sums.get(o, 0) + x * y
-            for o, s in sums.items():
+                for k, y in cols[c]:
+                    sums[k] = sums.get(k, 0) + x * y
+            for k, s in sums.items():
                 if s:
-                    out[i * dim + o] = s * scale
+                    n, o = divmod(k, dim)
+                    out[n][i * dim + o] = s * scales[n]
     return out
 
 
 def apply_coboundary(obj, c: Cochain) -> Cochain:
     """The coboundary of c, the one place a coboundary value becomes dense."""
-    out = _apply(obj, c.complex, c.degree, c.parity, c.coords)
+    out = _apply(obj, c.complex, c.degree, c.parity, [c.coords])[0]
     n = cochain_length(c.complex, c.degree + 1, c.space)
     return Cochain(c.complex, c.degree + 1, c.parity, c.space,
                    tuple(out.get(i, ZERO) for i in range(n)))
+
+
+def _first_nonzero(obj, cochains: list) -> int:
+    """The index of the first cochain whose coboundary on obj is nonzero,
+    or len(cochains): one _apply per complex and degree, and per parity
+    on an adjoint complex, whose delta2 reads it."""
+    batches = {}
+    for n, c in enumerate(cochains):
+        parity = c.parity if c.complex.endswith("adjoint") else 0
+        batches.setdefault((c.complex, c.degree, parity), []).append(n)
+    return min((n for shape, ns in batches.items() for n, out in zip(
+        ns, _apply(obj, *shape, [cochains[n].coords for n in ns])) if out),
+        default=len(cochains))
 
 
 def _key_blocks(obj, cx: str, degree: int, parity: int):
@@ -803,7 +781,7 @@ def bracket_cochain(g: HomLieSuper) -> Cochain:
 
 def verify_bracket_cocycle(g: HomLieSuper) -> Report:
     rep = Report("verify_bracket_cocycle")
-    resid = _apply(g, "binary-adjoint", 2, 0, bracket_cochain(g).coords)
+    resid = _apply(g, "binary-adjoint", 2, 0, [bracket_cochain(g).coords])[0]
     if resid:
         triple = _row_keys("binary-adjoint", 2, g.space)[min(resid) // g.dim]
         rep.fail("bracket-cocycle",
@@ -816,49 +794,58 @@ def is_binary_cocycle(g: HomLieSuper, phi: Cochain) -> bool:
         raise InputError("cocycle test expects degree 2")
     if not phi.complex.startswith("binary"):
         raise InputError("cocycle test expects a binary cochain")
-    return not _apply(g, phi.complex, 2, phi.parity, phi.coords)
+    return not _apply(g, phi.complex, 2, phi.parity, [phi.coords])[0]
 
 
-def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phi: Cochain,
-                   t: TernaryHomLieSuper) -> Cochain:
-    """Transfer a binary 2-cocycle to t, the algebra induced from (g, tau).
+def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
+                   t: TernaryHomLieSuper) -> list:
+    """Transfer binary 2-cocycles to t, the algebra induced from (g, tau):
+    one induced cochain per cochain of phis, in order.
 
     phi_rho(X, z) is reps.TraceFunctional.induce of phi on the (pair,
     element) keys, phi's values cleared of denominators (D) once and
     read with the canonicalize signs; the result, divided by D_tau D, is
-    checked against the matching ternary delta2 of t.
+    checked against the matching ternary delta2 of t.  The checks (shape,
+    cocycle, tau o alpha = tau, ternary cocycle) each run once on the
+    batch, and the first cochain to fail one raises.
     """
-    if phi.complex not in ("binary-scalar", "binary-adjoint") or phi.degree != 2:
-        raise PreconditionError("induce_cocycle expects a binary 2-cochain")
-    if not is_binary_cocycle(g, phi):
-        raise PreconditionError("induce_cocycle expects a 2-cocycle")
-    if trace_mismatches(tau, g.alpha):
+    n = next((i for i, phi in enumerate(phis) if phi.degree != 2 or
+              phi.complex not in ("binary-scalar", "binary-adjoint")),
+             len(phis))
+    error = "induce_cocycle expects a binary 2-cochain"
+    bad = _first_nonzero(g, phis[:n])
+    if bad < n:
+        n, error = bad, "induce_cocycle expects a 2-cocycle"
+    if n and trace_mismatches(tau, g.alpha):
         raise PreconditionError("trace functional is not twist invariant")
-    scalar = phi.complex == "binary-scalar"
-    out_cx = "ternary-scalar" if scalar else "ternary-adjoint"
-    width = _width(phi.complex, g.space)
-    d, rows = integer_terms(enumerate(phi.coords[n:n + width])
-                            for n in range(0, len(phi.coords), width))
-    at = dict(zip(cochain_keys(phi.complex, 2, g.space), rows))
     p = g.space.parities
+    keys = {(x1, x2, k): i for i, ((x1, x2), k)
+            in enumerate(cochain_keys("ternary-scalar", 2, g.space))}
+    induced = []
+    for phi in phis[:n]:
+        width = _width(phi.complex, g.space)
+        d, rows = integer_terms(enumerate(phi.coords[i:i + width])
+                                for i in range(0, len(phi.coords), width))
+        at = dict(zip(cochain_keys(phi.complex, 2, g.space), rows))
 
-    def ev(i, j):
-        """The (m, integer) pairs of D phi(e_i, e_j), m < width."""
-        key, sign, zero = canonicalize((i, j), p)
-        if zero:
-            return ()
-        return at[key] if sign > 0 else tuple((m, -x) for m, x in at[key])
+        def ev(i, j):
+            """The (m, integer) pairs of D phi(e_i, e_j), m < width."""
+            key, sign, zero = canonicalize((i, j), p)
+            if zero:
+                return ()
+            return at[key] if sign > 0 else tuple((m, -x) for m, x in at[key])
 
-    keys = {(x1, x2, k): n for n, ((x1, x2), k)
-            in enumerate(cochain_keys(out_cx, 2, g.space))}
-    dt, rho = tau.induce(ev, keys)
-    coords = [ZERO] * (len(keys) * width)
-    for key, terms in rho.items():
-        for m, x in terms:
-            coords[keys[key] * width + m] = Fraction(x, dt * d)
-    induced = Cochain(out_cx, 2, phi.parity, g.space, tuple(coords))
-    if _apply(t, out_cx, 2, induced.parity, induced.coords):
+        dt, rho = tau.induce(ev, keys)
+        coords = [ZERO] * (len(keys) * width)
+        for key, terms in rho.items():
+            for m, x in terms:
+                coords[keys[key] * width + m] = Fraction(x, dt * d)
+        induced.append(Cochain(phi.complex.replace("binary", "ternary"), 2,
+                               phi.parity, g.space, tuple(coords)))
+    if _first_nonzero(t, induced) < n:
         raise PreconditionError("induced cochain is not a ternary cocycle")
+    if n < len(phis):
+        raise PreconditionError(error)
     return induced
 
 
@@ -881,26 +868,30 @@ def verify_1cocycle_transfer(g: HomLieSuper, tau: TraceFunctional,
     return rep
 
 
-def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional,
-                          omega: Cochain, t: TernaryHomLieSuper) -> Report:
+def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional, omegas,
+                          t: TernaryHomLieSuper) -> list:
     """delta1 of t, the algebra induced from (g, tau), agrees with the
     tau-combination of the binary coboundary: delta_rho^1(omega) =
-    (d_s^1 omega)_rho, coordinatewise."""
-    rep = Report("verify_lemma_identity")
-    if omega.complex != "binary-scalar" or omega.degree != 1:
+    (d_s^1 omega)_rho, coordinatewise: one Report per cochain of omegas."""
+    n = next((i for i, om in enumerate(omegas)
+              if (om.complex, om.degree) != ("binary-scalar", 1)), len(omegas))
+    lhs = _apply(t, "ternary-scalar", 1, 0, [om.coords for om in omegas[:n]])
+    rhs = induce_cocycle(g, tau, [apply_coboundary(g, om)
+                                  for om in omegas[:n]], t)
+    if n < len(omegas):
         raise PreconditionError("lemma identity expects a scalar 1-cochain")
-    lhs = _apply(t, "ternary-scalar", 1, omega.parity, omega.coords)
-    rhs = induce_cocycle(g, tau, apply_coboundary(g, omega), t).coords
-    _fail_mismatches(rep, "lemma-identity", g.space, lhs,
-                     {i: c for i, c in enumerate(rhs) if c})
-    rep.metrics["coordinates"] = len(rhs)
-    return rep
+    return [_mismatches("verify_lemma_identity", "lemma-identity", g.space,
+                        left, {i: c for i, c in enumerate(psi.coords) if c},
+                        coordinates=len(psi.coords))
+            for left, psi in zip(lhs, rhs)]
 
 
-def _fail_mismatches(rep: Report, check: str, space: GradedSpace, lhs: dict,
-                     rhs: dict) -> None:
-    """One failure per coordinate where the ternary-scalar 2-cochain maps
-    lhs and rhs differ, in order, witnessed by its key's three basis names."""
+def _mismatches(name: str, check: str, space: GradedSpace, lhs: dict,
+                rhs: dict, **metrics) -> Report:
+    """A Report name with these metrics and one failure per coordinate
+    where the ternary-scalar 2-cochain maps lhs and rhs differ, in order,
+    witnessed by its key's three basis names."""
+    rep = Report(name)
     names = space.names
     keys = cochain_keys("ternary-scalar", 2, space)
     for i in sorted(lhs.keys() | rhs.keys()):
@@ -908,28 +899,38 @@ def _fail_mismatches(rep: Report, check: str, space: GradedSpace, lhs: dict,
         if a != b:
             rep.fail(check, witness=tuple(names[m] for m in pair) + (names[k],),
                      residual=(fmt_scalar(a - b),))
+    rep.metrics.update(metrics)
+    return rep
 
 
-def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional,
-                          phi1: Cochain, phi2: Cochain,
-                          t: TernaryHomLieSuper) -> Report:
+def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional, pairs,
+                          t: TernaryHomLieSuper) -> list:
     """Cohomologous binary scalar cocycles induce cohomologous cochains
     on t, the algebra induced from (g, tau), via the same connecting
-    1-cochain."""
-    rep = Report("verify_class_transfer")
-    for phi in (phi1, phi2):
-        if phi.complex != "binary-scalar" or phi.degree != 2:
-            raise PreconditionError("class transfer expects binary scalar 2-cochains")
-        if not is_binary_cocycle(g, phi):
-            raise PreconditionError("class transfer expects 2-cocycles")
-    diff = tuple(b - a for a, b in zip(phi1.coords, phi2.coords))
-    omega = solve(coboundary_matrix(g, "binary-scalar", 1), diff)
-    if omega is None:
-        raise PreconditionError("cocycles are not cohomologous")
-    psi1 = induce_cocycle(g, tau, phi1, t).coords
-    psi2 = induce_cocycle(g, tau, phi2, t).coords
-    lhs = {i: b - a for i, (a, b) in enumerate(zip(psi1, psi2)) if a != b}
-    rhs = _apply(t, "ternary-scalar", 1, 0, omega)
-    _fail_mismatches(rep, "class-transfer", g.space, lhs, rhs)
-    rep.metrics["connecting_cochain"] = [fmt_scalar(c) for c in omega]
-    return rep
+    1-cochain.  One Report per (phi1, phi2) of pairs: each pair is checked
+    and solved for omega, then all are induced by one induce_cocycle."""
+    phis = [phi for pair in pairs for phi in pair]
+    n = next((i for i, phi in enumerate(phis)
+              if (phi.complex, phi.degree) != ("binary-scalar", 2)), len(phis))
+    error = "class transfer expects binary scalar 2-cochains"
+    bad = _first_nonzero(g, phis[:n])
+    if bad < n:
+        n, error = bad, "class transfer expects 2-cocycles"
+    omegas = []
+    for phi1, phi2 in zip(phis[:n:2], phis[1:n:2]):
+        diff = tuple(b - a for a, b in zip(phi1.coords, phi2.coords))
+        omega = solve(coboundary_matrix(g, "binary-scalar", 1), diff)
+        if omega is None:
+            n, error = 2 * len(omegas), "cocycles are not cohomologous"
+            break
+        omegas.append(omega)
+    psis = induce_cocycle(g, tau, phis[:2 * len(omegas)], t)
+    if n < len(phis):
+        raise PreconditionError(error)
+    rhs = _apply(t, "ternary-scalar", 1, 0, omegas)
+    return [_mismatches("verify_class_transfer", "class-transfer", g.space,
+                        {i: b - a for i, (a, b) in enumerate(zip(
+                            psi1.coords, psi2.coords)) if a != b}, right,
+                        connecting_cochain=[fmt_scalar(c) for c in omega])
+            for psi1, psi2, right, omega in zip(psis[::2], psis[1::2], rhs,
+                                                omegas)]

@@ -141,7 +141,7 @@ def induce_extension(g: HomLieSuper, tau: TraceFunctional,
         raise PreconditionError("extension does not satisfy Hom-Jacobi")
     t_base = induce_ternary(g, tau, g.alpha, g.alpha)
     # induce_cocycle also refuses a tau that alpha moves
-    om_rho = induce_cocycle(g, tau, data.omega, t_base)
+    om_rho, = induce_cocycle(g, tau, [data.omega], t_base)
     ext = build_central_extension(data)
     dim = g.dim
     tau_bar = TraceFunctional(ext, tau.values + (ZERO,))

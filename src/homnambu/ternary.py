@@ -78,8 +78,7 @@ class TernaryHomLieSuper:
     bracket: SuperBracket3
     alpha1: GradedMap
     alpha2: GradedMap
-    # the torus grading and value-free coboundary rows, filled on demand
-    # by cohomology
+    # the torus grading, filled on demand by cohomology
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 

@@ -1,6 +1,6 @@
 """Naive oracles that only tests call, shared by several test modules."""
 
-from homnambu.cohomology import cochain_keys, coboundary_matrix
+from homnambu.cohomology import _blocks, cochain_keys, coboundary_matrix
 from homnambu.linalg import (ZERO, Matrix, is_zero_vec, kernel, vec_add,
                              vec_scale)
 from homnambu.report import Report, fmt_vec
@@ -15,6 +15,23 @@ def select(m: Matrix, row_idx, col_idx) -> Matrix:
     rows = tuple(tuple(sorted((pos[c], x) for c, x in m.entries[i]
                               if c in pos)) for i in row_idx)
     return Matrix(len(row_idx), len(col_idx), rows)
+
+
+def read_blocks(obj, cx: str, degree: int, parity: int, labels) -> list:
+    """[(row keys, column keys, integer rows, multiplier)] of the (q, w)
+    blocks of these labels of the cx coboundary on degree-cochains, in
+    order, all streamed from one walk: the positions of a block's row and
+    column keys, in key order, and its rows as a Matrix over those
+    columns."""
+    multiplier, _, block = _blocks(obj, cx, degree, parity)
+    out = []
+    for label in labels:
+        col_keys, rows = block(label)
+        rows = list(rows)
+        out.append(([i for i, _ in rows], col_keys,
+                    Matrix(len(rows), len(col_keys),
+                           tuple(row for _, row in rows)), multiplier))
+    return out
 
 
 def key_parts(key) -> list:

@@ -246,8 +246,8 @@ def test_criterion_7_induced_extension(capsys, g11, tau11, t11):
                          tuple(a + b for a, b in zip(coords, shift)))
             t_ext, om_rho = induce_extension(g11, tau11,
                                              CentralExtensionData(g11, om))
-            assert om_rho.coords == induce_cocycle(g11, tau11, om,
-                                                   t11).coords
+            assert om_rho.coords == induce_cocycle(g11, tau11, [om],
+                                                   t11)[0].coords
             for pos, (x1, x2) in enumerate(sb2.tuples):
                 for k in range(dim):
                     v = t_ext.bracket.value(x1, x2, k)
@@ -292,15 +292,15 @@ def test_criterion_8_cohomology(capsys, g11, tau11, t11, all_binary):
                 coords = tuple(sum((c * v[i] for c, v in zip(cs, vecs)),
                                    Fraction(0)) for i in range(n_ad))
                 phi = Cochain("binary-adjoint", 2, parity, g11.space, coords)
-                out = induce_cocycle(g11, tau11, phi, t11)
+                out, = induce_cocycle(g11, tau11, [phi], t11)
                 resid = coboundary_matrix(t11, "ternary-adjoint", 2,
                                           parity).apply(out.coords)
                 assert is_zero_vec(resid)
 
         for k in range(20):
             om = random_1cochain(rng, g11, k % 2)
-            assert verify_lemma_identity(g11, tau11, om,
-                                         t11).verdict == "pass"
+            assert verify_lemma_identity(g11, tau11, [om],
+                                         t11)[0].verdict == "pass"
 
         basis = lifted_kernel_basis("binary-scalar", g11)
         m1 = coboundary_matrix(g11, "binary-scalar", 1)
@@ -313,8 +313,8 @@ def test_criterion_8_cohomology(capsys, g11, tau11, t11, all_binary):
             shift = m1.apply(random_1cochain(rng, g11, 0).coords)
             phi2 = Cochain("binary-scalar", 2, 0, g11.space,
                            tuple(a + b for a, b in zip(phi1.coords, shift)))
-            assert verify_class_transfer(g11, tau11, phi1, phi2,
-                                         t11).verdict == "pass"
+            assert verify_class_transfer(g11, tau11, [(phi1, phi2)],
+                                         t11)[0].verdict == "pass"
 
 
 def test_criterion_9_cli_surface(capsys, corpus):

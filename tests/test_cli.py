@@ -289,6 +289,43 @@ def test_oversized_coboundary_exits_2_before_building_rows(tmp_path,
     assert "33554432 rows" in error
 
 
+def test_transfer_checks_walk_the_ternary_delta2_once_per_theorem(
+        tmp_path, monkeypatch):
+    """transfer-checks on gl(2|1) checks its six lemma cochains in one
+    call and its three class pairs in another, so the ternary-scalar
+    delta2 is walked twice in all, never once per cochain, and no
+    coboundary row outlives its walk: every algebra's memo ends up holding
+    its grading alone."""
+    path = tmp_path / "gl21.json"
+    write_document(path, DocumentBundle("gl21", *glmn(2, 1)))
+    walks = []
+    walk = cohomology._walk
+
+    def spy(obj, cx, degree, parity):
+        walks.append((obj, cx, degree))
+        return walk(obj, cx, degree, parity)
+
+    monkeypatch.setattr(cohomology, "_walk", spy)
+    code, out = run(["transfer-checks", path])
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    assert [w[1:] for w in walks].count(("ternary-scalar", 2)) == 2
+    for obj in {id(obj): obj for obj, _, _ in walks}.values():
+        assert set(obj.memo) == {"grading"}
+
+
+def test_transfer_checks_refuse_a_twist_that_moves_the_trace(tmp_path):
+    """With alpha = 0 on gl(1|1), the first induced cochain reaches the
+    tau o alpha = tau check, which fails before any ternary cocycle check:
+    exit 2 with that check's message."""
+    doc = json.loads((FIXTURES / "gl11.json").read_text("utf-8"))
+    doc["alpha"] = {}
+    path = tmp_path / "gl11_alpha0.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    error = assert_error_report(*run(["transfer-checks", path]),
+                                "transfer-checks")
+    assert error == "trace functional is not twist invariant"
+
+
 def test_unbuilt_cohomology_degree_exits_2():
     error = assert_error_report(*run(
         ["cohomology", FIXTURES / "gl11_induced.json",

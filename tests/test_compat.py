@@ -527,7 +527,7 @@ def test_induce_cocycle_matches_fraction_induction(case):
                     cochain_keys(cx, 2, lie.space),
                     coords if cx == "binary-scalar" else
                     zip(*[iter(coords)] * lie.dim))), parity=parity)
-                got = induce_cocycle(lie, tau, phi, t)
+                got, = induce_cocycle(lie, tau, [phi], t)
                 assert got == induce_cocycle_oracle(lie, tau, phi)
                 seen.add((cx, parity, got.is_zero()))
     assert ("binary-scalar", 0, False) in seen

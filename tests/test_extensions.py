@@ -178,7 +178,7 @@ def test_induce_extension_decomposition(g11, tau11, t11):
     from homnambu.graded import skew_basis
     om = even_cocycle_basis(g11)[0]
     t_ext, om_rho = induce_extension(g11, tau11, CentralExtensionData(g11, om))
-    assert om_rho.coords == induce_cocycle(g11, tau11, om, t11).coords
+    assert om_rho.coords == induce_cocycle(g11, tau11, [om], t11)[0].coords
     # c never leaves the ternary center of the extension
     z = ternary_center(t_ext)
     assert z.contains((0, 0, 0, 0, 1))
@@ -209,7 +209,15 @@ def test_transfer_rejects_twist_moving_trace_at_first_basis_element(g11):
     assert verify_hom_jacobi(g).ok
     assert trace_mismatches(tau, alpha) == (0,)
     zero = even_cochain(g, {})
+    t = induce_ternary(g, tau, alpha, alpha)
     with pytest.raises(PreconditionError, match="twist invariant"):
-        induce_cocycle(g, tau, zero, induce_ternary(g, tau, alpha, alpha))
+        induce_cocycle(g, tau, [zero], t)
+    # in a batch, the first cochain to fail a check decides: the first one
+    # that reaches the twist check, or one of the wrong shape before it
+    wrong = Cochain.zero("binary-scalar", 1, g.space)
+    with pytest.raises(PreconditionError, match="twist invariant"):
+        induce_cocycle(g, tau, [zero, wrong], t)
+    with pytest.raises(PreconditionError, match="binary 2-cochain"):
+        induce_cocycle(g, tau, [wrong, zero], t)
     with pytest.raises(PreconditionError, match="twist invariant"):
         induce_extension(g, tau, CentralExtensionData(g, zero))

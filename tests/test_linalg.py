@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from homnambu import linalg
-from homnambu.cohomology import (_block_labels, _grading, _rows,
-                                 _weight_groups, coboundary_matrix)
+from homnambu.cohomology import (_block_labels, _grading, _weight_groups,
+                                 coboundary_matrix)
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, random_even_invertible)
 from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd,
@@ -19,7 +19,7 @@ from homnambu.reps import trace_functional
 from homnambu.series import central_series, derived_series, ternary_center
 from homnambu.ternary import induce_ternary
 
-from oracles import select
+from oracles import read_blocks, select
 
 
 def rand_matrix(rng, r, c, span=4):
@@ -542,7 +542,7 @@ def fraction_rref(m: Matrix) -> Matrix:
 def test_rref_matches_fraction_eliminator(monkeypatch):
     """Every matrix the series and the center hand rref on a seeded gl(2|1)
     conjugate, and every (q, w) coboundary block of gl(1|1), gl11t and
-    gl(2|1)."""
+    gl(2|1), as one walk streams them."""
     mats = []
     real = linalg.rref
 
@@ -570,8 +570,8 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
             labels = _block_labels(_weight_groups(cx, degree, obj.space,
                                                   _grading(obj)))
             for parity in (0, 1):
-                mats += [m for _, _, m, _ in _rows(obj, cx, degree, parity,
-                                                   labels)]
+                mats += [m for _, _, m, _ in read_blocks(obj, cx, degree,
+                                                         parity, labels)]
     for m in mats:
         r = rref(m)
         assert r == fraction_rref(m)
