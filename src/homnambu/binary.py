@@ -6,8 +6,17 @@ vectors of [e_i, e_j], keyed by ordered pairs, stored as its integer view
 coefficients on canonical index pairs only (i < j, or i = j odd) and
 fills in the mirrors through the super-skew rule
 [y,x] = -(-1)^{|x||y|}[x,y]; from_vectors accepts any entries so the
-verifiers have something to catch, and yau_twist and change_of_basis
-build their brackets with it.
+verifiers have something to catch.
+
+yau_twist and change_of_basis transport the integer view and read no
+Fraction vector: yau_twist maps each stored vector through the integer
+columns of D_alpha alpha (linalg.map_terms), and change_of_basis maps
+each through D_t s^-1 the same way and then contracts its two input
+slots with the integer rows of D_s s, each vector packed in one int.
+Both divide D and the values by one gcd and keep a True super_skew, as
+an even map keeps the symmetry, so they build the bracket from_vectors
+would, with the same keys in the same order; change_of_basis_direct in
+tests/oracles.py is the Fraction oracle of change_of_basis.
 
 The verifiers read the integer view and print Fractions only for a
 finding.  verify_skew formats the bracket's skew_breaks walk, and passes
@@ -25,8 +34,9 @@ from itertools import product
 from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
                      skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
-                     field, integer_terms, is_zero_vec, record, unpack,
-                     vec_add, vec_scale, zero_vec)
+                     content, field, integer_terms, invert, is_zero_vec,
+                     map_terms, pack, record, slot_width, unpack, vec_add,
+                     vec_scale, zero_vec)
 from .report import Report, fmt_vec
 
 
@@ -181,13 +191,11 @@ def yau_twist(lie: HomLieSuper, morphism: GradedMap) -> HomLieSuper:
         raise PreconditionError(
             f"twisting map is not a morphism at "
             f"({lie.space.names[i]},{lie.space.names[j]})")
-    vectors = {}
-    for key, v in lie.bracket.vectors().items():
-        w = morphism.apply(v)
-        if not is_zero_vec(w):
-            vectors[key] = w
-    twisted = HomLieSuper(lie.space, SuperBracket2.from_vectors(lie.space, vectors),
-                          morphism)
+    dw, view = lie.bracket.integer
+    da, cols = integer_terms(morphism.matrix.transpose().entries)
+    bracket = _least(lie.space, da * dw, map_terms(view, cols),
+                     lie.bracket.super_skew and morphism.parity == 0)
+    twisted = HomLieSuper(lie.space, bracket, morphism)
     jacobi = verify_hom_jacobi(twisted)
     if not jacobi.ok:
         raise PreconditionError(
@@ -210,24 +218,74 @@ def is_ideal(a: HomLieSuper, s: Subspace) -> bool:
 def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
     """Conjugate the whole structure by an invertible even matrix.
 
-    Column j of s holds the new basis vector e'_j in old coordinates.
+    Column j of s holds the new basis vector e'_j in old coordinates, so
+    the new bracket is W'(i, j) = s^-1 [s e_i, s e_j] and the new twist
+    alpha'(e_j) = s^-1 alpha(s e_j).  Both are computed on integers by
+    one transport: with S = D_s s and s^-1 cleared by D_t, each stored
+    vector, of the bracket's integer view or a column of D_alpha alpha,
+    is mapped through the integer columns of D_t s^-1 (linalg.map_terms,
+    as yau_twist applies alpha) and packed in one int (linalg.pack), and
+    its input slots are contracted one after the other over the nonzero
+    entries of S: W'(i, j) = sum_ab S(a, i) S(b, j) D_t s^-1 W(a, b) at
+    scale D_t D_s^2 D_W.  A slot of an n-slot sum is at most c^n t in
+    size, c the largest column sum of |S| and t the largest |entry| of
+    the mapped vectors, which the packing width holds with its sign.
+    Every ordering is contracted, so a bracket that is not super-skew is
+    carried as it is, and D is reduced as from_vectors leaves it.
     """
-    from .linalg import invert
     sinv = invert(s)
     if sinv is None:
         raise PreconditionError("basis change matrix is singular")
-    dim = a.dim
+    p = a.space.parities
     for i, row in enumerate(s.entries):
         for j, _ in row:
-            if a.space.parities[i] != a.space.parities[j]:
+            if p[i] != p[j]:
                 raise PreconditionError("basis change must be even")
-    cols = [s.col(i) for i in range(dim)]
-    vectors = {}
-    for i in range(dim):
-        for j in range(dim):
-            w = sinv.apply(a.bracket.eval_vectors(cols[i], cols[j]))
-            if not is_zero_vec(w):
-                vectors[(i, j)] = w
-    alpha2 = GradedMap(a.space, a.space, sinv.mul(a.alpha.matrix.mul(s)))
-    return HomLieSuper(a.space, SuperBracket2.from_vectors(a.space, vectors),
-                       alpha2)
+    dim = a.dim
+    ds, srows = integer_terms(s.entries)
+    dt, tcols = integer_terms(sinv.transpose().entries)
+    sums = [0] * dim
+    for row in srows:
+        for i, x in row:
+            sums[i] += abs(x)
+
+    def conjugate(d, vectors, arity):
+        # (scale, {key: s^-1 v(s e_i1, ...) as (m, int) pairs}), keys sorted
+        mapped = map_terms(vectors, tcols)
+        top = max((abs(x) for v in mapped.values() for _, x in v), default=0)
+        width = slot_width(max(sums) ** arity * top)
+        acc = {key: pack(terms, width) for key, terms in mapped.items()}
+        for slot in range(arity):
+            out = {}
+            for key, v in acc.items():
+                for i, x in srows[key[slot]]:
+                    new = key[:slot] + (i,) + key[slot + 1:]
+                    out[new] = out.get(new, 0) + x * v
+            acc = out
+        return dt * ds ** arity * d, {
+            key: tuple((m, x) for m, x in enumerate(unpack(v, width, dim))
+                       if x)
+            for key, v in sorted(acc.items()) if v}
+
+    d, vectors = conjugate(*a.bracket.integer, 2)
+    bracket = _least(a.space, d, vectors, a.bracket.super_skew)
+    da, acols = integer_terms(a.alpha.matrix.transpose().entries)
+    d, cols = conjugate(da, {(j,): c for j, c in enumerate(acols) if c}, 1)
+    alpha = Matrix(dim, dim, tuple(
+        tuple((r, Fraction(x, d)) for r, x in cols.get((j,), ()))
+        for j in range(dim))).transpose()
+    return HomLieSuper(a.space, bracket, GradedMap(a.space, a.space, alpha))
+
+
+def _least(space: GradedSpace, d: int, vectors: dict,
+           super_skew: bool) -> SuperBracket2:
+    """The bracket of the integer vectors at scale d, d and every value
+    divided by their gcd, so D is least as from_vectors leaves it.  A
+    super_skew bracket mapped by an even map stays super-skew, so a True
+    flag is kept, and otherwise the constructor walks skew_breaks."""
+    g = content(d, (x for terms in vectors.values() for _, x in terms))
+    if g > 1:
+        vectors = {key: tuple((m, x // g) for m, x in terms)
+                   for key, terms in vectors.items()}
+    return SuperBracket2(space, (d // g, vectors),
+                         True if super_skew else None)

@@ -13,10 +13,10 @@ from fractions import Fraction
 
 from .binary import (is_ideal, verify_hom_jacobi, verify_multiplicative,
                      verify_skew)
-from .cohomology import (Cochain, apply_coboundary, cochain_length, cocycles,
-                         cohomology_dims, induce_cocycle, parity_support,
-                         verify_1cocycle_transfer, verify_class_transfer,
-                         verify_lemma_identity)
+from .cohomology import (Cochain, apply_coboundaries, cochain_length,
+                         cocycles, cohomology_dims, induce_cocycle,
+                         parity_support, verify_1cocycle_transfer,
+                         verify_class_transfer, verify_lemma_identity)
 from .extensions import (CentralExtensionData, build_central_extension,
                          extended_space, verify_extension)
 from .formats import (DocumentBundle, load_cochain, load_functional,
@@ -199,10 +199,11 @@ def _random_cochain(rng, g, degree: int, parity: int) -> Cochain:
     return Cochain("binary-scalar", degree, parity, g.space, tuple(coords))
 
 
-def _random_even_cocycle(rng, g) -> Cochain:
+def _random_even_cocycle(rng, g, basis) -> Cochain:
+    """A random integer combination of the cocycle basis."""
     n = cochain_length("binary-scalar", 2, g.space)
     coords = [Fraction(0)] * n
-    for v in cocycles(g, "binary-scalar", 2, 0):
+    for v in basis:
         c = Fraction(rng.randint(-3, 3))
         for pos, x in enumerate(v):
             coords[pos] += c * x
@@ -225,11 +226,13 @@ def cmd_transfer_checks(args) -> Report:
               for _ in range(3) for parity in (0, 1)]
     for n, sub in enumerate(verify_lemma_identity(lie, tau, omegas, t)):
         rep.absorb(sub, prefix=f"lemma{n // 2}p{n % 2}.")
-    pairs = []
+    basis = cocycles(lie, "binary-scalar", 2, 0)
+    phis, etas = [], []
     for _ in range(3):
-        phi1 = _random_even_cocycle(rng, lie)
-        eta = _random_cochain(rng, lie, 1, 0)
-        pairs.append((phi1, phi1.add(apply_coboundary(lie, eta))))
+        phis.append(_random_even_cocycle(rng, lie, basis))
+        etas.append(_random_cochain(rng, lie, 1, 0))
+    pairs = [(phi1, phi1.add(shift)) for phi1, shift
+             in zip(phis, apply_coboundaries(lie, etas))]
     for k, sub in enumerate(verify_class_transfer(lie, tau, pairs, t)):
         rep.absorb(sub, prefix=f"class{k}.")
     return rep

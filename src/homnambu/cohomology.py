@@ -27,7 +27,17 @@ gives an adjoint complex the scalar walk.
                        -f(X.z) and the three-term delta2 its p = 1 and 2
                        cases, 1/(D_W D_alpha^(2(p-1)));
   ternary-adjoint 1-2  the scalar delta1, and each scalar delta2 term
-                       times 1 + (-1)^{|f| e} (see _leibniz_rows).
+                       times 1 + (-1)^{|f| e}, per output.
+
+e is the exponent of the Koszul sign of moving the value of f past
+arguments.  In the module-valued coboundary (Ammar-Mabrouk-Makhlouf,
+J. Geom. Phys. 61 (2011)) it is nonzero only in the action terms
+rho(X_i) f(..), where X_i passes the value; a value-free complex has no
+such term, and every term it keeps reads f(..) at arguments that never
+pass the value, so e = 0 and the factor is 2 for either parity |f|.  The
+ternary-adjoint delta2 is thus twice the scalar one whatever the
+cochain's parity, and delta2 delta1 = 0 on it as on the scalar complex;
+no builder reads the parity.
 
 Coboundaries keep parity and torus weight.  A key's label is (q, w): q
 the sum of its parts' parities, mod 2, and w the sum of their weights
@@ -65,7 +75,7 @@ columns back through its column keys, scales and lifts them (key column
 j of output o to j*dim + o); it is the one place the rows become
 Fractions.  _apply takes a batch of cochains, streams only the blocks
 their nonzero keys' labels touch, applies each row to the whole batch in
-ints and returns each cochain's nonzero outputs; apply_coboundary alone
+ints and returns each cochain's nonzero outputs; apply_coboundaries alone
 makes them dense.
 
 induce_cocycle transfers binary 2-cocycles with
@@ -156,10 +166,13 @@ def _weight_basis(obj) -> list:
     slot, and one row e_k - e_i1 - .. - e_in for each distinct (k, sorted
     slots) of a nonzero structure constant (a bracket key (i_1, .., i_n)
     and a coordinate k of its value).  The rows go to rref as they are
-    made, in key order, so the read stops at full column rank, which on a
-    dense conjugate is early; the matrix counts every equation with its
-    repeats, the most rows it can yield.  An RREF basis vector has a lead
-    1, so clearing its denominators leaves it primitive."""
+    made, in two passes over the constants in key order: the first
+    coordinate of each constant, then the others.  The first pass thus
+    meets every key before any key's second coordinate, and the read,
+    which stops at full column rank, stops early on a dense conjugate;
+    the matrix counts every equation with its repeats, the most rows it
+    can yield.  An RREF basis vector has a lead 1, so clearing its
+    denominators leaves it primitive."""
     dim = obj.space.dim
     twists = ((obj.alpha,) if isinstance(obj, HomLieSuper)
               else (obj.alpha1, obj.alpha2))
@@ -169,15 +182,18 @@ def _weight_basis(obj) -> list:
 
     def equations():
         seen = set()
-        for slots, terms in constants:
-            slots = sorted(slots)
-            for k, _ in terms:
-                if slots != [k] and (k, *slots) not in seen:
-                    seen.add((k, *slots))
-                    row = {k: 1}
-                    for i in slots:
-                        row[i] = row.get(i, 0) - 1
-                    yield sorted((c, x) for c, x in row.items() if x)
+        for cut in (slice(1), slice(1, None)):
+            for slots, terms in constants:
+                terms = terms[cut]
+                if terms:
+                    slots = sorted(slots)
+                for k, _ in terms:
+                    if slots != [k] and (k, *slots) not in seen:
+                        seen.add((k, *slots))
+                        row = {k: 1}
+                        for i in slots:
+                            row[i] = row.get(i, 0) - 1
+                        yield sorted((c, x) for c, x in row.items() if x)
 
     count = sum(len(terms) for _, terms in constants)
     basis = []
@@ -372,7 +388,7 @@ def _scalar(cx: str) -> str:
     return cx.replace("adjoint", "scalar")
 
 
-def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> tuple:
+def _ds_rows(g: HomLieSuper, cx: str, degree: int) -> tuple:
     """d_s f(x_0, ..., x_p) = sum_{i<j} (-1)^{i+j} eps_ij
     f([x_i, x_j], a x_0, ..^i..^j.., a x_p), eps_ij the Koszul sign of
     moving x_i, then x_j, to the front, times 1/(D_W D_alpha^(p-1))."""
@@ -409,8 +425,7 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int, parity: int) -> tuple:
     return Fraction(1, dw * da ** (degree - 1)), rows
 
 
-def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
-                  fpar: int) -> tuple:
+def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int) -> tuple:
     """The Leibniz coboundary on fundamental objects, p = degree, i from 1:
 
       sum_{i<j} (-1)^i (-1)^{|X_i|(|X_i+1| + .. + |X_j-1|)}
@@ -420,19 +435,11 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
 
     aX = a x1 ^ a x2, [X,Y]_a = X.y1 ^ a y2 + (-1)^{|X||y1|} a y1 ^ X.y2,
     times 1/(D_W D_alpha^(2(p-1))): a term has one bracket, 2(p-1) twists.
-    The ternary-adjoint delta2 adds each term again times (-1)^{|f| e}, e =
-    0 or |y1| on the wedges of [X,Y]_a and the other pair's parity on an
-    action term: an even cochain sees the scalar rows at twice their
-    multiplier, an odd one the terms with e even, doubled.  A walk works
-    out the terms of a pair prefix X, and each bracket [X_i, X_j]_a, when
-    a row (X, z) first needs them, and keeps them for every block it
-    builds, whose rows (X, z) share X across weights; a row reads the
-    element terms at its own z alone.
+    A walk works out the terms of a pair prefix X, and each bracket [X_i,
+    X_j]_a, when a row (X, z) first needs them, and keeps them for every
+    block it builds, whose rows (X, z) share X across weights; a row reads
+    the element terms at its own z alone.
     """
-    adjoint = cx == "ternary-adjoint"
-    if adjoint and not fpar:
-        multiplier, rows = _walk(t, "ternary-scalar", degree, 0)
-        return 2 * multiplier, rows
     if not t.same_twists():
         raise PreconditionError("ternary cohomology needs alpha1 = alpha2")
     sp = t.space
@@ -450,11 +457,11 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
 
     @lru_cache(maxsize=None)  # shared by the walk's blocks, dropped with it
     def bracket(P, Q):
-        """[X_P, X_Q]_a, less the wedge of odd e on the odd adjoint side."""
+        """[X_P, X_Q]_a."""
         q1, q2 = pairs[Q]
         act = acts[P]
         out = wedge_expand([act[q1], acols[q2]], table) if act[q1] else {}
-        if act[q2] and not (adjoint and p[q1]):
+        if act[q2]:
             s = -1 if pairp[P] and p[q1] else 1
             for c, x in wedge_expand([acols[q1], act[q2]], table).items():
                 out[c] = out.get(c, 0) + s * x
@@ -479,9 +486,8 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
         out = []
         for i in range(degree):  # i + 1 is the formula's i
             slots = [apairs[X[k]] for k in range(degree) if k != i]
-            if not (adjoint and (sum(par) - par[i]) % 2):
-                e = i + 1 + par[i] * sum(par[i + 1:])
-                out.append((acts[X[i]], -1 if e % 2 else 1, products(slots)))
+            e = i + 1 + par[i] * sum(par[i + 1:])
+            out.append((acts[X[i]], -1 if e % 2 else 1, products(slots)))
             for j in range(i + 1, degree):
                 slots[j - 1] = bracket(X[i], X[j])
                 e = i + 1 + par[i] * sum(par[i + 1:j])
@@ -520,17 +526,21 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int,
                 raise PreconditionError(_PARITY_LAW) from None
             yield tuple(sorted((c, x) for c, x in row.items() if x))
 
-    return Fraction(2 if adjoint else 1, dw * da ** (2 * degree - 2)), rows
+    return Fraction(1, dw * da ** (2 * degree - 2)), rows
 
 
-def _scalar_rows(obj, cx: str, degree: int, parity: int) -> tuple:
-    """The scalar rows, which an adjoint coboundary reads once per output."""
-    return _walk(obj, _scalar(cx), degree, 0)
+def _scalar_rows(obj, cx: str, degree: int) -> tuple:
+    """The scalar rows, which an adjoint coboundary reads once per output;
+    the ternary-adjoint delta2 reads them at twice the scalar multiplier."""
+    multiplier, rows = _walk(obj, _scalar(cx), degree)
+    if (cx, degree) == ("ternary-adjoint", 2):
+        multiplier *= 2
+    return multiplier, rows
 
 
 # (complex, degree) -> the builder of the value-free rows of the coboundary
-# on that complex's degree-cochains, called as build(obj, cx, degree,
-# parity) and returning a walk (multiplier, rows): rows(row_keys, col_keys)
+# on that complex's degree-cochains, called as build(obj, cx, degree) and
+# returning a walk (multiplier, rows): rows(row_keys, col_keys)
 # yields, one at a time and in the order given, the integer row of each key
 # position in row_keys, its columns numbered by their place in col_keys,
 # and raises on a term outside them
@@ -539,7 +549,7 @@ _BUILDERS = {**{("binary-scalar", p): _ds_rows for p in (1, 2, 3)},
              ("binary-adjoint", 2): _scalar_rows,
              **{("ternary-scalar", p): _leibniz_rows for p in (1, 2, 3)},
              ("ternary-adjoint", 1): _scalar_rows,
-             ("ternary-adjoint", 2): _leibniz_rows}
+             ("ternary-adjoint", 2): _scalar_rows}
 # the degrees each complex has cochains in: its coboundaries' and one more
 _DEGREES = {cx: tuple(d for c, d in _BUILDERS if c == cx) for cx, _ in _BUILDERS}
 _DEGREES = {cx: (*ds, ds[-1] + 1) for cx, ds in _DEGREES.items()}
@@ -562,11 +572,11 @@ def _row_count(cx: str, degree: int, space: GradedSpace) -> int:
     return ways[-1]
 
 
-def _walk(obj, cx: str, degree: int, parity: int) -> tuple:
+def _walk(obj, cx: str, degree: int) -> tuple:
     """The walk (multiplier, rows) of _BUILDERS for the cx coboundary on
-    degree-cochains of this parity, once obj fits cx, its bracket keeps
-    the parity law the blocks split by, and the operator's row count is
-    within MAX_COBOUNDARY_ROWS.  What it caches lives as long as it."""
+    degree-cochains, once obj fits cx, its bracket keeps the parity law
+    the blocks split by, and the operator's row count is within
+    MAX_COBOUNDARY_ROWS.  What it caches lives as long as it."""
     build = _BUILDERS.get((cx, degree)) if type(degree) is int else None
     if build is None:
         raise InputError(f"no coboundary for {cx} cochains of degree {degree!r}")
@@ -579,15 +589,15 @@ def _walk(obj, cx: str, degree: int, parity: int) -> tuple:
     if not obj.bracket.super_skew and any(
             s is None for _, s, _ in obj.bracket.skew_breaks()):
         raise PreconditionError(_PARITY_LAW)
-    return build(obj, cx, degree, parity)
+    return build(obj, cx, degree)
 
 
-def _blocks(obj, cx: str, degree: int, parity: int) -> tuple:
+def _blocks(obj, cx: str, degree: int) -> tuple:
     """(multiplier, groups, block) of one _walk: groups is _weight_groups
     of the columns under obj's _grading, and block(label) is the (q, w)
     block's column keys, in key order, and an iterator of (row key, row),
     each row built as it is read; nothing outlives the walk."""
-    multiplier, rows = _walk(obj, cx, degree, parity)
+    multiplier, rows = _walk(obj, cx, degree)
     weights = _grading(obj)
     row_groups = _weight_groups(_scalar(cx), degree + 1, obj.space, weights)
     groups = _weight_groups(cx, degree, obj.space, weights)
@@ -599,13 +609,13 @@ def _blocks(obj, cx: str, degree: int, parity: int) -> tuple:
     return multiplier, groups, block
 
 
-def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
-    """The cx coboundary of degree-cochains of this parity, on full cochain
-    coordinates: each (q, w) block's rows placed at their row keys, their
-    columns mapped back through its column keys, times the multiplier, and
+def coboundary_matrix(obj, cx: str, degree: int) -> Matrix:
+    """The cx coboundary of degree-cochains, on full cochain coordinates:
+    each (q, w) block's rows placed at their row keys, their columns
+    mapped back through its column keys, times the multiplier, and
     applied once per output o, so key column j moves to j*dim + o.  The
     rows of a label no column has are ()."""
-    multiplier, groups, block = _blocks(obj, cx, degree, parity)
+    multiplier, groups, block = _blocks(obj, cx, degree)
     dim = _width(cx, obj.space)
     entries = [()] * (_row_count(cx, degree, obj.space) * dim)
     for label in _block_labels(groups):
@@ -618,8 +628,8 @@ def coboundary_matrix(obj, cx: str, degree: int, parity: int = 0) -> Matrix:
                   tuple(entries))
 
 
-def _apply(obj, cx: str, degree: int, parity: int, batch) -> list:
-    """[coboundary_matrix(obj, cx, degree, parity).apply(coords) for coords
+def _apply(obj, cx: str, degree: int, batch) -> list:
+    """[coboundary_matrix(obj, cx, degree).apply(coords) for coords
     in batch], each as {coordinate: Fraction} of its nonzero values, from
     one walk: each cochain is cleared of denominators once (by its D), only
     the blocks of its nonzero keys' labels (q, w) are streamed, and each
@@ -627,8 +637,7 @@ def _apply(obj, cx: str, degree: int, parity: int, batch) -> list:
     dim + output, each nonzero sum times multiplier / D once."""
     if not batch:
         return []
-    multiplier, (width, labels, _, elements), block = _blocks(
-        obj, cx, degree, parity)
+    multiplier, (width, labels, _, elements), block = _blocks(obj, cx, degree)
     dim = _width(cx, obj.space)
     if any(len(coords) != len(labels) * width * dim for coords in batch):
         raise InputError("vector length mismatch in apply")
@@ -659,25 +668,38 @@ def _apply(obj, cx: str, degree: int, parity: int, batch) -> list:
     return out
 
 
+def _applied(obj, cochains) -> list:
+    """(index, _apply's nonzero outputs) of each cochain, by shape: one
+    _apply, so one walk, per complex and degree."""
+    batches = {}
+    for n, c in enumerate(cochains):
+        batches.setdefault((c.complex, c.degree), []).append(n)
+    return [pair for shape, ns in batches.items() for pair in zip(
+        ns, _apply(obj, *shape, [cochains[n].coords for n in ns]))]
+
+
+def apply_coboundaries(obj, cochains) -> list:
+    """The coboundary of each cochain, in order, from one walk per complex
+    and degree: the one place a coboundary value becomes dense."""
+    out = [None] * len(cochains)
+    for n, values in _applied(obj, cochains):
+        c = cochains[n]
+        length = cochain_length(c.complex, c.degree + 1, c.space)
+        out[n] = Cochain(c.complex, c.degree + 1, c.parity, c.space,
+                         tuple(values.get(i, ZERO) for i in range(length)))
+    return out
+
+
 def apply_coboundary(obj, c: Cochain) -> Cochain:
-    """The coboundary of c, the one place a coboundary value becomes dense."""
-    out = _apply(obj, c.complex, c.degree, c.parity, [c.coords])[0]
-    n = cochain_length(c.complex, c.degree + 1, c.space)
-    return Cochain(c.complex, c.degree + 1, c.parity, c.space,
-                   tuple(out.get(i, ZERO) for i in range(n)))
+    """The coboundary of c."""
+    return apply_coboundaries(obj, [c])[0]
 
 
 def _first_nonzero(obj, cochains: list) -> int:
     """The index of the first cochain whose coboundary on obj is nonzero,
-    or len(cochains): one _apply per complex and degree, and per parity
-    on an adjoint complex, whose delta2 reads it."""
-    batches = {}
-    for n, c in enumerate(cochains):
-        parity = c.parity if c.complex.endswith("adjoint") else 0
-        batches.setdefault((c.complex, c.degree, parity), []).append(n)
-    return min((n for shape, ns in batches.items() for n, out in zip(
-        ns, _apply(obj, *shape, [cochains[n].coords for n in ns])) if out),
-        default=len(cochains))
+    or len(cochains), from one walk per complex and degree."""
+    return min((n for n, out in _applied(obj, cochains) if out),
+               default=len(cochains))
 
 
 def _key_blocks(obj, cx: str, degree: int, parity: int):
@@ -715,7 +737,7 @@ def cocycles(obj, cx: str, degree: int, parity: int) -> list:
     basis, its rows handed to rref as they are built, and the union
     sorted by lead column, which is the RREF kernel basis of the parity-q
     block, placed at every output it serves."""
-    rows = _walk(obj, cx, degree, parity)[1]
+    rows = _walk(obj, cx, degree)[1]
     dim = _width(cx, obj.space)
     n = cochain_length(cx, degree, obj.space)
     out = []
@@ -752,9 +774,9 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     if type(degree) is not int or (cx, degree) not in _BUILDERS or (
             degree > 1 and (cx, degree - 1) not in _BUILDERS):
         raise InputError(f"no cohomology for {cx} in degree {degree!r}")
-    upper = _walk(obj, cx, degree, 0)[1]  # first: it meets the row cap
+    upper = _walk(obj, cx, degree)[1]  # first: it meets the row cap
     if degree > 1:
-        lower = _walk(obj, cx, degree - 1, 0)[1]
+        lower = _walk(obj, cx, degree - 1)[1]
         below = _weight_groups(cx, degree - 1, obj.space, _grading(obj))
     zdim = bdim = 0
     for label, outputs, count, row_keys, col_keys in _key_blocks(
@@ -781,7 +803,7 @@ def bracket_cochain(g: HomLieSuper) -> Cochain:
 
 def verify_bracket_cocycle(g: HomLieSuper) -> Report:
     rep = Report("verify_bracket_cocycle")
-    resid = _apply(g, "binary-adjoint", 2, 0, [bracket_cochain(g).coords])[0]
+    resid = _apply(g, "binary-adjoint", 2, [bracket_cochain(g).coords])[0]
     if resid:
         triple = _row_keys("binary-adjoint", 2, g.space)[min(resid) // g.dim]
         rep.fail("bracket-cocycle",
@@ -794,7 +816,7 @@ def is_binary_cocycle(g: HomLieSuper, phi: Cochain) -> bool:
         raise InputError("cocycle test expects degree 2")
     if not phi.complex.startswith("binary"):
         raise InputError("cocycle test expects a binary cochain")
-    return not _apply(g, phi.complex, 2, phi.parity, [phi.coords])[0]
+    return not _apply(g, phi.complex, 2, [phi.coords])[0]
 
 
 def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
@@ -875,9 +897,8 @@ def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional, omegas,
     (d_s^1 omega)_rho, coordinatewise: one Report per cochain of omegas."""
     n = next((i for i, om in enumerate(omegas)
               if (om.complex, om.degree) != ("binary-scalar", 1)), len(omegas))
-    lhs = _apply(t, "ternary-scalar", 1, 0, [om.coords for om in omegas[:n]])
-    rhs = induce_cocycle(g, tau, [apply_coboundary(g, om)
-                                  for om in omegas[:n]], t)
+    lhs = _apply(t, "ternary-scalar", 1, [om.coords for om in omegas[:n]])
+    rhs = induce_cocycle(g, tau, apply_coboundaries(g, omegas[:n]), t)
     if n < len(omegas):
         raise PreconditionError("lemma identity expects a scalar 1-cochain")
     return [_mismatches("verify_lemma_identity", "lemma-identity", g.space,
@@ -917,9 +938,10 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional, pairs,
     if bad < n:
         n, error = bad, "class transfer expects 2-cocycles"
     omegas = []
+    d1 = coboundary_matrix(g, "binary-scalar", 1) if n > 1 else None
     for phi1, phi2 in zip(phis[:n:2], phis[1:n:2]):
         diff = tuple(b - a for a, b in zip(phi1.coords, phi2.coords))
-        omega = solve(coboundary_matrix(g, "binary-scalar", 1), diff)
+        omega = solve(d1, diff)
         if omega is None:
             n, error = 2 * len(omegas), "cocycles are not cohomologous"
             break
@@ -927,7 +949,7 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional, pairs,
     psis = induce_cocycle(g, tau, phis[:2 * len(omegas)], t)
     if n < len(phis):
         raise PreconditionError(error)
-    rhs = _apply(t, "ternary-scalar", 1, 0, omegas)
+    rhs = _apply(t, "ternary-scalar", 1, omegas)
     return [_mismatches("verify_class_transfer", "class-transfer", g.space,
                         {i: b - a for i, (a, b) in enumerate(zip(
                             psi1.coords, psi2.coords)) if a != b}, right,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .binary import HomLieSuper, SuperBracket2, change_of_basis, yau_twist
 from .graded import GradedMap, graded_space, identity_map
-from .linalg import Matrix, invert
+from .linalg import Matrix, integer_terms, invert, map_terms
 from .reps import (Representation, adjoint_representation, trace_functional,
                    zero_representation)
 from .ternary import TernaryHomLieSuper, induce_ternary
@@ -247,14 +247,27 @@ def random_even_invertible(rng, space) -> Matrix:
 def conjugate_pair(lie, rep, s: Matrix):
     """Transport (lie, rep) along the basis change e'_j = s e_j.
 
-    The module and beta stay put; rho'(e'_j) = rho(s e_j) by linearity.
+    The module and beta stay put; rho'(e'_j) = rho(s e_j) by linearity:
+    column j of D_s s mapped through the action matrices, each cleared to
+    integers and flattened into one column, by the map_terms transport
+    that change_of_basis conjugates the bracket and alpha with.
     """
     lie2 = change_of_basis(lie, s)
-    mats = tuple(
-        GradedMap(rep.module_space, rep.module_space,
-                  rep.rho_of_vector(s.col(j)), lie.space.parities[j])
-        for j in range(lie.dim))
-    rep2 = Representation(lie2, rep.module_space, mats, rep.beta)
+    n = rep.module_space.dim
+    dr, flat = integer_terms(
+        [(r * n + c, x) for r, row in enumerate(rep.rho_matrix(a).entries)
+         for c, x in row] for a in range(lie.dim))
+    ds, cols = integer_terms(s.transpose().entries)
+    images = map_terms(dict(enumerate(cols)), flat)
+    mats = []
+    for j in range(lie.dim):
+        rows = [[] for _ in range(n)]
+        for rc, x in images.get(j, ()):
+            rows[rc // n].append((rc % n, Fraction(x, dr * ds)))
+        mats.append(GradedMap(rep.module_space, rep.module_space,
+                              Matrix(n, n, tuple(map(tuple, rows))),
+                              lie.space.parities[j]))
+    rep2 = Representation(lie2, rep.module_space, tuple(mats), rep.beta)
     return lie2, rep2
 
 

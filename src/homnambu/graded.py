@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
-from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _gcd,
+from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, content,
                      field, integer_terms, is_zero_vec, kernel, nonzero_terms,
                      pack, record, slot_width, vec)
 
@@ -330,11 +330,8 @@ class SuperBracket:
             if bad:
                 raise InputError(f"{kind} value for {key} breaks the parity "
                                  f"law at {bad}")
-        g = d  # d / g is the least D with D x / d integral for every x
-        for x in (x for terms in coeffs.values() for _, x in terms):
-            if g == 1:
-                break
-            g = _gcd(g, x)
+        # d / g is the least D with D x / d integral for every x
+        g = content(d, (x for terms in coeffs.values() for _, x in terms))
         view = {}
         for key, terms in coeffs.items():
             if not terms:

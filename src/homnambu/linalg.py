@@ -250,6 +250,23 @@ def integer_terms(rows):
                for r in rows]
 
 
+def map_terms(vectors: dict, cols) -> dict:
+    """{key: F v} for each sparse int vector v of vectors, (m, x) pairs,
+    mapped through cols, the sparse int columns of a matrix F, as the
+    nonzero (r, y) pairs of F v, r increasing; the keys whose image is
+    zero drop out, and the rest keep their order."""
+    out = {}
+    for key, terms in vectors.items():
+        acc = {}
+        for m, x in terms:
+            for r, y in cols[m]:
+                acc[r] = acc.get(r, 0) + x * y
+        image = tuple(sorted((r, y) for r, y in acc.items() if y))
+        if image:
+            out[key] = image
+    return out
+
+
 def nonzero_terms(v: Vec) -> tuple:
     """The (index, value) pairs of the nonzero entries of a dense vector."""
     return tuple((j, x) for j, x in enumerate(v) if x)
@@ -416,6 +433,17 @@ def _gcd(a: int, b: int) -> int:
             a, b = b % a, a
         return b
     return b // Fraction(a, b).denominator
+
+
+def content(g: int, values) -> int:
+    """The positive gcd of the nonzero int g and every int of values, read
+    only until it reaches 1: dividing g and the values by it leaves the
+    least scale D of integers x / g."""
+    for x in values:
+        if g == 1:
+            break
+        g = _gcd(g, x)
+    return abs(g)
 
 
 def _eliminate(row: dict, c, other: dict) -> None:

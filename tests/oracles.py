@@ -1,8 +1,10 @@
 """Naive oracles that only tests call, shared by several test modules."""
 
+from homnambu.binary import HomLieSuper, SuperBracket2
 from homnambu.cohomology import _blocks, cochain_keys, coboundary_matrix
-from homnambu.linalg import (ZERO, Matrix, is_zero_vec, kernel, vec_add,
-                             vec_scale)
+from homnambu.graded import GradedMap
+from homnambu.linalg import (ZERO, Matrix, PreconditionError, invert,
+                             is_zero_vec, kernel, vec_add, vec_scale)
 from homnambu.report import Report, fmt_vec
 
 
@@ -17,13 +19,13 @@ def select(m: Matrix, row_idx, col_idx) -> Matrix:
     return Matrix(len(row_idx), len(col_idx), rows)
 
 
-def read_blocks(obj, cx: str, degree: int, parity: int, labels) -> list:
+def read_blocks(obj, cx: str, degree: int, labels) -> list:
     """[(row keys, column keys, integer rows, multiplier)] of the (q, w)
     blocks of these labels of the cx coboundary on degree-cochains, in
     order, all streamed from one walk: the positions of a block's row and
     column keys, in key order, and its rows as a Matrix over those
     columns."""
-    multiplier, _, block = _blocks(obj, cx, degree, parity)
+    multiplier, _, block = _blocks(obj, cx, degree)
     out = []
     for label in labels:
         col_keys, rows = block(label)
@@ -50,7 +52,7 @@ def parity_cocycles(obj, cx: str, degree: int, parity: int) -> list:
     such output in turn.  The order cohomology.cocycles keeps."""
     space = obj.space
     dim = space.dim if cx.endswith("adjoint") else 1
-    full = coboundary_matrix(obj, cx, degree, parity)
+    full = coboundary_matrix(obj, cx, degree)
     p = space.parities
 
     def keys_of_parity(cx, degree, q):
@@ -104,3 +106,25 @@ def skew_oracle(a):
                          detail=f"output hits {bad}")
     rep.metrics["pairs_checked"] = sp.dim * (sp.dim + 1) // 2
     return rep
+
+
+def change_of_basis_direct(a, s):
+    """binary.change_of_basis in Fractions, one s^-1 [s e_i, s e_j] per
+    ordered pair: its naive oracle."""
+    sinv = invert(s)
+    if sinv is None:
+        raise PreconditionError("basis change matrix is singular")
+    for i, row in enumerate(s.entries):
+        for j, _ in row:
+            if a.space.parities[i] != a.space.parities[j]:
+                raise PreconditionError("basis change must be even")
+    cols = [s.col(i) for i in range(a.dim)]
+    vectors = {}
+    for i in range(a.dim):
+        for j in range(a.dim):
+            w = sinv.apply(a.bracket.eval_vectors(cols[i], cols[j]))
+            if not is_zero_vec(w):
+                vectors[(i, j)] = w
+    alpha2 = GradedMap(a.space, a.space, sinv.mul(a.alpha.matrix.mul(s)))
+    return HomLieSuper(a.space, SuperBracket2.from_vectors(a.space, vectors),
+                       alpha2)

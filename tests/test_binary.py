@@ -10,13 +10,16 @@ from homnambu.binary import (HomLieSuper, InputError, SuperBracket2,
                              change_of_basis, hom_jacobi_residual, is_ideal,
                              is_subalgebra, verify_hom_jacobi, verify_morphism,
                              verify_multiplicative, verify_skew, yau_twist)
-from homnambu.fixtures import (gl11, gl11t, glmn, neg_jacobi, neg_mult,
-                               neg_skew, random_even_invertible)
+from homnambu.fixtures import (conjugate_pair, gl11, gl11t, glmn,
+                               matrix_units, neg_jacobi, neg_mult, neg_skew,
+                               random_even_invertible)
 from homnambu.graded import (GradedMap, graded_space, identity_map,
                              skew_basis, tuple_parity)
 from homnambu.linalg import (Matrix, PreconditionError, Subspace, frac,
                              integer_terms, is_zero_vec, slot_width, unit_vec)
 from homnambu.report import Report, fmt_vec
+
+from oracles import change_of_basis_direct
 
 
 def test_all_fixtures_satisfy_binary_axioms(all_binary):
@@ -224,6 +227,95 @@ def test_change_of_basis_preserves_axioms(g11):
         conj = change_of_basis(g11, s)
         assert verify_skew(conj).verdict == "pass"
         assert verify_hom_jacobi(conj).verdict == "pass"
+
+
+def diagonal_alpha(lie, m, n):
+    """E_ij -> (d_i / d_j) E_ij on gl(m|n), d = 2, 3, 5, 7: an even
+    automorphism with denominators."""
+    d = (2, 3, 5, 7)
+    scale = [Fraction(d[i], d[j]) for i, j in matrix_units(m, n)]
+    return GradedMap(lie.space, lie.space, Matrix.build(
+        [[scale[r] if r == c else 0 for c in range(lie.dim)]
+         for r in range(lie.dim)]))
+
+
+def transport_cases():
+    """(name, algebra) for the differential tests of the integer basis
+    transport: gl(1|1), gl(2|1) and gl(2|2), a Yau twist of each, and two
+    brackets that are not super-skew, built with with_entry."""
+    yield "gl11", gl11()[0]
+    yield "gl11t", gl11t()[0]
+    for m, n in ((2, 1), (2, 2)):
+        lie = glmn(m, n)[0]
+        yield f"gl{m}{n}", lie
+        yield f"gl{m}{n}t", yau_twist(lie, diagonal_alpha(lie, m, n))
+    yield "neg_skew", neg_skew()
+    lie = glmn(2, 1)[0]
+    odd = lie.space.parities.index(1)
+    yield "gl21-with-entry", HomLieSuper(lie.space, lie.bracket.with_entry(
+        0, odd, tuple(Fraction(k + 1, 3) if lie.space.parities[k] else 0
+                      for k in range(lie.dim))), lie.alpha)
+
+
+def assert_same_algebra(got, want, name):
+    """Equal brackets (values and least D), the same key order and
+    super_skew flag, and the same twist."""
+    assert got == want, name
+    assert got.bracket.integer[0] == want.bracket.integer[0], name
+    assert list(got.bracket.integer[1]) == list(want.bracket.integer[1]), name
+    assert got.bracket.super_skew is want.bracket.super_skew, name
+    assert got.alpha == want.alpha, name
+
+
+def test_change_of_basis_matches_the_fraction_oracle():
+    # the integer transport against s^-1 [s e_i, s e_j] in Fractions, under
+    # three seeded dense conjugators each
+    for name, lie in transport_cases():
+        for seed in range(3):
+            s = random_even_invertible(random.Random(seed), lie.space)
+            got = change_of_basis(lie, s)
+            assert_same_algebra(got, change_of_basis_direct(lie, s),
+                                (name, seed))
+            assert got.bracket.super_skew is lie.bracket.super_skew
+
+
+def test_yau_twist_matches_the_fraction_oracle():
+    # alpha applied to the integer structure vectors against alpha applied
+    # to each Fraction vector
+    g11 = gl11()[0]
+    cases = [(g11, gl11t()[0].alpha)]
+    cases += [(lie, diagonal_alpha(lie, m, n))
+              for m, n in ((2, 1), (2, 2)) for lie in [glmn(m, n)[0]]]
+    for lie, alpha in cases:
+        vectors = {key: alpha.apply(v)
+                   for key, v in lie.bracket.vectors().items()}
+        want = HomLieSuper(lie.space, SuperBracket2.from_vectors(
+            lie.space, {k: v for k, v in vectors.items()
+                        if not is_zero_vec(v)}), alpha)
+        assert_same_algebra(yau_twist(lie, alpha), want, lie.dim)
+
+
+def test_conjugate_pair_carries_rho_by_linearity():
+    for lie, rep in (gl11(), gl11t(), glmn(2, 1)):
+        s = random_even_invertible(random.Random(4), lie.space)
+        lie2, rep2 = conjugate_pair(lie, rep, s)
+        assert lie2 == change_of_basis(lie, s)
+        assert rep2.matrices == tuple(
+            GradedMap(rep.module_space, rep.module_space,
+                      rep.rho_of_vector(s.col(j)), lie.space.parities[j])
+            for j in range(lie.dim))
+
+
+def test_change_of_basis_refuses_a_singular_or_parity_mixing_matrix(g11):
+    singular = Matrix.build([[1, 1, 0, 0], [1, 1, 0, 0],
+                             [0, 0, 1, 0], [0, 0, 0, 1]])
+    mixing = Matrix.build([[1, 0, 1, 0], [0, 1, 0, 0],
+                           [0, 0, 1, 0], [0, 0, 0, 1]])
+    for transport in (change_of_basis, change_of_basis_direct):
+        with pytest.raises(PreconditionError, match="singular"):
+            transport(g11, singular)
+        with pytest.raises(PreconditionError, match="must be even"):
+            transport(g11, mixing)
 
 
 def test_ideal_and_subalgebra(g11):

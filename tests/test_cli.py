@@ -295,20 +295,26 @@ def test_transfer_checks_walk_the_ternary_delta2_once_per_theorem(
     call and its three class pairs in another, so the ternary-scalar
     delta2 is walked twice in all, never once per cochain, and no
     coboundary row outlives its walk: every algebra's memo ends up holding
-    its grading alone."""
+    its grading alone.  On the binary side the cocycle basis is solved
+    once, the three class pairs share one d_s^1 matrix and the six lemma
+    cochains and the three shifts one application each, so d_s^1 and d_s^2
+    are walked four times each, not once per cochain."""
     path = tmp_path / "gl21.json"
     write_document(path, DocumentBundle("gl21", *glmn(2, 1)))
     walks = []
     walk = cohomology._walk
 
-    def spy(obj, cx, degree, parity):
+    def spy(obj, cx, degree):
         walks.append((obj, cx, degree))
-        return walk(obj, cx, degree, parity)
+        return walk(obj, cx, degree)
 
     monkeypatch.setattr(cohomology, "_walk", spy)
     code, out = run(["transfer-checks", path])
     assert code == 0 and json.loads(out)["verdict"] == "pass"
-    assert [w[1:] for w in walks].count(("ternary-scalar", 2)) == 2
+    shapes = [w[1:] for w in walks]
+    assert shapes.count(("ternary-scalar", 2)) == 2
+    assert shapes.count(("binary-scalar", 1)) == 4
+    assert shapes.count(("binary-scalar", 2)) == 4
     for obj in {id(obj): obj for obj, _, _ in walks}.values():
         assert set(obj.memo) == {"grading"}
 

@@ -307,7 +307,7 @@ def test_coboundary_rank_and_kernel_match_dense_oracle():
         mats += [coboundary_matrix(lie, "binary-adjoint", d) for d in (1, 2)]
         for cx in ("ternary-scalar", "ternary-adjoint"):
             mats.append(coboundary_matrix(t, cx, 1))
-            mats += [coboundary_matrix(t, cx, 2, parity) for parity in (0, 1)]
+            mats.append(coboundary_matrix(t, cx, 2))
         for m in mats:
             r = dense_rref(m)
             assert rank(m) == sum(1 for row in dense_rows(r) if lead(row) is not None)
@@ -569,9 +569,7 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
                                 (t, "ternary-adjoint", 2)):
             labels = _block_labels(_weight_groups(cx, degree, obj.space,
                                                   _grading(obj)))
-            for parity in (0, 1):
-                mats += [m for _, _, m, _ in read_blocks(obj, cx, degree,
-                                                         parity, labels)]
+            mats += [m for _, _, m, _ in read_blocks(obj, cx, degree, labels)]
     for m in mats:
         r = rref(m)
         assert r == fraction_rref(m)
