@@ -125,7 +125,8 @@ def verify_hom_jacobi(a: HomLieSuper) -> Report:
     dim = a.space.dim
     dw, W = a.bracket.integer
     da, rows = integer_terms(a.alpha.matrix.entries)
-    width, (table,) = a.bracket.composite((rows,), (1,), 3)
+    width = a.bracket.join_width((rows,), 3)
+    table, = a.bracket.composite((rows,), (1,), width)
     C = {u: cols for (u,), cols in table.items()}
     scale = da * dw * dw
     for (x, y, z) in sb.tuples:

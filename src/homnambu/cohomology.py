@@ -824,12 +824,8 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
     """Transfer binary 2-cocycles to t, the algebra induced from (g, tau):
     one induced cochain per cochain of phis, in order.
 
-    phi_rho(X, z) is reps.TraceFunctional.induce of phi on the (pair,
-    element) keys, phi's values cleared of denominators (D) once and
-    read with the canonicalize signs; the result, divided by D_tau D, is
-    checked against the matching ternary delta2 of t.  The checks (shape,
-    cocycle, tau o alpha = tau, ternary cocycle) each run once on the
-    batch, and the first cochain to fail one raises.
+    The checks (shape, cocycle, then those of _induce) each run once on
+    the batch, and the first cochain to fail one raises.
     """
     n = next((i for i, phi in enumerate(phis) if phi.degree != 2 or
               phi.complex not in ("binary-scalar", "binary-adjoint")),
@@ -838,13 +834,29 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
     bad = _first_nonzero(g, phis[:n])
     if bad < n:
         n, error = bad, "induce_cocycle expects a 2-cocycle"
-    if n and trace_mismatches(tau, g.alpha):
+    induced = _induce(g, tau, phis[:n], t)
+    if n < len(phis):
+        raise PreconditionError(error)
+    return induced
+
+
+def _induce(g: HomLieSuper, tau: TraceFunctional, phis,
+            t: TernaryHomLieSuper) -> list:
+    """induce_cocycle of binary 2-cocycles its caller has checked.
+
+    phi_rho(X, z) is reps.TraceFunctional.induce of phi on the (pair,
+    element) keys, phi's values cleared of denominators (D) once and
+    read with the canonicalize signs; the result, divided by D_tau D, is
+    checked against the matching ternary delta2 of t.  When phis is not
+    empty, tau o alpha = tau is checked first; either check raises.
+    """
+    if phis and trace_mismatches(tau, g.alpha):
         raise PreconditionError("trace functional is not twist invariant")
     p = g.space.parities
     keys = {(x1, x2, k): i for i, ((x1, x2), k)
             in enumerate(cochain_keys("ternary-scalar", 2, g.space))}
     induced = []
-    for phi in phis[:n]:
+    for phi in phis:
         width = _width(phi.complex, g.space)
         d, rows = integer_terms(enumerate(phi.coords[i:i + width])
                                 for i in range(0, len(phi.coords), width))
@@ -864,10 +876,8 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
                 coords[keys[key] * width + m] = Fraction(x, dt * d)
         induced.append(Cochain(phi.complex.replace("binary", "ternary"), 2,
                                phi.parity, g.space, tuple(coords)))
-    if _first_nonzero(t, induced) < n:
+    if _first_nonzero(t, induced) < len(induced):
         raise PreconditionError("induced cochain is not a ternary cocycle")
-    if n < len(phis):
-        raise PreconditionError(error)
     return induced
 
 
@@ -929,7 +939,8 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional, pairs,
     """Cohomologous binary scalar cocycles induce cohomologous cochains
     on t, the algebra induced from (g, tau), via the same connecting
     1-cochain.  One Report per (phi1, phi2) of pairs: each pair is checked
-    and solved for omega, then all are induced by one induce_cocycle."""
+    (shape, then cocycle, all in one walk) and solved for omega, then all
+    are induced by one _induce, which checks them no more."""
     phis = [phi for pair in pairs for phi in pair]
     n = next((i for i, phi in enumerate(phis)
               if (phi.complex, phi.degree) != ("binary-scalar", 2)), len(phis))
@@ -946,7 +957,7 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional, pairs,
             n, error = 2 * len(omegas), "cocycles are not cohomologous"
             break
         omegas.append(omega)
-    psis = induce_cocycle(g, tau, phis[:2 * len(omegas)], t)
+    psis = _induce(g, tau, phis[:2 * len(omegas)], t)
     if n < len(phis):
         raise PreconditionError(error)
     rhs = _apply(t, "ternary-scalar", 1, omegas)

@@ -24,13 +24,14 @@ canonical position of every ordered index tuple, share one multilinear
 expansion.  Every identity checker reads the view, and
 only the residuals a report prints are divided back into Fractions:
 
-* span(S1, ..., Sn), the subspace spanned by [S1, ..., Sn], and
-  annihilator(), the z with [e_i1, ..., z] = 0, for any arity; the
-  series, centers and ideal checks are calls of these two.  span
-  contracts only the slots whose subspace is smaller than the space: a
-  whole-space slot keeps its key index, so [g, g, g] is the span of the
-  distinct stored vectors, and a super-skew bracket reads adjacent
-  whole-space slots in canonical order only;
+* span(S1, ..., Sn), the subspace spanned by [S1, ..., Sn], the row
+  space of images, and annihilator(), the z with [e_i1, ..., z] = 0,
+  for any arity; the series, centers and ideal checks are calls of
+  these.  [g, g, g] is the span of the distinct stored vectors; any
+  other span is a composite table whose last slot is contracted with
+  the integer basis of Sn, each image one packed int, deduplicated up
+  to sign before it is unpacked.  annihilator reads only the canonical
+  prefixes of a super-skew bracket;
 * skew_breaks, where symmetry or the parity law fails, walked over the
   stored keys and their adjacent-slot mirrors in integers: the skew
   checks format it, and it decides super_skew once, when a bracket is
@@ -40,10 +41,12 @@ only the residuals a report prints are divided back into Fractions:
   scale D_f D_s and right side at D_f^n D_t: the multiplicativity,
   morphism and induced-homomorphism checks;
 * composite, the integer table [F_1 e_a, ..., e_c, ...] with e_c in one
-  free slot, each vector packed in one int (linalg.pack) in slots of
-  join_width, a proved bound: the Hom-Jacobi table of binary (scale
+  free slot, each vector packed in one int (linalg.pack) in slots of a
+  proved width: join_width for the Hom-Jacobi table of binary (scale
   D_alpha D_W^2) and the three tables of the Hom-Nambu join of ternary
-  (D_W^2 D_1 D_2);
+  (D_W^2 D_1 D_2), and span's own bound for its images.  No table
+  outlives the call that reads it; a bracket keeps only its sizes, the
+  view's largest entry and 1-norm that the widths read;
 * the coboundary rows of cohomology, ints times 1/(D_W D_alpha^k);
 * reps.verify_representation, whose bracket side rho([e_i, e_j]) beta is
   read at D_W, and the induced bracket, tau.induce of this view.
@@ -52,10 +55,11 @@ only the residuals a report prints are divided back into Fractions:
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from operator import itemgetter, le
 
 from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, content,
                      field, integer_terms, is_zero_vec, kernel, nonzero_terms,
-                     pack, record, slot_width, vec)
+                     pack, record, slot_width, unpack, vec)
 
 
 @record(frozen=True)
@@ -192,6 +196,25 @@ def canonicalize(indices, parities):
     return tuple(idx), sign, zero
 
 
+def _ordering_signs(pattern: tuple) -> list:
+    """(order, positive) for each permutation of the slots of a canonical
+    key whose entries have these parities, in the order of
+    itertools.permutations: order(key) is the reordered key, and positive
+    whether canonicalize gives it sign 1.  Sorting it back swaps each
+    inverted pair of slots once, at -(-1)^{p_a p_b}.  canonicalize never
+    swaps a tie, an odd index repeated, and an inverted tie counts
+    -(-1)^{1*1} = 1 here, so the permutations that give one ordering all
+    give it its sign."""
+    n = len(pattern)
+    out = []
+    for perm in permutations(range(n)):
+        flips = sum(1 for s in range(n) for t in range(s + 1, n)
+                    if perm[s] > perm[t]
+                    and not (pattern[perm[s]] and pattern[perm[t]]))
+        out.append((itemgetter(*perm), flips % 2 == 0))
+    return out
+
+
 @record(frozen=True)
 class SkewBasis:
     """Canonical index tuples of a fixed degree, in lexicographic order;
@@ -252,7 +275,7 @@ class SuperBracket:
     where it is nonzero, cleared of denominators by their least common
     one, D, as the (coordinate, integer) pairs of its nonzero values,
     coordinates increasing.  from_integer (and from_canonical through it)
-    fills in every ordering through canonicalize; from_vectors (and
+    fills in every ordering with its canonicalize sign; from_vectors (and
     with_entry through it) takes any entries, so the verifiers have
     something to catch.  Each leaves D least, so two brackets with the
     same values compare equal; the plain constructor, cls(space,
@@ -260,14 +283,19 @@ class SuperBracket:
     eval_vectors, canonical_coeffs and table read Fractions off the view.
     super_skew, neither compared nor shown, is fixed at construction:
     from_integer passes True, which its filling guarantees; otherwise
-    __post_init__ walks skew_breaks once.  The subclasses SuperBracket2
-    and SuperBracket3 pin the arity.
+    __post_init__ walks skew_breaks once.  sizes, neither compared nor
+    shown, holds the view's largest entry and largest 1-norm once a width
+    has asked for them (_sizes): two ints, the only thing a bracket keeps
+    from its joins and spans.  The subclasses SuperBracket2 and
+    SuperBracket3 pin the arity.
     """
 
     arity = None  # pinned by the subclasses
     space: GradedSpace
     integer: tuple
     super_skew: bool = field(default=None, repr=False, compare=False)
+    sizes: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.super_skew is None:
@@ -314,8 +342,9 @@ class SuperBracket:
         """Build from canonical keys and integer structure vectors: coeffs
         maps each canonical key to the nonzero (m, integer) pairs, m
         increasing, of d times its vector.  d is reduced to the least
-        common denominator, and every ordering is filled in through
-        canonicalize, the orderings of one sign sharing one tuple.
+        common denominator, and every ordering is filled in with the
+        canonicalize sign, read off one table per parity pattern of the
+        key (_ordering_signs), the orderings of one sign sharing one tuple.
 
         Keys must be canonical index tuples and supports must obey the
         parity law; empty values are dropped.
@@ -333,13 +362,18 @@ class SuperBracket:
         # d / g is the least D with D x / d integral for every x
         g = content(d, (x for terms in coeffs.values() for _, x in terms))
         view = {}
+        tables = {}
         for key, terms in coeffs.items():
             if not terms:
                 continue
             pos = tuple((m, x // g) for m, x in terms)
             neg = tuple((m, -x) for m, x in pos)
-            for order in dict.fromkeys(permutations(key)):
-                view[order] = pos if canonicalize(order, p)[1] == 1 else neg
+            pattern = tuple(p[i] for i in key)
+            table = tables.get(pattern)
+            if table is None:
+                table = tables[pattern] = _ordering_signs(pattern)
+            for order, positive in table:
+                view[order(key)] = pos if positive else neg
         return cls(space, (d // g, view), True)
 
     def value(self, *idx) -> Vec:
@@ -423,6 +457,19 @@ class SuperBracket:
             if bad:
                 yield key, None, bad
 
+    def _sizes(self) -> list:
+        """[M, N]: the largest |entry| of the view, and the largest 1-norm
+        sum_c |W(k)_c| of its vectors, read once per distinct stored tuple
+        on first use and kept in sizes."""
+        if not self.sizes:
+            top = norm = 0
+            for v in {id(v): v for v in self.integer[1].values()}.values():
+                sizes = [abs(x) for _, x in v]
+                top = max(top, *sizes)
+                norm = max(norm, sum(sizes))
+            self.sizes[:] = top, norm
+        return self.sizes
+
     def join_width(self, rows, terms: int) -> int:
         """The slot width (linalg.slot_width) of every sum of `terms`
         sums +-sum_c W(k)_c T[a][c], W the integer view, k any stored key
@@ -430,52 +477,43 @@ class SuperBracket:
         Hom-Jacobi (3 such sums) and Hom-Nambu (4) joins.
 
         The bound is proved, not sampled.  Let M be the largest |entry|
-        of the view, N the largest 1-norm sum_c |W(k)_c| of its vectors,
-        and S_s the largest column sum sum_i |R_s(i, a)| over the columns
-        a of rows[s] = R_s.  A table slot T[a][c]_m is the sum, over the
-        stored keys k with c in the free slot, of W(k)_m prod_s R_s(k_s,
-        a_s), k_s the key's index in the s-th other slot: composite reads
-        row k_s of R_s and keeps its column a_s.  There is at most one
-        such key per tuple (k_s), so |T[a][c]_m| <= M prod_s sum_i
-        |R_s(i, a_s)| <= M prod_s S_s: column sums, not row sums.  Then
-        |sum_c W(k)_c T[a][c]_m| <= N M prod_s S_s, and a residual slot is
-        at most terms N M prod_s S_s in size, which the width holds with
-        its sign.  So a residual is 0 exactly when its packed int is."""
-        bound = terms
-        for r in rows:
-            sums = {}
-            for row in r:
-                for a, x in row:
-                    sums[a] = sums.get(a, 0) + abs(x)
-            bound *= max(sums.values(), default=0)
-        top = norm = 0
-        for v in self.integer[1].values():
-            sizes = [abs(x) for _, x in v]
-            top = max(top, *sizes)
-            norm = max(norm, sum(sizes))
-        return slot_width(bound * top * norm)
+        of the view and N the largest 1-norm of its vectors (_sizes).  A
+        table slot is at most M times _column_bound(rows) in size (see
+        there), so |sum_c W(k)_c T[a][c]_m| <= N M _column_bound(rows),
+        and a residual slot is at most `terms` times that, which the
+        width holds with its sign.  So a residual is 0 exactly when its
+        packed int is."""
+        top, norm = self._sizes()
+        return slot_width(terms * norm * top * _column_bound(rows))
 
-    def composite(self, rows, frees, terms: int) -> tuple:
-        """(width, tables): per slot `free` in frees, the table
-        {(a_1, ..., a_(n-1)): {c: packed}} of the integer bracket with e_c
-        in slot `free` and F_1 e_a_1, ..., F_(n-1) e_a_(n-1) in the other
-        slots, in order, built from the nonzero entries of the view alone.
-        rows[s] holds the rows of D_s F_s, an integer matrix, as (column,
-        integer) pairs, so the tables are at scale D_W D_1 ... D_(n-1).
-        Each structure vector is packed once (linalg.pack), in slots of
-        width = join_width(rows, terms) bits, wide enough for the sums of
-        `terms` contractions that read the tables, and each table vector
-        accumulates as one int, the nonzero ones kept.  For arity 3 and
-        free = 2 the table is [F_1 e_a, F_2 e_b, e_c].  The products of
-        the map entries are expanded once per distinct index tuple of the
-        other slots, for every table."""
-        width = self.join_width(rows, terms)
-        packed = {key: pack(v, width) for key, v in self.integer[1].items()}
+    def composite(self, rows, frees, width: int) -> list:
+        """Per slot `free` in frees, the table {(a_1, ..., a_(n-1)): {c:
+        packed}} of the integer bracket with e_c in slot `free` and F_1
+        e_a_1, ..., F_(n-1) e_a_(n-1) in the other slots, in order, built
+        from the nonzero entries of the view alone.  rows[s] holds the
+        rows of D_s F_s, an integer matrix, as (column, integer) pairs, so
+        the tables are at scale D_W D_1 ... D_(n-1).  Each distinct stored
+        tuple is packed once (linalg.pack; from_integer shares one tuple
+        per sign across a key's orderings), in slots of `width` bits,
+        which the caller proves wide enough for whatever it sums from the
+        tables: join_width for the joins, span's own bound for spans.
+        Each table vector accumulates as one int, the nonzero ones kept.
+        For arity 3 and free = 2 the table is [F_1 e_a, F_2 e_b, e_c].
+        The products of the map entries are expanded once per distinct
+        index tuple of the other slots, for every table.  Nothing built
+        here outlives the call but the tables returned."""
+        packs = {}
+        packed = []
+        for key, v in self.integer[1].items():
+            x = packs.get(id(v))
+            if x is None:
+                x = packs[id(v)] = pack(v, width)
+            packed.append((key, x))
         expanded = {}
         tables = []
         for free in frees:
             acc = {}
-            for key, vector in packed.items():
+            for key, vector in packed:
                 c = key[free]
                 rest = key[:free] + key[free + 1:]
                 parts = expanded.get(rest)
@@ -494,79 +532,75 @@ class SuperBracket:
                 if cols:
                     table[ab] = cols
             tables.append(table)
-        return width, tables
+        return tables
 
     def span(self, *subspaces) -> Subspace:
-        """The span of [S1, ..., Sn] over the vectors of the subspaces Si.
+        """The span of [S1, ..., Sn] over the vectors of the subspaces Si:
+        the row space of images."""
+        return Subspace.spanned_by_rows(self.images(*subspaces))
 
-        The structure vectors (the integer view) and each Si's echelon rows
-        are cleared of denominators, which scales no span.  Contracting a
-        slot with the unit rows of the whole space only re-indexes, so
-        only the slots whose subspace is smaller than the space are
-        contracted; the indices of the full slots are kept in front of
-        each key.  On a super_skew bracket whose full slots are adjacent,
-        reordering their indices only changes each image's sign, so only
-        the keys with those indices weakly increasing are read: canonical,
-        as no stored key repeats an even index.  The cut slots are contracted one at a time, the last
-        first, so the partial table of a row c of the last serves every
-        choice of the others, and a zero partial ends its branch.  Every
-        vector left once all cut slots are contracted is an image, so with
-        every slot full the images are the distinct stored vectors.  The
-        nonzero integer images go to one rref, deduplicated up to sign.
+    def images(self, *subspaces) -> Matrix:
+        """The nonzero images [b_1, ..., b_n], each b_i an echelon vector
+        of S_i, as integer rows distinct up to sign: a Matrix whose rows
+        are built as rref (or a series step) reads them, and whose row
+        count bounds their number.
+
+        The structure vectors (the integer view) and each Si's echelon
+        rows are cleared of denominators, which scales no span.  With
+        every slot the whole space the images are the distinct stored
+        vectors.  Otherwise each slot's map is the transpose of its
+        integer basis (the unit rows of a whole-space slot only
+        re-index), composite builds the table [b_a1, ..., b_a(n-1), e_c]
+        from all maps but the last, and each table entry is contracted
+        with the integer basis rows of S_n, one packed int per image.  A
+        table slot is at most M _column_bound of its maps, M the largest
+        |entry| of the view, and the contraction multiplies that by the
+        largest 1-norm of a row of S_n, the largest column sum of its map:
+        so the width is that of M _column_bound(every map).  The images
+        are deduplicated as packed ints up to sign, since pack(-v) =
+        -pack(v), and unpacked only when new and nonzero.
         """
         dim = self.space.dim
         if (len(subspaces) != self.arity
                 or any(s.ambient_dim != dim for s in subspaces)):
             raise InputError(f"span takes {self.arity} subspaces of the "
                              f"{dim}-dimensional space")
-        rows = [integer_terms(s.basis.entries)[1] for s in subspaces]
-        if not all(rows):
-            return Subspace.zero(dim)
-        cut = [k for k, s in enumerate(subspaces) if s.dim < dim]
-        full = [k for k, s in enumerate(subspaces) if s.dim == dim]
-
-        def contract(table, slot):
-            if slot < 0:
-                yield from map(sorted, table.values())
-                return
-            by_last = {}
-            for key, terms in table.items():
-                by_last.setdefault(key[-1], []).append((key[:-1], terms))
-            for row in rows[cut[slot]]:
-                acc = {}
-                for k, c in row:
-                    for prefix, terms in by_last.get(k, ()):
-                        col = acc.setdefault(prefix, {})
-                        for m, x in terms:
-                            col[m] = col.get(m, 0) + c * x
-                part = {}
-                for prefix, col in acc.items():
-                    terms = [t for t in col.items() if t[1]]
-                    if terms:
-                        part[prefix] = terms
-                if part:
-                    yield from contract(part, slot - 1)
-
-        keys = self.integer[1].items()
-        if full and full[-1] - full[0] == len(full) - 1 and self.super_skew:
-            lo, hi = full[0], full[-1] + 1
-            keys = [(key, terms) for key, terms in keys
-                    if list(key[lo:hi]) == sorted(key[lo:hi])]
-        table = {(tuple([key[k] for k in full]), *[key[k] for k in cut]):
-                 terms for key, terms in keys}
-        images = contract(table, len(cut) - 1)
-        return Subspace.spanned_by_rows(_distinct_rows(images, dim))
+        bases = [integer_terms(s.basis.entries)[1] for s in subspaces]
+        if not all(bases):
+            return Matrix(0, dim, ())
+        if all(s.dim == dim for s in subspaces):
+            rows = _distinct_rows({id(v): v for v in
+                                   self.integer[1].values()}.values())
+            return Matrix(len(rows), dim, rows)
+        maps = []
+        for basis in bases:
+            r = [[] for _ in range(dim)]
+            for a, b in enumerate(basis):
+                for i, x in b:
+                    r[i].append((a, x))
+            maps.append(r)
+        width = slot_width(self._sizes()[0] * _column_bound(maps))
+        table, = self.composite(maps[:-1], (self.arity - 1,), width)
+        return Matrix(len(table) * len(bases[-1]), dim,
+                      _packed_images(table, bases[-1], width, dim))
 
     def annihilator(self) -> Subspace:
         """The z with [e_i1, ..., e_i(n-1), z] = 0 for all basis arguments:
         the kernel of one integer row per (i1, ..., i(n-1)) and output
-        coordinate, deduplicated up to sign."""
+        coordinate, deduplicated up to sign.  On a super_skew bracket
+        reordering the prefix i1, ..., i(n-1) changes only the sign of its
+        rows, so only the canonical prefixes are read: weakly increasing,
+        as no stored key repeats an even index."""
         rows = {}
+        skew = self.super_skew and self.arity > 2
         for key, terms in self.integer[1].items():
+            prefix = key[:-1]
+            if skew and not all(map(le, prefix, prefix[1:])):
+                continue
             for m, x in terms:
-                rows.setdefault((key[:-1], m), []).append((key[-1], x))
-        return kernel(_distinct_rows(map(sorted, rows.values()),
-                                     self.space.dim))
+                rows.setdefault((prefix, m), []).append((key[-1], x))
+        rows = _distinct_rows(map(sorted, rows.values()))
+        return kernel(Matrix(len(rows), self.space.dim, rows))
 
     def is_zero(self) -> bool:
         return not self.integer[1]
@@ -581,16 +615,54 @@ class SuperBracket:
         return nest(())
 
 
-def _distinct_rows(rows, ncols: int) -> Matrix:
-    """The nonzero integer rows, each a list of (column, value) pairs with
-    columns increasing, kept once up to sign in first-seen order, as an
-    integer Matrix for rref."""
+def _column_bound(maps) -> int:
+    """prod_s S_s, S_s the largest column sum sum_i |R_s(i, a)| of the
+    integer matrix R_s = maps[s], given by its rows of (column, integer)
+    pairs: a bound on every slot of a composite table of these maps.  A
+    table slot T[a][c]_m is the sum, over the stored keys k with c in the
+    free slot, of W(k)_m prod_s R_s(k_s, a_s), k_s the key's index in the
+    s-th other slot: composite reads row k_s of R_s and keeps its column
+    a_s.  There is at most one such key per tuple (k_s), so |T[a][c]_m|
+    <= M prod_s sum_i |R_s(i, a_s)| <= M prod_s S_s, M the largest
+    |entry| of the view: column sums, not row sums."""
+    bound = 1
+    for r in maps:
+        sums = {}
+        for row in r:
+            for a, x in row:
+                sums[a] = sums.get(a, 0) + abs(x)
+        bound *= max(sums.values(), default=0)
+    return bound
+
+
+def _packed_images(table: dict, last, width: int, dim: int):
+    """The nonzero images sum_c b(c) T[a][c] of a composite table T and
+    the integer rows b of the last slot, as sparse int rows, each image
+    once up to sign: a packed image is compared by its absolute value, and
+    only a new nonzero one is unpacked."""
+    seen = set()
+    for cols in table.values():
+        for b in last:
+            x = 0
+            for c, y in b:
+                col = cols.get(c)
+                if col:
+                    x += y * col
+            if x and abs(x) not in seen:
+                seen.add(abs(x))
+                yield tuple((m, y) for m, y in
+                            enumerate(unpack(x, width, dim)) if y)
+
+
+def _distinct_rows(rows) -> tuple:
+    """The nonzero integer rows, each a sequence of (column, value) pairs
+    with columns increasing, kept once up to sign in first-seen order."""
     distinct = {}
     for r in rows:
         if r:
             key = tuple(r) if r[0][1] > 0 else tuple((c, -x) for c, x in r)
             distinct[key] = None
-    return Matrix(len(distinct), ncols, tuple(distinct))
+    return tuple(distinct)
 
 
 def compat_residuals(f: GradedMap, source: SuperBracket,

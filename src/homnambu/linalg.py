@@ -604,6 +604,8 @@ class Subspace:
         return tuple(w) == v
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        if self.dim == self.ambient_dim == other.ambient_dim:
+            return True
         return all(self.contains(r) for r in other.vectors())
 
 

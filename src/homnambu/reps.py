@@ -48,15 +48,6 @@ class Representation:
     def rho_matrix(self, i: int) -> Matrix:
         return self.matrices[i].matrix
 
-    def rho_of_vector(self, v: Vec) -> Matrix:
-        """rho extended linearly; mixed-parity combinations stay raw matrices."""
-        n = self.module_space.dim
-        out = Matrix.zero(n, n)
-        for i, c in enumerate(v):
-            if c != 0:
-                out = out.add(self.rho_matrix(i).scale(c))
-        return out
-
 
 @record(frozen=True)
 class TraceFunctional:

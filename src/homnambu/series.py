@@ -1,15 +1,18 @@
 """Derived series, central descending series, centers, and their transfer.
 
-Series terms are spans, not twisted subalgebras; each step is one
-SuperBracket.span of the previous term (and the starting term), and the
-twists are only consulted by the ideality checks.  The centers are
+Series terms are spans, not twisted subalgebras; each step spans the
+SuperBracket.images of the previous term (and the starting term), and
+the twists are only consulted by the ideality checks.  Once a term lies
+in the one before it, every later step lies in its last term, so it is
+eliminated in that term's coordinates and stops reading images as soon
+as they span it: the series has stabilized.  The centers are
 SuperBracket.annihilator.  Both work on the sparse integer structure
 vectors, so no step evaluates the bracket on a basis tuple.
 """
 
 from .binary import HomLieSuper
-from .linalg import (InputError, Matrix, Subspace, rank, record, solve,
-                     subspace_intersection)
+from .linalg import (InputError, Matrix, Subspace, integer_terms, rank,
+                     record, solve, subspace_intersection)
 from .report import Report
 from .reps import TraceFunctional, trace_kernel
 from .ternary import TernaryHomLieSuper, ternary_is_ideal
@@ -26,11 +29,18 @@ class SeriesResult:
         return tuple(t.dim for t in self.terms)
 
 
-def _run_series(start: Subspace, step, rmax: int | None,
+def _run_series(start: Subspace, bracket, args, rmax: int | None,
                 kind: str) -> SeriesResult:
-    """Up to rmax steps from start; rmax None means the ambient dimension
-    plus one, enough for any strictly falling chain to reach its fixed
-    point.  A bound below 1 computes nothing and is an input error."""
+    """Up to rmax steps from start, each the span of bracket.images of
+    args(last term); rmax None means the ambient dimension plus one,
+    enough for any strictly falling chain to reach its fixed point.  A
+    bound below 1 computes nothing and is an input error.
+
+    Once the last term lies in the one before it, the next lies in the
+    last: each step is multilinear and monotone in its argument, so
+    [C_k, I, I] is inside [C_(k-1), I, I] = C_k, and the same holds for
+    the derived and binary steps.  Such a step is _inside the last term,
+    which may stop reading images early."""
     if rmax is None:
         rmax = start.ambient_dim + 1
     if rmax < 1:
@@ -39,20 +49,68 @@ def _run_series(start: Subspace, step, rmax: int | None,
     class_index = 0 if start.is_zero() else None
     stabilized = start.is_zero()
     while len(terms) <= rmax:
-        nxt = step(terms[-1])
+        last = terms[-1]
+        images = bracket.images(*args(last))
+        if len(terms) > 1 and terms[-2].contains_subspace(last):
+            nxt = _inside(last, images)
+        else:
+            nxt = Subspace.spanned_by_rows(images)
         terms.append(nxt)
         if nxt.is_zero() and class_index is None:
             class_index = len(terms) - 1
-        if nxt == terms[-2]:
+        if nxt == last:
             stabilized = True
             break
     return SeriesResult(kind, tuple(terms), stabilized, class_index)
 
 
+def _inside(last: Subspace, images: Matrix) -> Subspace:
+    """The span of images, each of which must lie in last, streamed to
+    one rref in last's coordinates: an image's entries at the lead
+    columns of last's RREF basis.  That rref stops reading once its rank
+    is last.dim, the images then spanning last itself; a smaller span is
+    mapped back through last's basis.  Each image read is checked against
+    its coordinates in integers: with D last's basis cleared of
+    denominators, D v must equal the sum of v's coordinates times the
+    cleared rows at every other column.  An image that escapes last
+    raises RuntimeError."""
+    d, rows = integer_terms(last.basis.entries)
+    leads = [row[0][0] for row in rows]
+    # each column that leads no row, with its (row, entry) pairs
+    others = {c: [] for c in range(last.ambient_dim) if c not in leads}
+    for j, row in enumerate(rows):
+        for c, x in row[1:]:
+            others[c].append((j, x))
+
+    def coordinates():
+        for row in images.entries:
+            v = dict(row)
+            x = [v.get(c, 0) for c in leads]
+            for c, col in others.items():
+                if d * v.get(c, 0) != sum(x[j] * y for j, y in col):
+                    raise RuntimeError("a series step left the term "
+                                       "before it")
+            yield tuple((j, y) for j, y in enumerate(x) if y)
+
+    found = Subspace.spanned_by_rows(
+        Matrix(images.rows, len(leads), coordinates()))
+    if found.dim == last.dim:
+        return last
+    basis = last.basis.entries
+    out = []
+    for row in found.basis.entries:
+        acc = {}
+        for j, y in row:
+            for c, x in basis[j]:
+                acc[c] = acc.get(c, 0) + y * x
+        out.append(acc)
+    return Subspace.spanned_by_rows(Matrix.from_rows(out, last.ambient_dim))
+
+
 def derived_series(t: TernaryHomLieSuper, ideal: Subspace = None,
                    rmax: int | None = None) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(t.dim)
-    return _run_series(start, lambda s: t.bracket.span(s, s, s),
+    return _run_series(start, t.bracket, lambda s: (s, s, s),
                        rmax, "derived")
 
 
@@ -60,21 +118,21 @@ def central_series(t: TernaryHomLieSuper, ideal: Subspace = None,
                    rmax: int | None = None) -> SeriesResult:
     # step brackets against the starting ideal, not the whole algebra
     start = ideal if ideal is not None else Subspace.full(t.dim)
-    return _run_series(start, lambda s: t.bracket.span(s, start, start),
+    return _run_series(start, t.bracket, lambda s: (s, start, start),
                        rmax, "central")
 
 
 def binary_derived_series(g: HomLieSuper, ideal: Subspace = None,
                           rmax: int | None = None) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(g.dim)
-    return _run_series(start, lambda s: g.bracket.span(s, s),
+    return _run_series(start, g.bracket, lambda s: (s, s),
                        rmax, "derived")
 
 
 def binary_central_series(g: HomLieSuper, ideal: Subspace = None,
                           rmax: int | None = None) -> SeriesResult:
     start = ideal if ideal is not None else Subspace.full(g.dim)
-    return _run_series(start, lambda s: g.bracket.span(s, start),
+    return _run_series(start, g.bracket, lambda s: (s, start),
                        rmax, "central")
 
 

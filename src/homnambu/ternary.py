@@ -229,7 +229,8 @@ def _integer_tables(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
     dw, W = t.bracket.integer
     d1, rows1 = integer_terms(a1.matrix.entries)
     d2, rows2 = integer_terms(a2.matrix.entries)
-    width, (L, N, Q) = t.bracket.composite((rows1, rows2), (2, 0, 1), 4)
+    width = t.bracket.join_width((rows1, rows2), 4)
+    L, N, Q = t.bracket.composite((rows1, rows2), (2, 0, 1), width)
     return dw * dw * d1 * d2, (width, W, L, N, Q)
 
 

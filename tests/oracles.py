@@ -1,10 +1,13 @@
 """Naive oracles that only tests call, shared by several test modules."""
 
+from itertools import permutations
+
 from homnambu.binary import HomLieSuper, SuperBracket2
 from homnambu.cohomology import _blocks, cochain_keys, coboundary_matrix
-from homnambu.graded import GradedMap
-from homnambu.linalg import (ZERO, Matrix, PreconditionError, invert,
-                             is_zero_vec, kernel, vec_add, vec_scale)
+from homnambu.graded import GradedMap, canonicalize
+from homnambu.linalg import (ZERO, Matrix, PreconditionError, Subspace,
+                             content, integer_terms, invert, is_zero_vec,
+                             kernel, vec_add, vec_scale)
 from homnambu.report import Report, fmt_vec
 
 
@@ -128,3 +131,113 @@ def change_of_basis_direct(a, s):
     alpha2 = GradedMap(a.space, a.space, sinv.mul(a.alpha.matrix.mul(s)))
     return HomLieSuper(a.space, SuperBracket2.from_vectors(a.space, vectors),
                        alpha2)
+
+
+def rho_of_vector(rep, v) -> Matrix:
+    """rho extended linearly, one scaled action matrix per nonzero
+    coordinate of v; mixed-parity combinations stay raw matrices."""
+    n = rep.module_space.dim
+    out = Matrix.zero(n, n)
+    for i, c in enumerate(v):
+        if c != 0:
+            out = out.add(rep.rho_matrix(i).scale(c))
+    return out
+
+
+def integer_fill(space, d: int, coeffs: dict) -> tuple:
+    """The (D, view) that SuperBracket.from_integer builds from valid
+    canonical integer coefficients, each ordering signed by one
+    canonicalize call, its tuple shared by the orderings of one sign: the
+    oracle of from_integer's sign tables."""
+    p = space.parities
+    g = content(d, (x for terms in coeffs.values() for _, x in terms))
+    view = {}
+    for key, terms in coeffs.items():
+        if not terms:
+            continue
+        pos = tuple((m, x // g) for m, x in terms)
+        neg = tuple((m, -x) for m, x in pos)
+        for order in dict.fromkeys(permutations(key)):
+            view[order] = pos if canonicalize(order, p)[1] == 1 else neg
+    return d // g, view
+
+
+def span_direct(bracket, *subspaces) -> Subspace:
+    """The span of [S1, ..., Sn] by a recursive contraction over the
+    integer view, one cut slot at a time: the oracle of
+    SuperBracket.span.
+
+    Only the slots smaller than the space are contracted; the indices of
+    the full slots are kept in front of each key, and on a super-skew
+    bracket whose full slots are adjacent only the keys with those
+    indices weakly increasing are read.  The cut slots are contracted
+    the last first, a zero partial ending its branch, and every vector
+    left is an image."""
+    dim = bracket.space.dim
+    rows = [integer_terms(s.basis.entries)[1] for s in subspaces]
+    if not all(rows):
+        return Subspace.zero(dim)
+    cut = [k for k, s in enumerate(subspaces) if s.dim < dim]
+    full = [k for k, s in enumerate(subspaces) if s.dim == dim]
+
+    def contract(table, slot):
+        if slot < 0:
+            yield from map(sorted, table.values())
+            return
+        by_last = {}
+        for key, terms in table.items():
+            by_last.setdefault(key[-1], []).append((key[:-1], terms))
+        for row in rows[cut[slot]]:
+            acc = {}
+            for k, c in row:
+                for prefix, terms in by_last.get(k, ()):
+                    col = acc.setdefault(prefix, {})
+                    for m, x in terms:
+                        col[m] = col.get(m, 0) + c * x
+            part = {}
+            for prefix, col in acc.items():
+                terms = [t for t in col.items() if t[1]]
+                if terms:
+                    part[prefix] = terms
+            if part:
+                yield from contract(part, slot - 1)
+
+    keys = bracket.integer[1].items()
+    if full and full[-1] - full[0] == len(full) - 1 and bracket.super_skew:
+        lo, hi = full[0], full[-1] + 1
+        keys = [(key, terms) for key, terms in keys
+                if list(key[lo:hi]) == sorted(key[lo:hi])]
+    table = {(tuple([key[k] for k in full]), *[key[k] for k in cut]):
+             terms for key, terms in keys}
+    images = [tuple(r) for r in contract(table, len(cut) - 1) if r]
+    return Subspace.spanned_by_rows(Matrix(len(images), dim, tuple(images)))
+
+
+def annihilator_direct(bracket) -> Subspace:
+    """The z with [e_i1, ..., e_i(n-1), z] = 0: the kernel of one integer
+    row per stored prefix (i1, ..., i(n-1)) and output coordinate, every
+    prefix read: the oracle of SuperBracket.annihilator."""
+    rows = {}
+    for key, terms in bracket.integer[1].items():
+        for m, x in terms:
+            rows.setdefault((key[:-1], m), []).append((key[-1], x))
+    rows = tuple(tuple(sorted(r)) for r in rows.values())
+    return kernel(Matrix(len(rows), bracket.space.dim, rows))
+
+
+def series_direct(bracket, start: Subspace, args, rmax=None) -> tuple:
+    """(terms, stabilized, class_index) of the series from start whose
+    next term is span_direct of args(last term), run as series ran before
+    its steps could stop early: up to rmax steps, None meaning the
+    ambient dimension plus one."""
+    if rmax is None:
+        rmax = start.ambient_dim + 1
+    terms = [start]
+    stabilized = start.is_zero()
+    while len(terms) <= rmax:
+        terms.append(span_direct(bracket, *args(terms[-1])))
+        if terms[-1] == terms[-2]:
+            stabilized = True
+            break
+    class_index = next((k for k, s in enumerate(terms) if s.is_zero()), None)
+    return tuple(terms), stabilized, class_index

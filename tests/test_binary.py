@@ -19,7 +19,7 @@ from homnambu.linalg import (Matrix, PreconditionError, Subspace, frac,
                              integer_terms, is_zero_vec, slot_width, unit_vec)
 from homnambu.report import Report, fmt_vec
 
-from oracles import change_of_basis_direct
+from oracles import change_of_basis_direct, rho_of_vector
 
 
 def test_all_fixtures_satisfy_binary_axioms(all_binary):
@@ -302,7 +302,7 @@ def test_conjugate_pair_carries_rho_by_linearity():
         assert lie2 == change_of_basis(lie, s)
         assert rep2.matrices == tuple(
             GradedMap(rep.module_space, rep.module_space,
-                      rep.rho_of_vector(s.col(j)), lie.space.parities[j])
+                      rho_of_vector(rep, s.col(j)), lie.space.parities[j])
             for j in range(lie.dim))
 
 

@@ -37,7 +37,7 @@ from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               induce_ternary, verify_induced_homomorphism,
                               verify_ternary_multiplicative)
 
-from oracles import parity_law_violations, skew_oracle
+from oracles import parity_law_violations, rho_of_vector, skew_oracle
 
 
 def multiplicative_oracle(a):
@@ -132,7 +132,7 @@ def representation_oracle(r):
         return tuple(fmt_scalar(x) for i in range(m.rows) for x in m.row(i))
 
     for i in range(g.dim):
-        lhs = r.rho_of_vector(g.alpha.column(i)).mul(beta)
+        lhs = rho_of_vector(r, g.alpha.column(i)).mul(beta)
         rhs = beta.mul(r.rho_matrix(i))
         diff = sub(lhs, rhs)
         if not diff.is_zero():
@@ -140,10 +140,10 @@ def representation_oracle(r):
     p = g.space.parities
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs = r.rho_of_vector(g.bracket.value(i, j)).mul(beta)
+            lhs = rho_of_vector(r, g.bracket.value(i, j)).mul(beta)
             sign = -1 if (p[i] and p[j]) else 1
-            rhs = sub(r.rho_of_vector(g.alpha.column(i)).mul(r.rho_matrix(j)),
-                      r.rho_of_vector(g.alpha.column(j)).mul(r.rho_matrix(i)).scale(sign))
+            rhs = sub(rho_of_vector(r, g.alpha.column(i)).mul(r.rho_matrix(j)),
+                      rho_of_vector(r, g.alpha.column(j)).mul(r.rho_matrix(i)).scale(sign))
             diff = sub(lhs, rhs)
             if not diff.is_zero():
                 rep.fail("axiom-2", witness=(g.space.names[i], g.space.names[j]),

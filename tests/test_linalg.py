@@ -542,11 +542,13 @@ def fraction_rref(m: Matrix) -> Matrix:
 def test_rref_matches_fraction_eliminator(monkeypatch):
     """Every matrix the series and the center hand rref on a seeded gl(2|1)
     conjugate, and every (q, w) coboundary block of gl(1|1), gl11t and
-    gl(2|1), as one walk streams them."""
+    gl(2|1), as one walk streams them.  A series step streams its images,
+    so each is captured as the rows it would yield."""
     mats = []
     real = linalg.rref
 
     def capture(m):
+        m = Matrix(m.rows, m.cols, tuple(m.entries))
         mats.append(m)
         return real(m)
 

@@ -345,11 +345,10 @@ def test_raw_brackets_tell_the_slots_apart():
 
 
 def test_span_keeps_whole_space_slots_as_the_naive_loops_do(gl22_conjugate):
-    """No full slot, one, two and all: span contracts only the slots
-    smaller than the space, and with every slot full it is the span of
-    the stored vectors.  The raw brackets are not skew, so a full slot
-    read in the wrong position would show; the others are super-skew, so
-    span reads their adjacent full slots in canonical order only."""
+    """No full slot, one, two and all: a full slot's map only re-indexes,
+    and with every slot full the span is that of the stored vectors.
+    The raw brackets are not skew, so a full slot read in the wrong
+    position would show."""
     rng = random.Random(31)
     cases = [("gl21", TERNARY_CASES["gl21"]().bracket),
              ("conjugate", TERNARY_CASES["conjugate"]().bracket),
@@ -377,11 +376,11 @@ def test_span_keeps_whole_space_slots_as_the_naive_loops_do(gl22_conjugate):
 
 
 def test_span_reorders_only_adjacent_whole_space_slots():
-    """On a super-skew bracket span reads only canonical orders of adjacent
-    full slots.  Full slots around a cut one are all read: swapping them
+    """Full slots around a cut one on a super-skew bracket: swapping them
     moves each across the cut index, whose parity then enters the sign,
     so on a line mixing an even and an odd unit no single sign relates
-    the two orders."""
+    the two orders, and a span that read only one order would miss
+    images."""
     t = TERNARY_CASES["gl21"]()
     dim = t.dim
     p = t.space.parities
