@@ -801,16 +801,6 @@ def bracket_cochain(g: HomLieSuper) -> Cochain:
     return make_cochain("binary-adjoint", 2, g.space, values, parity=0)
 
 
-def verify_bracket_cocycle(g: HomLieSuper) -> Report:
-    rep = Report("verify_bracket_cocycle")
-    resid = _apply(g, "binary-adjoint", 2, [bracket_cochain(g).coords])[0]
-    if resid:
-        triple = _row_keys("binary-adjoint", 2, g.space)[min(resid) // g.dim]
-        rep.fail("bracket-cocycle",
-                 witness=tuple(g.space.names[i] for i in triple))
-    return rep
-
-
 def is_binary_cocycle(g: HomLieSuper, phi: Cochain) -> bool:
     if phi.degree != 2:
         raise InputError("cocycle test expects degree 2")

@@ -16,6 +16,14 @@ that cuts the blocks, the kernel of the homogeneity equations.
 Subspaces are stored as reduced row echelon bases with zero rows
 dropped, so structural equality is canonical equality.
 
+rref skips the rows its pivots already span once eliminating such rows
+has cost about as much as building the pivots' kernel: it then packs
+that kernel by column and tests each later row with one packed dot
+product, zero exactly for a row orthogonal to the kernel, which over Q
+is a row of the row space; a row with an entry above the bound the slots
+were sized for, or with a nonzero product, is eliminated, and a new
+pivot drops the kernel.
+
 pack, unpack and slot_width hold an int vector in one Python int,
 coordinate m in the m-th signed slot of a fixed width (Kronecker
 substitution), so a sum of scaled vectors is one big-int multiply-add
@@ -23,7 +31,7 @@ per vector; the width comes from an a-priori bound on every slot.
 """
 
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, mul
 
 
 class InputError(ValueError):
@@ -442,7 +450,8 @@ def content(g: int, values) -> int:
     for x in values:
         if g == 1:
             break
-        g = _gcd(g, x)
+        if x % g:
+            g = _gcd(g, x)
     return abs(g)
 
 
@@ -476,12 +485,49 @@ def _make_primitive(row: dict, lead) -> None:
     for x in row.values():
         if g == 1:
             break
-        g = _gcd(g, x)
+        if x % g:
+            g = _gcd(g, x)
     if row[lead] < 0:
         g = -g
     if g != 1:
         for k, x in row.items():
             row[k] = x // g
+
+
+def _kernel_columns(table: dict, cols: int, bound: int) -> list:
+    """The kernel of the pivot table packed by column, for rows whose
+    entries are at most bound in absolute value.  The kernel has one
+    primitive int vector K_s per free column f, the s-th: e_f minus each
+    pivot row's entry at f over its lead, cleared of denominators.  Entry
+    j of the list is the int whose s-th slot holds K_s[j], so for such a
+    row r the sum of r_j times entry j packs every r . K_s, and |r . K_s|
+    is at most bound times the largest sum of the |K_s[j]|, which the slot
+    width holds."""
+    kernel = {f: {f: 1} for f in range(cols) if f not in table}
+    for p, row in table.items():
+        q = row[p]
+        for f, x in row.items():
+            if f != p:  # a pivot row's other entries are at free columns
+                v = kernel[f]
+                d = v[f]
+                if d % q:  # scale v so that q divides its entry at f
+                    k = q // _gcd(d, q)
+                    for j in v:
+                        v[j] *= k
+                    d *= k
+                v[p] = -x * (d // q)
+    for f, v in kernel.items():
+        g = content(v[f], v.values())
+        if g != 1:
+            for j in v:
+                v[j] //= g
+    width = slot_width(bound * max(sum(map(abs, v.values()))
+                                   for v in kernel.values()))
+    columns = [0] * cols
+    for s, v in enumerate(kernel.values()):
+        for j, x in v.items():
+            columns[j] += x << (width * s)
+    return columns
 
 
 def rref(m: Matrix) -> Matrix:
@@ -506,21 +552,53 @@ def rref(m: Matrix) -> Matrix:
     the first row met once the rank is m.cols ends the read, so it may be an
     iterator that builds each row as it is read (cohomology's (q, w) blocks
     and homogeneity equations).
+
+    Rows the table already spans skip the elimination once such rows have
+    cost enough.  Since the last new pivot, rref counts the pivot-row
+    entries read by eliminations that ended in a zero row; once that count
+    reaches the table's entry count plus m.cols, about what building the
+    kernel reads, it packs the table's kernel by column (_kernel_columns).
+    The slots are sized for entries up to 2^(2k) - 1, k the bit length of
+    the largest entry of the rows counted so far.  A later row within
+    that bound is tested with one packed sum: over Q the row space is
+    exactly the vectors orthogonal to the kernel, so a zero sum means the
+    table spans the row, and it is skipped.  A nonzero sum, or an entry
+    above the bound, sends the row to the elimination, and a new pivot
+    drops the kernel and restarts the count: zero rows that alternate with
+    new pivots, as in sparse coboundary blocks, seldom pay for a kernel.
     """
     table = {}
+    columns = need = None  # the packed kernel and its cost, per table
+    bound = top = spent = 0
     for pairs in m.entries:
         if len(table) == m.cols:
             break  # full column rank: every further row reduces to zero
         row = dict(pairs)
+        if not row:
+            continue
         if not all(type(x) is int for x in row.values()):
-            _, (terms,) = integer_terms((pairs,))
-            row = dict(terms)
-        for c in [c for c in row if c in table]:
+            _, (pairs,) = integer_terms((pairs,))
+            row = dict(pairs)
+        if columns is not None and max(map(abs, row.values())) <= bound and (
+                not sum(map(mul, map(columns.__getitem__, row), row.values()))):
+            continue  # orthogonal to the kernel: the table spans it
+        reducers = [c for c in row if c in table]
+        for c in reducers:
             # pivot rows vanish on each other's columns, so row[c] is only
             # rescaled by the earlier reductions, never cancelled
             _eliminate(row, c, table[c])
         if not row:
+            if columns is None:
+                top = max(top, max(abs(x) for _, x in pairs))
+                spent += sum(map(len, map(table.__getitem__, reducers)))
+                if need is None:
+                    need = sum(map(len, table.values())) + m.cols
+                if spent >= need:
+                    bound = (1 << 2 * top.bit_length()) - 1
+                    columns = _kernel_columns(table, m.cols, bound)
             continue
+        columns = need = None
+        spent = 0
         lead = min(row)
         _make_primitive(row, lead)
         for p, prow in table.items():

@@ -3,7 +3,8 @@
 from itertools import permutations
 
 from homnambu.binary import HomLieSuper, SuperBracket2
-from homnambu.cohomology import _blocks, cochain_keys, coboundary_matrix
+from homnambu.cohomology import (_apply, _blocks, _row_keys, bracket_cochain,
+                                 cochain_keys, coboundary_matrix)
 from homnambu.graded import GradedMap, canonicalize
 from homnambu.linalg import (ZERO, Matrix, PreconditionError, Subspace,
                              content, integer_terms, invert, is_zero_vec,
@@ -241,3 +242,15 @@ def series_direct(bracket, start: Subspace, args, rmax=None) -> tuple:
             break
     class_index = next((k for k, s in enumerate(terms) if s.is_zero()), None)
     return tuple(terms), stabilized, class_index
+
+
+def verify_bracket_cocycle(g: HomLieSuper) -> Report:
+    """The bracket as a binary-adjoint 2-cochain is a cocycle: its d^2 is
+    zero, else the first failing triple of basis names is the witness."""
+    rep = Report("verify_bracket_cocycle")
+    resid = _apply(g, "binary-adjoint", 2, [bracket_cochain(g).coords])[0]
+    if resid:
+        triple = _row_keys("binary-adjoint", 2, g.space)[min(resid) // g.dim]
+        rep.fail("bracket-cocycle",
+                 witness=tuple(g.space.names[i] for i in triple))
+    return rep

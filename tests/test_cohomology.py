@@ -28,7 +28,7 @@ from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
                                  induce_cocycle, infer_parity,
                                  is_binary_cocycle, make_cochain,
                                  parity_support, verify_1cocycle_transfer,
-                                 verify_bracket_cocycle, verify_class_transfer,
+                                 verify_class_transfer,
                                  verify_lemma_identity)
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, matrix_units, random_even_invertible)
@@ -42,7 +42,8 @@ from homnambu.reps import TraceFunctional, trace_functional
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper, induce_ternary,
                               verify_hom_nambu)
 
-from oracles import key_parts, parity_cocycles, read_blocks, select
+from oracles import (key_parts, parity_cocycles, read_blocks, select,
+                     verify_bracket_cocycle)
 
 
 def induced(lie, rep):

@@ -7,10 +7,10 @@ import pytest
 
 from homnambu import linalg
 from homnambu.cohomology import (_block_labels, _grading, _weight_groups,
-                                 coboundary_matrix)
+                                 coboundary_matrix, cohomology_dims)
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, random_even_invertible)
-from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd,
+from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd, content,
                              _make_primitive, frac, image, invert,
                              is_zero_vec, kernel, pack, rank, rref,
                              slot_width, solve, subspace_intersection,
@@ -463,18 +463,31 @@ def test_integer_path_matches_dense_oracle():
                    for row in kernel(m).basis.entries for _, x in row), name
 
 
-def test_pivot_rows_are_primitive_with_positive_leads():
+def test_pivot_rows_are_primitive_with_positive_leads(monkeypatch):
     """_make_primitive divides out the content and signs the lead, on both
-    sides of the word-size gcd rule."""
+    sides of the word-size gcd rule, and it and content run a gcd only for
+    a value the running gcd does not divide."""
     big = 2 ** 40
-    for row, lead_col, want in [
-            ({0: -4, 2: 6}, 0, {0: 2, 2: -3}),
-            ({1: 3, 2: -9, 4: 12}, 1, {1: 1, 2: -3, 4: 4}),
-            ({2: -1, 3: 5}, 2, {2: 1, 3: -5}),
-            ({0: 7, 1: -5}, 0, {0: 7, 1: -5}),
-            ({0: -3 * big, 1: 5 * big, 3: 7 * big}, 0, {0: 3, 1: -5, 3: -7})]:
+    gcds = []
+    gcd = linalg._gcd
+    monkeypatch.setattr(linalg, "_gcd",
+                        lambda a, b: gcds.append((a, b)) or gcd(a, b))
+    for row, lead_col, want, runs in [
+            ({0: -4, 2: 6}, 0, {0: 2, 2: -3}, 1),
+            ({1: 3, 2: -9, 4: 12}, 1, {1: 1, 2: -3, 4: 4}, 0),
+            ({2: -1, 3: 5}, 2, {2: 1, 3: -5}, 0),
+            ({0: 7, 1: -5}, 0, {0: 7, 1: -5}, 1),
+            ({0: 6, 1: 12, 2: -18, 3: 9}, 0, {0: 2, 1: 4, 2: -6, 3: 3}, 1),
+            ({0: -3 * big, 1: 5 * big, 3: 7 * big}, 0, {0: 3, 1: -5, 3: -7}, 1)]:
+        del gcds[:]
         _make_primitive(row, lead_col)
-        assert row == want
+        assert (row, len(gcds)) == (want, runs)
+    for g, values, want, runs in [(4, [8, -12], 4, 0), (-6, [12], 6, 0),
+                                  (6, [12, -18, 9, 5], 1, 2),
+                                  (4, [8, 6, 3], 1, 2)]:
+        del gcds[:]
+        assert (content(g, values), len(gcds)) == (want, runs)
+    monkeypatch.undo()
     assert _gcd(6 * big, -9 * big) == 3 * big
     assert _gcd(-12, 18) == 6
     assert _gcd(10 ** 9 + 7, (10 ** 9 + 7) * 3 * big) == 10 ** 9 + 7
@@ -539,11 +552,52 @@ def fraction_rref(m: Matrix) -> Matrix:
     return Matrix(m.rows, m.cols, pivots + ((),) * (m.rows - len(pivots)))
 
 
+def combos(rng, basis, count):
+    """count sparse int rows, each a random small combination of the
+    dense int rows of basis: rows the basis spans."""
+    for _ in range(count):
+        cs = [rng.randint(-3, 3) for _ in basis]
+        yield tuple((j, x) for j, x in enumerate(
+            sum(c * b[j] for c, b in zip(cs, basis))
+            for j in range(len(basis[0]))) if x)
+
+
+def kernel_test_streams():
+    """Streams long enough in dependent rows that rref builds the kernel
+    of its pivots and tests later rows against it."""
+    F = Fraction
+    rng = random.Random(15)
+    basis = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
+    yield "an independent row after dependent ones", Matrix(202, 6, (
+        *combos(rng, basis[:2], 40), tuple(enumerate(basis[2])),
+        *combos(rng, basis[:3], 60), tuple(enumerate(basis[3])),
+        *combos(rng, basis, 100)))
+    yield "corank 1", Matrix(80, 5, tuple(combos(rng, [
+        [rng.randint(-20, 20) for _ in range(5)] for _ in range(4)], 80)))
+    yield "corank 4", Matrix(80, 6, tuple(combos(rng, basis[:2], 80)))
+    yield "Fraction rows and empty rows in the tail", Matrix(72, 6, (
+        *combos(rng, basis[:2], 40), (),
+        tuple((j, F(x, 7)) for j, x in enumerate(basis[1]) if x), (),
+        ((0, F(1, 3)), (1, F(-2, 5))), (), ((2, F(3, 4)),),
+        *combos(rng, [*basis[:2], [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
+                25)))
+    for k in range(1, 100):
+        # the packed sum of the row 2^k e_1 - e_2 is 0 when k is the slot
+        # width: only its entry above the bound keeps it independent
+        yield f"a tail row above the slot bound, k = {k}", Matrix(10, 3, (
+            ((0, 1),), ((0, 2),), ((0, -3),), ((0, 5),), ((0, 4),),
+            ((0, 3),), ((0, 10 ** 30),), ((0, 2),), ((1, 1 << k), (2, -1)),
+            ((1, 1),)))
+
+
 def test_rref_matches_fraction_eliminator(monkeypatch):
     """Every matrix the series and the center hand rref on a seeded gl(2|1)
-    conjugate, and every (q, w) coboundary block of gl(1|1), gl11t and
-    gl(2|1), as one walk streams them.  A series step streams its images,
-    so each is captured as the rows it would yield."""
+    conjugate; every (q, w) coboundary block of gl(1|1), gl11t and
+    gl(2|1), as one walk streams them; and matrices that reach the kernel
+    test: the bs2, bs3, ts2 and ta2 blocks and the center's annihilator
+    of gl(2|1) densely conjugated by the draw of random.Random(1), and
+    kernel_test_streams.  A series step streams its images, so each is
+    captured as the rows it would yield."""
     mats = []
     real = linalg.rref
 
@@ -576,6 +630,87 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
         r = rref(m)
         assert r == fraction_rref(m)
         assert all(type(x) is Fraction for row in r.entries for _, x in row)
+
+    lie, rep = glmn(2, 1)
+    lie, rep = conjugate_pair(lie, rep,
+                              random_even_invertible(random.Random(1), lie.space))
+    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
+    named = {}  # ts2 and ta2 share their blocks: each is eliminated once
+    for obj, cx, degree in ((lie, "binary-scalar", 2),
+                            (lie, "binary-scalar", 3),
+                            (t, "ternary-scalar", 2),
+                            (t, "ternary-adjoint", 2)):
+        labels = _block_labels(_weight_groups(cx, degree, obj.space,
+                                              _grading(obj)))
+        for label, (_, _, m, _) in zip(labels, read_blocks(obj, cx, degree,
+                                                            labels)):
+            named.setdefault(m, f"{cx} {degree} block {label}")
+    mats = []
+    monkeypatch.setattr(linalg, "rref", capture)
+    ternary_center(t)
+    monkeypatch.undo()
+    named[mats[0]] = "the ternary_center annihilator"
+    builds = []
+    build = linalg._kernel_columns
+    monkeypatch.setattr(linalg, "_kernel_columns",
+                        lambda *args: builds.append(args) or build(*args))
+    for m, name in named.items():
+        del builds[:]
+        r = rref(m)
+        assert r == fraction_rref(m), name
+        assert all(type(x) is Fraction for row in r.entries for _, x in row)
+        assert builds, name
+    for name, m in kernel_test_streams():
+        del builds[:]
+        assert rref(m) == fraction_rref(m), name
+        assert builds, name
+    # a one-shot stream that reaches full rank after the kernel is built
+    # is read up to the row after the one that completes the rank
+    rows = [*combos(random.Random(16), [[1, 2, 0], [0, 3, 0]], 30),
+            ((2, 1),), ((0, 1),), ((1, 2),)]
+    stream = iter(rows)
+    del builds[:]
+    assert rref(Matrix(len(rows), 3, stream)) == fraction_rref(
+        Matrix(len(rows), 3, tuple(rows)))
+    assert builds
+    assert list(stream) == rows[-1:]
+
+
+def test_a_new_pivot_drops_the_kernel(monkeypatch):
+    """Rows spanned only once a new pivot arrives are eliminated until a
+    kernel of the grown table is built, then skipped: a kernel kept from
+    before the pivot would send every one of them to the elimination."""
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: calls.append(args) or eliminate(*args))
+    r0, r1 = [1, 1, 1, 1], [0, 1, 2, 3]
+    rng = random.Random(17)
+    tail = [[a * x + b * y for x, y in zip(r0, r1)]
+            for a, b in ((rng.choice((-2, -1, 1, 2, 3)),
+                          rng.choice((-3, -1, 1, 2))) for _ in range(60))]
+    m = Matrix.build([r0, *[[k * x for x in r0] for k in (2, -3, 5)], r1,
+                      *tail])
+    assert rref(m) == dense_rref(as_fractions(m))
+    assert len(calls) < 20
+
+
+def test_dependent_rows_of_the_dense_gl22_conjugate_skip_the_elimination(
+        gl22_conjugate, monkeypatch):
+    """ternary_center's annihilator, 1,617 rows, reaches its rank 15 of 16
+    after 112 rows, and the even bs2 block, 344 rows, its rank 57 of 64
+    after 119: the rows past that point test as spanned by one packed sum.
+    Taking every row through the elimination took 11,067 and 7,235 calls."""
+    lie, _, t = gl22_conjugate
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: calls.append(args) or eliminate(*args))
+    assert ternary_center(t).dim == 1
+    assert len(calls) < 1000
+    del calls[:]
+    assert cohomology_dims(lie, "binary-scalar", 2) == (7, 7, 0)
+    assert len(calls) < 3570
 
 
 # --- packed slots ------------------------------------------------------------
