@@ -31,8 +31,8 @@ are graded.compat_residuals.
 from fractions import Fraction
 from itertools import product
 
-from .graded import (GradedMap, GradedSpace, SuperBracket, compat_residuals,
-                     skew_basis)
+from .graded import (GradedMap, GradedSpace, SuperBracket, _column_bound,
+                     compat_residuals, skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
                      content, field, integer_terms, invert, is_zero_vec,
                      map_terms, pack, record, slot_width, unpack, vec_add,
@@ -229,8 +229,9 @@ def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
     its input slots are contracted one after the other over the nonzero
     entries of S: W'(i, j) = sum_ab S(a, i) S(b, j) D_t s^-1 W(a, b) at
     scale D_t D_s^2 D_W.  A slot of an n-slot sum is at most c^n t in
-    size, c the largest column sum of |S| and t the largest |entry| of
-    the mapped vectors, which the packing width holds with its sign.
+    size, c the largest column sum of |S| (c^n is graded._column_bound of
+    n copies of S) and t the largest |entry| of the mapped vectors, which
+    the packing width holds with its sign.
     Every ordering is contracted, so a bracket that is not super-skew is
     carried as it is, and D is reduced as from_vectors leaves it.
     """
@@ -245,16 +246,12 @@ def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
     dim = a.dim
     ds, srows = integer_terms(s.entries)
     dt, tcols = integer_terms(sinv.transpose().entries)
-    sums = [0] * dim
-    for row in srows:
-        for i, x in row:
-            sums[i] += abs(x)
 
     def conjugate(d, vectors, arity):
         # (scale, {key: s^-1 v(s e_i1, ...) as (m, int) pairs}), keys sorted
         mapped = map_terms(vectors, tcols)
         top = max((abs(x) for v in mapped.values() for _, x in v), default=0)
-        width = slot_width(max(sums) ** arity * top)
+        width = slot_width(_column_bound([srows] * arity) * top)
         acc = {key: pack(terms, width) for key, terms in mapped.items()}
         for slot in range(arity):
             out = {}

@@ -16,8 +16,9 @@ views the identity checkers read (SuperBracket.integer, the twist's
 columns from integer_terms, and one graded.wedge_table per call for the
 signed canonical position of every wedge of basis vectors): a builder
 returns a walk, one exact multiplier and a function that builds the
-integer rows of any block it is given, one row at a time.  _scalar_rows
-gives an adjoint complex the scalar walk.
+integer rows of any block it is given, one row at a time.  An adjoint
+complex's entry is its scalar complex's builder, walked once as itself:
+its value-free rows are the scalar ones, read once per output.
 
   binary-scalar   1-3  d_s, the sum over i<j of signed
                        f([x_i,x_j], alpha(...)) terms, 1/(D_W D_alpha^(p-1));
@@ -57,26 +58,26 @@ lives as long as the walk.  Before a walk starts the operator is
 checked: the parity law, and the whole-operator row count, taken from
 the key shapes, against MAX_COBOUNDARY_ROWS.
 
-Cohomology and cocycle bases (cohomology_dims, cocycles) read the (q, w)
-blocks that _key_blocks lists from _weight_groups, the keys grouped by
-label: each block's rows go to rref as the walk builds them, so a block
-of full column rank builds no row past the one that completes its rank,
-and each block is eliminated once and counted, or placed, once per
-output it serves.  A scalar cochain of parity f needs the parity-f
-blocks alone, so a scalar (Z, B, H) builds no odd row.  No row is kept
-once rref has read it.
+Every consumer reads the (q, w) blocks through _blocks, one walk per
+call: block(label) gives the block's row count, its row keys, its column
+keys and its rows, each row built as it is read, and nothing outlives the
+walk, so an algebra's memo holds its grading alone.  Cohomology and
+cocycle bases (cohomology_dims, cocycles) hand a block's rows to rref, so
+a block of full column rank builds no row past the one that completes its
+rank, and eliminate each block once, counted, or placed, once per output
+it serves (_served).  A scalar cochain of parity f needs the parity-f
+blocks alone, so a scalar (Z, B, H) builds no odd row; B reads the
+matching block of a second _blocks, the coboundary below.
 
-coboundary_matrix and _apply stream the same blocks, from one walk per
-call (_blocks): no row outlives its walk, and an algebra's memo holds its
-grading alone.  An adjoint coboundary applies its value-free rows once
-per output index, so its matrix is block-diagonal across the outputs.
-coboundary_matrix places each block's rows at their row keys, maps their
-columns back through its column keys, scales and lifts them (key column
-j of output o to j*dim + o); it is the one place the rows become
-Fractions.  _apply takes a batch of cochains, streams only the blocks
-their nonzero keys' labels touch, applies each row to the whole batch in
-ints and returns each cochain's nonzero outputs; apply_coboundaries alone
-makes them dense.
+An adjoint coboundary applies its value-free rows once per output index,
+so its matrix is block-diagonal across the outputs.  coboundary_matrix
+places each block's rows at their row keys, maps their columns back
+through its column keys, scales and lifts them (key column j of output o
+to j*dim + o); it is the one place the rows become Fractions.  _apply
+takes a batch of cochains, streams only the blocks their nonzero keys'
+labels touch, applies each row to the whole batch in ints and returns
+each cochain's nonzero outputs; apply_coboundaries alone makes them
+dense.
 
 induce_cocycle transfers binary 2-cocycles with
 reps.TraceFunctional.induce, the formula that also builds the induced
@@ -88,6 +89,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
+from operator import itemgetter
 
 from .binary import HomLieSuper
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
@@ -244,24 +246,21 @@ def _block_labels(groups: tuple) -> list:
 
 def _block(groups: tuple, label: tuple) -> tuple:
     """(count, keys) of the keys of one label of _weight_groups: how many
-    there are, and an iterator of their positions in key order, which
-    lists no key before it is read: the block's prefixes in order, each
-    followed by the elements that complete its label."""
+    there are, and a function each call of which iterates their positions
+    in key order, listing no key before it is read: the block's prefixes
+    in order, each followed by the elements that complete its label."""
     width, labels, prefixes, elements = groups
     q, w = label
     runs = {}  # prefix label -> the elements that complete it
     for z, (r, v) in enumerate(elements):
         if (q ^ r, w - v) in prefixes:
             runs.setdefault((q ^ r, w - v), []).append(z)
-    return (sum(len(prefixes[pl]) * len(zs) for pl, zs in runs.items()),
-            (b * width + z for b in sorted(chain.from_iterable(
-                map(prefixes.__getitem__, runs))) for z in runs[labels[b]]))
 
-
-def _block_keys(groups: tuple, label: tuple) -> array:
-    """The positions of the keys of one label of _weight_groups, in key
-    order: the numbering of a (q, w) block's rows or columns."""
-    return array("q", _block(groups, label)[1])
+    def keys():
+        for b in sorted(chain.from_iterable(map(prefixes.__getitem__, runs))):
+            for z in runs[labels[b]]:
+                yield b * width + z
+    return sum(len(prefixes[pl]) * len(zs) for pl, zs in runs.items()), keys
 
 
 def coordinate_parities(cx: str, degree: int, space: GradedSpace) -> tuple:
@@ -322,7 +321,8 @@ class Cochain:
         return is_zero_vec(self.coords)
 
     def add(self, other: "Cochain") -> "Cochain":
-        if (self.complex, self.degree, self.parity) != (other.complex, other.degree, other.parity):
+        if ((self.complex, self.degree, self.parity, self.space)
+                != (other.complex, other.degree, other.parity, other.space)):
             raise InputError("cochain shape mismatch")
         return Cochain(self.complex, self.degree, self.parity, self.space,
                        vec_add(self.coords, other.coords))
@@ -526,16 +526,9 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int) -> tuple:
                 raise PreconditionError(_PARITY_LAW) from None
             yield tuple(sorted((c, x) for c, x in row.items() if x))
 
-    return Fraction(1, dw * da ** (2 * degree - 2)), rows
-
-
-def _scalar_rows(obj, cx: str, degree: int) -> tuple:
-    """The scalar rows, which an adjoint coboundary reads once per output;
-    the ternary-adjoint delta2 reads them at twice the scalar multiplier."""
-    multiplier, rows = _walk(obj, _scalar(cx), degree)
-    if (cx, degree) == ("ternary-adjoint", 2):
-        multiplier *= 2
-    return multiplier, rows
+    # the ternary-adjoint delta2 is each scalar term times 1 + (-1)^{|f| e}
+    scale = 2 if (cx, degree) == ("ternary-adjoint", 2) else 1
+    return Fraction(scale, dw * da ** (2 * degree - 2)), rows
 
 
 # (complex, degree) -> the builder of the value-free rows of the coboundary
@@ -543,13 +536,12 @@ def _scalar_rows(obj, cx: str, degree: int) -> tuple:
 # returning a walk (multiplier, rows): rows(row_keys, col_keys)
 # yields, one at a time and in the order given, the integer row of each key
 # position in row_keys, its columns numbered by their place in col_keys,
-# and raises on a term outside them
+# and raises on a term outside them; an adjoint complex has its scalar
+# complex's builder, whose rows an adjoint cochain reads once per output
 _BUILDERS = {**{("binary-scalar", p): _ds_rows for p in (1, 2, 3)},
-             ("binary-adjoint", 1): _scalar_rows,
-             ("binary-adjoint", 2): _scalar_rows,
+             **{("binary-adjoint", p): _ds_rows for p in (1, 2)},
              **{("ternary-scalar", p): _leibniz_rows for p in (1, 2, 3)},
-             ("ternary-adjoint", 1): _scalar_rows,
-             ("ternary-adjoint", 2): _scalar_rows}
+             **{("ternary-adjoint", p): _leibniz_rows for p in (1, 2)}}
 # the degrees each complex has cochains in: its coboundaries' and one more
 _DEGREES = {cx: tuple(d for c, d in _BUILDERS if c == cx) for cx, _ in _BUILDERS}
 _DEGREES = {cx: (*ds, ds[-1] + 1) for cx, ds in _DEGREES.items()}
@@ -593,19 +585,22 @@ def _walk(obj, cx: str, degree: int) -> tuple:
 
 
 def _blocks(obj, cx: str, degree: int) -> tuple:
-    """(multiplier, groups, block) of one _walk: groups is _weight_groups
-    of the columns under obj's _grading, and block(label) is the (q, w)
-    block's column keys, in key order, and an iterator of (row key, row),
-    each row built as it is read; nothing outlives the walk."""
+    """(multiplier, groups, block) of one _walk, the one reader of the
+    (q, w) blocks: groups is _weight_groups of the columns under obj's
+    _grading, and block(label) is the block's row count, an iterator of
+    its row keys, its column keys (an array) and an iterator of its rows,
+    the row keys and rows in key order and each row built as it is read.
+    Coboundaries keep parity and weight, so a row key of a label no column
+    key has keys a zero row, never built; nothing outlives the walk."""
     multiplier, rows = _walk(obj, cx, degree)
     weights = _grading(obj)
     row_groups = _weight_groups(_scalar(cx), degree + 1, obj.space, weights)
     groups = _weight_groups(cx, degree, obj.space, weights)
 
     def block(label):
-        row_keys = _block_keys(row_groups, label)
-        col_keys = _block_keys(groups, label)
-        return col_keys, zip(row_keys, rows(row_keys, col_keys))
+        count, row_keys = _block(row_groups, label)
+        col_keys = array("q", _block(groups, label)[1]())
+        return count, row_keys(), col_keys, rows(row_keys(), col_keys)
     return multiplier, groups, block
 
 
@@ -619,8 +614,8 @@ def coboundary_matrix(obj, cx: str, degree: int) -> Matrix:
     dim = _width(cx, obj.space)
     entries = [()] * (_row_count(cx, degree, obj.space) * dim)
     for label in _block_labels(groups):
-        col_keys, rows = block(label)
-        for i, row in rows:
+        _, row_keys, col_keys, rows = block(label)
+        for i, row in zip(row_keys, rows):
             entries[i * dim:(i + 1) * dim] = (
                 tuple((col_keys[j] * dim + o, multiplier * x)
                       for j, x in row) for o in range(dim))
@@ -654,9 +649,9 @@ def _apply(obj, cx: str, degree: int, batch) -> list:
                 (n * dim + o, x))
     out = [{} for _ in batch]
     for label, keys in at.items():
-        col_keys, rows = block(label)
+        _, row_keys, col_keys, rows = block(label)
         cols = [keys.get(j, ()) for j in col_keys]  # block column -> pairs
-        for i, row in rows:
+        for i, row in zip(row_keys, rows):
             sums = {}
             for c, x in row:
                 for k, y in cols[c]:
@@ -702,33 +697,17 @@ def _first_nonzero(obj, cochains: list) -> int:
                default=len(cochains))
 
 
-def _key_blocks(obj, cx: str, degree: int, parity: int):
-    """The (q, w) blocks of the cx coboundary on degree-cochains that the
-    cochains of this parity live on, each as (label, outputs, row count,
-    row keys, column keys), labels (q, w) under obj's _grading in sorted
-    order, so every even block comes before every odd one.  The row keys
-    are an iterator, the column keys in key order.  Call it after the
-    operator is checked (_walk).
-
-    outputs are the outputs the block serves.  A scalar cochain of parity
-    f lives on the keys of parity f, so only those blocks are listed.  The
-    adjoint lift is block-diagonal across the output o, so output o sees
-    the keys of parity f + |o|, and each block is eliminated once however
-    many outputs it serves.  Coboundaries keep parity and weight, so the
-    kernel of a block is the cocycle space there, and a row key of a
-    label no column key has keys a zero row, never built.
-    """
-    space = obj.space
+def _served(cx: str, space: GradedSpace, parity: int) -> dict:
+    """Key parity q -> the outputs at which the cx cochains of this parity
+    live on the keys of parity q.  A scalar cochain of parity f lives on
+    the keys of parity f, at its one output.  The adjoint lift is
+    block-diagonal across the output o, so output o sees the keys of
+    parity f + |o|, and a block is eliminated once however many outputs
+    it serves."""
     served = {}
     for o, po in enumerate(space.parities if _width(cx, space) > 1 else (0,)):
         served.setdefault((parity + po) % 2, []).append(o)
-    weights = _grading(obj)
-    rows = _weight_groups(_scalar(cx), degree + 1, space, weights)
-    cols = _weight_groups(cx, degree, space, weights)
-    for label in _block_labels(cols):
-        if label[0] in served:
-            yield (label, served[label[0]], *_block(rows, label),
-                   _block_keys(cols, label))
+    return served
 
 
 def cocycles(obj, cx: str, degree: int, parity: int) -> list:
@@ -737,19 +716,22 @@ def cocycles(obj, cx: str, degree: int, parity: int) -> list:
     basis, its rows handed to rref as they are built, and the union
     sorted by lead column, which is the RREF kernel basis of the parity-q
     block, placed at every output it serves."""
-    rows = _walk(obj, cx, degree)[1]
+    _, groups, block = _blocks(obj, cx, degree)
+    served = _served(cx, obj.space, parity)
     dim = _width(cx, obj.space)
     n = cochain_length(cx, degree, obj.space)
     out = []
-    for _, blocks in groupby(_key_blocks(obj, cx, degree, parity),
-                             lambda block: block[0][0]):
+    for q, labels in groupby(_block_labels(groups), itemgetter(0)):
+        if q not in served:
+            continue
         vectors = []
-        for _, outputs, count, row_keys, col_keys in blocks:
-            z = kernel(Matrix(count, len(col_keys), rows(row_keys, col_keys)))
+        for label in labels:
+            count, _, col_keys, rows = block(label)
+            z = kernel(Matrix(count, len(col_keys), rows))
             vectors += [tuple((col_keys[c], x) for c, x in v)
                         for v in z.basis.entries]
         for v in sorted(vectors):
-            for o in outputs:
+            for o in served[q]:
                 full = [ZERO] * n
                 for j, x in v:
                     full[j * dim + o] = x
@@ -774,23 +756,25 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     if type(degree) is not int or (cx, degree) not in _BUILDERS or (
             degree > 1 and (cx, degree - 1) not in _BUILDERS):
         raise InputError(f"no cohomology for {cx} in degree {degree!r}")
-    upper = _walk(obj, cx, degree)[1]  # first: it meets the row cap
-    if degree > 1:
-        lower = _walk(obj, cx, degree - 1)[1]
-        below = _weight_groups(cx, degree - 1, obj.space, _grading(obj))
+    _, groups, upper = _blocks(obj, cx, degree)  # first: it meets the row cap
+    lower = _blocks(obj, cx, degree - 1)[2] if degree > 1 else None
+    served = _served(cx, obj.space, 0)
     zdim = bdim = 0
-    for label, outputs, count, row_keys, col_keys in _key_blocks(
-            obj, cx, degree, 0):
-        z = kernel(Matrix(count, len(col_keys), upper(row_keys, col_keys)))
-        low_keys = _block_keys(below, label) if degree > 1 else ()
-        b = (image(Matrix(len(col_keys), len(low_keys),
-                          tuple(lower(col_keys, low_keys))))
-             if low_keys else Subspace.zero(z.ambient_dim))
+    for label in _block_labels(groups):
+        if label[0] not in served:
+            continue
+        count, _, col_keys, rows = upper(label)
+        z = kernel(Matrix(count, len(col_keys), rows))
+        b = Subspace.zero(z.ambient_dim)
+        if lower:
+            count, _, low_keys, rows = lower(label)
+            if low_keys:
+                b = image(Matrix(count, len(low_keys), tuple(rows)))
         for v in b.vectors():
             if not z.contains(v):
                 raise InputError("coboundary escaped the cocycle space")
-        zdim += len(outputs) * z.dim
-        bdim += len(outputs) * b.dim
+        zdim += len(served[label[0]]) * z.dim
+        bdim += len(served[label[0]]) * b.dim
     return (zdim, bdim, zdim - bdim)
 
 

@@ -518,11 +518,8 @@ class SuperBracket:
                 rest = key[:free] + key[free + 1:]
                 parts = expanded.get(rest)
                 if parts is None:
-                    parts = [((), 1)]
-                    for r, i in zip(rows, rest):
-                        parts = [(ab + (a,), y * x)
-                                 for ab, y in parts for a, x in r[i]]
-                    expanded[rest] = parts
+                    parts = expanded[rest] = _expand_terms(
+                        [r[i] for r, i in zip(rows, rest)])
                 for ab, y in parts:
                     cols = acc.setdefault(ab, {})
                     cols[c] = cols.get(c, 0) + y * vector

@@ -55,10 +55,9 @@ hom_nambu_residual_direct is the naive oracle of both.
 """
 
 from fractions import Fraction
-from itertools import permutations
 
 from .binary import HomLieSuper, is_ideal, verify_morphism, yau_twist
-from .graded import (GradedMap, GradedSpace, SuperBracket, canonicalize,
+from .graded import (GradedMap, GradedSpace, SuperBracket, _ordering_signs,
                      compat_residuals, skew_basis)
 from .linalg import (InputError, PreconditionError, Subspace, Vec, field,
                      integer_terms, is_zero_vec, record, unpack, vec_add,
@@ -341,11 +340,13 @@ def _orbit_join(t: TernaryHomLieSuper, width: int, W: dict, L: dict, N: dict,
 
     def orbit(key):
         """The distinct orderings of a canonical key, each with whether its
-        canonicalize sign is -1, signed once per key."""
+        canonicalize sign is -1, read off _ordering_signs once per key."""
         if key not in orbits:
-            orbits[key] = {(i * dim + j) * dim + m: canonicalize(
-                (i, j, m), p)[1] < 0
-                for i, j, m in dict.fromkeys(permutations(_unkey(key, dim)))}
+            idx = _unkey(key, dim)
+            signs = orbits[key] = {}
+            for order, positive in _ordering_signs(tuple(p[i] for i in idx)):
+                i, j, m = order(idx)
+                signs[(i * dim + j) * dim + m] = not positive
         return orbits[key].items()
 
     def expanded(x, y):

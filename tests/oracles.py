@@ -32,11 +32,11 @@ def read_blocks(obj, cx: str, degree: int, labels) -> list:
     multiplier, _, block = _blocks(obj, cx, degree)
     out = []
     for label in labels:
-        col_keys, rows = block(label)
-        rows = list(rows)
-        out.append(([i for i, _ in rows], col_keys,
-                    Matrix(len(rows), len(col_keys),
-                           tuple(row for _, row in rows)), multiplier))
+        count, row_keys, col_keys, rows = block(label)
+        rows = tuple(rows)
+        assert len(rows) == count
+        out.append((list(row_keys), col_keys,
+                    Matrix(count, len(col_keys), rows), multiplier))
     return out
 
 

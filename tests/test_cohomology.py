@@ -15,10 +15,10 @@ import pytest
 
 from homnambu import cohomology, linalg
 from homnambu.binary import HomLieSuper, yau_twist
-from homnambu.cohomology import (_BUILDERS, MAX_COBOUNDARY_ROWS, Cochain,
-                                 _apply, _blocks, _first_nonzero, _grading,
-                                 _key_blocks, _row_count, _row_keys, _walk,
-                                 _weight_basis,
+from homnambu.cohomology import (_BUILDERS, _DEGREES, MAX_COBOUNDARY_ROWS,
+                                 Cochain, _apply, _block_labels, _blocks,
+                                 _first_nonzero, _grading, _row_count,
+                                 _row_keys, _served, _walk, _weight_basis,
                                  apply_coboundary,
                                  binary_adjoint_cocycle_space,
                                  binary_pair_eval,
@@ -586,7 +586,7 @@ def test_coboundary_blocks_live_as_long_as_their_walk():
         assert adjoint[:3] == d2[:3]
         assert adjoint[3] == 2 * d2[3]
     # a block still being read keeps nothing alive once dropped
-    rows = _blocks(t, "ternary-scalar", 2)[2](labels[0])[1]
+    rows = _blocks(t, "ternary-scalar", 2)[2](labels[0])[3]
     next(rows)
     # the memo is no part of the value: an equal algebra with nothing
     # cached compares equal and prints the same
@@ -697,6 +697,17 @@ def test_cochain_values_invert_make_cochain(all_binary):
                 assert list(c.values) == list(cochain_keys(cx, d, lie.space))
 
 
+def test_cochain_add_refuses_a_cochain_on_another_space(all_binary):
+    # a0 and aff1 both have two basis elements, so their scalar
+    # 1-cochains have the same length; gl(1|1)'s have another
+    spaces = {name: lie.space for name, lie, _ in all_binary}
+    zero = Cochain.zero("binary-scalar", 1, spaces["a0"])
+    for other in ("aff1", "gl11"):
+        with pytest.raises(InputError, match="shape mismatch"):
+            zero.add(Cochain.zero("binary-scalar", 1, spaces[other]))
+    assert zero.add(zero) == zero
+
+
 def test_make_cochain_rejects_malformed_keys_and_values(g11):
     sp = g11.space
     bad = [
@@ -737,6 +748,34 @@ def test_scalar_delta2_walked_once_per_call(monkeypatch):
     counts = Counter(i for _, _, i, _ in built)
     assert counts and set(counts.values()) == {3}
     assert set(t.memo) == {"grading"}
+
+
+def test_an_adjoint_operator_is_walked_once(monkeypatch):
+    # an adjoint complex has its scalar complex's builder, walked once as
+    # itself: the ternary-adjoint (Z, B, H) on induced gl(2|1) walks
+    # delta2 and delta1 once each, and a binary-adjoint cocycle basis
+    # walks d^2 once
+    lie, rep = glmn(2, 1)
+    _, t = induced(lie, rep)
+    walks = walked(monkeypatch)
+    assert cohomology_dims(t, "ternary-adjoint", 2) == (41, 36, 5)
+    assert walks == [("ternary-adjoint", 2), ("ternary-adjoint", 1)]
+    walks.clear()
+    assert len(cocycles(lie, "binary-adjoint", 2, 0)) == 36
+    assert walks == [("binary-adjoint", 2)]
+
+
+def test_no_key_has_more_parts_than_a_grading_slot_sums():
+    # _grading's slots hold a sum of up to eight weights, one per part of
+    # a key, so that two keys' packed weights agree exactly when their
+    # weights do.  The keys of every degree _DEGREES lists, row keys
+    # included, have at most eight parts (a ternary degree-4 key has
+    # seven), so a coboundary of a higher degree fails here
+    space = gl11()[0].space
+    parts = {(cx, d): len(key_parts(cochain_keys(cx, d, space)[0]))
+             for cx, degrees in _DEGREES.items() for d in degrees}
+    assert parts["ternary-scalar", 4] == 7
+    assert max(parts.values()) <= 8, parts
 
 
 def walked(monkeypatch):
@@ -1433,10 +1472,10 @@ def test_torus_grading_is_the_kernel_of_the_homogeneity_equations():
 
 def test_weight_blocks_partition_each_operator_as_the_torus_does(
         monkeypatch, gl22_conjugate):
-    # how many (q, w) blocks _key_blocks lists for even cochains, which
-    # does not depend on the ints that name a weight; the dense conjugate
-    # keeps no torus, so its even blocks are one.  Listing the labels
-    # builds no row
+    # how many (q, w) blocks of _blocks even cochains live on (_served),
+    # which does not depend on the ints that name a weight; the dense
+    # conjugate keeps no torus, so its even blocks are one.  Listing the
+    # labels builds no row
     lie21, rep21 = glmn(2, 1)
     lie22, rep22 = glmn(2, 2)
     t21, t22 = induced(lie21, rep21)[1], induced(lie22, rep22)[1]
@@ -1450,7 +1489,9 @@ def test_weight_blocks_partition_each_operator_as_the_torus_does(
                                    (t22, "ternary-adjoint", 2, 143),
                                    (conj, "binary-scalar", 2, 1),
                                    (tconj, "ternary-scalar", 2, 1)):
-        assert len(list(_key_blocks(obj, cx, degree, 0))) == count, (
+        served = _served(cx, obj.space, 0)
+        labels = _block_labels(_blocks(obj, cx, degree)[1])
+        assert sum(q in served for q, _ in labels) == count, (
             obj.dim, cx, degree)
     assert built == []
     for obj in (t21, lie22, t22):
@@ -1511,10 +1552,9 @@ def test_weight_blocks_are_the_select_of_their_parity_block():
     key-parity block, built whole by the walk, reads only columns of its
     own label (q, w), so no row crosses weights, and a row of a label no
     column has is zero.  Each parity block, times the multiplier, is the
-    select of coboundary_matrix at output 0.  Each (q, w) block
-    _key_blocks lists, built whole, has its label's keys in key order, is
-    the select of its parity block there and is the block of that label
-    that _blocks streams."""
+    select of coboundary_matrix at output 0.  Each (q, w) block _blocks
+    streams has its label's row count and keys in key order, is the
+    select of its parity block there and is what read_blocks reads."""
     algebras = [(name, lie, rep) for name, lie, rep in oracle_algebras()
                 if name != "conjt"]
     algebras.append(("gl21", *glmn(2, 1)))
@@ -1550,24 +1590,23 @@ def test_weight_blocks_are_the_select_of_their_parity_block():
                 parity_blocks[q] = (
                     m, {i: n for n, i in enumerate(prows)},
                     {j: n for n, j in enumerate(pcols)})
-            for parity in (0, 1):
-                for label, outputs, count, row_keys, col_keys in _key_blocks(
-                        obj, cx, degree, parity):
-                    m, rpos, pos = parity_blocks[label[0]]
-                    row_keys = list(row_keys)
-                    assert count == len(row_keys)
-                    assert row_keys == sorted(row_keys)
-                    assert list(col_keys) == [
-                        j for j, x in enumerate(clabels) if x == label]
-                    assert row_keys == [
-                        i for i, x in enumerate(rlabels) if x == label]
-                    block = Matrix(count, len(col_keys),
-                                   tuple(rows(row_keys, col_keys)))
-                    assert block == select(
-                        m, [rpos[i] for i in row_keys],
-                        [pos[j] for j in col_keys]), (name, cx, label)
-                    assert read_blocks(obj, cx, degree, [label]) == [
-                        (row_keys, col_keys, block, multiplier)]
+            _, groups, blocks = _blocks(obj, cx, degree)
+            for label in _block_labels(groups):
+                m, rpos, pos = parity_blocks[label[0]]
+                count, row_keys, col_keys, built = blocks(label)
+                row_keys = list(row_keys)
+                assert count == len(row_keys)
+                assert row_keys == sorted(row_keys)
+                assert list(col_keys) == [
+                    j for j, x in enumerate(clabels) if x == label]
+                assert row_keys == [
+                    i for i, x in enumerate(rlabels) if x == label]
+                block = Matrix(count, len(col_keys), tuple(built))
+                assert block == select(
+                    m, [rpos[i] for i in row_keys],
+                    [pos[j] for j in col_keys]), (name, cx, label)
+                assert read_blocks(obj, cx, degree, [label]) == [
+                    (row_keys, col_keys, block, multiplier)]
 
 
 def test_builders_raise_on_a_term_off_their_weight_block():
@@ -1579,11 +1618,13 @@ def test_builders_raise_on_a_term_off_their_weight_block():
     for obj, cx, degree in ((lie, "binary-scalar", 2),
                             (t, "ternary-scalar", 1),
                             (t, "ternary-scalar", 2)):
+        _, groups, block = _blocks(obj, cx, degree)
+        even = [block(label) for label in _block_labels(groups)
+                if label[0] == 0]
+        (a_rows, _), (_, b_cols) = [
+            (list(row_keys), col_keys)
+            for _, row_keys, col_keys, rows in even if any(rows)][:2]
         rows = _walk(obj, cx, degree)[1]
-        blocks = [(count, list(row_keys), col_keys) for _, _, count,
-                  row_keys, col_keys in _key_blocks(obj, cx, degree, 0)]
-        (_, a_rows, a_cols), (_, b_rows, b_cols) = [
-            b for b in blocks if any(rows(b[1], b[2]))][:2]
         with pytest.raises(PreconditionError, match="parity law"):
             list(rows(a_rows, b_cols))
 
@@ -1594,8 +1635,9 @@ def test_a_block_of_full_column_rank_stops_building_rows(monkeypatch):
     # whole even operator far fewer; (Z, B, H) is unchanged
     lie, rep = glmn(2, 1)
     _, t = induced(lie, rep)
-    blocks = {label: count for label, _, count, _, _
-              in _key_blocks(t, "ternary-scalar", 2, 0)}
+    _, groups, block = _blocks(t, "ternary-scalar", 2)
+    blocks = {label: block(label)[0] for label in _block_labels(groups)
+              if label[0] == 0}
     built = built_rows(monkeypatch)
     assert cohomology_dims(t, "ternary-scalar", 2) == (5, 4, 1)
     labels = {}
