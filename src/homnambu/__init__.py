@@ -13,9 +13,9 @@ from .cohomology import (Cochain, apply_coboundaries, apply_coboundary,
 from .extensions import (CentralExtensionData, build_central_extension,
                          extension_isomorphism, induce_extension,
                          verify_extension)
-from .graded import (GradedMap, GradedSpace, canonicalize, graded_space,
-                     identity_map, koszul_sign, skew_basis, supertrace,
-                     zero_map)
+from .graded import (GradedMap, GradedSpace, HomAlgebra, canonicalize,
+                     graded_space, identity_map, koszul_sign, skew_basis,
+                     supertrace, zero_map)
 from .linalg import (Fraction, InputError, Matrix, PreconditionError,
                      Subspace, frac, kernel, rank, solve)
 from .reps import (Representation, TraceFunctional, adjoint_representation,
@@ -27,8 +27,7 @@ from .series import (SeriesResult, binary_center, binary_central_series,
                      ternary_center, verify_center_transfer,
                      verify_solvability_theorem)
 from .ternary import (SuperBracket3, TernaryHomLieSuper, check_twist_commutes,
-                      ideal_criterion, induce_ternary, ternary_is_ideal,
-                      ternary_is_subalgebra, verify_hom_nambu,
+                      ideal_criterion, induce_ternary, verify_hom_nambu,
                       verify_induced_homomorphism, verify_ternary_multiplicative,
                       verify_ternary_skew)
 

@@ -25,14 +25,16 @@ table [alpha e_u, e_c] (SuperBracket.composite, one packed int per
 vector) and sums each triple's cyclic residual at scale D_alpha D_W^2 as
 one int, with hom_jacobi_residual as its naive Fraction oracle;
 verify_multiplicative, verify_morphism and the yau_twist precondition
-are graded.compat_residuals.
+are graded.compat_residuals, reported by report_compat, as in ternary.
+HomLieSuper is a graded.HomAlgebra with twists (alpha,); is_subalgebra
+and is_ideal read twists and bracket.arity, so they take either arity.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from .graded import (GradedMap, GradedSpace, SuperBracket, _column_bound,
-                     compat_residuals, skew_basis)
+from .graded import (GradedMap, GradedSpace, HomAlgebra, SuperBracket,
+                     _column_bound, compat_residuals, skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
                      content, field, integer_terms, invert, is_zero_vec,
                      map_terms, pack, record, slot_width, unpack, vec_add,
@@ -46,7 +48,7 @@ class SuperBracket2(SuperBracket):
 
 
 @record(frozen=True)
-class HomLieSuper:
+class HomLieSuper(HomAlgebra):
     space: GradedSpace
     bracket: SuperBracket2
     alpha: GradedMap
@@ -54,17 +56,9 @@ class HomLieSuper:
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 
-    def __post_init__(self):
-        if self.bracket.space != self.space:
-            raise InputError("bracket space mismatch")
-        if self.alpha.domain != self.space or self.alpha.codomain != self.space:
-            raise InputError("twist must be an endomorphism of the algebra")
-        if self.alpha.parity != 0:
-            raise InputError("twist must be even")
-
     @property
-    def dim(self) -> int:
-        return self.space.dim
+    def twists(self) -> tuple:
+        return (self.alpha,)
 
 
 def verify_skew(a: HomLieSuper) -> Report:
@@ -149,14 +143,21 @@ def verify_hom_jacobi(a: HomLieSuper) -> Report:
     return rep
 
 
+def report_compat(rep: Report, check: str, f: GradedMap,
+                  source: SuperBracket, target: SuperBracket, keys) -> None:
+    """Fail check on rep, witness the key's names, at each key where f
+    does not carry source to target (graded.compat_residuals)."""
+    names = f.domain.names
+    for key, resid in compat_residuals(f, source, target, keys):
+        rep.fail(check, witness=tuple(names[i] for i in key),
+                 residual=tuple(fmt_vec(resid)))
+
+
 def verify_multiplicative(a: HomLieSuper) -> Report:
     """alpha[x,y] = [alpha x, alpha y] on all basis pairs."""
     rep = Report("verify_multiplicative")
-    for key, resid in compat_residuals(a.alpha, a.bracket, a.bracket,
-                                       product(range(a.dim), repeat=2)):
-        rep.fail("multiplicative",
-                 witness=tuple(a.space.names[i] for i in key),
-                 residual=tuple(fmt_vec(resid)))
+    report_compat(rep, "multiplicative", a.alpha, a.bracket, a.bracket,
+                  product(range(a.dim), repeat=2))
     return rep
 
 
@@ -165,11 +166,8 @@ def verify_morphism(f: GradedMap, a: HomLieSuper, b: HomLieSuper) -> Report:
     rep = Report("verify_morphism")
     if f.domain != a.space or f.codomain != b.space:
         raise InputError("morphism endpoints do not match the algebras")
-    for key, resid in compat_residuals(f, a.bracket, b.bracket,
-                                       product(range(a.dim), repeat=2)):
-        rep.fail("bracket-compat",
-                 witness=tuple(a.space.names[i] for i in key),
-                 residual=tuple(fmt_vec(resid)))
+    report_compat(rep, "bracket-compat", f, a.bracket, b.bracket,
+                  product(range(a.dim), repeat=2))
     lhs = f.matrix.mul(a.alpha.matrix)
     rhs = b.alpha.matrix.mul(f.matrix)
     if lhs != rhs:
@@ -205,15 +203,17 @@ def yau_twist(lie: HomLieSuper, morphism: GradedMap) -> HomLieSuper:
     return twisted
 
 
-def is_subalgebra(a: HomLieSuper, s: Subspace) -> bool:
-    """alpha(s) in s and [s,s] in s."""
-    return a.alpha.keeps(s) and s.contains_subspace(a.bracket.span(s, s))
+def is_subalgebra(a: HomAlgebra, s: Subspace) -> bool:
+    """Every twist keeps s, and [s, ..., s] lies in s."""
+    return all(m.keeps(s) for m in a.twists) and s.contains_subspace(
+        a.bracket.span(*[s] * a.bracket.arity))
 
 
-def is_ideal(a: HomLieSuper, s: Subspace) -> bool:
-    """alpha(s) in s and [s, g] in s; [s, g] contains [s, s]."""
-    return a.alpha.keeps(s) and s.contains_subspace(
-        a.bracket.span(s, Subspace.full(a.dim)))
+def is_ideal(a: HomAlgebra, s: Subspace) -> bool:
+    """Every twist keeps s, and [s, g, ..., g], which holds [s, ..., s],
+    lies in s."""
+    return all(m.keeps(s) for m in a.twists) and s.contains_subspace(
+        a.bracket.span(s, *[Subspace.full(a.dim)] * (a.bracket.arity - 1)))
 
 
 def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:

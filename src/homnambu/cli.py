@@ -25,13 +25,11 @@ from .formats import (DocumentBundle, load_cochain, load_functional,
 from .linalg import InputError, PreconditionError, Subspace, unit_vec
 from .report import Report, fmt_vec
 from .reps import trace_functional, verify_representation
-from .series import (binary_center, binary_central_series,
-                     binary_derived_series, central_series,
-                     compare_central_series, derived_series, ternary_center,
-                     verify_center_transfer, verify_solvability_theorem)
-from .ternary import (ideal_criterion, induce_ternary, ternary_is_ideal,
-                      verify_hom_nambu, verify_ternary_multiplicative,
-                      verify_ternary_skew)
+from .series import (binary_center, central_series, compare_central_series,
+                     derived_series, ternary_center, verify_center_transfer,
+                     verify_solvability_theorem)
+from .ternary import (ideal_criterion, induce_ternary, verify_hom_nambu,
+                      verify_ternary_multiplicative, verify_ternary_skew)
 
 
 def _require_rep(bundle: DocumentBundle):
@@ -113,19 +111,11 @@ def cmd_series(args) -> Report:
     bundle = read_document(args.file)
     rep = Report(f"series {args.kind}")
     ideal = _ideal_from_ids(bundle, args.ideal) if args.ideal else None
-    if bundle.ternary is not None:
-        t = bundle.ternary
-        if ideal is not None and not ternary_is_ideal(t, ideal):
-            rep.note("not-an-ideal", detail="series still computed")
-        run = derived_series if args.kind == "derived" else central_series
-        res = run(t, ideal, rmax=args.rmax)
-    else:
-        g = bundle.lie
-        if ideal is not None and not is_ideal(g, ideal):
-            rep.note("not-an-ideal", detail="series still computed")
-        run = (binary_derived_series if args.kind == "derived"
-               else binary_central_series)
-        res = run(g, ideal, rmax=args.rmax)
+    a = bundle.ternary if bundle.ternary is not None else bundle.lie
+    if ideal is not None and not is_ideal(a, ideal):
+        rep.note("not-an-ideal", detail="series still computed")
+    run = derived_series if args.kind == "derived" else central_series
+    res = run(a, ideal, rmax=args.rmax)
     rep.metrics["dims"] = list(res.dims())
     rep.metrics["stabilized"] = res.stabilized
     rep.metrics["class_index"] = res.class_index

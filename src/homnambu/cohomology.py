@@ -176,9 +176,7 @@ def _weight_basis(obj) -> list:
     can yield.  An RREF basis vector has a lead 1, so clearing its
     denominators leaves it primitive."""
     dim = obj.space.dim
-    twists = ((obj.alpha,) if isinstance(obj, HomLieSuper)
-              else (obj.alpha1, obj.alpha2))
-    constants = [((i,), col) for twist in twists
+    constants = [((i,), col) for twist in obj.twists
                  for i, col in enumerate(twist.matrix.transpose().entries)]
     constants += obj.bracket.integer[1].items()
 
@@ -572,7 +570,7 @@ def _walk(obj, cx: str, degree: int) -> tuple:
     build = _BUILDERS.get((cx, degree)) if type(degree) is int else None
     if build is None:
         raise InputError(f"no coboundary for {cx} cochains of degree {degree!r}")
-    if cx.startswith("ternary") != isinstance(obj, TernaryHomLieSuper):
+    if cx.startswith("ternary") != (obj.bracket.arity == 3):
         raise InputError(f"complex {cx} does not match the given algebra")
     n = _row_count(cx, degree, obj.space)
     if n > MAX_COBOUNDARY_ROWS:

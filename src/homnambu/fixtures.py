@@ -30,35 +30,20 @@ def aff1():
     return lie, adjoint_representation(lie)
 
 
-GL11_COEFFS = {
-    (0, 2): (0, 0, 1, 0),    # [h1,q] = q
-    (0, 3): (0, 0, 0, -1),   # [h1,p] = -p
-    (1, 2): (0, 0, -1, 0),   # [h2,q] = -q
-    (1, 3): (0, 0, 0, 1),    # [h2,p] = p
-    (2, 3): (1, 1, 0, 0),    # [q,p] = h1 + h2
-}
-
-
 def gl11():
-    """gl(1|1) on basis (h1, h2, q, p) with its defining representation.
+    """gl(1|1) with its defining representation: glmn(1, 1), its basis
+    E0_0, E1_1, E0_1, E1_0 renamed h1, h2, q, p.
 
+    [h1,q] = q, [h1,p] = -p, [h2,q] = -q, [h2,p] = p and [q,p] = h1 + h2.
     The supertrace of the defining representation is (1, -1, 0, 0), which
     is what makes this the workhorse fixture: the induced ternary bracket
     is nonzero but small enough to check by hand.
     """
-    sp = graded_space(("h1", "h2", "q", "p"), (0, 0, 1, 1))
-    bracket = SuperBracket2.from_canonical(sp, GL11_COEFFS)
-    lie = HomLieSuper(sp, bracket, identity_map(sp))
-    v = graded_space(("v0", "v1"), (0, 1))
-    mk = lambda grid, par: GradedMap(v, v, Matrix.build(grid), par)
-    mats = (
-        mk([[1, 0], [0, 0]], 0),
-        mk([[0, 0], [0, 1]], 0),
-        mk([[0, 1], [0, 0]], 1),
-        mk([[0, 0], [1, 0]], 1),
-    )
-    rep = Representation(lie, v, mats, identity_map(v))
-    return lie, rep
+    lie, rep = glmn(1, 1)
+    sp = graded_space(("h1", "h2", "q", "p"), lie.space.parities)
+    lie = HomLieSuper(sp, SuperBracket2(sp, lie.bracket.integer, True),
+                      identity_map(sp))
+    return lie, Representation(lie, rep.module_space, rep.matrices, rep.beta)
 
 
 def gl11_tau():
@@ -110,8 +95,8 @@ def glmn(m: int, n: int):
     m indices are even, with the supercommutator and its defining
     representation; alpha and beta are identities.
 
-    The basis names are E{i}_{j}, in matrix_units order, so gl(1|1) is
-    gl11() up to names.
+    The basis names are E{i}_{j}, in matrix_units order; gl11() is
+    glmn(1, 1) with its basis renamed.
     """
     size = m + n
     deg = [0] * m + [1] * n
@@ -179,10 +164,9 @@ def neg_jacobi():
 
     verify_hom_jacobi fails at witness (q, q, p) with residual 2q.
     """
-    sp = graded_space(("h1", "h2", "q", "p"), (0, 0, 1, 1))
-    coeffs = dict(GL11_COEFFS)
-    coeffs[(2, 3)] = (1, 0, 0, 0)
-    return HomLieSuper(sp, SuperBracket2.from_canonical(sp, coeffs), identity_map(sp))
+    lie, _ = gl11()
+    b = lie.bracket.with_canonical((2, 3), (1, 0, 0, 0))
+    return HomLieSuper(lie.space, b, lie.alpha)
 
 
 def neg_mult():

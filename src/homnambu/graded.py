@@ -612,6 +612,28 @@ class SuperBracket:
         return nest(())
 
 
+class HomAlgebra:
+    """Base of the n-ary Hom-algebra records, HomLieSuper and
+    TernaryHomLieSuper: a space, a bracket of arity n on it and the n - 1
+    twists of the record's `twists` tuple.  It adds no fields."""
+
+    def __post_init__(self):
+        if self.bracket.space != self.space:
+            raise InputError("bracket space mismatch")
+        for a in self.twists:
+            if a.domain != self.space or a.codomain != self.space:
+                raise InputError("twist must be an endomorphism of the algebra")
+            if a.parity != 0:
+                raise InputError("twist must be even")
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def same_twists(self) -> bool:
+        return all(a.matrix == self.twists[0].matrix for a in self.twists)
+
+
 def _column_bound(maps) -> int:
     """prod_s S_s, S_s the largest column sum sum_i |R_s(i, a)| of the
     integer matrix R_s = maps[s], given by its rows of (column, integer)

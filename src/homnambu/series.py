@@ -8,14 +8,17 @@ eliminated in that term's coordinates and stops reading images as soon
 as they span it: the series has stabilized.  The centers are
 SuperBracket.annihilator.  Both work on the sparse integer structure
 vectors, so no step evaluates the bracket on a basis tuple.
+derived_series and central_series take either arity, their slots one
+per argument of bracket.arity, as binary.is_ideal does.
 """
 
-from .binary import HomLieSuper
+from .binary import HomLieSuper, is_ideal
+from .graded import HomAlgebra
 from .linalg import (InputError, Matrix, Subspace, integer_terms, rank,
                      record, solve, subspace_intersection)
 from .report import Report
 from .reps import TraceFunctional, trace_kernel
-from .ternary import TernaryHomLieSuper, ternary_is_ideal
+from .ternary import TernaryHomLieSuper
 
 
 @record(frozen=True)
@@ -107,23 +110,27 @@ def _inside(last: Subspace, images: Matrix) -> Subspace:
     return Subspace.spanned_by_rows(Matrix.from_rows(out, last.ambient_dim))
 
 
-def derived_series(t: TernaryHomLieSuper, ideal: Subspace = None,
+def derived_series(a: HomAlgebra, ideal: Subspace = None,
                    rmax: int | None = None) -> SeriesResult:
-    start = ideal if ideal is not None else Subspace.full(t.dim)
-    return _run_series(start, t.bracket, lambda s: (s, s, s),
+    start = ideal if ideal is not None else Subspace.full(a.dim)
+    n = a.bracket.arity
+    return _run_series(start, a.bracket, lambda s: (s,) * n,
                        rmax, "derived")
 
 
-def central_series(t: TernaryHomLieSuper, ideal: Subspace = None,
+def central_series(a: HomAlgebra, ideal: Subspace = None,
                    rmax: int | None = None) -> SeriesResult:
     # step brackets against the starting ideal, not the whole algebra
-    start = ideal if ideal is not None else Subspace.full(t.dim)
-    return _run_series(start, t.bracket, lambda s: (s, start, start),
+    start = ideal if ideal is not None else Subspace.full(a.dim)
+    rest = (start,) * (a.bracket.arity - 1)
+    return _run_series(start, a.bracket, lambda s: (s, *rest),
                        rmax, "central")
 
 
 def binary_derived_series(g: HomLieSuper, ideal: Subspace = None,
                           rmax: int | None = None) -> SeriesResult:
+    """derived_series of a binary algebra.  It stays for the benchmark,
+    which times it by name, until its next change (ROADMAP item 8)."""
     start = ideal if ideal is not None else Subspace.full(g.dim)
     return _run_series(start, g.bracket, lambda s: (s, s),
                        rmax, "derived")
@@ -131,18 +138,24 @@ def binary_derived_series(g: HomLieSuper, ideal: Subspace = None,
 
 def binary_central_series(g: HomLieSuper, ideal: Subspace = None,
                           rmax: int | None = None) -> SeriesResult:
+    """central_series of a binary algebra.  It stays for the benchmark,
+    which times it by name, until its next change (ROADMAP item 8)."""
     start = ideal if ideal is not None else Subspace.full(g.dim)
     return _run_series(start, g.bracket, lambda s: (s, start),
                        rmax, "central")
 
 
 def ternary_center(t: TernaryHomLieSuper) -> Subspace:
-    """Solutions z of [e_i, e_j, z] = 0 for all i, j."""
+    """Solutions z of [e_i, e_j, z] = 0 for all i, j: the bracket's
+    annihilator, as binary_center is.  Both stay for the benchmark, which
+    times each by name, until its next change (ROADMAP item 8)."""
     return t.bracket.annihilator()
 
 
 def binary_center(g: HomLieSuper) -> Subspace:
-    """Solutions z of [e_i, z] = 0 for all i."""
+    """Solutions z of [e_i, z] = 0 for all i: the bracket's annihilator,
+    as ternary_center is.  Both stay for the benchmark, which times each
+    by name, until its next change (ROADMAP item 8)."""
     return g.bracket.annihilator()
 
 
@@ -242,7 +255,7 @@ def ideality_of_series(t: TernaryHomLieSuper, result: SeriesResult) -> Report:
     for r, term in enumerate(result.terms):
         if r == 0:
             continue
-        if not ternary_is_ideal(t, term):
+        if not is_ideal(t, term):
             rep.fail("term-not-ideal", witness=(r,))
     rep.metrics["terms_checked"] = max(len(result.terms) - 1, 0)
     return rep

@@ -21,12 +21,14 @@ placement that the induction theorem actually proves:
         + (-1)^{|z|(|x|+|y|)}         [a1(z), [x,y,u], a2(v)]
         + (-1)^{(|z|+|u|)(|x|+|y|)}   [a1(z), a2(u), [x,y,v]].
 
-The bracket is a graded.SuperBracket of arity 3 holding only its nonzero
+TernaryHomLieSuper is a graded.HomAlgebra with twists (alpha1, alpha2); its
+subalgebra and ideal tests are binary.is_subalgebra and is_ideal.  The
+bracket is a graded.SuperBracket of arity 3 holding only its nonzero
 structure vectors W(i,j,k), as its integer view (SuperBracket.integer,
 scale D_W), which every verifier reads.  verify_ternary_skew passes at once
 when SuperBracket.super_skew holds, and otherwise formats the bracket's
 skew_breaks walk.  verify_ternary_multiplicative and
-verify_induced_homomorphism are graded.compat_residuals.
+verify_induced_homomorphism are binary.report_compat.
 verify_hom_nambu evaluates the identity as a sparse join over integers.
 It takes the bracket's integer view, clears the denominators of both
 twists once, and has SuperBracket.composite build three integer tables
@@ -56,12 +58,12 @@ hom_nambu_residual_direct is the naive oracle of both.
 
 from fractions import Fraction
 
-from .binary import HomLieSuper, is_ideal, verify_morphism, yau_twist
-from .graded import (GradedMap, GradedSpace, SuperBracket, _ordering_signs,
-                     compat_residuals, skew_basis)
-from .linalg import (InputError, PreconditionError, Subspace, Vec, field,
-                     integer_terms, is_zero_vec, record, unpack, vec_add,
-                     vec_scale)
+from .binary import (HomLieSuper, is_ideal, report_compat, verify_morphism,
+                     yau_twist)
+from .graded import (GradedMap, GradedSpace, HomAlgebra, SuperBracket,
+                     _ordering_signs, skew_basis)
+from .linalg import (PreconditionError, Subspace, Vec, field, integer_terms,
+                     is_zero_vec, record, unpack, vec_add, vec_scale)
 from .report import Report, fmt_vec
 from .reps import TraceFunctional, trace_kernel, trace_mismatches
 
@@ -72,7 +74,7 @@ class SuperBracket3(SuperBracket):
 
 
 @record(frozen=True)
-class TernaryHomLieSuper:
+class TernaryHomLieSuper(HomAlgebra):
     space: GradedSpace
     bracket: SuperBracket3
     alpha1: GradedMap
@@ -81,19 +83,9 @@ class TernaryHomLieSuper:
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 
-    def __post_init__(self):
-        if self.bracket.space != self.space:
-            raise InputError("ternary bracket space mismatch")
-        for a in (self.alpha1, self.alpha2):
-            if a.domain != self.space or a.codomain != self.space or a.parity != 0:
-                raise InputError("twists must be even endomorphisms")
-
     @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def same_twists(self) -> bool:
-        return self.alpha1.matrix == self.alpha2.matrix
+    def twists(self) -> tuple:
+        return (self.alpha1, self.alpha2)
 
 
 def induce_ternary(g: HomLieSuper, tau: TraceFunctional,
@@ -384,25 +376,9 @@ def verify_ternary_multiplicative(t: TernaryHomLieSuper) -> Report:
         rep.applicable = False
         rep.note("twists-differ", detail="multiplicativity needs alpha1 = alpha2")
         return rep
-    for key, resid in compat_residuals(t.alpha1, t.bracket, t.bracket,
-                                       skew_basis(3, t.space).tuples):
-        rep.fail("ternary-multiplicative",
-                 witness=tuple(t.space.names[i] for i in key),
-                 residual=tuple(fmt_vec(resid)))
+    report_compat(rep, "ternary-multiplicative", t.alpha1, t.bracket,
+                  t.bracket, skew_basis(3, t.space).tuples)
     return rep
-
-
-def ternary_is_subalgebra(t: TernaryHomLieSuper, s: Subspace) -> bool:
-    """Both twists keep s, and [s,s,s] lies in s."""
-    return (t.alpha1.keeps(s) and t.alpha2.keeps(s)
-            and s.contains_subspace(t.bracket.span(s, s, s)))
-
-
-def ternary_is_ideal(t: TernaryHomLieSuper, s: Subspace) -> bool:
-    """Twist stability plus [s, g, g] in s."""
-    full = Subspace.full(t.dim)
-    return (t.alpha1.keeps(s) and t.alpha2.keeps(s)
-            and s.contains_subspace(t.bracket.span(s, full, full)))
 
 
 def ideal_criterion(g: HomLieSuper, tau: TraceFunctional, j: Subspace,
@@ -417,7 +393,7 @@ def ideal_criterion(g: HomLieSuper, tau: TraceFunctional, j: Subspace,
         rep.applicable = False
         rep.note("precondition", detail="alpha2 does not preserve J")
         return rep
-    lhs = ternary_is_ideal(t, j)
+    lhs = is_ideal(t, j)
     full = Subspace.full(g.dim)
     comm = g.bracket.span(full, full)
     in_comm = j.contains_subspace(comm)
@@ -445,17 +421,13 @@ def verify_induced_homomorphism(f: GradedMap,
         return rep
     for jcol in trace_mismatches(tau1, f, tau2):
         rep.fail("trace-compat", witness=(g1.space.names[jcol],))
-    for (m1, m2, label) in ((t1.alpha1, t2.alpha1, "twist1-compat"),
-                            (t1.alpha2, t2.alpha2, "twist2-compat")):
+    for k, (m1, m2) in enumerate(zip(t1.twists, t2.twists), 1):
         if f.matrix.mul(m1.matrix) != m2.matrix.mul(f.matrix):
-            rep.fail(label)
+            rep.fail(f"twist{k}-compat")
     if not rep.ok:
         return rep
-    for key, resid in compat_residuals(f, t1.bracket, t2.bracket,
-                                       skew_basis(3, g1.space).tuples):
-        rep.fail("ternary-bracket-compat",
-                 witness=tuple(g1.space.names[i] for i in key),
-                 residual=tuple(fmt_vec(resid)))
+    report_compat(rep, "ternary-bracket-compat", f, t1.bracket, t2.bracket,
+                  skew_basis(3, g1.space).tuples)
     return rep
 
 

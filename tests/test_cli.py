@@ -188,6 +188,31 @@ def test_series_ideal_of_wrong_dimension_exits_2(doc, kind, monkeypatch):
     assert json.loads(out)["command"] == "series"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["series", "derived"],
+     '{"command":"series derived","findings":[],"metrics":{"class_index":3,'
+     '"dims":[4,3,1,0,0],"stabilized":true},"verdict":"pass"}'),
+    (["series", "central"],
+     '{"command":"series central","findings":[],"metrics":{"class_index":'
+     'null,"dims":[4,3,3],"stabilized":true},"verdict":"pass"}'),
+    (["series", "derived", "--ideal", "q"],
+     '{"command":"series derived","findings":[{"check":"not-an-ideal",'
+     '"detail":"series still computed","status":"note"}],"metrics":'
+     '{"class_index":1,"dims":[1,0,0],"stabilized":true},"verdict":"pass"}'),
+    (["center"],
+     '{"command":"center","findings":[],"metrics":{"basis":[["1","1","0",'
+     '"0"]],"dim":1},"verdict":"pass"}'),
+], ids=["series-derived", "series-central", "series-derived-ideal-q",
+        "center"])
+def test_binary_document_series_and_center(argv, line):
+    """gl11.json carries no ternary section, so series and center run on
+    its binary bracket: one is_ideal and one series call serve either
+    arity.  No golden call covers these lines, so they are pinned here."""
+    code, out = run([*argv, FIXTURES / "gl11.json"])
+    assert code == 0
+    assert out == line + "\n"
+
+
 def mixed_document(tmp_path):
     """gl(1|1) and its representation with neg_nambu's ternary bracket and
     second twist: a ternary section that is not the induced one."""

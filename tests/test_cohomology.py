@@ -1408,9 +1408,7 @@ def homogeneity_equations(obj) -> set:
     slots), read in Fractions: w_k = the sum of the slot weights for each
     nonzero structure constant, and w_m = w_i, as (m, (i,)), for each
     nonzero off-diagonal twist entry."""
-    twists = ((obj.alpha,) if isinstance(obj, HomLieSuper)
-              else (obj.alpha1, obj.alpha2))
-    equations = {(m, (i,)) for a in twists for m, row in
+    equations = {(m, (i,)) for a in obj.twists for m, row in
                  enumerate(a.matrix.entries) for i, x in row if x and m != i}
     for key in product(range(obj.dim), repeat=obj.bracket.arity):
         for k, x in enumerate(obj.bracket.value(*key)):

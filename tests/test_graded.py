@@ -404,3 +404,29 @@ def test_reading_a_record_adds_no_attribute():
     for b in (t.bracket, raw, lie.bracket):
         assert len(b.sizes) in (0, 2)
         assert all(type(x) is int for x in b.sizes)
+
+
+@pytest.mark.parametrize("arity", ("binary", "ternary"))
+def test_both_records_refuse_a_foreign_space_and_an_odd_twist(arity):
+    """Either record, through graded.HomAlgebra, refuses a bracket on
+    another space, a twist on another space and an odd twist, with the
+    same three messages; the last twist is the one replaced, so the
+    ternary record checks alpha2 as well as alpha1."""
+    a = gl11()[0] if arity == "binary" else induced_gl11()
+    sp = a.space
+    other = graded_space(("a", "b", "c", "d"), sp.parities)
+    odd = GradedMap(sp, sp, Matrix.build(
+        [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]), 1)
+    keep = a.twists[:-1]
+    cases = (
+        (type(a.bracket)(other, a.bracket.integer, True), a.twists,
+         "bracket space mismatch"),
+        (a.bracket, keep + (identity_map(other),),
+         "twist must be an endomorphism of the algebra"),
+        (a.bracket, keep + (odd,), "twist must be even"),
+    )
+    for bracket, twists, message in cases:
+        with pytest.raises(InputError) as err:
+            type(a)(sp, bracket, *twists)
+        assert str(err.value) == message
+    assert type(a)(sp, a.bracket, *a.twists) == a

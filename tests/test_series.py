@@ -21,8 +21,7 @@ from homnambu.series import (binary_center, binary_central_series,
                              verify_center_transfer,
                              verify_solvability_theorem)
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
-                              induce_ternary, ternary_is_ideal,
-                              ternary_is_subalgebra)
+                              induce_ternary)
 
 
 def test_induced_gl11_derived_series(t11):
@@ -273,8 +272,11 @@ def probe_subspaces(a, rng):
     return out
 
 
-def twists_of(a):
-    return (a.alpha,) if isinstance(a, HomLieSuper) else (a.alpha1, a.alpha2)
+def assert_ideal_checks_match(a, s):
+    """is_subalgebra and is_ideal, which take either arity, against the
+    naive loops over a's twists and basis tuples."""
+    assert is_subalgebra(a, s) == closed_oracle(a.bracket, a.twists, s, False)
+    assert is_ideal(a, s) == closed_oracle(a.bracket, a.twists, s, True)
 
 
 @pytest.mark.parametrize("name", sorted(BINARY_CASES))
@@ -287,10 +289,7 @@ def test_binary_span_center_and_ideals_match_naive_loops(name):
         for other in (s, full, probes[-1]):
             assert g.bracket.span(s, other) == span_oracle(g.bracket, s, other)
             assert g.bracket.span(other, s) == span_oracle(g.bracket, other, s)
-        assert is_subalgebra(g, s) == closed_oracle(
-            g.bracket, twists_of(g), s, False)
-        assert is_ideal(g, s) == closed_oracle(
-            g.bracket, twists_of(g), s, True)
+        assert_ideal_checks_match(g, s)
     assert binary_center(g) == center_oracle(g.bracket)
     assert binary_derived_series(g).terms == naive_series(
         g.bracket, full, lambda s: (s, s))
@@ -309,10 +308,7 @@ def test_ternary_span_center_and_ideals_match_naive_loops(name):
         for args in ((s, s, s), (s, full, full), (full, s, full),
                      (full, full, s), (s, a, b), (a, s, b), (a, b, s)):
             assert t.bracket.span(*args) == span_oracle(t.bracket, *args), args
-        assert ternary_is_subalgebra(t, s) == closed_oracle(
-            t.bracket, twists_of(t), s, False)
-        assert ternary_is_ideal(t, s) == closed_oracle(
-            t.bracket, twists_of(t), s, True)
+        assert_ideal_checks_match(t, s)
     assert ternary_center(t) == center_oracle(t.bracket)
     assert derived_series(t).terms == naive_series(
         t.bracket, full, lambda s: (s, s, s))
@@ -411,28 +407,23 @@ def test_ideal_checks_see_both_outcomes():
     """The differential cases are not all True or all False."""
     g = BINARY_CASES["gl11"]()
     t = TERNARY_CASES["gl11"]()
-    outcomes = {(is_ideal(g, s), ternary_is_ideal(t, s))
-                for s in probe_subspaces(g, random.Random(23))}
-    assert {o[0] for o in outcomes} == {True, False}
-    assert {o[1] for o in outcomes} == {True, False}
+    probes = probe_subspaces(g, random.Random(23))
+    for a in (g, t):
+        assert {is_ideal(a, s) for s in probes} == {True, False}
 
 
 def test_wrong_ambient_dimension_raises():
     t = induced(glmn(2, 1))
     g = glmn(2, 1)[0]
     for bad in (Subspace.full(20), Subspace.full(3), Subspace.zero(3)):
-        for run in (derived_series, central_series):
-            with pytest.raises(InputError):
-                run(t, bad)
+        for a in (t, g):
+            for run in (derived_series, central_series, is_ideal,
+                        is_subalgebra):
+                with pytest.raises(InputError):
+                    run(a, bad)
         for run in (binary_derived_series, binary_central_series):
             with pytest.raises(InputError):
                 run(g, bad)
-        for check in (ternary_is_ideal, ternary_is_subalgebra):
-            with pytest.raises(InputError):
-                check(t, bad)
-        for check in (is_ideal, is_subalgebra):
-            with pytest.raises(InputError):
-                check(g, bad)
 
 
 def test_span_needs_one_subspace_per_slot():

@@ -30,8 +30,7 @@ from homnambu.reps import TraceFunctional, trace_functional
 from homnambu.series import (binary_center, binary_central_series,
                              binary_derived_series, central_series,
                              derived_series, ternary_center)
-from homnambu.ternary import (TernaryHomLieSuper, induce_ternary,
-                              ternary_is_ideal)
+from homnambu.ternary import TernaryHomLieSuper, induce_ternary
 
 from oracles import (annihilator_direct, integer_fill, series_direct,
                      span_direct)
@@ -134,10 +133,13 @@ def probes(a, rng):
     return out
 
 
-def twists_keep(a, s):
-    twists = (a.alpha,) if isinstance(a, HomLieSuper) else (a.alpha1,
-                                                            a.alpha2)
-    return all(m.keeps(s) for m in twists)
+def assert_is_ideal_matches(a, s):
+    """is_ideal, which takes either arity, against every twist keeping s
+    and the direct span [s, g, ..., g] lying in s."""
+    full = Subspace.full(a.dim)
+    assert is_ideal(a, s) == (
+        all(m.keeps(s) for m in a.twists) and s.contains_subspace(
+            span_direct(a.bracket, s, *[full] * (a.bracket.arity - 1))))
 
 
 @pytest.mark.parametrize("name", sorted(binary_cases()))
@@ -148,8 +150,7 @@ def test_binary_span_ideals_and_center_match_the_direct_oracles(name):
     for s in subs:
         for args in ((s, s), (s, full), (full, s), (s, subs[-1])):
             assert g.bracket.span(*args) == span_direct(g.bracket, *args)
-        assert is_ideal(g, s) == (twists_keep(g, s) and s.contains_subspace(
-            span_direct(g.bracket, s, full)))
+        assert_is_ideal_matches(g, s)
     assert binary_center(g) == annihilator_direct(g.bracket)
 
 
@@ -163,9 +164,7 @@ def test_ternary_span_ideals_and_center_match_the_direct_oracles(name):
         for args in ((s, s, s), (s, full, full), (full, s, full),
                      (full, full, s), (s, a, b), (a, b, s)):
             assert t.bracket.span(*args) == span_direct(t.bracket, *args)
-        assert ternary_is_ideal(t, s) == (
-            twists_keep(t, s)
-            and s.contains_subspace(span_direct(t.bracket, s, full, full)))
+        assert_is_ideal_matches(t, s)
     assert ternary_center(t) == annihilator_direct(t.bracket)
 
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from homnambu import cli, ternary
-from homnambu.binary import (HomLieSuper, SuperBracket2, verify_hom_jacobi,
+from homnambu.binary import (HomLieSuper, SuperBracket2, is_ideal,
+                             is_subalgebra, verify_hom_jacobi,
                              verify_morphism, verify_multiplicative,
                              verify_skew, yau_twist)
 from homnambu.fixtures import (alpha_t, central_twist, conjugate_gl11,
@@ -26,7 +27,6 @@ from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               _hom_nambu_join, _integer_tables, _join,
                               _orbit_join, check_twist_commutes, hom_nambu_residual_direct,
                               ideal_criterion, induce_ternary,
-                              ternary_is_ideal, ternary_is_subalgebra,
                               verify_hom_nambu, verify_induced_homomorphism,
                               verify_ternary_multiplicative,
                               verify_ternary_skew)
@@ -324,11 +324,11 @@ def test_from_canonical_ternary_parity_guard():
 
 def test_ternary_subalgebra_and_ideal(t11):
     center = Subspace.from_vectors(4, [(1, 1, 0, 0)])
-    assert ternary_is_subalgebra(t11, center)
-    assert ternary_is_ideal(t11, center)
+    assert is_subalgebra(t11, center)
+    assert is_ideal(t11, center)
     span_q = Subspace.from_vectors(4, [unit_vec(4, 2)])
-    assert ternary_is_subalgebra(t11, span_q)
-    assert not ternary_is_ideal(t11, span_q)
+    assert is_subalgebra(t11, span_q)
+    assert not is_ideal(t11, span_q)
 
 
 def test_ideal_criterion_on_derived(g11, tau11, t11):
