@@ -25,9 +25,8 @@ from .formats import (DocumentBundle, load_cochain, load_functional,
 from .linalg import InputError, PreconditionError, Subspace, unit_vec
 from .report import Report, fmt_vec
 from .reps import trace_functional, verify_representation
-from .series import (binary_center, central_series, compare_central_series,
-                     derived_series, ternary_center, verify_center_transfer,
-                     verify_solvability_theorem)
+from .series import (central_series, compare_central_series, derived_series,
+                     verify_center_transfer, verify_solvability_theorem)
 from .ternary import (ideal_criterion, induce_ternary, verify_hom_nambu,
                       verify_ternary_multiplicative, verify_ternary_skew)
 
@@ -125,8 +124,8 @@ def cmd_series(args) -> Report:
 def cmd_center(args) -> Report:
     bundle = read_document(args.file)
     rep = Report("center")
-    z = (ternary_center(bundle.ternary) if bundle.ternary is not None
-         else binary_center(bundle.lie))
+    a = bundle.ternary if bundle.ternary is not None else bundle.lie
+    z = a.bracket.annihilator()
     rep.metrics["dim"] = z.dim
     rep.metrics["basis"] = [fmt_vec(v) for v in z.vectors()]
     return rep
@@ -180,24 +179,15 @@ def cmd_induce_cocycle(args) -> Report:
     return rep
 
 
-def _random_cochain(rng, g, degree: int, parity: int) -> Cochain:
-    sel = parity_support("binary-scalar", degree, g.space, parity)
-    n = cochain_length("binary-scalar", degree, g.space)
-    coords = [Fraction(0)] * n
-    for i in sel:
-        coords[i] = Fraction(rng.randint(-3, 3))
-    return Cochain("binary-scalar", degree, parity, g.space, tuple(coords))
-
-
-def _random_even_cocycle(rng, g, basis) -> Cochain:
-    """A random integer combination of the cocycle basis."""
-    n = cochain_length("binary-scalar", 2, g.space)
-    coords = [Fraction(0)] * n
+def _random_combination(rng, g, degree: int, parity: int, basis) -> Cochain:
+    """The binary-scalar cochain sum c_v v over the vectors v of basis, each
+    integer c_v drawn from -3 to 3 in basis order."""
+    coords = [Fraction(0)] * cochain_length("binary-scalar", degree, g.space)
     for v in basis:
-        c = Fraction(rng.randint(-3, 3))
+        c = rng.randint(-3, 3)
         for pos, x in enumerate(v):
             coords[pos] += c * x
-    return Cochain("binary-scalar", 2, 0, g.space, tuple(coords))
+    return Cochain("binary-scalar", degree, parity, g.space, tuple(coords))
 
 
 def cmd_transfer_checks(args) -> Report:
@@ -212,15 +202,20 @@ def cmd_transfer_checks(args) -> Report:
     full = Subspace.full(lie.dim)
     rep.absorb(ideal_criterion(lie, tau, lie.bracket.span(full, full), t),
                prefix="ideal.")
-    omegas = [_random_cochain(rng, lie, 1, parity)
+    # the unit 1-cochains of each parity, so a combination of them draws
+    # one coefficient per coordinate of the parity's support
+    units = [[unit_vec(lie.dim, i) for i in
+              parity_support("binary-scalar", 1, lie.space, parity)]
+             for parity in (0, 1)]
+    omegas = [_random_combination(rng, lie, 1, parity, units[parity])
               for _ in range(3) for parity in (0, 1)]
     for n, sub in enumerate(verify_lemma_identity(lie, tau, omegas, t)):
         rep.absorb(sub, prefix=f"lemma{n // 2}p{n % 2}.")
     basis = cocycles(lie, "binary-scalar", 2, 0)
     phis, etas = [], []
     for _ in range(3):
-        phis.append(_random_even_cocycle(rng, lie, basis))
-        etas.append(_random_cochain(rng, lie, 1, 0))
+        phis.append(_random_combination(rng, lie, 2, 0, basis))
+        etas.append(_random_combination(rng, lie, 1, 0, units[0]))
     pairs = [(phi1, phi1.add(shift)) for phi1, shift
              in zip(phis, apply_coboundaries(lie, etas))]
     for k, sub in enumerate(verify_class_transfer(lie, tau, pairs, t)):

@@ -66,8 +66,10 @@ cocycle bases (cohomology_dims, cocycles) hand a block's rows to rref, so
 a block of full column rank builds no row past the one that completes its
 rank, and eliminate each block once, counted, or placed, once per output
 it serves (_served).  A scalar cochain of parity f needs the parity-f
-blocks alone, so a scalar (Z, B, H) builds no odd row; B reads the
-matching block of a second _blocks, the coboundary below.
+blocks alone, so a scalar (Z, B, H) builds no odd row.  B is the image
+of the coboundary below, walked once beside _blocks: its rows at a
+block's column keys, which are its row keys there, so each degree's keys
+are grouped once.
 
 An adjoint coboundary applies its value-free rows once per output index,
 so its matrix is block-diagonal across the outputs.  coboundary_matrix
@@ -748,14 +750,17 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     coboundary, and the one below it above degree 1, are entries of
     _BUILDERS: per (q, w) block, Z from the kernel of its rows, handed to
     rref as they are built, so a block of full column rank builds no row
-    past the one that completes it, and B from the image of the matching
-    block of the coboundary below, each counted once per output the block
-    serves.  No row is kept once it is eliminated."""
+    past the one that completes it, and B from the image of the rows the
+    coboundary below builds at the block's column keys, each counted once
+    per output the block serves.  Each degree's keys are grouped once and
+    each operator walked once.  No row is kept once it is eliminated."""
     if type(degree) is not int or (cx, degree) not in _BUILDERS or (
             degree > 1 and (cx, degree - 1) not in _BUILDERS):
         raise InputError(f"no cohomology for {cx} in degree {degree!r}")
     _, groups, upper = _blocks(obj, cx, degree)  # first: it meets the row cap
-    lower = _blocks(obj, cx, degree - 1)[2] if degree > 1 else None
+    if degree > 1:
+        lower = _walk(obj, cx, degree - 1)[1]
+        below = _weight_groups(cx, degree - 1, obj.space, _grading(obj))
     served = _served(cx, obj.space, 0)
     zdim = bdim = 0
     for label in _block_labels(groups):
@@ -764,10 +769,11 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
         count, _, col_keys, rows = upper(label)
         z = kernel(Matrix(count, len(col_keys), rows))
         b = Subspace.zero(z.ambient_dim)
-        if lower:
-            count, _, low_keys, rows = lower(label)
+        if degree > 1:
+            low_keys = array("q", _block(below, label)[1]())
             if low_keys:
-                b = image(Matrix(count, len(low_keys), tuple(rows)))
+                b = image(Matrix(len(col_keys), len(low_keys),
+                                 tuple(lower(col_keys, low_keys))))
         for v in b.vectors():
             if not z.contains(v):
                 raise InputError("coboundary escaped the cocycle space")

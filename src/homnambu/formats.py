@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .binary import HomLieSuper, SuperBracket2
 from .cohomology import COMPLEXES, Cochain, cochain_keys, make_cochain
-from .graded import (GradedMap, GradedSpace, canonicalize, graded_space,
-                     identity_map)
+from .graded import (GradedMap, GradedSpace, graded_space, identity_map,
+                     is_canonical)
 from .linalg import InputError, Matrix, is_zero_vec, record
 from .report import fmt_scalar
 from .reps import Representation
@@ -113,8 +113,7 @@ def _split_key(key: str, arity: int, space: GradedSpace) -> tuple:
 
 
 def _check_canonical(key: str, idx: tuple, space: GradedSpace):
-    canon, _, zero = canonicalize(idx, space.parities)
-    if zero or canon != idx:
+    if not is_canonical(idx, space.parities):
         raise InputError(f"bracket key {key!r} is not canonical")
 
 
@@ -276,8 +275,12 @@ def dumps_document(doc: dict) -> str:
 
 
 def write_document(path, bundle: DocumentBundle):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_document(serialize_document(bundle)))
+    text = dumps_document(serialize_document(bundle))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 # --- cochain and functional documents ---------------------------------------

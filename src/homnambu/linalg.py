@@ -481,12 +481,7 @@ def _eliminate(row: dict, c, other: dict) -> None:
 
 def _make_primitive(row: dict, lead) -> None:
     """Divide a nonzero int row by its content, signed so row[lead] > 0."""
-    g = abs(row[lead])
-    for x in row.values():
-        if g == 1:
-            break
-        if x % g:
-            g = _gcd(g, x)
+    g = content(abs(row[lead]), row.values())
     if row[lead] < 0:
         g = -g
     if g != 1:

@@ -9,7 +9,9 @@ as they span it: the series has stabilized.  The centers are
 SuperBracket.annihilator.  Both work on the sparse integer structure
 vectors, so no step evaluates the bracket on a basis tuple.
 derived_series and central_series take either arity, their slots one
-per argument of bracket.arity, as binary.is_ideal does.
+per argument of bracket.arity, as binary.is_ideal does.  Every caller in
+the package calls them and annihilator(); the four names the benchmark
+times below only forward to them.
 """
 
 from .binary import HomLieSuper, is_ideal
@@ -129,33 +131,29 @@ def central_series(a: HomAlgebra, ideal: Subspace = None,
 
 def binary_derived_series(g: HomLieSuper, ideal: Subspace = None,
                           rmax: int | None = None) -> SeriesResult:
-    """derived_series of a binary algebra.  It stays for the benchmark,
-    which times it by name, until its next change (ROADMAP item 8)."""
-    start = ideal if ideal is not None else Subspace.full(g.dim)
-    return _run_series(start, g.bracket, lambda s: (s, s),
-                       rmax, "derived")
+    """derived_series of a binary algebra, kept only because the benchmark
+    times it by name, until its next change (ROADMAP item 8)."""
+    return derived_series(g, ideal, rmax)
 
 
 def binary_central_series(g: HomLieSuper, ideal: Subspace = None,
                           rmax: int | None = None) -> SeriesResult:
-    """central_series of a binary algebra.  It stays for the benchmark,
-    which times it by name, until its next change (ROADMAP item 8)."""
-    start = ideal if ideal is not None else Subspace.full(g.dim)
-    return _run_series(start, g.bracket, lambda s: (s, start),
-                       rmax, "central")
+    """central_series of a binary algebra, kept only because the
+    benchmark times it by name, until its next change (ROADMAP item 8)."""
+    return central_series(g, ideal, rmax)
 
 
 def ternary_center(t: TernaryHomLieSuper) -> Subspace:
     """Solutions z of [e_i, e_j, z] = 0 for all i, j: the bracket's
-    annihilator, as binary_center is.  Both stay for the benchmark, which
-    times each by name, until its next change (ROADMAP item 8)."""
+    annihilator, kept only because the benchmark times it by name, until
+    its next change (ROADMAP item 8)."""
     return t.bracket.annihilator()
 
 
 def binary_center(g: HomLieSuper) -> Subspace:
     """Solutions z of [e_i, z] = 0 for all i: the bracket's annihilator,
-    as ternary_center is.  Both stay for the benchmark, which times each
-    by name, until its next change (ROADMAP item 8)."""
+    kept only because the benchmark times it by name, until its next
+    change (ROADMAP item 8)."""
     return g.bracket.annihilator()
 
 
@@ -164,8 +162,8 @@ def verify_center_transfer(g: HomLieSuper, tau: TraceFunctional,
     """Z(g) cap ker tau sits inside the ternary center; when g is nonabelian,
     a vector central on both sides must be killed by tau."""
     rep = Report("verify_center_transfer")
-    zb = binary_center(g)
-    zt = ternary_center(t)
+    zb = g.bracket.annihilator()
+    zt = t.bracket.annihilator()
     ker_tau = trace_kernel(tau)
     meet = subspace_intersection(zb, ker_tau)
     rep.metrics["binary_center_dim"] = zb.dim
@@ -212,7 +210,7 @@ def compare_central_series(g: HomLieSuper, t: TernaryHomLieSuper) -> Report:
     from step 1 on, so the comparison upgrades to equality.
     """
     rep = Report("compare_central_series")
-    bs = binary_central_series(g)
+    bs = central_series(g)
     ts = central_series(t)
     n = min(len(bs.terms), len(ts.terms))
     unit = find_unit(g, t)

@@ -1,15 +1,13 @@
-import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from homnambu.fixtures import (a0, aff1, conjugate_pair, gl11, gl11t, glmn,
-                               induced_gl11, random_even_invertible)
+from homnambu.fixtures import a0, aff1, gl11, gl11t, induced_gl11
 from homnambu.reps import trace_functional
-from homnambu.ternary import induce_ternary
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import ci_documents  # noqa: E402
 import regen_fixtures  # noqa: E402
 
 
@@ -51,14 +49,12 @@ def all_binary():
 
 @pytest.fixture(scope="session")
 def gl22_conjugate():
-    """(lie, rep, t): gl(2|2) conjugated by the dense even draw of
-    random_even_invertible with random.Random(1), its defining
+    """(lie, rep, t) of the dense gl(2|2) conjugate document that
+    tools/ci_documents.py writes: gl(2|2) conjugated by the dense even
+    draw of random_even_invertible with random.Random(1), its defining
     representation, and the algebra induced with alpha1 = alpha2."""
-    lie, rep = glmn(2, 2)
-    s = random_even_invertible(random.Random(1), lie.space)
-    lie, rep = conjugate_pair(lie, rep, s)
-    t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
-    return lie, rep, t
+    doc = ci_documents.DOCUMENTS["gl22_conjugate"]()
+    return doc.lie, doc.rep, doc.ternary
 
 
 @pytest.fixture(scope="session")

@@ -69,6 +69,24 @@ def test_non_string_name_exits_2(tmp_path, argv):
     assert not out_doc.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["induce"],
+    ["extend", "--omega", FIXTURES / "omega_cocycle.json"],
+], ids=["induce", "extend"])
+def test_unwritable_output_exits_2(tmp_path, argv):
+    """An output path that cannot be written, here in a missing directory,
+    is refused as input with the one-line error, as an unreadable input
+    is, not with a traceback and the exit code of a failed check."""
+    out_doc = tmp_path / "missing" / "out.json"
+    code, out = run([argv[0], FIXTURES / "gl11.json", *argv[1:],
+                     "-o", out_doc])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+    assert doc["error"].startswith(f"cannot write {out_doc}: ")
+    assert out.count("\n") == 1
+
+
 def test_missing_file_exits_2(tmp_path):
     code, out = run(["check", "binary", tmp_path / "absent.json"])
     assert code == 2

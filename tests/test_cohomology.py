@@ -765,6 +765,29 @@ def test_an_adjoint_operator_is_walked_once(monkeypatch):
     assert walks == [("binary-adjoint", 2)]
 
 
+def test_cohomology_groups_each_degree_once(monkeypatch):
+    # the degree-p keys are the upper coboundary's columns and the lower
+    # one's rows: one _weight_groups per degree, and one walk per operator
+    lie, _ = glmn(2, 2)
+    _, t = induced(*glmn(2, 1))
+    groups = Counter()
+    weight_groups = cohomology._weight_groups
+
+    def spy(cx, degree, space, weights):
+        groups[degree] += 1
+        return weight_groups(cx, degree, space, weights)
+
+    for obj, cx, want in ((lie, "binary-scalar", (7, 7, 0)),
+                          (t, "ternary-scalar", (5, 4, 1))):
+        walks = walked(monkeypatch)
+        monkeypatch.setattr(cohomology, "_weight_groups", spy)
+        groups.clear()
+        assert cohomology_dims(obj, cx, 2) == want
+        assert groups == {1: 1, 2: 1, 3: 1}, cx
+        assert walks == [(cx, 2), (cx, 1)]
+        monkeypatch.undo()
+
+
 def test_no_key_has_more_parts_than_a_grading_slot_sums():
     # _grading's slots hold a sum of up to eight weights, one per part of
     # a key, so that two keys' packed weights agree exactly when their

@@ -3,7 +3,8 @@
 Every module under src/homnambu is parsed, not imported, so a rule breach
 fails here whether or not a test reaches the line.  No float literal, no
 float(...) call and no math import keep every verdict exact; no assert
-statement keeps every check alive under python -O.
+statement keeps every check alive under python -O.  No module but series
+names the four calls the benchmark pins by name.
 """
 
 import ast
@@ -50,3 +51,46 @@ def test_rules_catch_each_breach():
     assert sorted(breaches(ast.parse(code))) == [
         (1, "import math"), (2, "from math import"), (3, "float literal 1.5"),
         (4, "float(...) call"), (5, "assert statement")]
+
+
+# the benchmark-pinned names: series keeps them for the benchmark alone,
+# so no other module may call them, and deleting them touches series and
+# the __init__ re-exports only
+PINNED = {"binary_derived_series", "binary_central_series", "binary_center",
+          "ternary_center"}
+
+
+def pinned_names(tree, reexports: bool) -> list:
+    """(line, name) for every use of a PINNED name in tree; with reexports,
+    an import from .series is not a use."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if not (reexports and node.module == "series" and node.level == 1):
+                out += [(node.lineno, a.name) for a in node.names
+                        if a.name in PINNED]
+        elif isinstance(node, ast.Name) and node.id in PINNED:
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in PINNED:
+            out.append((node.lineno, node.attr))
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "series.py"],
+    ids=[p.name for p in MODULES if p.name != "series.py"])
+def test_only_series_names_the_benchmark_pinned_calls(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert pinned_names(tree, path.name == "__init__.py") == [], path.name
+
+
+def test_pinned_rule_catches_each_use():
+    code = ("from .series import binary_center\nfrom .x import ternary_center\n"
+            "z = binary_center(g)\ny = series.binary_derived_series(g)\n")
+    tree = ast.parse(code)
+    assert sorted(pinned_names(tree, False)) == [
+        (1, "binary_center"), (2, "ternary_center"), (3, "binary_center"),
+        (4, "binary_derived_series")]
+    assert sorted(pinned_names(tree, True)) == [
+        (2, "ternary_center"), (3, "binary_center"),
+        (4, "binary_derived_series")]

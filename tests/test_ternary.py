@@ -796,8 +796,8 @@ def test_induced_algebras_never_take_the_full_join(all_binary, monkeypatch,
     capsys.readouterr()
 
 
-def test_dense_gl22_conjugate_passes():
-    t = induced_conjugate(2, 2, 1)
+def test_dense_gl22_conjugate_passes(gl22_conjugate):
+    t = gl22_conjugate[2]
     rep = verify_hom_nambu(t)
     assert rep.verdict == "pass"
     assert rep.metrics["tuples_checked"] == 16 ** 5
