@@ -11,12 +11,14 @@ verifiers have something to catch.
 yau_twist and change_of_basis transport the integer view and read no
 Fraction vector: yau_twist maps each stored vector through the integer
 columns of D_alpha alpha (linalg.map_terms), and change_of_basis maps
-each through D_t s^-1 the same way and then contracts its two input
-slots with the integer rows of D_s s, each vector packed in one int.
-Both divide D and the values by one gcd and keep a True super_skew, as
-an even map keeps the symmetry, so they build the bracket from_vectors
-would, with the same keys in the same order; change_of_basis_direct in
-tests/oracles.py is the Fraction oracle of change_of_basis.
+each through D_t s^-1 the same way and then contracts its input slots
+with the integer rows of D_s s, each vector packed in one int.
+change_of_basis takes any graded.HomAlgebra: it moves a bracket of either
+arity and every twist of the record's twists tuple.  Both divide D and
+the values by one gcd and keep a True super_skew, as an even map keeps
+the symmetry, so they build the bracket from_vectors would, with the
+same keys in the same order; change_of_basis_direct in tests/oracles.py
+is the Fraction oracle of change_of_basis.
 
 The verifiers read the integer view and print Fractions only for a
 finding.  verify_skew formats the bracket's skew_breaks walk, and passes
@@ -192,7 +194,8 @@ def yau_twist(lie: HomLieSuper, morphism: GradedMap) -> HomLieSuper:
             f"({lie.space.names[i]},{lie.space.names[j]})")
     dw, view = lie.bracket.integer
     da, cols = integer_terms(morphism.matrix.transpose().entries)
-    bracket = _least(lie.space, da * dw, map_terms(view, cols),
+    bracket = _least(SuperBracket2, lie.space, da * dw,
+                     map_terms(view, cols),
                      lie.bracket.super_skew and morphism.parity == 0)
     twisted = HomLieSuper(lie.space, bracket, morphism)
     jacobi = verify_hom_jacobi(twisted)
@@ -216,22 +219,24 @@ def is_ideal(a: HomAlgebra, s: Subspace) -> bool:
         a.bracket.span(s, *[Subspace.full(a.dim)] * (a.bracket.arity - 1)))
 
 
-def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
-    """Conjugate the whole structure by an invertible even matrix.
+def change_of_basis(a: HomAlgebra, s: Matrix) -> HomAlgebra:
+    """Conjugate the whole structure, of either arity, by an invertible
+    even matrix: a record of a's type, its bracket of a's bracket class.
 
     Column j of s holds the new basis vector e'_j in old coordinates, so
-    the new bracket is W'(i, j) = s^-1 [s e_i, s e_j] and the new twist
-    alpha'(e_j) = s^-1 alpha(s e_j).  Both are computed on integers by
-    one transport: with S = D_s s and s^-1 cleared by D_t, each stored
-    vector, of the bracket's integer view or a column of D_alpha alpha,
-    is mapped through the integer columns of D_t s^-1 (linalg.map_terms,
-    as yau_twist applies alpha) and packed in one int (linalg.pack), and
-    its input slots are contracted one after the other over the nonzero
-    entries of S: W'(i, j) = sum_ab S(a, i) S(b, j) D_t s^-1 W(a, b) at
-    scale D_t D_s^2 D_W.  A slot of an n-slot sum is at most c^n t in
-    size, c the largest column sum of |S| (c^n is graded._column_bound of
-    n copies of S) and t the largest |entry| of the mapped vectors, which
-    the packing width holds with its sign.
+    the new bracket is W'(i1, .., in) = s^-1 [s e_i1, .., s e_in] and each
+    new twist alpha'(e_j) = s^-1 alpha(s e_j).  All are computed on
+    integers by one transport: with S = D_s s and s^-1 cleared by D_t,
+    each stored vector, of the bracket's integer view or a column of
+    D_alpha alpha, is mapped through the integer columns of D_t s^-1
+    (linalg.map_terms, as yau_twist applies alpha) and packed in one int
+    (linalg.pack), and its input slots are contracted one after the other
+    over the nonzero entries of S: W'(i, j) = sum_ab S(a, i) S(b, j) D_t
+    s^-1 W(a, b) at scale D_t D_s^2 D_W on a binary bracket, D_s^3 on a
+    ternary one.  A slot of an n-slot sum is at most c^n t in size, c the
+    largest column sum of |S| (c^n is graded._column_bound of n copies of
+    S) and t the largest |entry| of the mapped vectors, which the packing
+    width holds with its sign.
     Every ordering is contracted, so a bracket that is not super-skew is
     carried as it is, and D is reduced as from_vectors leaves it.
     """
@@ -265,19 +270,23 @@ def change_of_basis(a: HomLieSuper, s: Matrix) -> HomLieSuper:
                        if x)
             for key, v in sorted(acc.items()) if v}
 
-    d, vectors = conjugate(*a.bracket.integer, 2)
-    bracket = _least(a.space, d, vectors, a.bracket.super_skew)
-    da, acols = integer_terms(a.alpha.matrix.transpose().entries)
-    d, cols = conjugate(da, {(j,): c for j, c in enumerate(acols) if c}, 1)
-    alpha = Matrix(dim, dim, tuple(
-        tuple((r, Fraction(x, d)) for r, x in cols.get((j,), ()))
-        for j in range(dim))).transpose()
-    return HomLieSuper(a.space, bracket, GradedMap(a.space, a.space, alpha))
+    d, vectors = conjugate(*a.bracket.integer, a.bracket.arity)
+    bracket = _least(type(a.bracket), a.space, d, vectors,
+                     a.bracket.super_skew)
+    twists = []
+    for twist in a.twists:
+        da, acols = integer_terms(twist.matrix.transpose().entries)
+        d, cols = conjugate(da, {(j,): c for j, c in enumerate(acols) if c}, 1)
+        alpha = Matrix(dim, dim, tuple(
+            tuple((r, Fraction(x, d)) for r, x in cols.get((j,), ()))
+            for j in range(dim))).transpose()
+        twists.append(GradedMap(a.space, a.space, alpha))
+    return type(a)(a.space, bracket, *twists)
 
 
-def _least(space: GradedSpace, d: int, vectors: dict,
-           super_skew: bool) -> SuperBracket2:
-    """The bracket of the integer vectors at scale d, d and every value
+def _least(cls: type, space: GradedSpace, d: int, vectors: dict,
+           super_skew: bool) -> SuperBracket:
+    """The cls bracket of the integer vectors at scale d, d and every value
     divided by their gcd, so D is least as from_vectors leaves it.  A
     super_skew bracket mapped by an even map stays super-skew, so a True
     flag is kept, and otherwise the constructor walks skew_breaks."""
@@ -285,5 +294,4 @@ def _least(space: GradedSpace, d: int, vectors: dict,
     if g > 1:
         vectors = {key: tuple((m, x // g) for m, x in terms)
                    for key, terms in vectors.items()}
-    return SuperBracket2(space, (d // g, vectors),
-                         True if super_skew else None)
+    return cls(space, (d // g, vectors), True if super_skew else None)

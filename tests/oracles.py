@@ -1,8 +1,8 @@
 """Naive oracles that only tests call, shared by several test modules."""
 
-from itertools import permutations
+from itertools import permutations, product
 
-from homnambu.binary import HomLieSuper, SuperBracket2
+from homnambu.binary import HomLieSuper
 from homnambu.cohomology import (_apply, _blocks, _row_keys, bracket_cochain,
                                  cochain_keys, coboundary_matrix)
 from homnambu.graded import GradedMap, canonicalize
@@ -113,8 +113,9 @@ def skew_oracle(a):
 
 
 def change_of_basis_direct(a, s):
-    """binary.change_of_basis in Fractions, one s^-1 [s e_i, s e_j] per
-    ordered pair: its naive oracle."""
+    """binary.change_of_basis in Fractions, on an algebra of either
+    arity: one s^-1 [s e_i1, .., s e_in] per ordered key, and s^-1 alpha s
+    per twist; its naive oracle."""
     sinv = invert(s)
     if sinv is None:
         raise PreconditionError("basis change matrix is singular")
@@ -124,14 +125,14 @@ def change_of_basis_direct(a, s):
                 raise PreconditionError("basis change must be even")
     cols = [s.col(i) for i in range(a.dim)]
     vectors = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            w = sinv.apply(a.bracket.eval_vectors(cols[i], cols[j]))
-            if not is_zero_vec(w):
-                vectors[(i, j)] = w
-    alpha2 = GradedMap(a.space, a.space, sinv.mul(a.alpha.matrix.mul(s)))
-    return HomLieSuper(a.space, SuperBracket2.from_vectors(a.space, vectors),
-                       alpha2)
+    for key in product(range(a.dim), repeat=a.bracket.arity):
+        w = sinv.apply(a.bracket.eval_vectors(*(cols[i] for i in key)))
+        if not is_zero_vec(w):
+            vectors[key] = w
+    twists = [GradedMap(a.space, a.space, sinv.mul(t.matrix.mul(s)))
+              for t in a.twists]
+    return type(a)(a.space,
+                   type(a.bracket).from_vectors(a.space, vectors), *twists)
 
 
 def rho_of_vector(rep, v) -> Matrix:

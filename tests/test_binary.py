@@ -1,8 +1,10 @@
-"""Binary bracket axioms, negatives with pinned witnesses, twists."""
+"""Binary bracket axioms, negatives with pinned witnesses, twists, and
+the basis transport of either arity."""
 
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +15,19 @@ from homnambu.binary import (HomLieSuper, InputError, SuperBracket2,
 from homnambu.fixtures import (conjugate_pair, gl11, gl11t, glmn,
                                matrix_units, neg_jacobi, neg_mult, neg_skew,
                                random_even_invertible)
+from homnambu.formats import read_document
 from homnambu.graded import (GradedMap, graded_space, identity_map,
                              skew_basis, tuple_parity)
 from homnambu.linalg import (Matrix, PreconditionError, Subspace, frac,
-                             integer_terms, is_zero_vec, slot_width, unit_vec)
+                             integer_terms, is_zero_vec, slot_width, unit_vec,
+                             vec_scale)
 from homnambu.report import Report, fmt_vec
+from homnambu.reps import TraceFunctional, trace_functional
+from homnambu.ternary import TernaryHomLieSuper, induce_ternary
 
 from oracles import change_of_basis_direct, rho_of_vector
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_all_fixtures_satisfy_binary_axioms(all_binary):
@@ -257,20 +265,53 @@ def transport_cases():
                       for k in range(lie.dim))), lie.alpha)
 
 
+def ternary_transport_cases():
+    """(name, algebra) for the differential tests of the transport on
+    ternary algebras: induced gl(2|1), its diagonal Yau twist and a dense
+    conjugate, the two-twist gl(1|1) document, whose two twists both
+    move, and induced gl(2|1) with one ordering of one structure vector
+    doubled by with_entry, which is not super-skew."""
+    lie, rep = glmn(2, 1)
+    tau = trace_functional(rep)
+    t = induce_ternary(lie, tau, lie.alpha, lie.alpha)
+    yield "gl21", t
+    twisted = yau_twist(lie, diagonal_alpha(lie, 2, 1))
+    yield "gl21t", induce_ternary(twisted, TraceFunctional(twisted, tau.values),
+                                  twisted.alpha, twisted.alpha)
+    conj, crep = conjugate_pair(lie, rep, random_even_invertible(
+        random.Random(1), lie.space))
+    yield "gl21c", induce_ternary(conj, trace_functional(crep), conj.alpha,
+                                  conj.alpha)
+    yield "gl11_two_twists", read_document(
+        FIXTURES / "gl11_two_twists.json").ternary
+    key, value = next(iter(t.bracket.vectors().items()))
+    yield "gl21-with-entry", TernaryHomLieSuper(
+        t.space, t.bracket.with_entry(*key, vec_scale(2, value)), t.alpha1,
+        t.alpha2)
+
+
 def assert_same_algebra(got, want, name):
-    """Equal brackets (values and least D), the same key order and
-    super_skew flag, and the same twist."""
+    """Records of one type with equal brackets (values and least D) of
+    one class, the same key order and super_skew flag, and the same
+    twists."""
+    assert type(got) is type(want), name
+    assert type(got.bracket) is type(want.bracket), name
     assert got == want, name
     assert got.bracket.integer[0] == want.bracket.integer[0], name
     assert list(got.bracket.integer[1]) == list(want.bracket.integer[1]), name
     assert got.bracket.super_skew is want.bracket.super_skew, name
-    assert got.alpha == want.alpha, name
+    assert got.twists == want.twists, name
 
 
 def test_change_of_basis_matches_the_fraction_oracle():
-    # the integer transport against s^-1 [s e_i, s e_j] in Fractions, under
-    # three seeded dense conjugators each
-    for name, lie in transport_cases():
+    # the integer transport against s^-1 [s e_i1, .., s e_in] in Fractions,
+    # on binary and ternary algebras, under three seeded dense conjugators
+    # each; a bracket that is not super-skew stays so
+    cases = [*transport_cases(), *ternary_transport_cases()]
+    assert {lie.bracket.arity for _, lie in cases} == {2, 3}
+    assert not dict(cases)["gl21-with-entry"].bracket.super_skew
+    assert not dict(cases)["gl11_two_twists"].same_twists()
+    for name, lie in cases:
         for seed in range(3):
             s = random_even_invertible(random.Random(seed), lie.space)
             got = change_of_basis(lie, s)

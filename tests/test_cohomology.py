@@ -32,7 +32,7 @@ from homnambu.cohomology import (_BUILDERS, _DEGREES, MAX_COBOUNDARY_ROWS,
                                  verify_lemma_identity)
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, matrix_units, random_even_invertible)
-from homnambu.formats import load_cochain
+from homnambu.formats import load_cochain, read_document
 from homnambu.graded import (GradedMap, canonicalize, graded_space, skew_basis,
                              tuple_parity)
 from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
@@ -44,6 +44,8 @@ from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper, induce_ternary,
 
 from oracles import (key_parts, parity_cocycles, read_blocks, select,
                      verify_bracket_cocycle)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def induced(lie, rep):
@@ -786,6 +788,84 @@ def test_cohomology_groups_each_degree_once(monkeypatch):
         assert groups == {1: 1, 2: 1, 3: 1}, cx
         assert walks == [(cx, 2), (cx, 1)]
         monkeypatch.undo()
+
+
+def adaptation_cases():
+    """(name, t) of induced algebras for the adapted basis: those the
+    cohomology-ladder workload queries, gl(3|1) and gl(4|0), the diagonal
+    Yau twist of each gl(m|n), and dense gl(2|1) and gl(1|1) conjugates."""
+    for m, n in ((1, 1), (2, 1), (2, 2), (3, 1), (4, 0)):
+        lie, rep = glmn(m, n)
+        yield f"gl{m}{n}", induced(lie, rep)[1]
+        twisted = diagonal_twist(lie, m, n)
+        tau = TraceFunctional(twisted, trace_functional(rep).values)
+        yield f"gl{m}{n}t", induce_ternary(twisted, tau, twisted.alpha,
+                                           twisted.alpha)
+    for seed in (1, 2):
+        yield f"gl11c{seed}", induced(*conjugate_gl11(random.Random(seed)))[1]
+    lie, rep = glmn(2, 1)
+    yield "gl21c", induced(*conjugate_pair(lie, rep, random_even_invertible(
+        random.Random(1), lie.space)))[1]
+
+
+def test_adapted_cohomology_matches_the_document_basis(monkeypatch):
+    # dims do not change under an even change of basis: ts2 and ta2 in the
+    # adapted basis against the document basis.  Every algebra is moved
+    # but the gl(1|1) ones, whose bracket's image is a line, not a
+    # hyperplane
+    adapted = cohomology._adapted
+    for name, t in adaptation_cases():
+        assert (adapted(t) is t) == name.startswith("gl11"), name
+        got = [cohomology_dims(t, cx, 2)
+               for cx in ("ternary-scalar", "ternary-adjoint")]
+        monkeypatch.setattr(cohomology, "_adapted", lambda obj: obj)
+        want = [cohomology_dims(t, cx, 2)
+                for cx in ("ternary-scalar", "ternary-adjoint")]
+        monkeypatch.undo()
+        assert got == want, name
+
+
+def test_the_adapted_basis_grades_the_induced_bracket_once_more():
+    # moved, induced gl(2|1) and gl(2|2) hold u once in every stored key,
+    # so [K, K, K] = 0 and [u, u, .] = 0, and their grading rank goes from
+    # 2 and 3 to 3 and 4; the document's memo gets nothing
+    for (m, n), ranks in (((2, 1), (2, 3)), ((2, 2), (3, 4))):
+        _, t = induced(*glmn(m, n))
+        moved = cohomology._adapted(t)
+        keys = list(moved.bracket.integer[1])
+        u, = set.intersection(*map(set, keys))
+        assert all(key.count(u) == 1 for key in keys)
+        assert (len(_weight_basis(t)), len(_weight_basis(moved))) == ranks
+        assert not t.memo and set(moved.memo) == {"grading"}
+
+
+def test_the_document_is_checked_before_any_transport(monkeypatch):
+    # the twist, row cap and parity law checks run on the document with
+    # their own messages, and no basis is moved for an algebra they refuse
+    moves = []
+    transport = cohomology.change_of_basis
+
+    def spy(obj, s):
+        moves.append(obj)
+        return transport(obj, s)
+
+    monkeypatch.setattr(cohomology, "change_of_basis", spy)
+    two = read_document(FIXTURES / "gl11_two_twists.json").ternary
+    with pytest.raises(PreconditionError, match="needs alpha1 = alpha2"):
+        cohomology_dims(two, "ternary-scalar", 2)
+    _, t22 = induced(*glmn(2, 2))
+    with pytest.raises(InputError, match="33554432 rows"):
+        cohomology_dims(t22, "ternary-scalar", 3)
+    _, t21 = induced(*glmn(2, 1))
+    p = t21.space.parities
+    evens = [i for i, q in enumerate(p) if not q][:3]
+    broken = TernaryHomLieSuper(t21.space, t21.bracket.with_entry(
+        *evens, unit_vec(t21.dim, p.index(1))), t21.alpha1, t21.alpha2)
+    with pytest.raises(PreconditionError, match="parity law"):
+        cohomology_dims(broken, "ternary-scalar", 2)
+    assert not moves and not (two.memo or t22.memo or broken.memo)
+    assert cohomology_dims(t21, "ternary-scalar", 2) == (5, 4, 1)
+    assert moves == [t21]
 
 
 def test_no_key_has_more_parts_than_a_grading_slot_sums():
