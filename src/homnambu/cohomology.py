@@ -62,7 +62,8 @@ twists.
 Every consumer reads the (q, w) blocks through _blocks, one walk per
 call: block(label) gives the block's row count, its row keys, its column
 keys and its rows, each row built as it is read, and nothing outlives the
-walk, so an algebra's memo holds its grading alone.  Cohomology and
+walk.  The one memo rule: an algebra's memo holds its grading, its rank
+beside its packed weights, solved once by _grading.  Cohomology and
 cocycle bases (cohomology_dims, cocycles) hand a block's rows to rref, so
 a block of full column rank builds no row past the one that completes its
 rank, and eliminate each block once, counted, or placed, once per output
@@ -80,17 +81,22 @@ An induced bracket's image lies in [g, g], inside ker tau, so when
 to scale.  Moving every basis element but the first one phi does not
 vanish on, u, into K = ker phi gives [K, K, K] = 0 and [u, u, .] = 0, so
 u of weight 1 and K of weight -1 is one more torus weight, which _grading
-finds unaided.  The copy, made by one binary.change_of_basis, is kept
-only on an even phi, a super_skew bracket, equal twists and a higher
-grading rank (a twist must keep span(u), as a diagonal Yau twist does);
-otherwise, as on gl(1|1), whose image is a line, the document basis
-serves.  Every check of _check runs first, on the document, with its own
-message, and each operator is then walked once, on the algebra used; the
-copy and its grading last for the call.  Degree 1 stays in the document
-basis: on gl(2|2), in-process on a 2-core x86-64 host with Python
-3.11.7, the copy costs about 18 ms and saves a degree-1 query about 1 ms
-(3.1 ms to 2.2 ms), while ts2 goes from 0.39-0.42 s to 0.07-0.11 s and
-ta2 from 0.64-0.75 s to 0.09-0.14 s.
+finds unaided when every twist keeps span(u) and K, as a diagonal Yau
+twist does.  Those two facts, alpha(e_u) in F e_u and phi o alpha in F
+phi, are read off the document before any transport, and when one fails
+the document basis serves, as it does on an odd phi, a bracket that is
+not super_skew, or gl(1|1), whose image is a line.  Otherwise the copy,
+made by one binary.change_of_basis, is kept when its _grading rank is
+higher than the document's; each grading is solved once, in its own
+algebra's memo, and the copy itself is not memoized.  Every check of
+_check runs first, on the document, in every degree, with its own
+message, and each operator is then walked once, on the algebra used.  A
+B that leaves Z, d^2 != 0, names the identity the document breaks
+(_escaped).  Degree 1 stays in the document basis: on gl(2|2),
+in-process on a 2-core x86-64 host with Python 3.11.7, the copy costs
+about 18 ms and saves a degree-1 query about 1 ms (3.1 ms to 2.2 ms),
+while ts2 goes from 0.39-0.42 s to 0.07-0.11 s and ta2 from 0.64-0.75 s
+to 0.09-0.14 s.
 
 An adjoint coboundary applies its value-free rows once per output index,
 so its matrix is block-diagonal across the outputs.  coboundary_matrix
@@ -114,7 +120,8 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
 from operator import itemgetter
 
-from .binary import HomLieSuper, change_of_basis
+from .binary import (HomLieSuper, change_of_basis, verify_hom_jacobi,
+                     verify_multiplicative)
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand, wedge_table)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
@@ -123,7 +130,8 @@ from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      is_zero_vec, record, ONE, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
-from .ternary import TernaryHomLieSuper
+from .ternary import (TernaryHomLieSuper, verify_hom_nambu,
+                      verify_ternary_multiplicative)
 
 # the most rows a coboundary is built with: a larger one is an input error
 MAX_COBOUNDARY_ROWS = 1 << 20
@@ -166,25 +174,22 @@ def cochain_length(cx: str, degree: int, space: GradedSpace) -> int:
 
 
 def _grading(obj) -> tuple:
-    """Each basis element's torus weight, one int per element: its
-    coordinates in the basis _weight_basis finds, one linalg.pack slot per
+    """(rank, weights) of obj's torus grading: the rank, how many vectors
+    _weight_basis finds, and each basis element's weight, one int per
+    element: its coordinates in that basis, one linalg.pack slot per
     basis vector, wide enough (linalg.slot_width) for a sum of up to eight
     values in a slot, so that the weights of a key's parts add up in one
     int sum, equal for two keys exactly when their weights are; every
     weight is 0 when the kernel is.  Solved once per algebra and kept in
-    obj.memo under "grading"."""
+    obj.memo under "grading", the one thing an algebra's memo holds."""
     if "grading" not in obj.memo:
-        obj.memo["grading"] = _packed(_weight_basis(obj), obj.space.dim)
+        basis = _weight_basis(obj)
+        width = slot_width(8 * max(map(abs, chain.from_iterable(basis)),
+                                   default=0))
+        obj.memo["grading"] = (len(basis), tuple(
+            pack(enumerate(v[i] for v in basis), width)
+            for i in range(obj.dim)))
     return obj.memo["grading"]
-
-
-def _packed(basis: list, dim: int) -> tuple:
-    """The grading _grading keeps, from a weight basis over dim basis
-    elements."""
-    width = slot_width(8 * max(map(abs, chain.from_iterable(basis)),
-                               default=0))
-    return tuple(pack(enumerate(v[i] for v in basis), width)
-                 for i in range(dim))
 
 
 def _weight_basis(obj) -> list:
@@ -626,7 +631,7 @@ def _blocks(obj, cx: str, degree: int) -> tuple:
     Coboundaries keep parity and weight, so a row key of a label no column
     key has keys a zero row, never built; nothing outlives the walk."""
     multiplier, rows = _walk(obj, cx, degree)
-    weights = _grading(obj)
+    weights = _grading(obj)[1]
     row_groups = _weight_groups(_scalar(cx), degree + 1, obj.space, weights)
     groups = _weight_groups(cx, degree, obj.space, weights)
 
@@ -783,18 +788,20 @@ def _adapted(obj):
     bracket's image spans, when that basis has a torus grading of higher
     rank.  An induced bracket has its image in [g, g], inside ker tau, so
     an image that is a hyperplane is ker tau and its normal phi, one
-    linalg.kernel, is tau up to scale.  On an even phi, a super_skew
-    bracket and equal twists, u is the first basis element with phi(e_u)
-    != 0, and column j of s is e_j - (phi(e_j) / phi(e_u)) e_u, column u
-    e_u: the other columns span ker phi, so the bracket of three of them
-    is 0, [u, u, .] = 0, and u of weight 1 and each of them of weight -1
-    is one more grading when the twists keep span(u), as a diagonal Yau
-    twist does.  s is even, so every cohomology dim is unchanged.  The
-    copy and its grading, kept in its memo, last as long as the caller
-    holds it; obj's memo gets nothing."""
+    linalg.kernel, is tau up to scale.  On an even phi and a super_skew
+    bracket, u is the first basis element with phi(e_u) != 0, and column
+    j of s is e_j - (phi(e_j) / phi(e_u)) e_u, column u e_u: the other
+    columns span ker phi, so the bracket of three of them is 0, [u, u, .]
+    = 0, and u of weight 1 and each of them of weight -1 is one more
+    grading when every twist keeps span(u) and ker phi, as a diagonal Yau
+    twist does.  Both are read off the document before any transport:
+    alpha(e_u) in F e_u, and phi o alpha in F phi.  When one fails the
+    weight cannot survive the move and obj serves; otherwise the copy is
+    kept when its _grading rank is higher than obj's.  s is even, so every
+    cohomology dim is unchanged.  Each algebra's grading is solved once,
+    in its own memo; the copy is not memoized."""
     dim = obj.dim
-    if (obj.bracket.arity != 3 or not obj.bracket.super_skew
-            or not obj.same_twists()):
+    if obj.bracket.arity != 3 or not obj.bracket.super_skew:
         return obj
     full = Subspace.full(dim)
     hyperplane = obj.bracket.span(full, full, full)
@@ -804,42 +811,57 @@ def _adapted(obj):
     if any(x for x, odd in zip(phi, obj.space.parities) if odd):
         return obj
     u = next(j for j, x in enumerate(phi) if x)
-    columns = []
-    for j, x in enumerate(phi):
-        column = {j: ONE}
-        if j != u and x:
-            column[u] = -x / phi[u]
-        columns.append(tuple(sorted(column.items())))
-    s = Matrix(dim, dim, tuple(columns)).transpose()
-    moved = change_of_basis(obj, s)
-    basis = _weight_basis(moved)
-    if len(basis) <= len(_weight_basis(obj)):
-        return obj
-    moved.memo["grading"] = _packed(basis, dim)
-    return moved
+    for twist in obj.twists:
+        cols = twist.matrix.transpose()
+        composed = cols.apply(phi)  # phi o alpha
+        if (any(i != u for i, _ in cols.entries[u])
+                or vec_scale(composed[u] / phi[u], phi) != composed):
+            return obj
+    rows = [((i, ONE),) for i in range(dim)]  # s: the identity but row u
+    rows[u] = tuple((j, ONE if j == u else -x / phi[u])
+                    for j, x in enumerate(phi) if x)
+    moved = change_of_basis(obj, Matrix(dim, dim, tuple(rows)))
+    return moved if _grading(moved)[0] > _grading(obj)[0] else obj
+
+
+def _escaped(obj) -> PreconditionError:
+    """The error of a coboundary whose image leaves the cocycles, d^2 !=
+    0: d^2 = 0 rests on the Hom-Jacobi (binary) or Hom-Nambu (ternary)
+    identity and on a multiplicative twist, so the error names the first
+    of these obj breaks, as the verifiers check them in that order, with
+    its first witness."""
+    verifiers = ((verify_hom_jacobi, verify_multiplicative)
+                 if obj.bracket.arity == 2
+                 else (verify_hom_nambu, verify_ternary_multiplicative))
+    for verify in verifiers:
+        for f in verify(obj).findings:
+            if f.status == "fail":
+                return PreconditionError(
+                    f"coboundary escaped the cocycle space: the algebra "
+                    f"breaks {f.check} at ({', '.join(f.witness)})")
+    return PreconditionError("coboundary escaped the cocycle space")
 
 
 def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     """(dim Z, dim B, dim H) on the even-parity cochains, in a degree whose
-    coboundary, and the one below it above degree 1, are entries of
-    _BUILDERS: per (q, w) block, Z from the kernel of its rows, handed to
-    rref as they are built, so a block of full column rank builds no row
-    past the one that completes it, and B from the image of the rows the
-    coboundary below builds at the block's column keys, each counted once
-    per output the block serves.  Each degree's keys are grouped once and
-    each operator walked once.  No row is kept once it is eliminated.
-    Above degree 1 the operator is checked on obj, and then walked on
-    _adapted(obj), the copy in an adapted basis or obj itself."""
-    if type(degree) is not int or (cx, degree) not in _BUILDERS or (
-            degree > 1 and (cx, degree - 1) not in _BUILDERS):
-        raise InputError(f"no cohomology for {cx} in degree {degree!r}")
+    coboundary is an entry of _BUILDERS (so is the one below it, every
+    complex's degrees running from 1): per (q, w) block, Z from the kernel
+    of its rows, handed to rref as they are built, so a block of full
+    column rank builds no row past the one that completes it, and B from
+    the image of the rows the coboundary below builds at the block's
+    column keys, each counted once per output the block serves.  Each
+    degree's keys are grouped once and each operator walked once.  No row
+    is kept once it is eliminated.  The operator is checked on obj first;
+    above degree 1 it is then walked on _adapted(obj), the copy in an
+    adapted basis or obj itself.  A B that leaves Z is a PreconditionError
+    naming the identity obj breaks (_escaped)."""
+    _check(obj, cx, degree)  # on the document, before any transport
+    used = _adapted(obj) if degree > 1 else obj
+    _, groups, upper = _blocks(used, cx, degree)
     if degree > 1:
-        _check(obj, cx, degree)  # on the document, before any transport
-        obj = _adapted(obj)
-    _, groups, upper = _blocks(obj, cx, degree)
-    if degree > 1:
-        lower = _walk(obj, cx, degree - 1)[1]
-        below = _weight_groups(cx, degree - 1, obj.space, _grading(obj))
+        lower = _walk(used, cx, degree - 1)[1]
+        below = _weight_groups(cx, degree - 1, used.space,
+                               _grading(used)[1])
     served = _served(cx, obj.space, 0)
     zdim = bdim = 0
     for label in _block_labels(groups):
@@ -855,7 +877,7 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
                                  tuple(lower(col_keys, low_keys))))
         for v in b.vectors():
             if not z.contains(v):
-                raise InputError("coboundary escaped the cocycle space")
+                raise _escaped(obj)
         zdim += len(served[label[0]]) * z.dim
         bdim += len(served[label[0]]) * b.dim
     return (zdim, bdim, zdim - bdim)

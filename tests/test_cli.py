@@ -123,8 +123,10 @@ def test_error_payload_is_compact_json():
 # row of tools/regen_fixtures.GOLDEN once the benchmark reads that table
 @pytest.mark.parametrize("command,doc,options,error", [
     ("check binary", "unknown_key.json", [], "unknown key 'alpah' in document"),
-    # not Hom-Nambu, so delta2 delta1 != 0
-    ("cohomology", "neg_nambu.json", TS2, "coboundary escaped the cocycle space"),
+    # not Hom-Nambu, so delta2 delta1 != 0: the error names the identity
+    # and verify_hom_nambu's first witness
+    ("cohomology", "neg_nambu.json", TS2, "coboundary escaped the cocycle "
+     "space: the algebra breaks hom-nambu at (h1, q, q, p, p)"),
     ("cohomology", "gl11_two_twists.json", TS2,
      "ternary cohomology needs alpha1 = alpha2"),
 ], ids=["unknown_key", "ts2_neg_nambu", "ts2_gl11_two_twists"])

@@ -30,8 +30,9 @@ from homnambu.cohomology import (_BUILDERS, _DEGREES, MAX_COBOUNDARY_ROWS,
                                  parity_support, verify_1cocycle_transfer,
                                  verify_class_transfer,
                                  verify_lemma_identity)
-from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
-                               glmn, matrix_units, random_even_invertible)
+from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11_tau,
+                               gl11t, glmn, induced_gl11, matrix_units,
+                               random_even_invertible)
 from homnambu.formats import load_cochain, read_document
 from homnambu.graded import (GradedMap, canonicalize, graded_space, skew_basis,
                              tuple_parity)
@@ -42,6 +43,7 @@ from homnambu.reps import TraceFunctional, trace_functional
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper, induce_ternary,
                               verify_hom_nambu)
 
+import ci_documents
 from oracles import (key_parts, parity_cocycles, read_blocks, select,
                      verify_bracket_cocycle)
 
@@ -367,6 +369,19 @@ def test_scalar_cocycle_transfer_all_fixtures(all_binary):
         assert r.verdict == "pass", name
 
 
+def test_scalar_cocycle_transfer_fails_off_the_induced_bracket():
+    # a negative control: [h1, q, p] = h1 on induced gl(1|1) is no induced
+    # triple, and the scalar 1-cocycle of gl(1|1) does not annihilate it
+    lie, tau = gl11_tau()
+    t = induced_gl11()
+    broken = TernaryHomLieSuper(t.space, t.bracket.with_canonical(
+        (0, 2, 3), (1, 0, 0, 0)), t.alpha1, t.alpha2)
+    r = verify_1cocycle_transfer(lie, tau, broken)
+    assert [(f.check, f.witness, f.residual) for f in r.findings] == [
+        ("induced-1cocycle", ("h1", "q", "p"), ("1",))]
+    assert r.metrics["triples_checked"] == 12
+
+
 def test_induce_cocycle_scalar_oracle(g11, tau11, t11):
     # the q,p dual is a binary cocycle; its transfer must hit exactly the
     # triples whose tau-weighted pair collapses onto (q,p)
@@ -606,7 +621,7 @@ def test_apply_builds_only_the_blocks_its_coordinates_touch(monkeypatch):
     # alone, every one of them once, and the memo keeps none of them
     lie, rep = glmn(2, 1)
     _, t = induced(lie, rep)
-    weights = _grading(t)
+    weights = _grading(t)[1]
     built = built_rows(monkeypatch)
     for degree in (1, 2):
         keys = cochain_keys("ternary-scalar", degree, t.space)
@@ -793,7 +808,8 @@ def test_cohomology_groups_each_degree_once(monkeypatch):
 def adaptation_cases():
     """(name, t) of induced algebras for the adapted basis: those the
     cohomology-ladder workload queries, gl(3|1) and gl(4|0), the diagonal
-    Yau twist of each gl(m|n), and dense gl(2|1) and gl(1|1) conjugates."""
+    Yau twist of each gl(m|n), dense gl(2|1) and gl(1|1) conjugates, and
+    gl(2|2) with alpha = central_twist(2, 2)."""
     for m, n in ((1, 1), (2, 1), (2, 2), (3, 1), (4, 0)):
         lie, rep = glmn(m, n)
         yield f"gl{m}{n}", induced(lie, rep)[1]
@@ -806,16 +822,26 @@ def adaptation_cases():
     lie, rep = glmn(2, 1)
     yield "gl21c", induced(*conjugate_pair(lie, rep, random_even_invertible(
         random.Random(1), lie.space)))[1]
+    yield "gl22central", central_twisted(2, 2)[1]
+
+
+def central_twisted(m, n):
+    """(lie, t) of tools/ci_documents.py's central-twist document:
+    gl(m|n) with alpha = central_twist(m, n), not multiplicative, and the
+    algebra it induces with alpha1 = alpha2 = alpha."""
+    doc = ci_documents.central(m, n)
+    return doc.lie, doc.ternary
 
 
 def test_adapted_cohomology_matches_the_document_basis(monkeypatch):
     # dims do not change under an even change of basis: ts2 and ta2 in the
     # adapted basis against the document basis.  Every algebra is moved
     # but the gl(1|1) ones, whose bracket's image is a line, not a
-    # hyperplane
+    # hyperplane, and the central twist, which sends e_u out of span(e_u)
     adapted = cohomology._adapted
     for name, t in adaptation_cases():
-        assert (adapted(t) is t) == name.startswith("gl11"), name
+        kept = name.startswith("gl11") or name == "gl22central"
+        assert (adapted(t) is t) == kept, name
         got = [cohomology_dims(t, cx, 2)
                for cx in ("ternary-scalar", "ternary-adjoint")]
         monkeypatch.setattr(cohomology, "_adapted", lambda obj: obj)
@@ -828,7 +854,7 @@ def test_adapted_cohomology_matches_the_document_basis(monkeypatch):
 def test_the_adapted_basis_grades_the_induced_bracket_once_more():
     # moved, induced gl(2|1) and gl(2|2) hold u once in every stored key,
     # so [K, K, K] = 0 and [u, u, .] = 0, and their grading rank goes from
-    # 2 and 3 to 3 and 4; the document's memo gets nothing
+    # 2 and 3 to 3 and 4; each algebra's memo holds its own grading
     for (m, n), ranks in (((2, 1), (2, 3)), ((2, 2), (3, 4))):
         _, t = induced(*glmn(m, n))
         moved = cohomology._adapted(t)
@@ -836,12 +862,12 @@ def test_the_adapted_basis_grades_the_induced_bracket_once_more():
         u, = set.intersection(*map(set, keys))
         assert all(key.count(u) == 1 for key in keys)
         assert (len(_weight_basis(t)), len(_weight_basis(moved))) == ranks
-        assert not t.memo and set(moved.memo) == {"grading"}
+        assert set(t.memo) == set(moved.memo) == {"grading"}
 
 
-def test_the_document_is_checked_before_any_transport(monkeypatch):
-    # the twist, row cap and parity law checks run on the document with
-    # their own messages, and no basis is moved for an algebra they refuse
+def transports(monkeypatch):
+    """Spy on cohomology.change_of_basis: a list that gets each algebra
+    it moves."""
     moves = []
     transport = cohomology.change_of_basis
 
@@ -850,6 +876,13 @@ def test_the_document_is_checked_before_any_transport(monkeypatch):
         return transport(obj, s)
 
     monkeypatch.setattr(cohomology, "change_of_basis", spy)
+    return moves
+
+
+def test_the_document_is_checked_before_any_transport(monkeypatch):
+    # the twist, row cap and parity law checks run on the document with
+    # their own messages, and no basis is moved for an algebra they refuse
+    moves = transports(monkeypatch)
     two = read_document(FIXTURES / "gl11_two_twists.json").ternary
     with pytest.raises(PreconditionError, match="needs alpha1 = alpha2"):
         cohomology_dims(two, "ternary-scalar", 2)
@@ -866,6 +899,79 @@ def test_the_document_is_checked_before_any_transport(monkeypatch):
     assert not moves and not (two.memo or t22.memo or broken.memo)
     assert cohomology_dims(t21, "ternary-scalar", 2) == (5, 4, 1)
     assert moves == [t21]
+
+
+def test_a_twist_off_the_adapted_split_builds_no_copy(monkeypatch):
+    # every twist must keep span(e_u) and ker phi, both read off the
+    # document before any transport.  central_twist(2, 2) sends e_u = E0_0
+    # to E0_0 + I, out of span(e_u): ts2 and ta2 are plain gl(2|2)'s, and
+    # no basis is moved.  A twist of induced gl(2|1) that fixes e_u but
+    # sends E0_1 to E0_1 + E0_0 leaves ker phi, so nothing moves either
+    moves = transports(monkeypatch)
+    _, t = central_twisted(2, 2)
+    assert cohomology_dims(t, "ternary-scalar", 2) == (10, 7, 3)
+    assert cohomology_dims(t, "ternary-adjoint", 2) == (144, 120, 24)
+    assert not moves and set(t.memo) == {"grading"}
+    _, t21 = induced(*glmn(2, 1))
+    u, k = t21.space.index("E0_0"), t21.space.index("E0_1")
+    shear = GradedMap(t21.space, t21.space, Matrix.build(
+        [[int(r == c or (r, c) == (u, k)) for c in range(t21.dim)]
+         for r in range(t21.dim)]))
+    sheared = TernaryHomLieSuper(t21.space, t21.bracket, shear, shear)
+    assert cohomology._adapted(sheared) is sheared and not moves
+    assert cohomology._adapted(t21) is not t21 and moves == [t21]
+
+
+def test_each_grading_is_solved_once_in_its_own_memo(monkeypatch):
+    # ts1, ts2, ta1 and ta2 on induced gl(2|1) in one session: the
+    # document's weight basis is solved once, by ts1, and each adapted
+    # copy's once (the copy is not kept between calls), each grading
+    # staying in its own algebra's memo
+    _, t = induced(*glmn(2, 1))
+    solved = []
+    weight_basis = cohomology._weight_basis
+
+    def spy(obj):
+        solved.append(obj)
+        return weight_basis(obj)
+
+    monkeypatch.setattr(cohomology, "_weight_basis", spy)
+    assert [cohomology_dims(t, cx, degree)
+            for cx in ("ternary-scalar", "ternary-adjoint")
+            for degree in (1, 2)] == [(1, 0, 1), (5, 4, 1), (5, 0, 5),
+                                      (41, 36, 5)]
+    assert len(solved) == 3 and solved[0] is t
+    assert t not in solved[1:] and solved[1] is not solved[2]
+    assert all(set(obj.memo) == {"grading"} for obj in solved)
+
+
+def test_an_escaped_coboundary_names_the_identity_the_algebra_breaks(
+        monkeypatch):
+    # alpha = central_twist(m, n) is not multiplicative, and on gl(2|1)
+    # tau o alpha != tau, so the induced bracket breaks Hom-Nambu: d^2 !=
+    # 0, B leaves Z, and the error names the first identity the verifiers
+    # find broken (Hom-Jacobi or Hom-Nambu first, then multiplicativity)
+    # with its first witness.  They run on this path alone: gl(1|1)'s bs3,
+    # whose d^2 vanishes, calls none of them
+    lie21, t21 = central_twisted(2, 1)
+    lie22, _ = central_twisted(2, 2)
+    lie11, _ = central_twisted(1, 1)
+    multiplicative = "multiplicative at (E0_0, E0_1)"
+    nambu = "hom-nambu at (E0_0, E1_1, E0_0, E2_2, E0_1)"
+    for obj, cx, degree, broken in ((lie21, "binary-scalar", 3, multiplicative),
+                                    (t21, "ternary-scalar", 2, nambu),
+                                    (t21, "ternary-adjoint", 2, nambu),
+                                    (lie22, "binary-scalar", 3, multiplicative)):
+        with pytest.raises(PreconditionError) as caught:
+            cohomology_dims(obj, cx, degree)
+        assert str(caught.value) == ("coboundary escaped the cocycle space: "
+                                     f"the algebra breaks {broken}"), cx
+    verified = []
+    for name in ("verify_hom_jacobi", "verify_multiplicative",
+                 "verify_hom_nambu", "verify_ternary_multiplicative"):
+        monkeypatch.setattr(cohomology, name, verified.append)
+    assert cohomology_dims(lie11, "binary-scalar", 3) == (3, 3, 0)
+    assert not verified
 
 
 def test_no_key_has_more_parts_than_a_grading_slot_sums():
@@ -1547,8 +1653,9 @@ def test_torus_grading_is_the_kernel_of_the_homogeneity_equations():
             assert Subspace.from_vectors(obj.dim, basis).dim == rank
             for v in basis:
                 assert homogeneity_breaks(obj, v) == []
-            weights = _grading(obj)
-            assert obj.memo["grading"] is weights
+            grading = _grading(obj)
+            assert obj.memo["grading"] is grading and grading[0] == rank
+            weights = grading[1]
             assert (set(weights) == {0}) == (rank == 0)
             if rank:
                 # the packed sums tell weights apart exactly as the vectors
@@ -1644,7 +1751,7 @@ def key_label(key, space, weights) -> tuple:
 def block_labels(obj, cx, degree) -> list:
     """The labels of the cx degree-cochain keys on obj, sorted: one
     block each."""
-    return sorted({key_label(key, obj.space, _grading(obj))
+    return sorted({key_label(key, obj.space, _grading(obj)[1])
                    for key in cochain_keys(cx, degree, obj.space)})
 
 
@@ -1665,7 +1772,7 @@ def test_weight_blocks_are_the_select_of_their_parity_block():
             obj = t if cx.startswith("ternary") else lie
             if (name, cx, degree) == ("gl21", "ternary-scalar", 3):
                 continue  # 576,000 rows: too slow to list here
-            space, weights = obj.space, _grading(obj)
+            space, weights = obj.space, _grading(obj)[1]
             dim = obj.dim if cx.endswith("adjoint") else 1
             scalar = cx.replace("adjoint", "scalar")
             rlabels = [key_label(key, space, weights)
@@ -1742,7 +1849,7 @@ def test_a_block_of_full_column_rank_stops_building_rows(monkeypatch):
     built = built_rows(monkeypatch)
     assert cohomology_dims(t, "ternary-scalar", 2) == (5, 4, 1)
     labels = {}
-    weights = _grading(t)
+    weights = _grading(t)[1]
     rkeys = cochain_keys("ternary-scalar", 3, t.space)
     for cx, degree, i, _ in built:
         if degree == 2:

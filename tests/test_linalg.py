@@ -624,7 +624,7 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
                                 (t, "ternary-scalar", 2),
                                 (t, "ternary-adjoint", 2)):
             labels = _block_labels(_weight_groups(cx, degree, obj.space,
-                                                  _grading(obj)))
+                                                  _grading(obj)[1]))
             mats += [m for _, _, m, _ in read_blocks(obj, cx, degree, labels)]
     for m in mats:
         r = rref(m)
@@ -641,7 +641,7 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
                             (t, "ternary-scalar", 2),
                             (t, "ternary-adjoint", 2)):
         labels = _block_labels(_weight_groups(cx, degree, obj.space,
-                                              _grading(obj)))
+                                              _grading(obj)[1]))
         for label, (_, _, m, _) in zip(labels, read_blocks(obj, cx, degree,
                                                             labels)):
             named.setdefault(m, f"{cx} {degree} block {label}")

@@ -4,9 +4,10 @@
 
 DOCUMENTS maps each file stem to the function that builds its document:
 gl(m|n) with its defining representation and the induced ternary
-bracket, and the conjugates by the dense even draw of
-random_even_invertible(random.Random(1)).  The CI pins the sha256 of
-three of them, and the tests build gl22_conjugate here too.
+bracket, the conjugates by the dense even draw of
+random_even_invertible(random.Random(1)), and gl(m|n) twisted by
+central_twist(m, n).  The CI pins the sha256 of three of them, and the
+tests build gl22_conjugate and the central twists here too.
 """
 
 import random
@@ -15,12 +16,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from homnambu.binary import HomLieSuper
 from homnambu.fixtures import (central_twist, conjugate_pair, glmn,
                                random_even_invertible)
 from homnambu.formats import DocumentBundle, write_document
 from homnambu.graded import GradedMap
 from homnambu.linalg import invert
-from homnambu.reps import trace_functional
+from homnambu.reps import Representation, trace_functional
 from homnambu.ternary import induce_ternary
 
 
@@ -34,6 +36,17 @@ def induced(name, lie, rep, alpha2):
 def plain(m, n):
     lie, rep = glmn(m, n)
     return induced(f"gl{m}{n}", lie, rep, lie.alpha)
+
+
+def central(m, n):
+    """gl(m|n) and its representation with alpha = central_twist(m, n),
+    no Yau twist, and the algebra induced with alpha1 = alpha2 = alpha:
+    Hom-Jacobi but not multiplicative, and tau o alpha = tau only when
+    m = n."""
+    lie, rep = glmn(m, n)
+    lie = HomLieSuper(lie.space, lie.bracket, central_twist(m, n))
+    rep = Representation(lie, rep.module_space, rep.matrices, rep.beta)
+    return induced(f"gl{m}{n}-central-twist", lie, rep, lie.alpha)
 
 
 def conjugate(m, n):
@@ -69,6 +82,8 @@ DOCUMENTS = {
     "gl22_two_twists": lambda: induced("gl22-two-twists", *glmn(2, 2),
                                        central_twist(2, 2)),
     "gl22_conjugate_two_twists": conjugate_two_twists,
+    "gl21_central_twist": lambda: central(2, 1),
+    "gl22_central_twist": lambda: central(2, 2),
 }
 
 
