@@ -78,14 +78,16 @@ a copy in an adapted basis (_adapted) when that grades more finely, and
 the dims are the document's, as an even change of basis changes none.
 An induced bracket's image lies in [g, g], inside ker tau, so when
 [g, g, g] spans a hyperplane it is ker tau and its normal phi is tau up
-to scale.  Moving every basis element but the first one phi does not
-vanish on, u, into K = ker phi gives [K, K, K] = 0 and [u, u, .] = 0, so
-u of weight 1 and K of weight -1 is one more torus weight, which _grading
-finds unaided when every twist keeps span(u) and K, as a diagonal Yau
-twist does.  Those two facts, alpha(e_u) in F e_u and phi o alpha in F
-phi, are read off the document before any transport, and when one fails
-the document basis serves, as it does on an odd phi, a bracket that is
-not super_skew, or gl(1|1), whose image is a line.  Otherwise the copy,
+to scale.  A basis of a complement u and of K = ker phi gives [K, K, K]
+= 0 and [u, u, .] = 0, so u of weight 1 and K of weight -1 is one more
+torus weight, which _grading finds unaided when the twist alpha keeps
+span(u) and K.  alpha keeps K when phi o alpha = c phi, and then u is
+taken in ker(alpha - c id): a basis element for alpha = id or a
+diagonal Yau twist, a vector of ker lambda for alpha = id + lambda(.) I.
+Both are read off the document before any transport, and when phi o
+alpha is no multiple of phi, or no such u has phi(u) != 0, the document
+basis serves, as it does on an odd phi, a bracket that is not
+super_skew, or gl(1|1), whose image is a line.  Otherwise the copy,
 made by one binary.change_of_basis, is kept when its _grading rank is
 higher than the document's; each grading is solved once, in its own
 algebra's memo, and the copy itself is not memoized.  Every check of
@@ -111,7 +113,9 @@ dense.
 induce_cocycle transfers binary 2-cocycles with
 reps.TraceFunctional.induce, the formula that also builds the induced
 bracket.  It and the transfer checks take sequences, so a call walks the
-ternary delta2 once; the first cochain to fail a check raises.
+ternary delta2 once.  Each check runs once on the whole batch, in a fixed
+order, shapes first, and the first check that fails raises: a batch of
+the wrong shape anywhere raises before any coboundary is walked.
 """
 
 from array import array
@@ -789,17 +793,20 @@ def _adapted(obj):
     rank.  An induced bracket has its image in [g, g], inside ker tau, so
     an image that is a hyperplane is ker tau and its normal phi, one
     linalg.kernel, is tau up to scale.  On an even phi and a super_skew
-    bracket, u is the first basis element with phi(e_u) != 0, and column
-    j of s is e_j - (phi(e_j) / phi(e_u)) e_u, column u e_u: the other
-    columns span ker phi, so the bracket of three of them is 0, [u, u, .]
-    = 0, and u of weight 1 and each of them of weight -1 is one more
-    grading when every twist keeps span(u) and ker phi, as a diagonal Yau
-    twist does.  Both are read off the document before any transport:
-    alpha(e_u) in F e_u, and phi o alpha in F phi.  When one fails the
-    weight cannot survive the move and obj serves; otherwise the copy is
-    kept when its _grading rank is higher than obj's.  s is even, so every
-    cohomology dim is unchanged.  Each algebra's grading is solved once,
-    in its own memo; the copy is not memoized."""
+    bracket, a complement u of ker phi and any basis of ker phi give [K,
+    K, K] = 0 and [u, u, .] = 0, so u of weight 1 and K of weight -1 is
+    one more grading when the twist alpha (_check refused unequal ones)
+    keeps span(u) and K.  alpha keeps K exactly when phi o alpha = c phi,
+    and then alpha keeps span(u) exactly when alpha u = c u, so u is the
+    first RREF basis vector of ker(alpha - c id) with phi(u) != 0, and s
+    has u as column j, u's lead, and e_i - (phi_i / phi(u)) u, in K, as
+    every other column i.  For alpha = id, or a diagonal twist, u is a
+    basis element e_u and s the identity but row u.  Both are read off the
+    document before any transport; when phi o alpha is no multiple of phi
+    or every such eigenvector lies in K, obj serves; otherwise the copy is
+    kept when its _grading rank is higher than obj's.  s is even, as phi
+    and alpha are, so every cohomology dim is unchanged.  Each algebra's
+    grading is solved once, in its own memo; the copy is not memoized."""
     dim = obj.dim
     if obj.bracket.arity != 3 or not obj.bracket.super_skew:
         return obj
@@ -810,16 +817,23 @@ def _adapted(obj):
     phi = kernel(hyperplane.basis).vectors()[0]
     if any(x for x, odd in zip(phi, obj.space.parities) if odd):
         return obj
-    u = next(j for j, x in enumerate(phi) if x)
-    for twist in obj.twists:
-        cols = twist.matrix.transpose()
-        composed = cols.apply(phi)  # phi o alpha
-        if (any(i != u for i, _ in cols.entries[u])
-                or vec_scale(composed[u] / phi[u], phi) != composed):
-            return obj
-    rows = [((i, ONE),) for i in range(dim)]  # s: the identity but row u
-    rows[u] = tuple((j, ONE if j == u else -x / phi[u])
-                    for j, x in enumerate(phi) if x)
+    alpha = obj.twists[0].matrix
+    composed = alpha.transpose().apply(phi)  # phi o alpha
+    lead = next(j for j, x in enumerate(phi) if x)
+    c = composed[lead] / phi[lead]
+    if vec_scale(c, phi) != composed:
+        return obj
+    eigen = kernel(alpha.add(Matrix.identity(dim).scale(-c))).basis.entries
+    u = next((u for u in eigen if sum(phi[i] * x for i, x in u)), None)
+    if u is None:
+        return obj
+    phi_u, j = sum(phi[i] * x for i, x in u), u[0][0]
+    rows = [((i, ONE),) for i in range(dim)]  # s, by rows
+    for r, x in u:
+        row = {i: -y * x / phi_u for i, y in enumerate(phi) if y}
+        row[r] = row.get(r, ZERO) + ONE
+        row[j] = x
+        rows[r] = tuple(sorted((i, y) for i, y in row.items() if y))
     moved = change_of_basis(obj, Matrix(dim, dim, tuple(rows)))
     return moved if _grading(moved)[0] > _grading(obj)[0] else obj
 
@@ -903,20 +917,17 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
     """Transfer binary 2-cocycles to t, the algebra induced from (g, tau):
     one induced cochain per cochain of phis, in order.
 
-    The checks (shape, cocycle, then those of _induce) each run once on
-    the batch, and the first cochain to fail one raises.
+    Each check runs once on the whole batch, in order (shape, cocycle,
+    then those of _induce), and the first check that fails raises; a
+    shape failure raises before any coboundary is walked.
     """
-    n = next((i for i, phi in enumerate(phis) if phi.degree != 2 or
-              phi.complex not in ("binary-scalar", "binary-adjoint")),
-             len(phis))
-    error = "induce_cocycle expects a binary 2-cochain"
-    bad = _first_nonzero(g, phis[:n])
-    if bad < n:
-        n, error = bad, "induce_cocycle expects a 2-cocycle"
-    induced = _induce(g, tau, phis[:n], t)
-    if n < len(phis):
-        raise PreconditionError(error)
-    return induced
+    if any(phi.degree != 2 or phi.complex not in ("binary-scalar",
+                                                  "binary-adjoint")
+           for phi in phis):
+        raise PreconditionError("induce_cocycle expects a binary 2-cochain")
+    if _first_nonzero(g, phis) < len(phis):
+        raise PreconditionError("induce_cocycle expects a 2-cocycle")
+    return _induce(g, tau, phis, t)
 
 
 def _induce(g: HomLieSuper, tau: TraceFunctional, phis,
@@ -962,20 +973,25 @@ def _induce(g: HomLieSuper, tau: TraceFunctional, phis,
 
 def verify_1cocycle_transfer(g: HomLieSuper, tau: TraceFunctional,
                              t: TernaryHomLieSuper) -> Report:
-    """Scalar 1-cocycles of g annihilate the induced triple brackets."""
+    """Scalar 1-cocycles of g annihilate the induced triple brackets: each
+    cocycle w, cleared of denominators (D), summed in ints against the
+    stored entries of t's integer view at every canonical triple, and a
+    nonzero sum divided by D_t D into the residual it reports."""
     rep = Report("verify_1cocycle_transfer")
     ker = kernel(coboundary_matrix(g, "binary-scalar", 1))
-    sb3 = skew_basis(3, g.space)
+    dt, view = t.bracket.integer
+    triples = skew_basis(3, g.space).tuples
     rep.metrics["cocycle_space_dim"] = ker.dim
     for w in ker.vectors():
-        for key in sb3.tuples:
-            val = sum(wc * bc for wc, bc in
-                      zip(w, t.bracket.value(key[0], key[1], key[2])))
-            if val != 0:
+        d, (terms,) = integer_terms([enumerate(w)])
+        w = dict(terms)
+        for key in triples:
+            val = sum(w.get(m, 0) * x for m, x in view.get(key, ()))
+            if val:
                 rep.fail("induced-1cocycle",
                          witness=tuple(g.space.names[i] for i in key),
-                         residual=(fmt_scalar(val),))
-    rep.metrics["triples_checked"] = len(sb3.tuples) * ker.dim
+                         residual=(fmt_scalar(Fraction(val, dt * d)),))
+    rep.metrics["triples_checked"] = len(triples) * ker.dim
     return rep
 
 
@@ -983,13 +999,13 @@ def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional, omegas,
                           t: TernaryHomLieSuper) -> list:
     """delta1 of t, the algebra induced from (g, tau), agrees with the
     tau-combination of the binary coboundary: delta_rho^1(omega) =
-    (d_s^1 omega)_rho, coordinatewise: one Report per cochain of omegas."""
-    n = next((i for i, om in enumerate(omegas)
-              if (om.complex, om.degree) != ("binary-scalar", 1)), len(omegas))
-    lhs = _apply(t, "ternary-scalar", 1, [om.coords for om in omegas[:n]])
-    rhs = induce_cocycle(g, tau, apply_coboundaries(g, omegas[:n]), t)
-    if n < len(omegas):
+    (d_s^1 omega)_rho, coordinatewise: one Report per cochain of omegas.
+    The shape check runs on the whole batch before any coboundary is
+    walked, then induce_cocycle's checks on the d_s^1 omega."""
+    if any((om.complex, om.degree) != ("binary-scalar", 1) for om in omegas):
         raise PreconditionError("lemma identity expects a scalar 1-cochain")
+    lhs = _apply(t, "ternary-scalar", 1, [om.coords for om in omegas])
+    rhs = induce_cocycle(g, tau, apply_coboundaries(g, omegas), t)
     return [_mismatches("verify_lemma_identity", "lemma-identity", g.space,
                         left, {i: c for i, c in enumerate(psi.coords) if c},
                         coordinates=len(psi.coords))
@@ -1017,28 +1033,22 @@ def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional, pairs,
                           t: TernaryHomLieSuper) -> list:
     """Cohomologous binary scalar cocycles induce cohomologous cochains
     on t, the algebra induced from (g, tau), via the same connecting
-    1-cochain.  One Report per (phi1, phi2) of pairs: each pair is checked
-    (shape, then cocycle, all in one walk) and solved for omega, then all
-    are induced by one _induce, which checks them no more."""
+    1-cochain.  One Report per (phi1, phi2) of pairs.  Each check runs
+    once on the whole batch, in order, and the first that fails raises:
+    shape, before any coboundary is walked; cocycle, in one walk; one
+    solve for omega per pair; then those of one _induce of all."""
     phis = [phi for pair in pairs for phi in pair]
-    n = next((i for i, phi in enumerate(phis)
-              if (phi.complex, phi.degree) != ("binary-scalar", 2)), len(phis))
-    error = "class transfer expects binary scalar 2-cochains"
-    bad = _first_nonzero(g, phis[:n])
-    if bad < n:
-        n, error = bad, "class transfer expects 2-cocycles"
-    omegas = []
-    d1 = coboundary_matrix(g, "binary-scalar", 1) if n > 1 else None
-    for phi1, phi2 in zip(phis[:n:2], phis[1:n:2]):
-        diff = tuple(b - a for a, b in zip(phi1.coords, phi2.coords))
-        omega = solve(d1, diff)
-        if omega is None:
-            n, error = 2 * len(omegas), "cocycles are not cohomologous"
-            break
-        omegas.append(omega)
-    psis = _induce(g, tau, phis[:2 * len(omegas)], t)
-    if n < len(phis):
-        raise PreconditionError(error)
+    if any((phi.complex, phi.degree) != ("binary-scalar", 2) for phi in phis):
+        raise PreconditionError("class transfer expects binary scalar "
+                                "2-cochains")
+    if _first_nonzero(g, phis) < len(phis):
+        raise PreconditionError("class transfer expects 2-cocycles")
+    d1 = coboundary_matrix(g, "binary-scalar", 1) if phis else None
+    omegas = [solve(d1, tuple(b - a for a, b in zip(phi1.coords, phi2.coords)))
+              for phi1, phi2 in zip(phis[::2], phis[1::2])]
+    if None in omegas:
+        raise PreconditionError("cocycles are not cohomologous")
+    psis = _induce(g, tau, phis, t)
     rhs = _apply(t, "ternary-scalar", 1, omegas)
     return [_mismatches("verify_class_transfer", "class-transfer", g.space,
                         {i: b - a for i, (a, b) in enumerate(zip(

@@ -183,23 +183,24 @@ def verify_center_transfer(g: HomLieSuper, tau: TraceFunctional,
 
 
 def find_unit(g: HomLieSuper, t: TernaryHomLieSuper) -> tuple | None:
-    """Even u with [u, e_i, e_j] = [e_i, e_j] for all pairs, if one exists."""
-    dim = t.dim
-    rows = []
-    rhs_col = []
-    for i in range(dim):
-        for j in range(dim):
-            b = g.bracket.value(i, j)
-            cols = [t.bracket.value(k, i, j) for k in range(dim)]
-            for comp in range(dim):
-                rows.append(tuple(v[comp] for v in cols))
-                rhs_col.append(b[comp])
-    sol = solve(Matrix.build(rows), tuple(rhs_col))
-    if sol is None:
+    """Even u with [u, e_i, e_j] = [e_i, e_j] for all pairs, if one exists:
+    the solution solve gives, free coordinates 0, of one integer equation
+    sum_k u_k D_g T(k, i, j)_m = D_t W(i, j)_m per (i, j, m) that a stored
+    entry reaches, T and W the integer views of t and g and D_t and D_g
+    their denominators; every other equation reads 0 = 0."""
+    dg, W = g.bracket.integer
+    dt, T = t.bracket.integer
+    lhs = {}  # (i, j, m) -> {k: D_g T(k, i, j)_m}
+    for (k, i, j), terms in T.items():
+        for m, x in terms:
+            lhs.setdefault((i, j, m), {})[k] = dg * x
+    rhs = {(i, j, m): dt * x for (i, j), terms in W.items()
+           for m, x in terms}
+    equations = sorted(lhs.keys() | rhs.keys())
+    sol = solve(Matrix.from_rows([lhs.get(e, {}) for e in equations], t.dim),
+                [rhs.get(e, 0) for e in equations])
+    if sol is None or any(c and odd for c, odd in zip(sol, t.space.parities)):
         return None
-    for k, c in enumerate(sol):
-        if c != 0 and t.space.parities[k] == 1:
-            return None
     return sol
 
 

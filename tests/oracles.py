@@ -8,7 +8,7 @@ from homnambu.cohomology import (_apply, _blocks, _row_keys, bracket_cochain,
 from homnambu.graded import GradedMap, canonicalize
 from homnambu.linalg import (ZERO, Matrix, PreconditionError, Subspace,
                              content, integer_terms, invert, is_zero_vec,
-                             kernel, vec_add, vec_scale)
+                             kernel, solve, vec_add, vec_scale)
 from homnambu.report import Report, fmt_vec
 
 
@@ -133,6 +133,29 @@ def change_of_basis_direct(a, s):
               for t in a.twists]
     return type(a)(a.space,
                    type(a.bracket).from_vectors(a.space, vectors), *twists)
+
+
+def find_unit_direct(g, t):
+    """series.find_unit in dense Fractions: every (i, j, m) equation
+    sum_k u_k [e_k, e_i, e_j]_m = [e_i, e_j]_m, zero rows included, read
+    off the structure vectors of each basis tuple; its naive oracle."""
+    dim = t.dim
+    rows = []
+    rhs_col = []
+    for i in range(dim):
+        for j in range(dim):
+            b = g.bracket.value(i, j)
+            cols = [t.bracket.value(k, i, j) for k in range(dim)]
+            for comp in range(dim):
+                rows.append(tuple(v[comp] for v in cols))
+                rhs_col.append(b[comp])
+    sol = solve(Matrix.build(rows), tuple(rhs_col))
+    if sol is None:
+        return None
+    for k, c in enumerate(sol):
+        if c != 0 and t.space.parities[k] == 1:
+            return None
+    return sol
 
 
 def rho_of_vector(rep, v) -> Matrix:

@@ -382,6 +382,31 @@ def test_scalar_cocycle_transfer_fails_off_the_induced_bracket():
     assert r.metrics["triples_checked"] == 12
 
 
+def test_scalar_cocycle_transfer_residuals_match_the_fraction_sums():
+    # the residuals are summed in ints and divided back by D_t and by the
+    # cocycle's own denominator: on gl(1|1) in the basis 2 h1, h2, q, p,
+    # whose 1-cocycle is (1, -1/2, 0, 0), with [h1, q, p] and [h2, q, p]
+    # patched to values of denominators 3 and 5, each finding is the
+    # Fraction sum w . [e_i, e_j, e_k] at a triple where it is nonzero
+    lie, rep = conjugate_pair(*gl11(), Matrix.build(
+        [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    tau, t = induced(lie, rep)
+    broken = TernaryHomLieSuper(t.space, t.bracket.with_canonical(
+        (0, 2, 3), (Fraction(1, 3), 0, 0, 0)).with_canonical(
+        (1, 2, 3), (0, Fraction(2, 5), 0, 0)), t.alpha1, t.alpha2)
+    w, = kernel(coboundary_matrix(lie, "binary-scalar", 1)).vectors()
+    assert w == (1, Fraction(-1, 2), 0, 0)
+    want = []
+    for key in skew_basis(3, lie.space).tuples:
+        val = sum(a * b for a, b in zip(w, broken.bracket.value(*key)))
+        if val:
+            want.append((tuple(lie.space.names[i] for i in key),
+                         (str(val),)))
+    r = verify_1cocycle_transfer(lie, tau, broken)
+    assert [(f.witness, f.residual) for f in r.findings] == want
+    assert [res for _, res in want] == [("1/3",), ("-1/5",)]
+
+
 def test_induce_cocycle_scalar_oracle(g11, tau11, t11):
     # the q,p dual is a binary cocycle; its transfer must hit exactly the
     # triples whose tau-weighted pair collapses onto (q,p)
@@ -443,15 +468,36 @@ def test_induce_cocycle_rejects_non_cocycle(g11, tau11, t11):
 
 def test_induce_cocycle_raises_for_the_first_cochain_that_fails(g11, tau11,
                                                                 t11):
-    # a batch checks its cochains as one call each would, in order: the
-    # cocycle passes every check and the non-cocycle raises its own
+    # each check runs on the whole batch: the cocycle passes every check,
+    # and a non-cocycle anywhere in a batch raises the cocycle check's
+    # error, that check coming before those of the induced cochains
     good = Cochain("binary-scalar", 2, 0, g11.space,
                    cocycles(g11, "binary-scalar", 2, 0)[0])
     bad = random_cochain(random.Random(73), "binary-scalar", 2, g11.space, 0)
     assert induce_cocycle(g11, tau11, [good], t11)
     with pytest.raises(PreconditionError, match="expects a 2-cocycle"):
         induce_cocycle(g11, tau11, [good, bad], t11)
+    with pytest.raises(PreconditionError, match="expects a 2-cocycle"):
+        induce_cocycle(g11, tau11, [bad, good], t11)
     assert induce_cocycle(g11, tau11, [], t11) == []
+
+
+def test_a_wrong_shape_anywhere_in_a_batch_raises_before_any_walk(
+        g11, tau11, t11, monkeypatch):
+    # the shape check runs on the whole batch first: a batch whose last
+    # cochain has the wrong shape raises with no coboundary walked, in each
+    # of the three transfer functions
+    good = Cochain("binary-scalar", 2, 0, g11.space,
+                   cocycles(g11, "binary-scalar", 2, 0)[0])
+    omega = Cochain.zero("binary-scalar", 1, g11.space)
+    walks = walked(monkeypatch)
+    with pytest.raises(PreconditionError, match="binary 2-cochain"):
+        induce_cocycle(g11, tau11, [good, good, omega], t11)
+    with pytest.raises(PreconditionError, match="scalar 1-cochain"):
+        verify_lemma_identity(g11, tau11, [omega, omega, good], t11)
+    with pytest.raises(PreconditionError, match="binary scalar 2-cochains"):
+        verify_class_transfer(g11, tau11, [(good, good), (good, omega)], t11)
+    assert walks == []
 
 
 def test_adjoint_cocycles_transfer(g11, tau11, t11):
@@ -547,12 +593,17 @@ def test_class_transfer_demands_cohomologous_pair(all_binary, g11, tau11):
     zero = Cochain.zero("binary-scalar", 2, a0.space)
     with pytest.raises(PreconditionError, match="not cohomologous"):
         verify_class_transfer(a0, tau0, [(zero, nontrivial)], t0)
-    # a batch raises for its first failing pair, after the pairs before it
+    # each check runs on the whole batch before the next one starts: a
+    # cochain of the wrong shape in any pair raises the shape error before
+    # any pair is solved, and a batch of cocycles raises for a pair that
+    # is not cohomologous wherever it stands
     assert verify_class_transfer(a0, tau0, [(zero, zero)], t0)[0].ok
-    with pytest.raises(PreconditionError, match="not cohomologous"):
+    wrong = Cochain.zero("binary-scalar", 1, a0.space)
+    with pytest.raises(PreconditionError, match="binary scalar 2-cochains"):
         verify_class_transfer(a0, tau0, [(zero, zero), (zero, nontrivial),
-                                         (zero, Cochain.zero(
-                                             "binary-scalar", 1, a0.space))],
+                                         (zero, wrong)], t0)
+    with pytest.raises(PreconditionError, match="not cohomologous"):
+        verify_class_transfer(a0, tau0, [(zero, zero), (zero, nontrivial)],
                               t0)
 
 
@@ -837,10 +888,11 @@ def test_adapted_cohomology_matches_the_document_basis(monkeypatch):
     # dims do not change under an even change of basis: ts2 and ta2 in the
     # adapted basis against the document basis.  Every algebra is moved
     # but the gl(1|1) ones, whose bracket's image is a line, not a
-    # hyperplane, and the central twist, which sends e_u out of span(e_u)
+    # hyperplane; the central twist is moved along an eigenvector of its
+    # twist, not a basis element
     adapted = cohomology._adapted
     for name, t in adaptation_cases():
-        kept = name.startswith("gl11") or name == "gl22central"
+        kept = name.startswith("gl11")
         assert (adapted(t) is t) == kept, name
         got = [cohomology_dims(t, cx, 2)
                for cx in ("ternary-scalar", "ternary-adjoint")]
@@ -854,9 +906,23 @@ def test_adapted_cohomology_matches_the_document_basis(monkeypatch):
 def test_the_adapted_basis_grades_the_induced_bracket_once_more():
     # moved, induced gl(2|1) and gl(2|2) hold u once in every stored key,
     # so [K, K, K] = 0 and [u, u, .] = 0, and their grading rank goes from
-    # 2 and 3 to 3 and 4; each algebra's memo holds its own grading
-    for (m, n), ranks in (((2, 1), (2, 3)), ((2, 2), (3, 4))):
-        _, t = induced(*glmn(m, n))
+    # 2 and 3 to 3 and 4.  Twisted by alpha = id + lambda(.) I, gl(2|2)
+    # is moved along an eigenvector u that is no basis element: u = E0_0 -
+    # E3_2 / 8 for the central twist, rank 1 to 2, and u = E0_0 - E1_1 / 2,
+    # which phi does not vanish on at E1_1, for lambda = E0_0* + 2 E1_1*,
+    # rank 3 to 4.  Each algebra's memo holds its own grading
+    _, t22 = induced(*glmn(2, 2))
+    sp = t22.space
+    lam = [0] * sp.dim
+    lam[sp.index("E0_0")], lam[sp.index("E1_1")] = 1, 2
+    units = [int(i == j) for i, j in matrix_units(2, 2)]
+    along = GradedMap(sp, sp, Matrix.build(
+        [[int(r == k) + lam[k] * units[r] for k in range(sp.dim)]
+         for r in range(sp.dim)]))
+    for t, ranks in ((induced(*glmn(2, 1))[1], (2, 3)), (t22, (3, 4)),
+                     (central_twisted(2, 2)[1], (1, 2)),
+                     (TernaryHomLieSuper(sp, t22.bracket, along, along),
+                      (3, 4))):
         moved = cohomology._adapted(t)
         keys = list(moved.bracket.integer[1])
         u, = set.intersection(*map(set, keys))
@@ -902,24 +968,67 @@ def test_the_document_is_checked_before_any_transport(monkeypatch):
 
 
 def test_a_twist_off_the_adapted_split_builds_no_copy(monkeypatch):
-    # every twist must keep span(e_u) and ker phi, both read off the
-    # document before any transport.  central_twist(2, 2) sends e_u = E0_0
-    # to E0_0 + I, out of span(e_u): ts2 and ta2 are plain gl(2|2)'s, and
-    # no basis is moved.  A twist of induced gl(2|1) that fixes e_u but
-    # sends E0_1 to E0_1 + E0_0 leaves ker phi, so nothing moves either
+    # the twist must keep ker phi, phi o alpha = c phi, and some u with
+    # alpha u = c u and phi(u) != 0, both read off the document before any
+    # transport.  central_twist(2, 2) sends E0_0 to E0_0 + I, but fixes
+    # ker lambda, which holds such a u: ts2 and ta2 are plain gl(2|2)'s,
+    # each from one copy.  A shear of induced gl(2|1) that sends E0_1 to
+    # E0_1 + E0_0 leaves ker phi; on gl(2|1), str(I) = 1, so the central
+    # twist moves phi by lambda, no multiple of it; and the transvection
+    # x -> x + phi(x) E0_1 fixes exactly ker phi: none of them moves
     moves = transports(monkeypatch)
     _, t = central_twisted(2, 2)
     assert cohomology_dims(t, "ternary-scalar", 2) == (10, 7, 3)
+    assert moves == [t]
     assert cohomology_dims(t, "ternary-adjoint", 2) == (144, 120, 24)
-    assert not moves and set(t.memo) == {"grading"}
-    _, t21 = induced(*glmn(2, 1))
+    assert moves == [t, t] and set(t.memo) == {"grading"}
+    moves.clear()
+    tau, t21 = induced(*glmn(2, 1))
     u, k = t21.space.index("E0_0"), t21.space.index("E0_1")
-    shear = GradedMap(t21.space, t21.space, Matrix.build(
-        [[int(r == c or (r, c) == (u, k)) for c in range(t21.dim)]
-         for r in range(t21.dim)]))
-    sheared = TernaryHomLieSuper(t21.space, t21.bracket, shear, shear)
-    assert cohomology._adapted(sheared) is sheared and not moves
+    phi = tau.values
+    assert phi[k] == 0
+
+    def twisted(entry):
+        a = GradedMap(t21.space, t21.space, Matrix.build(
+            [[int(r == c) + entry(r, c) for c in range(t21.dim)]
+             for r in range(t21.dim)]))
+        return TernaryHomLieSuper(t21.space, t21.bracket, a, a)
+
+    sheared = twisted(lambda r, c: (r, c) == (u, k))
+    transvected = twisted(lambda r, c: phi[c] if r == k else 0)
+    central = central_twisted(2, 1)[1]
+    for obj in (sheared, transvected, central):
+        assert cohomology._adapted(obj) is obj and not moves
     assert cohomology._adapted(t21) is not t21 and moves == [t21]
+
+
+def test_identity_and_diagonal_twists_keep_the_basis_element_copy(
+        monkeypatch):
+    # for alpha = id and a diagonal twist the first eigenvector u with
+    # phi(u) != 0 is e_u, u the first basis element phi does not vanish
+    # on: every algebra moved along e_u is moved by s, the identity but
+    # row u, whose entry at column j is -phi_j / phi_u, and 1 at u; so is
+    # induced gl(2|1) with alpha = 2 id, where phi o alpha = 2 phi
+    moves = []
+    transport = cohomology.change_of_basis
+    monkeypatch.setattr(cohomology, "change_of_basis",
+                        lambda obj, s: moves.append(s) or transport(obj, s))
+    cases = [(name, t) for name, t in adaptation_cases()
+             if not name.startswith("gl11") and name != "gl22central"]
+    _, t21 = induced(*glmn(2, 1))
+    double = GradedMap(t21.space, t21.space, Matrix.identity(t21.dim).scale(2))
+    cases.append(("gl21x2", TernaryHomLieSuper(t21.space, t21.bracket,
+                                               double, double)))
+    for name, t in cases:
+        full = Subspace.full(t.dim)
+        phi = kernel(t.bracket.span(full, full, full).basis).vectors()[0]
+        u = next(j for j, x in enumerate(phi) if x)
+        rows = [((i, 1),) for i in range(t.dim)]
+        rows[u] = tuple((j, 1 if j == u else -x / phi[u])
+                        for j, x in enumerate(phi) if x)
+        moves.clear()
+        assert cohomology._adapted(t) is not t, name
+        assert moves == [Matrix(t.dim, t.dim, tuple(rows))], name
 
 
 def test_each_grading_is_solved_once_in_its_own_memo(monkeypatch):

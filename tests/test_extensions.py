@@ -212,12 +212,16 @@ def test_transfer_rejects_twist_moving_trace_at_first_basis_element(g11):
     t = induce_ternary(g, tau, alpha, alpha)
     with pytest.raises(PreconditionError, match="twist invariant"):
         induce_cocycle(g, tau, [zero], t)
-    # in a batch, the first cochain to fail a check decides: the first one
-    # that reaches the twist check, or one of the wrong shape before it
+    # in a batch, each check runs on every cochain before the next check
+    # starts, so the first check to fail decides: a cochain of the wrong
+    # shape anywhere raises before the twist check, which a batch of
+    # 2-cocycles alone reaches
     wrong = Cochain.zero("binary-scalar", 1, g.space)
-    with pytest.raises(PreconditionError, match="twist invariant"):
+    with pytest.raises(PreconditionError, match="binary 2-cochain"):
         induce_cocycle(g, tau, [zero, wrong], t)
     with pytest.raises(PreconditionError, match="binary 2-cochain"):
         induce_cocycle(g, tau, [wrong, zero], t)
+    with pytest.raises(PreconditionError, match="twist invariant"):
+        induce_cocycle(g, tau, [zero, zero], t)
     with pytest.raises(PreconditionError, match="twist invariant"):
         induce_extension(g, tau, CentralExtensionData(g, zero))

@@ -7,13 +7,15 @@ from itertools import product
 import pytest
 
 from homnambu.binary import HomLieSuper, SuperBracket2, is_ideal, is_subalgebra
-from homnambu.fixtures import (a0, aff1, conjugate_gl11, gl11, gl11t, glmn,
-                               induced_gl11)
+from homnambu.fixtures import (a0, aff1, conjugate_gl11, conjugate_pair,
+                               gl11, gl11t, glmn, induced_gl11,
+                               random_even_invertible)
 from homnambu.graded import (GradedMap, graded_space, identity_map,
                              skew_basis, tuple_parity)
 from homnambu.linalg import (InputError, Matrix, Subspace, is_zero_vec, kernel,
                              unit_vec)
-from homnambu.reps import trace_functional, verify_representation
+from homnambu.reps import (TraceFunctional, trace_functional,
+                          verify_representation)
 from homnambu.series import (binary_center, binary_central_series,
                              binary_derived_series, central_series,
                              compare_central_series, derived_series,
@@ -22,6 +24,9 @@ from homnambu.series import (binary_center, binary_central_series,
                              verify_solvability_theorem)
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               induce_ternary)
+
+from oracles import find_unit_direct
+from test_cohomology import diagonal_twist
 
 
 def test_induced_gl11_derived_series(t11):
@@ -97,6 +102,30 @@ def test_central_series_termwise_inclusion(all_binary):
 
 def test_find_unit_is_none_on_gl11(g11, t11):
     assert find_unit(g11, t11) is None
+
+
+def test_find_unit_matches_the_dense_oracle():
+    # find_unit solves only the integer equations a stored entry reaches,
+    # the oracle every dim^3 equation in Fractions: the same solution, its
+    # free coordinates 0, or None on both sides, on induced gl(m|n), the
+    # diagonal Yau twist of each and a dense gl(2|1) conjugate
+    cases = []
+    for m, n in ((1, 1), (2, 1), (2, 2), (3, 1), (4, 0)):
+        lie, rep = glmn(m, n)
+        twisted = diagonal_twist(lie, m, n)
+        tau = TraceFunctional(twisted, trace_functional(rep).values)
+        cases += [(f"gl{m}{n}", lie, induced((lie, rep))),
+                  (f"gl{m}{n}t", twisted, induce_ternary(
+                      twisted, tau, twisted.alpha, twisted.alpha))]
+    lie, rep = conjugate_pair(*glmn(2, 1), random_even_invertible(
+        random.Random(1), glmn(2, 1)[0].space))
+    cases.append(("gl21c", lie, induced((lie, rep))))
+    units = {}
+    for name, g, t in cases:
+        got = find_unit(g, t)
+        assert got == find_unit_direct(g, t), name
+        units[name] = got is not None
+    assert units["gl21"] and not units["gl11"], units
 
 
 def test_solvability_theorem(t11):
