@@ -9,7 +9,7 @@ from .cohomology import (Cochain, apply_coboundaries, apply_coboundary,
                          bracket_cochain, coboundary_matrix, cochain_keys,
                          cocycles, cohomology_dims, induce_cocycle,
                          make_cochain, verify_1cocycle_transfer,
-                         verify_class_transfer, verify_lemma_identity)
+                         verify_cochain_transfer)
 from .extensions import (CentralExtensionData, build_central_extension,
                          extension_isomorphism, induce_extension,
                          verify_extension)

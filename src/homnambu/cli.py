@@ -16,7 +16,7 @@ from .binary import (is_ideal, verify_hom_jacobi, verify_multiplicative,
 from .cohomology import (Cochain, apply_coboundaries, cochain_length,
                          cocycles, cohomology_dims, induce_cocycle,
                          parity_support, verify_1cocycle_transfer,
-                         verify_class_transfer, verify_lemma_identity)
+                         verify_cochain_transfer)
 from .extensions import (CentralExtensionData, build_central_extension,
                          extended_space, verify_extension)
 from .formats import (DocumentBundle, load_cochain, load_functional,
@@ -209,8 +209,6 @@ def cmd_transfer_checks(args) -> Report:
              for parity in (0, 1)]
     omegas = [_random_combination(rng, lie, 1, parity, units[parity])
               for _ in range(3) for parity in (0, 1)]
-    for n, sub in enumerate(verify_lemma_identity(lie, tau, omegas, t)):
-        rep.absorb(sub, prefix=f"lemma{n // 2}p{n % 2}.")
     basis = cocycles(lie, "binary-scalar", 2, 0)
     phis, etas = [], []
     for _ in range(3):
@@ -218,7 +216,10 @@ def cmd_transfer_checks(args) -> Report:
         etas.append(_random_combination(rng, lie, 1, 0, units[0]))
     pairs = [(phi1, phi1.add(shift)) for phi1, shift
              in zip(phis, apply_coboundaries(lie, etas))]
-    for k, sub in enumerate(verify_class_transfer(lie, tau, pairs, t)):
+    lemma, classes = verify_cochain_transfer(lie, tau, omegas, pairs, t)
+    for n, sub in enumerate(lemma):
+        rep.absorb(sub, prefix=f"lemma{n // 2}p{n % 2}.")
+    for k, sub in enumerate(classes):
         rep.absorb(sub, prefix=f"class{k}.")
     return rep
 

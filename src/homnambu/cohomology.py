@@ -112,10 +112,14 @@ dense.
 
 induce_cocycle transfers binary 2-cocycles with
 reps.TraceFunctional.induce, the formula that also builds the induced
-bracket.  It and the transfer checks take sequences, so a call walks the
-ternary delta2 once.  Each check runs once on the whole batch, in a fixed
-order, shapes first, and the first check that fails raises: a batch of
-the wrong shape anywhere raises before any coboundary is walked.
+bracket.  It takes a sequence, so a call walks the ternary delta2 once.
+verify_cochain_transfer checks the lemma delta1 omega = (d_s^1 omega)_rho
+and the class transfer in one call: one induce_cocycle of every d_s^1
+omega and every class cochain, and one ternary delta1 of the omegas and
+the connecting cochains.  Each check runs once on the whole batch, in a
+fixed order, shapes first, and the first check that fails raises: a
+cochain of the wrong shape, or of another algebra, anywhere raises before
+any coboundary is walked.
 """
 
 from array import array
@@ -707,9 +711,12 @@ def _apply(obj, cx: str, degree: int, batch) -> list:
 
 def _applied(obj, cochains) -> list:
     """(index, _apply's nonzero outputs) of each cochain, by shape: one
-    _apply, so one walk, per complex and degree."""
+    _apply, so one walk, per complex and degree.  A cochain on another
+    space than obj's is an input error, raised before any walk."""
     batches = {}
     for n, c in enumerate(cochains):
+        if c.space != obj.space:
+            raise InputError("cochain of another algebra")
         batches.setdefault((c.complex, c.degree), []).append(n)
     return [pair for shape, ns in batches.items() for pair in zip(
         ns, _apply(obj, *shape, [cochains[n].coords for n in ns]))]
@@ -909,7 +916,7 @@ def is_binary_cocycle(g: HomLieSuper, phi: Cochain) -> bool:
         raise InputError("cocycle test expects degree 2")
     if not phi.complex.startswith("binary"):
         raise InputError("cocycle test expects a binary cochain")
-    return not _apply(g, phi.complex, 2, [phi.coords])[0]
+    return _first_nonzero(g, [phi]) == 1
 
 
 def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
@@ -917,29 +924,21 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
     """Transfer binary 2-cocycles to t, the algebra induced from (g, tau):
     one induced cochain per cochain of phis, in order.
 
-    Each check runs once on the whole batch, in order (shape, cocycle,
-    then those of _induce), and the first check that fails raises; a
-    shape failure raises before any coboundary is walked.
-    """
-    if any(phi.degree != 2 or phi.complex not in ("binary-scalar",
-                                                  "binary-adjoint")
-           for phi in phis):
-        raise PreconditionError("induce_cocycle expects a binary 2-cochain")
-    if _first_nonzero(g, phis) < len(phis):
-        raise PreconditionError("induce_cocycle expects a 2-cocycle")
-    return _induce(g, tau, phis, t)
-
-
-def _induce(g: HomLieSuper, tau: TraceFunctional, phis,
-            t: TernaryHomLieSuper) -> list:
-    """induce_cocycle of binary 2-cocycles its caller has checked.
-
     phi_rho(X, z) is reps.TraceFunctional.induce of phi on the (pair,
     element) keys, phi's values cleared of denominators (D) once and
-    read with the canonicalize signs; the result, divided by D_tau D, is
-    checked against the matching ternary delta2 of t.  When phis is not
-    empty, tau o alpha = tau is checked first; either check raises.
+    read with the canonicalize signs, the result divided by D_tau D.
+    Each check runs once on the whole batch, in order, and the first that
+    fails raises: shapes and algebra, before any coboundary is walked;
+    the binary cocycle test, in one walk; tau o alpha = tau, when phis is
+    not empty; and the ternary delta2 of the induced cochains, in one walk.
     """
+    if any(phi.degree != 2 or not phi.complex.startswith("binary")
+           for phi in phis):
+        raise PreconditionError("induce_cocycle expects a binary 2-cochain")
+    if any(phi.space != g.space for phi in phis):
+        raise PreconditionError("cochain of another algebra")
+    if _first_nonzero(g, phis) < len(phis):
+        raise PreconditionError("induce_cocycle expects a 2-cocycle")
     if phis and trace_mismatches(tau, g.alpha):
         raise PreconditionError("trace functional is not twist invariant")
     p = g.space.parities
@@ -995,64 +994,59 @@ def verify_1cocycle_transfer(g: HomLieSuper, tau: TraceFunctional,
     return rep
 
 
-def verify_lemma_identity(g: HomLieSuper, tau: TraceFunctional, omegas,
-                          t: TernaryHomLieSuper) -> list:
-    """delta1 of t, the algebra induced from (g, tau), agrees with the
-    tau-combination of the binary coboundary: delta_rho^1(omega) =
-    (d_s^1 omega)_rho, coordinatewise: one Report per cochain of omegas.
-    The shape check runs on the whole batch before any coboundary is
-    walked, then induce_cocycle's checks on the d_s^1 omega."""
-    if any((om.complex, om.degree) != ("binary-scalar", 1) for om in omegas):
-        raise PreconditionError("lemma identity expects a scalar 1-cochain")
-    lhs = _apply(t, "ternary-scalar", 1, [om.coords for om in omegas])
-    rhs = induce_cocycle(g, tau, apply_coboundaries(g, omegas), t)
-    return [_mismatches("verify_lemma_identity", "lemma-identity", g.space,
-                        left, {i: c for i, c in enumerate(psi.coords) if c},
-                        coordinates=len(psi.coords))
-            for left, psi in zip(lhs, rhs)]
-
-
 def _mismatches(name: str, check: str, space: GradedSpace, lhs: dict,
                 rhs: dict, **metrics) -> Report:
     """A Report name with these metrics and one failure per coordinate
     where the ternary-scalar 2-cochain maps lhs and rhs differ, in order,
     witnessed by its key's three basis names."""
     rep = Report(name)
-    names = space.names
     keys = cochain_keys("ternary-scalar", 2, space)
     for i in sorted(lhs.keys() | rhs.keys()):
         (pair, k), a, b = keys[i], lhs.get(i, ZERO), rhs.get(i, ZERO)
         if a != b:
-            rep.fail(check, witness=tuple(names[m] for m in pair) + (names[k],),
+            rep.fail(check, witness=tuple(space.names[m] for m in (*pair, k)),
                      residual=(fmt_scalar(a - b),))
     rep.metrics.update(metrics)
     return rep
 
 
-def verify_class_transfer(g: HomLieSuper, tau: TraceFunctional, pairs,
-                          t: TernaryHomLieSuper) -> list:
-    """Cohomologous binary scalar cocycles induce cohomologous cochains
-    on t, the algebra induced from (g, tau), via the same connecting
-    1-cochain.  One Report per (phi1, phi2) of pairs.  Each check runs
-    once on the whole batch, in order, and the first that fails raises:
-    shape, before any coboundary is walked; cocycle, in one walk; one
-    solve for omega per pair; then those of one _induce of all."""
+def verify_cochain_transfer(g: HomLieSuper, tau: TraceFunctional, omegas,
+                            pairs, t: TernaryHomLieSuper) -> tuple:
+    """(lemma reports, class reports) on t, the algebra induced from (g,
+    tau), one Report per cochain of omegas and one per (phi1, phi2) of
+    pairs.  The lemma: delta_rho^1(omega) = (d_s^1 omega)_rho,
+    coordinatewise.  The class transfer: cohomologous binary scalar
+    2-cocycles induce cohomologous cochains, via the same connecting
+    1-cochain.  Each stage runs once over both batches, in order, and the
+    first check that fails raises: shapes and algebra, before any
+    coboundary is walked; one induce_cocycle of every d_s^1 omega and
+    every phi; one solve for the connecting cochain per pair; then one
+    ternary delta1 of the omegas and the connecting cochains."""
     phis = [phi for pair in pairs for phi in pair]
+    if any((om.complex, om.degree) != ("binary-scalar", 1) for om in omegas):
+        raise PreconditionError("lemma identity expects a scalar 1-cochain")
     if any((phi.complex, phi.degree) != ("binary-scalar", 2) for phi in phis):
         raise PreconditionError("class transfer expects binary scalar "
                                 "2-cochains")
-    if _first_nonzero(g, phis) < len(phis):
-        raise PreconditionError("class transfer expects 2-cocycles")
+    if any(c.space != g.space for c in chain(omegas, phis)):
+        raise PreconditionError("cochain of another algebra")
+    psis = induce_cocycle(g, tau, apply_coboundaries(g, omegas) + phis, t)
     d1 = coboundary_matrix(g, "binary-scalar", 1) if phis else None
-    omegas = [solve(d1, tuple(b - a for a, b in zip(phi1.coords, phi2.coords)))
-              for phi1, phi2 in zip(phis[::2], phis[1::2])]
-    if None in omegas:
+    connecting = [solve(d1, vec_add(b.coords, vec_scale(-1, a.coords)))
+                  for a, b in zip(phis[::2], phis[1::2])]
+    if None in connecting:
         raise PreconditionError("cocycles are not cohomologous")
-    psis = _induce(g, tau, phis, t)
-    rhs = _apply(t, "ternary-scalar", 1, omegas)
-    return [_mismatches("verify_class_transfer", "class-transfer", g.space,
-                        {i: b - a for i, (a, b) in enumerate(zip(
-                            psi1.coords, psi2.coords)) if a != b}, right,
-                        connecting_cochain=[fmt_scalar(c) for c in omega])
-            for psi1, psi2, right, omega in zip(psis[::2], psis[1::2], rhs,
-                                                omegas)]
+    n = len(omegas)
+    lhs = _apply(t, "ternary-scalar", 1,
+                 [om.coords for om in omegas] + connecting)
+    lemma = [_mismatches("verify_lemma_identity", "lemma-identity", g.space,
+                         left, dict(enumerate(psi.coords)),
+                         coordinates=len(psi.coords))
+             for left, psi in zip(lhs[:n], psis[:n])]
+    classes = [_mismatches("verify_class_transfer", "class-transfer",
+                           g.space, dict(enumerate(vec_add(
+                               b.coords, vec_scale(-1, a.coords)))), right,
+                           connecting_cochain=[fmt_scalar(c) for c in omega])
+               for a, b, right, omega in zip(psis[n::2], psis[n + 1::2],
+                                             lhs[n:], connecting)]
+    return lemma, classes

@@ -334,18 +334,18 @@ def test_oversized_coboundary_exits_2_before_building_rows(tmp_path,
     assert "33554432 rows" in error
 
 
-def test_transfer_checks_walk_the_ternary_delta2_once_per_theorem(
+def test_transfer_checks_walk_the_ternary_delta2_once_per_command(
         tmp_path, monkeypatch):
-    """transfer-checks on gl(2|1) checks its six lemma cochains in one
-    call and its three class pairs in another, so the ternary-scalar
-    delta2 is walked twice in all, never once per cochain, and no
+    """transfer-checks on gl(2|1) checks its six lemma cochains and its
+    three class pairs in one call, so the ternary-scalar delta2 and delta1
+    are walked once each, never once per cochain or per theorem, and no
     coboundary row outlives its walk: every algebra's memo ends up holding
     its grading alone.  On the binary side the cocycle basis is solved
     once, the three class pairs share one d_s^1 matrix and the six lemma
     cochains and the three shifts one application each, so d_s^1 is
-    walked four times, not once per cochain.  d_s^2 is walked three
-    times: the cocycle basis, the lemma's six d_s^1 omega, and the six
-    class cochains, checked once for being cocycles."""
+    walked four times, not once per cochain.  d_s^2 is walked twice: the
+    cocycle basis, and the six d_s^1 omega with the six class cochains,
+    checked once for being cocycles."""
     path = tmp_path / "gl21.json"
     write_document(path, DocumentBundle("gl21", *glmn(2, 1)))
     walks = []
@@ -359,9 +359,10 @@ def test_transfer_checks_walk_the_ternary_delta2_once_per_theorem(
     code, out = run(["transfer-checks", path])
     assert code == 0 and json.loads(out)["verdict"] == "pass"
     shapes = [w[1:] for w in walks]
-    assert shapes.count(("ternary-scalar", 2)) == 2
+    assert shapes.count(("ternary-scalar", 2)) == 1
+    assert shapes.count(("ternary-scalar", 1)) == 1
     assert shapes.count(("binary-scalar", 1)) == 4
-    assert shapes.count(("binary-scalar", 2)) == 3
+    assert shapes.count(("binary-scalar", 2)) == 2
     for obj in {id(obj): obj for obj, _, _ in walks}.values():
         assert set(obj.memo) == {"grading"}
 

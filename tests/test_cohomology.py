@@ -15,11 +15,12 @@ import pytest
 
 from homnambu import cohomology, linalg
 from homnambu.binary import HomLieSuper, yau_twist
+from homnambu.cli import _random_combination
 from homnambu.cohomology import (_BUILDERS, _DEGREES, MAX_COBOUNDARY_ROWS,
                                  Cochain, _apply, _block_labels, _blocks,
                                  _first_nonzero, _grading, _row_count,
                                  _row_keys, _served, _walk, _weight_basis,
-                                 apply_coboundary,
+                                 apply_coboundaries, apply_coboundary,
                                  binary_adjoint_cocycle_space,
                                  binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
@@ -28,8 +29,7 @@ from homnambu.cohomology import (_BUILDERS, _DEGREES, MAX_COBOUNDARY_ROWS,
                                  induce_cocycle, infer_parity,
                                  is_binary_cocycle, make_cochain,
                                  parity_support, verify_1cocycle_transfer,
-                                 verify_class_transfer,
-                                 verify_lemma_identity)
+                                 verify_cochain_transfer)
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11_tau,
                                gl11t, glmn, induced_gl11, matrix_units,
                                random_even_invertible)
@@ -484,9 +484,10 @@ def test_induce_cocycle_raises_for_the_first_cochain_that_fails(g11, tau11,
 
 def test_a_wrong_shape_anywhere_in_a_batch_raises_before_any_walk(
         g11, tau11, t11, monkeypatch):
-    # the shape check runs on the whole batch first: a batch whose last
-    # cochain has the wrong shape raises with no coboundary walked, in each
-    # of the three transfer functions
+    # the shape check runs on both batches first: a batch whose last
+    # cochain has the wrong shape raises with no coboundary walked, in
+    # induce_cocycle and in either batch of the cochain transfer, also when
+    # the other batch is valid
     good = Cochain("binary-scalar", 2, 0, g11.space,
                    cocycles(g11, "binary-scalar", 2, 0)[0])
     omega = Cochain.zero("binary-scalar", 1, g11.space)
@@ -494,10 +495,41 @@ def test_a_wrong_shape_anywhere_in_a_batch_raises_before_any_walk(
     with pytest.raises(PreconditionError, match="binary 2-cochain"):
         induce_cocycle(g11, tau11, [good, good, omega], t11)
     with pytest.raises(PreconditionError, match="scalar 1-cochain"):
-        verify_lemma_identity(g11, tau11, [omega, omega, good], t11)
+        verify_cochain_transfer(g11, tau11, [omega, omega, good], [], t11)
     with pytest.raises(PreconditionError, match="binary scalar 2-cochains"):
-        verify_class_transfer(g11, tau11, [(good, good), (good, omega)], t11)
+        verify_cochain_transfer(g11, tau11, [], [(good, good), (good, omega)],
+                                t11)
+    with pytest.raises(PreconditionError, match="binary scalar 2-cochains"):
+        verify_cochain_transfer(g11, tau11, [omega, omega],
+                                [(good, good), (good, omega)], t11)
     assert walks == []
+
+
+def test_a_cochain_of_another_algebra_is_refused(g11, tau11, t11,
+                                                 monkeypatch):
+    # gl(1|1) from glmn has gl11()'s parities and length but its own basis
+    # names, so its cochains fit g11's coordinates and are still refused:
+    # by the transfer entries before any walk, and by the cocycle test and
+    # the coboundary application like their other shape errors
+    other = glmn(1, 1)[0].space
+    assert other != g11.space and other.parities == g11.space.parities
+    phi = Cochain("binary-scalar", 2, 0, other,
+                  cocycles(g11, "binary-scalar", 2, 0)[0])
+    omega = Cochain.zero("binary-scalar", 1, other)
+    good = Cochain.zero("binary-scalar", 2, g11.space)
+    walks = walked(monkeypatch)
+    with pytest.raises(PreconditionError, match="another algebra"):
+        induce_cocycle(g11, tau11, [good, phi], t11)
+    with pytest.raises(PreconditionError, match="another algebra"):
+        verify_cochain_transfer(g11, tau11, [omega], [], t11)
+    with pytest.raises(PreconditionError, match="another algebra"):
+        verify_cochain_transfer(g11, tau11, [], [(good, phi)], t11)
+    assert walks == []
+    with pytest.raises(InputError, match="another algebra"):
+        is_binary_cocycle(g11, phi)
+    with pytest.raises(InputError, match="another algebra"):
+        apply_coboundaries(g11, [omega])
+    assert is_binary_cocycle(g11, good)
 
 
 def test_adjoint_cocycles_transfer(g11, tau11, t11):
@@ -551,7 +583,7 @@ def test_lemma_identity_random(g11, tau11, t11):
     for parity in (0, 1):
         for _ in range(10):
             om = random_cochain(rng, "binary-scalar", 1, g11.space, parity)
-            r, = verify_lemma_identity(g11, tau11, [om], t11)
+            (r,), _ = verify_cochain_transfer(g11, tau11, [om], [], t11)
             assert r.verdict == "pass"
 
 
@@ -577,7 +609,8 @@ def test_class_transfer_random(g11, tau11, t11):
         shift = m1.apply(eta.coords)
         phi2 = Cochain("binary-scalar", 2, 0, g11.space,
                        tuple(a + b for a, b in zip(phi1.coords, shift)))
-        r, = verify_class_transfer(g11, tau11, [(phi1, phi2)], t11)
+        _, (r,) = verify_cochain_transfer(g11, tau11, [], [(phi1, phi2)],
+                                         t11)
         assert r.verdict == "pass"
 
 
@@ -592,37 +625,68 @@ def test_class_transfer_demands_cohomologous_pair(all_binary, g11, tau11):
     nontrivial = Cochain("binary-scalar", 2, 0, a0.space, tuple(coords))
     zero = Cochain.zero("binary-scalar", 2, a0.space)
     with pytest.raises(PreconditionError, match="not cohomologous"):
-        verify_class_transfer(a0, tau0, [(zero, nontrivial)], t0)
+        verify_cochain_transfer(a0, tau0, [], [(zero, nontrivial)], t0)
     # each check runs on the whole batch before the next one starts: a
     # cochain of the wrong shape in any pair raises the shape error before
     # any pair is solved, and a batch of cocycles raises for a pair that
     # is not cohomologous wherever it stands
-    assert verify_class_transfer(a0, tau0, [(zero, zero)], t0)[0].ok
+    assert verify_cochain_transfer(a0, tau0, [], [(zero, zero)], t0)[1][0].ok
     wrong = Cochain.zero("binary-scalar", 1, a0.space)
     with pytest.raises(PreconditionError, match="binary scalar 2-cochains"):
-        verify_class_transfer(a0, tau0, [(zero, zero), (zero, nontrivial),
-                                         (zero, wrong)], t0)
+        verify_cochain_transfer(a0, tau0, [], [(zero, zero),
+                                               (zero, nontrivial),
+                                               (zero, wrong)], t0)
     with pytest.raises(PreconditionError, match="not cohomologous"):
-        verify_class_transfer(a0, tau0, [(zero, zero), (zero, nontrivial)],
-                              t0)
+        verify_cochain_transfer(a0, tau0, [],
+                                [(zero, zero), (zero, nontrivial)], t0)
+
+
+def test_every_cochain_is_induced_before_any_pair_is_solved(all_binary, g11,
+                                                             tau11, t11):
+    # a0 with alpha = diag(2, 1) and tau = e1* is abelian, so every cochain
+    # is a cocycle and none but 0 a coboundary: a pair that is not
+    # cohomologous reaches the tau o alpha = tau check of induce_cocycle,
+    # which runs before the one solve per pair, and raises its error
+    a0 = next(lie for name, lie, rep in all_binary if name == "a0")
+    alpha = GradedMap(a0.space, a0.space,
+                      Matrix(2, 2, (((0, Fraction(2)),), ((1, Fraction(1)),))))
+    lie = HomLieSuper(a0.space, a0.bracket, alpha)
+    tau = TraceFunctional(lie, (Fraction(1), Fraction(0)))
+    t = induce_ternary(lie, tau, alpha, alpha)
+    zero = Cochain.zero("binary-scalar", 2, lie.space)
+    unit = Cochain("binary-scalar", 2, 0, lie.space, unit_vec(
+        cochain_length("binary-scalar", 2, lie.space),
+        parity_support("binary-scalar", 2, lie.space, 0)[0]))
+    with pytest.raises(PreconditionError, match="not twist invariant"):
+        verify_cochain_transfer(lie, tau, [], [(zero, unit)], t)
+    # a pair that is not a pair of 2-cocycles raises induce_cocycle's error
+    bad = random_cochain(random.Random(73), "binary-scalar", 2, g11.space, 0)
+    with pytest.raises(PreconditionError, match="induce_cocycle expects a "
+                                                "2-cocycle"):
+        verify_cochain_transfer(g11, tau11, [], [(bad, bad)], t11)
+
+
+def doubled_bracket(t):
+    """t with its bracket doubled: the induced cocycles stay cocycles
+    (delta2 is linear in the bracket) but delta1 doubles."""
+    coeffs = {k: vec_scale(2, v)
+              for k, v in t.bracket.canonical_coeffs().items()}
+    return TernaryHomLieSuper(t.space,
+                              SuperBracket3.from_canonical(t.space, coeffs),
+                              t.alpha1, t.alpha2)
 
 
 def test_class_transfer_witnesses_name_every_mismatch(g11, tau11, t11):
-    # doubling the induced bracket keeps the induced cocycles cocycles (delta2
-    # is linear in the bracket) but doubles delta1, so a shift by d_s eta
-    # with eta = e_h1* no longer transfers
-    coeffs = {k: vec_scale(2, v)
-              for k, v in t11.bracket.canonical_coeffs().items()}
-    doubled = TernaryHomLieSuper(t11.space,
-                                 SuperBracket3.from_canonical(t11.space, coeffs),
-                                 t11.alpha1, t11.alpha2)
+    # on the doubled bracket a shift by d_s eta with eta = e_h1* no longer
+    # transfers
     phi1 = Cochain("binary-scalar", 2, 0, g11.space,
                    cocycles(g11, "binary-scalar", 2, 0)[0])
     eta = make_cochain("binary-scalar", 1, g11.space, {(0,): 1})
     phi2 = phi1.add(apply_coboundary(g11, eta))
-    assert verify_class_transfer(g11, tau11, [(phi1, phi2)],
-                                 t11)[0].verdict == "pass"
-    r, = verify_class_transfer(g11, tau11, [(phi1, phi2)], doubled)
+    assert verify_cochain_transfer(g11, tau11, [], [(phi1, phi2)],
+                                   t11)[1][0].verdict == "pass"
+    _, (r,) = verify_cochain_transfer(g11, tau11, [], [(phi1, phi2)],
+                                      doubled_bracket(t11))
     assert r.verdict == "fail"
     names = set(g11.space.names)
     assert len(r.findings) > 1
@@ -630,6 +694,42 @@ def test_class_transfer_witnesses_name_every_mismatch(g11, tau11, t11):
         assert f.check == "class-transfer"
         assert len(f.witness) == 3 and set(f.witness) <= names, f.witness
     assert r.findings[0].witness == ("h1", "q", "p")
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1)])
+def test_one_transfer_call_reports_as_one_call_per_cochain(m, n):
+    # the CLI's draws: three 1-cochains of each parity and three pairs
+    # (phi, phi + d_s eta) of random 2-cocycles.  The fused call's reports
+    # equal those of one call per cochain and one per pair, on the induced
+    # bracket, where all pass, and on its double, where the even lemma
+    # cochains and the pairs fail, so a report taken from the wrong slice
+    # differs
+    lie, rep = glmn(m, n)
+    tau, t = induced(lie, rep)
+    rng = random.Random(79)
+    units = [[unit_vec(lie.dim, i) for i in
+              parity_support("binary-scalar", 1, lie.space, parity)]
+             for parity in (0, 1)]
+    omegas = [_random_combination(rng, lie, 1, parity, units[parity])
+              for _ in range(3) for parity in (0, 1)]
+    basis = cocycles(lie, "binary-scalar", 2, 0)
+    phis, etas = zip(*[(_random_combination(rng, lie, 2, 0, basis),
+                        _random_combination(rng, lie, 1, 0, units[0]))
+                       for _ in range(3)])
+    pairs = [(phi, phi.add(shift))
+             for phi, shift in zip(phis, apply_coboundaries(lie, etas))]
+    for ternary, verdict in ((t, "pass"), (doubled_bracket(t), "fail")):
+        lemma, classes = verify_cochain_transfer(lie, tau, omegas, pairs,
+                                                 ternary)
+        singles = ([verify_cochain_transfer(lie, tau, [om], [], ternary)[0][0]
+                    for om in omegas]
+                   + [verify_cochain_transfer(lie, tau, [], [p], ternary)[1][0]
+                      for p in pairs])
+        assert ([r.to_json() for r in lemma + classes]
+                == [r.to_json() for r in singles])
+        # lemma[::2] are the even omegas; the odd ones of gl(1|1) pass on
+        # both brackets
+        assert {r.verdict for r in lemma[::2] + classes} == {verdict}
 
 
 def test_coboundary_blocks_live_as_long_as_their_walk():
@@ -796,8 +896,9 @@ def test_make_cochain_rejects_malformed_keys_and_values(g11):
 
 
 def test_scalar_delta2_walked_once_per_call(monkeypatch):
-    # the lemma identity on cochains of both parities walks the scalar
-    # delta2 once, for the induced cochains of both, and a whole-operator
+    # the lemma batch of the cochain transfer, on cochains of both
+    # parities, walks the scalar delta2 once, for the induced cochains of
+    # both, and a whole-operator
     # form builds each row once per call, whatever the cochain parity:
     # one block per label of the columns, none of them kept
     lie, rep = gl11()
@@ -806,7 +907,7 @@ def test_scalar_delta2_walked_once_per_call(monkeypatch):
     oms = [random_cochain(rng, "binary-scalar", 1, lie.space, parity)
            for parity in (0, 1)]
     walks = walked(monkeypatch)
-    reports = verify_lemma_identity(lie, tau, oms, t)
+    reports, _ = verify_cochain_transfer(lie, tau, oms, [], t)
     assert [r.verdict for r in reports] == ["pass", "pass"]
     assert walks.count(("ternary-scalar", 2)) == 1
     monkeypatch.undo()
