@@ -14,8 +14,8 @@ from .extensions import (CentralExtensionData, build_central_extension,
                          extension_isomorphism, induce_extension,
                          verify_extension)
 from .graded import (GradedMap, GradedSpace, HomAlgebra, canonicalize,
-                     graded_space, identity_map, koszul_sign, skew_basis,
-                     supertrace, zero_map)
+                     graded_space, identity_map, skew_basis, supertrace,
+                     zero_map)
 from .linalg import (Fraction, InputError, Matrix, PreconditionError,
                      Subspace, frac, kernel, rank, solve)
 from .reps import (Representation, TraceFunctional, adjoint_representation,

@@ -73,9 +73,15 @@ of the coboundary below, walked once beside _blocks: its rows at a
 block's column keys, which are its row keys there, so each degree's keys
 are grouped once.
 
-cohomology_dims on a ternary algebra, in degree 2 and above, computes on
-a copy in an adapted basis (_adapted) when that grades more finely, and
-the dims are the document's, as an even change of basis changes none.
+One rule, owned by _adapted, says which basis an answer is computed in.
+An answer that no even change of basis can alter, a dimension or a zero
+test, is computed on a ternary algebra's copy in an adapted basis above
+degree 1, when the copy grades more finely: the dims of cohomology_dims
+and the induced cocycle test of induce_cocycle.  An answer in
+coordinates (apply_coboundaries, cocycles, coboundary_matrix, the
+induced cochains) stays in the document basis; no caller asks one of
+them a ternary question above degree 1, so none is pulled back.
+
 An induced bracket's image lies in [g, g], inside ker tau, so when
 [g, g, g] spans a hyperplane it is ker tau and its normal phi is tau up
 to scale.  A basis of a complement u and of K = ker phi gives [K, K, K]
@@ -112,7 +118,11 @@ dense.
 
 induce_cocycle transfers binary 2-cocycles with
 reps.TraceFunctional.induce, the formula that also builds the induced
-bracket.  It takes a sequence, so a call walks the ternary delta2 once.
+bracket, read off one ordered view of each cocycle.  It takes a
+sequence, so a call walks the ternary delta2 once.  When _adapted
+returns a copy, each cocycle phi is induced once more at the moved
+basis, from phi(s., s.) and tau o s, and the delta2 zero test runs on
+the copy; the cochains it returns are the document-basis ones.
 verify_cochain_transfer checks the lemma delta1 omega = (d_s^1 omega)_rho
 and the class transfer in one call: one induce_cocycle of every d_s^1
 omega and every class cochain, and one ternary delta1 of the omegas and
@@ -133,9 +143,9 @@ from .binary import (HomLieSuper, change_of_basis, verify_hom_jacobi,
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand, wedge_table)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
-                     field, frac, image, integer_terms, kernel, pack,
-                     slot_width, solve, vec, vec_add, vec_scale, zero_vec,
-                     is_zero_vec, record, ONE, ZERO)
+                     field, frac, image, integer_terms, kernel, map_terms,
+                     pack, slot_width, solve, vec, vec_add, vec_scale,
+                     zero_vec, is_zero_vec, record, ONE, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
 from .ternary import (TernaryHomLieSuper, verify_hom_nambu,
@@ -794,11 +804,14 @@ def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int) -> Subspace:
                                  cocycles(g, "binary-adjoint", 2, parity))
 
 
-def _adapted(obj):
-    """obj, or its copy in a basis adapted to the hyperplane its ternary
-    bracket's image spans, when that basis has a torus grading of higher
-    rank.  An induced bracket has its image in [g, g], inside ker tau, so
-    an image that is a hyperplane is ker tau and its normal phi, one
+def _adapted(obj, cx: str, degree: int) -> tuple:
+    """The algebra that walks the cx coboundary on degree-cochains, once
+    _check passes on obj, the document, as (algebra, s): obj's copy in a
+    basis adapted to the hyperplane its ternary bracket's image spans,
+    and s, the even basis change to it (its columns the new basis), or
+    (obj, None).  The one owner of the basis rule: obj serves below
+    degree 2, and whenever the copy grades no finer.  An induced bracket has its image in [g, g], inside ker tau, so an
+    image that is a hyperplane is ker tau and its normal phi, one
     linalg.kernel, is tau up to scale.  On an even phi and a super_skew
     bracket, a complement u of ker phi and any basis of ker phi give [K,
     K, K] = 0 and [u, u, .] = 0, so u of weight 1 and K of weight -1 is
@@ -812,28 +825,29 @@ def _adapted(obj):
     document before any transport; when phi o alpha is no multiple of phi
     or every such eigenvector lies in K, obj serves; otherwise the copy is
     kept when its _grading rank is higher than obj's.  s is even, as phi
-    and alpha are, so every cohomology dim is unchanged.  Each algebra's
+    and alpha are, so no dim and no zero test changes.  Each algebra's
     grading is solved once, in its own memo; the copy is not memoized."""
+    _check(obj, cx, degree)
     dim = obj.dim
-    if obj.bracket.arity != 3 or not obj.bracket.super_skew:
-        return obj
+    if degree < 2 or obj.bracket.arity != 3 or not obj.bracket.super_skew:
+        return obj, None
     full = Subspace.full(dim)
     hyperplane = obj.bracket.span(full, full, full)
     if hyperplane.dim != dim - 1:
-        return obj
+        return obj, None
     phi = kernel(hyperplane.basis).vectors()[0]
     if any(x for x, odd in zip(phi, obj.space.parities) if odd):
-        return obj
+        return obj, None
     alpha = obj.twists[0].matrix
     composed = alpha.transpose().apply(phi)  # phi o alpha
     lead = next(j for j, x in enumerate(phi) if x)
     c = composed[lead] / phi[lead]
     if vec_scale(c, phi) != composed:
-        return obj
+        return obj, None
     eigen = kernel(alpha.add(Matrix.identity(dim).scale(-c))).basis.entries
     u = next((u for u in eigen if sum(phi[i] * x for i, x in u)), None)
     if u is None:
-        return obj
+        return obj, None
     phi_u, j = sum(phi[i] * x for i, x in u), u[0][0]
     rows = [((i, ONE),) for i in range(dim)]  # s, by rows
     for r, x in u:
@@ -841,8 +855,9 @@ def _adapted(obj):
         row[r] = row.get(r, ZERO) + ONE
         row[j] = x
         rows[r] = tuple(sorted((i, y) for i, y in row.items() if y))
-    moved = change_of_basis(obj, Matrix(dim, dim, tuple(rows)))
-    return moved if _grading(moved)[0] > _grading(obj)[0] else obj
+    s = Matrix(dim, dim, tuple(rows))
+    moved = change_of_basis(obj, s)
+    return (moved, s) if _grading(moved)[0] > _grading(obj)[0] else (obj, None)
 
 
 def _escaped(obj) -> PreconditionError:
@@ -872,12 +887,13 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     the image of the rows the coboundary below builds at the block's
     column keys, each counted once per output the block serves.  Each
     degree's keys are grouped once and each operator walked once.  No row
-    is kept once it is eliminated.  The operator is checked on obj first;
-    above degree 1 it is then walked on _adapted(obj), the copy in an
-    adapted basis or obj itself.  A B that leaves Z is a PreconditionError
-    naming the identity obj breaks (_escaped)."""
-    _check(obj, cx, degree)  # on the document, before any transport
-    used = _adapted(obj) if degree > 1 else obj
+    is kept once it is eliminated.  Both operators are walked on the
+    algebra _adapted(obj, cx, degree) returns, which checks the operator
+    on obj first: the copy in an adapted basis above degree 1, when it
+    grades more finely, or obj itself; the dims are the same on either.
+    A B that leaves Z is a PreconditionError naming the identity obj
+    breaks (_escaped)."""
+    used = _adapted(obj, cx, degree)[0]
     _, groups, upper = _blocks(used, cx, degree)
     if degree > 1:
         lower = _walk(used, cx, degree - 1)[1]
@@ -925,12 +941,22 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
     one induced cochain per cochain of phis, in order.
 
     phi_rho(X, z) is reps.TraceFunctional.induce of phi on the (pair,
-    element) keys, phi's values cleared of denominators (D) once and
-    read with the canonicalize signs, the result divided by D_tau D.
-    Each check runs once on the whole batch, in order, and the first that
-    fails raises: shapes and algebra, before any coboundary is walked;
-    the binary cocycle test, in one walk; tau o alpha = tau, when phis is
-    not empty; and the ternary delta2 of the induced cochains, in one walk.
+    element) keys, read off an ordered view of phi: its values cleared of
+    denominators (D) once, as integer rows on the canonical pairs, and
+    mapped (linalg.map_terms) through e_a ^ e_b for every ordered pair
+    (a, b); the result is divided by D_tau D.  Each check runs once on
+    the whole batch, in order, and the first that fails raises: shapes
+    and algebra, before any coboundary is walked; the binary cocycle
+    test, in one walk; then, when phis is not empty, tau o alpha = tau, t
+    on g's space (an InputError, as _applied raises it), _adapted's
+    checks of the ternary delta2, and the delta2 zero test of the induced
+    cochains, in one walk.  The cochains returned are in the document
+    basis.  When _adapted returns a copy and s, the zero test, which no
+    even change of basis alters, runs on the copy: each phi is induced
+    once more, its rows mapped through s e_a ^ s e_b (s's integer
+    columns, D_s s) and read with tau o s, which gives D_s^2 psi(s., s.,
+    s.) of the returned psi.  An adjoint delta2 reads each output apart,
+    so its values stay in the document basis.
     """
     if any(phi.degree != 2 or not phi.complex.startswith("binary")
            for phi in phis):
@@ -939,33 +965,42 @@ def induce_cocycle(g: HomLieSuper, tau: TraceFunctional, phis,
         raise PreconditionError("cochain of another algebra")
     if _first_nonzero(g, phis) < len(phis):
         raise PreconditionError("induce_cocycle expects a 2-cocycle")
-    if phis and trace_mismatches(tau, g.alpha):
+    if not phis:
+        return []
+    if trace_mismatches(tau, g.alpha):
         raise PreconditionError("trace functional is not twist invariant")
-    p = g.space.parities
+    if t.space != g.space:
+        raise InputError("cochain of another algebra")
+    used, s = _adapted(t, phis[0].complex.replace("binary", "ternary"), 2)
     keys = {(x1, x2, k): i for i, ((x1, x2), k)
             in enumerate(cochain_keys("ternary-scalar", 2, g.space))}
-    induced = []
-    for phi in phis:
-        width = _width(phi.complex, g.space)
-        d, rows = integer_terms(enumerate(phi.coords[i:i + width])
-                                for i in range(0, len(phi.coords), width))
-        at = dict(zip(cochain_keys(phi.complex, 2, g.space), rows))
+    table = wedge_table(2, g.space, skew_basis(2, g.space).index)
 
-        def ev(i, j):
-            """The (m, integer) pairs of D phi(e_i, e_j), m < width."""
-            key, sign, zero = canonicalize((i, j), p)
-            if zero:
-                return ()
-            return at[key] if sign > 0 else tuple((m, -x) for m, x in at[key])
-
-        dt, rho = tau.induce(ev, keys)
-        coords = [ZERO] * (len(keys) * width)
-        for key, terms in rho.items():
-            for m, x in terms:
-                coords[keys[key] * width + m] = Fraction(x, dt * d)
-        induced.append(Cochain(phi.complex.replace("binary", "ternary"), 2,
+    def induce(cols, tau):
+        """The induced cochain of each phi at the basis of the integer
+        columns cols, tau the functional at that basis."""
+        pairs = {(a, b): tuple(wedge_expand([x, y], table).items())
+                 for (a, x), (b, y) in product(enumerate(cols), repeat=2)}
+        out = []
+        for phi in phis:
+            width = _width(phi.complex, g.space)
+            d, rows = integer_terms(enumerate(phi.coords[i:i + width])
+                                    for i in range(0, len(phi.coords), width))
+            view = map_terms(pairs, rows)  # (a, b) -> D phi(col a, col b)
+            dt, rho = tau.induce(lambda a, b: view.get((a, b), ()), keys)
+            coords = [ZERO] * (len(keys) * width)
+            for key, terms in rho.items():
+                for m, x in terms:
+                    coords[keys[key] * width + m] = Fraction(x, dt * d)
+            out.append(Cochain(phi.complex.replace("binary", "ternary"), 2,
                                phi.parity, g.space, tuple(coords)))
-    if _first_nonzero(t, induced) < len(induced):
+        return out
+
+    induced = induce([((i, 1),) for i in range(g.dim)], tau)
+    tested = induced if s is None else induce(
+        integer_terms(s.transpose().entries)[1],
+        TraceFunctional(g, s.transpose().apply(tau.values)))
+    if _first_nonzero(used, tested) < len(tested):
         raise PreconditionError("induced cochain is not a ternary cocycle")
     return induced
 

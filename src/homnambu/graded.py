@@ -5,8 +5,6 @@ Sign conventions used throughout the package:
 * swapping two adjacent arguments a, b of a super-skew multilinear form
   multiplies its value by -(-1)^{|a||b|}: the antisymmetry minus times the
   Koszul factor;
-* koszul_sign is the Koszul factor alone, the product of (-1)^{|a||b|}
-  over the inversions of the permutation;
 * a canonical index tuple is weakly increasing and repeats an index only
   when that index is odd; a tuple repeating an even index spans zero.
 
@@ -143,24 +141,6 @@ def identity_map(space: GradedSpace) -> GradedMap:
 
 def zero_map(domain: GradedSpace, codomain: GradedSpace, parity: int = 0) -> GradedMap:
     return GradedMap(domain, codomain, Matrix.zero(codomain.dim, domain.dim), parity)
-
-
-def koszul_sign(perm, parities) -> int:
-    """Koszul reordering factor of a permutation of homogeneous objects.
-
-    perm[t] is the original position of the object landing at slot t; the
-    sign is the product of (-1)^{|a||b|} over crossing pairs.  Antisymmetry
-    minuses are the caller's business.
-    """
-    perm = list(perm)
-    if sorted(perm) != list(range(len(perm))):
-        raise InputError("not a permutation of 0..n-1")
-    oddcross = 0
-    for s in range(len(perm)):
-        for t in range(s + 1, len(perm)):
-            if perm[s] > perm[t] and parities[perm[s]] and parities[perm[t]]:
-                oddcross += 1
-    return -1 if oddcross % 2 else 1
 
 
 def supertrace(m: GradedMap) -> Fraction:

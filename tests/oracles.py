@@ -135,6 +135,30 @@ def change_of_basis_direct(a, s):
                    type(a.bracket).from_vectors(a.space, vectors), *twists)
 
 
+def moved_cochain(c, s: Matrix) -> tuple:
+    """The coordinates of c(s e_a ^ s e_b, s e_z) for a ternary 2-cochain
+    c and an even matrix s, at every key ((a, b), z) in key order, summed
+    in Fractions over every index of s's columns: c(e_i ^ e_j, e_k) read
+    at canonicalize's key and sign, zero where an even index repeats.  An
+    adjoint value keeps its coordinates, output by output."""
+    p = c.space.parities
+    cols = [[(i, x) for i, x in enumerate(s.col(j)) if x]
+            for j in range(s.cols)]
+    out = []
+    for (a, b), z in cochain_keys(c.complex, 2, c.space):
+        acc = {}
+        for (i, x), (j, y), (k, w) in product(cols[a], cols[b], cols[z]):
+            pair, sign, zero = canonicalize((i, j), p)
+            if not zero:
+                value = c.values[pair, k]
+                for o, v in enumerate(value if isinstance(value, tuple)
+                                      else (value,)):
+                    acc[o] = acc.get(o, ZERO) + sign * x * y * w * v
+        out += [acc.get(o, ZERO)
+                for o in range(len(c.coords) // len(c.values))]
+    return tuple(out)
+
+
 def find_unit_direct(g, t):
     """series.find_unit in dense Fractions: every (i, j, m) equation
     sum_k u_k [e_k, e_i, e_j]_m = [e_i, e_j]_m, zero rows included, read

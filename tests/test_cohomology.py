@@ -44,8 +44,8 @@ from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper, induce_ternary,
                               verify_hom_nambu)
 
 import ci_documents
-from oracles import (key_parts, parity_cocycles, read_blocks, select,
-                     verify_bracket_cocycle)
+from oracles import (key_parts, moved_cochain, parity_cocycles, read_blocks,
+                     select, verify_bracket_cocycle)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -530,6 +530,12 @@ def test_a_cochain_of_another_algebra_is_refused(g11, tau11, t11,
     with pytest.raises(InputError, match="another algebra"):
         apply_coboundaries(g11, [omega])
     assert is_binary_cocycle(g11, good)
+    # so is a ternary algebra on another space, by induce_cocycle, before
+    # it moves any basis
+    moves = transports(monkeypatch)
+    with pytest.raises(InputError, match="another algebra"):
+        induce_cocycle(g11, tau11, [good], induced(*glmn(2, 1))[1])
+    assert not moves
 
 
 def test_adjoint_cocycles_transfer(g11, tau11, t11):
@@ -994,10 +1000,11 @@ def test_adapted_cohomology_matches_the_document_basis(monkeypatch):
     adapted = cohomology._adapted
     for name, t in adaptation_cases():
         kept = name.startswith("gl11")
-        assert (adapted(t) is t) == kept, name
+        assert (adapted(t, "ternary-scalar", 2)[0] is t) == kept, name
         got = [cohomology_dims(t, cx, 2)
                for cx in ("ternary-scalar", "ternary-adjoint")]
-        monkeypatch.setattr(cohomology, "_adapted", lambda obj: obj)
+        monkeypatch.setattr(cohomology, "_adapted",
+                            lambda obj, cx, degree: (obj, None))
         want = [cohomology_dims(t, cx, 2)
                 for cx in ("ternary-scalar", "ternary-adjoint")]
         monkeypatch.undo()
@@ -1024,7 +1031,7 @@ def test_the_adapted_basis_grades_the_induced_bracket_once_more():
                      (central_twisted(2, 2)[1], (1, 2)),
                      (TernaryHomLieSuper(sp, t22.bracket, along, along),
                       (3, 4))):
-        moved = cohomology._adapted(t)
+        moved = cohomology._adapted(t, "ternary-scalar", 2)[0]
         keys = list(moved.bracket.integer[1])
         u, = set.intersection(*map(set, keys))
         assert all(key.count(u) == 1 for key in keys)
@@ -1099,8 +1106,10 @@ def test_a_twist_off_the_adapted_split_builds_no_copy(monkeypatch):
     transvected = twisted(lambda r, c: phi[c] if r == k else 0)
     central = central_twisted(2, 1)[1]
     for obj in (sheared, transvected, central):
-        assert cohomology._adapted(obj) is obj and not moves
-    assert cohomology._adapted(t21) is not t21 and moves == [t21]
+        assert cohomology._adapted(obj, "ternary-scalar", 2)[0] is obj
+        assert not moves
+    assert cohomology._adapted(t21, "ternary-scalar", 2)[0] is not t21
+    assert moves == [t21]
 
 
 def test_identity_and_diagonal_twists_keep_the_basis_element_copy(
@@ -1128,7 +1137,7 @@ def test_identity_and_diagonal_twists_keep_the_basis_element_copy(
         rows[u] = tuple((j, 1 if j == u else -x / phi[u])
                         for j, x in enumerate(phi) if x)
         moves.clear()
-        assert cohomology._adapted(t) is not t, name
+        assert cohomology._adapted(t, "ternary-scalar", 2)[0] is not t, name
         assert moves == [Matrix(t.dim, t.dim, tuple(rows))], name
 
 
@@ -1153,6 +1162,122 @@ def test_each_grading_is_solved_once_in_its_own_memo(monkeypatch):
     assert len(solved) == 3 and solved[0] is t
     assert t not in solved[1:] and solved[1] is not solved[2]
     assert all(set(obj.memo) == {"grading"} for obj in solved)
+
+
+def transfer_case(name):
+    """(g, tau, t) of the tools/ci_documents.py document of this stem,
+    and for "gl11" of induced gl(1|1)."""
+    doc = (ci_documents.plain(1, 1) if name == "gl11"
+           else ci_documents.DOCUMENTS[name]())
+    return doc.lie, trace_functional(doc.rep), doc.ternary
+
+
+def binary_cocycles(g, seed):
+    """One seeded random binary 2-cocycle of g per complex and parity, a
+    combination of the cocycles basis: scalar even and odd, then adjoint
+    even and odd."""
+    rng = random.Random(seed)
+    out = [Cochain(cx, 2, parity, g.space, kernel_combination(
+               rng, cocycles(g, cx, 2, parity), cochain_length(cx, 2, g.space)))
+           for cx in ("binary-scalar", "binary-adjoint") for parity in (0, 1)]
+    assert not any(phi.is_zero() for phi in out)
+    return out
+
+
+def test_induce_cocycle_walks_delta2_on_the_adapted_copy(monkeypatch):
+    # the induced cocycle test is a zero test, which no even change of
+    # basis alters, so its ternary delta2 is walked, once per complex of
+    # the batch, on the copy cohomology_dims uses whenever _adapted
+    # returns one: induced gl(2|1), gl(2|2), central-twist gl(2|2) and the
+    # dense gl(2|1) conjugate are moved; gl(1|1), whose image is a line,
+    # keeps t
+    walks = []
+    walk = cohomology._walk
+    monkeypatch.setattr(cohomology, "_walk", lambda obj, cx, degree: (
+        walks.append((obj, cx, degree)) or walk(obj, cx, degree)))
+    for name in ("gl21", "gl22", "gl22_central_twist", "gl21_conjugate",
+                 "gl11"):
+        g, tau, t = transfer_case(name)
+        walks.clear()
+        assert len(induce_cocycle(g, tau, binary_cocycles(g, 5), t)) == 4
+        ternary = [w for w in walks if w[0].bracket.arity == 3]
+        assert [w[1:] for w in ternary] == [("ternary-scalar", 2),
+                                            ("ternary-adjoint", 2)], name
+        assert all((obj is t) == (name == "gl11") for obj, _, _ in ternary)
+
+
+def test_the_copy_tests_the_induced_cochains_moved_by_s(monkeypatch):
+    # the cochains the copy's zero test reads are psi(s e_a ^ s e_b, s
+    # e_z) of the document-basis psi that induce_cocycle returns, adjoint
+    # values in the document basis, up to one positive factor per
+    # cochain, the cleared denominator of s: on gl(2|1), where s is the
+    # identity but row u, the dense gl(2|1) conjugate, where row u is
+    # dense, and central-twist gl(2|2), whose u is no basis element
+    tests = []
+    first_nonzero = cohomology._first_nonzero
+    monkeypatch.setattr(cohomology, "_first_nonzero", lambda obj, cs: (
+        tests.append((obj, cs)) or first_nonzero(obj, cs)))
+    bases = []
+    adapted = cohomology._adapted
+    monkeypatch.setattr(cohomology, "_adapted", lambda *args: (
+        bases.append(adapted(*args)) or bases[-1]))
+    for name, kinds in (("gl21", 4), ("gl21_conjugate", 4),
+                        ("gl22_central_twist", 2)):
+        g, tau, t = transfer_case(name)
+        tests.clear()
+        bases.clear()
+        psis = induce_cocycle(g, tau, binary_cocycles(g, 6)[:kinds], t)
+        (moved, s), = bases
+        (obj, tested), = [test for test in tests if test[0] is not g]
+        assert obj is moved is not t and len(tested) == kinds, name
+        for psi, got in zip(psis, tested):
+            assert (got.complex, got.parity) == (psi.complex, psi.parity)
+            want = moved_cochain(psi, s)
+            lead = next(i for i, x in enumerate(want) if x)
+            factor = got.coords[lead] / want[lead]
+            assert factor > 0 and got.coords == vec_scale(factor, want), name
+
+
+def test_first_nonzero_agrees_on_the_document_and_the_copy():
+    # random ternary 2-cochains, whose delta2 is nonzero, and delta1
+    # images, whose delta2 is zero, of either complex and parity: each
+    # gives the same _first_nonzero on t and, moved by s
+    # (oracles.moved_cochain), on the copy _adapted returns
+    rng = random.Random(41)
+    for name in ("gl21", "gl21_conjugate"):
+        t = transfer_case(name)[2]
+        moved, s = cohomology._adapted(t, "ternary-scalar", 2)
+        assert moved is not t
+        for cx, parity in product(("ternary-scalar", "ternary-adjoint"),
+                                  (0, 1)):
+            image, = apply_coboundaries(t, [random_cochain(
+                rng, cx, 1, t.space, parity)])
+            assert not image.is_zero()
+            for c, first in ((random_cochain(rng, cx, 2, t.space, parity), 0),
+                             (image, 1)):
+                copy = Cochain(cx, 2, parity, t.space, moved_cochain(c, s))
+                assert (_first_nonzero(t, [c]) == first
+                        == _first_nonzero(moved, [copy])), (name, cx, parity)
+
+
+def test_the_row_cap_refuses_before_any_cochain_is_induced(monkeypatch):
+    # with the cap below gl(2|1)'s 14,400 ternary delta2 rows, and above
+    # its binary d_s^2's, induce_cocycle raises the cap error once the
+    # binary checks pass, before it induces any cochain or moves any
+    # basis; an empty batch still returns [], with no copy and no error
+    g, tau, t = transfer_case("gl21")
+    phis = binary_cocycles(g, 7)
+    induced_ = []
+    induce = TraceFunctional.induce
+    monkeypatch.setattr(TraceFunctional, "induce", lambda *args: (
+        induced_.append(args) or induce(*args)))
+    moves = transports(monkeypatch)
+    monkeypatch.setattr(cohomology, "MAX_COBOUNDARY_ROWS", 14399)
+    with pytest.raises(InputError, match="ternary-scalar coboundary of "
+                       "degree 2 has 14400 rows, over the cap of 14399"):
+        induce_cocycle(g, tau, phis, t)
+    assert not induced_ and not moves
+    assert induce_cocycle(g, tau, [], t) == [] and not moves
 
 
 def test_an_escaped_coboundary_names_the_identity_the_algebra_breaks(

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
@@ -13,41 +13,13 @@ from homnambu.fixtures import (conjugate_gl11, gl11, gl11t, induced_gl11,
                                neg_skew)
 from homnambu.graded import (GradedMap, GradedSpace, InputError, SuperBracket,
                              canonicalize, graded_space, identity_map,
-                             is_canonical, koszul_sign, skew_basis,
-                             supertrace, tuple_parity, wedge_expand,
-                             wedge_table)
+                             is_canonical, skew_basis, supertrace,
+                             tuple_parity, wedge_expand, wedge_table)
 from homnambu.linalg import Matrix, Subspace, frac, nonzero_terms
 from homnambu.reps import trace_functional
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper,
                               induce_ternary, verify_hom_nambu,
                               verify_ternary_skew)
-
-
-def bfs_koszul(perm, parities):
-    """Reference sign: undo the permutation by adjacent swaps, counting
-    odd-odd crossings one at a time."""
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(len(perm) - 1):
-            if perm[j] > perm[j + 1]:
-                if parities[perm[j]] and parities[perm[j + 1]]:
-                    sign = -sign
-                perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return sign
-
-
-def test_koszul_sign_matches_adjacent_swap_oracle():
-    for n in range(1, 5):
-        for bits in range(2 ** n):
-            parities = tuple((bits >> k) & 1 for k in range(n))
-            for perm in permutations(range(n)):
-                assert koszul_sign(perm, parities) == bfs_koszul(perm, parities)
-
-
-def test_koszul_sign_rejects_non_permutations():
-    with pytest.raises(InputError):
-        koszul_sign((0, 0, 1), (0, 0, 0))
 
 
 def test_canonicalize_properties():

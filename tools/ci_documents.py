@@ -6,8 +6,9 @@ DOCUMENTS maps each file stem to the function that builds its document:
 gl(m|n) with its defining representation and the induced ternary
 bracket, the conjugates by the dense even draw of
 random_even_invertible(random.Random(1)), and gl(m|n) twisted by
-central_twist(m, n).  The CI pins the sha256 of three of them, and the
-tests build gl22_conjugate and the central twists here too.
+central_twist(m, n).  The CI pins by sha256 the gl22_conjugate document
+and the transfer-checks stdout of seven of them, and the tests build
+gl22_conjugate, the central twists and the transfer cases here too.
 """
 
 import random
