@@ -4,7 +4,7 @@ induced by supertrace functionals of their representations."""
 from .binary import (HomLieSuper, SuperBracket2, change_of_basis, is_ideal,
                      is_subalgebra, verify_hom_jacobi, verify_morphism,
                      verify_multiplicative, verify_skew, yau_twist)
-from .cohomology import (Cochain, apply_coboundaries, apply_coboundary,
+from .cohomology import (Cochain, apply_coboundaries,
                          binary_adjoint_cocycle_space,
                          bracket_cochain, coboundary_matrix, cochain_keys,
                          cocycles, cohomology_dims, induce_cocycle,

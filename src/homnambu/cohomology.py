@@ -63,15 +63,25 @@ Every consumer reads the (q, w) blocks through _blocks, one walk per
 call: block(label) gives the block's row count, its row keys, its column
 keys and its rows, each row built as it is read, and nothing outlives the
 walk.  The one memo rule: an algebra's memo holds its grading, its rank
-beside its packed weights, solved once by _grading.  Cohomology and
-cocycle bases (cohomology_dims, cocycles) hand a block's rows to rref, so
-a block of full column rank builds no row past the one that completes its
-rank, and eliminate each block once, counted, or placed, once per output
-it serves (_served).  A scalar cochain of parity f needs the parity-f
-blocks alone, so a scalar (Z, B, H) builds no odd row.  B is the image
-of the coboundary below, walked once beside _blocks: its rows at a
-block's column keys, which are its row keys there, so each degree's keys
-are grouped once.
+beside its packed weights, solved once by _grading.  Cocycle bases
+(cocycles) hand a block's rows to rref, and cohomology_dims counts
+ranks: each block is eliminated once, as its rows are built, so a block
+of full column rank builds no row past the one that completes its rank,
+and counted, or placed, once per output it serves (_served).  A scalar
+cochain of parity f needs the parity-f blocks alone, so a scalar (Z, B,
+H) builds no odd row.  B is the column space of the coboundary below,
+walked once beside _blocks: its rows at a block's column keys, which are
+its row keys there, so each degree's keys are grouped once; dim B is its
+exact rank.
+
+cohomology_dims builds no Subspace.  d^2 = 0 is an int test on each row
+of the upper block as it is read: its products with the lower block's
+columns, packed by linalg.orthogonal_test, are all 0.  Z is the column
+count less the rank of the upper block: rref's on a sparse block, and
+linalg.certified_rank's on a dense one (_dense, DENSE_COLUMNS and
+DENSE_GRADING), a packed rank mod a prime that stops eliminating once it
+reaches cols - dim B, which d^2 = 0 makes an upper bound, and lifts its
+kernel to Q when it stops short of that, so the answer stays exact.
 
 One rule, owned by _adapted, says which basis an answer is computed in.
 An answer that no even change of basis can alter, a dimension or a zero
@@ -100,8 +110,9 @@ algebra's memo, and the copy itself is not memoized.  Every check of
 _check runs first, on the document, in every degree, with its own
 message, and each operator is then walked once, on the algebra used.  A
 B that leaves Z, d^2 != 0, names the identity the document breaks
-(_escaped).  Degree 1 stays in the document basis: on gl(2|2),
-in-process on a 2-core x86-64 host with Python 3.11.7, the copy costs
+(_escaped), whichever row first shows it.  Degree 1 stays in the
+document basis: on gl(2|2), in-process on a 2-core x86-64 host with
+Python 3.11.7, the copy costs
 about 18 ms and saves a degree-1 query about 1 ms (3.1 ms to 2.2 ms),
 while ts2 goes from 0.39-0.42 s to 0.07-0.11 s and ta2 from 0.64-0.75 s
 to 0.09-0.14 s.
@@ -143,9 +154,10 @@ from .binary import (HomLieSuper, change_of_basis, verify_hom_jacobi,
 from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
                      wedge_expand, wedge_table)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
-                     field, frac, image, integer_terms, kernel, map_terms,
-                     pack, slot_width, solve, vec, vec_add, vec_scale,
-                     zero_vec, is_zero_vec, record, ONE, ZERO)
+                     certified_rank, field, frac, integer_terms, kernel,
+                     map_terms, orthogonal_test, pack, rank, slot_width,
+                     solve, vec, vec_add, vec_scale, zero_vec, is_zero_vec,
+                     record, ONE, ZERO)
 from .report import Report, fmt_scalar
 from .reps import TraceFunctional, trace_mismatches
 from .ternary import (TernaryHomLieSuper, verify_hom_nambu,
@@ -153,6 +165,26 @@ from .ternary import (TernaryHomLieSuper, verify_hom_nambu,
 
 # the most rows a coboundary is built with: a larger one is an input error
 MAX_COBOUNDARY_ROWS = 1 << 20
+# The rule for a dense (q, w) block, whose rank cohomology_dims takes from
+# linalg.certified_rank rather than rref: DENSE_COLUMNS columns or more, on
+# an algebra whose torus grading has rank DENSE_GRADING or less.  Measured
+# per block, in-process, each path timed with its walk, on a 2-core x86-64
+# host with Python 3.11.7:
+# - the dense gl(2|2) conjugate (grading rank 0, its ternary copy 1):
+#   bs2's 344 x 64 block 60-76 ms by rref, 15 ms mod p; bs3's 1408 x 344
+#   block 9.5 s and 1.1-1.5 s; ts2's 31811 x 847 block 40 s and 2-3.5 s;
+#   the dense gl(2|1) conjugate: 140 x 60 (bs3) 27-49 ms and 21 ms, 2560 x
+#   128 (ts2) 60-110 ms and 40-74 ms, 512 x 48 12-21 ms and 5-11 ms;
+# - torus-graded documents, rank 2 and up: rref wins on the large blocks,
+#   whose rows stay sparse, 16043 x 483 of the central-twist gl(2|2) ta2
+#   in 0.18-0.23 s against 0.59 s mod p, and gl(2|1) ts3's 4818 x 408 in
+#   0.14-0.22 s against 0.56 s;
+# - blocks under 32 columns: rref is as fast or faster, 408 x 26 of gl(2|1)
+#   ts2 in 5.5-8 ms against 6-7 ms.
+# The row density does not separate the two: the 847-column block of the
+# dense ts2 fills 2 % of its cells, the rref-friendly 483-column one 2.2 %.
+DENSE_COLUMNS = 32
+DENSE_GRADING = 1
 _PARITY_LAW = "coboundaries need a bracket that keeps the parity law"
 
 
@@ -744,11 +776,6 @@ def apply_coboundaries(obj, cochains) -> list:
     return out
 
 
-def apply_coboundary(obj, c: Cochain) -> Cochain:
-    """The coboundary of c."""
-    return apply_coboundaries(obj, [c])[0]
-
-
 def _first_nonzero(obj, cochains: list) -> int:
     """The index of the first cochain whose coboundary on obj is nonzero,
     or len(cochains), from one walk per complex and degree."""
@@ -860,6 +887,23 @@ def _adapted(obj, cx: str, degree: int) -> tuple:
     return (moved, s) if _grading(moved)[0] > _grading(obj)[0] else (obj, None)
 
 
+def _squared_zero(obj, rows, zero):
+    """The rows, each checked as it is read to have a zero product with
+    the columns of the coboundary below (zero, a linalg.orthogonal_test
+    of them): a row that fails is d^2 != 0, raised as _escaped(obj)."""
+    for row in rows:
+        if not zero(row):
+            raise _escaped(obj)
+        yield row
+
+
+def _dense(obj, cols: int) -> bool:
+    """Whether a block of cols columns of obj's coboundary is dense, so
+    its rank comes from linalg.certified_rank: DENSE_COLUMNS columns or
+    more, on an algebra whose _grading rank is at most DENSE_GRADING."""
+    return cols >= DENSE_COLUMNS and _grading(obj)[0] <= DENSE_GRADING
+
+
 def _escaped(obj) -> PreconditionError:
     """The error of a coboundary whose image leaves the cocycles, d^2 !=
     0: d^2 = 0 rests on the Hom-Jacobi (binary) or Hom-Nambu (ternary)
@@ -881,18 +925,23 @@ def _escaped(obj) -> PreconditionError:
 def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     """(dim Z, dim B, dim H) on the even-parity cochains, in a degree whose
     coboundary is an entry of _BUILDERS (so is the one below it, every
-    complex's degrees running from 1): per (q, w) block, Z from the kernel
-    of its rows, handed to rref as they are built, so a block of full
-    column rank builds no row past the one that completes it, and B from
-    the image of the rows the coboundary below builds at the block's
-    column keys, each counted once per output the block serves.  Each
-    degree's keys are grouped once and each operator walked once.  No row
-    is kept once it is eliminated.  Both operators are walked on the
-    algebra _adapted(obj, cx, degree) returns, which checks the operator
-    on obj first: the copy in an adapted basis above degree 1, when it
-    grades more finely, or obj itself; the dims are the same on either.
-    A B that leaves Z is a PreconditionError naming the identity obj
-    breaks (_escaped)."""
+    complex's degrees running from 1), counted by ranks, each block's once
+    per output it serves; no Subspace is built.  Per (q, w) block A, with
+    L the rows the coboundary below builds at A's column keys:
+    - b = dim B = rank(L), exact (linalg.rank);
+    - d^2 = 0 is an int test on every row of A: its packed product with
+      L's columns (linalg.orthogonal_test) is 0; a row that fails it is a
+      PreconditionError naming the identity obj breaks (_escaped);
+    - Z = cols - rank(A): linalg.certified_rank on a _dense block, rank
+      on the others, each reading A's rows as they are built.
+    So a block of full column rank builds no row past the one that
+    completes it, and then b must be 0.  Each degree's keys are grouped
+    once, each operator is walked once, bar the second walk of a dense
+    block whose rank mod p needs its kernel lifted, and no row of A is
+    kept.  Both operators are walked on the algebra _adapted(obj, cx,
+    degree) returns, which checks the operator on obj first: the copy in
+    an adapted basis above degree 1, when it grades more finely, or obj
+    itself; the dims are the same on either."""
     used = _adapted(obj, cx, degree)[0]
     _, groups, upper = _blocks(used, cx, degree)
     if degree > 1:
@@ -905,18 +954,23 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
         if label[0] not in served:
             continue
         count, _, col_keys, rows = upper(label)
-        z = kernel(Matrix(count, len(col_keys), rows))
-        b = Subspace.zero(z.ambient_dim)
-        if degree > 1:
-            low_keys = array("q", _block(below, label)[1]())
-            if low_keys:
-                b = image(Matrix(len(col_keys), len(low_keys),
-                                 tuple(lower(col_keys, low_keys))))
-        for v in b.vectors():
-            if not z.contains(v):
-                raise _escaped(obj)
-        zdim += len(served[label[0]]) * z.dim
-        bdim += len(served[label[0]]) * b.dim
+        cols = len(col_keys)
+        low = array("q", _block(below, label)[1]()) if degree > 1 else ()
+        image = Matrix(cols, len(low),
+                       tuple(lower(col_keys, low)) if low else ((),) * cols)
+        b = rank(image)
+        if b:
+            rows = _squared_zero(obj, rows, orthogonal_test(image.entries))
+        a = Matrix(count, cols, rows)
+        if _dense(used, cols):
+            r = certified_rank(a, image.transpose().entries, b,
+                               lambda: upper(label)[3])
+        else:
+            r = rank(a)
+        if r == cols and b:
+            raise _escaped(obj)
+        zdim += len(served[label[0]]) * (cols - r)
+        bdim += len(served[label[0]]) * b
     return (zdim, bdim, zdim - bdim)
 
 

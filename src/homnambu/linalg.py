@@ -6,15 +6,16 @@ type, Matrix, holds only the nonzero (column, value) pairs of each row,
 for the twists and representation matrices and for the coboundaries,
 which are almost all zeros; row(i) and col(j) read dense tuples.
 
-All elimination runs through rref, a sparse fraction-free Gauss-Jordan:
-it reads each row as Python ints, clearing the row's own denominators,
-keeps its pivot rows as primitive int rows, never visits a zero entry,
-and makes Fractions only for the RREF it returns, in the same storage;
-rank, kernel, image, solve, invert and Subspace read those rows, and so
-does cohomology, for every coboundary block and for the torus grading
-that cuts the blocks, the kernel of the homogeneity equations.
-Subspaces are stored as reduced row echelon bases with zero rows
-dropped, so structural equality is canonical equality.
+Exact elimination runs through rref, a sparse fraction-free
+Gauss-Jordan: it reads each row as Python ints, clearing the row's own
+denominators, keeps its pivot rows as primitive int rows, never visits a
+zero entry, and makes Fractions only for the RREF it returns, in the same
+storage; rank, kernel, solve, invert and Subspace read those rows, and so
+does cohomology, for its sparse coboundary blocks, the blocks below them
+and the torus grading that cuts the blocks, the kernel of the
+homogeneity equations.  Subspaces are stored as reduced row echelon
+bases with zero rows dropped, so structural equality is canonical
+equality.
 
 rref skips the rows its pivots already span once eliminating such rows
 has cost about as much as building the pivots' kernel: it then packs
@@ -28,8 +29,26 @@ pack, unpack and slot_width hold an int vector in one Python int,
 coordinate m in the m-th signed slot of a fixed width (Kronecker
 substitution), so a sum of scaled vectors is one big-int multiply-add
 per vector; the width comes from an a-priori bound on every slot.
+orthogonal_test packs a family of vectors by coordinate so that a row's
+products with all of them are one packed sum.
+
+certified_rank is the rank of a dense int matrix, computed modulo the
+prime MODULUS and proved over Q.  ModularEchelon holds each row as one
+int of 64-bit slots, a residue per slot, so that a row operation is one
+big-int multiply-add and one array("Q") packs or unpacks a row; the
+slots are reduced mod p only as often as the bound _products proves
+they must be.  Its rank is a lower bound over Q (a minor nonzero mod p is
+nonzero over Q), and vectors known to lie in the kernel bound the rank
+from above; when the two meet the rank is proved, and when they do not,
+kernel vectors mod p are lifted to Q (lift_kernel, Dixon's p-adic
+lifting with rational reconstruction), checked on every row in ints and
+checked mod p to fill the kernel.  A check that fails hands the matrix
+to rank, so the answer is exact and deterministic either way: no random
+prime, no float.
 """
 
+import sys
+from array import array
 from fractions import Fraction
 from operator import attrgetter, mul
 
@@ -682,11 +701,6 @@ class Subspace:
         return all(self.contains(r) for r in other.vectors())
 
 
-def image(m: Matrix) -> Subspace:
-    """Column space of m, presented as vectors in K^rows."""
-    return Subspace.spanned_by_rows(m.transpose())
-
-
 def kernel(m: Matrix) -> Subspace:
     """Right null space of m: per free column f, the vector with 1 at f and
     minus each pivot row's entry at f at that row's lead."""
@@ -754,3 +768,420 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
                     x[j] = x.get(j, ZERO) + c * y
         vecs.append(x)
     return Subspace.spanned_by_rows(Matrix.from_rows(vecs, n))
+
+
+# The prime of the packed modular elimination: the largest below 2^26, so
+# that a 64-bit slot holding a residue takes 4096 more products of two
+# residues before it must be reduced (_products).  A smaller prime costs
+# more lifting steps, a larger one more reductions, and any prime gives the
+# same certified answers.
+MODULUS = (1 << 26) - 5
+_SLOT = 64
+_MASK = (1 << _SLOT) - 1
+_SWAP = sys.byteorder == "big"
+
+
+def _products(p: int) -> int:
+    """How many products of two residues mod p a slot holding one residue
+    takes and stays below 2^64: (p - 1) + k (p - 1)^2 <= 2^64 - 1."""
+    return (_MASK - (p - 1)) // (p - 1) ** 2
+
+
+def _from_slots(a: array) -> int:
+    """The array("Q") a as one int, entry m in the m-th 64-bit slot."""
+    if _SWAP:
+        a = array("Q", a)
+        a.byteswap()
+    return int.from_bytes(a, "little")
+
+
+def _slots(x: int) -> array:
+    """The 64-bit slots of the nonnegative int x, as an array("Q")."""
+    a = array("Q", x.to_bytes(((x.bit_length() + 63) >> 6) << 3, "little"))
+    if _SWAP:
+        a.byteswap()
+    return a
+
+
+def _residues(pairs, n: int, p: int) -> int:
+    """The sparse int vector pairs, (m, x) pairs of length n, mod p: slot m
+    holds x mod p."""
+    a = array("Q", bytes(n << 3))
+    for m, x in pairs:
+        a[m] = x % p
+    return _from_slots(a)
+
+
+def _reduced(x: int, p: int) -> int:
+    """x with each slot reduced mod p."""
+    return _from_slots(array("Q", [v % p for v in _slots(x)]))
+
+
+def _walk(x: int, base: int, tails: dict, p: int, used: list,
+          out=None) -> tuple:
+    """Reduce the packed row x, whose slot 0 is column base, by the rows
+    tails holds, left to right.  A slot whose residue a is 0 is dropped.
+    At a column l of tails, x gains a times tails[l], which holds minus a
+    row with lead 1 at l from column l + 1 on, slot l is dropped, and l p
+    + a goes on used: a times that row is taken off.  At any other column
+    the walk returns (column, x), x from that column on, unless out is a
+    list, to which it appends (column, a) and goes on; a spent x returns
+    (None, 0).  Slots start below p and each step adds less than (p -
+    1)^2 to one, so x is reduced slot by slot once _products(p) steps
+    have added to it."""
+    limit = _products(p)
+    count = 0
+    while x:
+        v = x & _MASK
+        if not v:
+            s = ((x & -x).bit_length() - 1) >> 6
+            x >>= s << 6
+            base += s
+            v = x & _MASK
+        a = v % p
+        if a:
+            tail = tails.get(base)
+            if tail is not None:
+                if count == limit:
+                    x, count = _reduced(x, p), 0
+                x = (x >> _SLOT) + a * tail
+                used.append(base * p + a)
+                count += 1
+                base += 1
+                continue
+            if out is None:
+                return base, x
+            out.append((base, a))
+        x >>= _SLOT
+        base += 1
+    return None, 0
+
+
+def _substitute(x: int, columns: list, scales: list, p: int) -> list:
+    """Solve a unit-triangular system mod p by columns: position k of
+    the packed x, in order, gives z_k = scales[k] times its residue, and
+    x then gains z_k times columns[k], which holds minus the system's
+    column k from position k + 1 on.  Slots are bounded as in _walk."""
+    limit = _products(p)
+    count = 0
+    out = []
+    for column, scale in zip(columns, scales):
+        z = (x & _MASK) * scale % p
+        out.append(z)
+        if count == limit:
+            x, count = _reduced(x, p), 0
+        x = (x >> _SLOT) + z * column
+        count += 1
+    return out
+
+
+class ModularEchelon:
+    """A row echelon form modulo the prime p of int rows of length cols,
+    each row one int of 64-bit slots (linalg's Kronecker packing at a
+    fixed width, so that one array("Q") packs and unpacks it), column c in
+    slot c, every slot a residue in [0, p) between eliminations (_walk
+    bounds them on the way).
+
+    tails maps each pivot's lead column l to minus its row scaled to lead
+    1, from column l + 1 on; rows maps l to the int row that gave the
+    pivot, as it was added, in the order added; and steps maps l to how
+    the echelon row came from it: the inverse of its lead once the
+    earlier pivots were taken off, and lead times p plus multiplier for
+    each of those pivots, in order.  The rows that gave pivots have an
+    r x r minor at the lead columns that is nonzero mod p, so nonzero
+    over Q: the rank over Q of the rows added is at least rank.
+
+    As rref does over Q, add skips the rows the pivots already span once
+    such rows have cost enough: once as many rows in a row have walked to
+    zero as an eighth of the rank, about what building the kernel costs
+    (its back-substitution walks reduce by RREF rows that hold free
+    columns alone: on the dense gl(2|2) conjugate's ts2 a kernel of rank
+    1014 took the time of about 130 row walks), it packs the kernel mod p
+    by column, and a later row whose packed products with it are all 0
+    mod p lies in the span mod p and is skipped; a new pivot drops the
+    kernel."""
+
+    def __init__(self, cols: int, p: int = MODULUS):
+        self.cols, self.p = cols, p
+        self.tails, self.rows, self.steps = {}, {}, {}
+        self._zeros = 0  # rows walked to zero since the last new pivot
+        self._kernel = self._columns = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.tails)
+
+    def add(self, pairs) -> bool:
+        """Add the sparse int row pairs; True when it gives a new pivot."""
+        p = self.p
+        if self._columns is not None and self._spanned(pairs):
+            return False
+        used = []
+        lead, x = _walk(_residues(pairs, self.cols, p), 0, self.tails, p,
+                        used)
+        if lead is None:
+            self._zeros += 1
+            if self._columns is None and 8 * self._zeros >= self.rank:
+                self._columns = [0] * self.cols
+                for s, (_, v) in enumerate(self.kernel().items()):
+                    for j, y in v:
+                        self._columns[j] += y << (_SLOT * s)
+            return False
+        vals = _slots(x)
+        inverse = pow(vals[0] % p, -1, p)
+        scale = p - inverse
+        self.tails[lead] = _from_slots(array("Q", [v * scale % p
+                                                   for v in vals[1:]]))
+        self.rows[lead] = pairs
+        self.steps[lead] = (inverse, array("Q", used))
+        self._zeros = 0
+        self._kernel = self._columns = None
+        return True
+
+    def _spanned(self, pairs) -> bool:
+        """Whether the row has a zero product mod p with every kernel
+        vector: one packed sum of residue times packed column per entry,
+        reduced slot by slot as _walk's are."""
+        p, columns, limit = self.p, self._columns, _products(self.p)
+        acc = count = 0
+        for j, x in pairs:
+            if count == limit:
+                acc, count = _reduced(acc, p), 0
+            acc += x % p * columns[j]
+            count += 1
+        return not any(v % p for v in _slots(acc))
+
+    def kernel(self) -> dict:
+        """The RREF kernel mod p: per free column f, the basis vector with
+        1 at f, 0 at every other free column and minus each RREF row's
+        entry at f at that row's lead, as sorted (column, residue) pairs.
+        The RREF rows come from the echelon by back-substitution, the last
+        lead first, each walked (_walk) against the RREF rows after it.
+        Kept until the next new pivot."""
+        if self._kernel is not None:
+            return self._kernel
+        p = self.p
+        kernel = {f: [(f, 1)] for f in range(self.cols) if f not in self.tails}
+        reduced = {}  # lead -> minus its RREF row, from lead + 1 on
+        for lead in sorted(self.tails, reverse=True):
+            out = []
+            _walk(self.tails[lead], lead + 1, reduced, p, [], out)
+            a = array("Q", bytes((self.cols - lead - 1) << 3))
+            for c, x in out:
+                a[c - lead - 1] = x
+                kernel[c].append((lead, x))
+            reduced[lead] = _from_slots(a)
+        self._kernel = {f: tuple(sorted(v)) for f, v in kernel.items()}
+        return self._kernel
+
+
+def modular_rank(rows, cols: int, stop: int = None,
+                 p: int = MODULUS) -> ModularEchelon:
+    """The ModularEchelon mod p of the sparse int rows, each a sequence of
+    (column, int) pairs of length cols, read in order until its rank
+    reaches stop (cols by default), so the row that completes it is the
+    last one read.  Its rank is a lower bound of the rank over Q of the
+    rows read, equal to it unless p divides every maximal minor."""
+    echelon = ModularEchelon(cols, p)
+    stop = cols if stop is None else stop
+    if echelon.rank < stop:
+        for pairs in rows:
+            if echelon.add(pairs) and echelon.rank == stop:
+                break
+    return echelon
+
+
+def orthogonal_test(columns):
+    """A test of whether a sparse int row has a zero product with each
+    vector of a family of int vectors, given by coordinate: columns[j]
+    holds the (s, x) pairs of the nonzero j-th coordinates x of the
+    vectors s.  Column j is packed (pack) into one int, so a row's
+    products are one packed sum over its nonzero entries, zero exactly
+    when every product is: a row whose largest |entry| is at most bound
+    has products of at most bound times the largest 1-norm of a vector,
+    which slot_width holds, and a row above the bound repacks the columns
+    for twice the bound, or its own largest entry."""
+    norms = {}
+    for pairs in columns:
+        for s, x in pairs:
+            norms[s] = norms.get(s, 0) + abs(x)
+    reach = max(norms.values(), default=0)
+    state = [-1, None]  # the bound the columns are packed for, and them
+
+    def test(pairs) -> bool:
+        if not pairs:
+            return True
+        at, values = zip(*pairs)
+        top = max(max(values), -min(values))
+        if top > state[0]:
+            state[0] = max(top, 2 * state[0])
+            width = slot_width(state[0] * reach)
+            state[1] = [pack(c, width) for c in columns]
+        return not sum(map(mul, values, map(state[1].__getitem__, at)))
+    return test
+
+
+def _rational(u: int, m: int, bound: int):
+    """(n, d), n / d = u mod m with |n| <= bound and 0 < d <= bound, by
+    the extended Euclidean algorithm (Wang's rational reconstruction), or
+    None when no such pair comes out."""
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not t1 or abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(ys: list, m: int):
+    """(D, [D y for y in ys]) for the rationals y whose residues mod m are
+    ys, under one common denominator D, built entry by entry: an entry
+    that D already clears is the symmetric residue of D y, and another
+    reconstructs that residue (_rational) and multiplies D by its
+    denominator; None when an entry does not reconstruct.  Numerators and
+    D stay within the power of two at most the root of m / 2, so two
+    rationals that pass have distinct residues."""
+    bound = 1 << ((m.bit_length() - 2) >> 1)  # at most the root of m / 2
+    den, nums = 1, []
+    for y in ys:
+        v = y * den % m
+        if v > m >> 1:
+            v -= m
+        if abs(v) <= bound:
+            nums.append(v)
+            continue
+        got = _rational(v, m, bound)
+        if got is None or den * got[1] > bound:
+            return None
+        n, d = got
+        den *= d
+        nums = [x * d for x in nums]
+        nums.append(n)
+    return den, nums
+
+
+def lift_kernel(echelon: ModularEchelon, frees) -> list:
+    """For each free column f of frees, an int vector w with P w = 0 over
+    Q, P the rows that gave echelon's pivots: w_f = D, 0 at every other
+    free column and D y at the leads, where B y = -c, B the minor of P at
+    the leads, c P's column f and D the least denominator of y; as sorted
+    (column, int) pairs.  None when the lift fails.
+
+    y comes by Dixon's p-adic lifting (1982), each step solving for one
+    more p-adic digit of y while B Y + c = p^k e stays exact in ints,
+    summed over B's sparse rows.  A digit
+    solves B d = -e mod p through the factors the echelon kept: its rows
+    are E = T P, so its minor at the leads is U = T B, unit upper
+    triangular in lead order, and T is unit lower triangular in the order
+    the rows came once each row's inverse lead is taken out (steps);
+    forward substitution gives z = T (-e), and back substitution U d = z
+    (_substitute, both).  After each step Y mod p^k is reconstructed as
+    rationals (_reconstruct), and y is taken once two steps in a row give
+    the same.  By Hadamard's bound every numerator and denominator of y
+    is at most the product H of the row norms of [B | c]: once p^k passes
+    16 H^2 the reconstruction is y, so the steps stop, and the lift fails,
+    one step later.  The caller checks the vectors it gets."""
+    p = echelon.p
+    order = list(echelon.rows)  # the leads, in the order their rows came
+    r = len(order)
+    if not r:
+        return [((f, 1),) for f in frees]
+    index = {lead: i for i, lead in enumerate(order)}
+    down = sorted(order, reverse=True)
+    place = {lead: n for n, lead in enumerate(down)}
+    forward = [array("Q", bytes((r - i - 1) << 3)) for i in range(r)]
+    backward = [array("Q", bytes((r - n - 1) << 3)) for n in range(r)]
+    scales = []
+    for i, lead in enumerate(order):
+        inverse, used = echelon.steps[lead]
+        scales.append(inverse)
+        for step in used:
+            l, a = divmod(step, p)
+            j = index[l]
+            forward[j][i - j - 1] = p - a  # row i took a times row j off
+        tail, n = _slots(echelon.tails[lead]), place[lead]
+        for m, l in enumerate(down[:n]):  # U's column l, above its diagonal
+            if l - lead <= len(tail):
+                backward[m][n - m - 1] = tail[l - lead - 1]
+    for factor in (forward, backward):  # in place, one array at a time
+        for j, a in enumerate(factor):
+            factor[j] = _from_slots(a)
+    ones = [1] * r
+    rows = [echelon.rows[lead] for lead in order]
+    minor = [[(place[c], x) for c, x in row if c in place] for row in rows]
+    cap = 5 + sum(sum(x * x for _, x in row).bit_length()
+                  for row in rows)  # bits of 16 H^2
+    out = []
+    for f in frees:
+        e = [sum(x for c, x in row if c == f) for row in rows]
+        ys, m, last = [0] * r, 1, None
+        while m.bit_length() <= cap + p.bit_length():
+            z = _substitute(_from_slots(array("Q", [-x % p for x in e])),
+                            forward, scales, p)
+            digit = _substitute(_from_slots(array("Q", [
+                z[index[l]] for l in down])), backward, ones, p)
+            e = [x + sum(y * digit[n] for n, y in row)
+                 for x, row in zip(e, minor)]
+            if any(x % p for x in e):
+                return None
+            e = [x // p for x in e]
+            ys = [y + m * x for y, x in zip(ys, digit)]
+            m *= p
+            got = _reconstruct(ys, m)
+            if got is not None and got == last:
+                den, nums = got
+                w = {lead: x for lead, x in zip(down, nums) if x}
+                w[f] = den
+                out.append(tuple(sorted(w.items())))
+                break
+            last = got
+        else:
+            return None
+    return out
+
+
+def certified_rank(m: Matrix, known, b: int, walk) -> int:
+    """The rank over Q of the int matrix m, computed mod p and proved.
+
+    m.entries is read once, by modular_rank, until the rank mod p reaches
+    m.cols - b, and then to its end, so a check the caller hangs on it sees
+    every row, unless the rank reaches m.cols.  known holds int vectors,
+    sorted (column, int) pairs, whose span has dimension b over Q and lies
+    in the kernel of m; the caller checks that on every row.  walk() reads
+    m's rows afresh.  Two bounds pin the rank:
+    - the rank r mod p is a lower bound, a minor nonzero mod p being
+      nonzero over Q;
+    - the span of known bounds the kernel from below, so the rank is at
+      most m.cols - b, and r = m.cols - b is proved.
+    Otherwise the kernel mod p, of dimension k = m.cols - r, holds
+    k - b or more vectors past the span of known mod p.  These are taken
+    from the RREF kernel mod p, in free column order, lifted to int
+    vectors (lift_kernel), checked to be in the kernel of every row of
+    walk() in ints (orthogonal_test), and checked mod p to span, with
+    known, a space of dimension k, so of dimension k over Q: then the rank
+    is at most r, and r is proved.  A check that fails leaves the answer
+    to rank on walk(), so the rank is exact whichever path gives it."""
+    cols = m.cols
+    rows = iter(m.entries)
+    echelon = modular_rank(rows, cols, cols - b)
+    if echelon.rank == cols:
+        return cols
+    for _ in rows:
+        pass
+    free = cols - echelon.rank
+    if free == b:
+        return echelon.rank
+    span = modular_rank(known, cols)
+    frees = [f for f, v in echelon.kernel().items()
+             if span.rank < free and span.add(v)]
+    lifted = lift_kernel(echelon, frees)
+    if lifted is not None:
+        columns = [[] for _ in range(cols)]
+        for s, v in enumerate(lifted):
+            for j, x in v:
+                columns[j].append((s, x))
+        if (all(map(orthogonal_test(columns), walk()))
+                and modular_rank((*known, *lifted), cols).rank == free):
+            return echelon.rank
+    return rank(Matrix(m.rows, cols, walk()))

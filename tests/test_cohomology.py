@@ -20,7 +20,7 @@ from homnambu.cohomology import (_BUILDERS, _DEGREES, MAX_COBOUNDARY_ROWS,
                                  Cochain, _apply, _block_labels, _blocks,
                                  _first_nonzero, _grading, _row_count,
                                  _row_keys, _served, _walk, _weight_basis,
-                                 apply_coboundaries, apply_coboundary,
+                                 apply_coboundaries,
                                  binary_adjoint_cocycle_space,
                                  binary_pair_eval,
                                  bracket_cochain, coboundary_matrix,
@@ -37,7 +37,7 @@ from homnambu.formats import load_cochain, read_document
 from homnambu.graded import (GradedMap, canonicalize, graded_space, skew_basis,
                              tuple_parity)
 from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
-                             image, integer_terms, is_zero_vec, kernel,
+                             integer_terms, is_zero_vec, kernel,
                              subspace_intersection, unit_vec, vec_scale)
 from homnambu.reps import TraceFunctional, trace_functional
 from homnambu.ternary import (SuperBracket3, TernaryHomLieSuper, induce_ternary,
@@ -184,8 +184,9 @@ def test_adjoint_dims_by_output_parity_match_lifted_elimination():
             if degree == 1:
                 b = Subspace.zero(z.ambient_dim)
             else:
-                b = image(parity_block(coboundary_matrix(t, cx, 1), cx, 1,
-                                       lie.space, 0))
+                b = Subspace.spanned_by_rows(parity_block(
+                    coboundary_matrix(t, cx, 1), cx, 1, lie.space,
+                    0).transpose())
             want = (z.dim, b.dim, z.dim - b.dim)
             assert cohomology_dims(t, cx, degree) == want, (name, degree)
 
@@ -224,7 +225,7 @@ def test_binary_adjoint_d1_completes_the_complex(g11):
     # shipped adjoint 2-cocycle goes to the zero 3-cochain
     path = Path(__file__).resolve().parent.parent / "fixtures" / "phi_ad.json"
     phi = load_cochain(json.loads(path.read_text("utf-8")), g11.space)
-    out = apply_coboundary(g11, phi)
+    out = apply_coboundaries(g11, [phi])[0]
     assert (out.degree, out.is_zero()) == (3, True)
     for lie, dims in ((g11, (6, 6, 0)), (gl11t()[0], (6, 6, 0)),
                       (glmn(2, 1)[0], (36, 36, 0))):
@@ -249,12 +250,12 @@ def test_coboundary_matrix_dispatch(g11, t11):
 def test_apply_coboundary_round(g11, t11):
     rng = random.Random(72)
     f = random_cochain(rng, "binary-scalar", 1, g11.space, 0)
-    out = apply_coboundary(g11, f)
+    out = apply_coboundaries(g11, [f])[0]
     assert out.degree == 2 and out.parity == 0
     assert out.coords == \
         coboundary_matrix(g11, "binary-scalar", 1).apply(f.coords)
     h = random_cochain(rng, "ternary-adjoint", 2, t11.space, 1)
-    out = apply_coboundary(t11, h)
+    out = apply_coboundaries(t11, [h])[0]
     assert out.coords == \
         coboundary_matrix(t11, "ternary-adjoint", 2).apply(h.coords)
 
@@ -263,7 +264,7 @@ def test_slice_apply_matches_lifted_matrix():
     # coboundaries of given cochains apply the integer value-free rows, per
     # output, to the cochain's cleared coordinates; the lifted Fraction
     # coboundary matrix is the oracle, entry types included: _apply returns
-    # exactly its nonzero entries, apply_coboundary all of them.  The
+    # exactly its nonzero entries, apply_coboundaries all of them.  The
     # coordinates have denominators, so the clearing is exercised.
     rng = random.Random(81)
     for name, lie, rep in oracle_algebras():
@@ -280,7 +281,7 @@ def test_slice_apply_matches_lifted_matrix():
                     (name, cx, degree, parity)
                 assert [type(x) for x in got.values()] == \
                     [type(want[i]) for i in got]
-                dense = apply_coboundary(obj, c).coords
+                dense = apply_coboundaries(obj, [c])[0].coords
                 assert dense == want
                 assert [type(x) for x in dense] == [type(x) for x in want]
                 if cx.startswith("binary") and degree == 2:
@@ -347,11 +348,11 @@ def test_cochain_parity_support_enforced(g11):
 
 @pytest.mark.parametrize("bad", [0.5, "1", None])
 def test_cochain_rejects_a_coordinate_that_is_not_an_exact_rational(g11, bad):
-    # by linalg.frac's rule, at construction rather than in apply_coboundary
+    # by linalg.frac's rule, at construction rather than in apply_coboundaries
     with pytest.raises(InputError, match="coordinate 0 is not an exact"):
         Cochain("binary-scalar", 1, 0, g11.space, (bad, 0, 0, 0))
     c = Cochain("binary-scalar", 1, 0, g11.space, (Fraction(1, 2), 1, 0, 0))
-    assert apply_coboundary(g11, c).degree == 2
+    assert apply_coboundaries(g11, [c])[0].degree == 2
 
 
 def test_make_cochain_keys(g11):
@@ -688,7 +689,7 @@ def test_class_transfer_witnesses_name_every_mismatch(g11, tau11, t11):
     phi1 = Cochain("binary-scalar", 2, 0, g11.space,
                    cocycles(g11, "binary-scalar", 2, 0)[0])
     eta = make_cochain("binary-scalar", 1, g11.space, {(0,): 1})
-    phi2 = phi1.add(apply_coboundary(g11, eta))
+    phi2 = phi1.add(apply_coboundaries(g11, [eta])[0])
     assert verify_cochain_transfer(g11, tau11, [], [(phi1, phi2)],
                                    t11)[1][0].verdict == "pass"
     _, (r,) = verify_cochain_transfer(g11, tau11, [], [(phi1, phi2)],
@@ -749,8 +750,8 @@ def test_coboundary_blocks_live_as_long_as_their_walk():
         assert read_blocks(obj, cx, 2, labels) == \
             read_blocks(obj, cx, 2, labels)
         coboundary_matrix(obj, cx, 2)
-        apply_coboundary(obj, random_cochain(random.Random(71), cx, 2,
-                                             obj.space, 0))
+        apply_coboundaries(obj, [random_cochain(random.Random(71), cx, 2,
+                                             obj.space, 0)])[0]
         assert set(obj.memo) == {"grading"}, cx
     # the ternary-adjoint delta2 walks the scalar rows, label by
     # label, at twice the multiplier
@@ -2410,3 +2411,165 @@ def test_binary_coboundary_matrices_are_pinned():
                 digest = hashlib.sha256(text.encode()).hexdigest()
                 assert digest == PINNED_BINARY_SHA256[name, cx, degree], \
                     (name, cx, degree)
+
+
+def dense_rule_cases():
+    """(name, algebra, complex, degree): every cohomology-ladder query
+    (gl(2|1), gl(2|2), and gl(1|1) plain, Yau-twisted and conjugated), bs2,
+    bs3 and ts2 of the diagonal Yau twist of gl(2|1), and bs2, bs3 and ts2
+    of the dense gl(1|1) and gl(2|1) conjugates."""
+    for m, n, queries in ((2, 1, (("binary-scalar", 1), ("binary-scalar", 2),
+                                   ("ternary-scalar", 1),
+                                   ("ternary-scalar", 2),
+                                   ("ternary-adjoint", 1))),
+                          (2, 2, (("binary-scalar", 2), ("ternary-scalar", 1),
+                                  ("ternary-adjoint", 1)))):
+        lie, rep = glmn(m, n)
+        t = induced(lie, rep)[1]
+        for cx, degree in queries:
+            yield f"gl{m}{n}", lie if cx[0] == "b" else t, cx, degree
+    lie, rep = glmn(1, 1)
+    twisted = diagonal_twist(lie, 1, 1)
+    tau = TraceFunctional(twisted, trace_functional(rep).values)
+    gl11s = [("gl11", induced(lie, rep)[1]),
+             ("gl11t", induce_ternary(twisted, tau, twisted.alpha,
+                                      twisted.alpha))]
+    for seed in (1, 2):
+        clie, crep = conjugate_gl11(random.Random(seed))
+        gl11s.append((f"gl11c{seed}", induced(clie, crep)[1]))
+        for degree in (2, 3):
+            yield f"gl11c{seed}", clie, "binary-scalar", degree
+    for name, t in gl11s:
+        for cx in ("ternary-scalar", "ternary-adjoint"):
+            yield name, t, cx, 2
+    for name, lie, _, t in gl21_family():
+        if name != "gl21":
+            for degree in (2, 3):
+                yield name, lie, "binary-scalar", degree
+            yield name, t, "ternary-scalar", 2
+
+
+def certified_blocks(monkeypatch):
+    """Spy on cohomology's certified_rank: a list that gets (cols, b, rank)
+    of each block it ranks, each rank checked against linalg.rank on a
+    fresh walk of the block."""
+    blocks = []
+    certified, exact = cohomology.certified_rank, linalg.rank
+
+    def spy(m, known, b, walk):
+        r = certified(m, known, b, walk)
+        assert r == exact(Matrix(m.rows, m.cols, walk()))
+        blocks.append((m.cols, b, r))
+        return r
+
+    monkeypatch.setattr(cohomology, "certified_rank", spy)
+    return blocks
+
+
+def test_the_modular_path_matches_exact_elimination_block_by_block(
+        monkeypatch):
+    # with the dense rule forced both ways, every (Z, B, H) is the same,
+    # and each block's certified rank is linalg.rank of the block.  The
+    # dense conjugates' bs3 blocks have H > 0: their rank mod p stops
+    # short of cols - b, and a lifted kernel vector certifies it, with no
+    # exact fallback
+    lifts = []
+    lift = linalg.lift_kernel
+
+    def lifted(echelon, frees):
+        out = lift(echelon, frees)
+        lifts.append(len(out))
+        return out
+
+    fallbacks = []
+    exact = linalg.rank
+    for name, obj, cx, degree in dense_rule_cases():
+        want = cohomology_dims(obj, cx, degree)
+        monkeypatch.setattr(cohomology, "_dense", lambda obj, cols: False)
+        assert cohomology_dims(obj, cx, degree) == want, (name, cx, degree)
+        monkeypatch.setattr(cohomology, "_dense", lambda obj, cols: True)
+        blocks = certified_blocks(monkeypatch)
+        monkeypatch.setattr(linalg, "lift_kernel", lifted)
+        monkeypatch.setattr(linalg, "rank",
+                            lambda m: fallbacks.append(m) or exact(m))
+        assert cohomology_dims(obj, cx, degree) == want, (name, cx, degree)
+        monkeypatch.undo()
+        assert blocks, (name, cx, degree)
+        z = sum(cols - r for cols, _, r in blocks)
+        if cx.endswith("scalar"):
+            assert (z, sum(b for _, b, _ in blocks)) == want[:2], name
+    assert lifts and not fallbacks
+
+
+def test_the_dense_rule_takes_only_ungraded_wide_blocks():
+    # the dense gl(2|1) conjugate grades with rank 0, and its adapted
+    # ternary copy with rank 1; plain gl(2|1) with rank 2
+    lie, rep = glmn(2, 1)
+    clie, crep = conjugate_pair(lie, rep, random_even_invertible(
+        random.Random(1), lie.space))
+    _, ct = induced(clie, crep)
+    copy = cohomology._adapted(ct, "ternary-scalar", 2)[0]
+    assert [_grading(a)[0] for a in (clie, copy, lie)] == [0, 1, 2]
+    dense = cohomology._dense
+    assert dense(clie, 32) and dense(copy, 128) and not dense(clie, 31)
+    assert not dense(lie, 300)
+
+
+def test_d2_runs_on_every_row_of_a_modular_block(monkeypatch):
+    # the dense gl(2|1) conjugate's ts2 48-column block reaches its rank
+    # mod p, cols - b, partway through its rows: the rows after it are
+    # read for the d^2 test alone, so every row of the block is tested
+    tested = []
+    test = cohomology.orthogonal_test
+
+    def counted(columns):
+        zero = test(columns)
+        tested.append(0)
+
+        def spy(row):
+            tested[-1] += 1
+            return zero(row)
+        return spy
+
+    read = []
+    modular = linalg.modular_rank
+
+    def reading(rows, cols, stop=None, p=linalg.MODULUS):
+        echelon = modular(rows, cols, stop, p)
+        read.append((cols, stop, echelon.rank))
+        return echelon
+
+    counts = []
+    certified = cohomology.certified_rank
+
+    def spy(m, known, b, walk):
+        counts.append((m.rows, m.cols, b))
+        return certified(m, known, b, walk)
+
+    monkeypatch.setattr(cohomology, "orthogonal_test", counted)
+    monkeypatch.setattr(linalg, "modular_rank", reading)
+    monkeypatch.setattr(cohomology, "certified_rank", spy)
+    *_, (_, _, _, t) = gl21_family()
+    assert cohomology_dims(t, "ternary-scalar", 2) == (5, 4, 1)
+    checked = [(rows, cols, b) for rows, cols, b in counts if b]
+    assert len(checked) == len(tested) and checked
+    for (rows, cols, b), n in zip(checked, tested):
+        assert n == rows, (rows, cols)
+        assert (cols, cols - b, cols - b) in read, (rows, cols)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_a_broken_d2_on_a_dense_conjugate_names_the_identity(monkeypatch,
+                                                            dense):
+    # gl(2|1) with alpha = central_twist(2, 1) is not multiplicative, so
+    # its bs3 has d^2 != 0; on its dense conjugate, graded with rank 0,
+    # the error names the identity either way the rule goes
+    doc = ci_documents.central(2, 1)
+    lie, _ = conjugate_pair(doc.lie, doc.rep, random_even_invertible(
+        random.Random(1), doc.lie.space))
+    assert _grading(lie)[0] == 0
+    monkeypatch.setattr(cohomology, "_dense", lambda obj, cols: dense)
+    with pytest.raises(PreconditionError,
+                       match="^coboundary escaped the cocycle space: the "
+                             "algebra breaks multiplicative at "):
+        cohomology_dims(lie, "binary-scalar", 3)

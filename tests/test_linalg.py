@@ -11,8 +11,9 @@ from homnambu.cohomology import (_block_labels, _grading, _weight_groups,
 from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
                                glmn, random_even_invertible)
 from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd, content,
-                             _make_primitive, frac, image, invert,
-                             is_zero_vec, kernel, pack, rank, rref,
+                             _make_primitive, certified_rank, frac,
+                             integer_terms, invert, is_zero_vec, kernel,
+                             modular_rank, pack, rank, rref,
                              slot_width, solve, subspace_intersection,
                              unit_vec, unpack, vec, zero_vec)
 from homnambu.reps import trace_functional
@@ -211,10 +212,6 @@ def oracle_kernel(m, r=None):
     return oracle_span(m.cols, basis)
 
 
-def oracle_image(m):
-    return oracle_span(m.rows, [m.col(j) for j in range(m.cols)])
-
-
 def oracle_solve(m, b):
     n = m.cols
     r = dense_rref(dense_matrix(n + 1, [
@@ -281,7 +278,6 @@ def test_sparse_eliminator_matches_dense_oracle():
         assert all(x for row in r.entries for _, x in row), name
         assert rank(m) == ranked, name
         assert kernel(m) == oracle_kernel(m), name
-        assert image(m) == oracle_image(m), name
         rows = dense_rows(m)
         assert Subspace.from_vectors(m.cols, rows) == oracle_span(m.cols, rows)
         x0 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(m.cols))
@@ -758,3 +754,273 @@ def test_packed_vectors_add_and_scale_as_vectors():
                       width, 4) == total
         assert (c * pack(enumerate(total), width)
                 == pack(enumerate(c * x for x in total), width))
+
+
+# --- packed elimination modulo a prime ---------------------------------------
+
+P = linalg.MODULUS
+
+
+def int_rows(m):
+    """The rows of m as sparse int rows, each cleared of its own
+    denominators, which leaves the row space unchanged."""
+    return [integer_terms([row])[1][0] for row in m.entries]
+
+
+def residue(x, p=P):
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def rref_kernel_mod(m, p=P):
+    """rref's kernel basis, one vector per free column f (1 at f, minus
+    each RREF row's entry at f at its lead), reduced mod p."""
+    pivots = linalg._pivots(rref(m))
+    leads = {lead for lead, _ in pivots}
+    out = {f: {f: 1} for f in range(m.cols) if f not in leads}
+    for lead, row in pivots:
+        for f, x in row[1:]:
+            if f in out and residue(-x, p):
+                out[f][lead] = residue(-x, p)
+    return {f: tuple(sorted(v.items())) for f, v in out.items()}
+
+
+def test_the_modular_echelon_matches_rref_mod_p():
+    # on the differential cases, whose maximal minors p divides none of,
+    # the rank mod p is rref's and the RREF kernel mod p is rref's kernel
+    # reduced mod p, entry for entry
+    for name, m in differential_cases():
+        echelon = modular_rank(int_rows(m), m.cols)
+        assert echelon.rank == rank(m), name
+        assert echelon.kernel() == rref_kernel_mod(m), name
+        assert sorted(echelon.rows) == [lead for lead, _ in
+                                        linalg._pivots(rref(m))], name
+
+
+def test_the_modular_rank_reads_rows_up_to_the_one_that_completes_it():
+    rng = random.Random(3)
+    m = rand_case(rng, 30, 6, density=1.0)
+    rows = int_rows(m)
+    read = []
+
+    def stream():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    echelon = modular_rank(stream(), 6, 4)
+    assert echelon.rank == 4 and len(read) == 4
+    read.clear()
+    assert modular_rank(stream(), 6).rank == 6 and len(read) == 6
+    read.clear()
+    assert modular_rank(stream(), 6, 0).rank == 0 and not read
+
+
+def test_the_kernel_skip_keeps_the_rank_and_the_kernel(monkeypatch):
+    # rows the pivots span mod p stop walking once an eighth of the rank's
+    # worth have walked to zero: a packed product with the kernel mod p
+    # skips them; a new pivot after the skip began drops the kernel, and
+    # the 30 rows after it walk only until the kernel is built again, so
+    # 8 of the 91 rows walk
+    walks = []
+    walk = linalg._walk
+    monkeypatch.setattr(linalg, "_walk",
+                        lambda *args: walks.append(args[1]) or walk(*args))
+    rng = random.Random(8)
+    basis = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(5)]
+    rows = []
+    for _ in range(60):
+        c = [rng.randint(-3, 3) for _ in basis]
+        rows.append([sum(a * b[j] for a, b in zip(c, basis))
+                     for j in range(12)])
+    rows.append([rng.randint(-9, 9) for _ in range(12)])  # a new pivot
+    rows += rows[:30]
+    m = Matrix.build(rows)
+    echelon = modular_rank(int_rows(m), 12)
+    row_walks = walks.count(0)  # back-substitution walks start past 0
+    assert echelon.rank == rank(m) == 6
+    assert echelon.kernel() == rref_kernel_mod(m)
+    # six pivots, and one zero row before each kernel: 8 >= the rank
+    assert row_walks == 8
+
+
+def test_products_is_the_proven_slot_bound():
+    # a slot holding one residue takes _products(p) products of two
+    # residues below 2^64, and not one more
+    for p in (3, 65521, P, 4294967291):
+        k = linalg._products(p)
+        assert (p - 1) + k * (p - 1) ** 2 < 1 << 64
+        assert (p - 1) + (k + 1) * (p - 1) ** 2 >= 1 << 64
+    assert linalg._products(P) == 4096 and linalg._products(4294967291) == 1
+
+
+def dense_mod_p(rows, cols, p):
+    """(rank, RREF kernel) mod p of dense int rows by plain Gauss-Jordan
+    on residues, the kernel as rref_kernel_mod gives it."""
+    table = {}  # lead -> row with 1 at lead and 0 at every other lead
+    for row in rows:
+        v = [x % p for x in row]
+        for lead, prow in table.items():
+            if v[lead]:
+                c = v[lead]
+                v = [(a - c * b) % p for a, b in zip(v, prow)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        v = [x * inv % p for x in v]
+        for other, prow in table.items():
+            if prow[lead]:
+                c = prow[lead]
+                table[other] = [(a - c * b) % p for a, b in zip(prow, v)]
+        table[lead] = v
+    out = {f: {f: 1} for f in range(cols) if f not in table}
+    for lead, prow in table.items():
+        for f in out:
+            if prow[f]:
+                out[f][lead] = -prow[f] % p
+    return len(table), {f: tuple(sorted(v.items())) for f, v in out.items()}
+
+
+def test_entries_at_the_slot_bound_stay_exact():
+    # under the largest prime whose slots take one product, every step
+    # reduces the row first; residues of p - 1 and p - 2 everywhere make
+    # products of p - 1 by about p - 1 fill the slots to the bound, and
+    # representatives far above 2^64, or negative, reduce as they are
+    # packed.  Plain Gauss-Jordan on residues is the oracle
+    p = 4294967291
+    rng = random.Random(11)
+    for n in range(1, 10):
+        rows = []
+        for _ in range(n + 3):
+            residues = [rng.choice([p - 1, p - 1, p - 2, rng.randrange(p)])
+                        for _ in range(n + 2)]
+            rows.append([r + p * rng.choice([0, -1, 1 << 70])
+                         for r in residues])
+        echelon = modular_rank([tuple(enumerate(r)) for r in rows], n + 2,
+                               p=p)
+        assert (echelon.rank, echelon.kernel()) == dense_mod_p(rows, n + 2, p)
+
+
+def test_orthogonal_test_is_exact_at_its_packing_bound():
+    # products of a row of largest entry `bound` reach bound times the
+    # largest 1-norm of a vector, the edge of the slot; a nonzero product
+    # there, or a borrow from one slot to the next, never packs to zero
+    vectors = [[5, -7, 0], [0, 3, 3]]  # 1-norms 12 and 6
+    columns = [[(s, v[j]) for s, v in enumerate(vectors) if v[j]]
+               for j in range(3)]
+    test = linalg.orthogonal_test(columns)
+    assert test(((0, 7), (1, 5), (2, -5)))  # products 0 and 0
+    bound = 1 << 40
+    assert not test(((0, bound), (1, -bound)))  # 12 bound, 0 - 0
+    assert not test(((1, bound), (2, bound)))  # -7 bound, 6 bound
+    assert not test(((0, -bound), (1, bound), (2, 0)))
+    assert test(((0, 7 * bound), (1, 5 * bound), (2, -5 * bound)))
+    rng = random.Random(4)
+    for _ in range(200):
+        row = [(j, rng.randint(-3, 3) * rng.choice([1, 1 << 70]))
+               for j in range(3)]
+        want = all(sum(x * v[j] for j, x in row) == 0 for v in vectors)
+        assert test(row) == want, row
+
+
+def spied_fallbacks(monkeypatch):
+    """Spy on certified_rank's fallback: a list that gets each exact rank."""
+    calls = []
+    exact = linalg.rank
+
+    def spy(m):
+        calls.append(m)
+        return exact(m)
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    return calls
+
+
+def kernel_case(rng, n, cols, r, size):
+    """(m, known): an n x cols int matrix of rank r and large entries, and
+    int vectors spanning part of its kernel."""
+    x = [[rng.randint(-size, size) for _ in range(r)] for _ in range(n)]
+    y = [[rng.randint(-size, size) for _ in range(cols)] for _ in range(r)]
+    m = Matrix.build([[sum(a * b[j] for a, b in zip(row, y))
+                       for j in range(cols)] for row in x])
+    known = [integer_terms([enumerate(v)])[1][0]
+             for v in kernel(m).vectors()]
+    return m, known
+
+
+def certify(m, known, b):
+    rows = int_rows(m)
+    return certified_rank(Matrix(m.rows, m.cols, iter(rows)), known, b,
+                          lambda: iter(rows))
+
+
+def test_a_lifted_kernel_certifies_a_rank_short_of_the_known_bound(
+        monkeypatch):
+    # known spans b of the kernel's cols - r dimensions: the missing ones
+    # come lifted from the kernel mod p, by Dixon's p-adic steps through
+    # entries of many more bits than p has, and pass both checks, with no
+    # exact fallback
+    fallbacks = spied_fallbacks(monkeypatch)
+    lifted = []
+    lift = linalg.lift_kernel
+
+    def spy(echelon, frees):
+        out = lift(echelon, frees)
+        lifted.append(out)
+        return out
+
+    monkeypatch.setattr(linalg, "lift_kernel", spy)
+    rng = random.Random(21)
+    for n, cols, r, size, b in ((14, 9, 5, 1 << 30, 2), (9, 7, 4, 3, 0),
+                                (12, 10, 6, 1 << 12, 3), (6, 6, 6, 9, 0)):
+        m, known = kernel_case(rng, n, cols, r, size)
+        assert rank(m) == r
+        assert certify(m, known[:b], b) == r
+        assert not fallbacks, (n, cols, r)
+    assert len(lifted) == 3
+    assert max(abs(x) for out in lifted for v in out for _, x in v) > 1 << 120
+
+
+def test_p_dividing_every_maximal_minor_falls_back_to_the_exact_rank(
+        monkeypatch):
+    # the last column is p times a column plus a combination of the
+    # others: every maximal minor is a multiple of p, the rank mod p is 4
+    # and over Q 5.  The kernel vector lifted from the 4 pivot rows is not
+    # in the kernel of the fifth, so the exact rank on a fresh walk answers
+    fallbacks = spied_fallbacks(monkeypatch)
+    rng = random.Random(7)
+    rows = []
+    for _ in range(8):
+        row = [rng.randint(-50, 50) for _ in range(4)]
+        rows.append(row + [P * rng.randint(-5, 5) + 2 * row[0] - row[3]])
+    m = Matrix.build(rows)
+    assert modular_rank(int_rows(m), 5).rank == 4
+    assert certify(m, [], 0) == rank(m) == 5
+    assert len(fallbacks) == 1
+    assert certify(Matrix.build([[P, 0], [0, P]]), [], 0) == 2
+
+
+@pytest.mark.parametrize("how", ["off the kernel", "inside the known span"])
+def test_a_corrupted_lifted_vector_falls_back_and_stays_exact(monkeypatch,
+                                                              how):
+    # one lifted vector moved off the kernel fails A w = 0 on the second
+    # walk; one replaced by a known vector passes it but leaves the span
+    # mod p short: either way the exact rank on a fresh walk answers
+    fallbacks = spied_fallbacks(monkeypatch)
+    rng = random.Random(31)
+    m, known = kernel_case(rng, 12, 8, 4, 1 << 20)
+    lift = linalg.lift_kernel
+
+    def corrupt(echelon, frees):
+        out = lift(echelon, frees)
+        if how == "off the kernel":
+            v = dict(out[0])
+            v[0] = v.get(0, 0) + 1
+            out[0] = tuple(sorted(v.items()))
+        else:
+            out[0] = known[0]
+        return out
+
+    monkeypatch.setattr(linalg, "lift_kernel", corrupt)
+    assert certify(m, known[:1], 1) == 4
+    assert len(fallbacks) == 1
