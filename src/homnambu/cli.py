@@ -22,6 +22,7 @@ from .extensions import (CentralExtensionData, build_central_extension,
 from .formats import (DocumentBundle, load_cochain, load_functional,
                       read_document, read_json_file, serialize_cochain,
                       write_document)
+from .graded import image
 from .linalg import InputError, PreconditionError, Subspace, unit_vec
 from .report import Report, fmt_vec
 from .reps import trace_functional, verify_representation
@@ -199,9 +200,7 @@ def cmd_transfer_checks(args) -> Report:
     rep.absorb(compare_central_series(lie, t), prefix="series.")
     rep.absorb(verify_center_transfer(lie, tau, t), prefix="center.")
     rep.absorb(verify_1cocycle_transfer(lie, tau, t), prefix="cocycle1.")
-    full = Subspace.full(lie.dim)
-    rep.absorb(ideal_criterion(lie, tau, lie.bracket.span(full, full), t),
-               prefix="ideal.")
+    rep.absorb(ideal_criterion(lie, tau, image(lie), t), prefix="ideal.")
     # the unit 1-cochains of each parity, so a combination of them draws
     # one coefficient per coordinate of the parity's support
     units = [[unit_vec(lie.dim, i) for i in

@@ -62,8 +62,12 @@ twists.
 Every consumer reads the (q, w) blocks through _blocks, one walk per
 call: block(label) gives the block's row count, its row keys, its column
 keys and its rows, each row built as it is read, and nothing outlives the
-walk.  The one memo rule: an algebra's memo holds its grading, its rank
-beside its packed weights, solved once by _grading.  Cocycle bases
+walk.  The one memo rule (graded.HomAlgebra): an algebra's memo holds
+what has been computed or proved about the algebra, and no coboundary
+row.  Here that is its grading, its rank beside its packed weights,
+solved once by _grading; graded.image, [g, g, g], which _adapted reads
+for its hyperplane; and the verdicts the identity verifiers keep there,
+which _proved reads.  Cocycle bases
 (cocycles) hand a block's rows to rref, and cohomology_dims counts
 ranks: each block is eliminated once, as its rows are built, so a block
 of full column rank builds no row past the one that completes its rank,
@@ -72,16 +76,27 @@ cochain of parity f needs the parity-f blocks alone, so a scalar (Z, B,
 H) builds no odd row.  B is the column space of the coboundary below,
 walked once beside _blocks: its rows at a block's column keys, which are
 its row keys there, so each degree's keys are grouped once; dim B is its
-exact rank.
+exact rank.  A builder yields each row's (column, value) pairs in any
+order: the eliminators read them as a map, and coboundary_matrix, whose
+Matrix needs increasing columns, sorts them.
 
-cohomology_dims builds no Subspace.  d^2 = 0 is an int test on each row
-of the upper block as it is read: its products with the lower block's
-columns, packed by linalg.orthogonal_test, are all 0.  Z is the column
-count less the rank of the upper block: rref's on a sparse block, and
-linalg.certified_rank's on a dense one (_dense, DENSE_COLUMNS and
-DENSE_GRADING), a packed rank mod a prime that stops eliminating once it
-reaches cols - dim B, which d^2 = 0 makes an upper bound, and lifts its
-kernel to Q when it stops short of that, so the answer stays exact.
+cohomology_dims builds no Subspace.  d^2 = 0, which makes cols - dim B an
+upper bound on the rank of the upper block, comes from one of two
+sources.  On an algebra where _proved holds, a super_skew bracket whose
+identity (Hom-Jacobi or Hom-Nambu) and multiplicativity verdicts are both
+on record as "pass", it is a theorem (Ammar-Makhlouf, J. Algebra 324
+(2010); Ammar-Mabrouk-Makhlouf, J. Geom. Phys. 61 (2011)), and no row is
+tested: each block's rows are read only until its rank reaches cols -
+dim B, where it is proved.  Otherwise it is an int test on every row of
+the upper block, read as it is built: its products with the lower
+block's columns, packed by linalg.orthogonal_test, are all 0; the rows
+past the rank are read for this test alone.  No verdict, a "fail" or a
+"not-applicable" takes this path, so the identities are no precondition.
+Z is the column count less the rank of the upper block: rref's on a
+sparse block, and linalg.certified_rank's on a dense one (_dense,
+DENSE_COLUMNS and DENSE_GRADING), a packed rank mod a prime that stops
+at cols - dim B, and lifts its kernel to Q when it stops short of that,
+so the answer stays exact.
 
 One rule, owned by _adapted, says which basis an answer is computed in.
 An answer that no even change of basis can alter, a dimension or a zero
@@ -151,8 +166,8 @@ from operator import itemgetter
 
 from .binary import (HomLieSuper, change_of_basis, verify_hom_jacobi,
                      verify_multiplicative)
-from .graded import (GradedSpace, canonicalize, skew_basis, tuple_parity,
-                     wedge_expand, wedge_table)
+from .graded import (GradedSpace, canonicalize, image, skew_basis,
+                     tuple_parity, wedge_expand, wedge_table)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      certified_rank, field, frac, integer_terms, kernel,
                      map_terms, orthogonal_test, pack, rank, slot_width,
@@ -186,6 +201,12 @@ MAX_COBOUNDARY_ROWS = 1 << 20
 DENSE_COLUMNS = 32
 DENSE_GRADING = 1
 _PARITY_LAW = "coboundaries need a bracket that keeps the parity law"
+# per bracket arity, the verifiers of the identity and of multiplicativity,
+# the two facts d^2 = 0 rests on: their "pass" verdicts, kept in the memo
+# under each report's command, its verifier's name, prove it (_proved), and
+# _escaped names the first one a broken algebra fails
+_IDENTITIES = {2: (verify_hom_jacobi, verify_multiplicative),
+               3: (verify_hom_nambu, verify_ternary_multiplicative)}
 
 
 def _check_degree(cx: str, degree: int) -> None:
@@ -231,7 +252,7 @@ def _grading(obj) -> tuple:
     values in a slot, so that the weights of a key's parts add up in one
     int sum, equal for two keys exactly when their weights are; every
     weight is 0 when the kernel is.  Solved once per algebra and kept in
-    obj.memo under "grading", the one thing an algebra's memo holds."""
+    obj.memo under "grading"."""
     if "grading" not in obj.memo:
         basis = _weight_basis(obj)
         width = slot_width(8 * max(map(abs, chain.from_iterable(basis)),
@@ -500,7 +521,7 @@ def _ds_rows(g: HomLieSuper, cx: str, degree: int) -> tuple:
                 row = [(cols[c], x) for c, x in row.items()]
             except KeyError:
                 raise PreconditionError(_PARITY_LAW) from None
-            yield tuple(sorted(term for term in row if term[1]))
+            yield tuple(term for term in row if term[1])
 
     return Fraction(1, dw * da ** (degree - 1)), rows
 
@@ -602,7 +623,7 @@ def _leibniz_rows(t: TernaryHomLieSuper, cx: str, degree: int) -> tuple:
                                 row[c] = row.get(c, 0) + cr * cm
             except KeyError:
                 raise PreconditionError(_PARITY_LAW) from None
-            yield tuple(sorted((c, x) for c, x in row.items() if x))
+            yield tuple((c, x) for c, x in row.items() if x)
 
     # the ternary-adjoint delta2 is each scalar term times 1 + (-1)^{|f| e}
     scale = 2 if (cx, degree) == ("ternary-adjoint", 2) else 1
@@ -695,15 +716,17 @@ def _blocks(obj, cx: str, degree: int) -> tuple:
 def coboundary_matrix(obj, cx: str, degree: int) -> Matrix:
     """The cx coboundary of degree-cochains, on full cochain coordinates:
     each (q, w) block's rows placed at their row keys, their columns
-    mapped back through its column keys, times the multiplier, and
-    applied once per output o, so key column j moves to j*dim + o.  The
-    rows of a label no column has are ()."""
+    sorted (a builder yields them in any order) and mapped back through
+    its column keys, which increase, times the multiplier, and applied
+    once per output o, so key column j moves to j*dim + o.  The rows of a
+    label no column has are ()."""
     multiplier, groups, block = _blocks(obj, cx, degree)
     dim = _width(cx, obj.space)
     entries = [()] * (_row_count(cx, degree, obj.space) * dim)
     for label in _block_labels(groups):
         _, row_keys, col_keys, rows = block(label)
         for i, row in zip(row_keys, rows):
+            row = sorted(row)
             entries[i * dim:(i + 1) * dim] = (
                 tuple((col_keys[j] * dim + o, multiplier * x)
                       for j, x in row) for o in range(dim))
@@ -837,9 +860,11 @@ def _adapted(obj, cx: str, degree: int) -> tuple:
     basis adapted to the hyperplane its ternary bracket's image spans,
     and s, the even basis change to it (its columns the new basis), or
     (obj, None).  The one owner of the basis rule: obj serves below
-    degree 2, and whenever the copy grades no finer.  An induced bracket has its image in [g, g], inside ker tau, so an
-    image that is a hyperplane is ker tau and its normal phi, one
-    linalg.kernel, is tau up to scale.  On an even phi and a super_skew
+    degree 2, and whenever the copy grades no finer.  An induced bracket
+    has its image in [g, g], inside ker tau, so an image that is a
+    hyperplane is ker tau and its normal phi, one linalg.kernel, is tau
+    up to scale; the image [g, g, g] is graded.image, the first term of
+    both series, kept in obj's memo.  On an even phi and a super_skew
     bracket, a complement u of ker phi and any basis of ker phi give [K,
     K, K] = 0 and [u, u, .] = 0, so u of weight 1 and K of weight -1 is
     one more grading when the twist alpha (_check refused unequal ones)
@@ -853,13 +878,13 @@ def _adapted(obj, cx: str, degree: int) -> tuple:
     or every such eigenvector lies in K, obj serves; otherwise the copy is
     kept when its _grading rank is higher than obj's.  s is even, as phi
     and alpha are, so no dim and no zero test changes.  Each algebra's
-    grading is solved once, in its own memo; the copy is not memoized."""
+    grading is solved once, in its own memo; the copy is not memoized,
+    and no verdict is read off it (_proved reads obj's)."""
     _check(obj, cx, degree)
     dim = obj.dim
     if degree < 2 or obj.bracket.arity != 3 or not obj.bracket.super_skew:
         return obj, None
-    full = Subspace.full(dim)
-    hyperplane = obj.bracket.span(full, full, full)
+    hyperplane = image(obj)
     if hyperplane.dim != dim - 1:
         return obj, None
     phi = kernel(hyperplane.basis).vectors()[0]
@@ -897,6 +922,19 @@ def _squared_zero(obj, rows, zero):
         yield row
 
 
+def _proved(obj) -> bool:
+    """Whether d^2 = 0 on obj's complexes is on record: obj's bracket is
+    super_skew and the verdicts of both _IDENTITIES, its identity's and
+    its multiplicativity's, are "pass" in its memo.  With the twists
+    equal, which _check makes sure of, d^2 = 0 follows from these
+    (Ammar-Makhlouf, J. Algebra 324 (2010); Ammar-Mabrouk-Makhlouf, J.
+    Geom. Phys. 61 (2011)).  No verdict, a "fail" or a "not-applicable"
+    proves nothing."""
+    return obj.bracket.super_skew and all(
+        obj.memo.get(verify.__name__) == "pass"
+        for verify in _IDENTITIES[obj.bracket.arity])
+
+
 def _dense(obj, cols: int) -> bool:
     """Whether a block of cols columns of obj's coboundary is dense, so
     its rank comes from linalg.certified_rank: DENSE_COLUMNS columns or
@@ -910,10 +948,7 @@ def _escaped(obj) -> PreconditionError:
     identity and on a multiplicative twist, so the error names the first
     of these obj breaks, as the verifiers check them in that order, with
     its first witness."""
-    verifiers = ((verify_hom_jacobi, verify_multiplicative)
-                 if obj.bracket.arity == 2
-                 else (verify_hom_nambu, verify_ternary_multiplicative))
-    for verify in verifiers:
+    for verify in _IDENTITIES[obj.bracket.arity]:
         for f in verify(obj).findings:
             if f.status == "fail":
                 return PreconditionError(
@@ -929,20 +964,26 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     per output it serves; no Subspace is built.  Per (q, w) block A, with
     L the rows the coboundary below builds at A's column keys:
     - b = dim B = rank(L), exact (linalg.rank);
-    - d^2 = 0 is an int test on every row of A: its packed product with
-      L's columns (linalg.orthogonal_test) is 0; a row that fails it is a
+    - d^2 = 0, so rank(A) <= cols - b, has one of two sources.  When
+      _proved(obj) holds, the identity and multiplicativity verdicts on
+      record prove it, and no row is tested.  Otherwise it is an int test
+      on every row of A: its packed product with L's columns
+      (linalg.orthogonal_test) is 0; a row that fails it is a
       PreconditionError naming the identity obj breaks (_escaped);
     - Z = cols - rank(A): linalg.certified_rank on a _dense block, rank
-      on the others, each reading A's rows as they are built.
-    So a block of full column rank builds no row past the one that
-    completes it, and then b must be 0.  Each degree's keys are grouped
-    once, each operator is walked once, bar the second walk of a dense
-    block whose rank mod p needs its kernel lifted, and no row of A is
-    kept.  Both operators are walked on the algebra _adapted(obj, cx,
-    degree) returns, which checks the operator on obj first: the copy in
-    an adapted basis above degree 1, when it grades more finely, or obj
-    itself; the dims are the same on either."""
+      on the others, each reading A's rows as they are built.  On a
+      proved algebra both stop at the row that brings the rank to cols -
+      b; otherwise rank stops only at full column rank, where b must be
+      0, and the d^2 test reads the rows past certified_rank's stop.
+    Each degree's keys are grouped once, each operator is walked once,
+    bar the second walk of a dense block whose rank mod p needs its
+    kernel lifted, and no row of A is kept.  Both operators are walked on
+    the algebra _adapted(obj, cx, degree) returns, which checks the
+    operator on obj first: the copy in an adapted basis above degree 1,
+    when it grades more finely, or obj itself; the dims are the same on
+    either, and the verdicts are read on obj."""
     used = _adapted(obj, cx, degree)[0]
+    proved = _proved(obj)
     _, groups, upper = _blocks(used, cx, degree)
     if degree > 1:
         lower = _walk(used, cx, degree - 1)[1]
@@ -956,19 +997,23 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
         count, _, col_keys, rows = upper(label)
         cols = len(col_keys)
         low = array("q", _block(below, label)[1]()) if degree > 1 else ()
-        image = Matrix(cols, len(low),
-                       tuple(lower(col_keys, low)) if low else ((),) * cols)
-        b = rank(image)
-        if b:
-            rows = _squared_zero(obj, rows, orthogonal_test(image.entries))
+        lows = Matrix(cols, len(low),
+                      tuple(lower(col_keys, low)) if low else ((),) * cols)
+        b = rank(lows)
+        tested = b and not proved
+        if tested:
+            rows = _squared_zero(obj, rows, orthogonal_test(lows.entries))
         a = Matrix(count, cols, rows)
         if _dense(used, cols):
-            r = certified_rank(a, image.transpose().entries, b,
+            r = certified_rank(a, lows.transpose().entries, b,
                                lambda: upper(label)[3])
         else:
-            r = rank(a)
+            r = rank(a, cols - b if proved else cols)
         if r == cols and b:
             raise _escaped(obj)
+        if tested:
+            for _ in rows:  # the rows past the rank, for the d^2 test
+                pass
         zdim += len(served[label[0]]) * (cols - r)
         bdim += len(served[label[0]]) * b
     return (zdim, bdim, zdim - bdim)

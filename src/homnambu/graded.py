@@ -52,7 +52,7 @@ only the residuals a report prints are divided back into Fractions:
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 from operator import itemgetter, le
 
 from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, content,
@@ -223,12 +223,21 @@ def skew_basis(degree: int, space: GradedSpace) -> SkewBasis:
     (degree, space) and shared: a SkewBasis is only read, and one
     cohomology query asks for the same few several times over (its
     builders, row keys and weight groups).  64 entries hold every degree
-    of the few spaces a process works on."""
+    of the few spaces a process works on.
+
+    The tuples are built directly, slot by slot in lexicographic order:
+    each canonical tuple extended by every index past its last one, and by
+    its last one again when that index is odd, so even indices strictly
+    increase and odd ones weakly, and no tuple is built to be thrown away
+    (is_canonical is the oracle)."""
     if degree < 1:
         raise InputError("degree must be positive")
-    good = [t for t in combinations_with_replacement(range(space.dim), degree)
-            if is_canonical(t, space.parities)]
-    return SkewBasis(degree, tuple(good))
+    p, dim = space.parities, space.dim
+    level = [(i,) for i in range(dim)]
+    for _ in range(degree - 1):
+        level = [t + (i,) for t in level
+                 for i in range(t[-1] + 1 - p[t[-1]], dim)]
+    return SkewBasis(degree, tuple(level))
 
 
 def tuple_parity(t, parities) -> int:
@@ -595,7 +604,14 @@ class SuperBracket:
 class HomAlgebra:
     """Base of the n-ary Hom-algebra records, HomLieSuper and
     TernaryHomLieSuper: a space, a bracket of arity n on it and the n - 1
-    twists of the record's `twists` tuple.  It adds no fields."""
+    twists of the record's `twists` tuple.  It adds no fields.
+
+    Each record has a memo, no part of its value, that holds what has been
+    computed or proved about the algebra and nothing that outlives a walk:
+    its torus grading (cohomology), [g, ..., g] (image), its unbounded
+    derived and central series (series), and the verdict of each identity
+    verifier that has checked it (keep_verdict, under the report's
+    command).  A record is frozen, so nothing kept there can go stale."""
 
     def __post_init__(self):
         if self.bracket.space != self.space:
@@ -612,6 +628,23 @@ class HomAlgebra:
 
     def same_twists(self) -> bool:
         return all(a.matrix == self.twists[0].matrix for a in self.twists)
+
+    def keep_verdict(self, rep):
+        """rep, a verifier's Report on this algebra, its verdict kept in
+        the memo under rep.command."""
+        self.memo[rep.command] = rep.verdict
+        return rep
+
+
+def image(a: HomAlgebra) -> Subspace:
+    """[g, ..., g], the span of the bracket's stored vectors: the first
+    term of both series from the whole space, the hyperplane of
+    cohomology's adapted basis and the commutator of ideal_criterion.
+    Computed once per algebra and kept in its memo under "image"."""
+    if "image" not in a.memo:
+        full = Subspace.full(a.dim)
+        a.memo["image"] = a.bracket.span(*[full] * a.bracket.arity)
+    return a.memo["image"]
 
 
 def _column_bound(maps) -> int:

@@ -544,7 +544,7 @@ def _kernel_columns(table: dict, cols: int, bound: int) -> list:
     return columns
 
 
-def rref(m: Matrix) -> Matrix:
+def rref(m: Matrix, stop: int = None) -> Matrix:
     """Reduced row echelon form of m, in m's shape: unique, its pivot rows
     at the top and its zero rows, empty, at the bottom, every value a
     Fraction.
@@ -562,10 +562,13 @@ def rref(m: Matrix) -> Matrix:
     cleared from every earlier pivot row that has an entry at its lead,
     which is made primitive again.  No zero entry is ever visited.  gcds run
     by Euclid on word-sized values and through Fraction's normalisation
-    above that; see _EUCLID_BELOW.  m.entries is read once, in order, and
-    the first row met once the rank is m.cols ends the read, so it may be an
-    iterator that builds each row as it is read (cohomology's (q, w) blocks
-    and homogeneity equations).
+    above that; see _EUCLID_BELOW.  m.entries is read once, in order, up to
+    the row that brings the rank to stop, so it may be an iterator that
+    builds each row as it is read (cohomology's (q, w) blocks and
+    homogeneity equations).  stop is m.cols unless the caller has proved
+    that m's rank is at most stop (cohomology_dims, where d^2 = 0 is on
+    record): then the rows read span m's row space, and the answer is m's
+    RREF all the same.
 
     Rows the table already spans skip the elimination once such rows have
     cost enough.  Since the last new pivot, rref counts the pivot-row
@@ -584,9 +587,8 @@ def rref(m: Matrix) -> Matrix:
     table = {}
     columns = need = None  # the packed kernel and its cost, per table
     bound = top = spent = 0
-    for pairs in m.entries:
-        if len(table) == m.cols:
-            break  # full column rank: every further row reduces to zero
+    stop = m.cols if stop is None else stop
+    for pairs in m.entries if stop else ():
         row = dict(pairs)
         if not row:
             continue
@@ -620,6 +622,8 @@ def rref(m: Matrix) -> Matrix:
                 _eliminate(prow, lead, row)
                 _make_primitive(prow, p)
         table[lead] = row
+        if len(table) == stop:
+            break  # the rank is reached: every further row reduces to zero
     pivots = []
     for p in sorted(table):
         row = table[p]
@@ -635,8 +639,10 @@ def _pivots(r: Matrix) -> list:
     return [(row[0][0], row) for row in r.entries if row]
 
 
-def rank(m: Matrix) -> int:
-    return len(_pivots(rref(m)))
+def rank(m: Matrix, stop: int = None) -> int:
+    """The rank of m, its rows read by rref until the rank reaches stop, a
+    bound on it the caller has proved (m.cols by default)."""
+    return len(_pivots(rref(m, stop)))
 
 
 @record(frozen=True)
@@ -1145,11 +1151,12 @@ def certified_rank(m: Matrix, known, b: int, walk) -> int:
     """The rank over Q of the int matrix m, computed mod p and proved.
 
     m.entries is read once, by modular_rank, until the rank mod p reaches
-    m.cols - b, and then to its end, so a check the caller hangs on it sees
-    every row, unless the rank reaches m.cols.  known holds int vectors,
-    sorted (column, int) pairs, whose span has dimension b over Q and lies
-    in the kernel of m; the caller checks that on every row.  walk() reads
-    m's rows afresh.  Two bounds pin the rank:
+    m.cols - b, where the answer is proved and the read ends: a check the
+    caller hangs on the rows reads the rest itself.  known holds int
+    vectors, sorted (column, int) pairs, whose span has dimension b over Q
+    and lies in the kernel of m; the caller checks that on every row, or
+    has it proved (cohomology's d^2 = 0 on record).  walk() reads m's rows
+    afresh.  Two bounds pin the rank:
     - the rank r mod p is a lower bound, a minor nonzero mod p being
       nonzero over Q;
     - the span of known bounds the kernel from below, so the rank is at
@@ -1163,12 +1170,7 @@ def certified_rank(m: Matrix, known, b: int, walk) -> int:
     is at most r, and r is proved.  A check that fails leaves the answer
     to rank on walk(), so the rank is exact whichever path gives it."""
     cols = m.cols
-    rows = iter(m.entries)
-    echelon = modular_rank(rows, cols, cols - b)
-    if echelon.rank == cols:
-        return cols
-    for _ in rows:
-        pass
+    echelon = modular_rank(m.entries, cols, cols - b)
     free = cols - echelon.rank
     if free == b:
         return echelon.rank

@@ -12,10 +12,21 @@ derived_series and central_series take either arity, their slots one
 per argument of bracket.arity, as binary.is_ideal does.  Every caller in
 the package calls them and annihilator(); the four names the benchmark
 times below only forward to them.
+
+An algebra's series from the whole space is computed once: called with no
+ideal, derived_series and central_series keep their unbounded run in the
+algebra's memo (graded.HomAlgebra), under "derived" and "central", and
+answer every later call from it.  Both start from one first term, [g,
+..., g], which graded.image keeps in the memo too and cohomology._adapted
+reads as its hyperplane.  A call with a bound rmax gets the stored run
+cut after term rmax (_bounded): the terms are those a bounded run
+computes, since each depends on the one before alone, and so are
+stabilized and class_index, read off the terms kept.  A call with an
+ideal is computed afresh, and kept nowhere.
 """
 
 from .binary import HomLieSuper, is_ideal
-from .graded import HomAlgebra
+from .graded import HomAlgebra, image
 from .linalg import (InputError, Matrix, Subspace, integer_terms, rank,
                      record, solve, subspace_intersection)
 from .report import Report
@@ -34,32 +45,38 @@ class SeriesResult:
         return tuple(t.dim for t in self.terms)
 
 
+def _check_bound(rmax: int | None) -> None:
+    """A bound below 1 computes nothing and is an input error."""
+    if rmax is not None and rmax < 1:
+        raise InputError(f"series bound must be at least 1, not {rmax}")
+
+
 def _run_series(start: Subspace, bracket, args, rmax: int | None,
-                kind: str) -> SeriesResult:
+                kind: str, first: Subspace = None) -> SeriesResult:
     """Up to rmax steps from start, each the span of bracket.images of
-    args(last term); rmax None means the ambient dimension plus one,
-    enough for any strictly falling chain to reach its fixed point.  A
-    bound below 1 computes nothing and is an input error.
+    args(last term), the first given as first when it is known; rmax None
+    means the ambient dimension plus one, enough for any strictly falling
+    chain to reach its fixed point.
 
     Once the last term lies in the one before it, the next lies in the
     last: each step is multilinear and monotone in its argument, so
     [C_k, I, I] is inside [C_(k-1), I, I] = C_k, and the same holds for
     the derived and binary steps.  Such a step is _inside the last term,
     which may stop reading images early."""
+    _check_bound(rmax)
     if rmax is None:
         rmax = start.ambient_dim + 1
-    if rmax < 1:
-        raise InputError(f"series bound must be at least 1, not {rmax}")
     terms = [start]
     class_index = 0 if start.is_zero() else None
     stabilized = start.is_zero()
     while len(terms) <= rmax:
         last = terms[-1]
-        images = bracket.images(*args(last))
-        if len(terms) > 1 and terms[-2].contains_subspace(last):
-            nxt = _inside(last, images)
+        if len(terms) == 1 and first is not None:
+            nxt = first
+        elif len(terms) > 1 and terms[-2].contains_subspace(last):
+            nxt = _inside(last, bracket.images(*args(last)))
         else:
-            nxt = Subspace.spanned_by_rows(images)
+            nxt = Subspace.spanned_by_rows(bracket.images(*args(last)))
         terms.append(nxt)
         if nxt.is_zero() and class_index is None:
             class_index = len(terms) - 1
@@ -112,21 +129,49 @@ def _inside(last: Subspace, images: Matrix) -> Subspace:
     return Subspace.spanned_by_rows(Matrix.from_rows(out, last.ambient_dim))
 
 
+def _bounded(run: SeriesResult, rmax: int | None) -> SeriesResult:
+    """The unbounded run cut as a run bounded by rmax leaves it: its terms
+    up to term rmax, stabilized only when the cut keeps them all (the
+    unbounded run stops at its first repeated term), and the class index
+    only when it is one of the terms kept."""
+    if rmax is None or rmax >= len(run.terms) - 1:
+        return run
+    index = run.class_index
+    return SeriesResult(run.kind, run.terms[:rmax + 1], False,
+                        index if index is not None and index <= rmax
+                        else None)
+
+
+def _series(a: HomAlgebra, kind: str, ideal: Subspace | None,
+            rmax: int | None, args) -> SeriesResult:
+    """The kind series of a from ideal, or from the whole space, each step
+    the span of the images of args(last term, start): with an ideal a
+    fresh bounded run, and otherwise the unbounded run kept in a's memo
+    (computed once, from image(a)), cut at rmax."""
+    if ideal is not None:
+        return _run_series(ideal, a.bracket, lambda s: args(s, ideal),
+                           rmax, kind)
+    _check_bound(rmax)
+    if kind not in a.memo:
+        full = Subspace.full(a.dim)
+        a.memo[kind] = _run_series(full, a.bracket,
+                                   lambda s: args(s, full), None, kind,
+                                   image(a))
+    return _bounded(a.memo[kind], rmax)
+
+
 def derived_series(a: HomAlgebra, ideal: Subspace = None,
                    rmax: int | None = None) -> SeriesResult:
-    start = ideal if ideal is not None else Subspace.full(a.dim)
     n = a.bracket.arity
-    return _run_series(start, a.bracket, lambda s: (s,) * n,
-                       rmax, "derived")
+    return _series(a, "derived", ideal, rmax, lambda s, start: (s,) * n)
 
 
 def central_series(a: HomAlgebra, ideal: Subspace = None,
                    rmax: int | None = None) -> SeriesResult:
     # step brackets against the starting ideal, not the whole algebra
-    start = ideal if ideal is not None else Subspace.full(a.dim)
-    rest = (start,) * (a.bracket.arity - 1)
-    return _run_series(start, a.bracket, lambda s: (s, *rest),
-                       rmax, "central")
+    n = a.bracket.arity
+    return _series(a, "central", ideal, rmax,
+                   lambda s, start: (s, *(start,) * (n - 1)))
 
 
 def binary_derived_series(g: HomLieSuper, ideal: Subspace = None,

@@ -61,7 +61,7 @@ from fractions import Fraction
 from .binary import (HomLieSuper, is_ideal, report_compat, verify_morphism,
                      yau_twist)
 from .graded import (GradedMap, GradedSpace, HomAlgebra, SuperBracket,
-                     _ordering_signs, skew_basis)
+                     _ordering_signs, image, skew_basis)
 from .linalg import (PreconditionError, Subspace, Vec, field, integer_terms,
                      is_zero_vec, record, unpack, vec_add, vec_scale)
 from .report import Report, fmt_vec
@@ -79,7 +79,7 @@ class TernaryHomLieSuper(HomAlgebra):
     bracket: SuperBracket3
     alpha1: GradedMap
     alpha2: GradedMap
-    # the torus grading, filled on demand by cohomology
+    # what is known of the algebra (graded.HomAlgebra), filled on demand
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 
@@ -166,7 +166,8 @@ def verify_hom_nambu(t: TernaryHomLieSuper) -> Report:
 
     With distinct twists the swapped slot placement is evaluated too, up
     to its first violation, and a note is emitted when the two placements
-    disagree.
+    disagree.  The verdict is kept in t's memo (keep_verdict): cohomology
+    reads a "pass" as half of a proof of delta^2 = 0.
     """
     rep = Report("verify_hom_nambu")
     scale, found = _hom_nambu_join(t, t.alpha1, t.alpha2)
@@ -187,7 +188,7 @@ def verify_hom_nambu(t: TernaryHomLieSuper) -> Report:
         if (count == 0) != (next(swapped, None) is None):
             rep.note("placement-disagreement",
                      detail="identity holds in one twist placement but not the other")
-    return rep
+    return t.keep_verdict(rep)
 
 
 def _hom_nambu_join(t: TernaryHomLieSuper, a1: GradedMap, a2: GradedMap):
@@ -370,15 +371,17 @@ def _orbit_join(t: TernaryHomLieSuper, width: int, W: dict, L: dict, N: dict,
 
 
 def verify_ternary_multiplicative(t: TernaryHomLieSuper) -> Report:
-    """alpha[x1,x2,x3] = [alpha x1, alpha x2, alpha x3] when both twists agree."""
+    """alpha[x1,x2,x3] = [alpha x1, alpha x2, alpha x3] when both twists
+    agree, and not-applicable otherwise; the verdict is kept in t's memo
+    (keep_verdict), as verify_hom_nambu keeps its own."""
     rep = Report("verify_ternary_multiplicative")
     if not t.same_twists():
         rep.applicable = False
         rep.note("twists-differ", detail="multiplicativity needs alpha1 = alpha2")
-        return rep
+        return t.keep_verdict(rep)
     report_compat(rep, "ternary-multiplicative", t.alpha1, t.bracket,
                   t.bracket, skew_basis(3, t.space).tuples)
-    return rep
+    return t.keep_verdict(rep)
 
 
 def ideal_criterion(g: HomLieSuper, tau: TraceFunctional, j: Subspace,
@@ -394,9 +397,7 @@ def ideal_criterion(g: HomLieSuper, tau: TraceFunctional, j: Subspace,
         rep.note("precondition", detail="alpha2 does not preserve J")
         return rep
     lhs = is_ideal(t, j)
-    full = Subspace.full(g.dim)
-    comm = g.bracket.span(full, full)
-    in_comm = j.contains_subspace(comm)
+    in_comm = j.contains_subspace(image(g))
     in_ker = trace_kernel(tau).contains_subspace(j)
     rhs = in_comm or in_ker
     rep.metrics["ternary_ideal"] = lhs

@@ -28,12 +28,13 @@ def read_blocks(obj, cx: str, degree: int, labels) -> list:
     blocks of these labels of the cx coboundary on degree-cochains, in
     order, all streamed from one walk: the positions of a block's row and
     column keys, in key order, and its rows as a Matrix over those
-    columns."""
+    columns, each row's columns sorted, as a builder need not yield
+    them."""
     multiplier, _, block = _blocks(obj, cx, degree)
     out = []
     for label in labels:
         count, row_keys, col_keys, rows = block(label)
-        rows = tuple(rows)
+        rows = tuple(tuple(sorted(row)) for row in rows)
         assert len(rows) == count
         out.append((list(row_keys), col_keys,
                     Matrix(count, len(col_keys), rows), multiplier))

@@ -340,7 +340,10 @@ def test_transfer_checks_walk_the_ternary_delta2_once_per_command(
     three class pairs in one call, so the ternary-scalar delta2 and delta1
     are walked once each, never once per cochain or per theorem, and no
     coboundary row outlives its walk: every algebra's memo ends up holding
-    its grading alone.  On the binary side the cocycle basis is solved
+    what the memo rule lets it hold, gl(2|1)'s and its induced algebra's
+    their grading, their image [g, ..., g] and the central series the
+    transfer compares, and the adapted copy its grading alone.  On the
+    binary side the cocycle basis is solved
     once, the three class pairs share one d_s^1 matrix and the six lemma
     cochains and the three shifts one application each, so d_s^1 is
     walked four times, not once per cochain.  d_s^2 is walked twice: the
@@ -363,8 +366,9 @@ def test_transfer_checks_walk_the_ternary_delta2_once_per_command(
     assert shapes.count(("ternary-scalar", 1)) == 1
     assert shapes.count(("binary-scalar", 1)) == 4
     assert shapes.count(("binary-scalar", 2)) == 2
-    for obj in {id(obj): obj for obj, _, _ in walks}.values():
-        assert set(obj.memo) == {"grading"}
+    memos = sorted(sorted(obj.memo) for obj in
+                   {id(obj): obj for obj, _, _ in walks}.values())
+    assert memos == [["central", "grading", "image"]] * 2 + [["grading"]]
 
 
 def test_transfer_checks_refuse_a_twist_that_moves_the_trace(tmp_path):

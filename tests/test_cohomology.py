@@ -923,7 +923,7 @@ def test_scalar_delta2_walked_once_per_call(monkeypatch):
     assert whole[0] == whole[1] == whole[2]
     counts = Counter(i for _, _, i, _ in built)
     assert counts and set(counts.values()) == {3}
-    assert set(t.memo) == {"grading"}
+    assert set(t.memo) == {"grading", "image"}
 
 
 def test_an_adjoint_operator_is_walked_once(monkeypatch):
@@ -1019,7 +1019,8 @@ def test_the_adapted_basis_grades_the_induced_bracket_once_more():
     # is moved along an eigenvector u that is no basis element: u = E0_0 -
     # E3_2 / 8 for the central twist, rank 1 to 2, and u = E0_0 - E1_1 / 2,
     # which phi does not vanish on at E1_1, for lambda = E0_0* + 2 E1_1*,
-    # rank 3 to 4.  Each algebra's memo holds its own grading
+    # rank 3 to 4.  Each algebra's memo holds its own grading, and the
+    # document's the image [g, g, g] the hyperplane was read off
     _, t22 = induced(*glmn(2, 2))
     sp = t22.space
     lam = [0] * sp.dim
@@ -1037,7 +1038,8 @@ def test_the_adapted_basis_grades_the_induced_bracket_once_more():
         u, = set.intersection(*map(set, keys))
         assert all(key.count(u) == 1 for key in keys)
         assert (len(_weight_basis(t)), len(_weight_basis(moved))) == ranks
-        assert set(t.memo) == set(moved.memo) == {"grading"}
+        assert set(t.memo) == {"grading", "image"}
+        assert set(moved.memo) == {"grading"}
 
 
 def transports(monkeypatch):
@@ -1090,7 +1092,7 @@ def test_a_twist_off_the_adapted_split_builds_no_copy(monkeypatch):
     assert cohomology_dims(t, "ternary-scalar", 2) == (10, 7, 3)
     assert moves == [t]
     assert cohomology_dims(t, "ternary-adjoint", 2) == (144, 120, 24)
-    assert moves == [t, t] and set(t.memo) == {"grading"}
+    assert moves == [t, t] and set(t.memo) == {"grading", "image"}
     moves.clear()
     tau, t21 = induced(*glmn(2, 1))
     u, k = t21.space.index("E0_0"), t21.space.index("E0_1")
@@ -1146,7 +1148,8 @@ def test_each_grading_is_solved_once_in_its_own_memo(monkeypatch):
     # ts1, ts2, ta1 and ta2 on induced gl(2|1) in one session: the
     # document's weight basis is solved once, by ts1, and each adapted
     # copy's once (the copy is not kept between calls), each grading
-    # staying in its own algebra's memo
+    # staying in its own algebra's memo, beside the document's image
+    # [g, g, g], read once for the hyperplane
     _, t = induced(*glmn(2, 1))
     solved = []
     weight_basis = cohomology._weight_basis
@@ -1162,7 +1165,8 @@ def test_each_grading_is_solved_once_in_its_own_memo(monkeypatch):
                                       (41, 36, 5)]
     assert len(solved) == 3 and solved[0] is t
     assert t not in solved[1:] and solved[1] is not solved[2]
-    assert all(set(obj.memo) == {"grading"} for obj in solved)
+    assert set(t.memo) == {"grading", "image"}
+    assert all(set(obj.memo) == {"grading"} for obj in solved[1:])
 
 
 def transfer_case(name):
@@ -1362,7 +1366,7 @@ def test_scalar_cohomology_builds_only_the_blocks_it_eliminates(monkeypatch):
     # and no row of another degree is built; the adjoint lift reads both
     # key parities, and cocycles the one degree it is asked for.  Rows go
     # to rref as they are built and are not kept: the memo holds the
-    # grading alone
+    # grading, and on the ternary side the image [g, g, g] too
     lie, rep = gl11()
     _, t = induced(lie, rep)
     built = built_rows(monkeypatch)
@@ -1379,10 +1383,11 @@ def test_scalar_cohomology_builds_only_the_blocks_it_eliminates(monkeypatch):
         return out
 
     assert cohomology_dims(t, "ternary-scalar", 2) == (7, 1, 6)
-    assert blocks(t) == {(1, 0), (2, 0)} and set(t.memo) == {"grading"}
+    assert blocks(t) == {(1, 0), (2, 0)}
+    assert set(t.memo) == {"grading", "image"}
     assert cohomology_dims(t, "ternary-adjoint", 2) == (30, 2, 28)
     assert blocks(t) == {(1, 0), (1, 1), (2, 0), (2, 1)}
-    assert set(t.memo) == {"grading"}
+    assert set(t.memo) == {"grading", "image"}
     assert cohomology_dims(lie, "binary-scalar", 2) == (1, 1, 0)
     assert blocks(lie) == {(1, 0), (2, 0)} and set(lie.memo) == {"grading"}
     cocycles(lie, "binary-scalar", 2, 1)
@@ -2121,8 +2126,8 @@ def test_weight_blocks_are_the_select_of_their_parity_block():
             for q in (0, 1):
                 prows = key_positions(scalar, degree + 1, space, q)
                 pcols = key_positions(cx, degree, space, q)
-                m = Matrix(len(prows), len(pcols),
-                           tuple(rows(prows, pcols)))
+                m = Matrix(len(prows), len(pcols), tuple(
+                    tuple(sorted(row)) for row in rows(prows, pcols)))
                 labels = {clabels[j] for j in pcols}
                 for i, row in zip(prows, m.entries):
                     assert all(clabels[pcols[c]] == rlabels[i]
@@ -2145,7 +2150,8 @@ def test_weight_blocks_are_the_select_of_their_parity_block():
                     j for j, x in enumerate(clabels) if x == label]
                 assert row_keys == [
                     i for i, x in enumerate(rlabels) if x == label]
-                block = Matrix(count, len(col_keys), tuple(built))
+                block = Matrix(count, len(col_keys),
+                               tuple(tuple(sorted(row)) for row in built))
                 assert block == select(
                     m, [rpos[i] for i in row_keys],
                     [pos[j] for j in col_keys]), (name, cx, label)

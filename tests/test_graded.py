@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -402,3 +402,18 @@ def test_both_records_refuse_a_foreign_space_and_an_odd_twist(arity):
             type(a)(sp, bracket, *twists)
         assert str(err.value) == message
     assert type(a)(sp, a.bracket, *a.twists) == a
+
+
+def test_skew_basis_is_the_filtered_enumeration():
+    # the canonical tuples built slot by slot are, in order, those of
+    # combinations_with_replacement that is_canonical keeps, for every
+    # parity pattern up to dimension 8 and every degree 1-4
+    for dim in range(1, 9):
+        for parities in product((0, 1), repeat=dim):
+            space = GradedSpace(tuple(f"e{i}" for i in range(dim)),
+                                parities)
+            for degree in range(1, 5):
+                want = tuple(t for t in combinations_with_replacement(
+                    range(dim), degree) if is_canonical(t, parities))
+                assert skew_basis(degree, space).tuples == want, (
+                    parities, degree)

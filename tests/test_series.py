@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from homnambu import series as series_module
 from homnambu.binary import HomLieSuper, SuperBracket2, is_ideal, is_subalgebra
 from homnambu.fixtures import (a0, aff1, conjugate_gl11, conjugate_pair,
                                gl11, gl11t, glmn, induced_gl11,
@@ -497,3 +498,92 @@ def test_series_bound_below_one_is_an_input_error():
                          (binary_central_series, g)):
             with pytest.raises(InputError):
                 run(alg, rmax=rmax)
+
+
+# --- stored series ---------------------------------------------------------
+# derived_series and central_series from the whole space keep their
+# unbounded run in the algebra's memo; a bounded call reads it cut.
+
+
+def stored_series_cases():
+    """(name, algebra) of binary and ternary algebras: the shipped ones,
+    their induced ternary algebras, and gl(2|1) and gl(2|2), plain, with
+    the diagonal Yau twist and densely conjugated, binary and induced."""
+    out = []
+    cases = [("a0", *a0()), ("aff1", *aff1()), ("gl11", *gl11()),
+             ("gl11t2", *gl11t())]
+    for m, n in ((2, 1), (2, 2)):
+        lie, rep = glmn(m, n)
+        cases.append((f"gl{m}{n}", lie, rep))
+        cases.append((f"gl{m}{n}c", *conjugate_pair(
+            lie, rep, random_even_invertible(random.Random(1), lie.space))))
+        twisted = diagonal_twist(lie, m, n)
+        out.append((f"gl{m}{n}t", twisted))
+        tau = TraceFunctional(twisted, trace_functional(rep).values)
+        out.append((f"gl{m}{n}t-t", induce_ternary(
+            twisted, tau, twisted.alpha, twisted.alpha)))
+    for name, lie, rep in cases:
+        tau = trace_functional(rep)
+        out += [(name, lie),
+                (f"{name}-t", induce_ternary(lie, tau, lie.alpha, lie.alpha))]
+    return out
+
+
+def test_a_bounded_series_read_off_the_stored_one_is_a_fresh_bounded_run(
+        monkeypatch):
+    # for every bound from 1 to dim + 1 the cut of the stored run has the
+    # terms, stabilized and class_index of a run bounded there, computed
+    # afresh (a series from the whole space given as an ideal is never
+    # stored); the unbounded run is computed once per algebra and kind,
+    # and both kinds start from the one stored image [g, ..., g]
+    runs = []
+    run = series_module._run_series
+
+    def spy(start, bracket, args, rmax, kind, first=None):
+        runs.append((kind, rmax, first))
+        return run(start, bracket, args, rmax, kind, first)
+
+    seen = set()
+    for name, a in stored_series_cases():
+        full = Subspace.full(a.dim)
+        for kind, series_of in (("derived", derived_series),
+                                ("central", central_series)):
+            monkeypatch.setattr(series_module, "_run_series", spy)
+            whole = series_of(a)
+            for rmax in range(1, a.dim + 2):
+                got = series_of(a, rmax=rmax)
+                monkeypatch.undo()
+                want = series_of(a, full, rmax)
+                monkeypatch.setattr(series_module, "_run_series", spy)
+                assert (got.terms, got.stabilized, got.class_index) == (
+                    want.terms, want.stabilized, want.class_index), (
+                    name, kind, rmax)
+                assert got.kind == want.kind == kind
+                seen.add((got.stabilized, got.class_index is None))
+            assert series_of(a) is whole is a.memo[kind]
+            monkeypatch.undo()
+        assert [r[:2] for r in runs] == [("derived", None),
+                                         ("central", None)], name
+        assert runs[0][2] is runs[1][2] is a.memo["image"]
+        runs.clear()
+    # bounds that cut a series before and after it stabilizes, and before
+    # and after it reaches 0
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_solvability_reads_the_stored_derived_series(t11):
+    # series derived then solvability, as the structure workload runs
+    # them: one derived run, and the solvability report of a fresh run
+    t = TernaryHomLieSuper(t11.space, t11.bracket, t11.alpha1, t11.alpha2)
+    derived_series(t)
+    stored = t.memo["derived"]
+    rep = verify_solvability_theorem(t)
+    assert t.memo["derived"] is stored
+    assert rep.render() == verify_solvability_theorem(t11).render()
+    assert rep.metrics["derived_dims"] == [4, 1, 0, 0]
+    with pytest.raises(InputError, match="at least 1"):
+        derived_series(t, rmax=0)
+    with pytest.raises(InputError, match="at least 1"):
+        central_series(t, rmax=0)
+    assert set(t.memo) == {"image", "derived"}
