@@ -59,44 +59,52 @@ operator, building nothing: the whole-operator row count, taken from the
 key shapes, against MAX_COBOUNDARY_ROWS, the parity law, and equal
 twists.
 
-Every consumer reads the (q, w) blocks through _blocks, one walk per
-call: block(label) gives the block's row count, its row keys, its column
-keys and its rows, each row built as it is read, and nothing outlives the
-walk.  The one memo rule (graded.HomAlgebra): an algebra's memo holds
-what has been computed or proved about the algebra, and no coboundary
-row.  Here that is its grading, its rank beside its packed weights,
-solved once by _grading; graded.image, [g, g, g], which _adapted reads
-for its hyperplane; and the verdicts the identity verifiers keep there,
-which _proved reads.  Cocycle bases
-(cocycles) hand a block's rows to rref, and cohomology_dims counts
-ranks: each block is eliminated once, as its rows are built, so a block
-of full column rank builds no row past the one that completes its rank,
-and counted, or placed, once per output it serves (_served).  A scalar
-cochain of parity f needs the parity-f blocks alone, so a scalar (Z, B,
-H) builds no odd row.  B is the column space of the coboundary below,
-walked once beside _blocks: its rows at a block's column keys, which are
-its row keys there, so each degree's keys are grouped once; dim B is its
-exact rank.  A builder yields each row's (column, value) pairs in any
-order: the eliminators read them as a map, and coboundary_matrix, whose
-Matrix needs increasing columns, sorts them.
+The answers in coordinates (cocycles, coboundary_matrix, _apply) and
+cohomology_dims above degree 1 read the (q, w) blocks through _blocks,
+one walk per call: block(label) gives the block's row count, its row
+keys, its column keys and its rows, each row built as it is read, and
+nothing outlives the walk.  The one memo rule (graded.HomAlgebra): an
+algebra's memo holds what has been computed or proved about the algebra,
+and no coboundary row.  Here that is its grading, its rank beside its
+packed weights, solved once by _grading; graded.image, [g, .., g], which
+_adapted reads for its hyperplane and cohomology_dims for degree 1; and
+the verdicts the identity verifiers keep there, which _proved reads.
+Cocycle bases (cocycles) hand a block's rows to rref, and cohomology_dims
+counts ranks: each block is eliminated once, as its rows are built, so a
+block of full column rank builds no row past the one that completes its
+rank, and counted, or placed, once per output it serves (_served).  A
+scalar cochain of parity f needs the parity-f blocks alone, so a scalar
+(Z, B, H) builds no odd row.  B is the column space of the coboundary
+below, walked once beside _blocks: its rows at a block's column keys,
+which are its row keys there, so each degree's keys are grouped once;
+dim B is its exact rank.  A builder yields each row's (column, value)
+pairs in any order: the eliminators read them as a map, and
+coboundary_matrix, whose Matrix needs increasing columns, sorts them.
 
-cohomology_dims builds no Subspace.  d^2 = 0, which makes cols - dim B an
-upper bound on the rank of the upper block, comes from one of two
-sources.  On an algebra where _proved holds, a super_skew bracket whose
-identity (Hom-Jacobi or Hom-Nambu) and multiplicativity verdicts are both
-on record as "pass", it is a theorem (Ammar-Makhlouf, J. Algebra 324
-(2010); Ammar-Mabrouk-Makhlouf, J. Geom. Phys. 61 (2011)), and no row is
-tested: each block's rows are read only until its rank reaches cols -
-dim B, where it is proved.  Otherwise it is an int test on every row of
-the upper block, read as it is built: its products with the lower
-block's columns, packed by linalg.orthogonal_test, are all 0; the rows
-past the rank are read for this test alone.  No verdict, a "fail" or a
-"not-applicable" takes this path, so the identities are no precondition.
-Z is the column count less the rank of the upper block: rref's on a
-sparse block, and linalg.certified_rank's on a dense one (_dense,
-DENSE_COLUMNS and DENSE_GRADING), a packed rank mod a prime that stops
-at cols - dim B, and lifts its kernel to Q when it stops short of that,
-so the answer stays exact.
+Above degree 1 cohomology_dims builds no Subspace.  d^2 = 0, which makes
+cols - dim B an upper bound on the rank of the upper block, comes from
+one of two sources.  On an algebra where _proved holds, a super_skew
+bracket whose identity (Hom-Jacobi or Hom-Nambu) and multiplicativity
+verdicts are both on record as "pass", it is a theorem (Ammar-Makhlouf,
+J. Algebra 324 (2010); Ammar-Mabrouk-Makhlouf, J. Geom. Phys. 61
+(2011)), and no row is tested: each block's rows are read only until its
+rank reaches cols - dim B, where it is proved.  Otherwise it is an int
+test on every row of the upper block, read as it is built: its products
+with the lower block's columns, packed by linalg.orthogonal_test, are
+all 0; the rows past the rank are read for this test alone.  No verdict,
+a "fail" or a "not-applicable" takes this path, so the identities are no
+precondition.  Z is the column count less the rank of the upper block:
+rref's on a sparse block, and linalg.certified_rank's on a dense one
+(_dense, DENSE_COLUMNS and DENSE_GRADING), a packed rank mod a prime
+that stops at cols - dim B, and lifts its kernel to Q when it stops
+short of that, so the answer stays exact.
+
+Degree 1 walks no block and solves no grading (_first_dims).  Its
+coboundary is f -> -f o [., .., .], with no twist, in both complexes, so
+its rank on the keys of parity q is the dimension of the parity-q part
+of the span of the structure vectors its rows read: the image [g, .., g]
+on a super_skew bracket, kept in the memo.  The block walk stays the
+oracle for it (cocycles).
 
 One rule, owned by _adapted, says which basis an answer is computed in.
 An answer that no even change of basis can alter, a dimension or a zero
@@ -125,12 +133,9 @@ algebra's memo, and the copy itself is not memoized.  Every check of
 _check runs first, on the document, in every degree, with its own
 message, and each operator is then walked once, on the algebra used.  A
 B that leaves Z, d^2 != 0, names the identity the document breaks
-(_escaped), whichever row first shows it.  Degree 1 stays in the
-document basis: on gl(2|2), in-process on a 2-core x86-64 host with
-Python 3.11.7, the copy costs
-about 18 ms and saves a degree-1 query about 1 ms (3.1 ms to 2.2 ms),
-while ts2 goes from 0.39-0.42 s to 0.07-0.11 s and ta2 from 0.64-0.75 s
-to 0.09-0.14 s.
+(_escaped), whichever row first shows it.  On gl(2|2), in-process on a
+2-core x86-64 host with Python 3.11.7, the copy takes ts2 from 0.39-0.42
+s to 0.07-0.11 s and ta2 from 0.64-0.75 s to 0.09-0.14 s.
 
 An adjoint coboundary applies its value-free rows once per output index,
 so its matrix is block-diagonal across the outputs.  coboundary_matrix
@@ -166,8 +171,8 @@ from operator import itemgetter
 
 from .binary import (HomLieSuper, change_of_basis, verify_hom_jacobi,
                      verify_multiplicative)
-from .graded import (GradedSpace, canonicalize, image, skew_basis,
-                     tuple_parity, wedge_expand, wedge_table)
+from .graded import (GradedSpace, canonicalize, image, is_canonical,
+                     skew_basis, tuple_parity, wedge_expand, wedge_table)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace,
                      certified_rank, field, frac, integer_terms, kernel,
                      map_terms, orthogonal_test, pack, rank, slot_width,
@@ -855,12 +860,13 @@ def binary_adjoint_cocycle_space(g: HomLieSuper, parity: int) -> Subspace:
 
 
 def _adapted(obj, cx: str, degree: int) -> tuple:
-    """The algebra that walks the cx coboundary on degree-cochains, once
-    _check passes on obj, the document, as (algebra, s): obj's copy in a
-    basis adapted to the hyperplane its ternary bracket's image spans,
-    and s, the even basis change to it (its columns the new basis), or
-    (obj, None).  The one owner of the basis rule: obj serves below
-    degree 2, and whenever the copy grades no finer.  An induced bracket
+    """The algebra that walks the cx coboundary on degree-cochains, degree
+    2 and up, once _check passes on obj, the document, as (algebra, s):
+    obj's copy in a basis adapted to the hyperplane its ternary bracket's
+    image spans, and s, the even basis change to it (its columns the new
+    basis), or (obj, None).  The one owner of the basis rule: obj serves
+    whenever the copy grades no finer; degree 1 walks no block
+    (_first_dims), so it asks no basis.  An induced bracket
     has its image in [g, g], inside ker tau, so an image that is a
     hyperplane is ker tau and its normal phi, one linalg.kernel, is tau
     up to scale; the image [g, g, g] is graded.image, the first term of
@@ -882,7 +888,7 @@ def _adapted(obj, cx: str, degree: int) -> tuple:
     and no verdict is read off it (_proved reads obj's)."""
     _check(obj, cx, degree)
     dim = obj.dim
-    if degree < 2 or obj.bracket.arity != 3 or not obj.bracket.super_skew:
+    if obj.bracket.arity != 3 or not obj.bracket.super_skew:
         return obj, None
     hyperplane = image(obj)
     if hyperplane.dim != dim - 1:
@@ -957,12 +963,44 @@ def _escaped(obj) -> PreconditionError:
     return PreconditionError("coboundary escaped the cocycle space")
 
 
+def _first_dims(obj, cx: str) -> tuple:
+    """(dim Z, 0, dim Z) of the cx coboundary on even 1-cochains, once
+    _check passes, read off the bracket's stored vectors with no block
+    walked.  d^1 f = -f o [., .., .], with no twist in it: its row at a
+    key whose first two slots form a canonical pair is that key's
+    structure vector (_ds_rows, _leibniz_rows), so its rank on the keys
+    of parity q is dim S_q, S the span of those vectors: image(obj), read
+    from the memo, on a super_skew bracket, and otherwise their row space,
+    not kept.  The parity law makes every vector homogeneous, so S's RREF
+    rows are too, and dim S_q counts the rows whose lead has parity q.
+    Key parity q serves its outputs (_served) with n_q - dim S_q
+    cocycles each, n_q the basis elements of parity q; no coboundary lies
+    below degree 1, so B = 0."""
+    p = obj.space.parities
+    if obj.bracket.super_skew:
+        span = image(obj)
+    else:
+        rows = [terms for key, terms in obj.bracket.integer[1].items()
+                if is_canonical(key[:2], p)]
+        span = Subspace.spanned_by_rows(Matrix(len(rows), obj.dim, rows))
+    ranks = [0, 0]
+    for row in span.basis.entries:
+        ranks[p[row[0][0]]] += 1
+    z = sum(len(outputs) * (p.count(q) - ranks[q])
+            for q, outputs in _served(cx, obj.space, 0).items())
+    return z, 0, z
+
+
 def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     """(dim Z, dim B, dim H) on the even-parity cochains, in a degree whose
-    coboundary is an entry of _BUILDERS (so is the one below it, every
-    complex's degrees running from 1), counted by ranks, each block's once
-    per output it serves; no Subspace is built.  Per (q, w) block A, with
-    L the rows the coboundary below builds at A's column keys:
+    coboundary is an entry of _BUILDERS, counted by ranks, each block's
+    once per output it serves.  _check checks the operator on obj first,
+    at the degree as given, so every refusal keeps its message and its
+    order: directly at degree 1, which is _first_dims, read off the
+    bracket's stored vectors with no block walked, and through _adapted
+    above it, where the coboundary below is an entry too and no Subspace
+    is built.  Per (q, w) block A, with L the rows the coboundary below
+    builds at A's column keys:
     - b = dim B = rank(L), exact (linalg.rank);
     - d^2 = 0, so rank(A) <= cols - b, has one of two sources.  When
       _proved(obj) holds, the identity and multiplicativity verdicts on
@@ -978,17 +1016,17 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     Each degree's keys are grouped once, each operator is walked once,
     bar the second walk of a dense block whose rank mod p needs its
     kernel lifted, and no row of A is kept.  Both operators are walked on
-    the algebra _adapted(obj, cx, degree) returns, which checks the
-    operator on obj first: the copy in an adapted basis above degree 1,
-    when it grades more finely, or obj itself; the dims are the same on
-    either, and the verdicts are read on obj."""
+    the algebra _adapted(obj, cx, degree) returns: the copy in an adapted
+    basis, when it grades more finely, or obj itself; the dims are the
+    same on either, and the verdicts are read on obj."""
+    if degree == 1:  # True == 1 too, and _check refuses it
+        _check(obj, cx, degree)
+        return _first_dims(obj, cx)
     used = _adapted(obj, cx, degree)[0]
     proved = _proved(obj)
     _, groups, upper = _blocks(used, cx, degree)
-    if degree > 1:
-        lower = _walk(used, cx, degree - 1)[1]
-        below = _weight_groups(cx, degree - 1, used.space,
-                               _grading(used)[1])
+    lower = _walk(used, cx, degree - 1)[1]
+    below = _weight_groups(cx, degree - 1, used.space, _grading(used)[1])
     served = _served(cx, obj.space, 0)
     zdim = bdim = 0
     for label in _block_labels(groups):
@@ -996,7 +1034,7 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
             continue
         count, _, col_keys, rows = upper(label)
         cols = len(col_keys)
-        low = array("q", _block(below, label)[1]()) if degree > 1 else ()
+        low = array("q", _block(below, label)[1]())
         lows = Matrix(cols, len(low),
                       tuple(lower(col_keys, low)) if low else ((),) * cols)
         b = rank(lows)

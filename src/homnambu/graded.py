@@ -639,7 +639,8 @@ class HomAlgebra:
 def image(a: HomAlgebra) -> Subspace:
     """[g, ..., g], the span of the bracket's stored vectors: the first
     term of both series from the whole space, the hyperplane of
-    cohomology's adapted basis and the commutator of ideal_criterion.
+    cohomology's adapted basis, the span whose rank gives its degree-1
+    dims, and the commutator of ideal_criterion.
     Computed once per algebra and kept in its memo under "image"."""
     if "image" not in a.memo:
         full = Subspace.full(a.dim)

@@ -17,12 +17,13 @@ An algebra's series from the whole space is computed once: called with no
 ideal, derived_series and central_series keep their unbounded run in the
 algebra's memo (graded.HomAlgebra), under "derived" and "central", and
 answer every later call from it.  Both start from one first term, [g,
-..., g], which graded.image keeps in the memo too and cohomology._adapted
-reads as its hyperplane.  A call with a bound rmax gets the stored run
-cut after term rmax (_bounded): the terms are those a bounded run
-computes, since each depends on the one before alone, and so are
-stabilized and class_index, read off the terms kept.  A call with an
-ideal is computed afresh, and kept nowhere.
+..., g], which graded.image keeps in the memo too, and which cohomology
+reads as _adapted's hyperplane and as the span of the degree-1 rows.  A
+call with a bound rmax gets the stored run cut after term rmax
+(_bounded): the terms are those a bounded run computes, since each
+depends on the one before alone, and so are stabilized and class_index,
+read off the terms kept.  A call with an ideal is computed afresh, and
+kept nowhere.
 """
 
 from .binary import HomLieSuper, is_ideal

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from homnambu import cohomology, linalg
-from homnambu.binary import HomLieSuper, yau_twist
+from homnambu.binary import HomLieSuper, SuperBracket2, yau_twist
 from homnambu.cli import _random_combination
 from homnambu.cohomology import (_BUILDERS, _DEGREES, MAX_COBOUNDARY_ROWS,
                                  Cochain, _apply, _block_labels, _blocks,
@@ -34,8 +34,8 @@ from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11_tau,
                                gl11t, glmn, induced_gl11, matrix_units,
                                random_even_invertible)
 from homnambu.formats import load_cochain, read_document
-from homnambu.graded import (GradedMap, canonicalize, graded_space, skew_basis,
-                             tuple_parity)
+from homnambu.graded import (GradedMap, canonicalize, graded_space,
+                             identity_map, skew_basis, tuple_parity)
 from homnambu.linalg import (InputError, Matrix, PreconditionError, Subspace,
                              integer_terms, is_zero_vec, kernel,
                              subspace_intersection, unit_vec, vec_scale)
@@ -1146,10 +1146,10 @@ def test_identity_and_diagonal_twists_keep_the_basis_element_copy(
 
 def test_each_grading_is_solved_once_in_its_own_memo(monkeypatch):
     # ts1, ts2, ta1 and ta2 on induced gl(2|1) in one session: the
-    # document's weight basis is solved once, by ts1, and each adapted
-    # copy's once (the copy is not kept between calls), each grading
-    # staying in its own algebra's memo, beside the document's image
-    # [g, g, g], read once for the hyperplane
+    # document's weight basis is solved once, by ts2, ts1 solving none,
+    # and each adapted copy's once (the copy is not kept between calls),
+    # each grading staying in its own algebra's memo, beside the
+    # document's image [g, g, g], read by ts1 and kept for the hyperplane
     _, t = induced(*glmn(2, 1))
     solved = []
     weight_basis = cohomology._weight_basis
@@ -1163,10 +1163,10 @@ def test_each_grading_is_solved_once_in_its_own_memo(monkeypatch):
             for cx in ("ternary-scalar", "ternary-adjoint")
             for degree in (1, 2)] == [(1, 0, 1), (5, 4, 1), (5, 0, 5),
                                       (41, 36, 5)]
-    assert len(solved) == 3 and solved[0] is t
-    assert t not in solved[1:] and solved[1] is not solved[2]
+    copies = [obj for obj in solved if obj is not t]
+    assert len(solved) == 3 and len(copies) == 2 and copies[0] is not copies[1]
     assert set(t.memo) == {"grading", "image"}
-    assert all(set(obj.memo) == {"grading"} for obj in solved[1:])
+    assert all(set(obj.memo) == {"grading"} for obj in copies)
 
 
 def transfer_case(name):
@@ -2274,6 +2274,7 @@ def test_unbuilt_degrees_are_input_errors(g11, t11):
                             (g11, "binary-scalar", 4),
                             (t11, "ternary-scalar", 0),
                             (t11, "ternary-scalar", True),
+                            (g11, "binary-adjoint", True),
                             (t11, "nope", 2)):
         with pytest.raises(InputError):
             cohomology_dims(obj, cx, degree)
@@ -2288,6 +2289,118 @@ def test_coboundary_rows_are_capped_before_building():
         assert not t.memo
     # gl(2|2) delta2 has 128^2 * 16 rows and gl(2|1) delta3 40^3 * 9
     assert 128 ** 2 * 16 <= 40 ** 3 * 9 <= MAX_COBOUNDARY_ROWS < 128 ** 3 * 16
+
+
+def skewless_brackets():
+    """Brackets on even a, b, c that keep the parity law but are not
+    super-skew, so the degree-1 rows, read at the keys whose first two
+    slots form a canonical pair, span less than the stored vectors:
+    binary [a, b] = a and [b, a] = c, the rows reading [a, b] alone, and
+    ternary [a, b, c] = a, [a, c, b] = c and [b, a, c] = b, the rows
+    reading the first two, the non-canonical key (a, c, b) included."""
+    space = graded_space(["a", "b", "c"], [0, 0, 0])
+    alpha = identity_map(space)
+    out = (HomLieSuper(space, SuperBracket2.from_vectors(
+               space, {(0, 1): (1, 0, 0), (1, 0): (0, 0, 1)}), alpha),
+           TernaryHomLieSuper(space, SuperBracket3.from_vectors(
+               space, {(0, 1, 2): (1, 0, 0), (0, 2, 1): (0, 0, 1),
+                       (1, 0, 2): (0, 1, 0)}), alpha, alpha))
+    assert not any(obj.bracket.super_skew for obj in out)
+    return out
+
+
+def degree_one_cases(gl22_conjugate):
+    """(name, algebra) for gl(1|1), gl(2|1) and gl(2|2), each with its
+    diagonal Yau twist and a dense conjugate, both central twists, every
+    one with its induced algebra, and both skewless_brackets."""
+    for m, n in ((1, 1), (2, 1), (2, 2)):
+        lie, rep = glmn(m, n)
+        yield f"gl{m}{n}", lie
+        yield f"gl{m}{n}", induced(lie, rep)[1]
+        twisted = diagonal_twist(lie, m, n)
+        tau = TraceFunctional(twisted, trace_functional(rep).values)
+        yield f"gl{m}{n}t", twisted
+        yield f"gl{m}{n}t", induce_ternary(twisted, tau, twisted.alpha,
+                                           twisted.alpha)
+        if (m, n) == (2, 2):
+            clie, _, ct = gl22_conjugate
+        else:
+            clie, crep = conjugate_pair(lie, rep, random_even_invertible(
+                random.Random(1), lie.space))
+            ct = induced(clie, crep)[1]
+        yield f"gl{m}{n}c", clie
+        yield f"gl{m}{n}c", ct
+    for m, n in ((2, 1), (2, 2)):
+        yield from ((f"gl{m}{n}z", obj) for obj in central_twisted(m, n))
+    yield from (("skewless", obj) for obj in skewless_brackets())
+
+
+def test_degree_one_dims_match_the_walked_cocycles(gl22_conjugate):
+    # the degree-1 dims, read off the bracket's stored vectors, against
+    # the cocycles of the walked blocks, on every complex of each algebra
+    for name, obj in degree_one_cases(gl22_conjugate):
+        side = "binary" if obj.bracket.arity == 2 else "ternary"
+        for cx in (f"{side}-scalar", f"{side}-adjoint"):
+            z = len(cocycles(obj, cx, 1, 0))
+            assert cohomology_dims(obj, cx, 1) == (z, 0, z), (name, cx)
+
+
+def test_a_degree_one_query_builds_no_row_and_solves_no_grading(
+        monkeypatch):
+    # every complex of fresh gl(2|1) and its induced algebra, and of the
+    # skewless brackets: no builder is called, so no row is built, and no
+    # torus grading is solved; a super_skew algebra keeps its image alone,
+    # and the span of a skewless bracket's rows, not its image, is not kept
+    walks = []
+    for key, build in _BUILDERS.items():
+        monkeypatch.setitem(_BUILDERS, key, lambda *args, build=build: (
+            walks.append(args) or build(*args)))
+    solved = []
+    weight_basis = cohomology._weight_basis
+    monkeypatch.setattr(cohomology, "_weight_basis", lambda obj: (
+        solved.append(obj) or weight_basis(obj)))
+    lie, rep = glmn(2, 1)
+    _, t = induced(lie, rep)
+    for obj, dims in ((lie, ((1, 0, 1), (5, 0, 5))),
+                      (t, ((1, 0, 1), (5, 0, 5))),
+                      *zip(skewless_brackets(), (((2, 0, 2), (6, 0, 6)),
+                                                 ((1, 0, 1), (3, 0, 3))))):
+        side = "binary" if obj.bracket.arity == 2 else "ternary"
+        assert tuple(cohomology_dims(obj, f"{side}-{kind}", 1)
+                     for kind in ("scalar", "adjoint")) == dims
+        assert set(obj.memo) == ({"image"} if obj.bracket.super_skew
+                                 else set())
+    assert not walks and not solved
+
+
+def test_degree_one_refusals_keep_their_messages_and_order(monkeypatch):
+    # the checks of _check still run first at degree 1, in their order:
+    # the row cap, before the parity law, leaves the memo empty; then the
+    # parity law and the equal twists, each with its own message
+    two = read_document(FIXTURES / "gl11_two_twists.json").ternary
+    with pytest.raises(PreconditionError,
+                       match="^ternary cohomology needs alpha1 = alpha2$"):
+        cohomology_dims(two, "ternary-scalar", 1)
+    lie, rep = gl11()
+    broken = HomLieSuper(lie.space, lie.bracket.with_entry(0, 1, (0, 0, 1, 0)),
+                         lie.alpha)
+    _, t = induced(lie, rep)
+    tbroken = TernaryHomLieSuper(
+        t.space, t.bracket.with_entry(0, 2, 3, (0, 0, 1, 0)), t.alpha1,
+        t.alpha2)
+    for obj, cx in ((broken, "binary-scalar"), (tbroken, "ternary-adjoint")):
+        with pytest.raises(PreconditionError, match="^coboundaries need a "
+                           "bracket that keeps the parity law$"):
+            cohomology_dims(obj, cx, 1)
+    _, t21 = induced(*glmn(2, 1))
+    for obj, cx, rows in ((t21, "ternary-scalar", 360),
+                          (tbroken, "ternary-scalar", 32)):
+        monkeypatch.setattr(cohomology, "MAX_COBOUNDARY_ROWS", rows - 1)
+        with pytest.raises(InputError, match=f"^the {cx} coboundary of "
+                           f"degree 1 has {rows} rows, over the cap of "
+                           f"{rows - 1}$"):
+            cohomology_dims(obj, cx, 1)
+    assert not (two.memo or broken.memo or tbroken.memo or t21.memo)
 
 
 # sha256 of repr(coboundary_matrix(t, cx, degree)), taken from the separate
@@ -2500,6 +2613,9 @@ def test_the_modular_path_matches_exact_elimination_block_by_block(
                             lambda m: fallbacks.append(m) or exact(m))
         assert cohomology_dims(obj, cx, degree) == want, (name, cx, degree)
         monkeypatch.undo()
+        if degree == 1:  # read off the bracket, no block walked
+            assert not blocks, (name, cx)
+            continue
         assert blocks, (name, cx, degree)
         z = sum(cols - r for cols, _, r in blocks)
         if cx.endswith("scalar"):
