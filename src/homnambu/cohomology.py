@@ -668,18 +668,19 @@ def _row_count(cx: str, degree: int, space: GradedSpace) -> int:
     return ways[-1]
 
 
-def _check(obj, cx: str, degree: int):
+def _check(obj, cx: str, degree: int, rows: bool = True):
     """The builder of _BUILDERS for the cx coboundary on degree-cochains,
     once obj fits cx, the operator's row count is within
-    MAX_COBOUNDARY_ROWS, obj's bracket keeps the parity law the blocks
-    split by and its twists are equal (the Leibniz formula has one
-    alpha); the checks read obj's shape and flags, and build nothing."""
+    MAX_COBOUNDARY_ROWS (when rows, the caller building them), obj's
+    bracket keeps the parity law the blocks split by and its twists are
+    equal (the Leibniz formula has one alpha); the checks read obj's
+    shape and flags, and build nothing."""
     build = _BUILDERS.get((cx, degree)) if type(degree) is int else None
     if build is None:
         raise InputError(f"no coboundary for {cx} cochains of degree {degree!r}")
     if cx.startswith("ternary") != (obj.bracket.arity == 3):
         raise InputError(f"complex {cx} does not match the given algebra")
-    n = _row_count(cx, degree, obj.space)
+    n = _row_count(cx, degree, obj.space) if rows else 0
     if n > MAX_COBOUNDARY_ROWS:
         raise InputError(f"the {cx} coboundary of degree {degree} has "
                          f"{n} rows, over the cap of {MAX_COBOUNDARY_ROWS}")
@@ -997,9 +998,9 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     once per output it serves.  _check checks the operator on obj first,
     at the degree as given, so every refusal keeps its message and its
     order: directly at degree 1, which is _first_dims, read off the
-    bracket's stored vectors with no block walked, and through _adapted
-    above it, where the coboundary below is an entry too and no Subspace
-    is built.  Per (q, w) block A, with L the rows the coboundary below
+    bracket's stored vectors with no block walked, so no row cap applies,
+    and through _adapted above it, where the coboundary below is an entry
+    too and no Subspace is built.  Per (q, w) block A, with L the rows the coboundary below
     builds at A's column keys:
     - b = dim B = rank(L), exact (linalg.rank);
     - d^2 = 0, so rank(A) <= cols - b, has one of two sources.  When
@@ -1020,7 +1021,7 @@ def cohomology_dims(obj, cx: str, degree: int) -> tuple:
     basis, when it grades more finely, or obj itself; the dims are the
     same on either, and the verdicts are read on obj."""
     if degree == 1:  # True == 1 too, and _check refuses it
-        _check(obj, cx, degree)
+        _check(obj, cx, degree, rows=False)
         return _first_dims(obj, cx)
     used = _adapted(obj, cx, degree)[0]
     proved = _proved(obj)

@@ -25,11 +25,16 @@ only the residuals a report prints are divided back into Fractions:
 * span(S1, ..., Sn), the subspace spanned by [S1, ..., Sn], the row
   space of images, and annihilator(), the z with [e_i1, ..., z] = 0,
   for any arity; the series, centers and ideal checks are calls of
-  these.  [g, g, g] is the span of the distinct stored vectors; any
-  other span is a composite table whose last slot is contracted with
-  the integer basis of Sn, each image one packed int, deduplicated up
-  to sign before it is unpacked.  annihilator reads only the canonical
-  prefixes of a super-skew bracket;
+  these.  Both read the prefix columns (columns), {k: [e_P, e_k]} for a
+  prefix P of prefixes, the canonical (n-1)-tuples of a super-skew
+  bracket and every ordered one otherwise, each stored tuple packed once
+  per call.  [g, g, g] is the span of the distinct stored vectors; any
+  other image is a front in the first n - 1 slots, expanded onto the
+  prefixes, contracted with their columns and then with a row of the
+  last slot, one packed int, deduplicated up to sign before it is
+  unpacked; a central step and a derived step read only the fronts
+  their super-skewness leaves.  annihilator shrinks one candidate, the
+  whole space at first, at each prefix whose packed test it fails;
 * skew_breaks, where symmetry or the parity law fails, walked over the
   stored keys and their adjacent-slot mirrors in integers: the skew
   checks format it, and it decides super_skew once, when a bracket is
@@ -40,11 +45,11 @@ only the residuals a report prints are divided back into Fractions:
   morphism and induced-homomorphism checks;
 * composite, the integer table [F_1 e_a, ..., e_c, ...] with e_c in one
   free slot, each vector packed in one int (linalg.pack) in slots of a
-  proved width: join_width for the Hom-Jacobi table of binary (scale
+  proved width, join_width: the Hom-Jacobi table of binary (scale
   D_alpha D_W^2) and the three tables of the Hom-Nambu join of ternary
-  (D_W^2 D_1 D_2), and span's own bound for its images.  No table
-  outlives the call that reads it; a bracket keeps only its sizes, the
-  view's largest entry and 1-norm that the widths read;
+  (D_W^2 D_1 D_2), and no span.  No table or column outlives the call
+  that reads it; a bracket keeps only its sizes, the view's largest
+  entry and 1-norm that the widths read;
 * the coboundary rows of cohomology, ints times 1/(D_W D_alpha^k);
 * reps.verify_representation, whose bracket side rho([e_i, e_j]) beta is
   read at D_W, and the induced bracket, tau.induce of this view.
@@ -53,11 +58,12 @@ only the residuals a report prints are divided back into Fractions:
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from operator import itemgetter, le
+from operator import itemgetter
 
-from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, content,
-                     field, integer_terms, is_zero_vec, kernel, nonzero_terms,
-                     pack, record, slot_width, unpack, vec)
+from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _eliminate,
+                     _make_primitive, content, field, integer_terms,
+                     is_zero_vec, nonzero_terms, pack, record, slot_width,
+                     unpack_terms, vec)
 
 
 @record(frozen=True)
@@ -232,12 +238,18 @@ def skew_basis(degree: int, space: GradedSpace) -> SkewBasis:
     (is_canonical is the oracle)."""
     if degree < 1:
         raise InputError("degree must be positive")
-    p, dim = space.parities, space.dim
+    return SkewBasis(degree, _canonical_tuples(degree, space.parities))
+
+
+def _canonical_tuples(degree: int, parities) -> tuple:
+    """The canonical tuples of this degree over indices of these parities,
+    in lexicographic order, as skew_basis builds them."""
+    p, dim = parities, len(parities)
     level = [(i,) for i in range(dim)]
     for _ in range(degree - 1):
         level = [t + (i,) for t in level
                  for i in range(t[-1] + 1 - p[t[-1]], dim)]
-    return SkewBasis(degree, tuple(level))
+    return tuple(level)
 
 
 def tuple_parity(t, parities) -> int:
@@ -485,8 +497,9 @@ class SuperBracket:
         tuple is packed once (linalg.pack; from_integer shares one tuple
         per sign across a key's orderings), in slots of `width` bits,
         which the caller proves wide enough for whatever it sums from the
-        tables: join_width for the joins, span's own bound for spans.
-        Each table vector accumulates as one int, the nonzero ones kept.
+        tables, join_width.  Each table vector accumulates as one int,
+        the nonzero ones kept.  Only the Hom-Jacobi and Hom-Nambu joins
+        build one: spans and centers read columns.
         For arity 3 and free = 2 the table is [F_1 e_a, F_2 e_b, e_c].
         The products of the map entries are expanded once per distinct
         index tuple of the other slots, for every table.  Nothing built
@@ -520,6 +533,53 @@ class SuperBracket:
             tables.append(table)
         return tables
 
+    def prefixes(self) -> tuple:
+        """The prefixes P whose columns (columns) hold the bracket, in
+        lexicographic order: the canonical (n-1)-tuples of skew_basis on a
+        super_skew bracket, where reordering a prefix only signs its
+        columns, by the canonicalize sign of the reordering, and a prefix
+        that repeats an even index has none; every ordered (n-1)-tuple
+        otherwise.  When the view holds fewer keys than there are such
+        prefixes, only those of its keys are kept, found in one pass over
+        it, so a sparse bracket costs its keys: the others' columns are
+        empty."""
+        n, p = self.arity, self.space.parities
+        view = self.integer[1]
+        if self.super_skew:
+            every = skew_basis(n - 1, self.space).tuples
+            if len(view) >= len(every):
+                return every
+            found = {key[:-1] for key in view}
+            return tuple(sorted(q for q in found if is_canonical(q, p)))
+        if len(view) >= len(p) ** (n - 1):
+            return tuple(product(range(len(p)), repeat=n - 1))
+        return tuple(sorted({key[:-1] for key in view}))
+
+    def columns(self, width: int):
+        """column(P, ks), the prefix column {k: packed W(P + (k,))} over the
+        k of ks (every index by default) with P + (k,) a stored key, W the
+        integer view, read with view.get when it is asked for.  Each
+        distinct stored tuple is packed once per column function
+        (linalg.pack, keyed by id; from_integer shares one tuple per sign
+        across a key's orderings), in slots of `width` bits, which the
+        caller proves wide enough for whatever it sums from the columns."""
+        get = self.integer[1].get
+        every = range(self.space.dim)
+        packs = {}
+
+        def column(prefix, ks=every):
+            col = {}
+            for k in ks:
+                v = get(prefix + (k,))
+                if v:
+                    x = packs.get(id(v))
+                    if x is None:
+                        x = packs[id(v)] = pack(v, width)
+                    col[k] = x
+            return col
+
+        return column
+
     def span(self, *subspaces) -> Subspace:
         """The span of [S1, ..., Sn] over the vectors of the subspaces Si:
         the row space of images."""
@@ -527,66 +587,152 @@ class SuperBracket:
 
     def images(self, *subspaces) -> Matrix:
         """The nonzero images [b_1, ..., b_n], each b_i an echelon vector
-        of S_i, as integer rows distinct up to sign: a Matrix whose rows
-        are built as rref (or a series step) reads them, and whose row
-        count bounds their number.
+        of S_i, or enough of them to span what all of them span, as integer
+        rows distinct up to sign: a Matrix whose rows are built as rref (or
+        a series step) reads them, so a reader that stops early stops the
+        reading too, and whose row count bounds their number.
 
         The structure vectors (the integer view) and each Si's echelon
         rows are cleared of denominators, which scales no span.  With
         every slot the whole space the images are the distinct stored
-        vectors.  Otherwise each slot's map is the transpose of its
-        integer basis (the unit rows of a whole-space slot only
-        re-index), composite builds the table [b_a1, ..., b_a(n-1), e_c]
-        from all maps but the last, and each table entry is contracted
-        with the integer basis rows of S_n, one packed int per image.  A
-        table slot is at most M _column_bound of its maps, M the largest
-        |entry| of the view, and the contraction multiplies that by the
-        largest 1-norm of a row of S_n, the largest column sum of its map:
-        so the width is that of M _column_bound(every map).  The images
-        are deduplicated as packed ints up to sign, since pack(-v) =
-        -pack(v), and unpacked only when new and nonzero.
+        vectors.  Otherwise every image is a front, a sum of prefixes
+        sum_P c_P e_P in the first n - 1 slots, contracted with the prefix
+        columns (columns) into {k: [front, e_k]}, and that with a row b of
+        the last slot: sum_k b_k [front, e_k], one packed int.  The fronts:
+        - the first n - 1 slots whole: each prefix (prefixes) alone;
+        - on a super_skew bracket, S in slot 0 and the other slots whole
+          (a central step, is_ideal): each canonical prefix alone, and the
+          rows of S moved to the last slot: [s, e_P] = (-1)^(n-1) sum_k
+          (-1)^(|k||P|) s_k [e_P, e_k], so a prefix of odd parity reads
+          the rows with their odd coordinates negated.  No grading of S is
+          assumed;
+        - on a super_skew bracket, one subspace D in every slot with
+          homogeneous RREF rows (a derived step, is_subalgebra): the
+          weakly increasing fronts d_a1, ..., d_a(n-1) that repeat no even
+          row, each contracted with the rows d_c, c >= a_(n-1), an even
+          row not repeated; reordering homogeneous arguments only signs an
+          image, and an even one repeated spans zero;
+        - otherwise every tuple of echelon rows of the first n - 1 slots.
+        A front is expanded over its index tuples, sent to its prefix by
+        canonicalize on a super_skew bracket (its sign, a tuple repeating
+        an even index dropped) and kept as it is otherwise.  An image slot
+        is at most M prod_s N_s, M the largest |entry| of the view and N_s
+        the largest 1-norm of a row of S_s, which sets the width.  The
+        images are deduplicated as packed ints up to sign, since pack(-v)
+        = -pack(v), and unpacked only when new and nonzero.
         """
-        dim = self.space.dim
-        if (len(subspaces) != self.arity
+        dim, n = self.space.dim, self.arity
+        if (len(subspaces) != n
                 or any(s.ambient_dim != dim for s in subspaces)):
-            raise InputError(f"span takes {self.arity} subspaces of the "
+            raise InputError(f"span takes {n} subspaces of the "
                              f"{dim}-dimensional space")
         bases = [integer_terms(s.basis.entries)[1] for s in subspaces]
         if not all(bases):
             return Matrix(0, dim, ())
-        if all(s.dim == dim for s in subspaces):
+        whole = [s.dim == dim for s in subspaces]
+        if all(whole):
             rows = _distinct_rows({id(v): v for v in
                                    self.integer[1].values()}.values())
             return Matrix(len(rows), dim, rows)
-        maps = []
-        for basis in bases:
-            r = [[] for _ in range(dim)]
-            for a, b in enumerate(basis):
-                for i, x in b:
-                    r[i].append((a, x))
-            maps.append(r)
-        width = slot_width(self._sizes()[0] * _column_bound(maps))
-        table, = self.composite(maps[:-1], (self.arity - 1,), width)
-        return Matrix(len(table) * len(bases[-1]), dim,
-                      _packed_images(table, bases[-1], width, dim))
+        p = self.space.parities
+        skew = self.super_skew
+        first, last = bases[0], bases[-1]
+        if all(whole[:-1]):
+            fronts = [(_units(prefix), last) for prefix in self.prefixes()]
+        elif skew and all(whole[1:]):
+            flipped = [tuple((k, -x if p[k] else x) for k, x in b)
+                       for b in first]
+            fronts = [(_units(prefix),
+                       flipped if tuple_parity(prefix, p) else first)
+                      for prefix in self.prefixes()]
+        elif skew and subspaces.count(subspaces[0]) == n and all(
+                all(p[c] == p[b[0][0]] for c, _ in b) for b in first):
+            odd = [p[b[0][0]] for b in first]
+            fronts = [(tuple(first[a] for a in front),
+                       last[front[-1] + 1 - odd[front[-1]]:])
+                      for front in _canonical_tuples(n - 1, odd)]
+        else:
+            fronts = [(front, last) for front in product(*bases[:-1])]
+        width = slot_width(self._sizes()[0] * _norm_bound(bases))
+        return Matrix(sum(len(rows) for _, rows in fronts), dim,
+                      self._contracted(fronts, width))
+
+    def _contracted(self, fronts, width: int):
+        """The nonzero images of images' fronts, each (the rows of its n - 1
+        slots, the rows of the last slot it is contracted with), as sparse
+        int rows, each image once up to sign: a packed image is compared by
+        its absolute value, and only a new nonzero one is unpacked."""
+        column = self.columns(width)
+        p = self.space.parities
+        skew = self.super_skew
+        read = {}  # index tuple -> (its prefix's column, sign)
+        seen = set()
+        for factors, rows in fronts:
+            acc = {}
+            for idx, a in _expand_terms(factors):
+                hit = read.get(idx)
+                if hit is None:
+                    t, sign, zero = (canonicalize(idx, p) if skew
+                                     else (idx, 1, False))
+                    hit = read[idx] = (column(t) if not zero else {}, sign)
+                col, sign = hit
+                for k, x in col.items():
+                    acc[k] = acc.get(k, 0) + sign * a * x
+            if not acc:
+                continue
+            for b in rows:
+                x = 0
+                for k, y in b:
+                    col = acc.get(k)
+                    if col:
+                        x += y * col
+                if x and abs(x) not in seen:
+                    seen.add(abs(x))
+                    yield unpack_terms(x, width)
 
     def annihilator(self) -> Subspace:
-        """The z with [e_i1, ..., e_i(n-1), z] = 0 for all basis arguments:
-        the kernel of one integer row per (i1, ..., i(n-1)) and output
-        coordinate, deduplicated up to sign.  On a super_skew bracket
-        reordering the prefix i1, ..., i(n-1) changes only the sign of its
-        rows, so only the canonical prefixes are read: weakly increasing,
-        as no stored key repeats an even index."""
-        rows = {}
-        skew = self.super_skew and self.arity > 2
-        for key, terms in self.integer[1].items():
-            prefix = key[:-1]
-            if skew and not all(map(le, prefix, prefix[1:])):
+        """The z with [e_i1, ..., e_i(n-1), z] = 0 for all basis arguments,
+        from one candidate K, integer rows spanning the z that the
+        prefixes read so far allow, first the unit rows of the whole
+        space.  Each prefix P (prefixes: only the canonical ones on a
+        super_skew bracket) tests K with one packed sum per row, [e_P, K_s]
+        = sum_k K_s[k] W(P, k) over its columns (columns); a slot of it is
+        at most M |K_s|_1, M the largest |entry| of the view, which sets
+        the width.  When every sum is 0 the prefix is satisfied, and stays
+        so, as K only shrinks.  Otherwise the sums are unpacked into the
+        dim x |K| integer matrix of the [e_P, K_s], and its kernel, mapped
+        through K, is the new candidate (_shrunk): one update in K's
+        coordinates, no row of an earlier prefix eliminated again.  Only
+        the columns at K's support are read.  The answer is the RREF of
+        K's span."""
+        dim = self.space.dim
+        top = self._sizes()[0]
+        cand = [((i, 1),) for i in range(dim)]
+        at = {i: [(i, 1)] for i in range(dim)}  # k -> (s, K_s[k]), K_s[k] != 0
+        width = slot_width(top)
+        column = self.columns(width)
+        for prefix in self.prefixes():
+            col = column(prefix, at)
+            if not col:
                 continue
-            for m, x in terms:
-                rows.setdefault((prefix, m), []).append((key[-1], x))
-        rows = _distinct_rows(map(sorted, rows.values()))
-        return kernel(Matrix(len(rows), self.space.dim, rows))
+            sums = [0] * len(cand)
+            for k, y in col.items():
+                for s, x in at[k]:
+                    sums[s] += x * y
+            if not any(sums):
+                continue
+            cand = _shrunk(cand, sums, width, dim)
+            if not cand:
+                return Subspace.zero(dim)
+            at = {}
+            for s, row in enumerate(cand):
+                for k, x in row:
+                    at.setdefault(k, []).append((s, x))
+            need = slot_width(top * _norm_bound([cand]))
+            if need > width:
+                width = need
+                column = self.columns(width)
+        return Subspace.spanned_by_rows(Matrix(len(cand), dim, tuple(cand)))
 
     def is_zero(self) -> bool:
         return not self.integer[1]
@@ -668,23 +814,45 @@ def _column_bound(maps) -> int:
     return bound
 
 
-def _packed_images(table: dict, last, width: int, dim: int):
-    """The nonzero images sum_c b(c) T[a][c] of a composite table T and
-    the integer rows b of the last slot, as sparse int rows, each image
-    once up to sign: a packed image is compared by its absolute value, and
-    only a new nonzero one is unpacked."""
-    seen = set()
-    for cols in table.values():
-        for b in last:
-            x = 0
-            for c, y in b:
-                col = cols.get(c)
-                if col:
-                    x += y * col
-            if x and abs(x) not in seen:
-                seen.add(abs(x))
-                yield tuple((m, y) for m, y in
-                            enumerate(unpack(x, width, dim)) if y)
+def _units(prefix) -> tuple:
+    """The unit rows e_i of the indices of prefix, as a front."""
+    return tuple(((i, 1),) for i in prefix)
+
+
+def _norm_bound(bases) -> int:
+    """prod_s N_s, N_s the largest 1-norm sum_i |b_i| of an integer row b
+    of bases[s]: a bound on |sum b_1(i_1) ... b_n(i_n) x| over the index
+    tuples, for every |x| <= 1 and rows b_s of bases[s]."""
+    bound = 1
+    for rows in bases:
+        bound *= max(sum(abs(x) for _, x in b) for b in rows)
+    return bound
+
+
+def _shrunk(cand: list, sums: list, width: int, dim: int) -> list:
+    """The integer rows spanning the z in the span of cand, independent
+    integer rows, with [e_P, z] = 0, sums[s] the packed [e_P, cand[s]]:
+    the rows whose sum is 0, and one primitive row per dependency of the
+    others' unpacked images, found by one fraction-free elimination of
+    each image augmented with its row (columns dim and up), an image that
+    reduces to 0 leaving the combination of rows that gives it."""
+    kept = [row for row, x in zip(cand, sums) if not x]
+    table = {}
+    for row, x in zip(cand, sums):
+        if not x:
+            continue
+        r = dict(unpack_terms(x, width))
+        r.update((dim + m, y) for m, y in row)
+        lead = min(r)
+        while lead < dim and lead in table:
+            _eliminate(r, lead, table[lead])
+            lead = min(r)
+        _make_primitive(r, lead)
+        if lead < dim:
+            table[lead] = r
+        else:
+            kept.append(tuple((m - dim, y) for m, y in sorted(r.items())))
+    return kept
 
 
 def _distinct_rows(rows) -> tuple:

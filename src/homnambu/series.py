@@ -5,9 +5,14 @@ SuperBracket.images of the previous term (and the starting term), and
 the twists are only consulted by the ideality checks.  Once a term lies
 in the one before it, every later step lies in its last term, so it is
 eliminated in that term's coordinates and stops reading images as soon
-as they span it: the series has stabilized.  The centers are
-SuperBracket.annihilator.  Both work on the sparse integer structure
-vectors, so no step evaluates the bracket on a basis tuple.
+as they span it: the series has stabilized, and the bracket's prefix
+columns past that image are never read.  The centers are
+SuperBracket.annihilator, one candidate shrunk prefix by prefix.  Both
+work on the sparse integer structure vectors, so no step evaluates the
+bracket on a basis tuple; on a super-skew bracket a central step reads
+the columns of the canonical prefixes against the last term's rows, a
+derived step the sorted fronts of its homogeneous rows, and neither
+builds a composite table.
 derived_series and central_series take either arity, their slots one
 per argument of bracket.arity, as binary.is_ideal does.  Every caller in
 the package calls them and annihilator(); the four names the benchmark

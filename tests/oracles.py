@@ -263,16 +263,22 @@ def span_direct(bracket, *subspaces) -> Subspace:
     return Subspace.spanned_by_rows(Matrix(len(images), dim, tuple(images)))
 
 
-def annihilator_direct(bracket) -> Subspace:
-    """The z with [e_i1, ..., e_i(n-1), z] = 0: the kernel of one integer
-    row per stored prefix (i1, ..., i(n-1)) and output coordinate, every
-    prefix read: the oracle of SuperBracket.annihilator."""
+def annihilator_rows(bracket) -> Matrix:
+    """One integer row per stored prefix (i1, ..., i(n-1)) and output
+    coordinate m, its entry at k the m-th coordinate of [e_i1, ...,
+    e_i(n-1), e_k], every prefix read, in the order of the stored keys."""
     rows = {}
     for key, terms in bracket.integer[1].items():
         for m, x in terms:
             rows.setdefault((key[:-1], m), []).append((key[-1], x))
     rows = tuple(tuple(sorted(r)) for r in rows.values())
-    return kernel(Matrix(len(rows), bracket.space.dim, rows))
+    return Matrix(len(rows), bracket.space.dim, rows)
+
+
+def annihilator_direct(bracket) -> Subspace:
+    """The z with [e_i1, ..., e_i(n-1), z] = 0: the kernel of
+    annihilator_rows, the oracle of SuperBracket.annihilator."""
+    return kernel(annihilator_rows(bracket))
 
 
 def series_direct(bracket, start: Subspace, args, rmax=None) -> tuple:

@@ -2291,6 +2291,39 @@ def test_coboundary_rows_are_capped_before_building():
     assert 128 ** 2 * 16 <= 40 ** 3 * 9 <= MAX_COBOUNDARY_ROWS < 128 ** 3 * 16
 
 
+def empty_algebra(arity, dim):
+    """An all-even algebra of this arity and dimension with the zero
+    bracket and identity twists: the most degree-1 cocycles, one per
+    basis element, on the fewest stored vectors, none."""
+    space = graded_space([f"e{i}" for i in range(dim)], [0] * dim)
+    if arity == 2:
+        return HomLieSuper(space, SuperBracket2.from_canonical(space, {}),
+                           identity_map(space))
+    return TernaryHomLieSuper(space, SuperBracket3.from_canonical(space, {}),
+                              identity_map(space), identity_map(space))
+
+
+@pytest.mark.parametrize("arity, cx, dim, refused", [
+    (3, "ternary-scalar", 129, 1065024),
+    (2, "binary-scalar", 1449, 1049076)])
+def test_degree_one_dims_meet_no_row_cap(arity, cx, dim, refused):
+    """cohomology_dims at degree 1 builds no row, so the whole-operator
+    row cap does not refuse it: an empty all-even bracket one dimension
+    past the last one the cap let through answers (dim, 0, dim).  Degree 2
+    builds rows and is refused with the cap's message, and so is a degree-1
+    walk: the cap counts the degree-1 rows, as many as just over it."""
+    a = empty_algebra(arity, dim)
+    assert _row_count(cx, 1, a.space) == refused > MAX_COBOUNDARY_ROWS
+    assert cohomology_dims(a, cx, 1) == (dim, 0, dim)
+    with pytest.raises(InputError, match=f"^the {cx} coboundary of degree 2 "
+                       f"has [0-9]+ rows, over the cap of "
+                       f"{MAX_COBOUNDARY_ROWS}$"):
+        cohomology_dims(a, cx, 2)
+    with pytest.raises(InputError, match=f"^the {cx} coboundary of degree 1 "
+                       f"has {refused} rows, over the cap"):
+        cocycles(a, cx, 1, 0)
+
+
 def skewless_brackets():
     """Brackets on even a, b, c that keep the parity law but are not
     super-skew, so the degree-1 rows, read at the keys whose first two
@@ -2375,8 +2408,10 @@ def test_a_degree_one_query_builds_no_row_and_solves_no_grading(
 
 def test_degree_one_refusals_keep_their_messages_and_order(monkeypatch):
     # the checks of _check still run first at degree 1, in their order:
-    # the row cap, before the parity law, leaves the memo empty; then the
-    # parity law and the equal twists, each with its own message
+    # the row cap, before the parity law, leaves the memo empty where
+    # degree-1 rows are built (cocycles); then the parity law and the
+    # equal twists, each with its own message.  cohomology_dims builds no
+    # degree-1 row, so the cap does not refuse it there
     two = read_document(FIXTURES / "gl11_two_twists.json").ternary
     with pytest.raises(PreconditionError,
                        match="^ternary cohomology needs alpha1 = alpha2$"):
@@ -2399,8 +2434,12 @@ def test_degree_one_refusals_keep_their_messages_and_order(monkeypatch):
         with pytest.raises(InputError, match=f"^the {cx} coboundary of "
                            f"degree 1 has {rows} rows, over the cap of "
                            f"{rows - 1}$"):
-            cohomology_dims(obj, cx, 1)
+            cocycles(obj, cx, 1, 0)
     assert not (two.memo or broken.memo or tbroken.memo or t21.memo)
+    with pytest.raises(PreconditionError, match="^coboundaries need a "
+                       "bracket that keeps the parity law$"):
+        cohomology_dims(tbroken, "ternary-scalar", 1)
+    assert cohomology_dims(t21, "ternary-scalar", 1) == (1, 0, 1)
 
 
 # sha256 of repr(coboundary_matrix(t, cx, degree)), taken from the separate

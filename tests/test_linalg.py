@@ -20,7 +20,7 @@ from homnambu.reps import trace_functional
 from homnambu.series import central_series, derived_series, ternary_center
 from homnambu.ternary import induce_ternary
 
-from oracles import read_blocks, select
+from oracles import annihilator_rows, read_blocks, select
 
 
 def rand_matrix(rng, r, c, span=4):
@@ -588,10 +588,11 @@ def kernel_test_streams():
 
 def test_rref_matches_fraction_eliminator(monkeypatch):
     """Every matrix the series and the center hand rref on a seeded gl(2|1)
-    conjugate; every (q, w) coboundary block of gl(1|1), gl11t and
+    conjugate, with the center's (prefix, m) rows; every (q, w) coboundary block of gl(1|1), gl11t and
     gl(2|1), as one walk streams them; and matrices that reach the kernel
-    test: the bs2, bs3, ts2 and ta2 blocks and the center's annihilator
-    of gl(2|1) densely conjugated by the draw of random.Random(1), and
+    test: the bs2, bs3, ts2 and ta2 blocks and the ternary center's
+    (prefix, m) rows, as the annihilator oracle builds them, of gl(2|1)
+    densely conjugated by the draw of random.Random(1), and
     kernel_test_streams.  A series step streams its images, so each is
     captured as the rows it would yield."""
     mats = []
@@ -611,6 +612,7 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
     central_series(t)
     ternary_center(t)
     monkeypatch.undo()
+    mats.append(annihilator_rows(t.bracket))
     assert len(mats) > 5
     for lie, rep in (gl11(), gl11t(), glmn(2, 1)):
         t = induce_ternary(lie, trace_functional(rep), lie.alpha, lie.alpha)
@@ -641,11 +643,7 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
         for label, (_, _, m, _) in zip(labels, read_blocks(obj, cx, degree,
                                                             labels)):
             named.setdefault(m, f"{cx} {degree} block {label}")
-    mats = []
-    monkeypatch.setattr(linalg, "rref", capture)
-    ternary_center(t)
-    monkeypatch.undo()
-    named[mats[0]] = "the ternary_center annihilator"
+    named[annihilator_rows(t.bracket)] = "the ternary center's rows"
     builds = []
     build = linalg._kernel_columns
     monkeypatch.setattr(linalg, "_kernel_columns",
@@ -693,15 +691,17 @@ def test_a_new_pivot_drops_the_kernel(monkeypatch):
 
 def test_dependent_rows_of_the_dense_gl22_conjugate_skip_the_elimination(
         gl22_conjugate, monkeypatch):
-    """ternary_center's annihilator, 1,617 rows, reaches its rank 15 of 16
-    after 112 rows, and the even bs2 block, 344 rows, its rank 57 of 64
-    after 119: the rows past that point test as spanned by one packed sum.
-    Taking every row through the elimination took 11,067 and 7,235 calls."""
+    """The ternary center's (prefix, m) rows, 3,456 as the annihilator
+    oracle builds them, reach their rank 15 of 16 after 216 rows, and the
+    even bs2 block, 344 rows, its rank 57 of 64 after 119: the rows past
+    that point test as spanned by one packed sum.  Taking every row of the
+    block through the elimination took 7,235 calls."""
     lie, _, t = gl22_conjugate
     calls = []
     eliminate = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate",
                         lambda *args: calls.append(args) or eliminate(*args))
+    assert kernel(annihilator_rows(t.bracket)) == ternary_center(t)
     assert ternary_center(t).dim == 1
     assert len(calls) < 1000
     del calls[:]

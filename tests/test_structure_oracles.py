@@ -1,36 +1,42 @@
 """Spans, series, centers and ideal checks against their direct oracles.
 
-SuperBracket.span contracts through the packed composite tables, a
-series step inside its last term stops once its images span that term,
-and annihilator reads only canonical prefixes of a super-skew bracket;
-tests/oracles.py keeps the recursive contraction, the series without an
-early stop and the all-prefix annihilator they replaced.  The cases are
-every fixture, gl(2|1) and gl(2|2) with a diagonal Yau twist and a dense
-conjugate each, and raw with_entry brackets that are not super-skew; the
-subspaces include lines that mix parities, dense random rows with
-denominators, and starting terms that are no ideal, so no series step may
-assume it falls.
+SuperBracket.span contracts fronts with the bracket's packed prefix
+columns, a series step inside its last term stops once its images span
+that term, and annihilator shrinks one candidate over the canonical
+prefixes of a super-skew bracket; tests/oracles.py keeps the recursive
+contraction, the series without an early stop and the all-prefix kernel
+they replaced.  The cases are every fixture, gl(2|1) and gl(2|2) with a
+diagonal Yau twist and a dense conjugate each, raw with_entry brackets
+that are not super-skew, and seeded random sparse brackets that keep the
+parity law, each with a with_entry-broken copy; the subspaces include
+lines that mix parities, dense random rows with denominators, and
+starting terms that are no ideal, so no series step may assume it falls.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
-from homnambu.binary import HomLieSuper, is_ideal, yau_twist
+from homnambu import graded
+from homnambu.binary import (HomLieSuper, SuperBracket2, is_ideal,
+                             is_subalgebra, yau_twist)
 from homnambu.fixtures import (a0, aff1, conjugate_gl11, conjugate_pair,
                                gl11, gl11t, glmn, induced_gl11, matrix_units,
                                neg_jacobi, neg_mult, neg_nambu, neg_skew,
                                neg_ternary_mult, neg_ternary_skew,
                                random_even_invertible)
-from homnambu.graded import GradedMap, SuperBracket, is_canonical
+from homnambu.graded import (GradedMap, SuperBracket, graded_space,
+                             identity_map, is_canonical, skew_basis,
+                             tuple_parity)
 from homnambu.linalg import Matrix, Subspace, unit_vec
 from homnambu.reps import TraceFunctional, trace_functional
 from homnambu.series import (binary_center, binary_central_series,
                              binary_derived_series, central_series,
                              derived_series, ternary_center)
-from homnambu.ternary import TernaryHomLieSuper, induce_ternary
+from homnambu.ternary import SuperBracket3, TernaryHomLieSuper, induce_ternary
 
 from oracles import (annihilator_direct, integer_fill, series_direct,
                      span_direct)
@@ -350,3 +356,141 @@ def test_nothing_packed_outlives_a_span_or_a_join():
             if k != "sizes"} == before
     assert len(t.bracket.sizes) == 2
     assert all(type(x) is int for x in t.bracket.sizes)
+
+
+def fresh(a):
+    """a with an empty memo, so its series are computed, not read."""
+    return type(a)(a.space, a.bracket, *a.twists)
+
+
+@pytest.mark.parametrize("name", ["gl11", "gl21-twist", "gl22-conjugate"])
+def test_series_centers_and_ideal_checks_build_no_composite(name,
+                                                            monkeypatch):
+    """On a super_skew bracket every span the series, the centers,
+    is_ideal and is_subalgebra take reads the prefix columns: composite
+    serves only the Hom-Jacobi and Hom-Nambu joins."""
+    built = []
+    composite = SuperBracket.composite
+    monkeypatch.setattr(SuperBracket, "composite", lambda *args: built.append(
+        args) or composite(*args))
+    for a in (binary_cases()[name], ternary_cases()[name]):
+        a = fresh(a)
+        assert a.bracket.super_skew
+        subs = probes(a, random.Random(47))
+        for s in subs:
+            derived_series(a, s)
+            central_series(a, s)
+            is_ideal(a, s)
+            is_subalgebra(a, s)
+        derived_series(a)
+        central_series(a)
+        a.bracket.annihilator()
+    assert not built
+
+
+@pytest.mark.parametrize("name, updates", [("plain", (6, 5)),
+                                           ("twist", (6, 5)),
+                                           ("conjugate", (4, 3))])
+def test_a_center_updates_its_candidate_a_few_times(name, updates,
+                                                    monkeypatch):
+    """The binary and ternary centers of gl(2|2), its twist and its dense
+    conjugate shrink their candidate at only a few prefixes; every other
+    prefix's packed sums are all 0, and it is skipped."""
+    shrinks = []
+    shrunk = graded._shrunk
+    monkeypatch.setattr(graded, "_shrunk", lambda *args: shrinks.append(
+        args) or shrunk(*args))
+    got = []
+    for a in glmn_family(2, 2)[name]:
+        del shrinks[:]
+        assert a.bracket.annihilator() == annihilator_direct(a.bracket)
+        got.append(len(shrinks))
+    assert tuple(got) == updates
+
+
+def random_algebra(rng, arity):
+    """A seeded random sparse algebra of this arity, dimension 2 to 6 with
+    both parities, its bracket from_canonical over a few canonical keys,
+    each value an integer or Fraction vector of the key's parity: it keeps
+    the parity law and is super-skew, and nothing makes it a Hom-Lie or
+    Hom-Nambu algebra.  The twists are identities."""
+    dim = rng.randint(2, 6)
+    parities = [0, 1] + [rng.randint(0, 1) for _ in range(dim - 2)]
+    rng.shuffle(parities)
+    space = graded_space([f"e{i}" for i in range(dim)], parities)
+    keys = skew_basis(arity, space).tuples
+    coeffs = {}
+    for key in rng.sample(keys, min(len(keys), rng.randint(1, 7))):
+        targets = [m for m in range(dim)
+                   if parities[m] == tuple_parity(key, parities)]
+        v = [0] * dim
+        for m in rng.sample(targets, min(len(targets), rng.randint(1, 2))):
+            v[m] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                            rng.choice((1, 1, 2, 3)))
+        coeffs[key] = tuple(v)
+    alpha = identity_map(space)
+    if arity == 2:
+        return HomLieSuper(space, SuperBracket2.from_canonical(space, coeffs),
+                           alpha)
+    return TernaryHomLieSuper(
+        space, SuperBracket3.from_canonical(space, coeffs), alpha, alpha)
+
+
+def broken_copy(a, rng):
+    """a with one random ordering patched alone, to a value of either
+    parity: not super-skew."""
+    dim = a.dim
+    key = tuple(rng.randrange(dim) for _ in range(a.bracket.arity))
+    value = a.bracket.value(*key)
+    while True:
+        new = tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(dim))
+        if any(new) and new != value:
+            break
+    b = a.bracket.with_entry(*key, new)
+    assert not b.super_skew
+    return type(a)(a.space, b, *a.twists)
+
+
+def random_cases():
+    rng = random.Random(53)
+    out = []
+    for seed in range(8):
+        for arity in (2, 3):
+            a = random_algebra(rng, arity)
+            out += [(f"{seed}-{arity}", a),
+                    (f"{seed}-{arity}-broken", broken_copy(a, rng))]
+    return out
+
+
+@pytest.mark.parametrize("name, a", random_cases(),
+                         ids=[name for name, _ in random_cases()])
+def test_random_brackets_match_the_direct_oracles(name, a):
+    """images at every slot pattern over the whole space, the image, its
+    odd part, a mixed line and a dense random subspace; annihilator; and
+    both series from the whole space and from the mixed line, against
+    span_direct, annihilator_direct and series_direct."""
+    dim, n = a.dim, a.bracket.arity
+    p = a.space.parities
+    full = Subspace.full(dim)
+    image = span_direct(a.bracket, *[full] * n)
+    odd = Subspace.from_vectors(dim, [v for v in image.vectors()
+                                      if not any(x and not p[j]
+                                                 for j, x in enumerate(v))])
+    mixed = Subspace.from_vectors(dim, [tuple(
+        1 if j in (p.index(0), p.index(1)) else 0 for j in range(dim))])
+    rng = random.Random(59)
+    dense = Subspace.from_vectors(dim, [
+        tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+              for _ in range(dim)) for _ in range(2)])
+    subs = (full, image, odd, mixed, dense)
+    for args in product(subs, repeat=n):
+        assert a.bracket.span(*args) == span_direct(a.bracket, *args), args
+        m = a.bracket.images(*args)
+        assert len(list(m.entries)) <= m.rows
+    assert a.bracket.annihilator() == annihilator_direct(a.bracket)
+    a = fresh(a)
+    for start in (None, mixed):
+        assert_series_match(derived_series, a, lambda s: (s,) * n, start)
+        first = start or full
+        assert_series_match(central_series, a,
+                            lambda s: (s, *(first,) * (n - 1)), start)
