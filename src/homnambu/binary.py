@@ -39,8 +39,8 @@ from .graded import (GradedMap, GradedSpace, HomAlgebra, SuperBracket,
                      _column_bound, compat_residuals, skew_basis)
 from .linalg import (InputError, Matrix, PreconditionError, Subspace, Vec,
                      content, field, integer_terms, invert, is_zero_vec,
-                     map_terms, pack, record, slot_width, unpack,
-                     unpack_terms, vec_add, vec_scale, zero_vec)
+                     map_terms, pack, record, slot_width, unpack, vec_add,
+                     vec_scale, zero_vec)
 from .report import Report, fmt_vec
 
 
@@ -268,8 +268,9 @@ def change_of_basis(a: HomAlgebra, s: Matrix) -> HomAlgebra:
                     out[new] = out.get(new, 0) + x * v
             acc = out
         return dt * ds ** arity * d, {
-            key: unpack_terms(v, width) for key, v in sorted(acc.items())
-            if v}
+            key: tuple((m, x) for m, x in enumerate(unpack(v, width, dim))
+                       if x)
+            for key, v in sorted(acc.items()) if v}
 
     d, vectors = conjugate(*a.bracket.integer, a.bracket.arity)
     bracket = _least(type(a.bracket), a.space, d, vectors,

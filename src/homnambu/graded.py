@@ -26,15 +26,16 @@ only the residuals a report prints are divided back into Fractions:
   space of images, and annihilator(), the z with [e_i1, ..., z] = 0,
   for any arity; the series, centers and ideal checks are calls of
   these.  Both read the prefix columns (columns), {k: [e_P, e_k]} for a
-  prefix P of prefixes, the canonical (n-1)-tuples of a super-skew
-  bracket and every ordered one otherwise, each stored tuple packed once
-  per call.  [g, g, g] is the span of the distinct stored vectors; any
-  other image is a front in the first n - 1 slots, expanded onto the
+  prefix P of prefixes, the (n-1)-tuples that start a stored key,
+  canonical ones only on a super-skew bracket, each stored tuple packed
+  once per call.  [g, g, g] is the span of the distinct stored vectors;
+  any other image is a front in the first n - 1 slots, expanded onto the
   prefixes, contracted with their columns and then with a row of the
   last slot, one packed int, deduplicated up to sign before it is
   unpacked; a central step and a derived step read only the fronts
   their super-skewness leaves.  annihilator shrinks one candidate, the
-  whole space at first, at each prefix whose packed test it fails;
+  indices that end a stored key at first, at each prefix whose packed
+  test it fails (linalg.null_combinations);
 * skew_breaks, where symmetry or the parity law fails, walked over the
   stored keys and their adjacent-slot mirrors in integers: the skew
   checks format it, and it decides super_skew once, when a bracket is
@@ -58,11 +59,11 @@ only the residuals a report prints are divided back into Fractions:
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from operator import itemgetter
+from operator import itemgetter, le
 
-from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, _eliminate,
-                     _make_primitive, content, field, integer_terms,
-                     is_zero_vec, nonzero_terms, pack, record, slot_width,
+from .linalg import (ZERO, InputError, Matrix, Subspace, Vec, content,
+                     field, integer_terms, is_zero_vec, nonzero_terms,
+                     null_combinations, pack, record, slot_width,
                      unpack_terms, vec)
 
 
@@ -535,25 +536,16 @@ class SuperBracket:
 
     def prefixes(self) -> tuple:
         """The prefixes P whose columns (columns) hold the bracket, in
-        lexicographic order: the canonical (n-1)-tuples of skew_basis on a
-        super_skew bracket, where reordering a prefix only signs its
-        columns, by the canonicalize sign of the reordering, and a prefix
-        that repeats an even index has none; every ordered (n-1)-tuple
-        otherwise.  When the view holds fewer keys than there are such
-        prefixes, only those of its keys are kept, found in one pass over
-        it, so a sparse bracket costs its keys: the others' columns are
-        empty."""
-        n, p = self.arity, self.space.parities
-        view = self.integer[1]
+        lexicographic order: the (n-1)-tuples that start a stored key,
+        found in one pass over the view, so a sparse bracket costs its
+        keys; on a super_skew bracket only the canonical ones, as
+        reordering a prefix only signs its columns, by the canonicalize
+        sign of the reordering: the weakly increasing ones, since no
+        stored key repeats an even index."""
+        found = {key[:-1] for key in self.integer[1]}
         if self.super_skew:
-            every = skew_basis(n - 1, self.space).tuples
-            if len(view) >= len(every):
-                return every
-            found = {key[:-1] for key in view}
-            return tuple(sorted(q for q in found if is_canonical(q, p)))
-        if len(view) >= len(p) ** (n - 1):
-            return tuple(product(range(len(p)), repeat=n - 1))
-        return tuple(sorted({key[:-1] for key in view}))
+            found = [q for q in found if all(map(le, q, q[1:]))]
+        return tuple(sorted(found))
 
     def columns(self, width: int):
         """column(P, ks), the prefix column {k: packed W(P + (k,))} over the
@@ -599,7 +591,6 @@ class SuperBracket:
         sum_P c_P e_P in the first n - 1 slots, contracted with the prefix
         columns (columns) into {k: [front, e_k]}, and that with a row b of
         the last slot: sum_k b_k [front, e_k], one packed int.  The fronts:
-        - the first n - 1 slots whole: each prefix (prefixes) alone;
         - on a super_skew bracket, S in slot 0 and the other slots whole
           (a central step, is_ideal): each canonical prefix alone, and the
           rows of S moved to the last slot: [s, e_P] = (-1)^(n-1) sum_k
@@ -626,20 +617,20 @@ class SuperBracket:
                 or any(s.ambient_dim != dim for s in subspaces)):
             raise InputError(f"span takes {n} subspaces of the "
                              f"{dim}-dimensional space")
-        bases = [integer_terms(s.basis.entries)[1] for s in subspaces]
-        if not all(bases):
-            return Matrix(0, dim, ())
         whole = [s.dim == dim for s in subspaces]
         if all(whole):
             rows = _distinct_rows({id(v): v for v in
                                    self.integer[1].values()}.values())
             return Matrix(len(rows), dim, rows)
+        units = [((i, 1),) for i in range(dim)]
+        bases = [units if w else integer_terms(s.basis.entries)[1]
+                 for s, w in zip(subspaces, whole)]
+        if not all(bases):
+            return Matrix(0, dim, ())
         p = self.space.parities
         skew = self.super_skew
         first, last = bases[0], bases[-1]
-        if all(whole[:-1]):
-            fronts = [(_units(prefix), last) for prefix in self.prefixes()]
-        elif skew and all(whole[1:]):
+        if skew and all(whole[1:]):
             flipped = [tuple((k, -x if p[k] else x) for k, x in b)
                        for b in first]
             fronts = [(_units(prefix),
@@ -653,7 +644,8 @@ class SuperBracket:
                       for front in _canonical_tuples(n - 1, odd)]
         else:
             fronts = [(front, last) for front in product(*bases[:-1])]
-        width = slot_width(self._sizes()[0] * _norm_bound(bases))
+        width = slot_width(self._sizes()[0] * _norm_bound(
+            b for b, w in zip(bases, whole) if not w))
         return Matrix(sum(len(rows) for _, rows in fronts), dim,
                       self._contracted(fronts, width))
 
@@ -691,24 +683,27 @@ class SuperBracket:
                     yield unpack_terms(x, width)
 
     def annihilator(self) -> Subspace:
-        """The z with [e_i1, ..., e_i(n-1), z] = 0 for all basis arguments,
-        from one candidate K, integer rows spanning the z that the
-        prefixes read so far allow, first the unit rows of the whole
-        space.  Each prefix P (prefixes: only the canonical ones on a
-        super_skew bracket) tests K with one packed sum per row, [e_P, K_s]
-        = sum_k K_s[k] W(P, k) over its columns (columns); a slot of it is
+        """The z with [e_i1, ..., e_i(n-1), z] = 0 for all basis arguments.
+        An index k that ends no stored key is never read, so e_k is in the
+        answer; over the others one candidate K, integer rows spanning the
+        z that the prefixes read so far allow, starts as their unit rows.
+        Each prefix P (prefixes: only the canonical ones on a super_skew
+        bracket) tests K with one packed sum per row, [e_P, K_s] =
+        sum_k K_s[k] W(P, k) over its columns (columns); a slot of it is
         at most M |K_s|_1, M the largest |entry| of the view, which sets
         the width.  When every sum is 0 the prefix is satisfied, and stays
-        so, as K only shrinks.  Otherwise the sums are unpacked into the
-        dim x |K| integer matrix of the [e_P, K_s], and its kernel, mapped
-        through K, is the new candidate (_shrunk): one update in K's
-        coordinates, no row of an earlier prefix eliminated again.  Only
-        the columns at K's support are read.  The answer is the RREF of
-        K's span."""
+        so, as K only shrinks.  Otherwise the kernel of the [e_P, K_s],
+        mapped through K, is the new candidate (linalg.null_combinations,
+        the unpacked sums tagged with the rows of K): one update in K's
+        coordinates, no row of an earlier prefix eliminated again.
+        Only the columns at K's support are read.  The answer is the RREF
+        of the span of K and the unread unit rows."""
         dim = self.space.dim
         top = self._sizes()[0]
-        cand = [((i, 1),) for i in range(dim)]
-        at = {i: [(i, 1)] for i in range(dim)}  # k -> (s, K_s[k]), K_s[k] != 0
+        reached = sorted({key[-1] for key in self.integer[1]})
+        unread = [((k, 1),) for k in sorted(set(range(dim)) - set(reached))]
+        cand = [((k, 1),) for k in reached]
+        at = {k: [(s, 1)] for s, k in enumerate(reached)}  # k -> (s, K_s[k])
         width = slot_width(top)
         column = self.columns(width)
         for prefix in self.prefixes():
@@ -721,9 +716,10 @@ class SuperBracket:
                     sums[s] += x * y
             if not any(sums):
                 continue
-            cand = _shrunk(cand, sums, width, dim)
+            cand = null_combinations([unpack_terms(x, width) for x in sums],
+                                     cand, dim)
             if not cand:
-                return Subspace.zero(dim)
+                break
             at = {}
             for s, row in enumerate(cand):
                 for k, x in row:
@@ -732,7 +728,8 @@ class SuperBracket:
             if need > width:
                 width = need
                 column = self.columns(width)
-        return Subspace.spanned_by_rows(Matrix(len(cand), dim, tuple(cand)))
+        rows = (*unread, *cand)
+        return Subspace.spanned_by_rows(Matrix(len(rows), dim, rows))
 
     def is_zero(self) -> bool:
         return not self.integer[1]
@@ -827,32 +824,6 @@ def _norm_bound(bases) -> int:
     for rows in bases:
         bound *= max(sum(abs(x) for _, x in b) for b in rows)
     return bound
-
-
-def _shrunk(cand: list, sums: list, width: int, dim: int) -> list:
-    """The integer rows spanning the z in the span of cand, independent
-    integer rows, with [e_P, z] = 0, sums[s] the packed [e_P, cand[s]]:
-    the rows whose sum is 0, and one primitive row per dependency of the
-    others' unpacked images, found by one fraction-free elimination of
-    each image augmented with its row (columns dim and up), an image that
-    reduces to 0 leaving the combination of rows that gives it."""
-    kept = [row for row, x in zip(cand, sums) if not x]
-    table = {}
-    for row, x in zip(cand, sums):
-        if not x:
-            continue
-        r = dict(unpack_terms(x, width))
-        r.update((dim + m, y) for m, y in row)
-        lead = min(r)
-        while lead < dim and lead in table:
-            _eliminate(r, lead, table[lead])
-            lead = min(r)
-        _make_primitive(r, lead)
-        if lead < dim:
-            table[lead] = r
-        else:
-            kept.append(tuple((m - dim, y) for m, y in sorted(r.items())))
-    return kept
 
 
 def _distinct_rows(rows) -> tuple:

@@ -13,9 +13,10 @@ zero entry, and makes Fractions only for the RREF it returns, in the same
 storage; rank, kernel, solve, invert and Subspace read those rows, and so
 does cohomology, for its sparse coboundary blocks, the blocks below them
 and the torus grading that cuts the blocks, the kernel of the
-homogeneity equations.  Subspaces are stored as reduced row echelon
-bases with zero rows dropped, so structural equality is canonical
-equality.
+homogeneity equations; null_combinations runs its step forward only, for
+the combinations of tagged rows that vanish.  Subspaces are stored as
+reduced row echelon bases with zero rows dropped, so structural equality
+is canonical equality.
 
 rref skips the rows its pivots already span once eliminating such rows
 has cost about as much as building the pivots' kernel: it then packs
@@ -567,13 +568,45 @@ def _kernel_columns(table: dict, cols: int, bound: int) -> list:
     return columns
 
 
+def null_combinations(images, tags, cols: int) -> list:
+    """Int rows spanning {sum_s c_s tags[s] : sum_s c_s images[s] = 0},
+    images[s] (columns below cols) and tags[s] sparse int rows of (column,
+    value) pairs: the tag of an empty image as it is, and one
+    fraction-free forward elimination (rref's step, _eliminate) of each
+    other image with its tag carried beside it, in columns cols and up, a
+    row whose image reduces to 0 leaving the primitive combination of
+    tags that gives it.  With independent tags the rows are
+    independent: the kernel of the images' matrix mapped through the tags,
+    without a Fraction, a back-substitution or a second elimination.  The
+    annihilator's candidate takes one call per prefix that shrinks it."""
+    table = {}
+    out = []
+    for image, tag in zip(images, tags):
+        if not image:
+            out.append(tag)
+            continue
+        r = dict(image)
+        r.update((cols + m, y) for m, y in tag)
+        lead = min(r)
+        while lead < cols and lead in table:
+            _eliminate(r, lead, table[lead])
+            lead = min(r)
+        _make_primitive(r, lead)
+        if lead < cols:
+            table[lead] = r
+        else:
+            out.append(tuple((m - cols, y) for m, y in sorted(r.items())))
+    return out
+
+
 def rref(m: Matrix, stop: int = None) -> Matrix:
     """Reduced row echelon form of m, in m's shape: unique, its pivot rows
     at the top and its zero rows, empty, at the bottom, every value a
     Fraction.
 
-    The one elimination routine, fraction-free (cohomology's coboundary
-    blocks and torus grading reach it through kernel and image): it computes
+    The one echelon routine, fraction-free (cohomology's coboundary
+    blocks and torus grading reach it through kernel and image; only
+    null_combinations shares its elimination step): it computes
     in Python ints and makes Fractions only for the rows it returns.  Each
     row of m is read as a dict of column -> int; a row holding Fractions is
     first cleared of its own denominators, which leaves its span unchanged.

@@ -13,7 +13,7 @@ from homnambu.fixtures import (conjugate_gl11, conjugate_pair, gl11, gl11t,
 from homnambu.linalg import (ONE, InputError, Matrix, Subspace, _gcd, content,
                              _make_primitive, certified_rank, frac,
                              integer_terms, invert, is_zero_vec, kernel,
-                             modular_rank, pack, rank, rref,
+                             modular_rank, null_combinations, pack, rank, rref,
                              slot_width, solve, subspace_intersection,
                              unit_vec, unpack, vec, zero_vec)
 from homnambu.reps import trace_functional
@@ -668,6 +668,43 @@ def test_rref_matches_fraction_eliminator(monkeypatch):
         Matrix(len(rows), 3, tuple(rows)))
     assert builds
     assert list(stream) == rows[-2:]
+
+
+def test_null_combinations_map_the_kernel_through_the_tags():
+    """The rows null_combinations leaves span the kernel of the images'
+    matrix (one column per image) mapped through the tags, are independent
+    when the tags are, keep the tag of an empty image as it is, and are
+    primitive: seeded images of low rank with repeats and empty ones."""
+    rng = random.Random(23)
+    for trial in range(40):
+        cols, count = rng.randint(1, 5), rng.randint(1, 6)
+        seeds = [[rng.randint(-4, 4) for _ in range(cols)]
+                 for _ in range(rng.randint(1, 3))]
+        images = []
+        for _ in range(count):
+            v = [sum(rng.randint(-2, 2) * x for x in col)
+                 for col in zip(*seeds)]
+            images.append(() if rng.random() < 0.2 else
+                          tuple((m, x) for m, x in enumerate(v) if x))
+        tags = Matrix.build([[rng.randint(-3, 3) for _ in range(6)]
+                             for _ in range(count)])
+        if rank(tags) < count:
+            continue
+        tags = [tuple(row) for row in integer_terms(tags.entries)[1]]
+        got = null_combinations(images, tags, cols)
+        by_m = [tuple((s, x) for s, image in enumerate(images)
+                      for m, x in image if m == c) for c in range(cols)]
+        ker = kernel(Matrix(cols, count, tuple(by_m)))
+        want = Matrix.from_rows(
+            ({k: sum(c * dict(tags[s]).get(k, 0) for s, c in row)
+              for k in range(6)} for row in ker.basis.entries), 6)
+        assert len(got) == ker.dim
+        assert (Subspace.spanned_by_rows(Matrix(len(got), 6, tuple(got)))
+                == Subspace.spanned_by_rows(want))
+        kept = [tag for image, tag in zip(images, tags) if not image]
+        assert all(tag in got for tag in kept)
+        for row in got:
+            assert row in kept or content(row[0][1], (x for _, x in row)) == 1
 
 
 def test_a_new_pivot_drops_the_kernel(monkeypatch):

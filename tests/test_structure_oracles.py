@@ -397,9 +397,9 @@ def test_a_center_updates_its_candidate_a_few_times(name, updates,
     conjugate shrink their candidate at only a few prefixes; every other
     prefix's packed sums are all 0, and it is skipped."""
     shrinks = []
-    shrunk = graded._shrunk
-    monkeypatch.setattr(graded, "_shrunk", lambda *args: shrinks.append(
-        args) or shrunk(*args))
+    shrunk = graded.null_combinations
+    monkeypatch.setattr(graded, "null_combinations",
+                        lambda *args: shrinks.append(args) or shrunk(*args))
     got = []
     for a in glmn_family(2, 2)[name]:
         del shrinks[:]
